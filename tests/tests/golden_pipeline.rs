@@ -16,9 +16,10 @@ use stack::{PingExperiment, PingTrace, StackConfig};
 /// grants, HARQ/RLC escalation and full RLF recovery detours.
 const PINGS: u64 = 40;
 
-/// The pinned configurations: the Table 2 testbed in both access modes,
-/// the chaos fault plan, and the recovery-forcing burst plan.
-fn golden_configs() -> Vec<(&'static str, StackConfig)> {
+/// The configurations pinned against the seed monolith: the Table 2
+/// testbed in both access modes, the chaos fault plan, and the
+/// recovery-forcing burst plan.
+fn seed_configs() -> Vec<(&'static str, StackConfig)> {
     let mut recovery = StackConfig::testbed_dddu(AccessMode::GrantFree, true).with_seed(9);
     recovery.harq_max_tx = 2;
     recovery.rlc_max_retx = 1;
@@ -44,6 +45,31 @@ fn golden_configs() -> Vec<(&'static str, StackConfig)> {
     ]
 }
 
+/// Walk exits the seed sections never reach, pinned from the hop-chain
+/// pipeline itself: scheduler starvation (`MAX_SCHED_ROUNDS` → lost to
+/// `GrantWithheld`), sr-TransMax exhaustion (→ RACH fallback), and a payload
+/// larger than a slot (→ the multi-PDU loops on both legs). These sections
+/// also carry a `ledger` line, because a lost ping shows only in counters.
+fn exit_configs() -> Vec<(&'static str, StackConfig)> {
+    let mut starved = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(11);
+    starved.faults.grant_withhold = Some(sim::LossGate { prob: 1.0 });
+    let mut sr_exhausted = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(12);
+    sr_exhausted.faults.sr_loss = Some(sim::LossGate { prob: 1.0 });
+    let mut segmented = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(13);
+    segmented.payload_bytes = 1500; // > one slot: the grant is capped at slot capacity
+    vec![
+        ("grant-starvation", starved),
+        ("sr-exhaustion-rach", sr_exhausted),
+        ("multi-pdu-segmentation", segmented),
+    ]
+}
+
+/// [`seed_configs`] then [`exit_configs`], in golden-file order.
+fn golden_configs() -> Vec<(&'static str, StackConfig, bool)> {
+    let seed = seed_configs().into_iter().map(|(name, cfg)| (name, cfg, false));
+    seed.chain(exit_configs().into_iter().map(|(name, cfg)| (name, cfg, true))).collect()
+}
+
 fn render_trace(t: &PingTrace) -> String {
     let mut out = String::new();
     out.push_str(&format!("ping {}\n", t.id));
@@ -62,13 +88,26 @@ fn render_trace(t: &PingTrace) -> String {
 
 fn render_all() -> String {
     let mut out = String::new();
-    for (name, cfg) in golden_configs() {
+    for (name, cfg, ledger) in golden_configs() {
         out.push_str(&format!("== {name} ==\n"));
         let mut exp = PingExperiment::new(cfg);
         exp.keep_traces(PINGS as usize);
         let res = exp.run(PINGS);
         for t in &res.traces {
             out.push_str(&render_trace(t));
+        }
+        if ledger {
+            out.push_str(&format!(
+                "ledger delivered={} sr_retx={} rach_recoveries={} grants_withheld={} \
+                 missed_grants={} integrity_failures={} {:?}\n",
+                res.rtt.count(),
+                res.sr_retx,
+                res.rach_recoveries,
+                res.grants_withheld,
+                res.missed_grants,
+                res.integrity_failures,
+                res.attribution,
+            ));
         }
     }
     out
