@@ -1,11 +1,11 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fr2|reliability|design|all [--pings N]
-//! repro metrics [--pings N]          # cross-layer telemetry registry dump
+//! repro <figure>|all [--pings N]     # figures: the `FIGURES` table below
 //! repro trace [--perfetto out.json]  # Perfetto/Chrome trace of the journey
 //! repro <cmd> --jobs N [--compare]   # worker count; --compare also times a
 //!                                    # single-worker reference pass
+//! repro ratchet [--write]            # gate the last run's wall times
 //! ```
 //!
 //! Each subcommand prints the regenerated artifact (ASCII) and writes a
@@ -18,6 +18,7 @@
 
 use std::env;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use radio::{InterfaceKind, RadioHead, RadioHeadConfig};
 use ran::sched::AccessMode;
@@ -42,99 +43,133 @@ use urllc_core::DesignSearch;
 static JOBS: AtomicUsize = AtomicUsize::new(1);
 /// Whether to also time a single-worker reference pass per subcommand.
 static COMPARE: AtomicBool = AtomicBool::new(false);
+/// Artifacts this process wrote under `results/` (audited against
+/// [`Figure::artifacts`] after each figure).
+static SAVED: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+/// The `trace` figure's artifact, unless `--perfetto` renames it.
+const TRACE_ARTIFACT: &str = "trace_perfetto.json";
+
+/// The options a figure can read.
+struct Args {
+    pings: u64,
+    /// File name the `trace` figure writes (`--perfetto`).
+    perfetto: String,
+}
+
+/// One regenerated table/figure: its subcommand, how to run it, and the
+/// `results/` files a run must leave behind.
+struct Figure {
+    name: &'static str,
+    run: fn(&Args),
+    artifacts: &'static [&'static str],
+}
+
+/// Every figure, in `repro all` order. Dispatch, `all`, the usage text,
+/// the artifact audit and the ratchet's coverage check all read this table.
+const FIGURES: &[Figure] = &[
+    Figure { name: "table1", run: |_| table1(), artifacts: &["table1.csv"] },
+    Figure { name: "table2", run: |a| table2(a.pings), artifacts: &["table2.csv"] },
+    Figure { name: "fig1", run: |_| fig1(), artifacts: &[] },
+    Figure { name: "fig2", run: |_| fig2(), artifacts: &[] },
+    Figure { name: "fig3", run: |_| fig3(), artifacts: &[] },
+    Figure { name: "fig4", run: |_| fig4(), artifacts: &[] },
+    Figure { name: "fig5", run: |_| fig5(), artifacts: &["fig5.csv"] },
+    Figure { name: "fig6", run: |a| fig6(a.pings), artifacts: &["fig6.csv"] },
+    Figure { name: "fr2", run: |_| fr2(), artifacts: &[] },
+    Figure { name: "reliability", run: |_| reliability(), artifacts: &[] },
+    Figure { name: "design", run: |_| design(), artifacts: &[] },
+    Figure { name: "formats", run: |_| formats(), artifacts: &[] },
+    Figure { name: "scale", run: |_| scale(), artifacts: &["scale.csv"] },
+    Figure { name: "multicell", run: |_| multicell(), artifacts: &["multicell.csv"] },
+    Figure { name: "harq", run: |a| harq(a.pings), artifacts: &[] },
+    Figure { name: "rach", run: |_| rach(), artifacts: &[] },
+    Figure { name: "sixg", run: |_| sixg(), artifacts: &[] },
+    Figure { name: "coexist", run: |_| coexist(), artifacts: &[] },
+    Figure { name: "sched", run: |_| sched(), artifacts: &["sched.csv"] },
+    Figure { name: "chaos", run: |a| chaos(a.pings), artifacts: &["chaos.csv"] },
+    Figure { name: "recovery", run: |a| recovery(a.pings), artifacts: &["recovery.csv"] },
+    Figure { name: "overload", run: |_| overload(), artifacts: &["overload.csv"] },
+    Figure { name: "handover", run: |_| handover(), artifacts: &["handover.csv"] },
+    Figure {
+        name: "metrics",
+        run: |a| metrics(a.pings),
+        artifacts: &["metrics.csv", "metrics.json"],
+    },
+    Figure { name: "trace", run: trace, artifacts: &[TRACE_ARTIFACT] },
+    Figure {
+        name: "profile",
+        run: |a| profile(a.pings),
+        artifacts: &["profile.csv", "tail_exemplars.json", "tail_perfetto.json"],
+    },
+];
+
+/// Prints `problem` and the usage text (generated from [`FIGURES`]); exits 2.
+fn usage(problem: &str) -> ! {
+    let figures: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    eprintln!(
+        "{problem}\nusage: repro {}|ratchet|all [--pings N] [--perfetto out.json] [--jobs N] \
+         [--compare] [--write]",
+        figures.join("|")
+    );
+    std::process::exit(2);
+}
 
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let pings: u64 = args
-        .iter()
-        .position(|a| a == "--pings")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000);
-
-    let perfetto_out =
-        args.iter().position(|a| a == "--perfetto").and_then(|i| args.get(i + 1)).cloned();
-
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(sim::parallel::jobs);
+    let mut cmd = None;
+    let mut args = Args { pings: 5_000, perfetto: TRACE_ARTIFACT.into() };
+    let mut jobs = sim::parallel::jobs();
+    let mut write = false;
+    let mut argv = env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        let mut value = || argv.next().unwrap_or_else(|| usage(&format!("`{arg}` needs a value")));
+        match arg.as_str() {
+            "--pings" => match value().parse() {
+                Ok(n) => args.pings = n,
+                Err(_) => usage("`--pings` takes a count"),
+            },
+            "--jobs" => match value().parse() {
+                Ok(n) if n > 0 => jobs = n,
+                _ => usage("`--jobs` takes a positive count"),
+            },
+            "--perfetto" => args.perfetto = value(),
+            "--compare" => COMPARE.store(true, Ordering::Relaxed),
+            "--write" => write = true,
+            _ if arg.starts_with('-') || cmd.is_some() => usage(&format!("unexpected `{arg}`")),
+            _ => cmd = Some(arg),
+        }
+    }
     sim::parallel::set_jobs(jobs);
     JOBS.store(jobs, Ordering::Relaxed);
-    COMPARE.store(args.iter().any(|a| a == "--compare"), Ordering::Relaxed);
 
-    match cmd {
-        "table1" => timed("table1", table1),
-        "table2" => timed("table2", || table2(pings)),
-        "fig1" => timed("fig1", fig1),
-        "fig2" => timed("fig2", fig2),
-        "fig3" => timed("fig3", fig3),
-        "fig4" => timed("fig4", fig4),
-        "fig5" => timed("fig5", fig5),
-        "fig6" => timed("fig6", || fig6(pings)),
-        "fr2" => timed("fr2", fr2),
-        "reliability" => timed("reliability", reliability),
-        "design" => timed("design", design),
-        "formats" => timed("formats", formats),
-        "scale" => timed("scale", scale),
-        "multicell" => timed("multicell", multicell),
-        "harq" => timed("harq", || harq(pings)),
-        "rach" => timed("rach", rach),
-        "sixg" => timed("sixg", sixg),
-        "coexist" => timed("coexist", coexist),
-        "sched" => timed("sched", sched),
-        "chaos" => timed("chaos", || chaos(pings)),
-        "recovery" => timed("recovery", || recovery(pings)),
-        "overload" => timed("overload", overload),
-        "handover" => timed("handover", handover),
-        "metrics" => timed("metrics", || metrics(pings)),
-        "trace" => timed("trace", || trace(pings, perfetto_out.clone())),
-        "profile" => timed("profile", || profile(pings)),
-        "ratchet" => {
-            // The gating check reads the BENCH of a *previous* run; it
-            // must not clobber that document with its own (empty) log.
-            ratchet_cmd(args.iter().any(|a| a == "--write"));
-            return;
-        }
-        "all" => {
-            timed("table1", table1);
-            timed("table2", || table2(pings));
-            timed("fig1", fig1);
-            timed("fig2", fig2);
-            timed("fig3", fig3);
-            timed("fig4", fig4);
-            timed("fig5", fig5);
-            timed("fig6", || fig6(pings));
-            timed("fr2", fr2);
-            timed("reliability", reliability);
-            timed("design", design);
-            timed("formats", formats);
-            timed("scale", scale);
-            timed("multicell", multicell);
-            timed("harq", || harq(pings));
-            timed("rach", rach);
-            timed("sixg", sixg);
-            timed("coexist", coexist);
-            timed("sched", sched);
-            timed("chaos", || chaos(pings));
-            timed("recovery", || recovery(pings));
-            timed("overload", overload);
-            timed("handover", handover);
-            timed("metrics", || metrics(pings));
-            timed("trace", || trace(pings, perfetto_out.clone()));
-            timed("profile", || profile(pings));
-        }
-        other => {
-            eprintln!("unknown subcommand `{other}`");
-            eprintln!("usage: repro table1|table2|fig1..fig6|fr2|reliability|design|formats|scale|multicell|harq|rach|sixg|coexist|sched|chaos|recovery|overload|handover|metrics|trace|profile|ratchet|all [--pings N] [--perfetto out.json] [--jobs N] [--compare] [--write]");
-            std::process::exit(2);
+    let cmd = cmd.as_deref().unwrap_or("all");
+    if cmd == "ratchet" {
+        // The gating check reads the BENCH of a *previous* run; it must
+        // not clobber that document with its own (empty) log.
+        return ratchet_cmd(write);
+    }
+    let selected: Vec<&Figure> = FIGURES.iter().filter(|f| cmd == "all" || cmd == f.name).collect();
+    if selected.is_empty() {
+        usage(&format!("unknown subcommand `{cmd}`"));
+    }
+    // A figure that silently stops writing an artifact would pass every
+    // downstream byte-compare by omission: audit what each one declared.
+    let mut missing = 0;
+    for fig in selected {
+        timed(fig.name, || (fig.run)(&args));
+        let saved = SAVED.lock().expect("no figure panicked while saving");
+        for artifact in fig.artifacts {
+            let file = if *artifact == TRACE_ARTIFACT { &args.perfetto } else { *artifact };
+            if !saved.iter().any(|s| s == file) {
+                eprintln!("MISSING: `{}` did not write results/{file}", fig.name);
+                missing += 1;
+            }
         }
     }
     save("BENCH_repro.json", &bench_json());
+    if missing > 0 {
+        std::process::exit(1);
+    }
 }
 
 /// Runs one subcommand, logging its wall time (and worker count) for
@@ -165,13 +200,17 @@ fn banner(s: &str) {
     println!("\n==================== {s} ====================");
 }
 
+/// Prints one self-check line of a figure (`<claim>: YES|NO`).
+fn verdict(claim: &str, holds: bool) {
+    println!("{claim}: {}", if holds { "YES" } else { "NO" });
+}
+
 /// Table 1: feasibility of the 0.5 ms deadline across minimal configs.
 fn table1() {
     banner("Table 1 — 0.5 ms feasibility of minimal configurations");
     let table = feasibility_table(&ProcessingBudget::zero());
     print!("{}", table.render());
-    let matches = table.verdicts() == paper_table1();
-    println!("matches the published Table 1: {}", if matches { "YES" } else { "NO" });
+    verdict("matches the published Table 1", table.verdicts() == paper_table1());
     let rows: Vec<Vec<String>> = table
         .cells
         .iter()
@@ -516,64 +555,32 @@ fn multicell() {
         let q3 = |rec: &mut sim::Recording| {
             [0.5, 0.99, 0.999].map(|p| rec.try_quantile_us(p).unwrap_or(0.0) / 1_000.0)
         };
+        let mut row =
+            |cell: String, class: &str, ues: u64, offered: u64, q: [f64; 3], miss, peak| {
+                let mut r = vec![n_cells.to_string(), per_cell.to_string(), total_ues.to_string()];
+                r.extend([cell, class.into(), ues.to_string(), offered.to_string()]);
+                r.extend(q.map(|ms| format!("{ms:.3}")));
+                r.extend([format!("{miss:.5}"), peak]);
+                rows.push(r);
+            };
         // Per-cell rows (all classes merged): the per-cell tail is the
         // figure's point — aggregates hide the hotspots.
         for cell in &report.cells {
-            let mut lat = cell.latency();
-            let [p50, p99, p999] = q3(&mut lat);
-            rows.push(vec![
-                n_cells.to_string(),
-                per_cell.to_string(),
-                total_ues.to_string(),
-                format!("cell{}", cell.cell),
-                "all".into(),
-                cell.n_ues.to_string(),
-                cell.offered().to_string(),
-                format!("{p50:.3}"),
-                format!("{p99:.3}"),
-                format!("{p999:.3}"),
-                format!("{:.5}", cell.miss_rate()),
-                cell.peak_queue.to_string(),
-            ]);
+            let (name, q) = (format!("cell{}", cell.cell), q3(&mut cell.latency()));
+            let peak = cell.peak_queue.to_string();
+            row(name, "all", cell.n_ues, cell.offered(), q, cell.miss_rate(), peak);
         }
         // Aggregate per class, then the topology total.
         let mut agg_offered = 0u64;
         for class in report.aggregate_classes() {
             let mut c = class.clone();
-            let [p50, p99, p999] = q3(&mut c.latency);
             agg_offered += c.offered;
-            rows.push(vec![
-                n_cells.to_string(),
-                per_cell.to_string(),
-                total_ues.to_string(),
-                "agg".into(),
-                c.name.into(),
-                c.ues.to_string(),
-                c.offered.to_string(),
-                format!("{p50:.3}"),
-                format!("{p99:.3}"),
-                format!("{p999:.3}"),
-                format!("{:.5}", c.miss_rate()),
-                String::new(),
-            ]);
+            let q = q3(&mut c.latency);
+            row("agg".into(), c.name, c.ues, c.offered, q, c.miss_rate(), String::new());
         }
-        let mut all = report.latency();
-        let [p50, p99, p999] = q3(&mut all);
+        let [p50, p99, p999] = q3(&mut report.latency());
         let miss = report.miss_rate();
-        rows.push(vec![
-            n_cells.to_string(),
-            per_cell.to_string(),
-            total_ues.to_string(),
-            "agg".into(),
-            "all".into(),
-            total_ues.to_string(),
-            agg_offered.to_string(),
-            format!("{p50:.3}"),
-            format!("{p99:.3}"),
-            format!("{p999:.3}"),
-            format!("{miss:.5}"),
-            String::new(),
-        ]);
+        row("agg".into(), "all", total_ues, agg_offered, [p50, p99, p999], miss, String::new());
         println!(
             "{n_cells:>6} {total_ues:>9} {agg_offered:>9} {p50:>9.3} {p99:>9.3} {p999:>9.3} {miss:>9.5} {:>9.1}",
             report.recording_mem_bytes() as f64 / 1024.0
@@ -834,9 +841,9 @@ fn chaos(pings: u64) {
                         && plain_res.ul.samples_us() == res.ul.samples_us()
                         && plain_res.dl.samples_us() == res.dl.samples_us()
                         && res.attribution.is_fault_free();
-                    println!(
-                        "intensity 0 reproduces the fault-free baseline byte for byte: {}",
-                        if identical { "YES" } else { "NO" }
+                    verdict(
+                        "intensity 0 reproduces the fault-free baseline byte for byte",
+                        identical,
                     );
                 }
                 // Fraction of baseline pings one pattern-period of extra
@@ -894,10 +901,7 @@ fn chaos(pings: u64) {
             ]);
         }
     }
-    println!(
-        "miss probability monotone in intensity at every margin: {}",
-        if monotone { "YES" } else { "NO" }
-    );
+    verdict("miss probability monotone in intensity at every margin", monotone);
     let csv = to_csv(
         &[
             "intensity",
@@ -979,10 +983,7 @@ fn recovery(pings: u64) {
     );
     let bound_us = model.worst_case_any().as_micros_f64();
     let bounded = res.recovery.samples_us().iter().all(|&us| us <= bound_us);
-    println!(
-        "every simulated detour within the closed form: {}",
-        if bounded { "YES" } else { "NO" }
-    );
+    verdict("every simulated detour within the closed form", bounded);
 
     // (b) N3 path outages: supervision detects, fails over, restores.
     let mut path_cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(10);
@@ -1189,18 +1190,12 @@ fn overload() {
         ]);
         rows.push(row);
     }
-    println!(
-        "sub-saturation Poisson mean waits inside the M/D/1 band: {}",
-        if md1_violations == 0 { "YES" } else { "NO" }
-    );
+    verdict("sub-saturation Poisson mean waits inside the M/D/1 band", md1_violations == 0);
     let governed_engaged = points
         .iter()
         .zip(&reports)
         .any(|((_, slo, rho), (r, _))| *slo && *rho > 1.0 && r.degraded_slots > 0);
-    println!(
-        "SLO supervisor engaged past saturation: {}",
-        if governed_engaged { "YES" } else { "NO" }
-    );
+    verdict("SLO supervisor engaged past saturation", governed_engaged);
     let headers: Vec<&str> = header.iter().map(String::as_str).collect();
     save("overload.csv", &to_csv(&headers, &rows));
 }
@@ -1341,11 +1336,8 @@ fn handover() {
         ]);
     }
     assert_eq!(bound_violations, 0, "interruption windows exceeded the closed-form bound");
-    println!("every interruption window within the closed-form bound: YES");
-    println!(
-        "all four failure modes observed under chaos: {}",
-        if chaos_tally.iter().all(|&n| n > 0) { "YES" } else { "NO" }
-    );
+    verdict("every interruption window within the closed-form bound", true);
+    verdict("all four failure modes observed under chaos", chaos_tally.iter().all(|&n| n > 0));
     save("handover.csv", &to_csv(&header, &rows));
 }
 
@@ -1384,9 +1376,9 @@ fn metrics(pings: u64) {
 /// `repro trace [--perfetto out.json]` — one instrumented chaotic run;
 /// exports the event journal as a Chrome trace-event / Perfetto JSON
 /// document (load it at <https://ui.perfetto.dev>).
-fn trace(pings: u64, out: Option<String>) {
+fn trace(args: &Args) {
     banner("Trace — Perfetto/Chrome trace-event export of the ping journey");
-    let n = pings.clamp(8, 24);
+    let n = args.pings.clamp(8, 24);
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true)
         .with_seed(7)
         .with_faults(sim::FaultPlan::chaos(0.2));
@@ -1399,17 +1391,7 @@ fn trace(pings: u64, out: Option<String>) {
         events.len(),
         tel.journal_dropped()
     );
-    let name = out.as_deref().unwrap_or("trace_perfetto.json");
-    let mut buf = Vec::new();
-    match telemetry::perfetto::export_chrome_trace(&mut buf, &events) {
-        Ok(()) => save(name, &String::from_utf8(buf).expect("chrome trace is UTF-8")),
-        Err(e) => {
-            // The typed export error distinguishes formatting failures
-            // from I/O failures at this call site.
-            eprintln!("[trace export failed: {e}]");
-            std::process::exit(1);
-        }
-    }
+    save_perfetto(&args.perfetto, &events);
     println!("open the saved file at https://ui.perfetto.dev");
 }
 
@@ -1535,21 +1517,15 @@ fn profile(pings: u64) {
         .into_iter()
         .filter(|ev| ev.ping().is_some_and(|p| keep.contains(&p)))
         .collect();
-    let mut buf = Vec::new();
-    match telemetry::perfetto::export_chrome_trace(&mut buf, &events) {
-        Ok(()) => save("tail_perfetto.json", &String::from_utf8(buf).expect("trace is UTF-8")),
-        Err(e) => {
-            eprintln!("[tail trace export failed: {e}]");
-            std::process::exit(1);
-        }
-    }
+    save_perfetto("tail_perfetto.json", &events);
 }
 
 /// `repro ratchet [--write]` — the gating wall-time check: judges the
 /// wall times of the last `repro` run (`results/BENCH_repro.json`)
 /// against the checked-in `ci/wall_baseline.json` and exits non-zero on
-/// a regression. `--write` regenerates the baseline from the last run
-/// (keeping the existing tolerance band).
+/// a regression or on a [`FIGURES`] entry the baseline does not cover.
+/// `--write` regenerates the baseline from the last run (keeping the
+/// existing tolerance band).
 fn ratchet_cmd(write: bool) {
     let bench_path = "results/BENCH_repro.json";
     let bench = match std::fs::read_to_string(bench_path) {
@@ -1600,14 +1576,34 @@ fn ratchet_cmd(write: bool) {
     };
     let report = base.check(&walls);
     print!("{}", report.render(&base.tolerance));
-    if !report.ok() {
+    // A figure added to the table but not to the baseline would run ungated.
+    let gated = |name: &str| base.walls.iter().any(|w| w.figure == name);
+    let ungated: Vec<&str> = FIGURES.iter().map(|f| f.name).filter(|n| !gated(n)).collect();
+    if !ungated.is_empty() {
+        eprintln!("ratchet: {baseline_path} has no baseline for {ungated:?} (refresh: `--write`)");
+    }
+    if !report.ok() || !ungated.is_empty() {
         std::process::exit(1);
     }
 }
 
+/// Saves `events` as a Chrome trace-event document; a failed export (the
+/// typed error tells formatting from I/O failures) exits 1.
+fn save_perfetto(name: &str, events: &[telemetry::JournalEvent]) {
+    let mut buf = Vec::new();
+    if let Err(e) = telemetry::perfetto::export_chrome_trace(&mut buf, events) {
+        eprintln!("[trace export to {name} failed: {e}]");
+        std::process::exit(1);
+    }
+    save(name, &String::from_utf8(buf).expect("chrome trace is UTF-8"));
+}
+
 fn save(name: &str, contents: &str) {
     match write_artifact(name, contents) {
-        Ok(p) => println!("[saved {}]", p.display()),
+        Ok(p) => {
+            println!("[saved {}]", p.display());
+            SAVED.lock().expect("no figure panicked while saving").push(name.to_owned());
+        }
         Err(e) => eprintln!("[failed to save {name}: {e}]"),
     }
 }

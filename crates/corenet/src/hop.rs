@@ -1,7 +1,7 @@
 //! Hop adapter: the supervised backbone crossing packaged as one pipeline
 //! unit for the stack's event-driven ping walk.
 //!
-//! The stack's `BackboneHop` consumes a "packet reaches the tunnel
+//! The stack's `backbone` hop consumes a "packet reaches the tunnel
 //! endpoint" event and must emit the "packet reaches the UPF" event. What
 //! sits between is corenet policy — the supervision state machine deciding
 //! whether the packet discovers an outage (and eats the detection delay)

@@ -194,9 +194,8 @@ impl SliceShares {
 }
 
 /// Serializable, comparable description of a scheduling policy — the value
-/// object behind `Box<dyn SchedulingPolicy>`: configs carry a boxed policy,
-/// equality/serde go through the spec, and [`PolicySpec::build`] turns a
-/// spec back into a live policy.
+/// every config carries; [`PolicySpec::build`] turns it into the live
+/// [`SchedulingPolicy`] a scheduler runs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PolicySpec {
     /// First-come-first-served: pure arrival order, no hooks. The default,
@@ -271,10 +270,6 @@ impl PolicySpec {
 /// apply. Implementations MUST be deterministic (no RNG, no wall clock) —
 /// every artifact in this repo is byte-compared across worker counts.
 pub trait SchedulingPolicy: std::fmt::Debug + Send + Sync {
-    /// The serializable description of this policy (used for equality,
-    /// serde and diagnostics).
-    fn spec(&self) -> PolicySpec;
-
     /// Clones the policy, preserving internal state (e.g. the round-robin
     /// cursor).
     fn clone_box(&self) -> Box<dyn SchedulingPolicy>;
@@ -322,16 +317,6 @@ impl Clone for Box<dyn SchedulingPolicy> {
     }
 }
 
-impl PartialEq for dyn SchedulingPolicy {
-    fn eq(&self, other: &Self) -> bool {
-        self.spec() == other.spec()
-    }
-}
-
-fn default_policy() -> Box<dyn SchedulingPolicy> {
-    PolicySpec::Fcfs.build()
-}
-
 // ---- The SimURLLC policy set ----------------------------------------------
 
 /// Pure arrival order; the historical behavior.
@@ -339,9 +324,6 @@ fn default_policy() -> Box<dyn SchedulingPolicy> {
 struct Fcfs;
 
 impl SchedulingPolicy for Fcfs {
-    fn spec(&self) -> PolicySpec {
-        PolicySpec::Fcfs
-    }
     fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
         Box::new(self.clone())
     }
@@ -358,13 +340,6 @@ struct StrictPriority {
 }
 
 impl SchedulingPolicy for StrictPriority {
-    fn spec(&self) -> PolicySpec {
-        if self.preemptive {
-            PolicySpec::PreemptivePriority { dl_background: self.dl_background }
-        } else {
-            PolicySpec::NonPreemptivePriority
-        }
-    }
     fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
         Box::new(self.clone())
     }
@@ -391,9 +366,6 @@ struct RoundRobin {
 }
 
 impl SchedulingPolicy for RoundRobin {
-    fn spec(&self) -> PolicySpec {
-        PolicySpec::RoundRobin
-    }
     fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
         Box::new(self.clone())
     }
@@ -415,13 +387,6 @@ struct Edf {
 }
 
 impl SchedulingPolicy for Edf {
-    fn spec(&self) -> PolicySpec {
-        if self.preemptive {
-            PolicySpec::HybridEdfPreemptive { dl_background: self.dl_background }
-        } else {
-            PolicySpec::EarliestDeadlineFirst
-        }
-    }
     fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
         Box::new(self.clone())
     }
@@ -446,9 +411,6 @@ struct SliceAware {
 }
 
 impl SchedulingPolicy for SliceAware {
-    fn spec(&self) -> PolicySpec {
-        PolicySpec::SliceAware(self.shares)
-    }
     fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
         Box::new(self.clone())
     }
@@ -477,7 +439,7 @@ impl SchedulingPolicy for SliceAware {
 // ---- Scheduler configuration ----------------------------------------------
 
 /// Scheduler configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerConfig {
     /// The duplexing scheme (slot pattern).
     pub duplex: Duplex,
@@ -500,24 +462,8 @@ pub struct SchedulerConfig {
     pub ul_slot_capacity: usize,
     /// Bytes granted per served SR.
     pub grant_bytes: usize,
-    /// The scheduling policy prototype. [`Scheduler::new`] clones it into
-    /// the live scheduler; mutating this field afterwards does not affect
-    /// an already-built scheduler.
-    pub policy: Box<dyn SchedulingPolicy>,
-}
-
-impl PartialEq for SchedulerConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.duplex == other.duplex
-            && self.access == other.access
-            && self.lead == other.lead
-            && self.control_lead == other.control_lead
-            && self.ue_grant_processing == other.ue_grant_processing
-            && self.dl_slot_capacity == other.dl_slot_capacity
-            && self.ul_slot_capacity == other.ul_slot_capacity
-            && self.grant_bytes == other.grant_bytes
-            && self.policy.spec() == other.policy.spec()
-    }
+    /// The scheduling policy; [`Scheduler::new`] builds the live instance.
+    pub policy: PolicySpec,
 }
 
 impl SchedulerConfig {
@@ -533,7 +479,7 @@ impl SchedulerConfig {
             dl_slot_capacity: 8192,
             ul_slot_capacity: 8192,
             grant_bytes: 256,
-            policy: default_policy(),
+            policy: PolicySpec::Fcfs,
         }
     }
 
@@ -550,13 +496,13 @@ impl SchedulerConfig {
             dl_slot_capacity: 8192,
             ul_slot_capacity: 8192,
             grant_bytes: 256,
-            policy: default_policy(),
+            policy: PolicySpec::Fcfs,
         }
     }
 
     /// Replaces the scheduling policy (builder style).
     pub fn with_policy(mut self, spec: PolicySpec) -> SchedulerConfig {
-        self.policy = spec.build();
+        self.policy = spec;
         self
     }
 }
@@ -599,7 +545,7 @@ pub struct SlotDecision {
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     config: SchedulerConfig,
-    /// Live policy instance, cloned from `config.policy` at construction.
+    /// Live policy instance, built from `config.policy` at construction.
     policy: Box<dyn SchedulingPolicy>,
     /// O(1) slot-pattern lookups for `config.duplex`.
     timing: SlotTiming,
@@ -624,7 +570,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// Creates a scheduler.
     pub fn new(config: SchedulerConfig) -> Scheduler {
-        let policy = config.policy.clone_box();
+        let policy = config.policy.build();
         let timing = config.duplex.timing();
         Scheduler {
             config,
@@ -1010,15 +956,15 @@ mod tests {
             PolicySpec::HybridEdfPreemptive { dl_background: 1024 },
             PolicySpec::SliceAware(SliceShares::even()),
         ];
-        for spec in specs {
-            // spec → live policy → spec is the identity (equality and serde
-            // of boxed policies both route through the spec).
-            assert_eq!(spec.build().spec(), spec);
-            assert_eq!(spec.build().as_ref(), spec.build().as_ref());
-        }
-        // Config equality compares the policy by spec, not by address.
         let base =
             SchedulerConfig::ideal(Duplex::Tdd(TddConfig::dddu_testbed()), AccessMode::GrantFree);
+        for spec in specs {
+            // The config carries the spec itself, through to the scheduler
+            // that built its live policy from it.
+            let cfg = base.clone().with_policy(spec);
+            assert_eq!(cfg.policy, spec);
+            assert_eq!(Scheduler::new(cfg.clone()).config(), &cfg);
+        }
         assert_eq!(base.clone(), base.clone());
         assert_ne!(base.clone().with_policy(PolicySpec::RoundRobin), base);
     }

@@ -71,7 +71,7 @@ pub fn coexistence_sweep(
             };
             let mut sched = Scheduler::new(SchedulerConfig {
                 dl_slot_capacity: capacity,
-                policy: policy.build(),
+                policy,
                 ..SchedulerConfig::ideal(base.duplex.clone(), AccessMode::GrantFree)
             });
             // Pre-schedule the Poisson arrivals on an event queue (the

@@ -216,7 +216,7 @@ impl StackConfig {
             dl_slot_capacity: self.slot_capacity_bytes(),
             ul_slot_capacity: self.slot_capacity_bytes(),
             grant_bytes: self.grant_bytes(),
-            policy: self.policy.build(),
+            policy: self.policy,
         }
     }
 

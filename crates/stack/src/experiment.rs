@@ -35,7 +35,7 @@ use telemetry::{
 use crate::config::StackConfig;
 use crate::journey::{PingTrace, StageSpan};
 use crate::node::{GnbStack, UeStack};
-use crate::pipeline::{HopChain, HopFx, HopOutcome, PingCtx, PingEvent, Side};
+use crate::pipeline::{dispatch, HopOutcome, PingCtx, PingEvent};
 use crate::stage_labels as labels;
 
 /// gNB-side per-layer statistics (Table 2).
@@ -193,7 +193,7 @@ impl ExperimentResult {
 
 /// The experiment driver: owns the layer entities, the per-stream RNGs
 /// and the shared event queue; the per-ping walk itself lives in the
-/// [`crate::pipeline`] hop chain.
+/// [`crate::pipeline`] hop functions.
 pub struct PingExperiment {
     pub(crate) config: StackConfig,
     /// O(1) slot-pattern lookups for `config.duplex`, built once per
@@ -353,13 +353,12 @@ impl PingExperiment {
     /// consistent when a parallel run merges batch results.
     fn run_span(&mut self, start: u64, len: u64, spacing: Duration) -> ExperimentResult {
         let mut result = ExperimentResult::default();
-        let chain = HopChain::standard();
         let period = self.config.duplex.pattern_period();
         let offset_dist = Dist::Uniform { lo: Duration::ZERO, hi: period };
         for i in start..start + len {
             let base = Instant::ZERO + spacing * i + period; // skip slot 0 warm-up
             let arrival = base + offset_dist.sample(&mut self.rng_arrival);
-            self.one_ping(&chain, i, arrival, &mut result);
+            self.one_ping(i, arrival, &mut result);
         }
         result.underruns = self.ring.stats().underruns;
         result.path_failovers = self.supervisor.failovers();
@@ -607,11 +606,11 @@ impl PingExperiment {
     }
 
     /// One ping episode on the shared event queue: seed the arrival,
-    /// then pop-and-dispatch through the hop chain until the walk
-    /// declares the ping delivered or lost. The driver is the single
-    /// scheduler (hops only *return* emissions) and the single span
-    /// journaler, so cross-cutting effects stay in one place.
-    fn one_ping(&mut self, chain: &HopChain, id: u64, t0: Instant, result: &mut ExperimentResult) {
+    /// then pop-and-dispatch through the hops until the walk declares the
+    /// ping delivered or lost. Hops append their spans to the trace and
+    /// push their follow-up event themselves; the driver owns the episode
+    /// boundaries and is the single span journaler.
+    fn one_ping(&mut self, id: u64, t0: Instant, result: &mut ExperimentResult) {
         self.ping = id;
         let mut ctx = PingCtx::new(id, t0);
         self.events.clear();
@@ -623,23 +622,13 @@ impl PingExperiment {
         let mut lost = false;
         let mut max_depth = self.events.len();
         while let Some((at, ev)) = self.events.pop() {
-            let mut fx = HopFx::new();
-            {
+            let outcome = {
                 // Dispatches are non-reentrant, so elapsed == self-time.
                 let _hop_time = prof.scope(ev.hop().name());
-                chain.dispatch(self, &mut ctx, result, at, ev, &mut fx);
-            }
-            for (side, span) in fx.spans {
-                match side {
-                    Side::Ul => ctx.trace.ul.push(span),
-                    Side::Dl => ctx.trace.dl.push(span),
-                }
-            }
-            for (t, e) in fx.emits {
-                self.events.push(t, e);
-            }
+                dispatch(self, &mut ctx, result, at, ev)
+            };
             max_depth = max_depth.max(self.events.len());
-            match fx.outcome {
+            match outcome {
                 HopOutcome::Continue => {}
                 HopOutcome::Lost => {
                     result.attribution.record_lost(ctx.ftrace.dominant());

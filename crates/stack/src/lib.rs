@@ -16,9 +16,10 @@
 //! * [`experiment`] — the end-to-end ping experiment: per-direction latency
 //!   distributions (Fig 6), per-layer processing statistics (Table 2),
 //!   radio deadline bookkeeping (§6 reliability);
-//! * [`pipeline`] — the event-driven stage pipeline: the ping walk as a
-//!   declarative chain of named hops on one shared `sim::EventQueue`, with
-//!   faults and telemetry layered on as decorators;
+//! * [`pipeline`] — the event-driven stage pipeline: the ping walk as one
+//!   function per hop behind a single exhaustive `match` on the popped
+//!   event, sharing one `sim::EventQueue`, with faults applied by gate
+//!   functions in front of the hops they perturb;
 //! * [`stage_labels`] — the canonical Fig-3 stage vocabulary shared by
 //!   traces, telemetry keys and the deadline-budget auditor;
 //! * [`multi_ue`] — the §9 scalability experiment: uplink latency and
@@ -61,7 +62,7 @@ pub use overload::{
     run_overload, run_overload_profiled, service_capacity_pps, DegradationLevel, DropCounts,
     DropReason, NullHook, OverloadConfig, OverloadReport, SloHook,
 };
-pub use pipeline::{Hop, HopChain, HopFx, HopId, HopOutcome, PingCtx, PingEvent, Side};
+pub use pipeline::{HopId, PingEvent};
 pub use schedlab::{
     run_sched_lab, LabClass, LabClassReport, LabMix, LabPointReport, PreemptionBoundModel,
     SchedLabConfig,

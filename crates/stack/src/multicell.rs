@@ -398,12 +398,15 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
         .collect();
     let mut samplers: Vec<(Dist, SimRng)> = classes
         .iter()
-        .map(|c| {
+        .enumerate()
+        .map(|(ci, c)| {
             // Aggregate Poisson: n independent rate-λ processes merge into
             // one rate-n·λ process, exactly.
             let mean_us = c.mean_interval.as_micros_f64() / c.count as f64;
             let dist = Dist::Exponential { mean: Duration::from_micros_f64(mean_us) };
-            (dist, rng.stream_indexed("class-arrivals", c.priority as u64))
+            // Keyed by class index, not priority: equal-priority classes
+            // must not share a stream.
+            (dist, rng.stream_indexed("class-arrivals", ci as u64))
         })
         .collect();
 
@@ -562,6 +565,27 @@ mod tests {
             assert!(cell.conserved(), "cell {}: {cell:?}", cell.cell);
             assert!(cell.offered() > 0, "cell {} offered nothing", cell.cell);
         }
+    }
+
+    #[test]
+    fn equal_priority_classes_draw_independent_arrivals() {
+        // Two classes identical in everything but name: a shared arrival
+        // stream would offer both the exact same packets.
+        let mut cfg = small();
+        let twin = |name| UeClass {
+            name,
+            count: 100,
+            mean_interval: Duration::from_millis(10),
+            packet_bytes: 64,
+            priority: 1,
+            deadline: Duration::from_millis(10),
+        };
+        cfg.cells = vec![CellConfig { classes: vec![twin("a"), twin("b")] }];
+        let report = run_multicell(&cfg).expect("runs");
+        let [a, b] = &report.cells[0].classes[..] else { panic!("two classes") };
+        assert!(a.offered > 500 && b.offered > 500, "{} / {}", a.offered, b.offered);
+        assert_ne!(a.offered, b.offered);
+        assert_ne!(a.latency, b.latency);
     }
 
     #[test]

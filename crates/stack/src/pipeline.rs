@@ -1,26 +1,30 @@
-//! The event-driven stage pipeline: the Fig 2/Fig 3 packet journey as a
-//! declarative chain of [`Hop`]s on one shared [`sim::EventQueue`].
+//! The event-driven stage pipeline: the Fig 2/Fig 3 packet journey as
+//! plain functions behind one exhaustive `match` on a shared
+//! [`sim::EventQueue`].
 //!
-//! A **hop** is a named pipeline unit wrapping one layer operation — the
-//! UE's SDAP/PDCP/RLC walk, the SR/grant exchange, a HARQ delivery cycle,
-//! a radio-head crossing, the GTP-U/UPF backbone hop. Each hop consumes
-//! one [`PingEvent`], performs its layer work (sampling processing times,
-//! encoding/decoding real PDUs), and returns its effects in a [`HopFx`]:
-//! the [`StageSpan`]s it contributes to the trace plus the next event(s)
-//! it schedules. The experiment driver (`PingExperiment::one_ping`) pops
-//! events off the queue and dispatches them through the [`HopChain`] until
-//! the ping completes, is lost, or detours through RRC recovery.
+//! A **hop** is one function wrapping one layer operation — the UE's
+//! SDAP/PDCP/RLC walk, the SR/grant exchange, a HARQ delivery cycle, a
+//! radio-head crossing, the GTP-U/UPF backbone hop. `dispatch` routes each
+//! popped [`PingEvent`] to the hop that consumes it; the hop performs its
+//! layer work (sampling processing times, encoding/decoding real PDUs),
+//! pushes the [`StageSpan`]s it contributes onto the ping's trace and the
+//! follow-up event onto the experiment's queue, and says how the walk goes
+//! on. The experiment driver (`PingExperiment::one_ping`) pops and
+//! dispatches until the ping completes, is lost, or detours through RRC
+//! recovery. The journey is a closed set, so the compiler checks the
+//! routing: a new [`PingEvent`] variant does not build until `dispatch`
+//! names its hop.
 //!
 //! Cross-cutting concerns stay out of the hop bodies:
 //!
-//! - **faults** (`sim::faults`) are applied by decorator hops —
-//!   [`SrLossGate`], [`GrantGate`], [`StormGate`], [`SpikeGate`] — that
-//!   wrap the protocol hop and inject the loss/stall *around* it, exactly
-//!   where the fault process acts in the real system;
-//! - **telemetry** span emission lives in the driver: hops only return
-//!   spans, the driver appends them to the [`PingTrace`] and flushes the
-//!   journey to the journal once per ping (UL side then DL side), so an
-//!   instrumented run and a dark run stay bit-identical.
+//! - **faults** (`sim::faults`) are applied by gate functions —
+//!   `sr_loss_gate`, `grant_gate`, the two storm gates, `spike_gate` — that
+//!   `dispatch` routes to *instead of* the protocol hop; each injects its
+//!   loss/stall and calls its one inner hop, exactly where the fault
+//!   process acts in the real system;
+//! - **telemetry**: hops only append spans to the [`PingTrace`]; the driver
+//!   flushes the journey to the journal once per ping (UL side then DL
+//!   side), so an instrumented run and a dark run stay bit-identical.
 //!
 //! The pipeline is behavior-preserving by construction: every hop draws
 //! from the same per-stream RNGs (`rng_ue`, `rng_gnb`, `rng_net`, the
@@ -42,18 +46,9 @@ use crate::experiment::{
 use crate::journey::{PingTrace, StageSpan};
 use crate::stage_labels as labels;
 
-/// Which half of the journey a span belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// Uplink (request) leg.
-    Ul,
-    /// Downlink (reply) leg.
-    Dl,
-}
-
 /// One event in a ping's walk. Each variant is consumed by exactly one
 /// hop (see [`PingEvent::hop`]); the payload carries what the *next* hop
-/// needs and nothing more — everything else lives in [`PingCtx`].
+/// needs and nothing more — everything else lives in the per-ping context.
 #[derive(Debug, Clone, Copy)]
 pub enum PingEvent {
     /// The application emits the request at `t0`.
@@ -127,8 +122,8 @@ pub enum PingEvent {
     UeRx,
 }
 
-/// Names of the pipeline units, in journey order. Doubles as the
-/// [`HopChain`] index: `chain[event.hop()]` is the consuming hop.
+/// Names of the pipeline units, in journey order — the profiler's stage
+/// vocabulary (`dispatch` routes on the event itself, not on this id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum HopId {
@@ -138,14 +133,14 @@ pub enum HopId {
     UlAccess,
     /// SR opportunity probe / RACH fallback (②).
     SrTx,
-    /// gNB decodes the SR (PHY + MAC) — wrapped by [`SrLossGate`].
+    /// gNB decodes the SR (PHY + MAC) — behind the SR-loss gate.
     SrDecode,
     /// Buffer status reaches the scheduler; first boundary is booked.
     UlSchedRequest,
     /// One UL scheduling round per slot boundary (③–④).
     UlSched,
-    /// UE decodes the grant DCI and prepares (⑤) — wrapped by
-    /// [`GrantGate`].
+    /// UE decodes the grant DCI and prepares (⑤) — behind the
+    /// grant-withholding gate.
     GrantRx,
     /// UL data transmission in the granted/next opportunity (⑥).
     UlTx,
@@ -153,19 +148,19 @@ pub enum HopId {
     HarqDelivery,
     /// RRC re-establishment detour after RLF.
     RlfRecovery,
-    /// gNB radio-head RX crossing (⑦) — wrapped by [`StormGate`].
+    /// gNB radio-head RX crossing (⑦) — under the fronthaul storm gate.
     GnbRadio,
     /// gNB PHY→SDAP uplink walk + byte-exact decode (⑦).
     GnbWalkUp,
-    /// N3 backbone crossing under path supervision — wrapped by
-    /// [`SpikeGate`].
+    /// N3 backbone crossing under path supervision — under the
+    /// backbone spike gate.
     Backbone,
     /// gNB SDAP→RLC downlink walk (⑧).
     DlWalkDown,
     /// One DL scheduling round per slot boundary (⑨, ends `RLC-q`).
     DlSched,
-    /// DL MAC/PHY preparation + radio submission (⑩) — wrapped by
-    /// [`StormGate`].
+    /// DL MAC/PHY preparation + radio submission (⑩) — under the
+    /// fronthaul storm gate.
     DlPrep,
     /// TX-ring deadline check and DL air time (⑩).
     RadioRing,
@@ -173,7 +168,7 @@ pub enum HopId {
     UeRxUp,
 }
 
-/// Number of hops in the standard chain.
+/// Number of hops in the walk.
 pub const HOP_COUNT: usize = HopId::UeRxUp as usize + 1;
 
 impl HopId {
@@ -270,10 +265,10 @@ pub(crate) struct DeliveryState {
     pub recovered: Option<Vec<Bytes>>,
 }
 
-/// Per-ping mutable state threaded through the chain. Hops communicate
+/// Per-ping mutable state threaded through the walk. Hops communicate
 /// forward through events; anything a *later* hop needs that does not fit
 /// an event payload lives here.
-pub struct PingCtx {
+pub(crate) struct PingCtx {
     pub(crate) id: u64,
     pub(crate) t0: Instant,
     pub(crate) trace: PingTrace,
@@ -295,10 +290,8 @@ pub struct PingCtx {
     pub(crate) dl_samples: usize,
     pub(crate) in_rlc_q: Instant,
     pub(crate) dl_sched_rounds: u32,
-    /// Storm stall sampled by the DL prep decorator, charged by the ring.
+    /// Storm stall sampled by the DL prep gate, charged by the ring.
     pub(crate) pending_storm: Duration,
-    /// Backbone spike sampled by the decorator, charged by the crossing.
-    pub(crate) pending_spike: Duration,
 }
 
 impl PingCtx {
@@ -326,16 +319,14 @@ impl PingCtx {
             in_rlc_q: t0,
             dl_sched_rounds: 0,
             pending_storm: Duration::ZERO,
-            pending_spike: Duration::ZERO,
         }
     }
 }
 
 /// How a hop left the walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HopOutcome {
-    /// The walk continues with the emitted events.
-    #[default]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HopOutcome {
+    /// The walk continues with the event the hop scheduled.
     Continue,
     /// The ping is lost (attributed to the dominant fault by the driver).
     Lost,
@@ -343,103 +334,47 @@ pub enum HopOutcome {
     Done,
 }
 
-/// The effects a hop returns: trace spans, follow-up events, and the walk
-/// outcome. Hops never touch the event queue or the journal's stage flush
-/// directly — everything flows through here so decorators can stretch
-/// spans and shift emissions, and the driver stays the single scheduler.
-#[derive(Debug, Default)]
-pub struct HopFx {
-    pub(crate) spans: Vec<(Side, StageSpan)>,
-    pub(crate) emits: Vec<(Instant, PingEvent)>,
-    pub(crate) outcome: HopOutcome,
-}
-
-impl HopFx {
-    pub(crate) fn new() -> HopFx {
-        HopFx::default()
-    }
-
-    /// Contributes a trace span.
-    pub fn span(&mut self, side: Side, span: StageSpan) {
-        self.spans.push((side, span));
-    }
-
-    /// Schedules the next event at `at`.
-    pub fn emit(&mut self, at: Instant, ev: PingEvent) {
-        self.emits.push((at, ev));
-    }
-
-    /// Declares the ping lost.
-    pub fn lose(&mut self) {
-        self.outcome = HopOutcome::Lost;
-    }
-
-    /// Declares the ping delivered.
-    pub fn done(&mut self) {
-        self.outcome = HopOutcome::Done;
+/// Routes `ev`, which fired at `at`, to the hop (or the fault gate in
+/// front of it) that consumes it. Hops read/write the experiment's layer
+/// entities, RNG streams and event queue (`exp`), the per-ping state
+/// (`ctx`) and the run's accumulators (`result`).
+pub(crate) fn dispatch(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+    ev: PingEvent,
+) -> HopOutcome {
+    match ev {
+        PingEvent::Arrival => app_down(exp, ctx, at),
+        PingEvent::UlAccess => ul_access(exp, ctx, at),
+        PingEvent::SrTx { probe } => sr_tx(exp, ctx, result, probe),
+        PingEvent::SrOnAir { slot, tx_start } => sr_loss_gate(exp, ctx, result, slot, tx_start),
+        PingEvent::SrReady => ul_sched_request(exp, ctx, at),
+        PingEvent::SchedRound { slot } => ul_sched(exp, ctx, at, slot),
+        PingEvent::GrantIssued { grant, decision_slot } => {
+            grant_gate(exp, ctx, result, grant, decision_slot)
+        }
+        PingEvent::UlTxReady { granted_slot } => ul_tx(exp, ctx, result, at, granted_slot),
+        PingEvent::AirDeliver => harq_delivery(exp, ctx, result, at),
+        PingEvent::RlfDetour => rlf_recovery(exp, ctx, result, at),
+        PingEvent::GnbRx => gnb_radio_storm_gate(exp, ctx, at),
+        PingEvent::GnbWalk => gnb_walk_up(exp, ctx, result, at),
+        PingEvent::Backbone { dl } => spike_gate(exp, ctx, result, at, dl),
+        PingEvent::DlWalkDown => dl_walk_down(exp, ctx, result, at),
+        PingEvent::DlSched { slot } => dl_sched(exp, ctx, result, at, slot),
+        PingEvent::DlPrepare { dl_tx } => dl_prep_storm_gate(exp, ctx, result, at, dl_tx),
+        PingEvent::RingSubmit { dl_tx } => radio_ring(exp, ctx, at, dl_tx),
+        PingEvent::UeRx => ue_rx_up(exp, ctx, result, at),
     }
 }
 
-/// One pipeline unit. Implementations read/write the experiment's layer
-/// entities and RNG streams (`exp`), the per-ping state (`ctx`), and the
-/// run's accumulators (`result`), and return their effects in `fx`.
-pub trait Hop {
-    /// Consumes `ev`, which fired at `at`.
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    );
-}
-
-/// The hop chain: one handler per [`HopId`], faults and telemetry layered
-/// on as decorators. Built once per run and shared by every ping.
-pub struct HopChain {
-    hops: Vec<Box<dyn Hop>>,
-}
-
-impl HopChain {
-    /// The standard ping journey: every Fig 2 stage, with the fault gates
-    /// wrapped around the hops they perturb.
-    pub fn standard() -> HopChain {
-        let mut hops: Vec<Box<dyn Hop>> = Vec::with_capacity(HOP_COUNT);
-        hops.push(Box::new(AppDownHop));
-        hops.push(Box::new(UlAccessHop));
-        hops.push(Box::new(SrTxHop));
-        hops.push(Box::new(SrLossGate { inner: SrDecodeHop }));
-        hops.push(Box::new(UlSchedRequestHop));
-        hops.push(Box::new(UlSchedHop));
-        hops.push(Box::new(GrantGate { inner: GrantRxHop }));
-        hops.push(Box::new(UlTxHop));
-        hops.push(Box::new(HarqDeliveryHop));
-        hops.push(Box::new(RlfRecoveryHop));
-        hops.push(Box::new(StormGate { inner: GnbRadioHop, stretch_span: true }));
-        hops.push(Box::new(GnbWalkHop));
-        hops.push(Box::new(SpikeGate { inner: BackboneHop }));
-        hops.push(Box::new(DlWalkHop));
-        hops.push(Box::new(DlSchedHop));
-        hops.push(Box::new(StormGate { inner: DlPrepHop, stretch_span: false }));
-        hops.push(Box::new(RingHop));
-        hops.push(Box::new(UeRxHop));
-        debug_assert_eq!(hops.len(), HOP_COUNT);
-        HopChain { hops }
-    }
-
-    /// Routes `ev` to its hop.
-    pub fn dispatch(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        self.hops[ev.hop() as usize].handle(exp, ctx, result, at, ev, fx);
+/// The trace leg the block in flight belongs to.
+fn leg(trace: &mut PingTrace, dl: bool) -> &mut Vec<StageSpan> {
+    if dl {
+        &mut trace.dl
+    } else {
+        &mut trace.ul
     }
 }
 
@@ -449,361 +384,255 @@ impl HopChain {
 
 /// ① `APP↓`: the UE walks the request down SDAP→PDCP→RLC and encodes the
 /// actual MAC PDU(s).
-struct AppDownHop;
-
-impl Hop for AppDownHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        // Pings are spaced far apart: a connection that survived to the
-        // next ping has been stable long enough for the re-establishment
-        // counters to clear, so the budget bounds one incident chain.
-        exp.rrc.reset_budget();
-        ctx.payload = make_payload(ctx.id, exp.config.payload_bytes);
-        let ue_upper =
-            exp.sample_ue(|t| &t.sdap) + exp.sample_ue(|t| &t.pdcp) + exp.sample_ue(|t| &t.rlc);
-        let in_rlc = at + ue_upper;
-        fx.span(Side::Ul, StageSpan::new(labels::APP_DOWN, at, in_rlc));
-        // Build the actual MAC PDU(s) now (content is time-independent).
-        // Infallible by construction: `grant_bytes()` sizes the UL grant
-        // for the configured payload plus PDCP/RLC/MAC headers, so the
-        // segmenter never overflows a transport block here.
-        let grant_bytes = exp.config.grant_bytes();
-        ctx.mac_pdus =
-            exp.ue.encode_uplink(&ctx.payload, grant_bytes).expect("UL grant sized for payload");
-        ctx.ul_samples = exp.ue.phy_sample_count(ctx.mac_pdus[0].len());
-        ctx.in_rlc = in_rlc;
-        fx.emit(in_rlc, PingEvent::UlAccess);
-    }
+fn app_down(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutcome {
+    // Pings are spaced far apart: a connection that survived to the
+    // next ping has been stable long enough for the re-establishment
+    // counters to clear, so the budget bounds one incident chain.
+    exp.rrc.reset_budget();
+    ctx.payload = make_payload(ctx.id, exp.config.payload_bytes);
+    let ue_upper =
+        exp.sample_ue(|t| &t.sdap) + exp.sample_ue(|t| &t.pdcp) + exp.sample_ue(|t| &t.rlc);
+    let in_rlc = at + ue_upper;
+    ctx.trace.ul.push(StageSpan::new(labels::APP_DOWN, at, in_rlc));
+    // Build the actual MAC PDU(s) now (content is time-independent).
+    // Infallible by construction: `grant_bytes()` sizes the UL grant
+    // for the configured payload plus PDCP/RLC/MAC headers, so the
+    // segmenter never overflows a transport block here.
+    let grant_bytes = exp.config.grant_bytes();
+    ctx.mac_pdus =
+        exp.ue.encode_uplink(&ctx.payload, grant_bytes).expect("UL grant sized for payload");
+    ctx.ul_samples = exp.ue.phy_sample_count(ctx.mac_pdus[0].len());
+    ctx.in_rlc = in_rlc;
+    exp.events.push(in_rlc, PingEvent::UlAccess);
+    HopOutcome::Continue
 }
 
 /// ② Access fork. The UE MAC/PHY preparation is pipelined with the
 /// protocol waits — the modem builds the transport block while waiting
 /// for its slot, so both draws happen here.
-struct UlAccessHop;
-
-impl Hop for UlAccessHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        ctx.ue_phy = exp.sample_ue(|t| &t.phy);
-        ctx.ue_submit = exp.ue_radio.tx_radio_latency(ctx.ul_samples as u64, &mut exp.rng_ue);
-        match exp.config.access {
-            AccessMode::GrantFree => {
-                // UE MAC prepares the transmission directly.
-                let mac_t = exp.sample_ue(|t| &t.mac);
-                fx.emit(at + mac_t + ctx.ue_phy, PingEvent::UlTxReady { granted_slot: None });
-            }
-            AccessMode::GrantBased => {
-                let mut sr = SrProcedure::new(exp.config.sr);
-                sr.trigger(at);
-                ctx.sr = Some(sr);
-                fx.emit(at, PingEvent::SrTx { probe: at });
-            }
+fn ul_access(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutcome {
+    ctx.ue_phy = exp.sample_ue(|t| &t.phy);
+    ctx.ue_submit = exp.ue_radio.tx_radio_latency(ctx.ul_samples as u64, &mut exp.rng_ue);
+    match exp.config.access {
+        AccessMode::GrantFree => {
+            // UE MAC prepares the transmission directly.
+            let mac_t = exp.sample_ue(|t| &t.mac);
+            exp.events.push(at + mac_t + ctx.ue_phy, PingEvent::UlTxReady { granted_slot: None });
+        }
+        AccessMode::GrantBased => {
+            let mut sr = SrProcedure::new(exp.config.sr);
+            sr.trigger(at);
+            ctx.sr = Some(sr);
+            exp.events.push(at, PingEvent::SrTx { probe: at });
         }
     }
+    HopOutcome::Continue
 }
 
 /// ② SR transmission probe: the SR transmits at UL opportunities until
 /// the gNB hears one; sr-TransMax exhaustion falls back to the four-step
 /// RACH (TS 38.321 §5.4.4), whose Msg3 carries the buffer status.
-struct SrTxHop;
-
-impl Hop for SrTxHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        _at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::SrTx { probe } = ev else { unreachable!("SrTxHop consumes SrTx") };
-        let sr_op = exp.timing.next_ul_opportunity(probe);
-        // Infallible: `SrTx` is only ever emitted by `UlAccessHop` (grant-
-        // based arm) and by this hop's retry path, both after `ctx.sr` was
-        // populated; `ctx.sr` is cleared only between pings.
-        let sr = ctx.sr.as_mut().expect("SR procedure in flight");
-        if sr.maybe_transmit(sr_op.slot, sr_op.tx_start) {
-            fx.emit(
-                sr_op.tx_start,
-                PingEvent::SrOnAir { slot: sr_op.slot, tx_start: sr_op.tx_start },
-            );
-        } else if sr.needs_rach() {
-            let giving_up = sr_op.tx_start;
-            let rach_cfg = exp.config.rach;
-            match ran::rach::recovery_latency(&rach_cfg, giving_up, 1, exp.injector.recovery_rng())
-            {
-                Some(lat) => {
-                    result.rach_recoveries += 1;
-                    exp.tel.count("mac", "rach_recoveries", 1);
-                    ctx.ftrace.record(FaultKind::SrLoss, lat);
-                    fx.span(Side::Ul, StageSpan::new(labels::RACH, giving_up, giving_up + lat));
-                    // Infallible: same invariant as above — this branch is
-                    // only reachable while the SR procedure is in flight.
-                    ctx.sr.as_mut().expect("SR procedure in flight").on_rach_complete();
-                    fx.emit(giving_up + lat, PingEvent::SrReady);
-                }
-                // Random access failed too: the UE never regains uplink
-                // access for this packet.
-                None => fx.lose(),
-            }
-        } else {
-            let next = exp.timing.slot_start(sr_op.slot + 1);
-            fx.emit(next, PingEvent::SrTx { probe: next });
-        }
-    }
-}
-
-/// Fault decorator on [`SrDecodeHop`]: an injected PUCCH loss costs one
-/// opportunity per retry, re-entering the probe loop.
-struct SrLossGate<H> {
-    inner: H,
-}
-
-impl<H: Hop> Hop for SrLossGate<H> {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::SrOnAir { slot, tx_start } = ev else {
-            unreachable!("SrLossGate consumes SrOnAir")
+fn sr_tx(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    probe: Instant,
+) -> HopOutcome {
+    let sr_op = exp.timing.next_ul_opportunity(probe);
+    // Infallible: `SrTx` is only ever emitted by `ul_access` (grant-based
+    // arm), by this hop's retry path and by `sr_loss_gate`, all after
+    // `ctx.sr` was populated; `ctx.sr` is cleared only between pings.
+    let sr = ctx.sr.as_mut().expect("SR procedure in flight");
+    if sr.maybe_transmit(sr_op.slot, sr_op.tx_start) {
+        exp.events.push(
+            sr_op.tx_start,
+            PingEvent::SrOnAir { slot: sr_op.slot, tx_start: sr_op.tx_start },
+        );
+    } else if sr.needs_rach() {
+        let giving_up = sr_op.tx_start;
+        let rach_cfg = exp.config.rach;
+        // Random access failing too means the UE never regains uplink
+        // access for this packet.
+        let Some(lat) =
+            ran::rach::recovery_latency(&rach_cfg, giving_up, 1, exp.injector.recovery_rng())
+        else {
+            return HopOutcome::Lost;
         };
-        if exp.injector.sr_lost() {
-            let probe = exp.timing.slot_start(slot + 1);
-            let next = exp.timing.next_ul_opportunity(probe);
-            ctx.ftrace.record(FaultKind::SrLoss, next.tx_start - tx_start);
-            result.sr_retx += 1;
-            exp.tel.count("mac", "sr_retx", 1);
-            exp.tel.journal(JournalEvent::SrAttempt { ping: ctx.id, at: tx_start, lost: true });
-            fx.emit(probe, PingEvent::SrTx { probe });
-            return;
-        }
-        exp.tel.journal(JournalEvent::SrAttempt { ping: ctx.id, at: tx_start, lost: false });
-        self.inner.handle(exp, ctx, result, at, ev, fx);
+        result.rach_recoveries += 1;
+        exp.tel.count("mac", "rach_recoveries", 1);
+        ctx.ftrace.record(FaultKind::SrLoss, lat);
+        ctx.trace.ul.push(StageSpan::new(labels::RACH, giving_up, giving_up + lat));
+        sr.on_rach_complete();
+        exp.events.push(giving_up + lat, PingEvent::SrReady);
+    } else {
+        let next = exp.timing.slot_start(sr_op.slot + 1);
+        exp.events.push(next, PingEvent::SrTx { probe: next });
     }
+    HopOutcome::Continue
+}
+
+/// Fault gate on [`sr_decode`]: an injected PUCCH loss costs one
+/// opportunity per retry, re-entering the probe loop.
+fn sr_loss_gate(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    slot: u64,
+    tx_start: Instant,
+) -> HopOutcome {
+    let lost = exp.injector.sr_lost();
+    exp.tel.journal(JournalEvent::SrAttempt { ping: ctx.id, at: tx_start, lost });
+    if !lost {
+        return sr_decode(exp, ctx, result, tx_start);
+    }
+    let probe = exp.timing.slot_start(slot + 1);
+    let next = exp.timing.next_ul_opportunity(probe);
+    ctx.ftrace.record(FaultKind::SrLoss, next.tx_start - tx_start);
+    result.sr_retx += 1;
+    exp.tel.count("mac", "sr_retx", 1);
+    exp.events.push(probe, PingEvent::SrTx { probe });
+    HopOutcome::Continue
 }
 
 /// ② The gNB decodes a heard SR: one-symbol PUCCH air time, then PHY +
 /// MAC processing.
-struct SrDecodeHop;
-
-impl Hop for SrDecodeHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        _at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::SrOnAir { tx_start, .. } = ev else {
-            unreachable!("SrDecodeHop consumes SrOnAir")
-        };
-        let sr_air = exp.config.duplex.numerology().symbol_offset(1); // one-symbol PUCCH SR
-        let sr_rx = tx_start + sr_air;
-        fx.span(Side::Ul, StageSpan::new(labels::WAIT_UL_SLOT, ctx.in_rlc, tx_start));
-        fx.span(Side::Ul, StageSpan::new(labels::SR, tx_start, sr_rx));
-        let d_phy = exp.sample_gnb(|t| &t.phy);
-        let d_mac = exp.sample_gnb(|t| &t.mac);
-        result.layers.phy.push(d_phy.as_micros_f64());
-        result.layers.mac.push(d_mac.as_micros_f64());
-        exp.tel.record("phy", "proc_us", d_phy);
-        exp.tel.record("mac", "proc_us", d_mac);
-        let ready = sr_rx + d_phy + d_mac;
-        fx.span(Side::Ul, StageSpan::new(labels::SR_DECODE, sr_rx, ready));
-        fx.emit(ready, PingEvent::SrReady);
-    }
+fn sr_decode(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    tx_start: Instant,
+) -> HopOutcome {
+    let sr_air = exp.config.duplex.numerology().symbol_offset(1); // one-symbol PUCCH SR
+    let sr_rx = tx_start + sr_air;
+    ctx.trace.ul.push(StageSpan::new(labels::WAIT_UL_SLOT, ctx.in_rlc, tx_start));
+    ctx.trace.ul.push(StageSpan::new(labels::SR, tx_start, sr_rx));
+    let d_phy = exp.sample_gnb(|t| &t.phy);
+    let d_mac = exp.sample_gnb(|t| &t.mac);
+    result.layers.phy.push(d_phy.as_micros_f64());
+    result.layers.mac.push(d_mac.as_micros_f64());
+    exp.tel.record("phy", "proc_us", d_phy);
+    exp.tel.record("mac", "proc_us", d_mac);
+    let ready = sr_rx + d_phy + d_mac;
+    ctx.trace.ul.push(StageSpan::new(labels::SR_DECODE, sr_rx, ready));
+    exp.events.push(ready, PingEvent::SrReady);
+    HopOutcome::Continue
 }
 
 /// ③ The buffer status reaches the scheduler; scheduling happens once per
 /// slot, so the first round is booked at the next boundary.
-struct UlSchedRequestHop;
+fn ul_sched_request(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutcome {
+    ctx.sr_ready = at;
+    book_ul_sched(exp, at);
+    HopOutcome::Continue
+}
 
-impl Hop for UlSchedRequestHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        ctx.sr_ready = at;
-        exp.sched.on_sr(RNTI, at);
-        let boundary = exp.timing.slot_index_at(at) + 1;
-        fx.emit(exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary });
-    }
+/// Tells the scheduler the UE has data as of `at` and books the first
+/// scheduling round at the next slot boundary.
+fn book_ul_sched(exp: &mut PingExperiment, at: Instant) {
+    exp.sched.on_sr(RNTI, at);
+    let boundary = exp.timing.slot_index_at(at) + 1;
+    exp.events.push(exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary });
 }
 
 /// ④ One scheduling round per slot boundary, bounded by
 /// [`MAX_SCHED_ROUNDS`] — a ping that cannot be scheduled within the
 /// budget is starved out and lost.
-struct UlSchedHop;
-
-impl Hop for UlSchedHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::SchedRound { slot } = ev else {
-            unreachable!("UlSchedHop consumes SchedRound")
-        };
-        if ctx.sched_rounds == MAX_SCHED_ROUNDS {
-            // Starved out of the scheduler entirely. `at` is this round's
-            // never-run boundary.
-            ctx.ftrace
-                .record(FaultKind::GrantWithheld, at - ctx.first_withheld.unwrap_or(ctx.sr_ready));
-            fx.lose();
-            return;
+fn ul_sched(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant, slot: u64) -> HopOutcome {
+    if ctx.sched_rounds == MAX_SCHED_ROUNDS {
+        // Starved out of the scheduler entirely. `at` is this round's
+        // never-run boundary.
+        ctx.ftrace
+            .record(FaultKind::GrantWithheld, at - ctx.first_withheld.unwrap_or(ctx.sr_ready));
+        return HopOutcome::Lost;
+    }
+    ctx.sched_rounds += 1;
+    let decision = exp.sched.run_slot(slot);
+    match decision.ul_grants.first().copied() {
+        Some(g) => {
+            exp.events.push(g.grant_tx, PingEvent::GrantIssued { grant: g, decision_slot: slot })
         }
-        ctx.sched_rounds += 1;
-        let decision = exp.sched.run_slot(slot);
-        match decision.ul_grants.first().copied() {
-            Some(g) => {
-                fx.emit(g.grant_tx, PingEvent::GrantIssued { grant: g, decision_slot: slot })
-            }
-            None => {
-                let next = slot + 1;
-                fx.emit(exp.timing.slot_start(next), PingEvent::SchedRound { slot: next });
-            }
+        None => {
+            let next = slot + 1;
+            exp.events.push(exp.timing.slot_start(next), PingEvent::SchedRound { slot: next });
         }
     }
+    HopOutcome::Continue
 }
 
-/// Fault decorator on [`GrantRxHop`]: a withheld grant (injected
-/// starvation) is a DCI the UE never decodes; the gNB re-grants once the
-/// slot goes unused.
-struct GrantGate<H> {
-    inner: H,
-}
-
-impl<H: Hop> Hop for GrantGate<H> {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::GrantIssued { grant, .. } = ev else {
-            unreachable!("GrantGate consumes GrantIssued")
-        };
-        if exp.injector.grant_withheld() {
-            result.grants_withheld += 1;
-            exp.tel.count("mac", "grants_withheld", 1);
-            exp.tel.journal(JournalEvent::FaultInjected {
-                kind: FaultKind::GrantWithheld,
-                at: grant.grant_tx,
-                extra: Duration::ZERO,
-            });
-            ctx.first_withheld = ctx.first_withheld.or(Some(grant.grant_tx));
-            let retry = exp.timing.slot_start(grant.ul.slot + 1);
-            exp.sched.on_sr(RNTI, retry);
-            let boundary = exp.timing.slot_index_at(retry) + 1;
-            fx.emit(exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary });
-            return;
-        }
-        self.inner.handle(exp, ctx, result, at, ev, fx);
+/// Fault gate on [`grant_rx`]: a withheld grant (injected starvation) is a
+/// DCI the UE never decodes; the gNB re-grants once the slot goes unused.
+fn grant_gate(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    grant: UlGrant,
+    decision_slot: u64,
+) -> HopOutcome {
+    if !exp.injector.grant_withheld() {
+        return grant_rx(exp, ctx, grant, decision_slot);
     }
+    result.grants_withheld += 1;
+    exp.tel.count("mac", "grants_withheld", 1);
+    exp.tel.journal(JournalEvent::FaultInjected {
+        kind: FaultKind::GrantWithheld,
+        at: grant.grant_tx,
+        extra: Duration::ZERO,
+    });
+    ctx.first_withheld = ctx.first_withheld.or(Some(grant.grant_tx));
+    book_ul_sched(exp, exp.timing.slot_start(grant.ul.slot + 1));
+    HopOutcome::Continue
 }
 
 /// ⑤ The UE decodes the grant DCI (two-symbol CORESET) and prepares the
 /// transmission (MAC + the pipelined PHY).
-struct GrantRxHop;
-
-impl Hop for GrantRxHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        _at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::GrantIssued { grant, decision_slot } = ev else {
-            unreachable!("GrantRxHop consumes GrantIssued")
-        };
-        if let Some(first) = ctx.first_withheld {
-            ctx.ftrace.record(FaultKind::GrantWithheld, grant.grant_tx - first);
-        }
-        fx.span(
-            Side::Ul,
-            StageSpan::new(labels::SCHE, ctx.sr_ready, exp.timing.slot_start(decision_slot)),
-        );
-        let dci_air = exp.config.duplex.numerology().symbol_offset(2); // two-symbol CORESET
-        let grant_rx = grant.grant_tx + dci_air;
-        exp.tel.journal(JournalEvent::Grant {
-            ping: ctx.id,
-            at: grant_rx,
-            bytes: exp.config.grant_bytes(),
-        });
-        fx.span(Side::Ul, StageSpan::new(labels::UL_GRANT, grant.grant_tx, grant_rx));
-        let prep = exp.sample_ue(|t| &t.mac);
-        let ue_ready = grant_rx + prep + ctx.ue_phy;
-        fx.span(Side::Ul, StageSpan::new(labels::UE_PREP, grant_rx, ue_ready));
-        fx.emit(ue_ready, PingEvent::UlTxReady { granted_slot: Some(grant.ul.slot) });
+fn grant_rx(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    grant: UlGrant,
+    decision_slot: u64,
+) -> HopOutcome {
+    if let Some(first) = ctx.first_withheld {
+        ctx.ftrace.record(FaultKind::GrantWithheld, grant.grant_tx - first);
     }
+    let decided = exp.timing.slot_start(decision_slot);
+    ctx.trace.ul.push(StageSpan::new(labels::SCHE, ctx.sr_ready, decided));
+    let dci_air = exp.config.duplex.numerology().symbol_offset(2); // two-symbol CORESET
+    let grant_rx = grant.grant_tx + dci_air;
+    exp.tel.journal(JournalEvent::Grant {
+        ping: ctx.id,
+        at: grant_rx,
+        bytes: exp.config.grant_bytes(),
+    });
+    ctx.trace.ul.push(StageSpan::new(labels::UL_GRANT, grant.grant_tx, grant_rx));
+    let prep = exp.sample_ue(|t| &t.mac);
+    let ue_ready = grant_rx + prep + ctx.ue_phy;
+    ctx.trace.ul.push(StageSpan::new(labels::UE_PREP, grant_rx, ue_ready));
+    exp.events.push(ue_ready, PingEvent::UlTxReady { granted_slot: Some(grant.ul.slot) });
+    HopOutcome::Continue
 }
 
 /// ⑥ UL data transmission in the granted/next reachable opportunity.
-struct UlTxHop;
-
-impl Hop for UlTxHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::UlTxReady { granted_slot } = ev else {
-            unreachable!("UlTxHop consumes UlTxReady")
-        };
-        let tx_start = exp.ul_tx_start(at, ctx.ue_submit, granted_slot, &mut result.missed_grants);
-        fx.span(Side::Ul, StageSpan::new(labels::WAIT_UL_SLOT, at.min(tx_start), tx_start));
-        let air = exp.config.data_air_time(ctx.mac_pdus[0].len());
-        let tx_end = tx_start + air;
-        fx.span(Side::Ul, StageSpan::new(labels::UL_DATA, tx_start, tx_end));
-        ctx.delivery = DeliveryState {
-            dl: false,
-            air,
-            grant_bytes: exp.config.grant_bytes(),
-            pending: None,
-            recovered: None,
-        };
-        fx.emit(tx_end, PingEvent::AirDeliver);
-    }
+fn ul_tx(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+    granted_slot: Option<u64>,
+) -> HopOutcome {
+    let tx_start = exp.ul_tx_start(at, ctx.ue_submit, granted_slot, &mut result.missed_grants);
+    ctx.trace.ul.push(StageSpan::new(labels::WAIT_UL_SLOT, at.min(tx_start), tx_start));
+    let air = exp.config.data_air_time(ctx.mac_pdus[0].len());
+    let tx_end = tx_start + air;
+    ctx.trace.ul.push(StageSpan::new(labels::UL_DATA, tx_start, tx_end));
+    ctx.delivery = DeliveryState {
+        dl: false,
+        air,
+        grant_bytes: exp.config.grant_bytes(),
+        pending: None,
+        recovered: None,
+    };
+    exp.events.push(tx_end, PingEvent::AirDeliver);
+    HopOutcome::Continue
 }
 
 // ---------------------------------------------------------------------
@@ -813,298 +642,216 @@ impl Hop for UlTxHop {
 /// HARQ/RLC delivery of the transport block whose air time just ended.
 /// Channel loss first costs HARQ rounds (§8's retransmission steps), then
 /// RLC AM escalations, then — with every budget exhausted — radio link
-/// failure, which detours through [`RlfRecoveryHop`].
-struct HarqDeliveryHop;
-
-impl Hop for HarqDeliveryHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let dl = ctx.delivery.dl;
-        let side = if dl { Side::Dl } else { Side::Ul };
-        match exp.data_delivery(dl, at, result, &mut ctx.ftrace) {
-            Ok(extra) => {
-                let done = at + extra;
-                if let Some((span_start, failed_at)) = ctx.delivery.pending.take() {
-                    // The recovered retransmission got through: close the
-                    // recovery's ledger at the delivery instant.
-                    fx.span(side, StageSpan::new(labels::PDCP_RECOVER, span_start, done));
-                    result.recovery.record(done - failed_at);
-                    if let Some(kind) = ctx.ftrace.dominant() {
-                        ctx.ftrace.record(kind, done - failed_at);
-                    }
+/// failure, which detours through [`rlf_recovery`].
+fn harq_delivery(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+) -> HopOutcome {
+    let dl = ctx.delivery.dl;
+    let spans = leg(&mut ctx.trace, dl);
+    match exp.data_delivery(dl, at, result, &mut ctx.ftrace) {
+        Ok(extra) => {
+            let done = at + extra;
+            if let Some((span_start, failed_at)) = ctx.delivery.pending.take() {
+                // The recovered retransmission got through: close the
+                // recovery's ledger at the delivery instant.
+                spans.push(StageSpan::new(labels::PDCP_RECOVER, span_start, done));
+                result.recovery.record(done - failed_at);
+                if let Some(kind) = ctx.ftrace.dominant() {
+                    ctx.ftrace.record(kind, done - failed_at);
                 }
-                fx.emit(done, if dl { PingEvent::UeRx } else { PingEvent::GnbRx });
             }
-            Err(wasted) => {
-                let failed_at = at + wasted;
-                if let Some((span_start, prev_failed)) = ctx.delivery.pending.take() {
-                    // The retried block died too: close the previous
-                    // recovery's ledger at this new failure.
-                    fx.span(side, StageSpan::new(labels::PDCP_RECOVER, span_start, failed_at));
-                    result.recovery.record(failed_at - prev_failed);
-                }
-                result.rlf.push(RlfEvent {
-                    ping: ctx.id,
-                    dl,
-                    dominant: ctx.ftrace.dominant(),
-                    recovered: false,
-                });
-                exp.tel.journal(JournalEvent::Rlf { ping: ctx.id, dl, at: failed_at });
-                fx.emit(failed_at, PingEvent::RlfDetour);
+            exp.events.push(done, if dl { PingEvent::UeRx } else { PingEvent::GnbRx });
+        }
+        Err(wasted) => {
+            let failed_at = at + wasted;
+            if let Some((span_start, prev_failed)) = ctx.delivery.pending.take() {
+                // The retried block died too: close the previous
+                // recovery's ledger at this new failure.
+                spans.push(StageSpan::new(labels::PDCP_RECOVER, span_start, failed_at));
+                result.recovery.record(failed_at - prev_failed);
             }
+            result.rlf.push(RlfEvent {
+                ping: ctx.id,
+                dl,
+                dominant: ctx.ftrace.dominant(),
+                recovered: false,
+            });
+            exp.tel.journal(JournalEvent::Rlf { ping: ctx.id, dl, at: failed_at });
+            exp.events.push(failed_at, PingEvent::RlfDetour);
         }
     }
+    HopOutcome::Continue
 }
 
 /// The RRC re-establishment detour: detect → RACH re-access → RRC
 /// processing → PDCP data recovery, then the recovered block is retried
-/// over the fresh link (back through [`HarqDeliveryHop`]).
-struct RlfRecoveryHop;
-
-impl Hop for RlfRecoveryHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let dl = ctx.delivery.dl;
-        let side = if dl { Side::Dl } else { Side::Ul };
-        let mut spans = Vec::new();
-        let outcome = exp.recover_rlf(dl, at, ctx.delivery.grant_bytes, &mut spans, result);
-        // Detour spans accrue on both outcomes (a failed data recovery
-        // still shows the detect/RACH/reestablish legs it burned).
-        for s in spans {
-            fx.span(side, s);
-        }
-        let Some((resume, span_start, pdus)) = outcome else {
-            fx.lose();
-            return;
-        };
-        if let Some(ev) = result.rlf.last_mut() {
-            ev.recovered = true;
-        }
-        ctx.delivery.recovered = Some(pdus);
-        ctx.delivery.pending = Some((span_start, at));
-        fx.emit(resume + ctx.delivery.air, PingEvent::AirDeliver);
+/// over the fresh link (back through [`harq_delivery`]).
+fn rlf_recovery(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+) -> HopOutcome {
+    let dl = ctx.delivery.dl;
+    // Detour spans accrue on both outcomes (a failed data recovery still
+    // shows the detect/RACH/reestablish legs it burned).
+    let spans = leg(&mut ctx.trace, dl);
+    let Some((resume, span_start, pdus)) =
+        exp.recover_rlf(dl, at, ctx.delivery.grant_bytes, spans, result)
+    else {
+        return HopOutcome::Lost;
+    };
+    if let Some(ev) = result.rlf.last_mut() {
+        ev.recovered = true;
     }
+    ctx.delivery.recovered = Some(pdus);
+    ctx.delivery.pending = Some((span_start, at));
+    exp.events.push(resume + ctx.delivery.air, PingEvent::AirDeliver);
+    HopOutcome::Continue
 }
 
 // ---------------------------------------------------------------------
 // gNB receive + backbone hops
 // ---------------------------------------------------------------------
 
-/// Fault decorator for fronthaul OS-jitter storms. On the UL receive side
-/// (`stretch_span`) the stall lengthens the `Radio` span and is charged
-/// to the ping immediately; on the DL prepare side the stall delays the
-/// ring submission, and [`RingHop`] charges whatever the missed slot
-/// actually costs.
-struct StormGate<H> {
-    inner: H,
-    stretch_span: bool,
+/// Draws the fronthaul OS-jitter stall riding on a radio crossing that
+/// would otherwise complete at `done`; a non-zero stall is recorded and
+/// journaled at the delayed instant.
+fn storm_stall(exp: &mut PingExperiment, done: Instant) -> Duration {
+    let storm = exp.injector.storm_delay();
+    if storm > Duration::ZERO {
+        exp.tel.record("radio", "storm_us", storm);
+        exp.tel.journal(JournalEvent::FaultInjected {
+            kind: FaultKind::JitterStorm,
+            at: done + storm,
+            extra: storm,
+        });
+    }
+    storm
 }
 
-impl<H: Hop> Hop for StormGate<H> {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        self.inner.handle(exp, ctx, result, at, ev, fx);
-        let storm = exp.injector.storm_delay();
-        if self.stretch_span {
-            if storm > Duration::ZERO {
-                ctx.ftrace.record(FaultKind::JitterStorm, storm);
-                exp.tel.record("radio", "storm_us", storm);
-                // Infallible: `StormGate` only wraps hops whose happy path
-                // pushes exactly one span and one emit (see ring wiring),
-                // and `storm > 0` implies the inner hop did not lose the
-                // ping — the storm gate draws after the inner hop ran.
-                let (_, span) = fx.spans.last_mut().expect("inner pushed its span");
-                span.end += storm;
-                let emit = fx.emits.last_mut().expect("inner emitted its event");
-                emit.0 += storm;
-                exp.tel.journal(JournalEvent::FaultInjected {
-                    kind: FaultKind::JitterStorm,
-                    at: emit.0,
-                    extra: storm,
-                });
-            }
-        } else {
-            // DL prepare: the stall shifts the submission; the fault cost
-            // is settled by the ring outcome.
-            ctx.pending_storm = storm;
-            if storm > Duration::ZERO {
-                exp.tel.record("radio", "storm_us", storm);
-                // Infallible: same wrapper invariant as the stretch arm.
-                let emit = fx.emits.last_mut().expect("inner emitted its event");
-                emit.0 += storm;
-                exp.tel.journal(JournalEvent::FaultInjected {
-                    kind: FaultKind::JitterStorm,
-                    at: emit.0,
-                    extra: storm,
-                });
-            }
-        }
+/// Fault gate on [`gnb_radio`]: on the UL receive side a storm lengthens
+/// the `Radio` span and is charged to the ping immediately.
+fn gnb_radio_storm_gate(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutcome {
+    let host_rx = gnb_radio(exp, ctx, at);
+    let storm = storm_stall(exp, host_rx);
+    if storm > Duration::ZERO {
+        ctx.ftrace.record(FaultKind::JitterStorm, storm);
     }
+    ctx.trace.ul.push(StageSpan::new(labels::RADIO, at, host_rx + storm));
+    exp.events.push(host_rx + storm, PingEvent::GnbWalk);
+    HopOutcome::Continue
 }
 
-/// ⑦ The gNB radio head receives the UL samples.
-struct GnbRadioHop;
-
-impl Hop for GnbRadioHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let rx_radio = exp.gnb_radio.rx_radio_latency(ctx.ul_samples as u64, &mut exp.rng_gnb);
-        let host_rx = at + rx_radio;
-        fx.span(Side::Ul, StageSpan::new(labels::RADIO, at, host_rx));
-        fx.emit(host_rx, PingEvent::GnbWalk);
-    }
+/// ⑦ The gNB radio head receives the UL samples; returns the instant they
+/// reach the host.
+fn gnb_radio(exp: &mut PingExperiment, ctx: &PingCtx, at: Instant) -> Instant {
+    at + exp.gnb_radio.rx_radio_latency(ctx.ul_samples as u64, &mut exp.rng_gnb)
 }
 
 /// ⑦ The gNB walks the packet up PHY→MAC→RLC→PDCP→SDAP and decodes the
 /// actual bytes (through PHY samples), checking byte-exact delivery.
-struct GnbWalkHop;
-
-impl Hop for GnbWalkHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let d_phy = exp.sample_gnb(|t| &t.phy);
-        let d_mac = exp.sample_gnb(|t| &t.mac);
-        let d_rlc = exp.sample_gnb(|t| &t.rlc);
-        let d_pdcp = exp.sample_gnb(|t| &t.pdcp);
-        let d_sdap = exp.sample_gnb(|t| &t.sdap);
-        result.layers.phy.push(d_phy.as_micros_f64());
-        result.layers.mac.push(d_mac.as_micros_f64());
-        result.layers.rlc.push(d_rlc.as_micros_f64());
-        result.layers.pdcp.push(d_pdcp.as_micros_f64());
-        result.layers.sdap.push(d_sdap.as_micros_f64());
-        exp.tel.record("phy", "proc_us", d_phy);
-        exp.tel.record("mac", "proc_us", d_mac);
-        exp.tel.record("rlc", "proc_us", d_rlc);
-        exp.tel.record("pdcp", "proc_us", d_pdcp);
-        exp.tel.record("sdap", "proc_us", d_sdap);
-        let decoded_at = at + d_phy + d_mac + d_rlc + d_pdcp + d_sdap;
-        fx.span(Side::Ul, StageSpan::new(labels::MAC_UP, at, decoded_at));
-        // After a recovery, both RLC entities restarted their numbering
-        // and the in-flight SDU was PDCP-retransmitted: the recovered MAC
-        // PDUs are what actually crossed the air.
-        let mac_pdus =
-            ctx.delivery.recovered.take().unwrap_or_else(|| std::mem::take(&mut ctx.mac_pdus));
-        let air_samples = exp.ue.phy_encode(&mac_pdus[0]);
-        let decoded = exp
-            .gnb
-            .phy_decode(RNTI, &air_samples)
-            .ok()
-            .and_then(|pdu| exp.gnb.decode_uplink(RNTI, &pdu).ok());
-        let mut delivered_ok = matches!(&decoded, Some(v) if v.first() == Some(&ctx.payload));
-        // Push any remaining segments through (tiny grants).
-        if !delivered_ok {
-            if let Some(mut got) = decoded {
-                for extra in &mac_pdus[1..] {
-                    let s = exp.ue.phy_encode(extra);
-                    if let Ok(pdu) = exp.gnb.phy_decode(RNTI, &s) {
-                        if let Ok(more) = exp.gnb.decode_uplink(RNTI, &pdu) {
-                            got.extend(more);
-                        }
+fn gnb_walk_up(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+) -> HopOutcome {
+    let d_phy = exp.sample_gnb(|t| &t.phy);
+    let d_mac = exp.sample_gnb(|t| &t.mac);
+    let d_rlc = exp.sample_gnb(|t| &t.rlc);
+    let d_pdcp = exp.sample_gnb(|t| &t.pdcp);
+    let d_sdap = exp.sample_gnb(|t| &t.sdap);
+    result.layers.phy.push(d_phy.as_micros_f64());
+    result.layers.mac.push(d_mac.as_micros_f64());
+    result.layers.rlc.push(d_rlc.as_micros_f64());
+    result.layers.pdcp.push(d_pdcp.as_micros_f64());
+    result.layers.sdap.push(d_sdap.as_micros_f64());
+    exp.tel.record("phy", "proc_us", d_phy);
+    exp.tel.record("mac", "proc_us", d_mac);
+    exp.tel.record("rlc", "proc_us", d_rlc);
+    exp.tel.record("pdcp", "proc_us", d_pdcp);
+    exp.tel.record("sdap", "proc_us", d_sdap);
+    let decoded_at = at + d_phy + d_mac + d_rlc + d_pdcp + d_sdap;
+    ctx.trace.ul.push(StageSpan::new(labels::MAC_UP, at, decoded_at));
+    // After a recovery, both RLC entities restarted their numbering
+    // and the in-flight SDU was PDCP-retransmitted: the recovered MAC
+    // PDUs are what actually crossed the air.
+    let mac_pdus =
+        ctx.delivery.recovered.take().unwrap_or_else(|| std::mem::take(&mut ctx.mac_pdus));
+    let air_samples = exp.ue.phy_encode(&mac_pdus[0]);
+    let decoded = exp
+        .gnb
+        .phy_decode(RNTI, &air_samples)
+        .ok()
+        .and_then(|pdu| exp.gnb.decode_uplink(RNTI, &pdu).ok());
+    let mut delivered_ok = matches!(&decoded, Some(v) if v.first() == Some(&ctx.payload));
+    // Push any remaining segments through (tiny grants).
+    if !delivered_ok {
+        if let Some(mut got) = decoded {
+            for extra in &mac_pdus[1..] {
+                let s = exp.ue.phy_encode(extra);
+                if let Ok(pdu) = exp.gnb.phy_decode(RNTI, &s) {
+                    if let Ok(more) = exp.gnb.decode_uplink(RNTI, &pdu) {
+                        got.extend(more);
                     }
                 }
-                delivered_ok = got.first() == Some(&ctx.payload);
             }
-        }
-        if !delivered_ok {
-            result.integrity_failures += 1;
-        }
-        fx.emit(decoded_at, PingEvent::Backbone { dl: false });
-    }
-}
-
-/// Fault decorator on [`BackboneHop`]: a latency spike on the transport
-/// network rides on top of the sampled N3 crossing.
-struct SpikeGate<H> {
-    inner: H,
-}
-
-impl<H: Hop> Hop for SpikeGate<H> {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let spike = exp.injector.backbone_spike();
-        if spike > Duration::ZERO {
-            ctx.ftrace.record(FaultKind::BackboneSpike, spike);
-            exp.tel.journal(JournalEvent::FaultInjected {
-                kind: FaultKind::BackboneSpike,
-                at,
-                extra: spike,
-            });
-        }
-        ctx.pending_spike = spike;
-        self.inner.handle(exp, ctx, result, at, ev, fx);
-    }
-}
-
-/// ⑦/⑧ One N3 traversal under GTP-U path supervision — the UL leg ends
-/// the request (the server replies immediately), the DL leg carries the
-/// reply back to the gNB.
-struct BackboneHop;
-
-impl Hop for BackboneHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::Backbone { dl } = ev else { unreachable!("BackboneHop consumes Backbone") };
-        let spike = std::mem::replace(&mut ctx.pending_spike, Duration::ZERO);
-        let net = exp.backbone_traverse(at, result, &mut ctx.ftrace) + spike;
-        if dl {
-            ctx.dl_t0 = at;
-            fx.emit(at + net, PingEvent::DlWalkDown);
-        } else {
-            let ul_done = at + net;
-            fx.span(Side::Ul, StageSpan::new(labels::UPF, at, ul_done));
-            result.ul.record(ul_done - ctx.t0);
-            fx.emit(ul_done, PingEvent::Backbone { dl: true });
+            delivered_ok = got.first() == Some(&ctx.payload);
         }
     }
+    if !delivered_ok {
+        result.integrity_failures += 1;
+    }
+    exp.events.push(decoded_at, PingEvent::Backbone { dl: false });
+    HopOutcome::Continue
+}
+
+/// Fault gate on [`backbone`]: a latency spike on the transport network
+/// rides on top of the sampled N3 crossing.
+fn spike_gate(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+    dl: bool,
+) -> HopOutcome {
+    let spike = exp.injector.backbone_spike();
+    if spike > Duration::ZERO {
+        ctx.ftrace.record(FaultKind::BackboneSpike, spike);
+        exp.tel.journal(JournalEvent::FaultInjected {
+            kind: FaultKind::BackboneSpike,
+            at,
+            extra: spike,
+        });
+    }
+    backbone(exp, ctx, result, at, dl, spike)
+}
+
+/// ⑦/⑧ One N3 traversal under GTP-U path supervision, `delay` longer than
+/// sampled — the UL leg ends the request (the server replies immediately),
+/// the DL leg carries the reply back to the gNB.
+fn backbone(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+    dl: bool,
+    delay: Duration,
+) -> HopOutcome {
+    let arrived = at + exp.backbone_traverse(at, result, &mut ctx.ftrace) + delay;
+    if dl {
+        ctx.dl_t0 = at;
+        exp.events.push(arrived, PingEvent::DlWalkDown);
+    } else {
+        ctx.trace.ul.push(StageSpan::new(labels::UPF, at, arrived));
+        result.ul.record(arrived - ctx.t0);
+        exp.events.push(arrived, PingEvent::Backbone { dl: true });
+    }
+    HopOutcome::Continue
 }
 
 // ---------------------------------------------------------------------
@@ -1114,212 +861,189 @@ impl Hop for BackboneHop {
 /// ⑧ The reply reaches the gNB and walks down SDAP→PDCP→RLC into the
 /// queue; the DL MAC PDU(s) are encoded and the scheduler learns of the
 /// data.
-struct DlWalkHop;
-
-impl Hop for DlWalkHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let d_sdap = exp.sample_gnb(|t| &t.sdap);
-        let d_pdcp = exp.sample_gnb(|t| &t.pdcp);
-        let d_rlc = exp.sample_gnb(|t| &t.rlc);
-        result.layers.sdap.push(d_sdap.as_micros_f64());
-        result.layers.pdcp.push(d_pdcp.as_micros_f64());
-        result.layers.rlc.push(d_rlc.as_micros_f64());
-        exp.tel.record("sdap", "proc_us", d_sdap);
-        exp.tel.record("pdcp", "proc_us", d_pdcp);
-        exp.tel.record("rlc", "proc_us", d_rlc);
-        let in_rlc_q = at + d_sdap + d_pdcp + d_rlc;
-        fx.span(Side::Dl, StageSpan::new(labels::SDAP_DOWN, at, in_rlc_q));
-        ctx.reply = make_payload(ctx.id | 0x8000_0000_0000_0000, exp.config.payload_bytes);
-        // Infallible by construction: `slot_capacity_bytes()` derives the
-        // DL slot budget from the same config that sizes the reply, and the
-        // session for UE_ADDR was registered at experiment setup.
-        let cap = exp.config.slot_capacity_bytes();
-        let (_rnti, dl_pdus) =
-            exp.gnb.encode_downlink(UE_ADDR, &ctx.reply, cap).expect("DL slot sized for reply");
-        ctx.dl_samples = phy::transport::sample_count(
-            phy::transport::ShChConfig { modulation: phy::modulation::Modulation::Qpsk, c_init: 0 },
-            dl_pdus[0].len(),
-        );
-        exp.sched.on_dl_data(RNTI, dl_pdus[0].len(), in_rlc_q);
-        ctx.dl_pdus = dl_pdus;
-        ctx.in_rlc_q = in_rlc_q;
-        let boundary = exp.timing.slot_index_at(in_rlc_q) + 1;
-        fx.emit(exp.timing.slot_start(boundary), PingEvent::DlSched { slot: boundary });
-    }
+fn dl_walk_down(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+) -> HopOutcome {
+    let d_sdap = exp.sample_gnb(|t| &t.sdap);
+    let d_pdcp = exp.sample_gnb(|t| &t.pdcp);
+    let d_rlc = exp.sample_gnb(|t| &t.rlc);
+    result.layers.sdap.push(d_sdap.as_micros_f64());
+    result.layers.pdcp.push(d_pdcp.as_micros_f64());
+    result.layers.rlc.push(d_rlc.as_micros_f64());
+    exp.tel.record("sdap", "proc_us", d_sdap);
+    exp.tel.record("pdcp", "proc_us", d_pdcp);
+    exp.tel.record("rlc", "proc_us", d_rlc);
+    let in_rlc_q = at + d_sdap + d_pdcp + d_rlc;
+    ctx.trace.dl.push(StageSpan::new(labels::SDAP_DOWN, at, in_rlc_q));
+    ctx.reply = make_payload(ctx.id | 0x8000_0000_0000_0000, exp.config.payload_bytes);
+    // Infallible by construction: `slot_capacity_bytes()` derives the
+    // DL slot budget from the same config that sizes the reply, and the
+    // session for UE_ADDR was registered at experiment setup.
+    let cap = exp.config.slot_capacity_bytes();
+    let (_rnti, dl_pdus) =
+        exp.gnb.encode_downlink(UE_ADDR, &ctx.reply, cap).expect("DL slot sized for reply");
+    ctx.dl_samples = phy::transport::sample_count(
+        phy::transport::ShChConfig { modulation: phy::modulation::Modulation::Qpsk, c_init: 0 },
+        dl_pdus[0].len(),
+    );
+    exp.sched.on_dl_data(RNTI, dl_pdus[0].len(), in_rlc_q);
+    ctx.dl_pdus = dl_pdus;
+    ctx.in_rlc_q = in_rlc_q;
+    let boundary = exp.timing.slot_index_at(in_rlc_q) + 1;
+    exp.events.push(exp.timing.slot_start(boundary), PingEvent::DlSched { slot: boundary });
+    HopOutcome::Continue
 }
 
 /// ⑨ One DL scheduling round per slot boundary. The MAC pulls the data
 /// from the RLC queue when it builds the transport block (the configured
 /// [`DlPullPoint`]) — that pull instant ends the Table 2 "RLC-q"
 /// interval.
-struct DlSchedHop;
-
-impl Hop for DlSchedHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::DlSched { slot } = ev else { unreachable!("DlSchedHop consumes DlSched") };
-        if ctx.dl_sched_rounds == MAX_SCHED_ROUNDS {
-            // The scheduler never served the reply: the ping is lost.
-            fx.lose();
-            return;
-        }
-        ctx.dl_sched_rounds += 1;
-        let decision = exp.sched.run_slot(slot);
-        let Some(assign) = decision.dl_assignments.first().copied() else {
-            let next = slot + 1;
-            fx.emit(exp.timing.slot_start(next), PingEvent::DlSched { slot: next });
-            return;
-        };
-        let dl_tx = assign.dl.tx_start;
-        let decision_time = at; // == slot_start(slot): this round's boundary
-        let tb_build = match exp.config.dl_pull {
-            DlPullPoint::AtDecision => decision_time,
-            DlPullPoint::SlotsBeforeAir(slots) => decision_time
-                .max(dl_tx.saturating_sub(exp.config.duplex.slot_duration().saturating_mul(slots))),
-        };
-        result.layers.rlcq.push((tb_build - ctx.in_rlc_q).as_micros_f64());
-        exp.tel.record("rlc", "queue_us", tb_build - ctx.in_rlc_q);
-        fx.span(Side::Dl, StageSpan::new(labels::RLC_Q, ctx.in_rlc_q, tb_build));
-        fx.emit(tb_build, PingEvent::DlPrepare { dl_tx });
+fn dl_sched(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+    slot: u64,
+) -> HopOutcome {
+    if ctx.dl_sched_rounds == MAX_SCHED_ROUNDS {
+        // The scheduler never served the reply: the ping is lost.
+        return HopOutcome::Lost;
     }
+    ctx.dl_sched_rounds += 1;
+    let decision = exp.sched.run_slot(slot);
+    let Some(assign) = decision.dl_assignments.first().copied() else {
+        let next = slot + 1;
+        exp.events.push(exp.timing.slot_start(next), PingEvent::DlSched { slot: next });
+        return HopOutcome::Continue;
+    };
+    let dl_tx = assign.dl.tx_start;
+    let decision_time = at; // == slot_start(slot): this round's boundary
+    let tb_build = match exp.config.dl_pull {
+        DlPullPoint::AtDecision => decision_time,
+        DlPullPoint::SlotsBeforeAir(slots) => decision_time
+            .max(dl_tx.saturating_sub(exp.config.duplex.slot_duration().saturating_mul(slots))),
+    };
+    result.layers.rlcq.push((tb_build - ctx.in_rlc_q).as_micros_f64());
+    exp.tel.record("rlc", "queue_us", tb_build - ctx.in_rlc_q);
+    ctx.trace.dl.push(StageSpan::new(labels::RLC_Q, ctx.in_rlc_q, tb_build));
+    exp.events.push(tb_build, PingEvent::DlPrepare { dl_tx });
+    HopOutcome::Continue
+}
+
+/// Fault gate on [`dl_prep`]: on the DL prepare side a storm delays the
+/// ring submission, and [`radio_ring`] charges whatever the missed slot
+/// actually costs.
+fn dl_prep_storm_gate(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+    dl_tx: Instant,
+) -> HopOutcome {
+    let submitted = dl_prep(exp, ctx, result, at);
+    ctx.pending_storm = storm_stall(exp, submitted);
+    exp.events.push(submitted + ctx.pending_storm, PingEvent::RingSubmit { dl_tx });
+    HopOutcome::Continue
 }
 
 /// ⑩ DL MAC/PHY prepare the slot and submit samples to the radio; they
-/// must beat the air time (§4's margin, §6's reliability risk).
-struct DlPrepHop;
-
-impl Hop for DlPrepHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::DlPrepare { dl_tx } = ev else {
-            unreachable!("DlPrepHop consumes DlPrepare")
-        };
-        let d_mac = exp.sample_gnb(|t| &t.mac);
-        let d_phy = exp.sample_gnb(|t| &t.phy);
-        result.layers.mac.push(d_mac.as_micros_f64());
-        result.layers.phy.push(d_phy.as_micros_f64());
-        exp.tel.record("mac", "proc_us", d_mac);
-        exp.tel.record("phy", "proc_us", d_phy);
-        let submit = exp.gnb_radio.tx_radio_latency(ctx.dl_samples as u64, &mut exp.rng_gnb);
-        fx.emit(at + d_mac + d_phy + submit, PingEvent::RingSubmit { dl_tx });
-    }
+/// must beat the air time (§4's margin, §6's reliability risk). Returns
+/// the instant the samples reach the TX ring.
+fn dl_prep(
+    exp: &mut PingExperiment,
+    ctx: &PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+) -> Instant {
+    let d_mac = exp.sample_gnb(|t| &t.mac);
+    let d_phy = exp.sample_gnb(|t| &t.phy);
+    result.layers.mac.push(d_mac.as_micros_f64());
+    result.layers.phy.push(d_phy.as_micros_f64());
+    exp.tel.record("mac", "proc_us", d_mac);
+    exp.tel.record("phy", "proc_us", d_phy);
+    let submit = exp.gnb_radio.tx_radio_latency(ctx.dl_samples as u64, &mut exp.rng_gnb);
+    at + d_mac + d_phy + submit
 }
 
 /// ⑩ The TX ring checks the deadline: on-time samples fly in the assigned
 /// slot; an underrun corrupts it and the block retransmits at the next DL
 /// opportunity the samples can make.
-struct RingHop;
-
-impl Hop for RingHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::RingSubmit { dl_tx } = ev else {
-            unreachable!("RingHop consumes RingSubmit")
-        };
-        let storm = std::mem::replace(&mut ctx.pending_storm, Duration::ZERO);
-        let outcome = exp.ring.submit(at, dl_tx);
-        let dl_tx = if outcome.is_on_time() {
-            if storm > Duration::ZERO {
-                ctx.ftrace.record(FaultKind::JitterStorm, Duration::ZERO);
-            }
-            dl_tx
-        } else {
-            let retry = exp.timing.next_dl_opportunity(at).tx_start;
-            if storm > Duration::ZERO {
-                ctx.ftrace.record(FaultKind::JitterStorm, retry - dl_tx);
-            }
-            retry
-        };
-        let air = exp.config.data_air_time(ctx.dl_pdus[0].len());
-        fx.span(Side::Dl, StageSpan::new(labels::DL_DATA, dl_tx, dl_tx + air));
-        ctx.delivery = DeliveryState {
-            dl: true,
-            air,
-            grant_bytes: exp.config.slot_capacity_bytes(),
-            pending: None,
-            recovered: None,
-        };
-        fx.emit(dl_tx + air, PingEvent::AirDeliver);
-    }
+fn radio_ring(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    at: Instant,
+    dl_tx: Instant,
+) -> HopOutcome {
+    let storm = std::mem::replace(&mut ctx.pending_storm, Duration::ZERO);
+    let outcome = exp.ring.submit(at, dl_tx);
+    let dl_tx = if outcome.is_on_time() {
+        if storm > Duration::ZERO {
+            ctx.ftrace.record(FaultKind::JitterStorm, Duration::ZERO);
+        }
+        dl_tx
+    } else {
+        let retry = exp.timing.next_dl_opportunity(at).tx_start;
+        if storm > Duration::ZERO {
+            ctx.ftrace.record(FaultKind::JitterStorm, retry - dl_tx);
+        }
+        retry
+    };
+    let air = exp.config.data_air_time(ctx.dl_pdus[0].len());
+    ctx.trace.dl.push(StageSpan::new(labels::DL_DATA, dl_tx, dl_tx + air));
+    ctx.delivery = DeliveryState {
+        dl: true,
+        air,
+        grant_bytes: exp.config.slot_capacity_bytes(),
+        pending: None,
+        recovered: None,
+    };
+    exp.events.push(dl_tx + air, PingEvent::AirDeliver);
+    HopOutcome::Continue
 }
 
 /// ⑪ The UE receives the reply, walks it up radio→PHY→RLC→PDCP→SDAP and
 /// decodes the actual bytes; the ping's latencies are recorded here.
-struct UeRxHop;
-
-impl Hop for UeRxHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let ue_rx_radio = exp.ue_radio.rx_radio_latency(ctx.dl_samples as u64, &mut exp.rng_ue);
-        let ue_phy = exp.sample_ue(|t| &t.phy);
-        let ue_upper =
-            exp.sample_ue(|t| &t.rlc) + exp.sample_ue(|t| &t.pdcp) + exp.sample_ue(|t| &t.sdap);
-        let delivered = at + ue_rx_radio + ue_phy + ue_upper;
-        fx.span(Side::Dl, StageSpan::new(labels::PHY_UP, at, delivered));
-        // Decode the actual bytes (the recovered PDUs when an RLF detour
-        // re-established the bearer mid-reply).
-        let dl_pdus =
-            ctx.delivery.recovered.take().unwrap_or_else(|| std::mem::take(&mut ctx.dl_pdus));
-        let air_samples = exp.gnb.phy_encode(RNTI, &dl_pdus[0]);
-        let got =
-            exp.ue.phy_decode(&air_samples).ok().and_then(|pdu| exp.ue.decode_downlink(&pdu).ok());
-        let mut ok = matches!(&got, Some(v) if v.first() == Some(&ctx.reply));
-        if !ok {
-            if let Some(mut v) = got {
-                for extra in &dl_pdus[1..] {
-                    let s = exp.gnb.phy_encode(RNTI, extra);
-                    if let Ok(pdu) = exp.ue.phy_decode(&s) {
-                        if let Ok(more) = exp.ue.decode_downlink(&pdu) {
-                            v.extend(more);
-                        }
+fn ue_rx_up(
+    exp: &mut PingExperiment,
+    ctx: &mut PingCtx,
+    result: &mut ExperimentResult,
+    at: Instant,
+) -> HopOutcome {
+    let ue_rx_radio = exp.ue_radio.rx_radio_latency(ctx.dl_samples as u64, &mut exp.rng_ue);
+    let ue_phy = exp.sample_ue(|t| &t.phy);
+    let ue_upper =
+        exp.sample_ue(|t| &t.rlc) + exp.sample_ue(|t| &t.pdcp) + exp.sample_ue(|t| &t.sdap);
+    let delivered = at + ue_rx_radio + ue_phy + ue_upper;
+    ctx.trace.dl.push(StageSpan::new(labels::PHY_UP, at, delivered));
+    // Decode the actual bytes (the recovered PDUs when an RLF detour
+    // re-established the bearer mid-reply).
+    let dl_pdus = ctx.delivery.recovered.take().unwrap_or_else(|| std::mem::take(&mut ctx.dl_pdus));
+    let air_samples = exp.gnb.phy_encode(RNTI, &dl_pdus[0]);
+    let got =
+        exp.ue.phy_decode(&air_samples).ok().and_then(|pdu| exp.ue.decode_downlink(&pdu).ok());
+    let mut ok = matches!(&got, Some(v) if v.first() == Some(&ctx.reply));
+    if !ok {
+        if let Some(mut v) = got {
+            for extra in &dl_pdus[1..] {
+                let s = exp.gnb.phy_encode(RNTI, extra);
+                if let Ok(pdu) = exp.ue.phy_decode(&s) {
+                    if let Ok(more) = exp.ue.decode_downlink(&pdu) {
+                        v.extend(more);
                     }
                 }
-                ok = v.first() == Some(&ctx.reply);
             }
+            ok = v.first() == Some(&ctx.reply);
         }
-        if !ok {
-            result.integrity_failures += 1;
-        }
-        result.dl.record(delivered - ctx.dl_t0);
-        let rtt = delivered - ctx.t0;
-        result.rtt.record(rtt);
-        result.attribution.record_delivered(rtt <= exp.config.deadline, ctx.ftrace.dominant());
-        fx.done();
     }
+    if !ok {
+        result.integrity_failures += 1;
+    }
+    result.dl.record(delivered - ctx.dl_t0);
+    let rtt = delivered - ctx.t0;
+    result.rtt.record(rtt);
+    result.attribution.record_delivered(rtt <= exp.config.deadline, ctx.ftrace.dominant());
+    HopOutcome::Done
 }

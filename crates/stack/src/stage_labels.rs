@@ -13,7 +13,7 @@
 //! The mapping is mostly 1:1 (`AppDown` → [`APP_DOWN`], `Backbone` →
 //! [`UPF`], `RadioRing` → [`DL_DATA`]) but not exactly — one hop may emit
 //! several spans (`RlfRecovery` emits the whole [`RLF_DETECT`] →
-//! [`PDCP_RECOVER`] detour), and fault decorators stretch existing spans
+//! [`PDCP_RECOVER`] detour), and fault gates stretch existing spans
 //! rather than adding labels of their own.
 
 /// ① UE walks the request down APP→SDAP→PDCP→RLC.

@@ -1,4 +1,4 @@
-//! Golden-equivalence suite for the hop-chain pipeline.
+//! Golden-equivalence suite for the hop pipeline.
 //!
 //! The golden file under `tests/golden/` was rendered from the seed
 //! monolithic `ping_flow` walk *before* the event-driven refactor; these
@@ -45,7 +45,7 @@ fn seed_configs() -> Vec<(&'static str, StackConfig)> {
     ]
 }
 
-/// Walk exits the seed sections never reach, pinned from the hop-chain
+/// Walk exits the seed sections never reach, pinned from the event-driven
 /// pipeline itself: scheduler starvation (`MAX_SCHED_ROUNDS` → lost to
 /// `GrantWithheld`), sr-TransMax exhaustion (→ RACH fallback), and a payload
 /// larger than a slot (→ the multi-PDU loops on both legs). These sections
@@ -124,7 +124,7 @@ fn pipeline_reproduces_seed_monolith_traces() {
     let want = std::fs::read_to_string(path).expect("golden file present");
     assert_eq!(
         got, want,
-        "hop-chain walk diverged from the seed monolith's per-ping spans \
+        "hop walk diverged from the seed monolith's per-ping spans \
          (run with UPDATE_GOLDEN=1 only for an intentional semantic change)"
     );
 }
