@@ -40,6 +40,14 @@ fn bench_codecs(c: &mut Criterion) {
             b.iter(|| black_box(decode(cfg, s).expect("decode")))
         });
 
+        // The highest order: 256 distances a symbol for the search the
+        // slicer replaced, eight comparisons now.
+        let cfg256 = ShChConfig { modulation: Modulation::Qam256, c_init: 0x42 };
+        let (samples256, _) = encode(cfg256, &payload);
+        g.bench_with_input(BenchmarkId::new("phy_decode_qam256", size), &samples256, |b, s| {
+            b.iter(|| black_box(decode(cfg256, s).expect("decode")))
+        });
+
         g.bench_with_input(BenchmarkId::new("pdcp_encrypt", size), &payload, |b, p| {
             let mut e = PdcpEntity::new(PdcpConfig::new(7, 1, Direction::Uplink));
             let bytes = Bytes::from(p.clone());
@@ -71,6 +79,18 @@ fn bench_codecs(c: &mut Criterion) {
                 black_box(MacPdu::decode(&enc).expect("decode"))
             })
         });
+    }
+
+    // Demapper cost by order, over the samples of one 4096 B block each.
+    let payload = vec![0xA5u8; 4096];
+    g.throughput(Throughput::Bytes(payload.len() as u64));
+    for m in Modulation::ALL {
+        let (samples, _) = encode(ShChConfig { modulation: m, c_init: 0x42 }, &payload);
+        g.bench_with_input(
+            BenchmarkId::new("phy_demodulate", format!("{m:?}")),
+            &samples,
+            |b, s| b.iter(|| black_box(m.demodulate(s))),
+        );
     }
     g.finish();
 }

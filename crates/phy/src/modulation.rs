@@ -4,6 +4,41 @@
 //! hard-decision demapping. The radio crate moves *samples*; this module is
 //! what turns coded bits into those samples and back, and its
 //! bits-per-symbol figures feed the transport-block sizing in [`crate::grid`].
+//!
+//! # The demapper is a slicer, not a search
+//!
+//! With `s(b) = 1 − 2b`, the §5.1 formulas give every QAM symbol as two
+//! independent axes, I from the even bits and Q from the odd ones:
+//!
+//! ```text
+//! QPSK     I·√2   = s(b0)
+//! 16-QAM   I·√10  = s(b0)·(2 − s(b2))
+//! 64-QAM   I·√42  = s(b0)·(4 − s(b2)·(2 − s(b4)))
+//! 256-QAM  I·√170 = s(b0)·(8 − s(b2)·(4 − s(b4)·(2 − s(b6))))
+//! ```
+//!
+//! (Q likewise from b1, b3, b5, b7.) Read outside in, the nearest point on an
+//! axis is recovered without looking at any other point: `b0` is the sign of
+//! I; `a = |I|·√10` is `2 − s(b2) ∈ {1, 3}`, so `b2 = a > 2`; one order up
+//! `a = |I|·√42 ∈ {3, 1, 5, 7}`, so `b2 = a > 4`, and the fold
+//! `a' = |a − 4| = 2 − s(b4)` puts the next bit back in the 16-QAM position,
+//! `b4 = a' > 2`. In general bit `b(2j)`, j ≥ 1, of a 2^(2m)-QAM axis is
+//! `a > 2^(m−j)` after the j−1 folds `a ← |a − 2^(m−i)|`, i = 1 … j−1. BPSK
+//! puts one bit on the diagonal, `I = Q = s(b0)/√2`, and the nearer point is
+//! the sign of `I + Q`. That is Qm comparisons per symbol where a
+//! nearest-neighbour search makes 2^Qm distance computations.
+//!
+//! **Tie rule.** Every comparison is strict (`I < 0`, `a > t`), so a sample
+//! exactly on a decision boundary — either zero, or `|I|·k` equal to a
+//! threshold — takes the 0 bit: the lowest group value among the tied
+//! points, as a first-minimum search in group order returns.
+//!
+//! **Non-finite rule.** Each axis is sliced alone. A comparison with NaN is
+//! false, so a NaN component reads as all-zero bits on its axis (for BPSK a
+//! NaN sum, including `∞ + −∞`, reads as 0); `±∞` saturates to the outermost
+//! point of its sign, as any large finite amplitude does. Samples off a real
+//! channel are finite, so no clean trace ever meets this rule; it exists so
+//! that [`crate::transport::decode`] is total over `f32`.
 
 use serde::{Deserialize, Serialize};
 
@@ -129,37 +164,93 @@ impl Modulation {
             .collect()
     }
 
-    /// Hard-decision demaps one sample to its bit group (minimum Euclidean
-    /// distance over the constellation). An empty constellation demaps to
-    /// group 0; callers pass [`Self::constellation`], which always holds
-    /// `2^Qm` points.
-    pub fn demap(self, sample: Iq, constellation: &[(u32, Iq)]) -> u32 {
-        constellation
-            .iter()
-            // total_cmp: squared distances are never NaN, and a total order
-            // keeps this hot path free of unwrap/expect either way.
-            .min_by(|a, b| sample.dist2(a.1).total_cmp(&sample.dist2(b.1)))
-            .map_or(0, |(v, _)| *v)
+    /// Axis scale `k` (so that `|I|·k` sits on the odd integers) and the top
+    /// folded threshold `2^(m−1)` of the slicer. BPSK and QPSK carry no
+    /// amplitude bits: their threshold is below the first one tested.
+    fn slicer(self) -> (f32, f32) {
+        match self {
+            Modulation::Bpsk | Modulation::Qpsk => (1.0, 1.0),
+            Modulation::Qam16 => (10f32.sqrt(), 2.0),
+            Modulation::Qam64 => (42f32.sqrt(), 4.0),
+            Modulation::Qam256 => (170f32.sqrt(), 8.0),
+        }
     }
 
-    /// Demodulates samples back to bits (hard decisions).
+    /// Hard-decision demaps one sample to its bit group (b\[0\] as the MSB):
+    /// the nearest constellation point, found by the per-axis threshold
+    /// slicer the module docs derive. Boundaries take the 0 bit; NaN reads
+    /// as 0 bits and `±∞` saturates (module docs, tie and non-finite rules).
+    pub fn demap(self, sample: Iq) -> u32 {
+        if self == Modulation::Bpsk {
+            return u32::from(sample.i + sample.q < 0.0);
+        }
+        let (k, top) = self.slicer();
+        slice_axis(sample.i, k, top) << 1 | slice_axis(sample.q, k, top)
+    }
+
+    /// Demodulates samples back to bits (hard decisions), one `u8` per bit.
     pub fn demodulate(self, samples: &[Iq]) -> Vec<u8> {
-        let qm = self.bits_per_symbol();
-        let constellation = self.constellation();
-        let mut bits = Vec::with_capacity(samples.len() * qm as usize);
-        for &s in samples {
-            let v = self.demap(s, &constellation);
-            for i in (0..qm).rev() {
-                bits.push(((v >> i) & 1) as u8);
+        let qm = self.bits_per_symbol() as usize;
+        let mut bits = vec![0u8; samples.len() * qm];
+        for (group, &s) in bits.chunks_exact_mut(qm).zip(samples) {
+            let v = self.demap(s);
+            for (i, bit) in group.iter_mut().enumerate() {
+                *bit = ((v >> (qm - 1 - i)) & 1) as u8;
             }
         }
         bits
     }
+
+    /// Demodulates samples straight into bytes: bit groups packed MSB-first
+    /// in sample order, which is the stream [`crate::transport::decode`]
+    /// descrambles. Trailing bits that do not fill a byte are dropped.
+    pub(crate) fn demodulate_bytes(self, samples: &[Iq]) -> Vec<u8> {
+        let qm = self.bits_per_symbol();
+        let mut bytes = Vec::with_capacity(samples.len() * qm as usize / 8);
+        // Qm ≤ 8, so at most one byte completes per symbol; bits shifted out
+        // of the accumulator's top have already been emitted.
+        let (mut acc, mut held) = (0u32, 0u32);
+        for &s in samples {
+            acc = acc << qm | self.demap(s);
+            held += qm;
+            if held >= 8 {
+                held -= 8;
+                bytes.push((acc >> held) as u8);
+            }
+        }
+        bytes
+    }
+}
+
+/// One axis of the slicer: the sign bit of `x`, then one bit per folded
+/// threshold `top, top/2, … 2` on `|x|·k`, each bit two places above the
+/// next so that the I and Q results interleave with a shift and an OR.
+fn slice_axis(x: f32, k: f32, top: f32) -> u32 {
+    let mut v = u32::from(x < 0.0);
+    let mut a = x.abs() * k;
+    let mut t = top;
+    while t >= 2.0 {
+        v = v << 2 | u32::from(a > t);
+        a = (a - t).abs();
+        t *= 0.5;
+    }
+    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::SimRng;
+
+    /// The demapper this module shipped before the slicer, kept as the
+    /// equivalence oracle: first minimum of the squared distance over the
+    /// whole constellation, in group order.
+    fn demap_search(sample: Iq, constellation: &[(u32, Iq)]) -> u32 {
+        constellation
+            .iter()
+            .min_by(|a, b| sample.dist2(a.1).total_cmp(&sample.dist2(b.1)))
+            .map_or(0, |(v, _)| *v)
+    }
 
     fn unit_mean_power(m: Modulation) -> f32 {
         let c = m.constellation();
@@ -220,6 +311,106 @@ mod tests {
             let samples = m.modulate(&bits);
             let back = m.demodulate(&samples);
             assert_eq!(bits, back, "{m:?}");
+        }
+    }
+
+    #[test]
+    fn slicer_returns_every_constellation_point_to_its_group() {
+        for m in Modulation::ALL {
+            for (v, p) in m.constellation() {
+                assert_eq!(m.demap(p), v, "{m:?} point {v:#b}");
+            }
+        }
+    }
+
+    #[test]
+    fn slicer_agrees_with_the_search_on_random_samples() {
+        let mut rng = SimRng::from_seed(0x51_1CE);
+        for m in Modulation::ALL {
+            let c = m.constellation();
+            for n in 0..200_000 {
+                let mut draw = || (rng.uniform01() * 4.0 - 2.0) as f32;
+                let s = Iq::new(draw(), draw());
+                assert_eq!(m.demap(s), demap_search(s, &c), "{m:?} sample {n} {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_samples_take_the_lowest_tied_group() {
+        // Scaled by k = 1 the axis levels are the odd integers and every
+        // boundary is an exactly representable even one.
+        for top in [1.0f32, 2.0, 4.0, 8.0] {
+            let outermost = 2.0 * top - 1.0;
+            let mut u = 0.0;
+            while u < outermost {
+                for x in [u, -u] {
+                    let tied = [slice_axis(x - 1.0, 1.0, top), slice_axis(x + 1.0, 1.0, top)];
+                    assert_ne!(tied[0], tied[1], "top {top}: {x} is not a boundary");
+                    assert_eq!(slice_axis(x, 1.0, top), tied[0].min(tied[1]), "top {top} at {x}");
+                }
+                u += 2.0;
+            }
+        }
+        // Through `demap`, on the boundary no scaling can move: the search
+        // ties exactly at ±0.0 and its first minimum is the slicer's answer.
+        for m in Modulation::ALL {
+            let c = m.constellation();
+            for zero in [0.0f32, -0.0] {
+                let on_axes = c.iter().flat_map(|&(_, p)| [Iq::new(zero, p.q), Iq::new(p.i, zero)]);
+                for s in on_axes.chain([Iq::new(zero, zero)]) {
+                    assert_eq!(m.demap(s), demap_search(s, &c), "{m:?} {s:?}");
+                }
+            }
+        }
+        assert_eq!(Modulation::Bpsk.demap(Iq::new(0.25, -0.25)), 0, "I + Q == 0 reads as 0");
+    }
+
+    #[test]
+    fn non_finite_components_slice_per_axis() {
+        const INF: f32 = f32::INFINITY;
+        const NAN: f32 = f32::NAN;
+        for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64, Modulation::Qam256] {
+            let qm = m.bits_per_symbol();
+            let c = m.constellation();
+            // Masks of the I bits (even positions from the MSB) and Q bits.
+            let q_bits = (0..qm / 2).fold(0u32, |acc, j| acc | 1 << (2 * j));
+            let i_bits = q_bits << 1;
+            for &(v, p) in &c {
+                // NaN: zero bits on its own axis, the other axis untouched.
+                assert_eq!(m.demap(Iq::new(NAN, p.q)), v & q_bits, "{m:?} NaN on I");
+                assert_eq!(m.demap(Iq::new(p.i, NAN)), v & i_bits, "{m:?} NaN on Q");
+                // ±∞: the outermost level of that sign, as f32::MAX reads.
+                for big in [INF, -INF] {
+                    let clipped = f32::MAX.copysign(big);
+                    assert_eq!(m.demap(Iq::new(big, p.q)), m.demap(Iq::new(clipped, p.q)));
+                    assert_eq!(m.demap(Iq::new(p.i, big)), m.demap(Iq::new(p.i, clipped)));
+                }
+            }
+            assert_eq!(m.demap(Iq::new(NAN, NAN)), 0);
+        }
+        let bpsk = Modulation::Bpsk;
+        assert_eq!(bpsk.demap(Iq::new(NAN, -1.0)), 0);
+        assert_eq!(bpsk.demap(Iq::new(INF, -INF)), 0, "∞ − ∞ is NaN");
+        assert_eq!(bpsk.demap(Iq::new(-INF, 1.0)), 1);
+        assert_eq!(bpsk.demap(Iq::new(INF, -1.0)), 0);
+    }
+
+    #[test]
+    fn byte_demodulation_packs_the_bit_demodulation_msb_first() {
+        let mut rng = SimRng::from_seed(7);
+        for m in Modulation::ALL {
+            // 0..=9 samples: every residue of Qm·n mod 8, 64-QAM's included.
+            for n in 0..10 {
+                let mut draw = || (rng.uniform01() * 4.0 - 2.0) as f32;
+                let samples: Vec<Iq> = (0..n).map(|_| Iq::new(draw(), draw())).collect();
+                let bits = m.demodulate(&samples);
+                let folded: Vec<u8> = bits
+                    .chunks_exact(8)
+                    .map(|c| c.iter().fold(0u8, |acc, &b| acc << 1 | b))
+                    .collect();
+                assert_eq!(m.demodulate_bytes(&samples), folded, "{m:?} × {n}");
+            }
         }
     }
 

@@ -25,6 +25,10 @@ use crate::scrambling::GoldSequence;
 /// we use its byte form minus the CRC24B).
 pub const MAX_CODE_BLOCK_BYTES: usize = 8448 / 8 - 3;
 
+/// Largest payload [`encode`] accepts: the stream header counts code blocks
+/// in one byte, so payload + CRC24A may fill at most 255 of them.
+pub const MAX_TRANSPORT_BLOCK_BYTES: usize = 255 * MAX_CODE_BLOCK_BYTES - 3;
+
 /// Errors from transport-block decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransportError {
@@ -66,7 +70,20 @@ pub struct ShChConfig {
 ///
 /// Returns the samples and the number of code blocks used (for processing-
 /// time models that scale with segmentation).
+///
+/// # Panics
+/// Panics if `payload` is longer than [`MAX_TRANSPORT_BLOCK_BYTES`]. On the
+/// stack path this cannot happen: the payload is a MAC PDU that
+/// `ran::mac::MacPdu::encode` has already held to its grant's transport-block
+/// size (`MacError::ExceedsTransportBlock`), and no grant exceeds one slot —
+/// a few kilobytes against this limit's 268 512 B.
 pub fn encode(config: ShChConfig, payload: &[u8]) -> (Vec<Iq>, usize) {
+    assert!(
+        payload.len() <= MAX_TRANSPORT_BLOCK_BYTES,
+        "transport block of {} B exceeds MAX_TRANSPORT_BLOCK_BYTES ({MAX_TRANSPORT_BLOCK_BYTES}): \
+         its code-block count would not fit the one-byte stream header",
+        payload.len()
+    );
     // 1. TB CRC.
     let tb = CRC24A.attach(payload);
     // 2. Segmentation (+ per-CB CRC only when more than one CB, as in the
@@ -103,13 +120,13 @@ pub fn encode(config: ShChConfig, payload: &[u8]) -> (Vec<Iq>, usize) {
 }
 
 /// Decodes IQ samples back into the transport-block payload.
+///
+/// Total over its input: any sample slice — wrong length, NaN or infinite
+/// components (sliced by [`Modulation::demap`]'s non-finite rule), trailing
+/// symbols that do not fill a byte (dropped) — yields the payload or a
+/// [`TransportError`], never a panic.
 pub fn decode(config: ShChConfig, samples: &[Iq]) -> Result<Vec<u8>, TransportError> {
-    let bits = config.modulation.demodulate(samples);
-    let mut stream: Vec<u8> = bits
-        .chunks(8)
-        .filter(|c| c.len() == 8)
-        .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
-        .collect();
+    let mut stream = config.modulation.demodulate_bytes(samples);
     GoldSequence::new(config.c_init).scramble_in_place(&mut stream);
     if stream.is_empty() {
         return Err(TransportError::Framing);
@@ -143,7 +160,9 @@ pub fn decode(config: ShChConfig, samples: &[Iq]) -> Result<Vec<u8>, TransportEr
 
 /// Number of IQ samples produced for a payload of `bytes` bytes — used by
 /// the radio model to translate transport blocks into bus traffic without
-/// materialising the samples.
+/// materialising the samples. Pure arithmetic, so unlike [`encode`] it does
+/// not stop at [`MAX_TRANSPORT_BLOCK_BYTES`]; beyond that it counts samples
+/// of a block [`encode`] refuses to build.
 pub fn sample_count(config: ShChConfig, bytes: usize) -> usize {
     let tb = bytes + 3; // CRC24A
     let blocks = tb.div_ceil(MAX_CODE_BLOCK_BYTES);
@@ -176,6 +195,38 @@ mod tests {
     fn roundtrip_empty_payload() {
         let (samples, _) = encode(cfg(Modulation::Qpsk), &[]);
         assert_eq!(decode(cfg(Modulation::Qpsk), &samples).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn roundtrip_every_modulation_across_padding_and_segmentation_lengths() {
+        // 64-QAM pads the bit stream to a multiple of 6 whenever the stream
+        // length is not a multiple of 3 B; past MAX_CODE_BLOCK_BYTES - 3 the
+        // CRC24B path runs.
+        const CB: usize = MAX_CODE_BLOCK_BYTES;
+        for m in Modulation::ALL {
+            for len in [0, 1, 2, 3, 5, 64, 67, 1000, CB - 1, CB + 1, 2 * CB + 5] {
+                let payload: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+                let (samples, blocks) = encode(cfg(m), &payload);
+                assert_eq!(blocks, (len + 3).div_ceil(CB), "{m:?} {len} B");
+                assert_eq!(decode(cfg(m), &samples).as_deref(), Ok(&payload[..]), "{m:?} {len} B");
+            }
+        }
+    }
+
+    #[test]
+    fn largest_transport_block_fills_255_code_blocks() {
+        let payload = vec![0xC3u8; MAX_TRANSPORT_BLOCK_BYTES];
+        let (samples, blocks) = encode(cfg(Modulation::Qam256), &payload);
+        assert_eq!(blocks, 255);
+        assert_eq!(samples.len(), sample_count(cfg(Modulation::Qam256), payload.len()));
+        assert_eq!(decode(cfg(Modulation::Qam256), &samples).unwrap(), payload);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_TRANSPORT_BLOCK_BYTES")]
+    fn one_byte_past_the_largest_transport_block_is_refused() {
+        // 256 code blocks used to encode as a header byte of 0.
+        encode(cfg(Modulation::Qam256), &vec![0u8; MAX_TRANSPORT_BLOCK_BYTES + 1]);
     }
 
     #[test]

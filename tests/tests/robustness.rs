@@ -5,13 +5,28 @@
 
 use bytes::Bytes;
 use corenet::GtpuHeader;
-use phy::modulation::Iq;
-use phy::transport::{decode, ShChConfig};
+use phy::modulation::{Iq, Modulation};
+use phy::transport::{decode, ShChConfig, TransportError};
 use proptest::prelude::*;
 use ran::mac::MacPdu;
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::{AmConfig, RlcAmEntity, RlcUmEntity, StatusPdu};
 use ran::sdap::SdapEntity;
+
+/// An IQ sample whose components are each, four times in ten, one of NaN,
+/// +∞, −∞ and −0.0, and otherwise finite in [−2, 2).
+fn wild_sample() -> impl Strategy<Value = Iq> {
+    let component = || {
+        (0u8..10, -2.0f32..2.0).prop_map(|(kind, finite)| match kind {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            _ => finite,
+        })
+    };
+    (component(), component()).prop_map(|(i, q)| Iq::new(i, q))
+}
 
 proptest! {
     #[test]
@@ -66,10 +81,32 @@ proptest! {
     }
 
     #[test]
-    fn transport_decoder_never_panics(samples in prop::collection::vec((-2.0f32..2.0, -2.0f32..2.0), 0..512)) {
-        let iq: Vec<Iq> = samples.into_iter().map(|(i, q)| Iq::new(i, q)).collect();
-        let cfg = ShChConfig { modulation: phy::modulation::Modulation::Qpsk, c_init: 1 };
+    fn transport_decoder_never_panics(
+        m in 0usize..5,
+        iq in prop::collection::vec(wild_sample(), 0..512),
+    ) {
+        // Any length (so any number of trailing bits short of a byte), any
+        // mix of finite, NaN, ±∞ and −0.0 components: a `Result` comes back.
+        let cfg = ShChConfig { modulation: Modulation::ALL[m], c_init: 1 };
         let _ = decode(cfg, &iq);
+    }
+
+    #[test]
+    fn transport_decoder_round_trips_or_errs_on_ragged_blocks(
+        m in 0usize..5,
+        payload in prop::collection::vec(any::<u8>(), 0..96),
+        tail in prop::collection::vec(wild_sample(), 0..9),
+        cut in 1usize..4,
+    ) {
+        let cfg = ShChConfig { modulation: Modulation::ALL[m], c_init: 0x2_4680 };
+        let (samples, _) = phy::transport::encode(cfg, &payload);
+        // Samples past the framed stream — whole bytes or a partial one,
+        // finite or not — are not part of the block: a clean round trip.
+        let longer: Vec<Iq> = samples.iter().copied().chain(tail).collect();
+        prop_assert_eq!(decode(cfg, &longer), Ok(payload));
+        // A block cut short loses stream bits: a typed error.
+        let shorter = &samples[..samples.len() - cut];
+        prop_assert_eq!(decode(cfg, shorter), Err(TransportError::Framing));
     }
 
     #[test]
@@ -81,7 +118,7 @@ proptest! {
         // Encode, then corrupt samples by negating both components (a
         // guaranteed decision-boundary crossing); decode must fail or
         // produce different bytes — silent corruption is the only failure.
-        let cfg = ShChConfig { modulation: phy::modulation::Modulation::Qpsk, c_init };
+        let cfg = ShChConfig { modulation: Modulation::Qpsk, c_init };
         let (mut samples, _) = phy::transport::encode(cfg, &payload);
         for (idx, _) in flips {
             let i = idx.index(samples.len());
