@@ -47,8 +47,8 @@ pub use rrc::{
     RrcEntity, RrcState,
 };
 pub use sched::{
-    AccessMode, EmergencyBurst, PolicySpec, RequestTag, SchedItem, Scheduler, SchedulerConfig,
-    SchedulingPolicy, Slice, SliceShares,
+    AccessMode, EmergencyBurst, Policy, PolicySpec, RequestTag, SchedItem, Scheduler,
+    SchedulerConfig, Slice, SliceShares,
 };
 pub use sdap::{SdapEntity, SdapHeader};
 pub use sr::{SrConfig, SrState};

@@ -19,32 +19,34 @@
 //!
 //! *Which* pending request gets the slot's capacity first is a policy
 //! question, orthogonal to the once-per-slot machinery above. The
-//! [`SchedulingPolicy`] trait isolates that decision: the scheduler gathers
-//! the slot's candidate set (everything ready strictly before the
-//! boundary), hands it to the policy to **order**, then serves the ordered
-//! list first-fit against per-slot capacity ledgers. Three optional hooks
-//! extend the model beyond ordering:
+//! disciplines are a closed set, so a policy is a plain value: a
+//! [`PolicySpec`] names one, and [`PolicySpec::build`] pairs it with the
+//! only state any of them keeps (the round-robin cursor) as a `Copy`
+//! [`Policy`]. The scheduler gathers the slot's candidate set (everything
+//! ready strictly before the boundary), has [`Policy::order`] sort it, then
+//! serves the ordered list first-fit against one per-slot capacity ledger.
+//! Three further methods, all read straight off the spec, extend the model
+//! beyond ordering:
 //!
-//! * **background + preemption** ([`SchedulingPolicy::dl_background`] /
-//!   [`SchedulingPolicy::preempts`]): every DL slot is virtually occupied
-//!   by `dl_background` bytes of elastic lower-priority traffic; a request
-//!   the policy marks preempting may *puncture* through it (Fehrenbach et
-//!   al.'s URLLC-over-eMBB puncturing), with the overflow charged to
+//! * **background + preemption** ([`Policy::dl_background`] /
+//!   [`Policy::preempts`]): every DL slot is virtually occupied by
+//!   `dl_background` bytes of elastic lower-priority traffic; a request the
+//!   policy marks preempting may *puncture* through it (Fehrenbach et al.'s
+//!   URLLC-over-eMBB puncturing), with the overflow charged to
 //!   [`Scheduler::punctured_bytes`]. Punctured bytes model corrupted eMBB
 //!   code blocks: they are an aggregate toll, not retroactive edits of
 //!   already-issued assignments (the eMBB flow refills elastically).
-//! * **soft reservations**: under a preemptive policy, capacity reserved by
-//!   non-preempting (priority > 0) requests is *soft* — a later preempting
-//!   request sees only the hard (priority-0) bytes when fitting, and the
-//!   punctured overflow is charged the same way.
-//! * **slice budgets** ([`SchedulingPolicy::slices`] /
-//!   [`SchedulingPolicy::slice_budget`]): per-slot byte budgets per
-//!   [`Slice`], enforced on top of total capacity (the slicing design
-//!   space of Feng et al., with SimURLLC's per-slice utilization
-//!   thresholds and emergency URLLC surges).
+//! * **soft reservations**: capacity reserved by non-preempting requests is
+//!   *soft* — a later preempting request sees only the hard (preempting)
+//!   bytes when fitting, and the punctured overflow is charged the same
+//!   way.
+//! * **slice budgets** ([`Policy::slices`] / [`Policy::slice_budget`]):
+//!   per-slot byte budgets per [`Slice`], enforced on top of total capacity
+//!   (the slicing design space of Feng et al., with SimURLLC's per-slice
+//!   utilization thresholds and emergency URLLC surges).
 //!
-//! The default policy ([`PolicySpec::Fcfs`]) orders nothing and enables no
-//! hook, reproducing the pre-policy scheduler byte-for-byte.
+//! The default policy ([`PolicySpec::Fcfs`]) orders nothing, backs nothing
+//! and budgets nothing, reproducing the pre-policy scheduler byte-for-byte.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -195,7 +197,7 @@ impl SliceShares {
 
 /// Serializable, comparable description of a scheduling policy — the value
 /// every config carries; [`PolicySpec::build`] turns it into the live
-/// [`SchedulingPolicy`] a scheduler runs.
+/// [`Policy`] a scheduler runs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PolicySpec {
     /// First-come-first-served: pure arrival order, no hooks. The default,
@@ -231,24 +233,8 @@ pub enum PolicySpec {
 
 impl PolicySpec {
     /// Instantiates the live policy this spec describes.
-    pub fn build(&self) -> Box<dyn SchedulingPolicy> {
-        match *self {
-            PolicySpec::Fcfs => Box::new(Fcfs),
-            PolicySpec::NonPreemptivePriority => {
-                Box::new(StrictPriority { preemptive: false, dl_background: 0 })
-            }
-            PolicySpec::PreemptivePriority { dl_background } => {
-                Box::new(StrictPriority { preemptive: true, dl_background })
-            }
-            PolicySpec::RoundRobin => Box::new(RoundRobin { cursor: 0 }),
-            PolicySpec::EarliestDeadlineFirst => {
-                Box::new(Edf { preemptive: false, dl_background: 0 })
-            }
-            PolicySpec::HybridEdfPreemptive { dl_background } => {
-                Box::new(Edf { preemptive: true, dl_background })
-            }
-            PolicySpec::SliceAware(shares) => Box::new(SliceAware { shares }),
-        }
+    pub fn build(&self) -> Policy {
+        Policy { spec: *self, cursor: 0 }
     }
 
     /// Stable short name for tables and CSV artifacts.
@@ -265,170 +251,91 @@ impl PolicySpec {
     }
 }
 
-/// The pluggable scheduling decision: given the slot's candidate set,
-/// decide who gets capacity first and how the preemption/slicing hooks
-/// apply. Implementations MUST be deterministic (no RNG, no wall clock) —
-/// every artifact in this repo is byte-compared across worker counts.
-pub trait SchedulingPolicy: std::fmt::Debug + Send + Sync {
-    /// Clones the policy, preserving internal state (e.g. the round-robin
-    /// cursor).
-    fn clone_box(&self) -> Box<dyn SchedulingPolicy>;
+/// The live scheduling decision: a [`PolicySpec`] plus the only state any
+/// discipline keeps, so copying a policy (or cloning its scheduler) carries
+/// the round-robin cursor along. Deterministic by construction (no RNG, no
+/// wall clock) — every artifact in this repo is byte-compared across worker
+/// counts.
+#[derive(Debug, Clone, Copy)]
+pub struct Policy {
+    spec: PolicySpec,
+    /// Round-robin only: the RNTI the next round starts from — one past the
+    /// UE served first last round, so every UE periodically gets the
+    /// head-of-line position regardless of arrival order.
+    cursor: Rnti,
+}
 
+impl Policy {
     /// Orders the slot's candidate set in place; earlier items get first
-    /// pick of capacity. `now` is the slot boundary the round fires at.
-    /// Orderings must be total, deterministic and tie-broken by
-    /// [`SchedItem::seq`] (stable sorts over a seq-ordered input achieve
-    /// this for free).
-    fn order(&mut self, now: Instant, items: &mut [SchedItem]);
+    /// pick of capacity. `now` is the slot boundary the round fires at (no
+    /// current discipline keys on it). Every ordering is total and
+    /// tie-broken by [`SchedItem::seq`]; FCFS is the identity because
+    /// candidates arrive seq-ordered.
+    pub fn order(&mut self, _now: Instant, items: &mut [SchedItem]) {
+        match self.spec {
+            PolicySpec::Fcfs => {}
+            PolicySpec::NonPreemptivePriority | PolicySpec::PreemptivePriority { .. } => {
+                items.sort_by_key(|i| (i.tag.priority, i.seq));
+            }
+            PolicySpec::RoundRobin => {
+                let cursor = self.cursor;
+                items.sort_by_key(|i| (i.rnti.wrapping_sub(cursor), i.seq));
+                if let Some(first) = items.first() {
+                    self.cursor = first.rnti.wrapping_add(1);
+                }
+            }
+            PolicySpec::EarliestDeadlineFirst | PolicySpec::HybridEdfPreemptive { .. } => {
+                items.sort_by_key(|i| {
+                    (i.tag.deadline.map(Instant::as_nanos).unwrap_or(u64::MAX), i.seq)
+                });
+            }
+            PolicySpec::SliceAware(_) => items.sort_by_key(|i| (i.tag.slice.rank(), i.seq)),
+        }
+    }
 
     /// Bytes of elastic background traffic virtually occupying every DL
     /// slot (the eMBB flow of the coexistence model). Non-preempting
     /// requests fit around it; preempting requests puncture through it.
-    fn dl_background(&self) -> usize {
-        0
+    pub fn dl_background(&self) -> usize {
+        match self.spec {
+            PolicySpec::PreemptivePriority { dl_background }
+            | PolicySpec::HybridEdfPreemptive { dl_background } => dl_background,
+            _ => 0,
+        }
     }
 
-    /// Whether this policy has a preemption mechanism at all. When true,
-    /// the scheduler tracks soft (preemptible) reservations.
-    fn preemptive(&self) -> bool {
-        false
+    /// Whether this policy has a preemption mechanism at all.
+    pub fn preemptive(&self) -> bool {
+        matches!(
+            self.spec,
+            PolicySpec::PreemptivePriority { .. } | PolicySpec::HybridEdfPreemptive { .. }
+        )
     }
 
     /// Whether a request with `tag` may puncture preemptible bytes.
-    fn preempts(&self, _tag: &RequestTag) -> bool {
-        false
+    pub fn preempts(&self, tag: &RequestTag) -> bool {
+        self.preemptive() && tag.priority == 0
     }
 
     /// Whether per-slice DL budgets are enforced.
-    fn slices(&self) -> bool {
-        false
+    pub fn slices(&self) -> bool {
+        matches!(self.spec, PolicySpec::SliceAware(_))
     }
 
-    /// DL byte budget for `slice` in the slot starting at `slot_start`
-    /// (only consulted when [`SchedulingPolicy::slices`] is true).
-    fn slice_budget(&self, _slice: Slice, _slot_start: Instant, capacity: usize) -> usize {
-        capacity
-    }
-}
-
-impl Clone for Box<dyn SchedulingPolicy> {
-    fn clone(&self) -> Box<dyn SchedulingPolicy> {
-        self.clone_box()
-    }
-}
-
-// ---- The SimURLLC policy set ----------------------------------------------
-
-/// Pure arrival order; the historical behavior.
-#[derive(Debug, Clone)]
-struct Fcfs;
-
-impl SchedulingPolicy for Fcfs {
-    fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
-        Box::new(self.clone())
-    }
-    fn order(&mut self, _now: Instant, _items: &mut [SchedItem]) {
-        // Candidates arrive seq-ordered; FCFS is the identity.
-    }
-}
-
-/// Strict priority classes, preemptive or not.
-#[derive(Debug, Clone)]
-struct StrictPriority {
-    preemptive: bool,
-    dl_background: usize,
-}
-
-impl SchedulingPolicy for StrictPriority {
-    fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
-        Box::new(self.clone())
-    }
-    fn order(&mut self, _now: Instant, items: &mut [SchedItem]) {
-        items.sort_by_key(|i| (i.tag.priority, i.seq));
-    }
-    fn dl_background(&self) -> usize {
-        self.dl_background
-    }
-    fn preemptive(&self) -> bool {
-        self.preemptive
-    }
-    fn preempts(&self, tag: &RequestTag) -> bool {
-        self.preemptive && tag.priority == 0
-    }
-}
-
-/// Cyclic service over RNTIs: each round starts from the UE after the one
-/// served first last round (the cursor), so every UE periodically gets the
-/// head-of-line position regardless of arrival order.
-#[derive(Debug, Clone)]
-struct RoundRobin {
-    cursor: Rnti,
-}
-
-impl SchedulingPolicy for RoundRobin {
-    fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
-        Box::new(self.clone())
-    }
-    fn order(&mut self, _now: Instant, items: &mut [SchedItem]) {
-        let cursor = self.cursor;
-        items.sort_by_key(|i| (i.rnti.wrapping_sub(cursor), i.seq));
-        if let Some(first) = items.first() {
-            self.cursor = first.rnti.wrapping_add(1);
-        }
-    }
-}
-
-/// Earliest absolute deadline first, optionally with priority-0
-/// puncturing.
-#[derive(Debug, Clone)]
-struct Edf {
-    preemptive: bool,
-    dl_background: usize,
-}
-
-impl SchedulingPolicy for Edf {
-    fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
-        Box::new(self.clone())
-    }
-    fn order(&mut self, _now: Instant, items: &mut [SchedItem]) {
-        items.sort_by_key(|i| (i.tag.deadline.map(Instant::as_nanos).unwrap_or(u64::MAX), i.seq));
-    }
-    fn dl_background(&self) -> usize {
-        self.dl_background
-    }
-    fn preemptive(&self) -> bool {
-        self.preemptive
-    }
-    fn preempts(&self, tag: &RequestTag) -> bool {
-        self.preemptive && tag.priority == 0
-    }
-}
-
-/// Slice-rank service order with per-slot slice budgets.
-#[derive(Debug, Clone)]
-struct SliceAware {
-    shares: SliceShares,
-}
-
-impl SchedulingPolicy for SliceAware {
-    fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
-        Box::new(self.clone())
-    }
-    fn order(&mut self, _now: Instant, items: &mut [SchedItem]) {
-        items.sort_by_key(|i| (i.tag.slice.rank(), i.seq));
-    }
-    fn slices(&self) -> bool {
-        true
-    }
-    fn slice_budget(&self, slice: Slice, slot_start: Instant, capacity: usize) -> usize {
+    /// DL byte budget for `slice` in the slot starting at `slot_start`: the
+    /// whole `capacity` unless the policy slices.
+    pub fn slice_budget(&self, slice: Slice, slot_start: Instant, capacity: usize) -> usize {
+        let PolicySpec::SliceAware(shares) = self.spec else {
+            return capacity;
+        };
         let share = match slice {
-            Slice::Urllc => self.shares.urllc,
-            Slice::Embb => self.shares.embb,
-            Slice::Mmtc => self.shares.mmtc,
+            Slice::Urllc => shares.urllc,
+            Slice::Embb => shares.embb,
+            Slice::Mmtc => shares.mmtc,
         };
         let mut fraction = share * slice.utilization_threshold();
         if slice == Slice::Urllc {
-            if let Some(e) = &self.shares.emergency {
+            if let Some(e) = &shares.emergency {
                 fraction *= e.factor_at(slot_start);
             }
         }
@@ -541,30 +448,56 @@ pub struct SlotDecision {
     pub dl_assignments: Vec<DlAssignment>,
 }
 
+/// Bytes reserved in one global slot. DL and UL are separate resources
+/// (under FDD the same slot carries both), so each has its own counter.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotUse {
+    /// All DL bytes reserved.
+    dl: usize,
+    /// The share of `dl` reserved by non-preempting requests — what a
+    /// preempting request may puncture.
+    dl_soft: usize,
+    /// DL bytes per slice, indexed by [`Slice::rank`].
+    dl_slice: [usize; 3],
+    /// UL bytes granted.
+    ul: usize,
+}
+
 /// The per-slot gNB scheduler.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     config: SchedulerConfig,
-    /// Live policy instance, built from `config.policy` at construction.
-    policy: Box<dyn SchedulingPolicy>,
+    /// Live policy, built from `config.policy` at construction.
+    policy: Policy,
     /// O(1) slot-pattern lookups for `config.duplex`.
     timing: SlotTiming,
     pending_srs: VecDeque<SchedItem>,
     pending_dl: VecDeque<SchedItem>,
-    dl_used: BTreeMap<u64, usize>,
-    /// Preemptible (priority > 0) bytes per DL slot; maintained only under
-    /// a preemptive policy.
-    dl_soft: BTreeMap<u64, usize>,
-    /// Per-(slot, slice-rank) bytes; maintained only under a slicing
-    /// policy.
-    dl_slice_used: BTreeMap<(u64, u8), usize>,
-    ul_used: BTreeMap<u64, usize>,
+    /// Capacity ledger: reservations per global slot, from the current
+    /// round's slot onwards.
+    ledger: BTreeMap<u64, SlotUse>,
     /// Arrival sequence counter (the FCFS tie-break).
     seq: u64,
     /// Total bytes punctured out of background/soft reservations.
     punctured: u64,
     /// Statistics: total scheduling rounds run.
     rounds: u64,
+}
+
+/// Splits off the requests that became ready strictly before `now`; both
+/// halves keep arrival order.
+fn take_ready(pending: &mut VecDeque<SchedItem>, now: Instant) -> Vec<SchedItem> {
+    let mut ready = Vec::new();
+    let mut deferred = VecDeque::new();
+    while let Some(item) = pending.pop_front() {
+        if item.ready >= now {
+            deferred.push_back(item);
+        } else {
+            ready.push(item);
+        }
+    }
+    *pending = deferred;
+    ready
 }
 
 impl Scheduler {
@@ -578,10 +511,7 @@ impl Scheduler {
             timing,
             pending_srs: VecDeque::new(),
             pending_dl: VecDeque::new(),
-            dl_used: BTreeMap::new(),
-            dl_soft: BTreeMap::new(),
-            dl_slice_used: BTreeMap::new(),
-            ul_used: BTreeMap::new(),
+            ledger: BTreeMap::new(),
             seq: 0,
             punctured: 0,
             rounds: 0,
@@ -653,16 +583,7 @@ impl Scheduler {
 
         // Downlink assignments: gather the ready set (arrival order), let
         // the policy order it, serve first-fit.
-        let mut ready_dl = Vec::new();
-        let mut deferred = VecDeque::new();
-        while let Some(item) = self.pending_dl.pop_front() {
-            if item.ready >= now {
-                deferred.push_back(item);
-            } else {
-                ready_dl.push(item);
-            }
-        }
-        self.pending_dl = deferred;
+        let mut ready_dl = take_ready(&mut self.pending_dl, now);
         self.policy.order(now, &mut ready_dl);
         for item in &ready_dl {
             let dl = self.reserve_dl(horizon, item.bytes, &item.tag);
@@ -672,16 +593,7 @@ impl Scheduler {
         // Uplink grants: same gather → order → serve shape. Grants carry no
         // preemption or slicing (the DCI always fits the control region);
         // the policy only orders who is granted first.
-        let mut ready_srs = Vec::new();
-        let mut deferred = VecDeque::new();
-        while let Some(item) = self.pending_srs.pop_front() {
-            if item.ready >= now {
-                deferred.push_back(item);
-            } else {
-                ready_srs.push(item);
-            }
-        }
-        self.pending_srs = deferred;
+        let mut ready_srs = take_ready(&mut self.pending_srs, now);
         self.policy.order(now, &mut ready_srs);
         for item in &ready_srs {
             // The grant DCI rides the control region of a DL-capable slot
@@ -701,15 +613,7 @@ impl Scheduler {
         }
 
         // Drop capacity bookkeeping for slots already in the past.
-        let current = slot;
-        self.dl_used.retain(|&s, _| s >= current);
-        self.ul_used.retain(|&s, _| s >= current);
-        if self.policy.preemptive() {
-            self.dl_soft.retain(|&s, _| s >= current);
-        }
-        if self.policy.slices() {
-            self.dl_slice_used.retain(|&(s, _), _| s >= current);
-        }
+        self.ledger.retain(|&s, _| s >= slot);
         decision
     }
 
@@ -718,8 +622,6 @@ impl Scheduler {
         assert!(bytes <= cap, "a {bytes}-byte assignment can never fit a {cap}-byte DL slot");
         let background = self.policy.dl_background();
         let preempts = self.policy.preempts(tag);
-        let preemptive = self.policy.preemptive();
-        let slicing = self.policy.slices();
         if !preempts {
             assert!(
                 bytes + background <= cap,
@@ -727,20 +629,20 @@ impl Scheduler {
                  {background} background bytes in a {cap}-byte DL slot"
             );
         }
+        let rank = tag.slice.rank() as usize;
         let mut probe = from;
         loop {
             let op = self.timing.next_dl_opportunity(probe);
-            let used = *self.dl_used.get(&op.slot).unwrap_or(&0);
-            let soft = *self.dl_soft.get(&op.slot).unwrap_or(&0);
+            let used = self.ledger.entry(op.slot).or_default();
             // A preempting request fits against the hard (non-preemptible)
             // bytes only; everyone else fits under total capacity minus
             // the elastic background.
             let fits = if preempts {
-                (used - soft) + bytes <= cap
+                (used.dl - used.dl_soft) + bytes <= cap
             } else {
-                used + background + bytes <= cap
+                used.dl + background + bytes <= cap
             };
-            let slice_ok = !slicing || {
+            let slice_ok = !self.policy.slices() || {
                 let budget =
                     self.policy.slice_budget(tag.slice, self.timing.slot_start(op.slot), cap);
                 assert!(
@@ -748,23 +650,20 @@ impl Scheduler {
                     "slice {} budget {budget} B can never carry a {bytes}-byte assignment",
                     tag.slice.label()
                 );
-                let key = (op.slot, tag.slice.rank());
-                *self.dl_slice_used.get(&key).unwrap_or(&0) + bytes <= budget
+                used.dl_slice[rank] + bytes <= budget
             };
             if fits && slice_ok {
-                *self.dl_used.entry(op.slot).or_insert(0) += bytes;
                 if preempts {
                     // Bytes that did not fit in the free share puncture the
                     // elastic background/soft occupancy (Fehrenbach-style
                     // code-block corruption, charged in aggregate).
                     self.punctured +=
-                        bytes.saturating_sub(cap.saturating_sub(background + soft)) as u64;
-                } else if preemptive {
-                    *self.dl_soft.entry(op.slot).or_insert(0) += bytes;
+                        bytes.saturating_sub(cap.saturating_sub(background + used.dl_soft)) as u64;
+                } else {
+                    used.dl_soft += bytes;
                 }
-                if slicing {
-                    *self.dl_slice_used.entry((op.slot, tag.slice.rank())).or_insert(0) += bytes;
-                }
+                used.dl += bytes;
+                used.dl_slice[rank] += bytes;
                 return op;
             }
             probe = self.timing.slot_start(op.slot + 1);
@@ -780,9 +679,9 @@ impl Scheduler {
         let mut probe = from;
         loop {
             let op = self.timing.next_ul_opportunity(probe);
-            let used = self.ul_used.entry(op.slot).or_insert(0);
-            if *used + bytes <= self.config.ul_slot_capacity {
-                *used += bytes;
+            let used = self.ledger.entry(op.slot).or_default();
+            if used.ul + bytes <= self.config.ul_slot_capacity {
+                used.ul += bytes;
                 return op;
             }
             probe = self.timing.slot_start(op.slot + 1);
@@ -932,6 +831,39 @@ mod tests {
         assert_eq!(d.ul_grants[0].ul.slot, 1);
     }
 
+    #[test]
+    fn fdd_slot_carries_full_dl_and_full_ul_capacity() {
+        // Under FDD every slot carries both directions, so one ledger entry
+        // holds a DL and a UL reservation at once: neither may eat into the
+        // other's capacity. Slots are 250 µs; a granted UE needs two.
+        let duplex = Duplex::Fdd { numerology: phy::Numerology::Mu2 };
+        let cfg = SchedulerConfig {
+            dl_slot_capacity: 1024,
+            ul_slot_capacity: 512,
+            grant_bytes: 256,
+            ue_grant_processing: Duration::from_micros(500),
+            ..SchedulerConfig::ideal(duplex, AccessMode::GrantBased)
+        };
+        let mut s = Scheduler::new(cfg);
+        // Round 1 fills DL slots 1–3, then grants all of UL slot 3.
+        for _ in 0..3 {
+            s.on_dl_data(1, 1024, Instant::from_micros(10));
+        }
+        s.on_sr(1, Instant::from_micros(10));
+        s.on_sr(2, Instant::from_micros(10));
+        let d1 = s.run_slot(1);
+        assert_eq!(d1.dl_assignments.iter().map(|a| a.dl.slot).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(d1.ul_grants.iter().map(|g| g.ul.slot).collect::<Vec<_>>(), [3, 3]);
+        // Round 2 grants all of UL slot 4; round 3's DL block finds slot 3
+        // full of DL and takes the whole of slot 4 beside those grants.
+        s.on_sr(1, Instant::from_micros(260));
+        s.on_sr(2, Instant::from_micros(260));
+        let d2 = s.run_slot(2);
+        assert_eq!(d2.ul_grants.iter().map(|g| g.ul.slot).collect::<Vec<_>>(), [4, 4]);
+        s.on_dl_data(1, 1024, Instant::from_micros(510));
+        assert_eq!(s.run_slot(3).dl_assignments[0].dl.slot, 4);
+    }
+
     // ---- Policy-layer tests ------------------------------------------------
 
     fn tag(priority: u8, deadline_us: Option<u64>, slice: Slice) -> RequestTag {
@@ -945,9 +877,8 @@ mod tests {
         )
     }
 
-    #[test]
-    fn policy_spec_roundtrips_through_build_and_eq() {
-        let specs = [
+    fn all_specs() -> [PolicySpec; 7] {
+        [
             PolicySpec::Fcfs,
             PolicySpec::NonPreemptivePriority,
             PolicySpec::PreemptivePriority { dl_background: 4096 },
@@ -955,10 +886,14 @@ mod tests {
             PolicySpec::EarliestDeadlineFirst,
             PolicySpec::HybridEdfPreemptive { dl_background: 1024 },
             PolicySpec::SliceAware(SliceShares::even()),
-        ];
+        ]
+    }
+
+    #[test]
+    fn policy_spec_roundtrips_through_build_and_eq() {
         let base =
             SchedulerConfig::ideal(Duplex::Tdd(TddConfig::dddu_testbed()), AccessMode::GrantFree);
-        for spec in specs {
+        for spec in all_specs() {
             // The config carries the spec itself, through to the scheduler
             // that built its live policy from it.
             let cfg = base.clone().with_policy(spec);
@@ -967,6 +902,40 @@ mod tests {
         }
         assert_eq!(base.clone(), base.clone());
         assert_ne!(base.clone().with_policy(PolicySpec::RoundRobin), base);
+    }
+
+    #[test]
+    fn ledger_holds_no_past_slot_after_a_round() {
+        // One prune per round covers every counter of every policy: hard,
+        // soft and per-slice DL bytes (three classes spilling over several
+        // slots) and UL grants.
+        for spec in all_specs() {
+            let mut s = Scheduler::new(
+                SchedulerConfig::ideal(
+                    Duplex::Tdd(TddConfig::dddu_testbed()),
+                    AccessMode::GrantBased,
+                )
+                .with_policy(spec),
+            );
+            for (i, slice) in [Slice::Urllc, Slice::Embb, Slice::Mmtc].into_iter().enumerate() {
+                for _ in 0..4 {
+                    s.on_dl_data_tagged(
+                        i as Rnti,
+                        2_000,
+                        Instant::from_micros(10),
+                        tag(i as u8, None, slice),
+                    );
+                }
+                s.on_sr(i as Rnti, Instant::from_micros(10));
+            }
+            s.run_slot(1);
+            assert!(s.ledger.len() > 2, "{spec:?}: the backlog spans several slots");
+            for slot in 2..12 {
+                s.run_slot(slot);
+                assert!(s.ledger.keys().all(|&k| k >= slot), "{spec:?} at {slot}: {:?}", s.ledger);
+            }
+            assert!(s.ledger.is_empty(), "{spec:?}: everything reserved is in the past");
+        }
     }
 
     #[test]
@@ -1123,5 +1092,18 @@ mod tests {
         let d = c.run_slot(2);
         // The clone kept the cursor: UE 6 goes first.
         assert_eq!(d.dl_assignments[0].rnti, 6);
+        // So does a plain copy of the policy value (the original is still
+        // at cursor 6; the clone's round moved only the clone's).
+        let mut copy = s.policy;
+        let item = |rnti, seq| SchedItem {
+            rnti,
+            bytes: 100,
+            ready: Instant::ZERO,
+            tag: RequestTag::default(),
+            seq,
+        };
+        let mut set = [item(5, 0), item(6, 1)];
+        copy.order(Instant::ZERO, &mut set);
+        assert_eq!(set.map(|i| i.rnti), [6, 5]);
     }
 }

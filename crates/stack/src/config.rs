@@ -12,25 +12,6 @@ use ran::timing::LayerTimings;
 use serde::{Deserialize, Serialize};
 use sim::Duration;
 
-/// When the gNB MAC pulls a scheduled downlink reply from the RLC queue —
-/// the instant that ends Table 2's "RLC-q" interval and starts transport-
-/// block construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DlPullPoint {
-    /// The slot worker that makes the scheduling decision immediately
-    /// builds the transport block (srsRAN's one-worker pipeline: decide,
-    /// pull, build in the same slot task). This reproduces the paper's
-    /// ≈ 484 µs RLC-q row — the queue wait is just the wait for the next
-    /// scheduling boundary.
-    AtDecision,
-    /// Just-in-time: defer the pull until `slots` slots before the
-    /// assigned air time (never before the decision itself). Keeps the TB
-    /// maximally fresh but extends the measured queue wait whenever the
-    /// air slot is more than `slots` slots past the decision — the
-    /// seed's `SlotsBeforeAir(2)` overshot the paper's RLC-q by ~400 µs.
-    SlotsBeforeAir(u64),
-}
-
 /// Full-system configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StackConfig {
@@ -58,9 +39,6 @@ pub struct StackConfig {
     pub backbone: BackboneLink,
     /// Scheduling-decision lead (radio readiness margin, §4/§7).
     pub sched_lead: Duration,
-    /// gNB DL pull point: when the MAC dequeues a scheduled reply from the
-    /// RLC queue and starts building its transport block.
-    pub dl_pull: DlPullPoint,
     /// UE grant-decode-to-transmit time assumed by the scheduler.
     pub ue_grant_processing: Duration,
     /// Ping payload size in bytes (ICMP echo, 64 B default).
@@ -120,7 +98,6 @@ impl StackConfig {
         let duplex = Duplex::Tdd(TddConfig::dddu_testbed());
         StackConfig {
             sched_lead: duplex.slot_duration() * 2,
-            dl_pull: DlPullPoint::AtDecision,
             duplex,
             access,
             carrier: CarrierConfig::testbed_20mhz(),
@@ -184,7 +161,6 @@ impl StackConfig {
             ue_radio: RadioHeadConfig::asic_integrated(),
             backbone: BackboneLink::ideal(),
             sched_lead: Duration::from_micros(150),
-            dl_pull: DlPullPoint::AtDecision,
             ue_grant_processing: Duration::from_micros(100),
             payload_bytes: 64,
             link: None,
@@ -307,17 +283,6 @@ mod tests {
         let big = c.data_air_time(c.slot_capacity_bytes());
         assert!(big > one);
         assert!(big <= c.duplex.slot_duration());
-    }
-
-    #[test]
-    fn presets_pull_at_the_decision() {
-        // Both presets use srsRAN's pull point; the deferred variant is an
-        // opt-in for pipeline studies.
-        assert_eq!(
-            StackConfig::testbed_dddu(AccessMode::GrantBased, true).dl_pull,
-            DlPullPoint::AtDecision
-        );
-        assert_eq!(StackConfig::ideal_urllc_dm().dl_pull, DlPullPoint::AtDecision);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod schedlab;
 pub mod stage_labels;
 
 pub use coexistence::{coexistence_sweep, CoexistencePoint};
-pub use config::{DlPullPoint, StackConfig};
+pub use config::StackConfig;
 pub use experiment::{
     run_parallel, run_parallel_opts, run_parallel_profiled, run_parallel_workers, ExperimentResult,
     PingExperiment, RlfEvent, BATCH_PINGS,

@@ -18,7 +18,7 @@
 //!   "higher number of UEs might increase the processing times
 //!   noticeably").
 
-use ran::sched::{AccessMode, Scheduler, SchedulerConfig};
+use ran::sched::{AccessMode, Rnti, Scheduler, SchedulerConfig};
 use serde::Serialize;
 use sim::{Dist, Duration, EventQueue, Instant, Recording, SimRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -258,6 +258,15 @@ fn count_ul_ops(duplex: &phy::duplex::Duplex, horizon: Instant) -> u64 {
 }
 
 fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> {
+    // The scheduler addresses UEs by RNTI: a larger population would alias
+    // UE 65 536 + k onto UE k, merging their SR queues and arrival ledgers.
+    let rntis = Rnti::MAX as usize + 1;
+    if config.n_ues > rntis {
+        return Err(StackError::Diverged(format!(
+            "{} grant-based UEs exceed the {rntis} RNTIs one cell can address",
+            config.n_ues
+        )));
+    }
     let duplex = config.base.duplex.clone();
     let mut sched_cfg: SchedulerConfig = config.base.scheduler_config();
     sched_cfg.access = AccessMode::GrantBased;
@@ -272,7 +281,7 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
     let mut ul = Recording::fixed();
     // FIFO of outstanding arrivals per UE, so grants (possibly served in a
     // later round than they were requested) are attributed correctly.
-    let mut outstanding: BTreeMap<u16, VecDeque<Instant>> = BTreeMap::new();
+    let mut outstanding: BTreeMap<Rnti, VecDeque<Instant>> = BTreeMap::new();
     let air = config.base.data_air_time(config.base.payload_bytes + 32);
 
     // A grant for an RNTI that never sent an SR, or for a UE whose every
@@ -281,7 +290,7 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
     // saturated scheduler re-issues grants past its own bookkeeping, so
     // it surfaces as a typed error instead of a panic.
     let serve = |decision: ran::sched::SlotDecision,
-                 outstanding: &mut BTreeMap<u16, VecDeque<Instant>>,
+                 outstanding: &mut BTreeMap<Rnti, VecDeque<Instant>>,
                  ul: &mut Recording|
      -> Result<(), StackError> {
         for grant in decision.ul_grants {
@@ -309,8 +318,8 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
         // SR: one bit in the next UL opportunity (no contention).
         let sr_op = duplex.next_ul_opportunity(ready);
         let sr_visible = sr_op.tx_start + duplex.numerology().symbol_offset(1) + sr_decode;
-        outstanding.entry(ue as u16).or_default().push_back(arrival);
-        sched.on_sr(ue as u16, sr_visible);
+        outstanding.entry(ue as Rnti).or_default().push_back(arrival);
+        sched.on_sr(ue as Rnti, sr_visible);
         // Keep scheduler invocations monotone.
         let boundary = (duplex.slot_index_at(sr_visible) + 1).max(last_boundary);
         last_boundary = boundary;
@@ -473,6 +482,14 @@ mod tests {
             gf_growth > 1.5 * gb_growth,
             "gf growth {gf_growth:.2} vs gb growth {gb_growth:.2}"
         );
+    }
+
+    #[test]
+    fn grant_based_rejects_a_population_past_the_rnti_space() {
+        // Fails before any arrival is sampled, so the test is instant.
+        let cfg = MultiUeConfig::testbed(AccessMode::GrantBased, Rnti::MAX as usize + 2);
+        let err = run_multi_ue(&cfg).expect_err("UE 65536 would alias UE 0");
+        assert!(matches!(&err, StackError::Diverged(m) if m.contains("65537")), "{err:?}");
     }
 
     #[test]

@@ -106,7 +106,8 @@ pub struct MulticellConfig {
     /// Scheduling policy every cell orders its class queues with each
     /// slot. The class list is pre-sorted by priority, so the default
     /// `Fcfs` identity *is* strict priority — the historic behaviour,
-    /// byte for byte; other policies genuinely reorder service.
+    /// byte for byte; other policies genuinely reorder service. Each cell
+    /// builds its own [`ran::sched::Policy`] value from it.
     pub policy: PolicySpec,
 }
 
@@ -364,8 +365,8 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
     let mut classes: Vec<&UeClass> = cell.classes.iter().collect();
     classes.sort_by_key(|c| c.priority);
 
-    // Each cell runs its own policy instance (round-robin cursors and the
-    // like are per-cell state, exactly like a real gNB scheduler's).
+    // Each cell runs its own policy value (the round-robin cursor is
+    // per-cell state, exactly like a real gNB scheduler's).
     let mut policy = config.policy.build();
     let mut class_seq = 0u64;
 
@@ -402,13 +403,22 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
         .map(|(ci, c)| {
             // Aggregate Poisson: n independent rate-λ processes merge into
             // one rate-n·λ process, exactly.
-            let mean_us = c.mean_interval.as_micros_f64() / c.count as f64;
-            let dist = Dist::Exponential { mean: Duration::from_micros_f64(mean_us) };
+            let mean = Duration::from_micros_f64(c.mean_interval.as_micros_f64() / c.count as f64);
+            // An empty class (÷0 saturates to zero) or a rate past ~2·10⁹
+            // pps would re-arm its arrival at the same instant forever,
+            // ahead of the slot event: sim time would never advance.
+            if mean == Duration::ZERO {
+                return Err(StackError::Diverged(format!(
+                    "cell {cell_idx} class {:?}: {} UEs every {:?} is an aggregate \
+                     inter-arrival of 0 ns",
+                    c.name, c.count, c.mean_interval
+                )));
+            }
             // Keyed by class index, not priority: equal-priority classes
             // must not share a stream.
-            (dist, rng.stream_indexed("class-arrivals", ci as u64))
+            Ok((Dist::Exponential { mean }, rng.stream_indexed("class-arrivals", ci as u64)))
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     for (ci, (dist, r)) in samplers.iter_mut().enumerate() {
@@ -586,6 +596,23 @@ mod tests {
         assert!(a.offered > 500 && b.offered > 500, "{} / {}", a.offered, b.offered);
         assert_ne!(a.offered, b.offered);
         assert_ne!(a.latency, b.latency);
+    }
+
+    #[test]
+    fn a_class_whose_aggregate_interval_rounds_to_zero_is_rejected() {
+        // Either way the exponential sampler would return 0 ns forever and
+        // the arrival would re-arm ahead of the slot clock: the run must
+        // fail up front instead of spinning at one instant.
+        for (count, mean_interval) in
+            [(0, Duration::from_millis(10)), (10_000_000_000, Duration::from_secs(1))]
+        {
+            let mut cfg = MulticellConfig::dense_urban(1, 100, 1);
+            cfg.cells[0].classes[2].count = count;
+            cfg.cells[0].classes[2].mean_interval = mean_interval;
+            let err = run_multicell(&cfg).expect_err("a 0 ns inter-arrival cannot run");
+            let StackError::Diverged(msg) = &err else { panic!("{err:?}") };
+            assert!(msg.contains("cell 0") && msg.contains("sensor"), "{msg}");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use bytes::Bytes;
 use ran::mac::MacBacklog;
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::{RlcError, RlcUmEntity};
-use ran::sched::{PolicySpec, RequestTag, SchedItem, SchedulingPolicy, Slice};
+use ran::sched::{Policy, PolicySpec, RequestTag, SchedItem, Slice};
 use sim::{ArrivalGen, ArrivalProcess, Duration, EventQueue, Instant, Recording, SimRng};
 use telemetry::{JournalEvent, Profiler, Telemetry};
 
@@ -169,7 +169,8 @@ pub struct OverloadConfig {
     /// eMBB traffic classes (HARQ retransmissions always go first — they
     /// are the oldest data). `Fcfs` and the priority policies reproduce
     /// the historic URLLC-before-eMBB order byte for byte; `RoundRobin`
-    /// genuinely alternates the head of line.
+    /// genuinely alternates the head of line. The engine builds one
+    /// [`ran::sched::Policy`] value from it and keeps it across slots.
     pub policy: PolicySpec,
 }
 
@@ -347,7 +348,7 @@ struct Engine<'a> {
     next_pull_expected: u32,
     /// Orders the URLLC/eMBB classes each slot (stateful: round-robin
     /// keeps its cursor here across slots).
-    policy: Box<dyn SchedulingPolicy>,
+    policy: Policy,
     /// Monotone sequence counter feeding [`SchedItem::seq`] tie-breaks.
     class_seq: u64,
     report: OverloadReport,

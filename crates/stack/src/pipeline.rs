@@ -39,7 +39,6 @@ use ran::sr::SrProcedure;
 use sim::{Duration, FaultKind, Instant, PingFaultTrace};
 use telemetry::JournalEvent;
 
-use crate::config::DlPullPoint;
 use crate::experiment::{
     make_payload, ExperimentResult, PingExperiment, RlfEvent, MAX_SCHED_ROUNDS, RNTI, UE_ADDR,
 };
@@ -897,10 +896,10 @@ fn dl_walk_down(
     HopOutcome::Continue
 }
 
-/// ⑨ One DL scheduling round per slot boundary. The MAC pulls the data
-/// from the RLC queue when it builds the transport block (the configured
-/// [`DlPullPoint`]) — that pull instant ends the Table 2 "RLC-q"
-/// interval.
+/// ⑨ One DL scheduling round per slot boundary. The slot task that makes
+/// the decision pulls the data from the RLC queue and builds the transport
+/// block right away (srsRAN's one-worker pipeline), so the decision instant
+/// ends the Table 2 "RLC-q" interval.
 fn dl_sched(
     exp: &mut PingExperiment,
     ctx: &mut PingCtx,
@@ -920,12 +919,7 @@ fn dl_sched(
         return HopOutcome::Continue;
     };
     let dl_tx = assign.dl.tx_start;
-    let decision_time = at; // == slot_start(slot): this round's boundary
-    let tb_build = match exp.config.dl_pull {
-        DlPullPoint::AtDecision => decision_time,
-        DlPullPoint::SlotsBeforeAir(slots) => decision_time
-            .max(dl_tx.saturating_sub(exp.config.duplex.slot_duration().saturating_mul(slots))),
-    };
+    let tb_build = at; // == slot_start(slot): this round's boundary
     result.layers.rlcq.push((tb_build - ctx.in_rlc_q).as_micros_f64());
     exp.tel.record("rlc", "queue_us", tb_build - ctx.in_rlc_q);
     ctx.trace.dl.push(StageSpan::new(labels::RLC_Q, ctx.in_rlc_q, tb_build));

@@ -40,7 +40,6 @@ fn protocol_only(duplex: Duplex, access: AccessMode) -> StackConfig {
         ue_radio: radio,
         backbone: BackboneLink::ideal(),
         sched_lead: Duration::ZERO,
-        dl_pull: stack::DlPullPoint::AtDecision,
         ue_grant_processing: Duration::ZERO,
         payload_bytes: 16,
         link: None,

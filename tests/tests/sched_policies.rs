@@ -1,5 +1,5 @@
-//! Property-based tests over the pluggable scheduling-policy layer
-//! ([`ran::sched::SchedulingPolicy`]): random tagged traces through every
+//! Property-based tests over the scheduling-policy layer
+//! ([`ran::sched::Policy`]): random tagged traces through every
 //! policy must conserve slot capacity, honor the scheduling lead, serve
 //! every request, and — for equal-size transport blocks — EDF must meet at
 //! least as many deadlines as any arrival-order policy.
