@@ -12,7 +12,7 @@
 //! when any of E/S/PN is set. `length` counts everything after the first
 //! 8 bytes.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// The registered GTP-U UDP port.
@@ -116,19 +116,19 @@ impl GtpuHeader {
         let opt = self.sequence.is_some();
         let opt_len = if opt { 4 } else { 0 };
         let length = (payload.len() + opt_len) as u16;
-        let mut out = Vec::with_capacity(8 + opt_len + payload.len());
+        let mut out = BytesMut::with_capacity(8 + opt_len + payload.len());
         // version 1, PT=1 (GTP), S flag per sequence.
-        out.push(0b0011_0000 | if opt { 0b0000_0010 } else { 0 });
-        out.push(self.message_type);
-        out.extend_from_slice(&length.to_be_bytes());
-        out.extend_from_slice(&self.teid.to_be_bytes());
+        out.put_u8(0b0011_0000 | if opt { 0b0000_0010 } else { 0 });
+        out.put_u8(self.message_type);
+        out.put_u16(length);
+        out.put_u32(self.teid);
         if let Some(seq) = self.sequence {
-            out.extend_from_slice(&seq.to_be_bytes());
-            out.push(0); // N-PDU number
-            out.push(0); // next extension header type: none
+            out.put_u16(seq);
+            out.put_u8(0); // N-PDU number
+            out.put_u8(0); // next extension header type: none
         }
-        out.extend_from_slice(payload);
-        Bytes::from(out)
+        out.put_slice(payload);
+        out.freeze()
     }
 
     /// Decodes a wire packet into `(header, payload)`.

@@ -147,9 +147,16 @@ impl Modulation {
     /// Modulates a bit slice (length must be a multiple of
     /// `bits_per_symbol`) into samples.
     pub fn modulate(self, bits: &[u8]) -> Vec<Iq> {
+        let mut samples = Vec::new();
+        self.modulate_into(bits, &mut samples);
+        samples
+    }
+
+    /// [`Self::modulate`], appending to a buffer the caller keeps.
+    pub(crate) fn modulate_into(self, bits: &[u8], out: &mut Vec<Iq>) {
         let qm = self.bits_per_symbol() as usize;
         assert_eq!(bits.len() % qm, 0, "bit count not a multiple of Qm");
-        bits.chunks(qm).map(|c| self.map(c)).collect()
+        out.extend(bits.chunks(qm).map(|c| self.map(c)));
     }
 
     /// The full constellation as `(bit-group value, point)` pairs; the
@@ -201,12 +208,13 @@ impl Modulation {
         bits
     }
 
-    /// Demodulates samples straight into bytes: bit groups packed MSB-first
-    /// in sample order, which is the stream [`crate::transport::decode`]
-    /// descrambles. Trailing bits that do not fill a byte are dropped.
-    pub(crate) fn demodulate_bytes(self, samples: &[Iq]) -> Vec<u8> {
+    /// Demodulates samples straight into bytes appended to `bytes`: bit
+    /// groups packed MSB-first in sample order, which is the stream
+    /// [`crate::transport::SharedChannel::decode`] descrambles. Trailing
+    /// bits that do not fill a byte are dropped.
+    pub(crate) fn demodulate_bytes_into(self, samples: &[Iq], bytes: &mut Vec<u8>) {
         let qm = self.bits_per_symbol();
-        let mut bytes = Vec::with_capacity(samples.len() * qm as usize / 8);
+        bytes.reserve(samples.len() * qm as usize / 8);
         // Qm ≤ 8, so at most one byte completes per symbol; bits shifted out
         // of the accumulator's top have already been emitted.
         let (mut acc, mut held) = (0u32, 0u32);
@@ -218,7 +226,6 @@ impl Modulation {
                 bytes.push((acc >> held) as u8);
             }
         }
-        bytes
     }
 }
 
@@ -409,7 +416,9 @@ mod tests {
                     .chunks_exact(8)
                     .map(|c| c.iter().fold(0u8, |acc, &b| acc << 1 | b))
                     .collect();
-                assert_eq!(m.demodulate_bytes(&samples), folded, "{m:?} × {n}");
+                let mut bytes = Vec::new();
+                m.demodulate_bytes_into(&samples, &mut bytes);
+                assert_eq!(bytes, folded, "{m:?} × {n}");
             }
         }
     }

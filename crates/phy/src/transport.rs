@@ -66,96 +66,173 @@ pub struct ShChConfig {
     pub c_init: u32,
 }
 
-/// Encodes a transport block into IQ samples.
-///
-/// Returns the samples and the number of code blocks used (for processing-
-/// time models that scale with segmentation).
-///
-/// # Panics
-/// Panics if `payload` is longer than [`MAX_TRANSPORT_BLOCK_BYTES`]. On the
-/// stack path this cannot happen: the payload is a MAC PDU that
-/// `ran::mac::MacPdu::encode` has already held to its grant's transport-block
-/// size (`MacError::ExceedsTransportBlock`), and no grant exceeds one slot —
-/// a few kilobytes against this limit's 268 512 B.
-pub fn encode(config: ShChConfig, payload: &[u8]) -> (Vec<Iq>, usize) {
-    assert!(
-        payload.len() <= MAX_TRANSPORT_BLOCK_BYTES,
-        "transport block of {} B exceeds MAX_TRANSPORT_BLOCK_BYTES ({MAX_TRANSPORT_BLOCK_BYTES}): \
-         its code-block count would not fit the one-byte stream header",
-        payload.len()
-    );
-    // 1. TB CRC.
-    let tb = CRC24A.attach(payload);
-    // 2. Segmentation (+ per-CB CRC only when more than one CB, as in the
-    //    spec).
-    let blocks: Vec<Vec<u8>> = if tb.len() <= MAX_CODE_BLOCK_BYTES {
-        vec![tb]
-    } else {
-        tb.chunks(MAX_CODE_BLOCK_BYTES).map(|c| CRC24B.attach(c)).collect()
-    };
-    let n_blocks = blocks.len();
-    // 3. Concatenate with a 2-byte length prefix per block so the receiver
-    //    can re-segment (stands in for the rate-matching metadata carried in
-    //    DCI in a real system).
-    let mut stream = Vec::new();
-    stream.push(n_blocks as u8);
-    for b in &blocks {
-        stream.extend_from_slice(&(b.len() as u16).to_be_bytes());
-        stream.extend_from_slice(b);
-    }
-    // 4. Scramble.
-    GoldSequence::new(config.c_init).scramble_in_place(&mut stream);
-    // 5. Modulate (pad the bit stream to a whole number of symbols).
-    let mut bits: Vec<u8> = Vec::with_capacity(stream.len() * 8);
-    for byte in &stream {
-        for i in (0..8).rev() {
-            bits.push((byte >> i) & 1);
-        }
-    }
-    let qm = config.modulation.bits_per_symbol() as usize;
-    while !bits.len().is_multiple_of(qm) {
-        bits.push(0);
-    }
-    (config.modulation.modulate(&bits), n_blocks)
+/// One direction of one UE's shared channel, set up once: the Gold
+/// generator is run past its `Nc` warm-up here, not per transport block (a
+/// block clones the warmed state — two words), and the intermediate buffers
+/// of [`encode`](Self::encode) and [`decode`](Self::decode) are kept between
+/// calls, so a block in steady state allocates nothing. Every call clears
+/// what it reuses first: a failed decode leaves nothing behind for the next.
+#[derive(Debug)]
+pub struct SharedChannel {
+    config: ShChConfig,
+    /// The scrambling sequence positioned at `c(0)`.
+    warmed: GoldSequence,
+    /// Framed code blocks, before scrambling on transmit and after
+    /// descrambling on receive.
+    stream: Vec<u8>,
+    /// `stream` as one `u8` per bit, the form [`Modulation::map`] takes.
+    bits: Vec<u8>,
+    /// What [`encode`](Self::encode) returns a view of.
+    samples: Vec<Iq>,
+    /// The reassembled transport block [`decode`](Self::decode) returns a
+    /// view of.
+    tb: Vec<u8>,
 }
 
-/// Decodes IQ samples back into the transport-block payload.
+impl SharedChannel {
+    /// Sets the channel up for `config`: this is where the 1600-step Gold
+    /// warm-up is paid.
+    pub fn new(config: ShChConfig) -> SharedChannel {
+        SharedChannel {
+            config,
+            warmed: GoldSequence::new(config.c_init),
+            stream: Vec::new(),
+            bits: Vec::new(),
+            samples: Vec::new(),
+            tb: Vec::new(),
+        }
+    }
+
+    /// The parameters the channel was set up with.
+    pub fn config(&self) -> ShChConfig {
+        self.config
+    }
+
+    /// Encodes a transport block into IQ samples, valid until the next call.
+    ///
+    /// Returns the samples and the number of code blocks used (for
+    /// processing-time models that scale with segmentation).
+    ///
+    /// # Panics
+    /// Panics if `payload` is longer than [`MAX_TRANSPORT_BLOCK_BYTES`]. On
+    /// the stack path this cannot happen: the payload is a MAC PDU that
+    /// `ran::mac::MacPdu::encode` has already held to its grant's
+    /// transport-block size (`MacError::ExceedsTransportBlock`), and no grant
+    /// exceeds one slot — a few kilobytes against this limit's 268 512 B.
+    pub fn encode(&mut self, payload: &[u8]) -> (&[Iq], usize) {
+        assert!(
+            payload.len() <= MAX_TRANSPORT_BLOCK_BYTES,
+            "transport block of {} B exceeds MAX_TRANSPORT_BLOCK_BYTES \
+             ({MAX_TRANSPORT_BLOCK_BYTES}): its code-block count would not fit the one-byte \
+             stream header",
+            payload.len()
+        );
+        // 1. TB CRC: the transport block is `payload ‖ CRC24A`, never
+        //    materialised — its code blocks are cut from the two parts.
+        let tb_crc = CRC24A.compute(payload).to_be_bytes();
+        let (p, tb_len) = (payload.len(), payload.len() + 3);
+        let n_blocks = tb_len.div_ceil(MAX_CODE_BLOCK_BYTES);
+        // 2./3. Segmentation (+ per-CB CRC only when more than one CB, as in
+        //    the spec), each block behind a 2-byte length prefix so the
+        //    receiver can re-segment (stands in for the rate-matching
+        //    metadata carried in DCI in a real system).
+        let cb_crc = if n_blocks > 1 { 3 } else { 0 };
+        let stream = &mut self.stream;
+        stream.clear();
+        stream.reserve(1 + tb_len + n_blocks * (2 + cb_crc));
+        stream.push(n_blocks as u8);
+        for start in (0..tb_len).step_by(MAX_CODE_BLOCK_BYTES) {
+            let end = (start + MAX_CODE_BLOCK_BYTES).min(tb_len);
+            stream.extend_from_slice(&((end - start + cb_crc) as u16).to_be_bytes());
+            let block_at = stream.len();
+            stream.extend_from_slice(&payload[start.min(p)..end.min(p)]);
+            stream.extend_from_slice(&tb_crc[1..][start.max(p) - p..end.max(p) - p]);
+            if cb_crc != 0 {
+                let crc = CRC24B.compute(&stream[block_at..]).to_be_bytes();
+                stream.extend_from_slice(&crc[1..]);
+            }
+        }
+        // 4. Scramble.
+        self.warmed.clone().scramble_in_place(stream);
+        // 5. Modulate (pad the bit stream to a whole number of symbols).
+        let qm = self.config.modulation.bits_per_symbol() as usize;
+        let bits = &mut self.bits;
+        bits.clear();
+        bits.reserve(stream.len() * 8 + qm);
+        for byte in stream.iter() {
+            for i in (0..8).rev() {
+                bits.push((byte >> i) & 1);
+            }
+        }
+        while !bits.len().is_multiple_of(qm) {
+            bits.push(0);
+        }
+        self.samples.clear();
+        self.config.modulation.modulate_into(bits, &mut self.samples);
+        (&self.samples, n_blocks)
+    }
+
+    /// Decodes IQ samples back into the transport-block payload, valid until
+    /// the next call.
+    ///
+    /// Total over its input: any sample slice — wrong length, NaN or
+    /// infinite components (sliced by [`Modulation::demap`]'s non-finite
+    /// rule), trailing symbols that do not fill a byte (dropped) — yields
+    /// the payload or a [`TransportError`], never a panic.
+    pub fn decode(&mut self, samples: &[Iq]) -> Result<&[u8], TransportError> {
+        let stream = &mut self.stream;
+        stream.clear();
+        self.config.modulation.demodulate_bytes_into(samples, stream);
+        self.warmed.clone().scramble_in_place(stream);
+        let n_blocks = match stream.first() {
+            None | Some(0) => return Err(TransportError::Framing),
+            Some(&n) => n as usize,
+        };
+        let mut pos = 1usize;
+        let tb = &mut self.tb;
+        tb.clear();
+        for index in 0..n_blocks {
+            if pos + 2 > stream.len() {
+                return Err(TransportError::Framing);
+            }
+            let len = u16::from_be_bytes([stream[pos], stream[pos + 1]]) as usize;
+            pos += 2;
+            if pos + len > stream.len() {
+                return Err(TransportError::Framing);
+            }
+            let block = &stream[pos..pos + len];
+            pos += len;
+            if n_blocks == 1 {
+                tb.extend_from_slice(block);
+            } else {
+                let payload = CRC24B.check(block).ok_or(TransportError::CodeBlockCrc { index })?;
+                tb.extend_from_slice(payload);
+            }
+        }
+        CRC24A.check(tb).ok_or(TransportError::TransportCrc)
+    }
+}
+
+/// Encodes a transport block into IQ samples on a channel set up for this
+/// one call — [`SharedChannel::encode`] with the warm-up and the buffers
+/// paid every time. Returns the samples and the number of code blocks.
 ///
-/// Total over its input: any sample slice — wrong length, NaN or infinite
-/// components (sliced by [`Modulation::demap`]'s non-finite rule), trailing
-/// symbols that do not fill a byte (dropped) — yields the payload or a
-/// [`TransportError`], never a panic.
+/// # Panics
+/// As [`SharedChannel::encode`].
+pub fn encode(config: ShChConfig, payload: &[u8]) -> (Vec<Iq>, usize) {
+    let mut channel = SharedChannel::new(config);
+    let n_blocks = channel.encode(payload).1;
+    (channel.samples, n_blocks)
+}
+
+/// Decodes IQ samples back into the transport-block payload on a channel
+/// set up for this one call — [`SharedChannel::decode`], total over its
+/// input in the same way.
 pub fn decode(config: ShChConfig, samples: &[Iq]) -> Result<Vec<u8>, TransportError> {
-    let mut stream = config.modulation.demodulate_bytes(samples);
-    GoldSequence::new(config.c_init).scramble_in_place(&mut stream);
-    if stream.is_empty() {
-        return Err(TransportError::Framing);
-    }
-    let n_blocks = stream[0] as usize;
-    if n_blocks == 0 {
-        return Err(TransportError::Framing);
-    }
-    let mut pos = 1usize;
-    let mut tb = Vec::new();
-    for index in 0..n_blocks {
-        if pos + 2 > stream.len() {
-            return Err(TransportError::Framing);
-        }
-        let len = u16::from_be_bytes([stream[pos], stream[pos + 1]]) as usize;
-        pos += 2;
-        if pos + len > stream.len() {
-            return Err(TransportError::Framing);
-        }
-        let block = &stream[pos..pos + len];
-        pos += len;
-        if n_blocks == 1 {
-            tb.extend_from_slice(block);
-        } else {
-            let payload = CRC24B.check(block).ok_or(TransportError::CodeBlockCrc { index })?;
-            tb.extend_from_slice(payload);
-        }
-    }
-    CRC24A.check(&tb).map(<[u8]>::to_vec).ok_or(TransportError::TransportCrc)
+    let mut channel = SharedChannel::new(config);
+    let len = channel.decode(samples)?.len();
+    channel.tb.truncate(len);
+    Ok(channel.tb)
 }
 
 /// Number of IQ samples produced for a payload of `bytes` bytes — used by

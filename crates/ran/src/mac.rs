@@ -6,7 +6,7 @@
 //! lives; the decision logic itself is in [`crate::sched`], the UE-side SR
 //! trigger in [`crate::sr`] — this module is the wire format.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// Logical Channel ID values used here (DL-SCH/UL-SCH tables of TS 38.321).
@@ -106,32 +106,35 @@ impl MacPdu {
     /// Encodes the PDU, padding to exactly `transport_block_size` bytes if
     /// given (a MAC PDU must fill its transport block).
     pub fn encode(&self, transport_block_size: Option<usize>) -> Result<Bytes, MacError> {
-        let mut out = Vec::new();
+        let mut needed = 0usize;
         for sub in &self.subpdus {
-            let len = sub.payload.len();
-            if len > u16::MAX as usize {
+            if sub.payload.len() > u16::MAX as usize {
                 return Err(MacError::PayloadTooLarge);
             }
+            needed += sub.encoded_len();
+        }
+        let size = transport_block_size.unwrap_or(needed);
+        if needed > size {
+            return Err(MacError::ExceedsTransportBlock { needed, tbs: size });
+        }
+        let mut out = BytesMut::with_capacity(size);
+        for sub in &self.subpdus {
+            let len = sub.payload.len();
             if len > 255 {
-                out.push(0x40 | (sub.lcid & 0x3F)); // F=1: 16-bit L
-                out.extend_from_slice(&(len as u16).to_be_bytes());
+                out.put_u8(0x40 | (sub.lcid & 0x3F)); // F=1: 16-bit L
+                out.put_u16(len as u16);
             } else {
-                out.push(sub.lcid & 0x3F); // F=0: 8-bit L
-                out.push(len as u8);
+                out.put_u8(sub.lcid & 0x3F); // F=0: 8-bit L
+                out.put_u8(len as u8);
             }
-            out.extend_from_slice(&sub.payload);
+            out.put_slice(&sub.payload);
         }
-        if let Some(tbs) = transport_block_size {
-            if out.len() > tbs {
-                return Err(MacError::ExceedsTransportBlock { needed: out.len(), tbs });
-            }
-            if out.len() < tbs {
-                // Padding subPDU: one subheader byte, rest zero.
-                out.push(lcid::PADDING);
-                out.resize(tbs, 0);
-            }
+        if needed < size {
+            // Padding subPDU: one subheader byte, rest zero.
+            out.put_u8(lcid::PADDING);
+            out.put_bytes(0, size - needed - 1);
         }
-        Ok(Bytes::from(out))
+        Ok(out.freeze())
     }
 
     /// Decodes a PDU, stripping padding.
@@ -178,11 +181,24 @@ pub const BSR_LEVELS: [u32; 31] = [
     5446, 7587, 10570, 14726, 20516, 28581, 39818, 55474, 77284, 107669, 150000,
 ];
 
+/// Every one-byte control element there is: a short BSR rides on each
+/// uplink MAC PDU, and viewing its byte here costs no allocation.
+static ONE_BYTE_CES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Encodes a short BSR control element: `| LCG(3) | BufferSize(5) |`.
 pub fn encode_short_bsr(lcg: u8, buffer_bytes: usize) -> Bytes {
     assert!(lcg < 8, "LCG is 3 bits");
     let idx = BSR_LEVELS.iter().position(|&lvl| buffer_bytes as u32 <= lvl).unwrap_or(31) as u8;
-    Bytes::from(vec![(lcg << 5) | idx])
+    let ce = usize::from((lcg << 5) | idx);
+    Bytes::from_static(&ONE_BYTE_CES[ce..=ce])
 }
 
 /// Decodes a short BSR: returns `(lcg, upper bound on buffered bytes)` —

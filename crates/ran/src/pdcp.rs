@@ -12,7 +12,7 @@
 //! into the PDCP row of the Table 2 timing model. DESIGN.md records this
 //! substitution.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use phy::scrambling::GoldSequence;
 use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
@@ -243,13 +243,13 @@ impl PdcpEntity {
 
     fn encode_with_count(&self, count: u32, sdu: &Bytes) -> Bytes {
         let sn = count % SN_MODULUS;
-        let mut out = Vec::with_capacity(2 + sdu.len());
-        out.push(0x80 | ((sn >> 8) as u8 & 0x0F));
-        out.push(sn as u8);
+        let mut out = BytesMut::with_capacity(2 + sdu.len());
+        out.put_u8(0x80 | ((sn >> 8) as u8 & 0x0F));
+        out.put_u8(sn as u8);
         let body_start = out.len();
-        out.extend_from_slice(sdu);
+        out.put_slice(sdu);
         cipher(&self.config, count, false, &mut out[body_start..]);
-        Bytes::from(out)
+        out.freeze()
     }
 
     /// Sets the COUNT the next transmitted SDU will carry — the receiving
@@ -319,11 +319,12 @@ impl PdcpEntity {
             self.discarded += 1;
             return Ok(Vec::new());
         }
-        // Copy straight out of the shared buffer — `slice(2..)` would clone
-        // the Arc only to be copied out of again.
-        let mut body = pdu[2..].to_vec();
+        // Deciphering needs a buffer of its own — the PDU's is shared with
+        // whoever sent it — and that one copy is the SDU's only allocation.
+        let mut body = BytesMut::with_capacity(pdu.len() - 2);
+        body.put_slice(&pdu[2..]);
         cipher(&self.config, count, true, &mut body);
-        self.reorder.insert(count, Bytes::from(body));
+        self.reorder.insert(count, body.freeze());
         if count >= self.rx_next {
             self.rx_next = count + 1;
         }

@@ -14,7 +14,7 @@
 //! last segment:    | SI=10 | SN(6) | SO(16) |  payload...
 //! ```
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, VecDeque};
 use telemetry::Telemetry;
 
@@ -204,15 +204,15 @@ impl RlcUmEntity {
             let remaining = flight.sdu.len() - flight.offset;
             let take = remaining.min(grant - HDR);
             let si = if take == remaining { SegmentInfo::Last } else { SegmentInfo::Middle };
-            let mut pdu = Vec::with_capacity(HDR + take);
-            pdu.push((si.to_bits() << 6) | (flight.sn & 0x3F));
-            pdu.extend_from_slice(&(flight.offset as u16).to_be_bytes());
-            pdu.extend_from_slice(&flight.sdu[flight.offset..flight.offset + take]);
+            let mut pdu = BytesMut::with_capacity(HDR + take);
+            pdu.put_u8((si.to_bits() << 6) | (flight.sn & 0x3F));
+            pdu.put_u16(flight.offset as u16);
+            pdu.put_slice(&flight.sdu[flight.offset..flight.offset + take]);
             if take < remaining {
                 self.in_flight =
                     Some(InFlight { sn: flight.sn, sdu: flight.sdu, offset: flight.offset + take });
             }
-            return Ok(Some(Bytes::from(pdu)));
+            return Ok(Some(pdu.freeze()));
         }
 
         let Some(sdu) = self.queue.pop_front() else {
@@ -220,10 +220,10 @@ impl RlcUmEntity {
         };
         if grant > sdu.len() {
             // Whole SDU fits: SI=00 header without SN.
-            let mut pdu = Vec::with_capacity(1 + sdu.len());
-            pdu.push(SegmentInfo::Full.to_bits() << 6);
-            pdu.extend_from_slice(&sdu);
-            return Ok(Some(Bytes::from(pdu)));
+            let mut pdu = BytesMut::with_capacity(1 + sdu.len());
+            pdu.put_u8(SegmentInfo::Full.to_bits() << 6);
+            pdu.put_slice(&sdu);
+            return Ok(Some(pdu.freeze()));
         }
         // Must segment: first segment header is SI|SN (1 byte).
         const HDR: usize = 1;
@@ -234,11 +234,11 @@ impl RlcUmEntity {
         let sn = self.tx_next;
         self.tx_next = (self.tx_next + 1) % UM_SN_MODULUS;
         let take = grant - HDR;
-        let mut pdu = Vec::with_capacity(grant);
-        pdu.push((SegmentInfo::First.to_bits() << 6) | (sn & 0x3F));
-        pdu.extend_from_slice(&sdu[..take]);
+        let mut pdu = BytesMut::with_capacity(grant);
+        pdu.put_u8((SegmentInfo::First.to_bits() << 6) | (sn & 0x3F));
+        pdu.put_slice(&sdu[..take]);
         self.in_flight = Some(InFlight { sn, sdu, offset: take });
-        Ok(Some(Bytes::from(pdu)))
+        Ok(Some(pdu.freeze()))
     }
 
     /// Processes a received UMD PDU; returns any SDUs completed by it.

@@ -6,7 +6,7 @@
 //! the packet crosses (Fig 2), and its processing time is the first row of
 //! Table 2.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
@@ -108,11 +108,11 @@ impl SdapEntity {
     /// bearer it should travel on.
     pub fn encode_pdu(&self, qfi: Qfi, sdu: &Bytes) -> Result<(DrbId, Bytes), SdapError> {
         let drb = self.bearer_for(qfi)?;
-        let mut out = Vec::with_capacity(1 + sdu.len());
-        out.push(SdapHeader { flag1: true, flag2: false, qfi }.encode());
-        out.extend_from_slice(sdu);
+        let mut out = BytesMut::with_capacity(1 + sdu.len());
+        out.put_u8(SdapHeader { flag1: true, flag2: false, qfi }.encode());
+        out.put_slice(sdu);
         self.tel.count("sdap", "tx_pdus", 1);
-        Ok((drb, Bytes::from(out)))
+        Ok((drb, out.freeze()))
     }
 
     /// Parses an SDAP data PDU back into `(header, SDU)`.

@@ -16,7 +16,7 @@
 //! Every PDU is actually encoded and decoded (see [`crate::node`]); the
 //! experiment asserts byte-exact delivery and counts radio-deadline misses.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use corenet::{plan_crossing, PathEvent, PathSupervisor};
 use radio::{RadioHead, TxRing};
 use ran::sched::{Rnti, Scheduler};
@@ -801,13 +801,13 @@ fn run_sharded(
 
 /// Deterministic ICMP-echo-like payload for ping `id`.
 pub(crate) fn make_payload(id: u64, len: usize) -> Bytes {
-    let mut v = Vec::with_capacity(len);
-    v.extend_from_slice(&id.to_be_bytes());
-    while v.len() < len {
-        v.push((v.len() as u8).wrapping_mul(31) ^ id as u8);
+    let mut v = BytesMut::with_capacity(len.max(8));
+    v.put_slice(&id.to_be_bytes());
+    v.put_bytes(0, len.saturating_sub(8));
+    for (i, byte) in v.iter_mut().enumerate().skip(8) {
+        *byte = (i as u8).wrapping_mul(31) ^ id as u8;
     }
-    v.truncate(len.max(8));
-    Bytes::from(v)
+    v.freeze()
 }
 
 #[cfg(test)]

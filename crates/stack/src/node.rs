@@ -11,7 +11,7 @@ use bytes::Bytes;
 use corenet::upf::{Session, Upf, UplinkOutcome};
 use phy::modulation::Iq;
 use phy::scrambling::data_scrambling_c_init;
-use phy::transport::{self, ShChConfig};
+use phy::transport::{self, ShChConfig, SharedChannel};
 use ran::mac::{self, MacPdu, MacSubPdu};
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::RlcUmEntity;
@@ -66,13 +66,21 @@ impl core::fmt::Display for StackError {
 
 impl std::error::Error for StackError {}
 
-fn sh_ch_config(rnti: Rnti, dl: bool) -> ShChConfig {
-    // Distinct scrambling per UE and direction, as in TS 38.211.
-    ShChConfig {
+/// One direction of `rnti`'s shared channel, built once when the stack is
+/// (`UeStack::new`, `GnbStack::attach_ue`): the scrambling sequence is fixed
+/// from then on, so its warm-up is paid here and never per transport block.
+fn shared_channel(rnti: Rnti, dl: bool) -> SharedChannel {
+    // Distinct scrambling per UE and direction, as in TS 38.211. The byte
+    // path modulates QPSK whatever `StackConfig::modulation` says (DESIGN.md).
+    SharedChannel::new(ShChConfig {
         modulation: phy::modulation::Modulation::Qpsk,
         c_init: data_scrambling_c_init(rnti, u8::from(dl), 101),
-    }
+    })
 }
+
+/// Wire size of the short-BSR subPDU riding on every uplink MAC PDU: the
+/// subheader (LCID, 8-bit L) and the one-byte control element.
+const SHORT_BSR_SUBPDU_BYTES: usize = 3;
 
 /// The UE-side protocol stack.
 #[derive(Debug)]
@@ -82,6 +90,10 @@ pub struct UeStack {
     sdap: SdapEntity,
     pdcp: PdcpEntity,
     rlc: RlcUmEntity,
+    /// PUSCH: what [`phy_encode`](Self::phy_encode) transmits on.
+    ul: SharedChannel,
+    /// PDSCH: what [`phy_decode`](Self::phy_decode) receives on.
+    dl: SharedChannel,
 }
 
 impl UeStack {
@@ -94,6 +106,8 @@ impl UeStack {
             sdap,
             pdcp: PdcpEntity::new(PdcpConfig::new(key, PING_LCID, Direction::Uplink)),
             rlc: RlcUmEntity::new(),
+            ul: shared_channel(rnti, false),
+            dl: shared_channel(rnti, true),
         }
     }
 
@@ -123,12 +137,10 @@ impl UeStack {
     fn pull_uplink_pdus(&mut self, grant_bytes: usize) -> Result<Vec<Bytes>, StackError> {
         let mut out = Vec::new();
         loop {
-            // Reserve room for the MAC subheaders (data + BSR).
-            let bsr = MacSubPdu::new(
-                mac::lcid::SHORT_BSR,
-                mac::encode_short_bsr(0, self.rlc.queued_bytes()),
-            );
-            let overhead = bsr.encoded_len() + 3; // data subheader worst case
+            // Reserve room for the MAC subheaders (data + BSR). The BSR
+            // reports the buffer as it stands before this pull.
+            let queued = self.rlc.queued_bytes();
+            let overhead = SHORT_BSR_SUBPDU_BYTES + 3; // data subheader worst case
             if grant_bytes <= overhead + 1 {
                 return Err(StackError::Mac(format!("grant {grant_bytes} B too small")));
             }
@@ -138,6 +150,8 @@ impl UeStack {
                 .map_err(|e| StackError::Rlc(e.to_string()))?
             {
                 Some(rlc_pdu) => {
+                    let bsr =
+                        MacSubPdu::new(mac::lcid::SHORT_BSR, mac::encode_short_bsr(0, queued));
                     let pdu = MacPdu::new(vec![bsr, MacSubPdu::new(PING_LCID, rlc_pdu)]);
                     out.push(pdu.encode(None).map_err(|e| StackError::Mac(e.to_string()))?);
                 }
@@ -199,22 +213,27 @@ impl UeStack {
         Ok(payloads)
     }
 
-    /// Modulates an uplink MAC PDU to IQ samples.
-    pub fn phy_encode(&self, mac_pdu: &Bytes) -> Vec<Iq> {
-        transport::encode(sh_ch_config(self.rnti, false), mac_pdu).0
+    /// Modulates an uplink MAC PDU to IQ samples, borrowed from the
+    /// channel's buffer until the next call.
+    pub fn phy_encode(&mut self, mac_pdu: &Bytes) -> &[Iq] {
+        self.ul.encode(mac_pdu).0
     }
 
     /// Demodulates downlink samples to a MAC PDU.
-    pub fn phy_decode(&self, samples: &[Iq]) -> Result<Bytes, StackError> {
-        transport::decode(sh_ch_config(self.rnti, true), samples)
-            .map(Bytes::from)
-            .map_err(|e| StackError::Phy(e.to_string()))
+    pub fn phy_decode(&mut self, samples: &[Iq]) -> Result<Bytes, StackError> {
+        phy_decode(&mut self.dl, samples)
     }
 
     /// Number of IQ samples an uplink MAC PDU of `bytes` bytes produces.
     pub fn phy_sample_count(&self, bytes: usize) -> usize {
-        transport::sample_count(sh_ch_config(self.rnti, false), bytes)
+        transport::sample_count(self.ul.config(), bytes)
     }
+}
+
+/// Demodulates `samples` on `channel` and copies the MAC PDU out of its
+/// buffer: the one allocation of a received transport block.
+fn phy_decode(channel: &mut SharedChannel, samples: &[Iq]) -> Result<Bytes, StackError> {
+    channel.decode(samples).map(Bytes::copy_from_slice).map_err(|e| StackError::Phy(e.to_string()))
 }
 
 #[derive(Debug)]
@@ -223,6 +242,10 @@ struct UeContext {
     rlc: RlcUmEntity,
     sdap: SdapEntity,
     session: Session,
+    /// PDSCH: what [`GnbStack::phy_encode`] transmits on.
+    dl: SharedChannel,
+    /// PUSCH: what [`GnbStack::phy_decode`] receives on.
+    ul: SharedChannel,
 }
 
 /// The gNB-side protocol stack plus its embedded UPF link.
@@ -280,7 +303,8 @@ impl GnbStack {
         let dl_teid = u32::from(rnti) + 0x100;
         let session = self.upf.establish_session(ue_addr, dl_teid);
         self.dl_routes.insert(dl_teid, rnti);
-        self.contexts.insert(rnti, UeContext { pdcp, rlc, sdap, session });
+        let (dl, ul) = (shared_channel(rnti, true), shared_channel(rnti, false));
+        self.contexts.insert(rnti, UeContext { pdcp, rlc, sdap, session, dl, ul });
     }
 
     /// Attached UE count.
@@ -308,8 +332,8 @@ impl GnbStack {
             .dl_routes
             .iter()
             .find(|&(_, &r)| self.contexts.get(&r).is_some_and(|c| c.session.ue_addr == ue_addr));
-        let (&old_teid, &rnti) =
-            old_route.ok_or(StackError::Core(format!("no downlink route for UE {ue_addr}")))?;
+        let (&old_teid, &rnti) = old_route
+            .ok_or_else(|| StackError::Core(format!("no downlink route for UE {ue_addr}")))?;
         self.dl_routes.remove(&old_teid);
         self.dl_routes.insert(new_dl_teid, rnti);
         if let Some(ctx) = self.contexts.get_mut(&rnti) {
@@ -377,7 +401,7 @@ impl GnbStack {
         let rnti = *self
             .dl_routes
             .get(&gtp.teid)
-            .ok_or(StackError::Core(format!("no route for DL TEID {}", gtp.teid)))?;
+            .ok_or_else(|| StackError::Core(format!("no route for DL TEID {}", gtp.teid)))?;
         let ctx = self.ctx(rnti)?;
         let (_drb, sdap_pdu) =
             ctx.sdap.encode_pdu(PING_QFI, &inner).map_err(|e| StackError::Sdap(e.to_string()))?;
@@ -443,16 +467,22 @@ impl GnbStack {
         Self::pull_downlink_pdus(self.ctx(rnti)?, grant_bytes)
     }
 
-    /// Modulates a downlink MAC PDU for `rnti` to IQ samples.
-    pub fn phy_encode(&self, rnti: Rnti, mac_pdu: &Bytes) -> Vec<Iq> {
-        transport::encode(sh_ch_config(rnti, true), mac_pdu).0
+    /// Modulates a downlink MAC PDU for `rnti` to IQ samples, borrowed from
+    /// that UE's channel buffer until the next call.
+    pub fn phy_encode(&mut self, rnti: Rnti, mac_pdu: &Bytes) -> Result<&[Iq], StackError> {
+        Ok(self.ctx(rnti)?.dl.encode(mac_pdu).0)
     }
 
     /// Demodulates uplink samples from `rnti` to a MAC PDU.
-    pub fn phy_decode(&self, rnti: Rnti, samples: &[Iq]) -> Result<Bytes, StackError> {
-        transport::decode(sh_ch_config(rnti, false), samples)
-            .map(Bytes::from)
-            .map_err(|e| StackError::Phy(e.to_string()))
+    pub fn phy_decode(&mut self, rnti: Rnti, samples: &[Iq]) -> Result<Bytes, StackError> {
+        phy_decode(&mut self.ctx(rnti)?.ul, samples)
+    }
+
+    /// Number of IQ samples a downlink MAC PDU of `bytes` bytes for `rnti`
+    /// produces.
+    pub fn phy_sample_count(&self, rnti: Rnti, bytes: usize) -> Result<usize, StackError> {
+        let ctx = self.contexts.get(&rnti).ok_or(StackError::UnknownRnti(rnti))?;
+        Ok(transport::sample_count(ctx.dl.config(), bytes))
     }
 }
 
@@ -494,7 +524,7 @@ mod tests {
         let (mut ue, mut gnb) = attach_pair();
         let payload = Bytes::from_static(b"over the air");
         let mac_pdus = ue.encode_uplink(&payload, 256).unwrap();
-        let samples = ue.phy_encode(&mac_pdus[0]);
+        let samples = ue.phy_encode(&mac_pdus[0]).to_vec();
         assert_eq!(samples.len(), ue.phy_sample_count(mac_pdus[0].len()));
         let decoded = gnb.phy_decode(17, &samples).unwrap();
         assert_eq!(decoded, mac_pdus[0]);
@@ -517,10 +547,14 @@ mod tests {
 
     #[test]
     fn ul_and_dl_scrambling_differ() {
-        let (ue, gnb) = attach_pair();
+        let (mut ue, mut gnb) = attach_pair();
         let pdu = Bytes::from_static(b"same bytes");
         let ul = ue.phy_encode(&pdu);
-        let dl = gnb.phy_encode(17, &pdu);
+        assert_eq!(gnb.phy_sample_count(17, pdu.len()), Ok(ul.len()));
+        assert_eq!(gnb.phy_sample_count(99, 1), Err(StackError::UnknownRnti(99)));
+        assert_eq!(gnb.phy_encode(99, &pdu).unwrap_err(), StackError::UnknownRnti(99));
+        let dl = gnb.phy_encode(17, &pdu).unwrap();
+        assert_eq!(dl.len(), ul.len());
         assert_ne!(
             ul.iter().map(|s| (s.i.to_bits(), s.q.to_bits())).collect::<Vec<_>>(),
             dl.iter().map(|s| (s.i.to_bits(), s.q.to_bits())).collect::<Vec<_>>()

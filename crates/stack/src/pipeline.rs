@@ -784,7 +784,7 @@ fn gnb_walk_up(
     let air_samples = exp.ue.phy_encode(&mac_pdus[0]);
     let decoded = exp
         .gnb
-        .phy_decode(RNTI, &air_samples)
+        .phy_decode(RNTI, air_samples)
         .ok()
         .and_then(|pdu| exp.gnb.decode_uplink(RNTI, &pdu).ok());
     let mut delivered_ok = matches!(&decoded, Some(v) if v.first() == Some(&ctx.payload));
@@ -793,7 +793,7 @@ fn gnb_walk_up(
         if let Some(mut got) = decoded {
             for extra in &mac_pdus[1..] {
                 let s = exp.ue.phy_encode(extra);
-                if let Ok(pdu) = exp.gnb.phy_decode(RNTI, &s) {
+                if let Ok(pdu) = exp.gnb.phy_decode(RNTI, s) {
                     if let Ok(more) = exp.gnb.decode_uplink(RNTI, &pdu) {
                         got.extend(more);
                     }
@@ -882,12 +882,12 @@ fn dl_walk_down(
     // DL slot budget from the same config that sizes the reply, and the
     // session for UE_ADDR was registered at experiment setup.
     let cap = exp.config.slot_capacity_bytes();
-    let (_rnti, dl_pdus) =
+    let (rnti, dl_pdus) =
         exp.gnb.encode_downlink(UE_ADDR, &ctx.reply, cap).expect("DL slot sized for reply");
-    ctx.dl_samples = phy::transport::sample_count(
-        phy::transport::ShChConfig { modulation: phy::modulation::Modulation::Qpsk, c_init: 0 },
-        dl_pdus[0].len(),
-    );
+    ctx.dl_samples = exp
+        .gnb
+        .phy_sample_count(rnti, dl_pdus[0].len())
+        .expect("encode_downlink routed the reply to an attached UE");
     exp.sched.on_dl_data(RNTI, dl_pdus[0].len(), in_rlc_q);
     ctx.dl_pdus = dl_pdus;
     ctx.in_rlc_q = in_rlc_q;
@@ -1015,15 +1015,18 @@ fn ue_rx_up(
     // Decode the actual bytes (the recovered PDUs when an RLF detour
     // re-established the bearer mid-reply).
     let dl_pdus = ctx.delivery.recovered.take().unwrap_or_else(|| std::mem::take(&mut ctx.dl_pdus));
-    let air_samples = exp.gnb.phy_encode(RNTI, &dl_pdus[0]);
-    let got =
-        exp.ue.phy_decode(&air_samples).ok().and_then(|pdu| exp.ue.decode_downlink(&pdu).ok());
+    let got = exp
+        .gnb
+        .phy_encode(RNTI, &dl_pdus[0])
+        .and_then(|air_samples| exp.ue.phy_decode(air_samples))
+        .ok()
+        .and_then(|pdu| exp.ue.decode_downlink(&pdu).ok());
     let mut ok = matches!(&got, Some(v) if v.first() == Some(&ctx.reply));
     if !ok {
         if let Some(mut v) = got {
             for extra in &dl_pdus[1..] {
                 let s = exp.gnb.phy_encode(RNTI, extra);
-                if let Ok(pdu) = exp.ue.phy_decode(&s) {
+                if let Ok(pdu) = s.and_then(|s| exp.ue.phy_decode(s)) {
                     if let Ok(more) = exp.ue.decode_downlink(&pdu) {
                         v.extend(more);
                     }

@@ -5,53 +5,67 @@
 //! Matches the upstream `Bytes` semantics the workspace relies on —
 //! shared ownership via `Arc`, zero-copy `slice`, deref to `[u8]` — for
 //! the PDU payloads threaded through the RLC/PDCP/MAC codecs.
+//!
+//! # Allocations
+//!
+//! Shared storage is one `Arc<[u8]>`: header and bytes in a single
+//! allocation. [`BytesMut`] builds into that allocation directly, so a PDU
+//! assembled with `with_capacity` / `put_*` / [`BytesMut::freeze`] costs one
+//! allocation and no copy; [`Bytes::copy_from_slice`] likewise. Only
+//! `From<Vec<u8>>` pays twice (the `Vec`, then the copy into the `Arc`).
+//! [`Bytes::new`] and [`Bytes::from_static`] borrow and never allocate.
 
 #![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, Index, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, Index, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable slice of shared bytes.
 #[derive(Clone)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+pub struct Bytes(Repr);
+
+/// A static buffer is narrowed by re-slicing the reference; only shared
+/// storage carries a view. (rustc lays the reference over `start`/`end` and
+/// tells the variants apart by the `Arc`'s null niche, so a `Bytes` is the
+/// 32 bytes the shared variant needs.)
+#[derive(Clone)]
+enum Repr {
+    Static(&'static [u8]),
+    Shared { data: Arc<[u8]>, start: usize, end: usize },
 }
 
 impl Bytes {
-    /// Creates an empty buffer.
-    pub fn new() -> Bytes {
-        Bytes::from_vec(Vec::new())
+    /// Creates an empty buffer without allocating.
+    pub const fn new() -> Bytes {
+        Bytes::from_static(&[])
     }
 
-    /// Creates a buffer from a static byte slice.
-    pub fn from_static(bytes: &'static [u8]) -> Bytes {
-        Bytes::from_vec(bytes.to_vec())
+    /// Creates a buffer that borrows a static byte slice (no allocation).
+    pub const fn from_static(bytes: &'static [u8]) -> Bytes {
+        Bytes(Repr::Static(bytes))
     }
 
-    /// Creates a buffer that copies `data` exactly once; clones and
-    /// slices share it from then on.
+    /// Creates a buffer that copies `data` exactly once, into a single
+    /// allocation; clones and slices share it from then on.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from_vec(data.to_vec())
+        Bytes::from_shared(Arc::from(data), data.len())
     }
 
-    fn from_vec(v: Vec<u8>) -> Bytes {
-        let end = v.len();
-        Bytes { data: Arc::from(v), start: 0, end }
+    fn from_shared(data: Arc<[u8]>, end: usize) -> Bytes {
+        Bytes(Repr::Shared { data, start: 0, end })
     }
 
     /// Number of bytes in view.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.as_slice().len()
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len() == 0
     }
 
     /// Returns a sub-view without copying the underlying storage.
@@ -70,11 +84,129 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice {lo}..{hi} out of range for {}", self.len());
-        Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
+        Bytes(match &self.0 {
+            Repr::Static(s) => Repr::Static(&s[lo..hi]),
+            Repr::Shared { data, start, .. } => {
+                Repr::Shared { data: Arc::clone(data), start: start + lo, end: start + hi }
+            }
+        })
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.0 {
+            Repr::Static(s) => s,
+            Repr::Shared { data, start, end } => &data[*start..*end],
+        }
+    }
+}
+
+/// The write half of the upstream `bytes::BufMut` trait, as far as the PDU
+/// builders use it. Integers are written big-endian (network order).
+pub trait BufMut {
+    /// Appends `src`.
+    fn put_slice(&mut self, src: &[u8]);
+
+    /// Appends `cnt` copies of `val`.
+    fn put_bytes(&mut self, val: u8, cnt: usize);
+
+    /// Appends one byte.
+    fn put_u8(&mut self, n: u8) {
+        self.put_slice(&[n]);
+    }
+
+    /// Appends a big-endian `u16`.
+    fn put_u16(&mut self, n: u16) {
+        self.put_slice(&n.to_be_bytes());
+    }
+
+    /// Appends a big-endian `u32`.
+    fn put_u32(&mut self, n: u32) {
+        self.put_slice(&n.to_be_bytes());
+    }
+}
+
+/// A uniquely owned, growable byte buffer that [`freeze`](Self::freeze)s
+/// into a [`Bytes`] without copying: it fills the `Arc<[u8]>` the `Bytes`
+/// will share. The storage is allocated zeroed (safe code cannot hand out
+/// uninitialised bytes) and `len` tracks how much of it has been written.
+pub struct BytesMut {
+    data: Arc<[u8]>,
+    len: usize,
+}
+
+impl BytesMut {
+    /// Creates an empty buffer with room for `capacity` bytes: the one
+    /// allocation of a PDU whose size is known up front.
+    pub fn with_capacity(capacity: usize) -> BytesMut {
+        // `Take<Repeat>` is `TrustedLen`, so the collect allocates exactly once.
+        BytesMut { data: std::iter::repeat(0u8).take(capacity).collect(), len: 0 }
+    }
+
+    /// Number of bytes written.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the buffer holds before it must reallocate.
+    pub fn capacity(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Converts into an immutable [`Bytes`] sharing this storage.
+    pub fn freeze(self) -> Bytes {
+        Bytes::from_shared(self.data, self.len)
+    }
+
+    /// The whole storage, written or not. A `BytesMut` never shares its
+    /// `Arc` before `freeze` consumes it.
+    fn storage(&mut self) -> &mut [u8] {
+        Arc::get_mut(&mut self.data).expect("a BytesMut owns its storage uniquely")
+    }
+
+    /// Makes room for `additional` more bytes, moving to a larger
+    /// allocation (at least doubling) when the current one is too small.
+    fn reserve(&mut self, additional: usize) {
+        let needed = self.len + additional;
+        if needed > self.capacity() {
+            let mut grown = BytesMut::with_capacity(needed.max(2 * self.capacity()));
+            grown.put_slice(self);
+            *self = grown;
+        }
+    }
+}
+
+impl BufMut for BytesMut {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.reserve(src.len());
+        let at = self.len;
+        self.storage()[at..at + src.len()].copy_from_slice(src);
+        self.len += src.len();
+    }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.reserve(cnt);
+        let at = self.len;
+        self.storage()[at..at + cnt].fill(val);
+        self.len += cnt;
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.data[..self.len]
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        let len = self.len;
+        &mut self.storage()[..len]
     }
 }
 
@@ -105,7 +237,7 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes::from_vec(v)
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -197,7 +329,9 @@ impl fmt::Debug for Bytes {
 
 impl FromIterator<u8> for Bytes {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Bytes {
-        Bytes::from_vec(iter.into_iter().collect())
+        let data: Arc<[u8]> = iter.into_iter().collect();
+        let end = data.len();
+        Bytes::from_shared(data, end)
     }
 }
 
@@ -220,6 +354,45 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_slice_panics() {
         Bytes::from(vec![1u8]).slice(0..5);
+    }
+
+    #[test]
+    fn frozen_builder_shares_its_storage_with_later_slices() {
+        let mut b = BytesMut::with_capacity(6);
+        b.put_u8(0xAA);
+        b.put_u16(0x0102);
+        b.put_slice(&[7, 8]);
+        b[0] = 0xAB; // headers patched after the fact, as the PDCP cipher does
+        assert_eq!((b.len(), b.capacity()), (5, 6));
+        let frozen = b.freeze();
+        assert_eq!(&frozen[..], &[0xAB, 1, 2, 7, 8], "capacity slack stays out of view");
+        let tail = frozen.slice(3..);
+        assert_eq!(tail.as_ptr(), frozen[3..].as_ptr(), "slice is a view, not a copy");
+        assert_eq!(frozen.clone().as_ptr(), frozen.as_ptr());
+    }
+
+    #[test]
+    fn builder_grows_past_its_capacity_and_pads() {
+        let mut b = BytesMut::with_capacity(2);
+        b.put_u32(0xDEAD_BEEF);
+        b.put_bytes(0, 3);
+        b.put_slice(b"xy");
+        assert!(!b.is_empty() && b.capacity() >= 9);
+        assert_eq!(&b.freeze()[..], b"\xde\xad\xbe\xef\0\0\0xy");
+        assert!(BytesMut::with_capacity(0).freeze().is_empty());
+    }
+
+    #[test]
+    fn static_and_vec_buffers_round_trip() {
+        static WIRE: [u8; 4] = [9, 8, 7, 6];
+        let s = Bytes::from_static(&WIRE);
+        assert_eq!(s.as_ptr(), WIRE.as_ptr(), "from_static borrows");
+        assert_eq!(s.slice(1..3), Bytes::from(vec![8u8, 7]));
+        assert_eq!(Bytes::from(WIRE.to_vec()), s);
+        assert_eq!(Bytes::copy_from_slice(&WIRE), s);
+        assert_eq!(WIRE.iter().copied().collect::<Bytes>(), s);
+        assert_eq!(Bytes::new(), Bytes::default());
+        assert_eq!(Bytes::new().slice(..).len(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use corenet::GtpuHeader;
 use phy::crc::{CRC16, CRC24A};
 use phy::modulation::Modulation;
 use phy::scrambling::GoldSequence;
-use phy::transport::{decode, encode, ShChConfig};
+use phy::transport::{decode, encode, ShChConfig, SharedChannel, MAX_CODE_BLOCK_BYTES};
 use proptest::prelude::*;
 use ran::mac::{MacPdu, MacSubPdu};
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
@@ -103,6 +103,35 @@ proptest! {
         let cfg = ShChConfig { modulation: Modulation::Qam16, c_init };
         let (samples, _) = encode(cfg, &payload);
         prop_assert_eq!(decode(cfg, &samples).unwrap(), payload);
+    }
+
+    #[test]
+    fn shared_channel_equals_the_cold_wrappers_bit_for_bit(
+        m in 0usize..5,
+        c_init in 0u32..0x7FFF_FFFF,
+        big in 0usize..=3 * MAX_CODE_BLOCK_BYTES,
+        small in 0usize..200,
+        salt in any::<u8>(),
+    ) {
+        // One transmit and one receive channel carry a large block (up to
+        // four code blocks), then a small one, then a large one again: what
+        // an earlier block left in the buffers must not reach a later one.
+        let cfg = ShChConfig { modulation: Modulation::ALL[m], c_init };
+        let (mut tx, mut rx) = (SharedChannel::new(cfg), SharedChannel::new(cfg));
+        prop_assert_eq!(tx.config(), cfg);
+        for (round, len) in [big, small, big].into_iter().enumerate() {
+            let payload: Vec<u8> =
+                (0..len).map(|i| (i as u8).wrapping_mul(29) ^ salt ^ round as u8).collect();
+            let (cold, cold_blocks) = encode(cfg, &payload);
+            let (warm, warm_blocks) = tx.encode(&payload);
+            prop_assert_eq!(warm_blocks, cold_blocks);
+            let bits = |s: &[phy::modulation::Iq]| -> Vec<(u32, u32)> {
+                s.iter().map(|s| (s.i.to_bits(), s.q.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(warm), bits(&cold));
+            prop_assert_eq!(rx.decode(warm).map(<[u8]>::to_vec), decode(cfg, &cold));
+            prop_assert_eq!(rx.decode(&cold), Ok(&payload[..]));
+        }
     }
 
     // ---------------- L2 codecs ----------------

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use corenet::GtpuHeader;
 use phy::modulation::{Iq, Modulation};
-use phy::transport::{decode, ShChConfig, TransportError};
+use phy::transport::{ShChConfig, SharedChannel, TransportError, MAX_CODE_BLOCK_BYTES};
 use proptest::prelude::*;
 use ran::mac::MacPdu;
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
@@ -26,6 +26,16 @@ fn wild_sample() -> impl Strategy<Value = Iq> {
         })
     };
     (component(), component()).prop_map(|(i, q)| Iq::new(i, q))
+}
+
+/// Decodes through both entry points, which must agree: the cold wrapper,
+/// and a [`SharedChannel`] whose buffers an earlier, failed block has used.
+fn decode(cfg: ShChConfig, samples: &[Iq]) -> Result<Vec<u8>, TransportError> {
+    let cold = phy::transport::decode(cfg, samples);
+    let mut channel = SharedChannel::new(cfg);
+    assert!(channel.decode(&[Iq::new(f32::NAN, -1.0); 96]).is_err());
+    assert_eq!(channel.decode(samples).map(<[u8]>::to_vec), cold);
+    cold
 }
 
 proptest! {
@@ -128,6 +138,41 @@ proptest! {
         match decode(cfg, &samples) {
             Err(_) => {}
             Ok(out) => prop_assert_ne!(out, payload, "corruption went undetected"),
+        }
+    }
+
+    #[test]
+    fn a_failed_decode_leaves_the_channel_usable(
+        m in 0usize..5,
+        len in 0usize..2 * MAX_CODE_BLOCK_BYTES,
+        garbage in prop::collection::vec(wild_sample(), 0..512),
+        hit in any::<prop::sample::Index>(),
+    ) {
+        let cfg = ShChConfig { modulation: Modulation::ALL[m], c_init: 0x1_2345 };
+        let payload: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+        let (clean, blocks) = phy::transport::encode(cfg, &payload);
+        // Negate the symbol holding a bit of the first code block's body
+        // (24 bits in: past the block count and the length prefix), which
+        // its CRC — the transport block's when there is one block — catches.
+        let body_bits = 8 * (len + 3).min(MAX_CODE_BLOCK_BYTES);
+        let at = (24 + hit.index(body_bits)) / cfg.modulation.bits_per_symbol() as usize;
+        let mut flipped = clean.clone();
+        flipped[at] = Iq::new(-flipped[at].i, -flipped[at].q);
+        let crc_error = if blocks == 1 {
+            TransportError::TransportCrc
+        } else {
+            TransportError::CodeBlockCrc { index: 0 }
+        };
+        // After each way a block can fail, the same channel decodes the
+        // clean block; `decode` has checked it fails as the cold wrapper does.
+        let mut channel = SharedChannel::new(cfg);
+        for (bad, error) in [
+            (&clean[..clean.len() / 2], Some(TransportError::Framing)),
+            (&flipped[..], Some(crc_error)),
+            (&garbage[..], decode(cfg, &garbage).err()),
+        ] {
+            prop_assert_eq!(channel.decode(bad).err(), error);
+            prop_assert_eq!(channel.decode(&clean), Ok(&payload[..]));
         }
     }
 
