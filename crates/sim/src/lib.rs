@@ -33,7 +33,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arrivals::{ArrivalGen, ArrivalProcess};
+pub use arrivals::{ArrivalCursor, ArrivalGen, ArrivalProcess};
 pub use dist::{Dist, ServiceTime};
 pub use event::{EventEntry, EventQueue};
 pub use faults::{

@@ -1,13 +1,24 @@
-//! City-scale multi-cell downlink simulation — ROADMAP item 1.
+//! City-scale multi-cell downlink simulation.
 //!
 //! The paper's feasibility question ("is 0.5 ms / five-nines close or
 //! distant?") is only answered at scale: one cell with a few hundred
 //! closed-loop UEs never reaches the queueing and scheduler-contention
 //! regimes where URLLC actually fails. This module simulates an N-gNB
-//! topology where every cell owns its own event queue, slot clock, and a
-//! heterogeneous UE population (count × arrival rate × packet size ×
-//! priority × deadline, per-cell mix), and fans the cells across
-//! [`sim::parallel`] shards with *cells as the shard boundary*.
+//! topology where every cell owns its own slot clock and a heterogeneous
+//! UE population (count × arrival rate × packet size × priority ×
+//! deadline, per-cell mix), and fans the cells across [`sim::parallel`]
+//! shards with *cells as the shard boundary*.
+//!
+//! ## The loop is slot-driven
+//!
+//! Between two DL slot starts a cell does nothing but append arrivals to
+//! its per-class queues, and classes share neither a queue nor an RNG
+//! stream, so the order of arrivals *across* classes cannot matter. A cell
+//! therefore keeps no event queue: each class has one
+//! [`sim::ArrivalCursor`], and every slot start first pops each cursor up
+//! to `now` (an arrival exactly on the boundary belongs to that slot; one
+//! at the horizon is never offered), then serves the slot, then steps to
+//! the next DL opportunity while a cursor is armed or a queue is non-empty.
 //!
 //! ## How 10⁵–10⁶ UEs fit in fixed memory
 //!
@@ -16,11 +27,11 @@
 //!
 //! * **Arrivals are aggregated per class.** The superposition of `n`
 //!   independent Poisson processes of rate `λ` is a Poisson process of
-//!   rate `n·λ`, exactly — so a class of 55 000 sensors is one
-//!   self-rescheduling arrival event, not 55 000 event streams. The UE
-//!   count still matters: it sets the aggregate rate and inflates the
-//!   gNB's per-packet scheduling/decode work ("higher number of UEs might
-//!   increase the processing times noticeably", §7).
+//!   rate `n·λ`, exactly — so a class of 55 000 sensors is one arrival
+//!   cursor, not 55 000 of them. The UE count still matters: it sets the
+//!   aggregate rate and inflates the gNB's per-packet scheduling/decode
+//!   work ("higher number of UEs might increase the processing times
+//!   noticeably", §7).
 //! * **Latency is recorded fixed-memory.** Every class records into a
 //!   [`Recording::fixed`] log-linear histogram (≤ 6.25 % relative
 //!   quantile error) instead of the sample-hoarding exact recorder — a
@@ -39,7 +50,7 @@
 
 use ran::sched::{PolicySpec, RequestTag, Rnti, SchedItem, Slice};
 use serde::Serialize;
-use sim::{Dist, Duration, EventQueue, Instant, Recording, SimRng};
+use sim::{ArrivalCursor, Dist, Duration, Instant, Recording, SimRng};
 
 use crate::config::StackConfig;
 use crate::node::StackError;
@@ -200,7 +211,7 @@ pub(crate) fn dl_capacity_bytes_per_sec(stack: &StackConfig) -> f64 {
 }
 
 /// Per-class outcome within one cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClassReport {
     /// Class label (from [`UeClass::name`]).
     pub name: &'static str,
@@ -231,7 +242,7 @@ impl ClassReport {
 }
 
 /// One cell's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellReport {
     /// Cell index (shard index).
     pub cell: usize,
@@ -239,9 +250,11 @@ pub struct CellReport {
     pub n_ues: u64,
     /// Per-class outcomes, in serving-priority order.
     pub classes: Vec<ClassReport>,
-    /// Peak total queued packets across all class queues.
+    /// Peak total queued packets across all class queues, sampled *after*
+    /// each slot's service: what a slot left behind, not what it found.
     pub peak_queue: usize,
-    /// Peak pending events on the cell's event queue (stays O(classes)).
+    /// Peak pending work items: armed arrival cursors plus the slot clock
+    /// (at most `classes + 1`, whatever the population).
     pub peak_events: usize,
     /// DL slots processed (arrival window + drain).
     pub total_slots: u64,
@@ -340,30 +353,54 @@ impl MulticellReport {
     }
 }
 
-/// Events on one cell's queue: one self-rescheduling aggregate arrival
-/// per class, plus the slot clock. The queue never holds more than
-/// `classes + 1` events.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Aggregate arrival for class `usize` (index into the sorted mix).
-    Arrival(usize),
-    /// A DL slot boundary (payload: the global slot index).
-    Slot(u64),
+/// Validates one cell's mix and runs it to completion. Pure function of
+/// `(config, cell index)` — the shard closure of [`run_multicell`].
+fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, StackError> {
+    let rng = SimRng::from_seed(config.stack.seed).stream_indexed("cell", cell_idx as u64);
+    // Serve in priority order; ties broken by config order (stable sort).
+    let mut classes: Vec<&UeClass> = config.cells[cell_idx].classes.iter().collect();
+    classes.sort_by_key(|c| c.priority);
+    let arrivals = classes
+        .iter()
+        .enumerate()
+        .map(|(ci, c)| {
+            // Aggregate Poisson: n independent rate-λ processes merge into
+            // one rate-n·λ process, exactly.
+            let mean = Duration::from_micros_f64(c.mean_interval.as_micros_f64() / c.count as f64);
+            // An empty class (÷0 saturates to zero) or a rate past ~2·10⁹
+            // pps would keep its arrival cursor at one instant forever:
+            // the drain at the first slot would never finish.
+            if mean == Duration::ZERO {
+                return Err(StackError::Diverged(format!(
+                    "cell {cell_idx} class {:?}: {} UEs every {:?} is an aggregate \
+                     inter-arrival of 0 ns",
+                    c.name, c.count, c.mean_interval
+                )));
+            }
+            // Keyed by class index, not priority: equal-priority classes
+            // must not share a stream.
+            Ok(ArrivalCursor::new(
+                Dist::Exponential { mean },
+                rng.stream_indexed("class-arrivals", ci as u64),
+                Instant::ZERO + config.horizon,
+            ))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    serve_cell(config, cell_idx, &classes, arrivals)
 }
 
-/// Runs one cell to completion. Pure function of `(config, cell index)` —
-/// the shard closure of [`run_multicell`].
-fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, StackError> {
+/// The slot-driven loop of one cell: `classes` in serving order,
+/// `arrivals[ci]` the aggregate source of class `ci` (a parameter so tests
+/// can place arrivals on exact instants).
+fn serve_cell(
+    config: &MulticellConfig,
+    cell_idx: usize,
+    classes: &[&UeClass],
+    mut arrivals: Vec<ArrivalCursor>,
+) -> Result<CellReport, StackError> {
     let stack = &config.stack;
-    let cell = &config.cells[cell_idx];
-    let rng = SimRng::from_seed(stack.seed).stream_indexed("cell", cell_idx as u64);
-    let horizon = Instant::ZERO + config.horizon;
-    let drain_limit = horizon + stack.duplex.pattern_period() * 4096;
-    let n_ues = cell.n_ues();
-
-    // Serve in priority order; ties broken by config order (stable sort).
-    let mut classes: Vec<&UeClass> = cell.classes.iter().collect();
-    classes.sort_by_key(|c| c.priority);
+    let drain_limit = Instant::ZERO + config.horizon + stack.duplex.pattern_period() * 4096;
+    let n_ues = config.cells[cell_idx].n_ues();
 
     // Each cell runs its own policy value (the round-robin cursor is
     // per-cell state, exactly like a real gNB scheduler's).
@@ -378,8 +415,8 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
         )
     };
 
-    // Per-class state: bounded FIFO of arrival instants, arrival sampler,
-    // and the outcome counters.
+    // Per-class state: bounded FIFO of arrival instants and the outcome
+    // counters.
     let mut queues: Vec<std::collections::VecDeque<Instant>> =
         classes.iter().map(|_| std::collections::VecDeque::new()).collect();
     // Bytes of each class's head packet already sent in earlier slots.
@@ -397,135 +434,93 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
             latency: Recording::fixed(),
         })
         .collect();
-    let mut samplers: Vec<(Dist, SimRng)> = classes
-        .iter()
-        .enumerate()
-        .map(|(ci, c)| {
-            // Aggregate Poisson: n independent rate-λ processes merge into
-            // one rate-n·λ process, exactly.
-            let mean = Duration::from_micros_f64(c.mean_interval.as_micros_f64() / c.count as f64);
-            // An empty class (÷0 saturates to zero) or a rate past ~2·10⁹
-            // pps would re-arm its arrival at the same instant forever,
-            // ahead of the slot event: sim time would never advance.
-            if mean == Duration::ZERO {
-                return Err(StackError::Diverged(format!(
-                    "cell {cell_idx} class {:?}: {} UEs every {:?} is an aggregate \
-                     inter-arrival of 0 ns",
-                    c.name, c.count, c.mean_interval
-                )));
-            }
-            // Keyed by class index, not priority: equal-priority classes
-            // must not share a stream.
-            Ok((Dist::Exponential { mean }, rng.stream_indexed("class-arrivals", ci as u64)))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    for (ci, (dist, r)) in samplers.iter_mut().enumerate() {
-        let first = Instant::ZERO + dist.sample(r);
-        if first < horizon {
-            // Arrivals outrank the slot event at the same instant so a
-            // packet arriving exactly on a boundary is eligible for it.
-            queue.push_with_priority(first, 0, Ev::Arrival(ci));
-        }
-    }
-    let op0 = stack.duplex.next_dl_opportunity(Instant::ZERO);
-    queue.push_with_priority(op0.tx_start, 1, Ev::Slot(op0.slot));
-
     let slot_bytes = stack.slot_capacity_bytes();
     let mut peak_queue = 0usize;
-    let mut peak_events = 0usize;
+    // Cursors only ever disarm, so the start is the peak.
+    let peak_events = arrivals.iter().filter(|a| a.is_armed()).count() + 1;
     let mut total_slots = 0u64;
+    let mut order: Vec<SchedItem> = Vec::with_capacity(classes.len());
+    let mut op = stack.duplex.next_dl_opportunity(Instant::ZERO);
 
-    while let Some((now, ev)) = queue.pop() {
-        peak_events = peak_events.max(queue.len() + 1);
-        match ev {
-            Ev::Arrival(ci) => {
+    loop {
+        let now = op.tx_start;
+        // Between two slot boundaries a cell only appends arrivals to its
+        // class queues, and classes share no state, so each class catches
+        // up to the boundary on its own.
+        for (ci, source) in arrivals.iter_mut().enumerate() {
+            while let Some(t) = source.pop_due(now) {
                 reports[ci].offered += 1;
                 if queues[ci].len() >= config.queue_cap {
                     // Tail drop: the fixed-memory guarantee for cells
                     // offered more than they can serve.
                     reports[ci].dropped += 1;
                 } else {
-                    queues[ci].push_back(now);
-                }
-                let (dist, r) = &mut samplers[ci];
-                let next = now + dist.sample(r);
-                if next < horizon {
-                    queue.push_with_priority(next, 0, Ev::Arrival(ci));
+                    queues[ci].push_back(t);
                 }
             }
-            Ev::Slot(slot) => {
-                total_slots += 1;
-                let mut budget = slot_bytes;
-                let mut sent = 0usize;
-                // The policy picks this slot's class service order. Each
-                // class is one item tagged with its priority, slice, and
-                // the head packet's absolute deadline (what EDF keys on).
-                let mut order: Vec<SchedItem> = classes
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, class)| SchedItem {
-                        rnti: ci as Rnti,
-                        bytes: class.packet_bytes + 32,
-                        ready: now,
-                        tag: RequestTag {
-                            priority: class.priority,
-                            deadline: queues[ci].front().map(|&a| a + class.deadline),
-                            slice: slice_of(class.priority),
-                        },
-                        seq: class_seq + ci as u64,
-                    })
-                    .collect();
-                class_seq += classes.len() as u64;
-                policy.order(now, &mut order);
-                for item in &order {
-                    let ci = item.rnti as usize;
-                    let class = classes[ci];
-                    let wire = class.packet_bytes + 32; // layer overheads
-                    while budget > 0 {
-                        let Some(&arrival) = queues[ci].front() else { break };
-                        // RLC segmentation: a packet larger than the
-                        // remaining slot budget sends what fits and
-                        // resumes next slot (`head_sent` carries over),
-                        // so video-sized SDUs span slots instead of
-                        // wedging behind a budget they can never meet.
-                        let take = (wire - head_sent[ci]).min(budget);
-                        budget -= take;
-                        sent += take;
-                        head_sent[ci] += take;
-                        if head_sent[ci] < wire {
-                            break; // slot exhausted mid-packet
-                        }
-                        head_sent[ci] = 0;
-                        queues[ci].pop_front();
-                        // Delivery: slot TX start + air time of everything
-                        // sent so far this slot + population-inflated
-                        // decode.
-                        let done = now + stack.data_air_time(sent) + decode;
-                        let latency = done - arrival;
-                        reports[ci].delivered += 1;
-                        if latency > class.deadline {
-                            reports[ci].late += 1;
-                        }
-                        reports[ci].latency.record(latency);
-                    }
+        }
+
+        total_slots += 1;
+        let mut budget = slot_bytes;
+        let mut sent = 0usize;
+        // The policy picks this slot's class service order. Each class is
+        // one item tagged with its priority, slice, and the head packet's
+        // absolute deadline (what EDF keys on).
+        order.clear();
+        order.extend(classes.iter().enumerate().map(|(ci, class)| SchedItem {
+            rnti: ci as Rnti,
+            bytes: class.packet_bytes + 32,
+            ready: now,
+            tag: RequestTag {
+                priority: class.priority,
+                deadline: queues[ci].front().map(|&a| a + class.deadline),
+                slice: slice_of(class.priority),
+            },
+            seq: class_seq + ci as u64,
+        }));
+        class_seq += classes.len() as u64;
+        policy.order(now, &mut order);
+        for item in &order {
+            let ci = item.rnti as usize;
+            let class = classes[ci];
+            let wire = class.packet_bytes + 32; // layer overheads
+            while budget > 0 {
+                let Some(&arrival) = queues[ci].front() else { break };
+                // RLC segmentation: a packet larger than the remaining
+                // slot budget sends what fits and resumes next slot
+                // (`head_sent` carries over), so video-sized SDUs span
+                // slots instead of wedging behind a budget they can never
+                // meet.
+                let take = (wire - head_sent[ci]).min(budget);
+                budget -= take;
+                sent += take;
+                head_sent[ci] += take;
+                if head_sent[ci] < wire {
+                    break; // slot exhausted mid-packet
                 }
-                let depth: usize = queues.iter().map(|q| q.len()).sum();
-                peak_queue = peak_queue.max(depth);
-                let backlog = depth > 0;
-                if !queue.is_empty() || backlog {
-                    let after = stack.duplex.slot_start(slot + 1);
-                    let op = stack.duplex.next_dl_opportunity(after);
-                    if op.tx_start <= drain_limit {
-                        queue.push_with_priority(op.tx_start, 1, Ev::Slot(op.slot));
-                    } else {
-                        // Drain budget exhausted: a wedged cell surfaces
-                        // as in_flight > 0, not a hang.
-                        break;
-                    }
+                head_sent[ci] = 0;
+                queues[ci].pop_front();
+                // Delivery: slot TX start + air time of everything sent so
+                // far this slot + population-inflated decode.
+                let done = now + stack.data_air_time(sent) + decode;
+                let latency = done - arrival;
+                reports[ci].delivered += 1;
+                if latency > class.deadline {
+                    reports[ci].late += 1;
                 }
+                reports[ci].latency.record(latency);
             }
+        }
+        let depth: usize = queues.iter().map(|q| q.len()).sum();
+        peak_queue = peak_queue.max(depth);
+        if depth == 0 && !arrivals.iter().any(ArrivalCursor::is_armed) {
+            break;
+        }
+        op = stack.duplex.next_dl_opportunity(stack.duplex.slot_start(op.slot + 1));
+        if op.tx_start > drain_limit {
+            // Drain budget exhausted: a wedged cell surfaces as
+            // in_flight > 0, not a hang.
+            break;
         }
     }
 
@@ -560,6 +555,8 @@ pub fn run_multicell(config: &MulticellConfig) -> Result<MulticellReport, StackE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sim::EventQueue;
 
     fn small() -> MulticellConfig {
         let mut cfg = MulticellConfig::dense_urban(4, 1000, 7);
@@ -720,5 +717,317 @@ mod tests {
             assert!(r.peak_events <= 4, "events ballooned: {}", r.peak_events);
         }
         assert!(large_pop.cells[0].n_ues >= 100_000);
+    }
+
+    /// The aggregate Poisson gap `run_cell` gives a class.
+    fn exponential_gap(c: &UeClass) -> Dist {
+        let per_ue = c.mean_interval.as_micros_f64();
+        Dist::Exponential { mean: Duration::from_micros_f64(per_ue / c.count as f64) }
+    }
+
+    /// One class whose packets arrive on every slot boundary of the DDDU
+    /// testbed (0.5 ms, 1.0 ms, …), deadline just under one slot: a packet
+    /// is on time exactly when the slot it arrived on served it.
+    fn one_arrival_per_slot_boundary(horizon_slots: u64) -> MulticellConfig {
+        let mut cfg = MulticellConfig::dense_urban(1, 100, 1);
+        let slot = cfg.stack.duplex.slot_duration();
+        cfg.horizon = slot * horizon_slots;
+        cfg.cells[0].classes = vec![UeClass {
+            name: "tick",
+            count: 1,
+            mean_interval: slot,
+            packet_bytes: 64,
+            priority: 0,
+            deadline: slot - Duration::from_nanos(1),
+        }];
+        cfg
+    }
+
+    fn every_slot(c: &UeClass) -> Dist {
+        Dist::Constant(c.mean_interval)
+    }
+
+    /// The slot-driven loop over that one ticking class (a constant gap
+    /// draws nothing, so any RNG stream will do).
+    fn ticking_cell(config: &MulticellConfig) -> CellReport {
+        let tick = &config.cells[0].classes[0];
+        let horizon = Instant::ZERO + config.horizon;
+        let arrivals = vec![ArrivalCursor::new(every_slot(tick), SimRng::from_seed(0), horizon)];
+        serve_cell(config, 0, &[tick], arrivals).expect("conserved")
+    }
+
+    #[test]
+    fn an_arrival_on_a_slot_start_is_served_by_that_slot() {
+        let cfg = one_arrival_per_slot_boundary(4);
+        let duplex = &cfg.stack.duplex;
+        for slot in [1, 2, 4] {
+            let at = duplex.slot_start(slot);
+            assert_eq!(duplex.next_dl_opportunity(at).tx_start, at, "DL slot {slot} starts late");
+        }
+        let cell = ticking_cell(&cfg);
+        let tick = &cell.classes[0];
+        // Arrivals at 0.5, 1.0 and 1.5 ms. The first two sit exactly on a
+        // DL slot's `tx_start` and leave in it; the third lands on the
+        // pattern's U slot and waits a whole slot for the next D.
+        assert_eq!((tick.offered, tick.delivered, tick.late), (3, 3, 1), "{tick:?}");
+        // Slots 0, 1, 2 and 4; nothing was ever left queued after one.
+        assert_eq!((cell.total_slots, cell.peak_queue, cell.peak_events), (4, 0, 2));
+        assert_eq!(cell, event_queue_cell(&cfg, 0, every_slot));
+    }
+
+    #[test]
+    fn an_arrival_at_the_horizon_is_never_offered() {
+        // Horizon = 2.0 ms: the fourth tick lands exactly on it. A `<=`
+        // disarm test would offer it (slot 4 starts at 2.0 ms and is run).
+        let cell = ticking_cell(&one_arrival_per_slot_boundary(4));
+        assert_eq!(cell.classes[0].offered, 3);
+        // One nanosecond later it is inside the window.
+        let mut longer = one_arrival_per_slot_boundary(4);
+        longer.horizon += Duration::from_nanos(1);
+        let cell = ticking_cell(&longer);
+        assert_eq!(cell.classes[0].offered, 4);
+        assert_eq!(cell, event_queue_cell(&longer, 0, every_slot));
+    }
+
+    /// A random class: aggregate gap 2–400 µs, so a 50 ms horizon stays
+    /// under ~25 000 packets a class while covering idle, busy and
+    /// saturated cells against a slot that carries a few kilobytes.
+    fn arb_class() -> impl Strategy<Value = UeClass> {
+        (1u64..5000, 2u64..400, 16usize..1500, 0u8..4, 100u64..50_000).prop_map(
+            |(count, gap_us, packet_bytes, priority, deadline_us)| UeClass {
+                name: "",
+                count,
+                mean_interval: Duration::from_micros(gap_us * count),
+                packet_bytes,
+                priority,
+                deadline: Duration::from_micros(deadline_us),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn slot_driven_loop_equals_the_event_queue_loop(
+            classes in prop::collection::vec(arb_class(), 1..6),
+            queue_cap in 1usize..65,
+            horizon_us in 1_000u64..50_001,
+            seed in any::<u64>(),
+            policy in 0usize..4,
+        ) {
+            let mut classes = classes;
+            for (class, name) in classes.iter_mut().zip(["a", "b", "c", "d", "e"]) {
+                class.name = name;
+            }
+            let mut cfg = MulticellConfig::dense_urban(1, 100, seed);
+            cfg.cells[0].classes = classes;
+            cfg.queue_cap = queue_cap;
+            cfg.horizon = Duration::from_micros(horizon_us);
+            cfg.policy = [
+                PolicySpec::Fcfs,
+                PolicySpec::NonPreemptivePriority,
+                PolicySpec::RoundRobin,
+                PolicySpec::EarliestDeadlineFirst,
+            ][policy];
+            let new = run_cell(&cfg, 0).expect("runs");
+            let old = event_queue_cell(&cfg, 0, exponential_gap);
+            // Field for field, so a failure names what moved.
+            for (n, o) in new.classes.iter().zip(&old.classes) {
+                prop_assert_eq!(
+                    (n.name, n.offered, n.delivered, n.late, n.dropped, n.in_flight),
+                    (o.name, o.offered, o.delivered, o.late, o.dropped, o.in_flight)
+                );
+                prop_assert_eq!(&n.latency, &o.latency);
+            }
+            prop_assert_eq!(
+                (new.peak_queue, new.peak_events, new.total_slots),
+                (old.peak_queue, old.peak_events, old.total_slots)
+            );
+            prop_assert_eq!(new, old);
+        }
+    }
+
+    /// Events on the oracle's queue: one self-rescheduling aggregate
+    /// arrival per class, plus the slot clock.
+    #[derive(Debug, Clone, Copy)]
+    enum Ev {
+        /// Aggregate arrival for class `usize` (index into the sorted mix).
+        Arrival(usize),
+        /// A DL slot boundary (payload: the global slot index).
+        Slot(u64),
+    }
+
+    /// The oracle: the loop this module ran before it went slot-driven — one
+    /// heap event per packet on a `sim::EventQueue`, arrivals at priority 0
+    /// ahead of the slot clock at priority 1 — kept statement for statement.
+    /// `gap_of` is the only addition (the arrival distribution of a class),
+    /// so the tie tests can run it on exact instants too.
+    fn event_queue_cell(
+        config: &MulticellConfig,
+        cell_idx: usize,
+        gap_of: fn(&UeClass) -> Dist,
+    ) -> CellReport {
+        let stack = &config.stack;
+        let cell = &config.cells[cell_idx];
+        let rng = SimRng::from_seed(stack.seed).stream_indexed("cell", cell_idx as u64);
+        let horizon = Instant::ZERO + config.horizon;
+        let drain_limit = horizon + stack.duplex.pattern_period() * 4096;
+        let n_ues = cell.n_ues();
+
+        // Serve in priority order; ties broken by config order (stable sort).
+        let mut classes: Vec<&UeClass> = cell.classes.iter().collect();
+        classes.sort_by_key(|c| c.priority);
+
+        // Each cell runs its own policy value (the round-robin cursor is
+        // per-cell state, exactly like a real gNB scheduler's).
+        let mut policy = config.policy.build();
+        let mut class_seq = 0u64;
+
+        // gNB per-packet work grows with the attached population (§7).
+        let decode = {
+            let base = stack.gnb_timings.mean_total();
+            Duration::from_micros_f64(
+                base.as_micros_f64() * (1.0 + config.sched_scaling_per_ue * n_ues as f64),
+            )
+        };
+
+        // Per-class state: bounded FIFO of arrival instants, arrival sampler,
+        // and the outcome counters.
+        let mut queues: Vec<std::collections::VecDeque<Instant>> =
+            classes.iter().map(|_| std::collections::VecDeque::new()).collect();
+        // Bytes of each class's head packet already sent in earlier slots.
+        let mut head_sent: Vec<usize> = vec![0; classes.len()];
+        let mut reports: Vec<ClassReport> = classes
+            .iter()
+            .map(|c| ClassReport {
+                name: c.name,
+                ues: c.count,
+                offered: 0,
+                delivered: 0,
+                late: 0,
+                dropped: 0,
+                in_flight: 0,
+                latency: Recording::fixed(),
+            })
+            .collect();
+        let mut samplers: Vec<(Dist, SimRng)> = classes
+            .iter()
+            .enumerate()
+            .map(|(ci, c)| (gap_of(c), rng.stream_indexed("class-arrivals", ci as u64)))
+            .collect();
+
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        for (ci, (dist, r)) in samplers.iter_mut().enumerate() {
+            let first = Instant::ZERO + dist.sample(r);
+            if first < horizon {
+                // Arrivals outrank the slot event at the same instant so a
+                // packet arriving exactly on a boundary is eligible for it.
+                queue.push_with_priority(first, 0, Ev::Arrival(ci));
+            }
+        }
+        let op0 = stack.duplex.next_dl_opportunity(Instant::ZERO);
+        queue.push_with_priority(op0.tx_start, 1, Ev::Slot(op0.slot));
+
+        let slot_bytes = stack.slot_capacity_bytes();
+        let mut peak_queue = 0usize;
+        let mut peak_events = 0usize;
+        let mut total_slots = 0u64;
+
+        while let Some((now, ev)) = queue.pop() {
+            peak_events = peak_events.max(queue.len() + 1);
+            match ev {
+                Ev::Arrival(ci) => {
+                    reports[ci].offered += 1;
+                    if queues[ci].len() >= config.queue_cap {
+                        // Tail drop: the fixed-memory guarantee for cells
+                        // offered more than they can serve.
+                        reports[ci].dropped += 1;
+                    } else {
+                        queues[ci].push_back(now);
+                    }
+                    let (dist, r) = &mut samplers[ci];
+                    let next = now + dist.sample(r);
+                    if next < horizon {
+                        queue.push_with_priority(next, 0, Ev::Arrival(ci));
+                    }
+                }
+                Ev::Slot(slot) => {
+                    total_slots += 1;
+                    let mut budget = slot_bytes;
+                    let mut sent = 0usize;
+                    // The policy picks this slot's class service order. Each
+                    // class is one item tagged with its priority, slice, and
+                    // the head packet's absolute deadline (what EDF keys on).
+                    let mut order: Vec<SchedItem> = classes
+                        .iter()
+                        .enumerate()
+                        .map(|(ci, class)| SchedItem {
+                            rnti: ci as Rnti,
+                            bytes: class.packet_bytes + 32,
+                            ready: now,
+                            tag: RequestTag {
+                                priority: class.priority,
+                                deadline: queues[ci].front().map(|&a| a + class.deadline),
+                                slice: slice_of(class.priority),
+                            },
+                            seq: class_seq + ci as u64,
+                        })
+                        .collect();
+                    class_seq += classes.len() as u64;
+                    policy.order(now, &mut order);
+                    for item in &order {
+                        let ci = item.rnti as usize;
+                        let class = classes[ci];
+                        let wire = class.packet_bytes + 32; // layer overheads
+                        while budget > 0 {
+                            let Some(&arrival) = queues[ci].front() else { break };
+                            // RLC segmentation: a packet larger than the
+                            // remaining slot budget sends what fits and
+                            // resumes next slot (`head_sent` carries over),
+                            // so video-sized SDUs span slots instead of
+                            // wedging behind a budget they can never meet.
+                            let take = (wire - head_sent[ci]).min(budget);
+                            budget -= take;
+                            sent += take;
+                            head_sent[ci] += take;
+                            if head_sent[ci] < wire {
+                                break; // slot exhausted mid-packet
+                            }
+                            head_sent[ci] = 0;
+                            queues[ci].pop_front();
+                            // Delivery: slot TX start + air time of everything
+                            // sent so far this slot + population-inflated
+                            // decode.
+                            let done = now + stack.data_air_time(sent) + decode;
+                            let latency = done - arrival;
+                            reports[ci].delivered += 1;
+                            if latency > class.deadline {
+                                reports[ci].late += 1;
+                            }
+                            reports[ci].latency.record(latency);
+                        }
+                    }
+                    let depth: usize = queues.iter().map(|q| q.len()).sum();
+                    peak_queue = peak_queue.max(depth);
+                    let backlog = depth > 0;
+                    if !queue.is_empty() || backlog {
+                        let after = stack.duplex.slot_start(slot + 1);
+                        let op = stack.duplex.next_dl_opportunity(after);
+                        if op.tx_start <= drain_limit {
+                            queue.push_with_priority(op.tx_start, 1, Ev::Slot(op.slot));
+                        } else {
+                            // Drain budget exhausted: a wedged cell surfaces
+                            // as in_flight > 0, not a hang.
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+
+        for (ci, q) in queues.iter().enumerate() {
+            reports[ci].in_flight = q.len() as u64;
+        }
+        CellReport { cell: cell_idx, n_ues, classes: reports, peak_queue, peak_events, total_slots }
     }
 }
