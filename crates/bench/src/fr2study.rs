@@ -10,11 +10,10 @@
 
 use channel::{BlockageTrace, Fr2LinkConfig};
 use phy::Numerology;
-use serde::{Deserialize, Serialize};
 use sim::{Dist, Duration, Instant, LatencyRecorder, SimRng};
 
 /// Result of the FR2 study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fr2Study {
     /// Fraction of packets delivered in under 1 ms.
     pub sub_ms_fraction: f64,

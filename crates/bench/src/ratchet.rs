@@ -15,10 +15,10 @@
 //! long ones. A figure present in the baseline but missing from the
 //! current run also gates — coverage cannot silently shrink.
 //!
-//! Parsing is line-oriented string scanning (the workspace's serde is a
-//! no-op stand-in): a wall entry is any line carrying both a `"figure"`
-//! and a `"wall_ms"` key, which matches the `wall_ms` arrays of both
-//! documents and skips `distributions` rows.
+//! Parsing is line-oriented string scanning (the workspace has no
+//! serialisation dependency): a wall entry is any line carrying both a
+//! `"figure"` and a `"wall_ms"` key, which matches the `wall_ms` arrays of
+//! both documents and skips `distributions` rows.
 
 use std::fmt::Write as _;
 

@@ -192,7 +192,7 @@ pub fn bench_reset() {
 }
 
 /// Renders both logs as the `BENCH_repro.json` document (hand-rolled:
-/// the workspace's serde is an offline no-op stand-in).
+/// the workspace has no serialisation dependency).
 pub fn bench_json() -> String {
     let mut out = String::from("{\n  \"distributions\": [");
     let records = BENCH_RECORDS.lock().expect("bench log poisoned");

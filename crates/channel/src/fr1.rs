@@ -7,13 +7,12 @@
 //! wireless channel, which can lead to packet loss", §6) — individual
 //! packet losses that the RLC/HARQ machinery must recover, paying latency.
 
-use serde::{Deserialize, Serialize};
 use sim::faults::GeChain;
 use sim::SimRng;
 use telemetry::Telemetry;
 
 /// Configuration of an FR1 link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fr1LinkConfig {
     /// Mean SNR at the receiver, dB.
     pub mean_snr_db: f64,
@@ -65,7 +64,7 @@ impl Fr1LinkConfig {
     }
 
     /// Packet error rate at a given instantaneous SNR.
-    pub fn per_at_snr(&self, snr_db: f64) -> f64 {
+    pub(crate) fn per_at_snr(&self, snr_db: f64) -> f64 {
         let x = (snr_db - self.waterfall_snr_db) * self.waterfall_slope;
         let logistic = 1.0 / (1.0 + x.exp());
         (logistic + self.error_floor).min(1.0)
@@ -74,7 +73,7 @@ impl Fr1LinkConfig {
 
 /// One packet's loss outcome, split by mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LossSample {
+pub(crate) struct LossSample {
     /// The packet was lost (by either mechanism).
     pub lost: bool,
     /// The burst overlay (alone) caused the loss — `false` when the base
@@ -121,18 +120,8 @@ impl Fr1Link {
         self
     }
 
-    /// The burst overlay, if installed.
-    pub fn burst(&self) -> Option<&GeChain> {
-        self.burst.as_ref()
-    }
-
-    /// The link configuration.
-    pub fn config(&self) -> &Fr1LinkConfig {
-        &self.config
-    }
-
     /// Draws the instantaneous SNR (mean + Gaussian shadowing in dB).
-    pub fn sample_snr_db(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample_snr_db(&self, rng: &mut SimRng) -> f64 {
         if self.config.shadowing_std_db == 0.0 {
             return self.config.mean_snr_db;
         }
@@ -153,7 +142,7 @@ impl Fr1Link {
     /// it. The base SNR/PER draw always runs (it consumes `rng` exactly as
     /// [`Fr1Link::packet_lost`] always has); the overlay chain advances on
     /// its own stream afterwards.
-    pub fn sample_loss(&mut self, rng: &mut SimRng) -> LossSample {
+    pub(crate) fn sample_loss(&mut self, rng: &mut SimRng) -> LossSample {
         self.transmissions += 1;
         let snr = self.sample_snr_db(rng);
         let base_lost = rng.chance(self.config.per_at_snr(snr));

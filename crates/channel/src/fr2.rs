@@ -9,11 +9,10 @@
 //! by Fezeu et al.): FR2 has 15.625 µs slots yet delivers sub-millisecond
 //! latency only a few percent of the time.
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant, SimRng};
 
 /// Instantaneous link state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockageState {
     /// Line of sight available; the link works.
     LineOfSight,
@@ -22,7 +21,7 @@ pub enum BlockageState {
 }
 
 /// Configuration of the blockage process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fr2LinkConfig {
     /// Mean dwell time in the LoS state.
     pub mean_los: Duration,
@@ -78,11 +77,6 @@ impl Fr2Link {
     pub fn new(config: Fr2LinkConfig, rng: &mut SimRng) -> Fr2Link {
         let first = sim::Dist::Exponential { mean: config.mean_los }.sample(rng);
         Fr2Link { config, state: BlockageState::LineOfSight, state_until: Instant::ZERO + first }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &Fr2LinkConfig {
-        &self.config
     }
 
     fn advance_to(&mut self, t: Instant, rng: &mut SimRng) {

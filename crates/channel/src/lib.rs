@@ -15,10 +15,9 @@
 //! * [`propagation`] — distance-based propagation delay (sub-µs at private
 //!   5G scale; included so the end-to-end account is complete).
 
-pub mod fr1;
+pub(crate) mod fr1;
 pub mod fr2;
 pub mod propagation;
 
-pub use fr1::{Fr1Link, Fr1LinkConfig, LossSample};
-pub use fr2::{BlockageState, BlockageTrace, Fr2Link, Fr2LinkConfig};
-pub use propagation::propagation_delay;
+pub use fr1::{Fr1Link, Fr1LinkConfig};
+pub use fr2::{BlockageState, BlockageTrace, Fr2LinkConfig};

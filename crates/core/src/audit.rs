@@ -21,7 +21,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
 use sim::{Duration, Instant};
 use stack::stage_labels::{self, BudgetTerm};
 use stack::{PingTrace, StackConfig, StageSpan};
@@ -30,7 +29,7 @@ use telemetry::{TailExemplar, Telemetry};
 use crate::recovery::RecoveryLatencyModel;
 
 /// One ping's elapsed time, attributed to the closed-form budget terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetAudit {
     /// Which ping was audited.
     pub ping: u64,
@@ -66,7 +65,7 @@ pub struct BudgetAudit {
 impl BudgetAudit {
     /// Attributes one trace. Traces of lost pings (missing legs) audit the
     /// stages they accumulated before the loss.
-    pub fn of_trace(trace: &PingTrace, model: &RecoveryLatencyModel) -> BudgetAudit {
+    pub(crate) fn of_trace(trace: &PingTrace, model: &RecoveryLatencyModel) -> BudgetAudit {
         let spans: Vec<&StageSpan> = trace.ul.iter().chain(trace.dl.iter()).collect();
         let rtt = match (spans.first(), spans.last()) {
             (Some(first), Some(last)) => last.end - first.start,
@@ -178,7 +177,7 @@ pub fn audit_traces(traces: &[PingTrace], cfg: &StackConfig, tel: &Telemetry) ->
 
 /// Pseudo-hop label for wall-clock time covered by no stage span (the
 /// downlink N3 leg and similar gaps the trace attributes to nothing).
-pub const RESIDUAL_LABEL: &str = "(residual)";
+pub(crate) const RESIDUAL_LABEL: &str = "(residual)";
 
 /// The p50 reference the tail decomposition diffs exemplars against:
 /// per-stage-label median self time across a baseline population, plus the
@@ -236,7 +235,7 @@ impl TailBaseline {
     }
 
     /// Median self time of `label`, zero for labels the baseline never saw.
-    pub fn label_p50(&self, label: &str) -> Duration {
+    pub(crate) fn label_p50(&self, label: &str) -> Duration {
         self.labels.get(label).copied().unwrap_or(Duration::ZERO)
     }
 }
@@ -251,7 +250,7 @@ fn median(values: &mut [u64]) -> u64 {
 }
 
 /// One hop's (or fault class's) aggregate contribution to the tail gap.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TailContribution {
     /// Stage label, [`RESIDUAL_LABEL`], or fault-kind label.
     pub label: &'static str,
@@ -268,7 +267,7 @@ pub struct TailContribution {
 /// exactly, so summed hop excesses (residual pseudo-hop included) explain
 /// at least the rtt−p50 gap whenever stage time only grows in the tail —
 /// `coverage` reports the attained fraction, clamped to 1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TailDecomposition {
     /// Exemplars decomposed.
     pub exemplars: usize,

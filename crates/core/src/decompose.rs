@@ -7,14 +7,13 @@
 //! a worst-case run) and empirically (from experiment means), and names the
 //! bottleneck.
 
-use serde::{Deserialize, Serialize};
 use sim::Duration;
 
 use crate::model::{ConfigUnderTest, ProcessingBudget};
 use crate::worst_case::{worst_case, Direction};
 
 /// The three latency categories of §4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceShare {
     /// Waiting imposed by protocol mechanisms: slot alignment, TDD
     /// patterns, SR/grant handshakes, per-slot scheduling.
@@ -25,19 +24,8 @@ pub enum SourceShare {
     Radio,
 }
 
-impl SourceShare {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SourceShare::Protocol => "protocol",
-            SourceShare::Processing => "processing",
-            SourceShare::Radio => "radio",
-        }
-    }
-}
-
 /// A latency budget decomposed into the three categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyBreakdown {
     /// Protocol share.
     pub protocol: Duration,

@@ -8,7 +8,6 @@
 //! worst-case UL and DL latency against the 0.5 ms deadline, and reports
 //! the (small) surviving set.
 
-use serde::Serialize;
 use sim::Duration;
 
 use crate::feasibility::URLLC_DEADLINE;
@@ -16,7 +15,7 @@ use crate::model::{ConfigUnderTest, ProcessingBudget};
 use crate::worst_case::{worst_case, Direction};
 
 /// Radio platform options (the §5 hardware axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RadioPlatform {
     /// ASIC-integrated radio (footnote 1: possible but inflexible).
     Asic,
@@ -28,11 +27,11 @@ pub enum RadioPlatform {
 
 impl RadioPlatform {
     /// All platforms.
-    pub const ALL: [RadioPlatform; 3] =
+    pub(crate) const ALL: [RadioPlatform; 3] =
         [RadioPlatform::Asic, RadioPlatform::PcieSdr, RadioPlatform::UsbSdr];
 
     /// Display name.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RadioPlatform::Asic => "ASIC",
             RadioPlatform::PcieSdr => "PCIe SDR",
@@ -42,7 +41,7 @@ impl RadioPlatform {
 
     /// Representative per-hop radio latency (mean; matches the `radio`
     /// crate presets).
-    pub fn radio_latency(self) -> Duration {
+    pub(crate) fn radio_latency(self) -> Duration {
         match self {
             RadioPlatform::Asic => Duration::from_micros(8),
             RadioPlatform::PcieSdr => Duration::from_micros(60),
@@ -52,7 +51,7 @@ impl RadioPlatform {
 }
 
 /// OS kernel options (the §6 software axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// General-purpose kernel: jitter forces extra scheduling margin.
     GeneralPurpose,
@@ -62,10 +61,10 @@ pub enum Kernel {
 
 impl Kernel {
     /// All kernels.
-    pub const ALL: [Kernel; 2] = [Kernel::GeneralPurpose, Kernel::RealTime];
+    pub(crate) const ALL: [Kernel; 2] = [Kernel::GeneralPurpose, Kernel::RealTime];
 
     /// Display name.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Kernel::GeneralPurpose => "GP kernel",
             Kernel::RealTime => "RT kernel",
@@ -75,7 +74,7 @@ impl Kernel {
     /// Jitter margin the scheduler must add to survive the kernel's tail
     /// (99.9th-percentile spike allowance; calibrated to the `radio`
     /// crate's jitter presets).
-    pub fn jitter_margin(self) -> Duration {
+    pub(crate) fn jitter_margin(self) -> Duration {
         match self {
             Kernel::GeneralPurpose => Duration::from_micros(90),
             Kernel::RealTime => Duration::from_micros(12),
@@ -84,7 +83,7 @@ impl Kernel {
 }
 
 /// One point of the design space with its verdict.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DesignPoint {
     /// Slot-pattern column name (Table 1 vocabulary).
     pub pattern: &'static str,
@@ -104,7 +103,7 @@ pub struct DesignPoint {
 /// worst case meets the 0.5 ms deadline, and (b) "the radio and processing
 /// latency should be less than one slot. If this threshold is not met, an
 /// additional slot is missed, leading to a deadline violation."
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DesignVerdict {
     /// Worst-case uplink latency including the processing/radio budget.
     pub worst_ul: Duration,
@@ -122,7 +121,7 @@ pub struct DesignVerdict {
 }
 
 /// The full design-space search result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DesignSearch {
     /// Every evaluated point.
     pub points: Vec<DesignPoint>,
@@ -190,7 +189,7 @@ impl DesignSearch {
     }
 
     /// The feasible subset.
-    pub fn feasible(&self) -> Vec<&DesignPoint> {
+    pub(crate) fn feasible(&self) -> Vec<&DesignPoint> {
         self.points.iter().filter(|p| p.verdict.feasible).collect()
     }
 

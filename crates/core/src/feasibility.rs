@@ -6,17 +6,16 @@
 //! holds. [`paper_table1`] carries the published ✓/✗ pattern; the unit
 //! tests assert the derived table matches it cell for cell.
 
-use serde::Serialize;
 use sim::Duration;
 
 use crate::model::{ConfigUnderTest, ProcessingBudget};
 use crate::worst_case::{worst_case, Direction, WorstCase};
 
 /// The URLLC one-way deadline of the paper: 0.5 ms.
-pub const URLLC_DEADLINE: Duration = Duration::from_micros(500);
+pub(crate) const URLLC_DEADLINE: Duration = Duration::from_micros(500);
 
 /// One cell of the feasibility table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FeasibilityCell {
     /// Configuration (column) name.
     pub config: &'static str,
@@ -29,7 +28,7 @@ pub struct FeasibilityCell {
 }
 
 /// The full feasibility table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FeasibilityTable {
     /// The deadline evaluated against.
     pub deadline: Duration,

@@ -15,7 +15,6 @@
 //! only standard-defined formats, at the cost of dedicating UL symbols in
 //! every slot (the §9 efficiency trade).
 
-use serde::Serialize;
 use sim::Duration;
 
 use crate::feasibility::URLLC_DEADLINE;
@@ -25,7 +24,7 @@ use crate::worst_case::{worst_case, Direction};
 use phy::slot_format::{SlotFormat, SymbolKind};
 
 /// Verdict for one slot format.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FormatVerdict {
     /// Format index in TS 38.213 Table 11.1.1-1.
     pub index: u8,

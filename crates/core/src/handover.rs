@@ -33,13 +33,12 @@
 //! `analytical_vs_simulated`.
 
 use ran::{HandoverEntity, RrcEntity};
-use serde::Serialize;
 use sim::Duration;
 use stack::StackConfig;
 
 /// Closed-form worst-case service interruption of one mobility event,
 /// split by failure mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandoverInterruptionModel {
     /// Fault-free Xn handover: reconfiguration + contention-free RACH +
     /// completion + path switch and forwarding flush.

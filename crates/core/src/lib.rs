@@ -39,31 +39,27 @@
 //! * [`slo`] — the windowed, hysteresis-guarded SLO supervisor that drives
 //!   `stack::overload`'s graceful degradation.
 
-pub mod audit;
+pub(crate) mod audit;
 pub mod decompose;
-pub mod design;
+pub(crate) mod design;
 pub mod feasibility;
 pub mod formats;
-pub mod handover;
+pub(crate) mod handover;
 pub mod model;
-pub mod queueing;
-pub mod recovery;
+pub(crate) mod queueing;
+pub(crate) mod recovery;
 pub mod reliability;
-pub mod slo;
+pub(crate) mod slo;
 pub mod worst_case;
 
-pub use audit::{
-    audit_traces, decompose_tail, BudgetAudit, TailBaseline, TailContribution, TailDecomposition,
-    RESIDUAL_LABEL,
-};
-pub use decompose::{LatencyBreakdown, SourceShare};
-pub use design::{DesignPoint, DesignSearch, DesignVerdict};
-pub use feasibility::{feasibility_table, paper_table1, FeasibilityTable};
-pub use formats::{format_survey, FormatVerdict};
+pub use audit::{audit_traces, decompose_tail, TailBaseline};
+pub use decompose::SourceShare;
+pub use design::DesignSearch;
+pub use feasibility::feasibility_table;
+pub use formats::format_survey;
 pub use handover::HandoverInterruptionModel;
-pub use model::{AccessScheme, ConfigUnderTest, ProcessingBudget};
+pub use model::ProcessingBudget;
 pub use queueing::Md1Model;
 pub use recovery::RecoveryLatencyModel;
-pub use reliability::{deadline_miss_probability, margin_sweep, ChaosMissModel, ReliabilityPoint};
-pub use slo::{SloConfig, SloSupervisor, SloTransition};
-pub use worst_case::{worst_case, Direction, WorstCase};
+pub use reliability::ChaosMissModel;
+pub use slo::{SloConfig, SloSupervisor};

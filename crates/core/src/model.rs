@@ -37,20 +37,10 @@ use phy::mini_slot::MiniSlotConfig;
 use phy::numerology::{Numerology, SYMBOLS_PER_SLOT};
 use phy::slot_format::{SlotFormat, SymbolKind};
 use phy::tdd::{SlotKind, TddConfig};
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 
-/// Uplink access scheme (Table 1's rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AccessScheme {
-    /// SR → grant → data.
-    GrantBased,
-    /// Configured grants, no handshake.
-    GrantFree,
-}
-
 /// A configuration under worst-case analysis (Table 1's columns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigUnderTest {
     /// TDD with a Common Configuration pattern.
     TddCommon(TddConfig),
@@ -101,7 +91,7 @@ impl ConfigUnderTest {
     ///
     /// # Panics
     /// Panics if `index` is not in the implemented format table.
-    pub fn repeating_format(index: u8) -> ConfigUnderTest {
+    pub(crate) fn repeating_format(index: u8) -> ConfigUnderTest {
         ConfigUnderTest::SlotFormatSeq {
             numerology: Numerology::Mu2,
             formats: vec![SlotFormat::by_index(index).expect("format in table")],
@@ -109,7 +99,7 @@ impl ConfigUnderTest {
     }
 
     /// The numerology in use.
-    pub fn numerology(&self) -> Numerology {
+    pub(crate) fn numerology(&self) -> Numerology {
         match self {
             ConfigUnderTest::TddCommon(c) => c.numerology(),
             ConfigUnderTest::MiniSlot(m) => m.numerology,
@@ -136,8 +126,7 @@ impl ConfigUnderTest {
         }
     }
 
-    fn format_for_slot(numerology: Numerology, formats: &[SlotFormat], slot: u64) -> SlotFormat {
-        let _ = numerology;
+    fn format_for_slot(formats: &[SlotFormat], slot: u64) -> SlotFormat {
         formats[(slot % formats.len() as u64) as usize]
     }
 
@@ -170,7 +159,7 @@ impl ConfigUnderTest {
     /// The uplink portions `(start, end)` of slot `slot` (global index),
     /// empty if none. FDD slots are whole-slot portions; mini-slot UL
     /// opportunities are each mini-slot's span.
-    pub fn ul_portions_in_slot(&self, slot: u64) -> Vec<(Instant, Instant)> {
+    pub(crate) fn ul_portions_in_slot(&self, slot: u64) -> Vec<(Instant, Instant)> {
         let slot_dur = self.slot_duration();
         let start = Instant::from_nanos(slot * slot_dur.as_nanos());
         match self {
@@ -190,7 +179,7 @@ impl ConfigUnderTest {
                 _ => vec![],
             },
             ConfigUnderTest::SlotFormatSeq { numerology, formats } => {
-                let f = Self::format_for_slot(*numerology, formats, slot);
+                let f = Self::format_for_slot(formats, slot);
                 Self::symbol_runs(*numerology, &f, SymbolKind::Uplink)
                     .into_iter()
                     .map(|(b, e)| (start + b, start + e))
@@ -203,7 +192,7 @@ impl ConfigUnderTest {
     /// at the *start* of the slot are usable for slot-scheduled DL data
     /// (rule 2), which is what this returns for TDD; FDD and mini-slot are
     /// always-on.
-    pub fn dl_portions_in_slot(&self, slot: u64) -> Vec<(Instant, Instant)> {
+    pub(crate) fn dl_portions_in_slot(&self, slot: u64) -> Vec<(Instant, Instant)> {
         let slot_dur = self.slot_duration();
         let start = Instant::from_nanos(slot * slot_dur.as_nanos());
         match self {
@@ -224,7 +213,7 @@ impl ConfigUnderTest {
             // control region, so only the D run starting at symbol 0 is
             // usable for slot-scheduled data.
             ConfigUnderTest::SlotFormatSeq { numerology, formats } => {
-                let f = Self::format_for_slot(*numerology, formats, slot);
+                let f = Self::format_for_slot(formats, slot);
                 Self::symbol_runs(*numerology, &f, SymbolKind::Downlink)
                     .into_iter()
                     .filter(|(b, _)| b.is_zero())
@@ -235,7 +224,7 @@ impl ConfigUnderTest {
     }
 
     /// First slot boundary strictly after `t` (rule 1's decision instant).
-    pub fn next_decision(&self, t: Instant) -> Instant {
+    pub(crate) fn next_decision(&self, t: Instant) -> Instant {
         let slot = self.slot_duration();
         // Mini-slot: decisions at mini-slot granularity (the finer control
         // signalling is the point of the configuration).
@@ -255,7 +244,7 @@ impl ConfigUnderTest {
 
 /// A deterministic processing/radio budget layered onto the protocol
 /// analysis — how §4's other two latency categories enter the worst case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProcessingBudget {
     /// UE: application → data ready at MAC (APP↓).
     pub ue_tx_prep: Duration,

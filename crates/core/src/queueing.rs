@@ -19,12 +19,11 @@
 //! whose measured mean wait escapes that band indicates a real regression
 //! (a stalled queue, a lost slot), not model noise.
 
-use serde::{Deserialize, Serialize};
 use sim::Duration;
 
 /// An M/D/1 queue: Poisson arrivals at `lambda_pps`, deterministic service
 /// at `mu_pps` packets per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Md1Model {
     /// Arrival rate λ (packets per second).
     pub lambda_pps: f64,
@@ -41,7 +40,7 @@ impl Md1Model {
     }
 
     /// Utilisation ρ = λ/μ.
-    pub fn rho(&self) -> f64 {
+    pub(crate) fn rho(&self) -> f64 {
         self.lambda_pps / self.mu_pps
     }
 

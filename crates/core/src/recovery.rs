@@ -40,7 +40,6 @@
 //! discipline as `analytical_vs_simulated`.
 
 use ran::RrcEntity;
-use serde::Serialize;
 use sim::Duration;
 use stack::StackConfig;
 
@@ -49,7 +48,7 @@ use stack::StackConfig;
 const FEEDBACK_PROCESSING: Duration = Duration::from_micros(50);
 
 /// Closed-form worst-case latency of one recovery detour, per direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryLatencyModel {
     /// RLF declared late + re-access + re-establishment processing:
     /// `detect + rach_worst + reestablish`.

@@ -12,7 +12,6 @@
 //! packet's latency.
 
 use radio::{RadioHead, RadioHeadConfig};
-use serde::{Deserialize, Serialize};
 use sim::{Duration, LatencyRecorder, SimRng};
 
 /// Fraction of samples exceeding `deadline` — the deadline-miss probability
@@ -22,7 +21,7 @@ pub fn deadline_miss_probability(rec: &mut LatencyRecorder, deadline: Duration) 
 }
 
 /// One point of the margin-vs-reliability trade-off curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityPoint {
     /// Scheduler margin: time budgeted between the scheduling decision and
     /// the air time for PHY preparation plus radio submission.
@@ -76,7 +75,7 @@ pub fn margin_sweep(
 /// process (which must defeat every HARQ transmission to cost a recovery
 /// round), and the protocol-level faults (SR loss, grant withholding,
 /// storms, spikes) that push it past its deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosMissModel {
     /// Miss probability of the fault-free configuration (its latency tail).
     pub base_miss: f64,

@@ -19,12 +19,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 use stack::overload::{DegradationLevel, SloHook};
 
 /// Supervisor tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
     /// Sliding window length, in outcomes.
     pub window: usize,
@@ -94,7 +93,7 @@ impl SloSupervisor {
     }
 
     /// Current windowed miss rate (zero on an empty window).
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         if self.ring.is_empty() {
             return 0.0;
         }
@@ -104,11 +103,6 @@ impl SloSupervisor {
     /// Every level change so far, in order.
     pub fn transitions(&self) -> &[SloTransition] {
         &self.transitions
-    }
-
-    /// Total outcomes observed.
-    pub fn observed(&self) -> u64 {
-        self.observed
     }
 
     fn dwell_elapsed(&self, at: Instant) -> bool {

@@ -10,13 +10,12 @@
 //! The per-arrival latency follows the four scheduling-semantics rules
 //! documented in [`crate::model`].
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 
-use crate::model::{AccessScheme, ConfigUnderTest, ProcessingBudget};
+use crate::model::{ConfigUnderTest, ProcessingBudget};
 
 /// Transmission direction under analysis (the rows of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// gNB → UE data.
     Downlink,
@@ -39,20 +38,10 @@ impl Direction {
             Direction::Downlink => "DL",
         }
     }
-
-    /// The access scheme this direction exercises (DL is access-agnostic).
-    pub fn access(self) -> Option<AccessScheme> {
-        match self {
-            Direction::UplinkGrantBased => Some(AccessScheme::GrantBased),
-            Direction::UplinkGrantFree => Some(AccessScheme::GrantFree),
-            Direction::Downlink => None,
-        }
-    }
 }
 
 /// One event of a worst-case timeline (Fig 4's annotations).
-/// (`Serialize`-only: labels are `&'static str`.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEvent {
     /// Event label.
     pub label: &'static str,
@@ -61,7 +50,7 @@ pub struct TimelineEvent {
 }
 
 /// The worst case for one (configuration, direction) pair.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorstCase {
     /// The worst-case one-way latency.
     pub latency: Duration,

@@ -7,11 +7,10 @@
 //! the 5G Core" open problem. The model is a base (propagation + switching)
 //! delay plus a jitter distribution.
 
-use serde::{Deserialize, Serialize};
 use sim::{Dist, Duration, SimRng};
 
 /// A transport link delay model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackboneLink {
     /// Fixed one-way delay (propagation + switching).
     pub base: Duration,

@@ -13,32 +13,28 @@
 //! 8 bytes.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-
-/// The registered GTP-U UDP port.
-pub const GTPU_PORT: u16 = 2152;
 
 /// Message type of a G-PDU (encapsulated user packet).
-pub const MSG_GPDU: u8 = 255;
+pub(crate) const MSG_GPDU: u8 = 255;
 
 /// Message type of an echo request (path management).
-pub const MSG_ECHO_REQUEST: u8 = 1;
+pub(crate) const MSG_ECHO_REQUEST: u8 = 1;
 
 /// Message type of an echo response (path management).
-pub const MSG_ECHO_RESPONSE: u8 = 2;
+pub(crate) const MSG_ECHO_RESPONSE: u8 = 2;
 
 /// Message type of an end marker (TS 29.281 §7.3.2): the last packet the
 /// source sends down a forwarding tunnel after the path switch, telling
 /// the target no more forwarded data follows.
-pub const MSG_END_MARKER: u8 = 254;
+pub(crate) const MSG_END_MARKER: u8 = 254;
 
 /// Largest payload a single G-PDU may carry: a jumbo-frame transport MTU
 /// minus the tunnel overhead. Anything larger is a malformed or hostile
 /// header, not a packet the N3/Xn transport could have carried.
-pub const MAX_PAYLOAD: usize = 9000;
+pub(crate) const MAX_PAYLOAD: usize = 9000;
 
 /// Errors from GTP-U decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GtpuError {
     /// Packet shorter than the mandatory header (or its declared length).
     Truncated,
@@ -62,7 +58,7 @@ impl core::fmt::Display for GtpuError {
 impl std::error::Error for GtpuError {}
 
 /// A decoded GTP-U header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GtpuHeader {
     /// Message type ([`MSG_GPDU`] for user data).
     pub message_type: u8,
@@ -80,25 +76,25 @@ impl GtpuHeader {
 
     /// An echo request (path management, TS 29.281 §7.2.1). Sent on
     /// TEID 0; the sequence number pairs it with its response.
-    pub fn echo_request(sequence: u16) -> GtpuHeader {
+    pub(crate) fn echo_request(sequence: u16) -> GtpuHeader {
         GtpuHeader { message_type: MSG_ECHO_REQUEST, teid: 0, sequence: Some(sequence) }
     }
 
     /// An echo response echoing the request's sequence (§7.2.2).
-    pub fn echo_response(sequence: u16) -> GtpuHeader {
+    pub(crate) fn echo_response(sequence: u16) -> GtpuHeader {
         GtpuHeader { message_type: MSG_ECHO_RESPONSE, teid: 0, sequence: Some(sequence) }
     }
 
     /// An end marker for a forwarding tunnel (§7.3.2): no payload, sent on
     /// the forwarding TEID after the last forwarded packet.
-    pub fn end_marker(teid: u32) -> GtpuHeader {
+    pub(crate) fn end_marker(teid: u32) -> GtpuHeader {
         GtpuHeader { message_type: MSG_END_MARKER, teid, sequence: None }
     }
 
     /// Encodes header + payload, rejecting payloads beyond
     /// [`MAX_PAYLOAD`] — the 16-bit length field would otherwise truncate
     /// silently and desynchronise the decoder.
-    pub fn try_encode(&self, payload: &[u8]) -> Result<Bytes, GtpuError> {
+    pub(crate) fn try_encode(&self, payload: &[u8]) -> Result<Bytes, GtpuError> {
         if payload.len() > MAX_PAYLOAD {
             return Err(GtpuError::Oversized);
         }

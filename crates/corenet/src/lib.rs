@@ -20,18 +20,17 @@
 //!   handover: sequenced G-PDU forwarding, SN status transfer, and the
 //!   end marker that closes the tunnel after the path switch.
 
-pub mod backbone;
+pub(crate) mod backbone;
 pub mod gtpu;
-pub mod hop;
+pub(crate) mod hop;
 pub mod qos;
-pub mod supervision;
+pub(crate) mod supervision;
 pub mod upf;
-pub mod xn;
+pub(crate) mod xn;
 
 pub use backbone::BackboneLink;
-pub use gtpu::{GtpuError, GtpuHeader, GTPU_PORT, MAX_PAYLOAD, MSG_END_MARKER, MSG_GPDU};
-pub use hop::{plan_crossing, CrossingPlan};
-pub use qos::{FiveQi, ResourceType};
+pub use gtpu::GtpuHeader;
+pub use hop::plan_crossing;
 pub use supervision::{PathEvent, PathEventKind, PathSupervisor, SupervisionConfig};
-pub use upf::{Upf, UpfError, UplinkOutcome};
-pub use xn::{SnStatusTransfer, XnDelivery, XnError, XnForwardingTunnel, XnReceiver};
+pub use upf::Upf;
+pub use xn::{SnStatusTransfer, XnDelivery, XnForwardingTunnel, XnReceiver};

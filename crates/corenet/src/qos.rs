@@ -10,11 +10,10 @@
 //! which is how the workspace's examples decide if a deployment is fit for
 //! its use case.
 
-use serde::{Deserialize, Serialize};
 use sim::Duration;
 
 /// Resource type of a 5QI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceType {
     /// Guaranteed bit rate.
     Gbr,
@@ -25,7 +24,7 @@ pub enum ResourceType {
 }
 
 /// One row of the 5QI table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiveQi {
     /// The 5QI value.
     pub value: u8,
@@ -191,7 +190,7 @@ impl FiveQi {
     /// TS 23.501 allots the radio access a share of the end-to-end PDB
     /// (the rest covers the core and transport); `ran_share` expresses
     /// that split (e.g. 0.8 for delay-critical flows with a local UPF).
-    pub fn ran_budget(&self, ran_share: f64) -> Duration {
+    pub(crate) fn ran_budget(&self, ran_share: f64) -> Duration {
         assert!((0.0..=1.0).contains(&ran_share), "share is a fraction");
         Duration::from_micros_f64(self.pdb.as_micros_f64() * ran_share)
     }

@@ -12,7 +12,6 @@
 //! `RlfEvent`s — the core-network half of the fault/recovery symmetry.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 use telemetry::{JournalEvent, Telemetry};
 
@@ -20,7 +19,7 @@ use crate::gtpu::{GtpuHeader, MSG_ECHO_RESPONSE};
 use crate::upf::{Upf, UplinkOutcome};
 
 /// Probe/retry policy for one supervised GTP-U path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionConfig {
     /// Time to wait for an echo response before counting the probe lost.
     pub probe_timeout: Duration,
@@ -45,7 +44,7 @@ impl SupervisionConfig {
     }
 
     /// Timeout for probe attempt `k` (0-based): capped exponential backoff.
-    pub fn attempt_timeout(&self, attempt: u32) -> Duration {
+    pub(crate) fn attempt_timeout(&self, attempt: u32) -> Duration {
         let factor = 1u64 << attempt.min(30);
         (self.probe_timeout * factor).min(self.backoff_cap)
     }
@@ -58,7 +57,7 @@ impl SupervisionConfig {
 }
 
 /// What happened on a supervised path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathEventKind {
     /// An echo probe went unanswered within its timeout.
     ProbeLost,
@@ -72,7 +71,7 @@ pub enum PathEventKind {
 
 impl PathEventKind {
     /// Human-readable label (reports, traces).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             PathEventKind::ProbeLost => "probe-lost",
             PathEventKind::PathDown => "path-down",
@@ -83,7 +82,7 @@ impl PathEventKind {
 }
 
 /// A timestamped supervision transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathEvent {
     /// When the transition happened.
     pub at: Instant,
@@ -165,7 +164,7 @@ impl PathSupervisor {
     /// ride the backup link, and the supervision delay (probe timeouts +
     /// backoff) the packet absorbs when this very traversal is the one
     /// that discovers the outage. Steady-state traversals cost nothing.
-    pub fn traverse(&mut self, at: Instant, primary_down: bool) -> (bool, Duration) {
+    pub(crate) fn traverse(&mut self, at: Instant, primary_down: bool) -> (bool, Duration) {
         match (self.on_backup, primary_down) {
             (false, false) => (false, Duration::ZERO),
             (false, true) => {

@@ -6,14 +6,13 @@
 //! it to the destination over IP").
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
 
 use crate::gtpu::{GtpuError, GtpuHeader, MSG_ECHO_REQUEST, MSG_GPDU};
 
 /// A PDU session record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Session {
     /// Uplink TEID (gNB → UPF direction, allocated by the UPF).
     pub ul_teid: u32,
@@ -24,7 +23,7 @@ pub struct Session {
 }
 
 /// Errors from UPF processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpfError {
     /// GTP-U parsing failed.
     Gtpu(GtpuError),

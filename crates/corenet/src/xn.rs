@@ -18,7 +18,6 @@
 //! [`XnReceiver`] the target side (validate, buffer, detect the marker).
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use telemetry::Telemetry;
 
 use crate::gtpu::{GtpuError, GtpuHeader, MSG_END_MARKER, MSG_GPDU};
@@ -27,14 +26,14 @@ use crate::gtpu::{GtpuError, GtpuHeader, MSG_END_MARKER, MSG_GPDU};
 /// COUNT the target's downlink transmitter must assign to its first
 /// locally generated PDU. Control-plane signalling is reliable, so this
 /// is passed by value rather than through the lossy tunnel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnStatusTransfer {
     /// Next downlink COUNT the target transmitter starts from.
     pub dl_tx_next: u32,
 }
 
 /// Errors from the target side of a forwarding tunnel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XnError {
     /// The packet did not parse as GTP-U.
     Gtpu(GtpuError),
@@ -98,11 +97,6 @@ impl XnForwardingTunnel {
     /// Opens a tunnel towards the target's forwarding TEID.
     pub fn new(teid: u32) -> XnForwardingTunnel {
         XnForwardingTunnel { teid, next_seq: 0, forwarded: 0 }
-    }
-
-    /// The TEID this tunnel sends on.
-    pub fn teid(&self) -> u32 {
-        self.teid
     }
 
     /// How many PDUs have been forwarded so far.

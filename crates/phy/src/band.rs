@@ -6,10 +6,8 @@
 //! only below 2.6 GHz, and the bands available to *private* 5G (e.g. n78)
 //! are TDD-only.
 
-use serde::{Deserialize, Serialize};
-
 /// NR frequency ranges (TS 38.104 §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrequencyRange {
     /// FR1: 410 MHz – 7.125 GHz ("sub-6").
     Fr1,
@@ -18,7 +16,7 @@ pub enum FrequencyRange {
 }
 
 /// Duplexing capability of a band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BandDuplex {
     /// Paired spectrum: frequency-division duplex.
     Fdd,
@@ -30,7 +28,7 @@ pub enum BandDuplex {
 }
 
 /// A 5G NR operating band.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Band {
     /// Band designation, e.g. "n78".
     pub name: &'static str,

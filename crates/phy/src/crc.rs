@@ -13,10 +13,8 @@
 //! [`CrcPoly::compute_bitwise`], both as the fallback for non-standard
 //! polynomials and as the reference the equivalence tests compare against.
 
-use serde::{Deserialize, Serialize};
-
 /// A CRC generator polynomial with its width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CrcPoly {
     /// Polynomial width in bits (degree).
     pub width: u32,
@@ -28,15 +26,15 @@ pub struct CrcPoly {
 /// attached to transport blocks.
 pub const CRC24A: CrcPoly = CrcPoly { width: 24, poly: 0x86_4C_FB };
 /// gCRC24B(D) = D²⁴+D²³+D⁶+D⁵+D+1 — attached to code blocks.
-pub const CRC24B: CrcPoly = CrcPoly { width: 24, poly: 0x80_00_63 };
+pub(crate) const CRC24B: CrcPoly = CrcPoly { width: 24, poly: 0x80_00_63 };
 /// gCRC24C(D) — broadcast channel.
-pub const CRC24C: CrcPoly = CrcPoly { width: 24, poly: 0xB2_B1_17 };
+pub(crate) const CRC24C: CrcPoly = CrcPoly { width: 24, poly: 0xB2_B1_17 };
 /// gCRC16(D) = D¹⁶+D¹²+D⁵+1 (CCITT) — small transport blocks.
 pub const CRC16: CrcPoly = CrcPoly { width: 16, poly: 0x10_21 };
 /// gCRC11(D) = D¹¹+D¹⁰+D⁹+D⁵+1 — polar-coded UCI.
-pub const CRC11: CrcPoly = CrcPoly { width: 11, poly: 0x6_21 };
+pub(crate) const CRC11: CrcPoly = CrcPoly { width: 11, poly: 0x6_21 };
 /// gCRC6(D) = D⁶+D⁵+1 — short UCI.
-pub const CRC6: CrcPoly = CrcPoly { width: 6, poly: 0x21 };
+pub(crate) const CRC6: CrcPoly = CrcPoly { width: 6, poly: 0x21 };
 
 /// Builds the 256-entry byte-at-a-time table for `poly`, left-aligned to
 /// `max(width, 8)` bits. Evaluated at compile time for the standard
@@ -107,7 +105,7 @@ impl CrcPoly {
     /// The reference MSB-first bit-at-a-time engine (the original
     /// implementation): kept for ad-hoc polynomials and as the ground
     /// truth the table equivalence tests compare against.
-    pub fn compute_bitwise(&self, data: &[u8]) -> u32 {
+    pub(crate) fn compute_bitwise(&self, data: &[u8]) -> u32 {
         let mut reg: u32 = 0;
         let mask: u32 = if self.width == 32 { u32::MAX } else { (1 << self.width) - 1 };
         for &byte in data {

@@ -12,7 +12,6 @@
 //! arriving "just after a slot starts" (the paper's worst case) means
 //! waiting for the next opportunity.
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 
 use crate::band::Band;
@@ -20,7 +19,7 @@ use crate::numerology::Numerology;
 use crate::tdd::{SlotKind, TddConfig};
 
 /// A transmission opportunity returned by the duplexing queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxOpportunity {
     /// Global index of the slot carrying the transmission.
     pub slot: u64,
@@ -32,7 +31,7 @@ pub struct TxOpportunity {
 }
 
 /// Errors from duplexing configuration validation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DuplexError {
     /// FDD requested on an unpaired (TDD-only) band — the constraint that
     /// rules FDD out for private 5G (paper §2, §9).
@@ -60,7 +59,7 @@ impl core::fmt::Display for DuplexError {
 impl std::error::Error for DuplexError {}
 
 /// The duplexing scheme in use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Duplex {
     /// Time-division duplexing with a Common Configuration.
     Tdd(TddConfig),
@@ -113,6 +112,17 @@ impl Duplex {
         match self {
             Duplex::Tdd(c) => c.period(),
             Duplex::Fdd { .. } => self.slot_duration(),
+        }
+    }
+
+    /// DL-capable slots (full DL or mixed) in one pattern period; every
+    /// slot is one under FDD.
+    pub fn dl_slots_per_period(&self) -> u64 {
+        match self {
+            Duplex::Tdd(c) => {
+                (0..c.slots_per_period()).filter(|&s| c.slot_kind(s).has_dl()).count() as u64
+            }
+            Duplex::Fdd { .. } => 1,
         }
     }
 
@@ -256,7 +266,7 @@ fn dir_table(
 
 impl SlotTiming {
     /// Builds the lookup table for `duplex`.
-    pub fn new(duplex: &Duplex) -> SlotTiming {
+    pub(crate) fn new(duplex: &Duplex) -> SlotTiming {
         let slot = duplex.slot_duration();
         match duplex {
             Duplex::Fdd { .. } => {
@@ -451,6 +461,34 @@ mod tests {
                 assert_eq!(timing.next_dl_opportunity(ready), d.next_dl_opportunity(ready));
                 assert_eq!(timing.slot_index_at(ready), d.slot_index_at(ready));
             }
+        }
+    }
+
+    #[test]
+    fn dl_slots_per_period_matches_a_walk_over_real_opportunities() {
+        let cases = [
+            (Duplex::Tdd(TddConfig::dddu_testbed()), 3),
+            (Duplex::Tdd(TddConfig::du_minimal()), 1),
+            (Duplex::Tdd(TddConfig::dm_minimal()), 2),
+            (Duplex::Tdd(TddConfig::mu_minimal()), 1),
+            (Duplex::Fdd { numerology: Numerology::Mu1 }, 1),
+            (Duplex::Fdd { numerology: Numerology::Mu2 }, 1),
+        ];
+        for (d, expected) in cases {
+            // The walk `multicell` and `overload` each used to spell out.
+            let period_slots = d.pattern_period() / d.slot_duration();
+            let mut walked = 0;
+            let mut at = Instant::ZERO;
+            loop {
+                let op = d.next_dl_opportunity(at);
+                if op.slot >= period_slots {
+                    break;
+                }
+                walked += 1;
+                at = d.slot_start(op.slot + 1);
+            }
+            assert_eq!(d.dl_slots_per_period(), walked, "{d:?}");
+            assert_eq!(walked, expected, "{d:?}");
         }
     }
 

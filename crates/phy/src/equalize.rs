@@ -8,12 +8,10 @@
 //! verifiable end to end — and channel estimation is part of the PHY
 //! processing time Table 2 measures at 41.55 µs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::modulation::Iq;
 
 /// A complex channel coefficient (gain + phase).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelTap {
     /// Real part.
     pub re: f32,
@@ -31,7 +29,7 @@ impl ChannelTap {
     pub const IDENTITY: ChannelTap = ChannelTap { re: 1.0, im: 0.0 };
 
     /// Squared magnitude.
-    pub fn mag2(self) -> f32 {
+    pub(crate) fn mag2(self) -> f32 {
         self.re * self.re + self.im * self.im
     }
 
@@ -44,7 +42,7 @@ impl ChannelTap {
     ///
     /// # Panics
     /// Panics on a zero tap — a dead subcarrier cannot be equalised.
-    pub fn invert(self, y: Iq) -> Iq {
+    pub(crate) fn invert(self, y: Iq) -> Iq {
         let m = self.mag2();
         assert!(m > f32::EPSILON, "cannot equalise a zero channel tap");
         Iq::new((self.re * y.i + self.im * y.q) / m, (self.re * y.q - self.im * y.i) / m)

@@ -4,7 +4,6 @@
 //! A radio frame is 10 ms; the system frame number (SFN) wraps at 1024
 //! (every 10.24 s). Within a frame there are `10 · 2^µ` slots of 14 symbols.
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 
 use crate::numerology::{Numerology, SUBFRAMES_PER_FRAME, SYMBOLS_PER_SLOT};
@@ -16,7 +15,7 @@ pub const FRAME_DURATION: Duration = Duration::from_millis(10);
 pub const SFN_MODULUS: u64 = 1024;
 
 /// A position in the NR frame structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FramePosition {
     /// How many full SFN cycles (10.24 s each) have elapsed. Carried so the
     /// position↔instant mapping stays a bijection over arbitrarily long
@@ -31,7 +30,7 @@ pub struct FramePosition {
 }
 
 /// Converts between [`Instant`] and [`FramePosition`] for one numerology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotClock {
     numerology: Numerology,
 }
@@ -40,11 +39,6 @@ impl SlotClock {
     /// Creates a clock for `numerology`.
     pub fn new(numerology: Numerology) -> SlotClock {
         SlotClock { numerology }
-    }
-
-    /// The clock's numerology.
-    pub fn numerology(&self) -> Numerology {
-        self.numerology
     }
 
     /// Global slot index (monotonic, never wraps) containing `t`.

@@ -7,16 +7,14 @@
 //! grants and what the radio model needs to convert "a transport block" to
 //! "a number of samples".
 
-use serde::{Deserialize, Serialize};
-
 use crate::modulation::Modulation;
 use crate::numerology::SYMBOLS_PER_SLOT;
 
 /// Subcarriers per PRB.
-pub const SUBCARRIERS_PER_PRB: u32 = 12;
+pub(crate) const SUBCARRIERS_PER_PRB: u32 = 12;
 
 /// Carrier-level grid dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CarrierConfig {
     /// Number of PRBs in the carrier (e.g. 51 for 20 MHz at 30 kHz SCS,
     /// 273 for 100 MHz at 30 kHz).
@@ -59,7 +57,7 @@ impl CarrierConfig {
 }
 
 /// Per-slot PRB allocation map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceGrid {
     carrier: CarrierConfig,
     /// `owners[prb]` = RNTI holding that PRB, or `None`.
@@ -67,7 +65,7 @@ pub struct ResourceGrid {
 }
 
 /// Errors from grid allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridError {
     /// Not enough contiguous free PRBs.
     Insufficient {
@@ -92,7 +90,7 @@ impl core::fmt::Display for GridError {
 impl std::error::Error for GridError {}
 
 /// A successful allocation: a contiguous PRB range owned by one RNTI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Allocation {
     /// Owner RNTI.
     pub rnti: u16,
@@ -106,11 +104,6 @@ impl ResourceGrid {
     /// Creates an empty grid for the carrier.
     pub fn new(carrier: CarrierConfig) -> ResourceGrid {
         ResourceGrid { carrier, owners: vec![None; carrier.prbs as usize] }
-    }
-
-    /// The carrier configuration.
-    pub fn carrier(&self) -> CarrierConfig {
-        self.carrier
     }
 
     /// Number of free PRBs.

@@ -51,13 +51,8 @@ pub mod tdd;
 pub mod timing;
 pub mod transport;
 
-pub use band::{Band, FrequencyRange};
-pub use duplex::{Duplex, SlotTiming};
-pub use equalize::ChannelTap;
-pub use frame::SlotClock;
+pub use duplex::Duplex;
 pub use mini_slot::MiniSlotConfig;
 pub use numerology::Numerology;
-pub use ofdm::OfdmConfig;
-pub use prach::ZadoffChu;
-pub use slot_format::{SlotFormat, SymbolKind};
-pub use tdd::{SlotKind, TddConfig, TddPattern};
+pub use slot_format::SlotFormat;
+pub use tdd::TddConfig;

@@ -9,13 +9,12 @@
 //! ≥ 0.5 ms target slot duration for this mode, making the µ2 variant
 //! standards-non-compliant and in need of practical evaluation.
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 
 use crate::numerology::{Numerology, SYMBOLS_PER_SLOT};
 
 /// Permitted mini-slot lengths in symbols (TR 38.912: 2, 4 or 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MiniSlotLen {
     /// 2-symbol mini-slots (7 per slot, last one truncated to the control
     /// region — see [`MiniSlotConfig::mini_slots_per_slot`]).
@@ -28,7 +27,7 @@ pub enum MiniSlotLen {
 
 impl MiniSlotLen {
     /// Length in symbols.
-    pub const fn symbols(self) -> u32 {
+    pub(crate) const fn symbols(self) -> u32 {
         match self {
             MiniSlotLen::Two => 2,
             MiniSlotLen::Four => 4,
@@ -38,7 +37,7 @@ impl MiniSlotLen {
 }
 
 /// A mini-slot configuration over a given numerology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MiniSlotConfig {
     /// Underlying numerology (sets the symbol duration).
     pub numerology: Numerology,
@@ -62,7 +61,7 @@ impl MiniSlotConfig {
     }
 
     /// Data symbols available per slot after the control region.
-    pub fn data_symbols_per_slot(&self) -> u32 {
+    pub(crate) fn data_symbols_per_slot(&self) -> u32 {
         SYMBOLS_PER_SLOT - self.control_symbols
     }
 

@@ -40,10 +40,8 @@
 //! channel are finite, so no clean trace ever meets this rule; it exists so
 //! that [`crate::transport::decode`] is total over `f32`.
 
-use serde::{Deserialize, Serialize};
-
 /// A complex baseband sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Iq {
     /// In-phase component.
     pub i: f32,
@@ -71,7 +69,7 @@ impl Iq {
 }
 
 /// NR modulation schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modulation {
     /// π/2-less plain BPSK (1 bit/symbol).
     Bpsk,
@@ -111,7 +109,7 @@ impl Modulation {
     ///
     /// # Panics
     /// Panics if `bits.len() != bits_per_symbol()`.
-    pub fn map(self, bits: &[u8]) -> Iq {
+    pub(crate) fn map(self, bits: &[u8]) -> Iq {
         assert_eq!(bits.len() as u32, self.bits_per_symbol(), "wrong bit-group size");
         let s = |b: u8| 1.0 - 2.0 * f32::from(b); // 0 -> +1, 1 -> -1
         match self {
@@ -187,7 +185,7 @@ impl Modulation {
     /// the nearest constellation point, found by the per-axis threshold
     /// slicer the module docs derive. Boundaries take the 0 bit; NaN reads
     /// as 0 bits and `±∞` saturates (module docs, tie and non-finite rules).
-    pub fn demap(self, sample: Iq) -> u32 {
+    pub(crate) fn demap(self, sample: Iq) -> u32 {
         if self == Modulation::Bpsk {
             return u32::from(sample.i + sample.q < 0.0);
         }

@@ -6,7 +6,6 @@
 //! paper's §5 argument: FR1's shortest slot is 0.25 ms (µ2), so sub-0.25 ms
 //! slot-level latency is only available in the unreliable FR2 bands.
 
-use serde::{Deserialize, Serialize};
 use sim::Duration;
 
 use crate::band::FrequencyRange;
@@ -18,7 +17,7 @@ pub const SYMBOLS_PER_SLOT: u32 = 14;
 pub const SUBFRAMES_PER_FRAME: u32 = 10;
 
 /// An NR numerology µ, determining subcarrier spacing and slot duration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Numerology {
     /// µ=0: 15 kHz SCS, 1 ms slots (LTE-compatible).
     Mu0,
@@ -77,7 +76,7 @@ impl Numerology {
     }
 
     /// Subcarrier spacing in kHz: `15 · 2^µ`.
-    pub const fn scs_khz(self) -> u32 {
+    pub(crate) const fn scs_khz(self) -> u32 {
         15 << self.mu()
     }
 
@@ -85,15 +84,6 @@ impl Numerology {
     /// (1 000 000 ns is divisible by 2⁶).
     pub const fn slot_duration(self) -> Duration {
         Duration::from_nanos(1_000_000 >> self.mu())
-    }
-
-    /// Average OFDM symbol duration (slot / 14). The real symbol grid has a
-    /// slightly longer cyclic prefix on the first symbol of each half
-    /// subframe; the ≤ 0.04 µs difference is irrelevant at the µs scale of
-    /// the paper's analysis, and the *boundaries* produced by
-    /// [`Numerology::symbol_offset`] still sum exactly to one slot.
-    pub fn symbol_duration(self) -> Duration {
-        self.slot_duration() / u64::from(SYMBOLS_PER_SLOT)
     }
 
     /// Offset of symbol `index` (0–13) from the start of its slot.

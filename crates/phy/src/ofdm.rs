@@ -8,8 +8,6 @@
 //! external DSP dependency, exact enough for roundtrip-perfect operation
 //! at the sizes NR uses (256–4096).
 
-use serde::{Deserialize, Serialize};
-
 use crate::modulation::Iq;
 
 /// In-place iterative radix-2 decimation-in-time FFT.
@@ -61,7 +59,7 @@ pub fn fft(data: &mut [Iq], inverse: bool) {
 }
 
 /// OFDM symbol dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OfdmConfig {
     /// FFT size (power of two, ≥ occupied subcarriers).
     pub fft_size: usize,
@@ -85,7 +83,7 @@ impl OfdmConfig {
     }
 
     /// Samples per OFDM symbol including the cyclic prefix.
-    pub fn samples_per_symbol(&self) -> usize {
+    pub(crate) fn samples_per_symbol(&self) -> usize {
         self.fft_size + self.cp_len
     }
 

@@ -9,15 +9,13 @@
 //! UEs pick the *same* preamble: the collision case the RACH procedure in
 //! `urllc-ran` models).
 
-use serde::{Deserialize, Serialize};
-
 use crate::modulation::Iq;
 
 /// Length of the short PRACH preamble sequence (L_RA = 139, formats A/B/C).
 pub const SHORT_PREAMBLE_LEN: usize = 139;
 
 /// A Zadoff–Chu sequence definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZadoffChu {
     /// Sequence length (must be prime for ideal CAZAC properties; NR uses
     /// 139 and 839).

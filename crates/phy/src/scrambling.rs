@@ -6,7 +6,7 @@
 //! initialised from `c_init` (a function of RNTI/cell id per channel).
 
 /// Warm-up offset Nc of TS 38.211 §5.2.1.
-pub const NC: usize = 1600;
+pub(crate) const NC: usize = 1600;
 
 /// A Gold-sequence generator producing `c(n)` bit by bit.
 #[derive(Debug, Clone)]
@@ -40,7 +40,7 @@ impl GoldSequence {
     }
 
     /// Next sequence bit (0 or 1).
-    pub fn next_bit(&mut self) -> u8 {
+    pub(crate) fn next_bit(&mut self) -> u8 {
         self.step()
     }
 

@@ -8,12 +8,10 @@
 //! are not exercised by any of the paper's experiments, and carrying an
 //! unverified transcription would be worse than an explicit gap.
 
-use serde::{Deserialize, Serialize};
-
 use crate::numerology::SYMBOLS_PER_SLOT;
 
 /// Per-symbol characterization within a slot format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SymbolKind {
     /// Downlink symbol.
     Downlink,
@@ -25,7 +23,7 @@ pub enum SymbolKind {
 
 impl SymbolKind {
     /// Single-letter label: D, U or F.
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             SymbolKind::Downlink => 'D',
             SymbolKind::Uplink => 'U',
@@ -35,7 +33,7 @@ impl SymbolKind {
 }
 
 /// One slot format: 14 symbol kinds plus its standard index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotFormat {
     /// Index in TS 38.213 Table 11.1.1-1.
     pub index: u8,

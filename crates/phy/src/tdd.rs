@@ -9,13 +9,12 @@
 //! FR1's minimum 0.25 ms slot gives the *minimal* 0.5 ms patterns the paper
 //! enumerates in §5: **DU**, **DM**, **MU**.
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 
 use crate::numerology::{Numerology, SYMBOLS_PER_SLOT};
 
 /// Characterization of one slot inside a TDD pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlotKind {
     /// All 14 symbols downlink.
     Downlink,
@@ -33,7 +32,7 @@ pub enum SlotKind {
 
 impl SlotKind {
     /// `true` if any downlink symbols exist in this slot.
-    pub fn has_dl(self) -> bool {
+    pub(crate) fn has_dl(self) -> bool {
         match self {
             SlotKind::Downlink => true,
             SlotKind::Uplink => false,
@@ -71,7 +70,7 @@ impl SlotKind {
 }
 
 /// Errors from TDD configuration validation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TddError {
     /// Period not in the standard's allowed set.
     InvalidPeriod,
@@ -118,11 +117,12 @@ impl core::fmt::Display for TddError {
 impl std::error::Error for TddError {}
 
 /// Pattern periods permitted by TS 38.331 (paper §2).
-pub const ALLOWED_PERIODS_US: [u64; 8] = [500, 625, 1_000, 1_250, 2_000, 2_500, 5_000, 10_000];
+pub(crate) const ALLOWED_PERIODS_US: [u64; 8] =
+    [500, 625, 1_000, 1_250, 2_000, 2_500, 5_000, 10_000];
 
 /// One TDD pattern: DL slots, optional mixed slot, UL slots, repeating with
 /// the given period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TddPattern {
     period: Duration,
     dl_slots: u32,
@@ -173,12 +173,12 @@ impl TddPattern {
     }
 
     /// Pattern period.
-    pub fn period(&self) -> Duration {
+    pub(crate) fn period(&self) -> Duration {
         self.period
     }
 
     /// Number of slots in one period.
-    pub fn slots(&self) -> u64 {
+    pub(crate) fn slots(&self) -> u64 {
         u64::from(self.dl_slots) + u64::from(self.mixed.is_some()) + u64::from(self.ul_slots)
     }
 
@@ -186,7 +186,7 @@ impl TddPattern {
     ///
     /// # Panics
     /// Panics when `index >= self.slots()`.
-    pub fn slot_kind(&self, index: u64) -> SlotKind {
+    pub(crate) fn slot_kind(&self, index: u64) -> SlotKind {
         assert!(index < self.slots(), "slot index beyond pattern");
         if index < u64::from(self.dl_slots) {
             SlotKind::Downlink
@@ -200,7 +200,7 @@ impl TddPattern {
 
 /// A full TDD Common Configuration: one or two patterns plus the numerology
 /// they are defined against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TddConfig {
     numerology: Numerology,
     pattern1: TddPattern,
@@ -247,7 +247,7 @@ impl TddConfig {
     }
 
     /// Slot duration (from the numerology).
-    pub fn slot_duration(&self) -> Duration {
+    pub(crate) fn slot_duration(&self) -> Duration {
         self.numerology.slot_duration()
     }
 
@@ -268,7 +268,7 @@ impl TddConfig {
     }
 
     /// Start instant of global slot `slot`.
-    pub fn slot_start(&self, slot: u64) -> Instant {
+    pub(crate) fn slot_start(&self, slot: u64) -> Instant {
         Instant::from_nanos(slot * self.slot_duration().as_nanos())
     }
 
@@ -277,7 +277,7 @@ impl TddConfig {
     /// # Panics
     /// Panics if no slot in a full period satisfies `pred` (the pattern
     /// simply has no such slot, e.g. asking for UL in a DL-only pattern).
-    pub fn next_slot_where(&self, from: u64, pred: impl Fn(SlotKind) -> bool) -> u64 {
+    pub(crate) fn next_slot_where(&self, from: u64, pred: impl Fn(SlotKind) -> bool) -> u64 {
         let n = self.slots_per_period();
         for off in 0..n {
             let s = from + off;
@@ -289,14 +289,14 @@ impl TddConfig {
     }
 
     /// Whether any slot of the period satisfies `pred`.
-    pub fn any_slot(&self, pred: impl Fn(SlotKind) -> bool) -> bool {
+    pub(crate) fn any_slot(&self, pred: impl Fn(SlotKind) -> bool) -> bool {
         self.slots.iter().any(|&k| pred(k))
     }
 
     /// Instant at which uplink transmission can begin in slot `slot`
     /// (slot start for a full UL slot, start of the UL symbols for a mixed
     /// slot), or `None` if the slot carries no UL.
-    pub fn ul_start_in_slot(&self, slot: u64) -> Option<Instant> {
+    pub(crate) fn ul_start_in_slot(&self, slot: u64) -> Option<Instant> {
         let start = self.slot_start(slot);
         match self.slot_kind(slot) {
             SlotKind::Uplink => Some(start),
@@ -310,7 +310,7 @@ impl TddConfig {
 
     /// Instant at which downlink transmission can begin in slot `slot`
     /// (slot start for full-DL and mixed-with-DL slots), or `None`.
-    pub fn dl_start_in_slot(&self, slot: u64) -> Option<Instant> {
+    pub(crate) fn dl_start_in_slot(&self, slot: u64) -> Option<Instant> {
         match self.slot_kind(slot) {
             SlotKind::Downlink => Some(self.slot_start(slot)),
             SlotKind::Mixed { dl_symbols, .. } if dl_symbols > 0 => Some(self.slot_start(slot)),
@@ -319,7 +319,7 @@ impl TddConfig {
     }
 
     /// Duration of the uplink portion of slot `slot` (zero if none).
-    pub fn ul_duration_in_slot(&self, slot: u64) -> Duration {
+    pub(crate) fn ul_duration_in_slot(&self, slot: u64) -> Duration {
         match self.slot_kind(slot) {
             SlotKind::Uplink => self.slot_duration(),
             SlotKind::Mixed { ul_symbols, .. } => {
@@ -331,7 +331,7 @@ impl TddConfig {
     }
 
     /// Duration of the downlink portion of slot `slot` (zero if none).
-    pub fn dl_duration_in_slot(&self, slot: u64) -> Duration {
+    pub(crate) fn dl_duration_in_slot(&self, slot: u64) -> Duration {
         match self.slot_kind(slot) {
             SlotKind::Downlink => self.slot_duration(),
             SlotKind::Mixed { dl_symbols, .. } => self.numerology.symbol_offset(dl_symbols),

@@ -7,11 +7,10 @@
 //! take longer to (de)code — the paper's §5 note that FR2's "large signal
 //! bandwidth amplif\[ies\] the processing-based latency").
 
-use serde::{Deserialize, Serialize};
 use sim::{Dist, Duration, SimRng};
 
 /// Processing-time model for one PHY direction (encode or decode).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhyTimingModel {
     /// Fixed per-slot work (FFTs, channel estimation, control decoding).
     pub base: Dist,

@@ -15,8 +15,6 @@
 //! re-implementing a soft decoder whose behaviour the experiments never
 //! observe. DESIGN.md records this substitution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::crc::{CRC24A, CRC24B};
 use crate::modulation::{Iq, Modulation};
 use crate::scrambling::GoldSequence;
@@ -27,10 +25,10 @@ pub const MAX_CODE_BLOCK_BYTES: usize = 8448 / 8 - 3;
 
 /// Largest payload [`encode`] accepts: the stream header counts code blocks
 /// in one byte, so payload + CRC24A may fill at most 255 of them.
-pub const MAX_TRANSPORT_BLOCK_BYTES: usize = 255 * MAX_CODE_BLOCK_BYTES - 3;
+pub(crate) const MAX_TRANSPORT_BLOCK_BYTES: usize = 255 * MAX_CODE_BLOCK_BYTES - 3;
 
 /// Errors from transport-block decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportError {
     /// A code-block CRC24B failed.
     CodeBlockCrc {
@@ -57,7 +55,7 @@ impl core::fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 /// Parameters of the shared-channel processing chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShChConfig {
     /// Modulation scheme.
     pub modulation: Modulation,

@@ -9,7 +9,6 @@
 //! * **radio latency** — the full §4 definition, adding the RF-chain group
 //!   delay and device-side buffering on top.
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, SimRng};
 use telemetry::Telemetry;
 
@@ -17,7 +16,7 @@ use crate::interface::{FronthaulInterface, InterfaceKind};
 use crate::jitter::{JitterProcess, OsJitterConfig};
 
 /// Static configuration of a radio head.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioHeadConfig {
     /// Fronthaul bus model.
     pub interface: FronthaulInterface,
@@ -103,11 +102,6 @@ impl RadioHead {
         self.tel = tel;
     }
 
-    /// The static configuration.
-    pub fn config(&self) -> &RadioHeadConfig {
-        &self.config
-    }
-
     /// Latency of submitting `samples` complex samples to the device —
     /// the quantity plotted in Fig 5 (bus transfer + OS jitter).
     pub fn submit_latency(&mut self, samples: u64, rng: &mut SimRng) -> Duration {
@@ -145,13 +139,6 @@ impl RadioHead {
         self.config.interface.mean_transfer_latency(samples)
             + self.config.device_buffering
             + self.config.dac_pipeline
-    }
-
-    /// Mean RX radio latency (no jitter), for analytical models.
-    pub fn mean_rx_radio_latency(&self, samples: u64) -> Duration {
-        self.config.adc_pipeline
-            + self.config.device_buffering
-            + self.config.interface.mean_transfer_latency(samples)
     }
 }
 

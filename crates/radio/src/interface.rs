@@ -14,14 +14,13 @@
 //! from SDR datasheets so the interface-sweep ablation has realistic
 //! contrast.
 
-use serde::{Deserialize, Serialize};
 use sim::{Dist, Duration, SimRng};
 
 /// Bytes per complex sample on the bus (sc16: 2 × i16).
 pub const BYTES_PER_SAMPLE: u64 = 4;
 
 /// The supported fronthaul bus technologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterfaceKind {
     /// USB 2.0 high-speed (the B210's fallback mode).
     Usb2,
@@ -34,10 +33,6 @@ pub enum InterfaceKind {
 }
 
 impl InterfaceKind {
-    /// All interface kinds, for sweeps.
-    pub const ALL: [InterfaceKind; 4] =
-        [InterfaceKind::Usb2, InterfaceKind::Usb3, InterfaceKind::Pcie, InterfaceKind::Ethernet10G];
-
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -50,7 +45,7 @@ impl InterfaceKind {
 }
 
 /// An instantiated fronthaul interface model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FronthaulInterface {
     /// Which bus this is.
     pub kind: InterfaceKind,
@@ -90,7 +85,7 @@ impl FronthaulInterface {
     }
 
     /// Samples the latency of transferring `samples` complex samples.
-    pub fn transfer_latency(&self, samples: u64, rng: &mut SimRng) -> Duration {
+    pub(crate) fn transfer_latency(&self, samples: u64, rng: &mut SimRng) -> Duration {
         self.setup.sample(rng) + self.per_sample * samples
     }
 

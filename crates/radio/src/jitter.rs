@@ -10,11 +10,10 @@
 //! of consecutive late submissions are what real traces show — one preempted
 //! quantum delays several adjacent transfers).
 
-use serde::{Deserialize, Serialize};
 use sim::{Dist, Duration, SimRng};
 
 /// Configuration of the jitter process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OsJitterConfig {
     /// Noise added in the calm state.
     pub calm_noise: Dist,
@@ -30,7 +29,7 @@ impl OsJitterConfig {
     /// A general-purpose (non-real-time) kernel, calibrated so spikes land
     /// in the +20…+90 µs band of Fig 5 and occur on a few percent of
     /// submissions.
-    pub fn general_purpose_os() -> OsJitterConfig {
+    pub(crate) fn general_purpose_os() -> OsJitterConfig {
         OsJitterConfig {
             calm_noise: Dist::lognormal_us(2.0, 1.5),
             spike: Dist::lognormal_us(45.0, 20.0),
@@ -73,12 +72,12 @@ pub struct JitterProcess {
 
 impl JitterProcess {
     /// Creates the process in the calm state.
-    pub fn new(config: OsJitterConfig) -> JitterProcess {
+    pub(crate) fn new(config: OsJitterConfig) -> JitterProcess {
         JitterProcess { config, preempted: false, spikes_seen: 0, draws: 0 }
     }
 
     /// Draws the jitter for one submission and advances the Markov state.
-    pub fn sample(&mut self, rng: &mut SimRng) -> Duration {
+    pub(crate) fn sample(&mut self, rng: &mut SimRng) -> Duration {
         self.draws += 1;
         let stay_p = if self.preempted { self.config.spike_stay } else { self.config.spike_enter };
         self.preempted = rng.chance(stay_p);

@@ -19,12 +19,12 @@
 //!   after their air-time cause an *underrun* (the paper's "corrupted
 //!   signal" when the scheduler margin is too small, §4).
 
-pub mod head;
-pub mod interface;
+pub(crate) mod head;
+pub(crate) mod interface;
 pub mod jitter;
-pub mod ring;
+pub(crate) mod ring;
 
 pub use head::{RadioHead, RadioHeadConfig};
 pub use interface::{FronthaulInterface, InterfaceKind};
-pub use jitter::{JitterProcess, OsJitterConfig};
-pub use ring::{TxOutcome, TxRing};
+pub use jitter::OsJitterConfig;
+pub use ring::TxRing;

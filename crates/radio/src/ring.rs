@@ -9,12 +9,11 @@
 //! ring records each submission against its deadline and accumulates the
 //! underrun statistics the reliability experiments report.
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 use telemetry::Telemetry;
 
 /// Outcome of one scheduled transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxOutcome {
     /// Samples arrived before their air time, with this much slack.
     OnTime {
@@ -36,7 +35,7 @@ impl TxOutcome {
 }
 
 /// Statistics accumulated by a [`TxRing`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingStats {
     /// Transmissions that made their air time.
     pub on_time: u64,

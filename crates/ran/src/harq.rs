@@ -16,14 +16,13 @@
 
 use bytes::Bytes;
 use phy::duplex::Duplex;
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 
 /// Default number of HARQ processes per direction (NR allows up to 16).
 pub const DEFAULT_PROCESSES: usize = 16;
 
 /// HARQ entity configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HarqConfig {
     /// Number of parallel processes.
     pub processes: usize,
@@ -38,7 +37,7 @@ impl Default for HarqConfig {
 }
 
 /// Errors from HARQ operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HarqError {
     /// Process id out of range.
     NoSuchProcess,
@@ -108,11 +107,6 @@ impl HarqEntity {
             config,
             stats: (0, 0, 0),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HarqConfig {
-        &self.config
     }
 
     /// Index of a free process, if any.

@@ -36,20 +36,9 @@ pub mod sdap;
 pub mod sr;
 pub mod timing;
 
-pub use harq::{HarqConfig, HarqEntity};
-pub use mac::{MacBacklog, MacPdu, MacSubPdu};
-pub use pdcp::PdcpStatusReport;
-pub use pdcp::{PdcpConfig, PdcpEntity};
+pub use pdcp::{PdcpConfig, PdcpEntity, PdcpStatusReport};
 pub use rach::{simulate_contention, RachConfig};
-pub use rlc::{RlcAmEntity, RlcMode, RlcUmEntity};
-pub use rrc::{
-    A3Trigger, HandoverConfig, HandoverEntity, HandoverTimeline, RecoveryTimeline, RrcConfig,
-    RrcEntity, RrcState,
-};
-pub use sched::{
-    AccessMode, EmergencyBurst, Policy, PolicySpec, RequestTag, SchedItem, Scheduler,
-    SchedulerConfig, Slice, SliceShares,
-};
-pub use sdap::{SdapEntity, SdapHeader};
-pub use sr::{SrConfig, SrState};
-pub use timing::LayerTimings;
+pub use rlc::{RlcAmEntity, RlcUmEntity};
+pub use rrc::{HandoverConfig, HandoverEntity, RrcConfig, RrcEntity};
+pub use sched::{AccessMode, PolicySpec};
+pub use sdap::SdapEntity;

@@ -7,27 +7,22 @@
 //! trigger in [`crate::sr`] — this module is the wire format.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Logical Channel ID values used here (DL-SCH/UL-SCH tables of TS 38.321).
 pub mod lcid {
     /// CCCH (SRB0).
     pub const CCCH: u8 = 0;
-    /// First DRB-capable logical channel.
-    pub const LC_MIN: u8 = 1;
-    /// Last logical channel.
-    pub const LC_MAX: u8 = 32;
     /// C-RNTI control element (UL-SCH) — carried in Msg3 so the gNB can
     /// match a re-establishing UE to its old context.
     pub const C_RNTI: u8 = 58;
     /// Short BSR control element (UL-SCH).
     pub const SHORT_BSR: u8 = 61;
     /// Padding.
-    pub const PADDING: u8 = 63;
+    pub(crate) const PADDING: u8 = 63;
 }
 
 /// Errors from MAC PDU processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacError {
     /// PDU ended mid-subheader or mid-payload.
     Truncated,
@@ -67,7 +62,7 @@ impl core::fmt::Display for MacError {
 impl std::error::Error for MacError {}
 
 /// One subPDU: a logical-channel ID plus its payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacSubPdu {
     /// Logical channel / control-element ID.
     pub lcid: u8,
@@ -90,7 +85,7 @@ impl MacSubPdu {
 }
 
 /// A complete MAC PDU.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacPdu {
     /// The subPDUs, in order (padding not included — it is synthesised at
     /// encode time and stripped at decode time).
@@ -176,7 +171,7 @@ impl MacPdu {
 
 /// The short-BSR buffer-size levels of TS 38.321 Table 6.1.3.1-1
 /// (5-bit index → "buffer ≤ N bytes"; index 31 means "> 150000").
-pub const BSR_LEVELS: [u32; 31] = [
+pub(crate) const BSR_LEVELS: [u32; 31] = [
     0, 10, 14, 20, 28, 38, 53, 74, 102, 142, 198, 276, 384, 535, 745, 1038, 1446, 2014, 2806, 3909,
     5446, 7587, 10570, 14726, 20516, 28581, 39818, 55474, 77284, 107669, 150000,
 ];

@@ -14,23 +14,22 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use phy::scrambling::GoldSequence;
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 use std::collections::{BTreeMap, VecDeque};
 use telemetry::Telemetry;
 
 /// PDCP sequence-number length in bits (this implementation fixes the
 /// 12-bit DRB variant; 18-bit exists in the spec for high-rate bearers).
-pub const SN_BITS: u32 = 12;
+pub(crate) const SN_BITS: u32 = 12;
 
 /// Sequence numbers per HFN increment.
-pub const SN_MODULUS: u32 = 1 << SN_BITS;
+pub(crate) const SN_MODULUS: u32 = 1 << SN_BITS;
 
 /// Half the SN space — the reordering window.
-pub const WINDOW: u32 = SN_MODULUS / 2;
+pub(crate) const WINDOW: u32 = SN_MODULUS / 2;
 
 /// Link direction, an input to the cipher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// UE → gNB.
     Uplink,
@@ -39,7 +38,7 @@ pub enum Direction {
 }
 
 /// Static PDCP entity configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PdcpConfig {
     /// Ciphering key (128-bit keys in the real system; 64 bits suffice for
     /// the stand-in keystream).
@@ -58,7 +57,7 @@ impl PdcpConfig {
 }
 
 /// Errors from PDCP receive processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PdcpError {
     /// PDU shorter than the 2-byte header.
     Truncated,
@@ -207,11 +206,6 @@ impl PdcpEntity {
     /// Attaches a telemetry handle (PDU counters under `pdcp/*`).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
-    }
-
-    /// The entity configuration.
-    pub fn config(&self) -> &PdcpConfig {
-        &self.config
     }
 
     /// COUNT the next transmitted SDU will carry.
@@ -380,7 +374,7 @@ impl PdcpEntity {
     /// enqueue, each drop is a permanent SN gap; the receiver recovers via
     /// its reordering flush. Memory stays bounded as a corollary: no SDU
     /// dwells in the queue longer than the timer.
-    pub fn expire_discards(&mut self, now: Instant) -> u64 {
+    pub(crate) fn expire_discards(&mut self, now: Instant) -> u64 {
         let before = self.tx_queue.len();
         self.tx_queue.retain(|(_, deadline, _)| match deadline {
             Some(d) => *d > now,

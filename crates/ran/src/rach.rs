@@ -3,8 +3,9 @@
 //! When a UE has no grant and its SR budget is exhausted (`sr-TransMax`,
 //! see [`crate::sr`]), it falls back to contention-based random access:
 //!
-//! 1. **Msg1** — a Zadoff–Chu preamble (see `urllc-phy`'s `prach`) picked
-//!    uniformly from the pool, on the next PRACH occasion;
+//! 1. **Msg1** — a preamble picked uniformly from the pool, on the next
+//!    PRACH occasion (modelled as its index: the Zadoff–Chu sequences of
+//!    `urllc-phy`'s `prach` are not on this path);
 //! 2. **Msg2** — the random-access response with an UL grant;
 //! 3. **Msg3** — the identified request on that grant;
 //! 4. **Msg4** — contention resolution: if two UEs picked the same
@@ -17,11 +18,10 @@
 //! fast that cliff approaches as the population grows.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use sim::{Dist, Duration, Instant, LatencyRecorder, SimRng};
 
 /// RACH configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RachConfig {
     /// Spacing of PRACH occasions (typically 10 ms frames, denser for
     /// low-latency configurations).
@@ -57,7 +57,7 @@ impl Default for RachConfig {
 impl RachConfig {
     /// Latency of one collision-free procedure starting from `trigger`:
     /// wait for the occasion, then the three response steps.
-    pub fn uncontended_latency(&self, trigger: Instant) -> Duration {
+    pub(crate) fn uncontended_latency(&self, trigger: Instant) -> Duration {
         let occasion = trigger.ceil_to(self.occasion_period);
         (occasion - trigger) + self.response_delay + self.msg3_delay + self.msg4_delay
     }
@@ -71,7 +71,7 @@ impl RachConfig {
     /// last collides, each loser waits a full occasion period, learns of
     /// the collision only at Msg4, and draws the maximum backoff. Upper
     /// bound on every latency [`recovery_latency`] can return.
-    pub fn contended_worst_case(&self) -> Duration {
+    pub(crate) fn contended_worst_case(&self) -> Duration {
         let steps = self.response_delay + self.msg3_delay + self.msg4_delay;
         let attempts = u64::from(self.max_attempts.max(1));
         (self.occasion_period + steps) * attempts + self.max_backoff * (attempts - 1)
@@ -117,7 +117,7 @@ pub fn recovery_latency(
 }
 
 /// Result of a contention simulation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ContentionStats {
     /// UEs that completed random access within the attempt budget.
     pub succeeded: u64,

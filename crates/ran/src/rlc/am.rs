@@ -18,19 +18,18 @@
 //! ```
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 use super::RlcError;
 
 /// AM sequence-number modulus (12-bit).
-pub const AM_SN_MODULUS: u32 = 4096;
+pub(crate) const AM_SN_MODULUS: u32 = 4096;
 
 /// Half the SN space — the AM window.
-pub const AM_WINDOW: u32 = AM_SN_MODULUS / 2;
+pub(crate) const AM_WINDOW: u32 = AM_SN_MODULUS / 2;
 
 /// AM entity configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AmConfig {
     /// Maximum retransmissions per SDU before it is abandoned
     /// (`maxRetxThreshold`).
@@ -46,7 +45,7 @@ impl Default for AmConfig {
 }
 
 /// A decoded status PDU.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatusPdu {
     /// SN of the next PDU the receiver has *not* fully received (all SNs
     /// below it, other than the NACKed ones, are acknowledged).

@@ -17,25 +17,14 @@
 //! machinery worth modelling here.
 
 pub mod am;
-pub mod um;
+pub(crate) mod um;
 
 pub use am::{AmConfig, RlcAmEntity, StatusPdu};
 pub use um::RlcUmEntity;
 
-use serde::{Deserialize, Serialize};
-
-/// Which RLC mode a bearer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RlcMode {
-    /// Unacknowledged Mode.
-    Um,
-    /// Acknowledged Mode.
-    Am,
-}
-
 /// Segmentation Info — position of a PDU's payload within its SDU
 /// (TS 38.322 §6.2.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentInfo {
     /// The whole SDU.
     Full,
@@ -49,7 +38,7 @@ pub enum SegmentInfo {
 
 impl SegmentInfo {
     /// The 2-bit wire encoding (00 full, 01 first, 11 middle, 10 last).
-    pub fn to_bits(self) -> u8 {
+    pub(crate) fn to_bits(self) -> u8 {
         match self {
             SegmentInfo::Full => 0b00,
             SegmentInfo::First => 0b01,
@@ -59,7 +48,7 @@ impl SegmentInfo {
     }
 
     /// Decodes the 2-bit field.
-    pub fn from_bits(bits: u8) -> SegmentInfo {
+    pub(crate) fn from_bits(bits: u8) -> SegmentInfo {
         match bits & 0b11 {
             0b00 => SegmentInfo::Full,
             0b01 => SegmentInfo::First,
@@ -75,7 +64,7 @@ impl SegmentInfo {
 }
 
 /// Errors common to both RLC modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RlcError {
     /// PDU too short for its declared header.
     Truncated,

@@ -21,7 +21,7 @@ use telemetry::Telemetry;
 use super::{RlcError, SegmentInfo};
 
 /// UM sequence-number modulus (6-bit).
-pub const UM_SN_MODULUS: u8 = 64;
+pub(crate) const UM_SN_MODULUS: u8 = 64;
 
 #[derive(Debug, Clone)]
 struct InFlight {

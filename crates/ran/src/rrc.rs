@@ -26,14 +26,13 @@
 //! Everything here is deterministic given the RNG stream handed in: with
 //! one contending UE the RACH step consumes no draws at all.
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant, SimRng};
 use telemetry::Telemetry;
 
 use crate::rach::{self, RachConfig};
 
 /// Re-establishment policy and timing constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RrcConfig {
     /// Max-retx indication → RLF declaration (the T310-style guard that
     /// keeps one bad status report from triggering a full re-access).
@@ -60,7 +59,7 @@ impl Default for RrcConfig {
 }
 
 /// RRC connection state, as far as recovery is concerned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RrcState {
     /// Normal operation.
     Connected,
@@ -72,7 +71,7 @@ pub enum RrcState {
 }
 
 /// The per-step latency ledger of one recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryTimeline {
     /// Max-retx indication → RLF declared.
     pub detect: Duration,
@@ -119,16 +118,6 @@ impl RrcEntity {
     /// Attaches a telemetry handle (`rrc/*` recovery metrics).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
-    }
-
-    /// The re-establishment policy.
-    pub fn config(&self) -> &RrcConfig {
-        &self.config
-    }
-
-    /// The RACH configuration used for re-access.
-    pub fn rach_config(&self) -> &RachConfig {
-        &self.rach
     }
 
     /// Current connection state.
@@ -218,7 +207,7 @@ impl RrcEntity {
 /// instant the UE detaches from the source) → contention-free RACH to the
 /// target (dedicated preamble, supervised by `t304`) →
 /// `RRCReconfigurationComplete` (`complete_processing`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandoverConfig {
     /// A3 offset: the neighbour must beat the serving cell by this many
     /// dB before the entering condition holds.
@@ -278,14 +267,14 @@ pub struct A3Trigger {
 
 impl A3Trigger {
     /// A fresh (disarmed-condition, armed-trigger) tracker.
-    pub fn new(hysteresis_db: f64, time_to_trigger: Duration) -> A3Trigger {
+    pub(crate) fn new(hysteresis_db: f64, time_to_trigger: Duration) -> A3Trigger {
         A3Trigger { hysteresis_db, time_to_trigger, entered_at: None, fired: false }
     }
 
     /// Feeds one measurement sample. Returns `true` exactly once, when the
     /// entering condition has been sustained for the time-to-trigger;
     /// leaving the condition before that re-arms the window.
-    pub fn observe(&mut self, at: Instant, serving_dbm: f64, neighbour_dbm: f64) -> bool {
+    pub(crate) fn observe(&mut self, at: Instant, serving_dbm: f64, neighbour_dbm: f64) -> bool {
         if self.fired {
             return false;
         }
@@ -307,14 +296,14 @@ impl A3Trigger {
     }
 
     /// Re-arms the tracker (after the handover completes or fails).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.entered_at = None;
         self.fired = false;
     }
 }
 
 /// The per-leg latency ledger of one fault-free handover execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandoverTimeline {
     /// Measurement report sent → received/processed at the serving gNB.
     pub report: Duration,

@@ -48,7 +48,6 @@
 //! The default policy ([`PolicySpec::Fcfs`]) orders nothing, backs nothing
 //! and budgets nothing, reproducing the pre-policy scheduler byte-for-byte.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 use phy::duplex::{Duplex, SlotTiming, TxOpportunity};
@@ -58,7 +57,7 @@ use sim::{Duration, Instant};
 pub type Rnti = u16;
 
 /// How the uplink is accessed (paper §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessMode {
     /// SR → grant → data: scales to many UEs, pays the handshake latency.
     GrantBased,
@@ -69,7 +68,7 @@ pub enum AccessMode {
 
 /// The network slice a request belongs to (service-type slicing per the §1
 /// coexistence literature).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Slice {
     /// Ultra-reliable low-latency traffic.
     Urllc,
@@ -92,7 +91,7 @@ impl Slice {
     /// SimURLLC's per-slice utilization threshold: the factor by which a
     /// slice's nominal share may be over-booked before the budget clamps
     /// (URLLC runs the tightest margin; mMTC the loosest).
-    pub fn utilization_threshold(self) -> f64 {
+    pub(crate) fn utilization_threshold(self) -> f64 {
         match self {
             Slice::Urllc => 1.2,
             Slice::Embb => 1.5,
@@ -113,7 +112,7 @@ impl Slice {
 /// Per-request metadata the policies order by. The default tag (priority 0,
 /// no deadline, URLLC slice) reproduces untagged behavior under every
 /// non-slicing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestTag {
     /// Priority class, 0 = highest (URLLC).
     pub priority: u8,
@@ -149,7 +148,7 @@ pub struct SchedItem {
 
 /// An emergency URLLC surge window (SimURLLC's emergency events): while
 /// active, the URLLC slice budget is multiplied by `magnitude`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmergencyBurst {
     /// Window start.
     pub start: Instant,
@@ -176,7 +175,7 @@ impl EmergencyBurst {
 /// are `share × utilization_threshold × slot capacity` (clamped to the slot
 /// capacity), with the URLLC budget further scaled during an emergency
 /// burst.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SliceShares {
     /// URLLC nominal share of the DL slot (0.0–1.0).
     pub urllc: f64,
@@ -198,7 +197,7 @@ impl SliceShares {
 /// Serializable, comparable description of a scheduling policy — the value
 /// every config carries; [`PolicySpec::build`] turns it into the live
 /// [`Policy`] a scheduler runs.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// First-come-first-served: pure arrival order, no hooks. The default,
     /// byte-identical to the pre-policy scheduler.
@@ -305,7 +304,7 @@ impl Policy {
     }
 
     /// Whether this policy has a preemption mechanism at all.
-    pub fn preemptive(&self) -> bool {
+    pub(crate) fn preemptive(&self) -> bool {
         matches!(
             self.spec,
             PolicySpec::PreemptivePriority { .. } | PolicySpec::HybridEdfPreemptive { .. }
@@ -346,7 +345,7 @@ impl Policy {
 // ---- Scheduler configuration ----------------------------------------------
 
 /// Scheduler configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
     /// The duplexing scheme (slot pattern).
     pub duplex: Duplex,
@@ -415,7 +414,7 @@ impl SchedulerConfig {
 }
 
 /// An uplink grant issued in response to an SR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UlGrant {
     /// The UE being granted.
     pub rnti: Rnti,
@@ -429,7 +428,7 @@ pub struct UlGrant {
 }
 
 /// A downlink assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DlAssignment {
     /// The destination UE.
     pub rnti: Rnti,

@@ -7,15 +7,14 @@
 //! Table 2.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
 
 /// A QoS Flow Identifier (0–63).
-pub type Qfi = u8;
+pub(crate) type Qfi = u8;
 
 /// A Data Radio Bearer identifier.
-pub type DrbId = u8;
+pub(crate) type DrbId = u8;
 
 /// The one-byte SDAP header.
 ///
@@ -23,7 +22,7 @@ pub type DrbId = u8;
 /// `| RDI(1) | RQI(1) | QFI(6) |`. Uplink uses `| DC(1) | R(1) | QFI(6) |`;
 /// we carry the two flag bits uniformly and let direction give them
 /// meaning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdapHeader {
     /// First flag bit (RDI on DL, D/C on UL).
     pub flag1: bool,
@@ -35,19 +34,19 @@ pub struct SdapHeader {
 
 impl SdapHeader {
     /// Encodes the header byte.
-    pub fn encode(self) -> u8 {
+    pub(crate) fn encode(self) -> u8 {
         assert!(self.qfi < 64, "QFI is 6 bits");
         (u8::from(self.flag1) << 7) | (u8::from(self.flag2) << 6) | self.qfi
     }
 
     /// Decodes a header byte.
-    pub fn decode(byte: u8) -> SdapHeader {
+    pub(crate) fn decode(byte: u8) -> SdapHeader {
         SdapHeader { flag1: byte & 0x80 != 0, flag2: byte & 0x40 != 0, qfi: byte & 0x3F }
     }
 }
 
 /// Errors from SDAP processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SdapError {
     /// No DRB is mapped for this QFI and no default bearer exists.
     NoBearer {
@@ -100,7 +99,7 @@ impl SdapEntity {
     }
 
     /// Looks up the bearer for a flow.
-    pub fn bearer_for(&self, qfi: Qfi) -> Result<DrbId, SdapError> {
+    pub(crate) fn bearer_for(&self, qfi: Qfi) -> Result<DrbId, SdapError> {
         self.mapping.get(&qfi).copied().or(self.default_drb).ok_or(SdapError::NoBearer { qfi })
     }
 

@@ -7,11 +7,10 @@
 //! to a per-UL-slot opportunity configuration. The SR-to-grant handshake is
 //! the protocol latency grant-free access eliminates (Fig 6a vs 6b).
 
-use serde::{Deserialize, Serialize};
 use sim::{Duration, Instant};
 
 /// SR opportunity configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SrOpportunities {
     /// An SR can ride any uplink portion (the paper's model: 1 bit,
     /// anywhere in a UL slot).
@@ -27,7 +26,7 @@ pub enum SrOpportunities {
 }
 
 /// SR procedure configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrConfig {
     /// Where SR opportunities occur.
     pub opportunities: SrOpportunities,
@@ -50,7 +49,7 @@ impl Default for SrConfig {
 }
 
 /// The SR state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SrState {
     /// No SR pending.
     Idle,
@@ -86,11 +85,6 @@ impl SrProcedure {
     /// Current state.
     pub fn state(&self) -> SrState {
         self.state
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SrConfig {
-        &self.config
     }
 
     /// New UL data with no grant available: trigger an SR (no-op if one is

@@ -15,11 +15,10 @@
 //! right-skewed service time — a fast common path plus OS-scheduling tails —
 //! which the log-normal family reproduces ([`sim::Dist::lognormal_us`]).
 
-use serde::{Deserialize, Serialize};
 use sim::{Dist, Duration, SimRng};
 
 /// Processing-time distributions for one node's layer stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerTimings {
     /// SDAP processing per packet.
     pub sdap: Dist,
@@ -62,7 +61,7 @@ impl LayerTimings {
 
     /// Deterministic timings (analytical cross-checks): every layer takes
     /// exactly `d`.
-    pub fn constant(d: Duration) -> LayerTimings {
+    pub(crate) fn constant(d: Duration) -> LayerTimings {
         let c = Dist::Constant(d);
         LayerTimings { sdap: c.clone(), pdcp: c.clone(), rlc: c.clone(), mac: c.clone(), phy: c }
     }

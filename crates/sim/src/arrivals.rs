@@ -26,15 +26,13 @@
 //! event queue; [`ArrivalCursor`] is the pull form for slot-driven engines,
 //! which only ever ask "what has arrived by this slot start?".
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::Dist;
 use crate::rng::SimRng;
 use crate::time::{Duration, Instant};
 
 /// An open-loop arrival process (packets per unit time, as mean
 /// inter-arrival durations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: exponential inter-arrival times with the given
     /// mean.
@@ -137,11 +135,6 @@ impl ArrivalGen {
         ArrivalGen { process, rng, now: Instant::ZERO, bursting, state_until }
     }
 
-    /// The process this generator draws from.
-    pub fn process(&self) -> &ArrivalProcess {
-        &self.process
-    }
-
     /// The next arrival instant (strictly after the previous one).
     pub fn next_arrival(&mut self) -> Instant {
         match self.process {
@@ -167,18 +160,6 @@ impl ArrivalGen {
                     self.state_until = self.now + exp_sample(dwell, &mut self.rng);
                 }
             }
-        }
-    }
-
-    /// All arrivals up to `horizon` (exclusive), in order.
-    pub fn take_until(&mut self, horizon: Instant) -> Vec<Instant> {
-        let mut out = Vec::new();
-        loop {
-            let t = self.next_arrival();
-            if t >= horizon {
-                return out;
-            }
-            out.push(t);
         }
     }
 }
@@ -354,17 +335,5 @@ mod tests {
                 prev = t;
             }
         }
-    }
-
-    #[test]
-    fn take_until_respects_horizon() {
-        let mut g =
-            ArrivalGen::new(ArrivalProcess::poisson_pps(1_000.0), SimRng::from_seed(4).stream("x"));
-        let horizon = Instant::from_micros(500_000);
-        let arrivals = g.take_until(horizon);
-        assert!(!arrivals.is_empty());
-        assert!(arrivals.iter().all(|&t| t < horizon));
-        // Roughly rate × span.
-        assert!((arrivals.len() as f64 - 500.0).abs() < 120.0, "{}", arrivals.len());
     }
 }

@@ -8,13 +8,12 @@
 //! the default model for every processing stage in the workspace.
 
 use rand_distr::{Distribution, Exp, Gamma, LogNormal};
-use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
 use crate::time::Duration;
 
 /// A distribution over non-negative time spans.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Dist {
     /// Always exactly this value (deterministic hardware pipelines).
     Constant(Duration),
@@ -126,25 +125,6 @@ fn lognormal_params(mean: f64, std: f64) -> (f64, f64) {
     let sigma2 = (1.0 + cv2).ln();
     let mu = mean.ln() - sigma2 / 2.0;
     (mu, sigma2.sqrt())
-}
-
-/// Convenience alias: a named processing stage with a latency distribution.
-///
-/// Used by the RAN and radio crates to describe per-layer service times in
-/// configuration structs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServiceTime {
-    /// Stage name as it should appear in reports (e.g. `"PDCP"`).
-    pub name: String,
-    /// Latency distribution of the stage.
-    pub dist: Dist,
-}
-
-impl ServiceTime {
-    /// Creates a named service time.
-    pub fn new(name: impl Into<String>, dist: Dist) -> ServiceTime {
-        ServiceTime { name: name.into(), dist }
-    }
 }
 
 #[cfg(test)]

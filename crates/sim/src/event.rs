@@ -16,11 +16,11 @@ use crate::time::Instant;
 
 /// Priority used by [`EventQueue::push`]: the highest (events with larger
 /// priority values fire later within the same instant).
-pub const DEFAULT_EVENT_PRIO: u8 = 0;
+pub(crate) const DEFAULT_EVENT_PRIO: u8 = 0;
 
 /// An event plus the instant at which it fires.
 #[derive(Debug, Clone)]
-pub struct EventEntry<E> {
+pub(crate) struct EventEntry<E> {
     /// When the event fires.
     pub at: Instant,
     /// Same-instant tie-break class: lower priorities fire first.
@@ -128,17 +128,6 @@ impl<E> EventQueue<E> {
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
         Some((entry.at, entry.event))
-    }
-
-    /// Pops the earliest event only if it fires strictly before `limit` —
-    /// the batched-horizon drain helper: process everything due within a
-    /// window without disturbing later work.
-    pub fn pop_before(&mut self, limit: Instant) -> Option<(Instant, E)> {
-        if self.peek_time()? < limit {
-            self.pop()
-        } else {
-            None
-        }
     }
 
     /// Drains every pending event in deterministic fire order, advancing
@@ -280,17 +269,6 @@ mod tests {
         q.push(t + Duration::from_micros(15), "third");
         assert_eq!(q.pop().unwrap().1, "second");
         assert_eq!(q.pop().unwrap().1, "third");
-    }
-
-    #[test]
-    fn pop_before_respects_the_horizon() {
-        let mut q = EventQueue::new();
-        q.push(Instant::from_micros(5), "in");
-        q.push(Instant::from_micros(20), "out");
-        assert_eq!(q.pop_before(Instant::from_micros(10)).unwrap().1, "in");
-        assert_eq!(q.pop_before(Instant::from_micros(10)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "out");
     }
 
     #[test]

@@ -18,17 +18,15 @@
 //! bookkeeping ([`PingFaultTrace`]) attributes every late or lost packet
 //! to the fault that dominated it ([`FaultAttribution`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::Dist;
 use crate::rng::SimRng;
 use crate::time::Duration;
 
 /// Number of fault kinds (array sizing for tallies and traces).
-pub const FAULT_KINDS: usize = 11;
+pub(crate) const FAULT_KINDS: usize = 11;
 
 /// The injectable fault processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Gilbert–Elliott burst loss overlaid on the air interface.
     ChannelBurst,
@@ -64,7 +62,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// All kinds, in tally order.
-    pub const ALL: [FaultKind; FAULT_KINDS] = [
+    pub(crate) const ALL: [FaultKind; FAULT_KINDS] = [
         FaultKind::ChannelBurst,
         FaultKind::JitterStorm,
         FaultKind::SrLoss,
@@ -79,7 +77,7 @@ impl FaultKind {
     ];
 
     /// Stable index into tally/trace arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             FaultKind::ChannelBurst => 0,
             FaultKind::JitterStorm => 1,
@@ -115,7 +113,7 @@ impl FaultKind {
 
 /// Gilbert–Elliott burst-loss parameters: a two-state Markov chain with a
 /// per-packet loss probability in each state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// P(good → bad) per packet.
     pub p_enter_bad: f64,
@@ -129,7 +127,7 @@ pub struct GilbertElliott {
 
 impl GilbertElliott {
     /// Stationary probability of being in the bad state.
-    pub fn stationary_bad(&self) -> f64 {
+    pub(crate) fn stationary_bad(&self) -> f64 {
         if self.p_enter_bad <= 0.0 {
             return 0.0;
         }
@@ -159,11 +157,6 @@ impl GeChain {
         GeChain { params, bad: false, rng, steps: 0, losses: 0 }
     }
 
-    /// The chain parameters.
-    pub fn params(&self) -> &GilbertElliott {
-        &self.params
-    }
-
     /// Advances one packet; returns `true` when the packet is lost.
     pub fn step(&mut self) -> bool {
         self.steps += 1;
@@ -179,11 +172,6 @@ impl GeChain {
         lost
     }
 
-    /// Whether the chain is currently in the bad state.
-    pub fn is_bad(&self) -> bool {
-        self.bad
-    }
-
     /// Observed loss fraction so far.
     pub fn observed_loss(&self) -> f64 {
         if self.steps == 0 {
@@ -196,7 +184,7 @@ impl GeChain {
 
 /// A Markov-modulated delay storm: geometric dwell in a storming state that
 /// adds extra latency to every affected operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StormConfig {
     /// P(calm → storming) per sample.
     pub enter: f64,
@@ -216,13 +204,13 @@ pub struct StormChain {
 
 impl StormChain {
     /// Creates the chain in the calm state.
-    pub fn new(config: StormConfig, rng: SimRng) -> StormChain {
+    pub(crate) fn new(config: StormConfig, rng: SimRng) -> StormChain {
         StormChain { config, storming: false, rng }
     }
 
     /// Advances one operation; returns the extra delay it suffers
     /// (zero while calm).
-    pub fn sample(&mut self) -> Duration {
+    pub(crate) fn sample(&mut self) -> Duration {
         let p = if self.storming { self.config.stay } else { self.config.enter };
         self.storming = self.rng.chance(p);
         if self.storming {
@@ -239,7 +227,7 @@ impl StormChain {
 }
 
 /// An independent per-event delay spike.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpikeConfig {
     /// Probability a given traversal spikes.
     pub prob: f64,
@@ -248,7 +236,7 @@ pub struct SpikeConfig {
 }
 
 /// An independent per-event loss gate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossGate {
     /// Probability the event is lost/corrupted/withheld.
     pub prob: f64,
@@ -258,7 +246,7 @@ pub struct LossGate {
 /// backbone traversal. While down, the primary gNB↔UPF path forwards
 /// nothing (GTP-U echo probes included), so detection falls to the
 /// path supervisor rather than a per-packet loss coin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathFailureConfig {
     /// P(up → down) per traversal.
     pub enter: f64,
@@ -270,7 +258,7 @@ pub struct PathFailureConfig {
 /// each handover attempt (trigger, execution, completion, forwarding
 /// flush), so the process consumes draws only while a handover is in
 /// flight and never perturbs stationary traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandoverFaultConfig {
     /// P(RLF on the serving cell before the HO command lands) — the
     /// too-late handover of the mobility failure taxonomy.
@@ -288,7 +276,7 @@ pub struct HandoverFaultConfig {
 /// `None` disables a process entirely — it consumes no RNG draws, so a
 /// plan with all processes disabled reproduces the fault-free baseline
 /// byte for byte.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Burst loss overlaid on the air interface (both directions).
     pub channel_burst: Option<GilbertElliott>,
@@ -403,14 +391,14 @@ impl FaultPlan {
 }
 
 /// Per-kind event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultTally {
     counts: [u64; FAULT_KINDS],
 }
 
 impl FaultTally {
     /// Counts one event of `kind`.
-    pub fn count(&mut self, kind: FaultKind) {
+    pub(crate) fn count(&mut self, kind: FaultKind) {
         self.counts[kind.index()] += 1;
     }
 
@@ -425,7 +413,7 @@ impl FaultTally {
     }
 
     /// Adds another tally into this one (commutative — shard reduction).
-    pub fn merge(&mut self, other: &FaultTally) {
+    pub(crate) fn merge(&mut self, other: &FaultTally) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
         }
@@ -459,7 +447,7 @@ impl PingFaultTrace {
     }
 
     /// Whether no fault touched this ping.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.events.iter().all(|&e| e == 0)
     }
 
@@ -492,20 +480,9 @@ impl PingFaultTrace {
     }
 }
 
-/// How one ping ended, relative to its deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PingOutcome {
-    /// Delivered within the deadline.
-    OnTime,
-    /// Delivered, but past the deadline.
-    Late,
-    /// Never delivered (radio-link failure or access failure).
-    Lost,
-}
-
 /// Experiment-level attribution: per-outcome counts, split by the fault
 /// that dominated each ping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultAttribution {
     /// Pings delivered within the deadline.
     pub on_time: u64,

@@ -24,22 +24,21 @@
 //! traces, which is what lets the benchmark harness regenerate each figure
 //! of the paper exactly.
 
-pub mod arrivals;
-pub mod dist;
-pub mod event;
+pub(crate) mod arrivals;
+pub(crate) mod dist;
+pub(crate) mod event;
 pub mod faults;
 pub mod parallel;
-pub mod rng;
-pub mod stats;
-pub mod time;
+pub(crate) mod rng;
+pub(crate) mod stats;
+pub(crate) mod time;
 
 pub use arrivals::{ArrivalCursor, ArrivalGen, ArrivalProcess};
-pub use dist::{Dist, ServiceTime};
-pub use event::{EventEntry, EventQueue};
+pub use dist::Dist;
+pub use event::EventQueue;
 pub use faults::{
-    FaultAttribution, FaultInjector, FaultKind, FaultPlan, FaultTally, GeChain, GilbertElliott,
-    HandoverFaultConfig, LossGate, PathFailureConfig, PingFaultTrace, PingOutcome, SpikeConfig,
-    StormChain, StormConfig,
+    FaultAttribution, FaultInjector, FaultKind, FaultPlan, FaultTally, GilbertElliott,
+    HandoverFaultConfig, LossGate, PathFailureConfig, PingFaultTrace,
 };
 pub use rng::SimRng;
 pub use stats::{

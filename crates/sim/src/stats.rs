@@ -5,8 +5,6 @@
 //! (Fig 6), or a latency-vs-parameter series (Fig 5). This module provides
 //! the numerically careful primitives for all three.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Duration;
 
 /// Welford online mean/variance accumulator.
@@ -14,7 +12,7 @@ use crate::time::Duration;
 /// Numerically stable for long runs (naive sum-of-squares loses precision
 /// after ~10⁷ microsecond-scale samples, which a 5G latency sweep easily
 /// exceeds).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamingStats {
     n: u64,
     mean: f64,
@@ -40,7 +38,7 @@ impl StreamingStats {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
@@ -112,7 +110,7 @@ impl StreamingStats {
 /// Matches the presentation of the paper's Fig 6: x = one-way latency,
 /// y = probability per bin. Out-of-range samples are counted in saturated
 /// edge bins so that probabilities still sum to one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -152,7 +150,7 @@ impl Histogram {
     }
 
     /// Width of one bin.
-    pub fn bin_width(&self) -> f64 {
+    pub(crate) fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.bins.len() as f64
     }
 
@@ -215,7 +213,7 @@ impl Histogram {
 /// 10⁴–10⁶ samples) and buys exact percentiles — important because URLLC
 /// reliability statements are about the 99.999th percentile, where
 /// approximate sketches are least trustworthy.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyRecorder {
     samples_us: Vec<f64>,
     stats: StreamingStats,
@@ -377,7 +375,7 @@ impl LatencyRecorder {
 }
 
 /// A compact latency summary for reports and EXPERIMENTS.md tables.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,
@@ -405,7 +403,7 @@ const SUB_BUCKET_BITS: u32 = 4;
 /// identity of a concrete ping whose value landed there, so a quantile in
 /// an aggregate report can be traced back to a replayable exemplar in
 /// `results/tail_exemplars.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketExemplar {
     /// The recorded value (ns).
     pub value: u64,
@@ -432,7 +430,7 @@ impl BucketExemplar {
 /// regardless of sample count, which is what lets million-UE sweeps run in
 /// fixed memory (the telemetry registry and every scale experiment record
 /// through this type).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LogLinearHistogram {
     buckets: Vec<u64>,
     exemplars: Vec<Option<BucketExemplar>>,
@@ -609,7 +607,7 @@ impl LogLinearHistogram {
 
     /// Bytes retained by the bucket storage — constant once the value
     /// range has been seen, independent of how many samples were recorded.
-    pub fn mem_bytes(&self) -> usize {
+    pub(crate) fn mem_bytes(&self) -> usize {
         self.buckets.capacity() * std::mem::size_of::<u64>()
             + self.exemplars.capacity() * std::mem::size_of::<Option<BucketExemplar>>()
             + std::mem::size_of::<LogLinearHistogram>()
@@ -626,7 +624,7 @@ impl LogLinearHistogram {
 /// [`LogLinearHistogram`] with ≤ `1/`[`SUB_BUCKETS`] relative quantile
 /// error. Both modes expose the same recording/query surface, so engines
 /// are written once against `Recording` and callers pick the trade.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Recording {
     /// Every sample kept ([`LatencyRecorder`]): exact quantiles, memory
     /// grows linearly with the sample count.
@@ -667,11 +665,6 @@ impl Recording {
             Recording::Exact(r) => r.count(),
             Recording::Fixed(h) => h.count(),
         }
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
     }
 
     /// Merges another recording into this one (parallel sweeps).

@@ -10,14 +10,12 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of simulated time, in whole nanoseconds.
 ///
 /// Nanosecond resolution is fine enough for every quantity in the paper:
 /// the shortest OFDM symbol in FR2 (numerology 6) lasts ≈ 1.1 µs and USB
 /// transfer quanta are ≥ 125 µs frames / 125 ns microframe granularity.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration {
     nanos: u64,
 }
@@ -74,11 +72,6 @@ impl Duration {
         self.nanos as f64 / 1_000.0
     }
 
-    /// This duration in milliseconds, as a float (for statistics/plots).
-    pub fn as_millis_f64(self) -> f64 {
-        self.nanos as f64 / 1_000_000.0
-    }
-
     /// `true` when the duration is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.nanos == 0
@@ -128,7 +121,7 @@ impl Duration {
     }
 
     /// Returns the larger of `self` and `other`.
-    pub fn max(self, other: Duration) -> Duration {
+    pub(crate) fn max(self, other: Duration) -> Duration {
         if self >= other {
             self
         } else {
@@ -236,7 +229,7 @@ impl fmt::Display for Duration {
 
 /// A point in simulated time, measured in nanoseconds since the start of
 /// the simulation (time zero).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Instant {
     nanos: u64,
 }

@@ -18,13 +18,12 @@
 //!   read back from [`Scheduler::punctured_bytes`].
 
 use ran::sched::{AccessMode, PolicySpec, Scheduler, SchedulerConfig};
-use serde::Serialize;
 use sim::{Dist, Duration, EventQueue, Instant, LatencyRecorder, SimRng};
 
 use crate::config::StackConfig;
 
 /// One point of the coexistence sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CoexistencePoint {
     /// Fraction of each DL slot's capacity consumed by eMBB.
     pub embb_load: f64,

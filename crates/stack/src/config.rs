@@ -9,11 +9,10 @@ use phy::tdd::TddConfig;
 use radio::RadioHeadConfig;
 use ran::sched::{AccessMode, PolicySpec, SchedulerConfig};
 use ran::timing::LayerTimings;
-use serde::{Deserialize, Serialize};
 use sim::Duration;
 
 /// Full-system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackConfig {
     /// Duplexing scheme and slot pattern.
     pub duplex: Duplex,

@@ -21,7 +21,6 @@ use corenet::{plan_crossing, PathEvent, PathSupervisor};
 use radio::{RadioHead, TxRing};
 use ran::sched::{Rnti, Scheduler};
 use ran::RrcEntity;
-use serde::{Deserialize, Serialize};
 use sim::{
     Dist, Duration, EventQueue, FaultAttribution, FaultInjector, FaultKind, Instant,
     LatencyRecorder, PingFaultTrace, SimRng, StreamingStats, Summary,
@@ -39,7 +38,7 @@ use crate::pipeline::{dispatch, HopOutcome, PingCtx, PingEvent};
 use crate::stage_labels as labels;
 
 /// gNB-side per-layer statistics (Table 2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LayerStats {
     /// SDAP processing, µs.
     pub sdap: StreamingStats,
@@ -57,7 +56,7 @@ pub struct LayerStats {
 
 impl LayerStats {
     /// Welford-merges every per-layer accumulator (shard reduction).
-    pub fn merge(&mut self, other: &LayerStats) {
+    pub(crate) fn merge(&mut self, other: &LayerStats) {
         self.sdap.merge(&other.sdap);
         self.pdcp.merge(&other.pdcp);
         self.rlc.merge(&other.rlc);
@@ -71,7 +70,7 @@ impl LayerStats {
 /// its RLC AM retransmission budgets. The connection-recovery layer then
 /// attempts RRC re-establishment; `recovered` records whether the ping
 /// survived through the recovery detour instead of being dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RlfEvent {
     /// Which ping hit the failure.
     pub ping: u64,
@@ -84,9 +83,8 @@ pub struct RlfEvent {
     pub recovered: bool,
 }
 
-/// The output of a ping experiment (`Serialize`-only, like the traces it
-/// carries).
-#[derive(Debug, Clone, Default, Serialize)]
+/// The output of a ping experiment.
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentResult {
     /// One-way uplink latency (UE application → data network).
     pub ul: LatencyRecorder,
@@ -163,7 +161,7 @@ impl ExperimentResult {
     /// regardless of how many workers raced to produce them. `telemetry`
     /// is left untouched: the parallel runner summarises its absorbed sink
     /// once, after the fold.
-    pub fn merge(&mut self, other: ExperimentResult) {
+    pub(crate) fn merge(&mut self, other: ExperimentResult) {
         self.ul.merge(&other.ul);
         self.dl.merge(&other.dl);
         self.rtt.merge(&other.rtt);
@@ -319,12 +317,6 @@ impl PingExperiment {
         self.tel = tel;
     }
 
-    /// The attached telemetry handle (disabled unless
-    /// [`attach_telemetry`](Self::attach_telemetry) ran).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
     /// Attaches a host wall-time profiler: the event driver opens one
     /// scope per hop dispatch, keyed by [`crate::HopId::name`]. The
     /// profiler reads only the host clock — no RNG draws, no sim time —
@@ -343,7 +335,7 @@ impl PingExperiment {
     /// Runs `n` pings, one per `spacing`, each arriving uniformly within
     /// the pattern period (§7: "packets are uniformly generated within the
     /// pattern").
-    pub fn run_spaced(&mut self, n: u64, spacing: Duration) -> ExperimentResult {
+    pub(crate) fn run_spaced(&mut self, n: u64, spacing: Duration) -> ExperimentResult {
         self.run_span(0, n, spacing)
     }
 

@@ -71,7 +71,7 @@ pub struct SignalTrajectory {
 impl SignalTrajectory {
     /// Two cells 200 m apart, the UE shuttling 20 m–180 m — each leg
     /// crosses the cell border once, so every leg demands one handover.
-    pub fn intercell(speed_mps: f64) -> SignalTrajectory {
+    pub(crate) fn intercell(speed_mps: f64) -> SignalTrajectory {
         SignalTrajectory {
             speed_mps,
             cell_spacing_m: 200.0,
@@ -82,13 +82,13 @@ impl SignalTrajectory {
     }
 
     /// Simulated time of one full leg (lo → hi or back).
-    pub fn leg_duration(&self) -> Duration {
+    pub(crate) fn leg_duration(&self) -> Duration {
         Duration::from_micros(((self.hi_m - self.lo_m) / self.speed_mps * 1e6) as u64)
     }
 
     /// UE position at `at`, metres from cell 0: a triangle wave starting
     /// at `lo_m` moving outward.
-    pub fn position_m(&self, at: Instant) -> f64 {
+    pub(crate) fn position_m(&self, at: Instant) -> f64 {
         let span = self.hi_m - self.lo_m;
         let travelled = self.speed_mps * at.as_nanos() as f64 * 1e-9;
         let phase = travelled % (2.0 * span);
@@ -98,7 +98,7 @@ impl SignalTrajectory {
     /// RSRP from `cell` (0 or 1) at `at`: log-distance pathloss
     /// `PL = 128.1 + 37.6·log10(d_km)` (the 3GPP macro model), distance
     /// floored at 10 m.
-    pub fn rsrp_dbm(&self, cell: usize, at: Instant) -> f64 {
+    pub(crate) fn rsrp_dbm(&self, cell: usize, at: Instant) -> f64 {
         let cell_m = if cell == 0 { 0.0 } else { self.cell_spacing_m };
         let d_km = ((self.position_m(at) - cell_m).abs().max(10.0)) / 1000.0;
         self.tx_power_dbm - (128.1 + 37.6 * d_km.log10())

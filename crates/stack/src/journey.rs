@@ -1,14 +1,13 @@
 //! Per-stage latency traces: the paper's Fig 2 (journey steps) and Fig 3
 //! (temporal breakdown), as data.
 
-use serde::Serialize;
 use sim::{Duration, Instant};
 
 /// One stage of a packet's journey, with its time span.
 ///
-/// (`Serialize`-only: labels are `&'static str` drawn from the Fig 3
-/// vocabulary, so traces are emitted to reports but never read back.)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// (Labels are `&'static str` drawn from the Fig 3 vocabulary, so traces
+/// are emitted to reports but never read back.)
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSpan {
     /// Stage label, using the paper's Fig 3 vocabulary (`APP↓`, `SR wait`,
     /// `SCHE`, `↑MAC↓`, `MAC↑`, `SDAP↓`, `PHY↑`, `Radio`, ...).
@@ -31,7 +30,7 @@ thread_local! {
 /// The experiment driver folds the tally into the `journey/span_inverted`
 /// telemetry counter per ping, so a fault-path inversion degrades one trace
 /// instead of aborting an entire release sweep.
-pub fn take_inverted_spans() -> u64 {
+pub(crate) fn take_inverted_spans() -> u64 {
     INVERTED_SPANS.with(|c| c.replace(0))
 }
 
@@ -40,7 +39,7 @@ impl StageSpan {
     /// fault/recovery path can produce) is clamped to zero width at `start`
     /// and tallied for the `journey/span_inverted` telemetry counter rather
     /// than panicking.
-    pub fn new(label: &'static str, start: Instant, end: Instant) -> StageSpan {
+    pub(crate) fn new(label: &'static str, start: Instant, end: Instant) -> StageSpan {
         if end < start {
             INVERTED_SPANS.with(|c| c.set(c.get() + 1));
             return StageSpan { label, start, end: start };
@@ -55,7 +54,7 @@ impl StageSpan {
 }
 
 /// The full trace of one ping round trip.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PingTrace {
     /// Ping identifier.
     pub id: u64,
@@ -72,12 +71,12 @@ impl PingTrace {
     }
 
     /// Total uplink latency (first stage start to last stage end).
-    pub fn ul_latency(&self) -> Duration {
+    pub(crate) fn ul_latency(&self) -> Duration {
         span_total(&self.ul)
     }
 
     /// Total downlink latency.
-    pub fn dl_latency(&self) -> Duration {
+    pub(crate) fn dl_latency(&self) -> Duration {
         span_total(&self.dl)
     }
 

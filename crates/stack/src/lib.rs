@@ -30,40 +30,33 @@
 //! * [`coexistence`] — URLLC sharing the downlink with eMBB: queueing vs
 //!   preemption (the §1 coexistence literature, on this stack).
 
-pub mod coexistence;
-pub mod config;
-pub mod experiment;
-pub mod handover;
-pub mod journey;
-pub mod multi_ue;
-pub mod multicell;
-pub mod node;
+pub(crate) mod coexistence;
+pub(crate) mod config;
+pub(crate) mod experiment;
+pub(crate) mod handover;
+pub(crate) mod journey;
+pub(crate) mod multi_ue;
+pub(crate) mod multicell;
+pub(crate) mod node;
 pub mod overload;
-pub mod pipeline;
+pub(crate) mod pipeline;
 pub mod schedlab;
 pub mod stage_labels;
 
-pub use coexistence::{coexistence_sweep, CoexistencePoint};
+pub use coexistence::coexistence_sweep;
 pub use config::StackConfig;
 pub use experiment::{
     run_parallel, run_parallel_opts, run_parallel_profiled, run_parallel_workers, ExperimentResult,
-    PingExperiment, RlfEvent, BATCH_PINGS,
+    PingExperiment, BATCH_PINGS,
 };
-pub use handover::{
-    run_mobility, run_mobility_profiled, MobilityConfig, MobilityReport, SignalTrajectory,
-};
+pub use handover::{run_mobility, run_mobility_profiled, MobilityConfig, MobilityReport};
 pub use journey::{PingTrace, StageSpan};
-pub use multi_ue::{run_multi_ue, scalability_sweep, MultiUeConfig, MultiUeResult};
-pub use multicell::{
-    run_multicell, CellConfig, CellReport, ClassReport, MulticellConfig, MulticellReport, UeClass,
-};
-pub use node::{GnbStack, StackError, UeStack};
+pub use multi_ue::{run_multi_ue, scalability_sweep, MultiUeConfig};
+pub use multicell::{run_multicell, CellReport, MulticellConfig, MulticellReport};
+pub use node::{GnbStack, UeStack};
 pub use overload::{
-    run_overload, run_overload_profiled, service_capacity_pps, DegradationLevel, DropCounts,
-    DropReason, NullHook, OverloadConfig, OverloadReport, SloHook,
+    run_overload, run_overload_profiled, service_capacity_pps, DegradationLevel, DropReason,
+    NullHook, OverloadConfig, OverloadReport,
 };
-pub use pipeline::{HopId, PingEvent};
-pub use schedlab::{
-    run_sched_lab, LabClass, LabClassReport, LabMix, LabPointReport, PreemptionBoundModel,
-    SchedLabConfig,
-};
+pub use pipeline::HopId;
+pub use schedlab::{run_sched_lab, SchedLabConfig};

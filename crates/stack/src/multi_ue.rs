@@ -19,7 +19,6 @@
 //!   noticeably").
 
 use ran::sched::{AccessMode, Rnti, Scheduler, SchedulerConfig};
-use serde::Serialize;
 use sim::{Dist, Duration, EventQueue, Instant, Recording, SimRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -62,7 +61,7 @@ impl MultiUeConfig {
 }
 
 /// Result of a scalability run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MultiUeResult {
     /// UE population.
     pub n_ues: usize,

@@ -49,14 +49,13 @@
 //! reduction (index order) is byte-identical at any worker count.
 
 use ran::sched::{PolicySpec, RequestTag, Rnti, SchedItem, Slice};
-use serde::Serialize;
 use sim::{ArrivalCursor, Dist, Duration, Instant, Recording, SimRng};
 
 use crate::config::StackConfig;
 use crate::node::StackError;
 
 /// One homogeneous slice of a cell's UE population.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UeClass {
     /// Label carried into the report and CSV (e.g. `"urllc"`).
     pub name: &'static str,
@@ -73,15 +72,8 @@ pub struct UeClass {
     pub deadline: Duration,
 }
 
-impl UeClass {
-    /// Aggregate packet arrival rate of the whole class (packets/s).
-    pub fn aggregate_pps(&self) -> f64 {
-        self.count as f64 / (self.mean_interval.as_micros_f64() / 1e6)
-    }
-}
-
 /// One gNB and its population mix.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CellConfig {
     /// The population served by this cell, in any order (the engine sorts
     /// by priority).
@@ -90,7 +82,7 @@ pub struct CellConfig {
 
 impl CellConfig {
     /// Total attached UEs.
-    pub fn n_ues(&self) -> u64 {
+    pub(crate) fn n_ues(&self) -> u64 {
         self.classes.iter().map(|c| c.count).sum()
     }
 }
@@ -192,26 +184,14 @@ pub(crate) fn slice_of(priority: u8) -> Slice {
 /// Mean downlink capacity in bytes/s under the configured duplex pattern.
 pub(crate) fn dl_capacity_bytes_per_sec(stack: &StackConfig) -> f64 {
     let slot_s = stack.duplex.slot_duration().as_micros_f64() / 1e6;
-    // Count DL-capable slots over one pattern period by walking real
-    // opportunities (works for FDD and any TDD pattern).
     let period = stack.duplex.pattern_period();
     let period_slots = (period.as_nanos() / stack.duplex.slot_duration().as_nanos()).max(1);
-    let mut dl_slots = 0u64;
-    let mut at = Instant::ZERO;
-    loop {
-        let op = stack.duplex.next_dl_opportunity(at);
-        if op.slot >= period_slots {
-            break;
-        }
-        dl_slots += 1;
-        at = stack.duplex.slot_start(op.slot + 1);
-    }
-    let dl_frac = dl_slots as f64 / period_slots as f64;
+    let dl_frac = stack.duplex.dl_slots_per_period() as f64 / period_slots as f64;
     stack.slot_capacity_bytes() as f64 * dl_frac / slot_s
 }
 
 /// Per-class outcome within one cell.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassReport {
     /// Class label (from [`UeClass::name`]).
     pub name: &'static str,
@@ -242,7 +222,7 @@ impl ClassReport {
 }
 
 /// One cell's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellReport {
     /// Cell index (shard index).
     pub cell: usize,
@@ -292,13 +272,13 @@ impl CellReport {
 
     /// Bytes held by this report's recordings — the fixed-memory
     /// assertion hook (everything else in the report is scalar).
-    pub fn recording_mem_bytes(&self) -> usize {
+    pub(crate) fn recording_mem_bytes(&self) -> usize {
         self.classes.iter().map(|c| c.latency.mem_bytes()).sum()
     }
 }
 
 /// The whole topology's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MulticellReport {
     /// One report per cell, in cell order.
     pub cells: Vec<CellReport>,

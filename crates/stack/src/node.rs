@@ -17,18 +17,17 @@ use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::RlcUmEntity;
 use ran::sched::Rnti;
 use ran::sdap::SdapEntity;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
 
 /// The QFI used for ping traffic (9 = default internet QoS flow).
-pub const PING_QFI: u8 = 9;
+pub(crate) const PING_QFI: u8 = 9;
 
 /// The DRB / logical channel carrying it.
-pub const PING_LCID: u8 = 1;
+pub(crate) const PING_LCID: u8 = 1;
 
 /// Errors surfaced by the composed stacks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StackError {
     /// SDAP failure.
     Sdap(String),
@@ -112,7 +111,7 @@ impl UeStack {
     }
 
     /// Attaches a telemetry handle, propagating it to every layer entity.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, tel: Telemetry) {
         self.sdap.set_telemetry(tel.clone());
         self.pdcp.set_telemetry(tel.clone());
         self.rlc.set_telemetry(tel);
@@ -215,17 +214,17 @@ impl UeStack {
 
     /// Modulates an uplink MAC PDU to IQ samples, borrowed from the
     /// channel's buffer until the next call.
-    pub fn phy_encode(&mut self, mac_pdu: &Bytes) -> &[Iq] {
+    pub(crate) fn phy_encode(&mut self, mac_pdu: &Bytes) -> &[Iq] {
         self.ul.encode(mac_pdu).0
     }
 
     /// Demodulates downlink samples to a MAC PDU.
-    pub fn phy_decode(&mut self, samples: &[Iq]) -> Result<Bytes, StackError> {
+    pub(crate) fn phy_decode(&mut self, samples: &[Iq]) -> Result<Bytes, StackError> {
         phy_decode(&mut self.dl, samples)
     }
 
     /// Number of IQ samples an uplink MAC PDU of `bytes` bytes produces.
-    pub fn phy_sample_count(&self, bytes: usize) -> usize {
+    pub(crate) fn phy_sample_count(&self, bytes: usize) -> usize {
         transport::sample_count(self.ul.config(), bytes)
     }
 }
@@ -253,10 +252,8 @@ struct UeContext {
 pub struct GnbStack {
     contexts: BTreeMap<Rnti, UeContext>,
     upf: Upf,
-    /// DL-TEID → RNTI routing, kept explicit so failover can re-anchor a
-    /// tunnel on a fresh TEID without breaking downlink delivery.
+    /// DL-TEID → RNTI routing.
     dl_routes: BTreeMap<u32, Rnti>,
-    next_dl_teid: u32,
     tel: Telemetry,
 }
 
@@ -273,14 +270,13 @@ impl GnbStack {
             contexts: BTreeMap::new(),
             upf: Upf::new(),
             dl_routes: BTreeMap::new(),
-            next_dl_teid: 0x1_0000,
             tel: Telemetry::disabled(),
         }
     }
 
     /// Attaches a telemetry handle, propagating it to the UPF and every
     /// attached UE's layer entities (kept for UEs attached later).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, tel: Telemetry) {
         self.upf.set_telemetry(tel.clone());
         for ctx in self.contexts.values_mut() {
             ctx.sdap.set_telemetry(tel.clone());
@@ -313,33 +309,8 @@ impl GnbStack {
     }
 
     /// Direct access to the embedded UPF (path supervision probes it).
-    pub fn upf_mut(&mut self) -> &mut Upf {
+    pub(crate) fn upf_mut(&mut self) -> &mut Upf {
         &mut self.upf
-    }
-
-    /// Re-anchors `ue_addr`'s tunnel on a fresh DL TEID after a path
-    /// failover: the UPF rebinds the session, the old route is torn down,
-    /// and downlink traffic flows over the new tunnel endpoint. Returns
-    /// the rebound session.
-    pub fn failover_session(&mut self, ue_addr: u32) -> Result<Session, StackError> {
-        let new_dl_teid = self.next_dl_teid;
-        self.next_dl_teid += 1;
-        let rebound = self
-            .upf
-            .rebind_session(ue_addr, new_dl_teid)
-            .map_err(|e| StackError::Core(e.to_string()))?;
-        let old_route = self
-            .dl_routes
-            .iter()
-            .find(|&(_, &r)| self.contexts.get(&r).is_some_and(|c| c.session.ue_addr == ue_addr));
-        let (&old_teid, &rnti) = old_route
-            .ok_or_else(|| StackError::Core(format!("no downlink route for UE {ue_addr}")))?;
-        self.dl_routes.remove(&old_teid);
-        self.dl_routes.insert(new_dl_teid, rnti);
-        if let Some(ctx) = self.contexts.get_mut(&rnti) {
-            ctx.session = rebound;
-        }
-        Ok(rebound)
     }
 
     fn ctx(&mut self, rnti: Rnti) -> Result<&mut UeContext, StackError> {
@@ -469,18 +440,18 @@ impl GnbStack {
 
     /// Modulates a downlink MAC PDU for `rnti` to IQ samples, borrowed from
     /// that UE's channel buffer until the next call.
-    pub fn phy_encode(&mut self, rnti: Rnti, mac_pdu: &Bytes) -> Result<&[Iq], StackError> {
+    pub(crate) fn phy_encode(&mut self, rnti: Rnti, mac_pdu: &Bytes) -> Result<&[Iq], StackError> {
         Ok(self.ctx(rnti)?.dl.encode(mac_pdu).0)
     }
 
     /// Demodulates uplink samples from `rnti` to a MAC PDU.
-    pub fn phy_decode(&mut self, rnti: Rnti, samples: &[Iq]) -> Result<Bytes, StackError> {
+    pub(crate) fn phy_decode(&mut self, rnti: Rnti, samples: &[Iq]) -> Result<Bytes, StackError> {
         phy_decode(&mut self.ctx(rnti)?.ul, samples)
     }
 
     /// Number of IQ samples a downlink MAC PDU of `bytes` bytes for `rnti`
     /// produces.
-    pub fn phy_sample_count(&self, rnti: Rnti, bytes: usize) -> Result<usize, StackError> {
+    pub(crate) fn phy_sample_count(&self, rnti: Rnti, bytes: usize) -> Result<usize, StackError> {
         let ctx = self.contexts.get(&rnti).ok_or(StackError::UnknownRnti(rnti))?;
         Ok(transport::sample_count(ctx.dl.config(), bytes))
     }
@@ -580,28 +551,6 @@ mod tests {
         assert!(out18.is_empty() || out18[0] != payload);
         // The right UE decodes fine.
         assert_eq!(ue17.decode_downlink(&mac_pdus[0]).unwrap(), vec![payload]);
-    }
-
-    #[test]
-    fn failover_reanchors_downlink_tunnel() {
-        let (mut ue, mut gnb) = attach_pair();
-        let deliver = |ue: &mut UeStack, pdus: &[Bytes]| -> Vec<Bytes> {
-            pdus.iter().flat_map(|p| ue.decode_downlink(p).unwrap()).collect()
-        };
-        let before = Bytes::from_static(b"before failover");
-        let (rnti, pdus) = gnb.encode_downlink(0x0A00_0001, &before, 256).unwrap();
-        assert_eq!(rnti, 17);
-        assert_eq!(deliver(&mut ue, &pdus), vec![before]);
-
-        let rebound = gnb.failover_session(0x0A00_0001).unwrap();
-        assert_eq!(rebound.dl_teid, 0x1_0000);
-        // Downlink still reaches the same UE over the new tunnel.
-        let after = Bytes::from_static(b"after failover");
-        let (rnti, pdus) = gnb.encode_downlink(0x0A00_0001, &after, 256).unwrap();
-        assert_eq!(rnti, 17);
-        assert_eq!(deliver(&mut ue, &pdus), vec![after]);
-        // Unknown UE still errors.
-        assert!(gnb.failover_session(0xDEAD).is_err());
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl OverloadConfig {
     }
 
     /// On-air bytes per URLLC packet: payload + PDCP header + RLC header.
-    pub fn packet_wire_bytes(&self) -> usize {
+    pub(crate) fn packet_wire_bytes(&self) -> usize {
         self.stack.payload_bytes + 2 + 1
     }
 }
@@ -213,17 +213,8 @@ impl OverloadConfig {
 pub fn service_capacity_pps(stack: &StackConfig, wire_bytes: usize) -> f64 {
     let per_slot = (stack.slot_capacity_bytes() / wire_bytes.max(1)) as f64;
     let period = stack.duplex.pattern_period();
-    let mut dl_slots = 0u32;
-    let mut at = Instant::ZERO;
-    while at < Instant::ZERO + period {
-        let op = stack.duplex.next_dl_opportunity(at);
-        if stack.duplex.slot_start(op.slot) >= Instant::ZERO + period {
-            break;
-        }
-        dl_slots += 1;
-        at = stack.duplex.slot_start(op.slot + 1);
-    }
-    f64::from(dl_slots) * per_slot / (period.as_micros_f64() / 1e6)
+    let dl_slots = stack.duplex.dl_slots_per_period() as f64;
+    dl_slots * per_slot / (period.as_micros_f64() / 1e6)
 }
 
 /// A transport block awaiting (re)transmission in the HARQ backlog.

@@ -49,7 +49,7 @@ use crate::stage_labels as labels;
 /// hop (see [`PingEvent::hop`]); the payload carries what the *next* hop
 /// needs and nothing more — everything else lives in the per-ping context.
 #[derive(Debug, Clone, Copy)]
-pub enum PingEvent {
+pub(crate) enum PingEvent {
     /// The application emits the request at `t0`.
     Arrival,
     /// The packet reached the UE RLC queue; decide how to get on the air.
@@ -168,7 +168,7 @@ pub enum HopId {
 }
 
 /// Number of hops in the walk.
-pub const HOP_COUNT: usize = HopId::UeRxUp as usize + 1;
+pub(crate) const HOP_COUNT: usize = HopId::UeRxUp as usize + 1;
 
 impl HopId {
     /// Every hop, in journey order (profiler coverage iterates this).
@@ -221,7 +221,7 @@ impl HopId {
 
 impl PingEvent {
     /// The hop consuming this event.
-    pub fn hop(&self) -> HopId {
+    pub(crate) fn hop(&self) -> HopId {
         match self {
             PingEvent::Arrival => HopId::AppDown,
             PingEvent::UlAccess => HopId::UlAccess,

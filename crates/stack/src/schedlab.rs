@@ -30,14 +30,13 @@ use std::collections::VecDeque;
 use ran::sched::{
     AccessMode, EmergencyBurst, PolicySpec, RequestTag, Rnti, Scheduler, SliceShares,
 };
-use serde::Serialize;
 use sim::{Dist, Duration, Instant, Recording, SimRng};
 
 use crate::config::StackConfig;
 use crate::multicell::{dl_capacity_bytes_per_sec, slice_of};
 
 /// One traffic class of a lab mix.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LabClass {
     /// Label carried into the report and CSV (e.g. `"urllc"`).
     pub name: &'static str,
@@ -53,7 +52,7 @@ pub struct LabClass {
 }
 
 /// A slice mix: the class population plus an optional URLLC surge.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LabMix {
     /// Label carried into the report and CSV (e.g. `"factory"`).
     pub name: &'static str,
@@ -181,7 +180,7 @@ impl SchedLabConfig {
 }
 
 /// Per-class outcome of one lab point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabClassReport {
     /// Class label.
     pub class: &'static str,
@@ -200,7 +199,7 @@ pub struct LabClassReport {
 }
 
 /// One (policy, load, mix) point of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabPointReport {
     /// Policy label ([`PolicySpec::name`]).
     pub policy: &'static str,

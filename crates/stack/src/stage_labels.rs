@@ -17,45 +17,45 @@
 //! rather than adding labels of their own.
 
 /// ① UE walks the request down APP→SDAP→PDCP→RLC.
-pub const APP_DOWN: &str = "APP↓";
+pub(crate) const APP_DOWN: &str = "APP↓";
 /// Waiting for the next reachable uplink opportunity.
-pub const WAIT_UL_SLOT: &str = "wait UL slot";
+pub(crate) const WAIT_UL_SLOT: &str = "wait UL slot";
 /// ② Scheduling request on PUCCH (one-symbol air time).
-pub const SR: &str = "SR";
+pub(crate) const SR: &str = "SR";
 /// ③ gNB decodes the SR (PHY + MAC).
-pub const SR_DECODE: &str = "SR decode";
+pub(crate) const SR_DECODE: &str = "SR decode";
 /// Four-step RACH fallback after sr-TransMax exhaustion.
-pub const RACH: &str = "RACH";
+pub(crate) const RACH: &str = "RACH";
 /// ④ Wait for the per-slot scheduling round.
-pub const SCHE: &str = "SCHE";
+pub(crate) const SCHE: &str = "SCHE";
 /// ⑤ UL grant DCI on the air (two-symbol CORESET).
-pub const UL_GRANT: &str = "UL grant";
+pub(crate) const UL_GRANT: &str = "UL grant";
 /// UE decodes the grant and prepares the transport block (MAC + PHY).
-pub const UE_PREP: &str = "UE prep";
+pub(crate) const UE_PREP: &str = "UE prep";
 /// ⑥ UL data transmission on the air.
-pub const UL_DATA: &str = "UL data";
+pub(crate) const UL_DATA: &str = "UL data";
 /// gNB radio front-end: RX chain + fronthaul bus (+ any jitter storm).
-pub const RADIO: &str = "radio";
+pub(crate) const RADIO: &str = "radio";
 /// ⑦ gNB receive walk: PHY, MAC↑, RLC, PDCP, SDAP.
-pub const MAC_UP: &str = "MAC↑";
+pub(crate) const MAC_UP: &str = "MAC↑";
 /// N3 backbone to the UPF and the data network.
-pub const UPF: &str = "UPF";
+pub(crate) const UPF: &str = "UPF";
 /// ⑧ gNB transmit walk for the reply: SDAP↓, PDCP, RLC.
-pub const SDAP_DOWN: &str = "SDAP↓";
+pub(crate) const SDAP_DOWN: &str = "SDAP↓";
 /// ⑨ RLC queue: reply waits for its scheduled DL slot (Table 2's RLC-q).
-pub const RLC_Q: &str = "RLC-q";
+pub(crate) const RLC_Q: &str = "RLC-q";
 /// ⑩ DL data transmission on the air.
-pub const DL_DATA: &str = "DL data";
+pub(crate) const DL_DATA: &str = "DL data";
 /// ⑪ UE receive walk: radio, PHY and the upper layers to the app.
-pub const PHY_UP: &str = "PHY↑";
+pub(crate) const PHY_UP: &str = "PHY↑";
 /// RLF declared → detection complete.
 pub const RLF_DETECT: &str = "RLF detect";
 /// RACH re-access carrying the C-RNTI MAC CE.
-pub const RACH_REACCESS: &str = "RACH re-access";
+pub(crate) const RACH_REACCESS: &str = "RACH re-access";
 /// RRC re-establishment processing (Msg4 → entities re-established).
-pub const RRC_REESTABLISH: &str = "RRC reestablish";
+pub(crate) const RRC_REESTABLISH: &str = "RRC reestablish";
 /// PDCP status exchange + retransmission of the in-flight SDUs.
-pub const PDCP_RECOVER: &str = "PDCP recover";
+pub(crate) const PDCP_RECOVER: &str = "PDCP recover";
 
 /// Every stage label, in journey order.
 pub const ALL: &[&str] = &[
@@ -109,15 +109,6 @@ impl BudgetTerm {
             BudgetTerm::Recovery => "recovery",
         }
     }
-
-    /// All terms, in attribution order.
-    pub const ALL: [BudgetTerm; 5] = [
-        BudgetTerm::Protocol,
-        BudgetTerm::Processing,
-        BudgetTerm::Radio,
-        BudgetTerm::Core,
-        BudgetTerm::Recovery,
-    ];
 }
 
 /// Classifies a stage label into its budget term (`None` for labels

@@ -56,7 +56,7 @@ pub enum ExemplarOutcome {
 
 impl ExemplarOutcome {
     /// Stable text form (JSON exports).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ExemplarOutcome::OnTime => "on-time",
             ExemplarOutcome::Late => "late",
@@ -145,7 +145,7 @@ impl FlightRecorder {
 
     /// Folds another recorder into this one. Retention keys are total
     /// orders, so the result is independent of merge order.
-    pub fn merge(&mut self, other: &FlightRecorder) {
+    pub(crate) fn merge(&mut self, other: &FlightRecorder) {
         self.observed += other.observed;
         self.forced_observed += other.forced_observed;
         for ex in &other.worst {
@@ -167,13 +167,13 @@ impl FlightRecorder {
     }
 
     /// Forced exemplars shed because the forced buffer overflowed.
-    pub fn forced_dropped(&self) -> u64 {
+    pub(crate) fn forced_dropped(&self) -> u64 {
         self.forced_observed.saturating_sub(self.forced.len() as u64)
     }
 
     /// The retained set: worst-K ∪ forced, deduplicated by ping id,
     /// slowest first.
-    pub fn exemplars(&self) -> Vec<&TailExemplar> {
+    pub(crate) fn exemplars(&self) -> Vec<&TailExemplar> {
         let mut out: Vec<&TailExemplar> = self.worst.iter().chain(self.forced.iter()).collect();
         out.sort_by_key(|e| e.key());
         out.dedup_by_key(|e| e.ping);
@@ -182,7 +182,7 @@ impl FlightRecorder {
 
     /// Hand-rolled JSON export (the workspace has no JSON serializer).
     /// Deterministic: sim-time values only, fixed float formatting.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let exemplars = self.exemplars();
         let mut out = String::from("{\n");
         out.push_str(&format!(
@@ -224,7 +224,7 @@ fn us(d: Duration) -> String {
 }
 
 /// One exemplar as a single JSON object line.
-pub fn exemplar_json(ex: &TailExemplar) -> String {
+pub(crate) fn exemplar_json(ex: &TailExemplar) -> String {
     let fault = match ex.fault {
         Some(f) => format!("\"{}\"", esc(f)),
         None => "null".to_string(),

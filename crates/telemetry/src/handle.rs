@@ -87,22 +87,6 @@ impl Telemetry {
         self.with(|t| t.registry.count(MetricKey::new(layer, name), n));
     }
 
-    /// Adds `n` to counter `layer/name{label}`.
-    pub fn count_labeled(
-        &self,
-        layer: &'static str,
-        name: &'static str,
-        label: &'static str,
-        n: u64,
-    ) {
-        self.with(|t| t.registry.count(MetricKey::labeled(layer, name, label), n));
-    }
-
-    /// Sets gauge `layer/name`.
-    pub fn gauge(&self, layer: &'static str, name: &'static str, value: f64) {
-        self.with(|t| t.registry.gauge(MetricKey::new(layer, name), value));
-    }
-
     /// Records a duration into histogram `layer/name`.
     pub fn record(&self, layer: &'static str, name: &'static str, d: Duration) {
         self.with(|t| t.registry.record(MetricKey::new(layer, name), d));
@@ -391,9 +375,9 @@ mod tests {
     #[test]
     fn labeled_keys_are_distinct() {
         let t = Telemetry::new(4);
-        t.count_labeled("radio", "submit", "ue", 1);
-        t.count_labeled("radio", "submit", "gnb", 2);
+        t.record("radio", "submit_us", Duration::from_micros(1));
         t.record_labeled("radio", "submit_us", "ue", Duration::from_micros(1));
+        t.record_labeled("radio", "submit_us", "gnb", Duration::from_micros(2));
         assert_eq!(t.snapshot().len(), 3);
     }
 }

@@ -209,32 +209,27 @@ impl EventJournal {
     }
 
     /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &JournalEvent> {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &JournalEvent> {
         self.events.iter()
     }
 
     /// Copies the retained window out, oldest first.
-    pub fn to_vec(&self) -> Vec<JournalEvent> {
+    pub(crate) fn to_vec(&self) -> Vec<JournalEvent> {
         self.events.iter().copied().collect()
     }
 
     /// Number of retained events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Events shed to overflow so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
@@ -242,7 +237,7 @@ impl EventJournal {
     /// first, and carries over its overflow count. Used by the parallel
     /// reducer: folding shard journals in shard order approximates one
     /// global ring over the concatenated event stream.
-    pub fn absorb(&mut self, other: &EventJournal) {
+    pub(crate) fn absorb(&mut self, other: &EventJournal) {
         self.dropped += other.dropped;
         for &event in other.events() {
             self.push(event);

@@ -30,22 +30,18 @@
 
 #![warn(missing_docs)]
 
-pub mod flight;
+pub(crate) mod flight;
 pub mod handle;
-pub mod journal;
+pub(crate) mod journal;
 pub mod perfetto;
-pub mod profiler;
-pub mod registry;
+pub(crate) mod profiler;
+pub(crate) mod registry;
 
 pub use flight::{
     ExemplarOutcome, ExemplarSpan, FlightRecorder, TailExemplar, DEFAULT_FORCED_CAP,
     DEFAULT_WORST_K,
 };
-pub use handle::{poison_recoveries, Telemetry, TelemetrySummary};
+pub use handle::{Telemetry, TelemetrySummary};
 pub use journal::{EventJournal, JournalEvent};
-pub use perfetto::TraceExportError;
-pub use profiler::{ProfScope, Profiler, StageProfile};
-pub use registry::{
-    BucketExemplar, ExemplarRow, HistogramSummary, LogLinearHistogram, MetricKey, MetricRow,
-    MetricValue, MetricsRegistry, MetricsSnapshot, SUB_BUCKETS,
-};
+pub use profiler::Profiler;
+pub use registry::LogLinearHistogram;

@@ -64,7 +64,7 @@ impl From<fmt::Error> for TraceExportError {
 
 /// Process id used for events not tied to one ping (faults, path
 /// supervision). Ping `n` maps to pid `n + 1`.
-pub const FABRIC_PID: u64 = 0;
+pub(crate) const FABRIC_PID: u64 = 0;
 
 const TID_UL: u64 = 1;
 const TID_DL: u64 = 2;
@@ -78,26 +78,14 @@ fn ts_us(nanos: u64) -> String {
     format!("{:.3}", nanos as f64 / 1_000.0)
 }
 
-/// Renders `events` as a Chrome trace-event JSON document.
+/// Writes `events` into `w` as a Chrome trace-event JSON document,
+/// surfacing formatter and I/O failures as a typed [`TraceExportError`]
+/// instead of panicking. This is the `io::Result`-style export path used
+/// by `repro trace`.
 ///
 /// Stages become `"ph":"X"` complete events; everything else becomes a
 /// `"ph":"i"` instant. Metadata events name each process and thread so
 /// the Perfetto UI shows "ping 3 / uplink" instead of raw ids.
-///
-/// Formatting into the returned `String` cannot fail (`String`'s
-/// `fmt::Write` impl never errors), so this stays infallible; exporters
-/// that write to fallible destinations use [`export_chrome_trace`].
-pub fn chrome_trace_json(events: &[JournalEvent]) -> String {
-    let mut out = String::new();
-    let _infallible = write_chrome_trace(&mut out, events);
-    debug_assert!(_infallible.is_ok());
-    out
-}
-
-/// Writes the trace document for `events` into `w`, surfacing formatter
-/// and I/O failures as a typed [`TraceExportError`] instead of
-/// panicking. This is the `io::Result`-style export path used by
-/// `repro trace`.
 pub fn export_chrome_trace<W: io::Write>(
     w: &mut W,
     events: &[JournalEvent],
@@ -110,7 +98,10 @@ pub fn export_chrome_trace<W: io::Write>(
 
 /// Formats the trace document into any `fmt::Write` sink, propagating
 /// write errors with `?` (no `.unwrap()` anywhere on the render path).
-pub fn write_chrome_trace<W: fmt::Write>(out: &mut W, events: &[JournalEvent]) -> fmt::Result {
+pub(crate) fn write_chrome_trace<W: fmt::Write>(
+    out: &mut W,
+    events: &[JournalEvent],
+) -> fmt::Result {
     let mut lines: Vec<String> = Vec::new();
     let mut pids: BTreeSet<u64> = BTreeSet::new();
     let mut threads: BTreeSet<(u64, u64)> = BTreeSet::new();
@@ -294,6 +285,13 @@ fn render_event(ev: &JournalEvent, pid: u64, tid: u64) -> Result<String, fmt::Er
 mod tests {
     use super::*;
     use sim::{Duration, FaultKind, Instant};
+
+    /// The document as a `String` (`String`'s `fmt::Write` never errors).
+    fn chrome_trace_json(events: &[JournalEvent]) -> String {
+        let mut out = String::new();
+        write_chrome_trace(&mut out, events).expect("String sink cannot fail");
+        out
+    }
 
     /// Golden-file test: the exporter's output is part of its contract
     /// (CI uploads these traces; Perfetto must keep loading them).

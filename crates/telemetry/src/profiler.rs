@@ -65,7 +65,7 @@ impl Profiler {
     }
 
     /// Records `ns` of host time against `stage` directly.
-    pub fn record_ns(&self, stage: &'static str, ns: u64) {
+    pub(crate) fn record_ns(&self, stage: &'static str, ns: u64) {
         self.with(|p| p.stages.entry(stage).or_default().record(ns));
     }
 

@@ -5,8 +5,8 @@
 //! nothing; `BTreeMap` storage keeps every snapshot deterministically
 //! ordered, which the CSV/JSON exporters and the golden-file tests rely
 //! on. Histograms store nanosecond values in log-linear buckets
-//! (HdrHistogram-style: [`SUB_BUCKETS`] linear sub-buckets per power of
-//! two), bounding the relative quantile error at `1/SUB_BUCKETS` while
+//! (HdrHistogram-style: [`sim::SUB_BUCKETS`] linear sub-buckets per power
+//! of two), bounding the relative quantile error at `1/SUB_BUCKETS` while
 //! keeping memory constant regardless of sample count.
 
 use std::collections::BTreeMap;
@@ -15,7 +15,7 @@ use sim::Duration;
 // The histogram itself lives in `sim::stats` (scale experiments record
 // through it directly, behind `sim::Recording`); re-exported here so
 // telemetry callers keep their established paths.
-pub use sim::{BucketExemplar, LogLinearHistogram, SUB_BUCKETS};
+pub use sim::LogLinearHistogram;
 
 /// A `(layer, name, label)` metric key, e.g. `mac/harq_retx` or
 /// `radio/submit_us{ue}`. The label discriminates instances of the same
@@ -33,17 +33,21 @@ pub struct MetricKey {
 
 impl MetricKey {
     /// An unlabeled key.
-    pub fn new(layer: &'static str, name: &'static str) -> MetricKey {
+    pub(crate) fn new(layer: &'static str, name: &'static str) -> MetricKey {
         MetricKey { layer, name, label: "" }
     }
 
     /// A labeled key.
-    pub fn labeled(layer: &'static str, name: &'static str, label: &'static str) -> MetricKey {
+    pub(crate) fn labeled(
+        layer: &'static str,
+        name: &'static str,
+        label: &'static str,
+    ) -> MetricKey {
         MetricKey { layer, name, label }
     }
 
     /// Canonical text form: `layer/name` or `layer/name{label}`.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         if self.label.is_empty() {
             format!("{}/{}", self.layer, self.name)
         } else {
@@ -127,7 +131,7 @@ pub struct MetricRow {
 /// The registry all layers record into (behind the [`crate::Telemetry`]
 /// handle).
 #[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, f64>,
     histograms: BTreeMap<MetricKey, LogLinearHistogram>,
@@ -135,44 +139,39 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> MetricsRegistry {
+    pub(crate) fn new() -> MetricsRegistry {
         MetricsRegistry::default()
     }
 
     /// Adds `n` to the counter at `key`.
-    pub fn count(&mut self, key: MetricKey, n: u64) {
+    pub(crate) fn count(&mut self, key: MetricKey, n: u64) {
         *self.counters.entry(key).or_insert(0) += n;
     }
 
     /// Sets the gauge at `key`.
-    pub fn gauge(&mut self, key: MetricKey, value: f64) {
+    pub(crate) fn gauge(&mut self, key: MetricKey, value: f64) {
         self.gauges.insert(key, value);
     }
 
     /// Records `ns` into the histogram at `key`.
-    pub fn record_ns(&mut self, key: MetricKey, ns: u64) {
+    pub(crate) fn record_ns(&mut self, key: MetricKey, ns: u64) {
         self.histograms.entry(key).or_default().record(ns);
     }
 
     /// Records `ns` into the histogram at `key`, attaching `ping` as the
     /// bucket's exemplar (see [`LogLinearHistogram::record_with_exemplar`]).
-    pub fn record_ns_with_exemplar(&mut self, key: MetricKey, ns: u64, ping: u64) {
+    pub(crate) fn record_ns_with_exemplar(&mut self, key: MetricKey, ns: u64, ping: u64) {
         self.histograms.entry(key).or_default().record_with_exemplar(ns, ping);
     }
 
     /// Records a duration into the histogram at `key`.
-    pub fn record(&mut self, key: MetricKey, d: Duration) {
+    pub(crate) fn record(&mut self, key: MetricKey, d: Duration) {
         self.record_ns(key, d.as_nanos());
     }
 
     /// Number of distinct metric keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.counters.len() + self.gauges.len() + self.histograms.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Folds another registry into this one: counters add, histograms
@@ -180,7 +179,7 @@ impl MetricsRegistry {
     /// write — reducers fold shards in index order, so the surviving gauge
     /// is the one the highest-indexed shard set, exactly as a sequential
     /// run of the same shards would leave it).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
+    pub(crate) fn merge(&mut self, other: &MetricsRegistry) {
         for (&key, &n) in &other.counters {
             self.count(key, n);
         }
@@ -193,7 +192,7 @@ impl MetricsRegistry {
     }
 
     /// A deterministic, key-ordered snapshot of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut rows: Vec<MetricRow> = Vec::with_capacity(self.len());
         rows.extend(
             self.counters
@@ -369,6 +368,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sim::{BucketExemplar, SUB_BUCKETS};
 
     #[test]
     fn registry_merge_matches_sequential_recording() {
