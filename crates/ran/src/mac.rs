@@ -101,71 +101,98 @@ impl MacPdu {
     /// Encodes the PDU, padding to exactly `transport_block_size` bytes if
     /// given (a MAC PDU must fill its transport block).
     pub fn encode(&self, transport_block_size: Option<usize>) -> Result<Bytes, MacError> {
-        let mut needed = 0usize;
-        for sub in &self.subpdus {
-            if sub.payload.len() > u16::MAX as usize {
-                return Err(MacError::PayloadTooLarge);
-            }
-            needed += sub.encoded_len();
-        }
-        let size = transport_block_size.unwrap_or(needed);
-        if needed > size {
-            return Err(MacError::ExceedsTransportBlock { needed, tbs: size });
-        }
-        let mut out = BytesMut::with_capacity(size);
-        for sub in &self.subpdus {
-            let len = sub.payload.len();
-            if len > 255 {
-                out.put_u8(0x40 | (sub.lcid & 0x3F)); // F=1: 16-bit L
-                out.put_u16(len as u16);
-            } else {
-                out.put_u8(sub.lcid & 0x3F); // F=0: 8-bit L
-                out.put_u8(len as u8);
-            }
-            out.put_slice(&sub.payload);
-        }
-        if needed < size {
-            // Padding subPDU: one subheader byte, rest zero.
-            out.put_u8(lcid::PADDING);
-            out.put_bytes(0, size - needed - 1);
-        }
-        Ok(out.freeze())
+        encode_subpdus(&self.subpdus, transport_block_size)
     }
 
     /// Decodes a PDU, stripping padding.
     pub fn decode(data: &Bytes) -> Result<MacPdu, MacError> {
-        let mut subpdus = Vec::new();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let hdr = data[pos];
-            let lcid_v = hdr & 0x3F;
-            if lcid_v == lcid::PADDING {
-                break; // padding runs to the end of the PDU
-            }
-            let f16 = hdr & 0x40 != 0;
-            pos += 1;
-            let len = if f16 {
-                if pos + 2 > data.len() {
-                    return Err(MacError::Truncated);
-                }
-                let l = u16::from_be_bytes([data[pos], data[pos + 1]]) as usize;
-                pos += 2;
-                l
-            } else {
-                if pos >= data.len() {
-                    return Err(MacError::Truncated);
-                }
-                let l = data[pos] as usize;
-                pos += 1;
-                l
-            };
-            if pos + len > data.len() {
-                return Err(MacError::Truncated);
-            }
-            subpdus.push(MacSubPdu { lcid: lcid_v, payload: data.slice(pos..pos + len) });
-            pos += len;
+        subpdus(data).collect::<Result<_, _>>().map(MacPdu::new)
+    }
+}
+
+/// Encodes `subpdus`, in order, as one MAC PDU, padding to exactly
+/// `transport_block_size` bytes if given (a MAC PDU must fill its transport
+/// block). Takes a slice, so a caller multiplexing a fixed set of subPDUs
+/// needs no `Vec` for them.
+pub fn encode_subpdus(
+    subpdus: &[MacSubPdu],
+    transport_block_size: Option<usize>,
+) -> Result<Bytes, MacError> {
+    let mut needed = 0usize;
+    for sub in subpdus {
+        if sub.payload.len() > u16::MAX as usize {
+            return Err(MacError::PayloadTooLarge);
         }
-        Ok(MacPdu { subpdus })
+        needed += sub.encoded_len();
+    }
+    let size = transport_block_size.unwrap_or(needed);
+    if needed > size {
+        return Err(MacError::ExceedsTransportBlock { needed, tbs: size });
+    }
+    let mut out = BytesMut::with_capacity(size);
+    for sub in subpdus {
+        let len = sub.payload.len();
+        if len > 255 {
+            out.put_u8(0x40 | (sub.lcid & 0x3F)); // F=1: 16-bit L
+            out.put_u16(len as u16);
+        } else {
+            out.put_u8(sub.lcid & 0x3F); // F=0: 8-bit L
+            out.put_u8(len as u8);
+        }
+        out.put_slice(&sub.payload);
+    }
+    if needed < size {
+        // Padding subPDU: one subheader byte, rest zero.
+        out.put_u8(lcid::PADDING);
+        out.put_bytes(0, size - needed - 1);
+    }
+    Ok(out.freeze())
+}
+
+/// The subPDUs of the MAC PDU `data`, in wire order, padding stripped. Each
+/// payload is a view of `data`, so walking a PDU allocates nothing.
+pub fn subpdus(data: &Bytes) -> SubPdus<'_> {
+    SubPdus { data, pos: 0 }
+}
+
+/// Iterator over a MAC PDU's subPDUs (see [`subpdus`]). A malformed
+/// subheader yields one error, after which the iterator is exhausted.
+#[derive(Debug, Clone)]
+pub struct SubPdus<'a> {
+    data: &'a Bytes,
+    /// Offset of the next subheader; `data.len()` once exhausted.
+    pos: usize,
+}
+
+impl Iterator for SubPdus<'_> {
+    type Item = Result<MacSubPdu, MacError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let data = self.data;
+        let hdr = *data.get(self.pos)?;
+        let lcid_v = hdr & 0x3F;
+        // Padding runs to the end of the PDU; an error ends the walk.
+        let start = self.pos;
+        self.pos = data.len();
+        if lcid_v == lcid::PADDING {
+            return None;
+        }
+        let (len, body) = if hdr & 0x40 != 0 {
+            match data.get(start + 1..start + 3) {
+                Some(l) => (usize::from(u16::from_be_bytes([l[0], l[1]])), start + 3),
+                None => return Some(Err(MacError::Truncated)),
+            }
+        } else {
+            match data.get(start + 1) {
+                Some(&l) => (usize::from(l), start + 2),
+                None => return Some(Err(MacError::Truncated)),
+            }
+        };
+        if body + len > data.len() {
+            return Some(Err(MacError::Truncated));
+        }
+        self.pos = body + len;
+        Some(Ok(MacSubPdu { lcid: lcid_v, payload: data.slice(body..body + len) }))
     }
 }
 
@@ -305,6 +332,87 @@ impl<T> MacBacklog<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `MacPdu::decode` as it was before the subPDU iterator: the oracle.
+    fn decode_indexing(data: &Bytes) -> Result<MacPdu, MacError> {
+        let mut subpdus = Vec::new();
+        let mut pos = 0usize;
+        while pos < data.len() {
+            let hdr = data[pos];
+            let lcid_v = hdr & 0x3F;
+            if lcid_v == lcid::PADDING {
+                break;
+            }
+            let f16 = hdr & 0x40 != 0;
+            pos += 1;
+            let len = if f16 {
+                if pos + 2 > data.len() {
+                    return Err(MacError::Truncated);
+                }
+                let l = u16::from_be_bytes([data[pos], data[pos + 1]]) as usize;
+                pos += 2;
+                l
+            } else {
+                if pos >= data.len() {
+                    return Err(MacError::Truncated);
+                }
+                let l = data[pos] as usize;
+                pos += 1;
+                l
+            };
+            if pos + len > data.len() {
+                return Err(MacError::Truncated);
+            }
+            subpdus.push(MacSubPdu { lcid: lcid_v, payload: data.slice(pos..pos + len) });
+            pos += len;
+        }
+        Ok(MacPdu { subpdus })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn subpdu_iterator_agrees_with_the_indexing_decoder_on_valid_pdus(
+            subs in prop::collection::vec(
+                (0u8..63, prop::collection::vec(any::<u8>(), 0..300)),
+                0..5,
+            ),
+            padding in prop::option::of(0usize..40),
+        ) {
+            let pdu = MacPdu::new(
+                subs.into_iter().map(|(lcid, p)| MacSubPdu::new(lcid, Bytes::from(p))).collect(),
+            );
+            let needed: usize = pdu.subpdus.iter().map(MacSubPdu::encoded_len).sum();
+            let wire = pdu.encode(padding.map(|p| needed + p)).unwrap();
+            let walked = MacPdu::decode(&wire);
+            prop_assert_eq!(&walked, &decode_indexing(&wire));
+            prop_assert_eq!(walked, Ok(pdu));
+        }
+
+        #[test]
+        fn subpdu_iterator_agrees_with_the_indexing_decoder_on_arbitrary_bytes(
+            data in prop::collection::vec(any::<u8>(), 0..80),
+            cut in 0usize..80,
+        ) {
+            // Arbitrary bytes, and a valid PDU cut short at an arbitrary
+            // point (mid-subheader, mid-length, mid-payload).
+            let valid = MacPdu::new(vec![
+                MacSubPdu::new(lcid::SHORT_BSR, encode_short_bsr(0, data.len())),
+                MacSubPdu::new(1, Bytes::from(data.clone())),
+            ])
+            .encode(None)
+            .unwrap();
+            for wire in [Bytes::from(data), valid.slice(..cut.min(valid.len()))] {
+                prop_assert_eq!(MacPdu::decode(&wire), decode_indexing(&wire));
+                // An error ends the walk: nothing after it.
+                let mut walk = subpdus(&wire).skip_while(Result::is_ok);
+                if walk.next().is_some() {
+                    prop_assert!(walk.next().is_none());
+                }
+            }
+        }
+    }
 
     #[test]
     fn single_subpdu_roundtrip() {

@@ -300,6 +300,14 @@ impl PdcpEntity {
     /// Processes a received data PDU. Returns the SDUs now deliverable in
     /// order (possibly empty while a gap is outstanding).
     pub fn rx_decode(&mut self, pdu: &Bytes) -> Result<Vec<Bytes>, PdcpError> {
+        let mut sdus = Vec::new();
+        self.rx_decode_into(pdu, &mut sdus)?;
+        Ok(sdus)
+    }
+
+    /// [`rx_decode`](Self::rx_decode), appending the deliverable SDUs to
+    /// `sdus`.
+    pub fn rx_decode_into(&mut self, pdu: &Bytes, sdus: &mut Vec<Bytes>) -> Result<(), PdcpError> {
         if pdu.len() < 2 {
             return Err(PdcpError::Truncated);
         }
@@ -311,7 +319,7 @@ impl PdcpEntity {
         let count = self.infer_count(sn);
         if count < self.rx_deliv || self.reorder.contains_key(&count) {
             self.discarded += 1;
-            return Ok(Vec::new());
+            return Ok(());
         }
         // Deciphering needs a buffer of its own — the PDU's is shared with
         // whoever sent it — and that one copy is the SDU's only allocation.
@@ -322,7 +330,11 @@ impl PdcpEntity {
         if count >= self.rx_next {
             self.rx_next = count + 1;
         }
-        Ok(self.deliver_in_order())
+        while let Some(sdu) = self.reorder.remove(&self.rx_deliv) {
+            sdus.push(sdu);
+            self.rx_deliv += 1;
+        }
+        Ok(())
     }
 
     /// TS 38.323 §5.2.2 COUNT inference from a received SN, relative to the
@@ -338,15 +350,6 @@ impl PdcpEntity {
             deliv_hfn
         };
         hfn * SN_MODULUS + rcvd_sn
-    }
-
-    fn deliver_in_order(&mut self) -> Vec<Bytes> {
-        let mut out = Vec::new();
-        while let Some(sdu) = self.reorder.remove(&self.rx_deliv) {
-            out.push(sdu);
-            self.rx_deliv += 1;
-        }
-        out
     }
 
     /// Configures the discardTimer for the timed transmission path

@@ -243,19 +243,23 @@ impl RlcUmEntity {
 
     /// Processes a received UMD PDU; returns any SDUs completed by it.
     pub fn rx_pdu(&mut self, pdu: &Bytes) -> Result<Vec<Bytes>, RlcError> {
+        let mut sdus = Vec::new();
+        self.rx_pdu_into(pdu, &mut sdus)?;
+        Ok(sdus)
+    }
+
+    /// [`rx_pdu`](Self::rx_pdu), appending the completed SDUs to `sdus`.
+    pub fn rx_pdu_into(&mut self, pdu: &Bytes, sdus: &mut Vec<Bytes>) -> Result<(), RlcError> {
         if pdu.is_empty() {
             return Err(RlcError::Truncated);
         }
         self.tel.count("rlc", "rx_pdus", 1);
         let si = SegmentInfo::from_bits(pdu[0] >> 6);
-        match si {
-            SegmentInfo::Full => {
-                self.delivered += 1;
-                Ok(vec![pdu.slice(1..)])
-            }
+        let done = match si {
+            SegmentInfo::Full => Some(pdu.slice(1..)),
             SegmentInfo::First => {
                 let sn = pdu[0] & 0x3F;
-                self.insert_segment(sn, 0, pdu.slice(1..), false)
+                self.insert_segment(sn, 0, pdu.slice(1..), false)?
             }
             SegmentInfo::Middle | SegmentInfo::Last => {
                 if pdu.len() < 3 {
@@ -263,22 +267,28 @@ impl RlcUmEntity {
                 }
                 let sn = pdu[0] & 0x3F;
                 let so = u16::from_be_bytes([pdu[1], pdu[2]]) as usize;
-                self.insert_segment(sn, so, pdu.slice(3..), si == SegmentInfo::Last)
+                self.insert_segment(sn, so, pdu.slice(3..), si == SegmentInfo::Last)?
             }
+        };
+        if let Some(sdu) = done {
+            self.delivered += 1;
+            sdus.push(sdu);
         }
+        Ok(())
     }
 
-    /// Validates and buffers one segment; a segment that contradicts the
-    /// buffered state abandons the whole reassembly for that SN (counted
-    /// as a loss, like AM's hardened decode path) and surfaces a typed
-    /// error instead of silently assembling a wrong SDU.
+    /// Validates and buffers one segment, returning the SDU it completes;
+    /// a segment that contradicts the buffered state abandons the whole
+    /// reassembly for that SN (counted as a loss, like AM's hardened decode
+    /// path) and surfaces a typed error instead of silently assembling a
+    /// wrong SDU.
     fn insert_segment(
         &mut self,
         sn: u8,
         so: usize,
         body: Bytes,
         is_last: bool,
-    ) -> Result<Vec<Bytes>, RlcError> {
+    ) -> Result<Option<Bytes>, RlcError> {
         let entry = self.rx.entry(sn).or_default();
         if entry.insert_checked(so, body, is_last).is_err() {
             self.rx.remove(&sn);
@@ -286,17 +296,11 @@ impl RlcUmEntity {
             self.tel.count("rlc", "segment_mismatches", 1);
             return Err(RlcError::SegmentMismatch { sn });
         }
-        self.try_deliver(sn)
-    }
-
-    fn try_deliver(&mut self, sn: u8) -> Result<Vec<Bytes>, RlcError> {
-        if let Some(done) = self.rx.get(&sn).and_then(Reassembly::try_complete) {
+        let done = self.rx.get(&sn).and_then(Reassembly::try_complete);
+        if done.is_some() {
             self.rx.remove(&sn);
-            self.delivered += 1;
-            Ok(vec![done])
-        } else {
-            Ok(Vec::new())
         }
+        Ok(done)
     }
 
     /// t-Reassembly expiry: drop all incomplete SDUs (UM never recovers

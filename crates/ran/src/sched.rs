@@ -472,6 +472,8 @@ pub struct Scheduler {
     timing: SlotTiming,
     pending_srs: VecDeque<SchedItem>,
     pending_dl: VecDeque<SchedItem>,
+    /// One round's ready set, reused so a steady backlog allocates nothing.
+    ready: Vec<SchedItem>,
     /// Capacity ledger: reservations per global slot, from the current
     /// round's slot onwards.
     ledger: BTreeMap<u64, SlotUse>,
@@ -483,20 +485,18 @@ pub struct Scheduler {
     rounds: u64,
 }
 
-/// Splits off the requests that became ready strictly before `now`; both
-/// halves keep arrival order.
-fn take_ready(pending: &mut VecDeque<SchedItem>, now: Instant) -> Vec<SchedItem> {
-    let mut ready = Vec::new();
-    let mut deferred = VecDeque::new();
-    while let Some(item) = pending.pop_front() {
-        if item.ready >= now {
-            deferred.push_back(item);
-        } else {
-            ready.push(item);
+/// Moves the requests that became ready strictly before `now` from
+/// `pending` into `ready` (cleared first), in place: both halves keep
+/// arrival order and `pending` keeps its capacity.
+fn take_ready(pending: &mut VecDeque<SchedItem>, now: Instant, ready: &mut Vec<SchedItem>) {
+    ready.clear();
+    pending.retain(|item| {
+        let due = item.ready < now;
+        if due {
+            ready.push(*item);
         }
-    }
-    *pending = deferred;
-    ready
+        !due
+    });
 }
 
 impl Scheduler {
@@ -510,6 +510,7 @@ impl Scheduler {
             timing,
             pending_srs: VecDeque::new(),
             pending_dl: VecDeque::new(),
+            ready: Vec::new(),
             ledger: BTreeMap::new(),
             seq: 0,
             punctured: 0,
@@ -573,18 +574,31 @@ impl Scheduler {
     /// Serves every request that became ready strictly before the boundary,
     /// in the order the policy chooses.
     pub fn run_slot(&mut self, slot: u64) -> SlotDecision {
+        let mut decision = SlotDecision::default();
+        self.run_slot_into(slot, &mut decision);
+        decision
+    }
+
+    /// [`run_slot`](Self::run_slot) into a caller-owned decision, which is
+    /// cleared first: a loop that keeps one decision across rounds
+    /// allocates nothing once its buffers have grown.
+    pub fn run_slot_into(&mut self, slot: u64, decision: &mut SlotDecision) {
         self.rounds += 1;
         let now = self.timing.slot_start(slot);
         // Saturating: a chaos sweep driving the lead towards the infinite
         // sentinel must starve the queue, not abort the process.
         let horizon = now.saturating_add(self.config.lead);
-        let mut decision = SlotDecision::default();
+        decision.ul_grants.clear();
+        decision.dl_assignments.clear();
+        // The ready set is moved out for the round so serving it can
+        // borrow `self`, and put back to keep its capacity.
+        let mut ready = std::mem::take(&mut self.ready);
 
         // Downlink assignments: gather the ready set (arrival order), let
         // the policy order it, serve first-fit.
-        let mut ready_dl = take_ready(&mut self.pending_dl, now);
-        self.policy.order(now, &mut ready_dl);
-        for item in &ready_dl {
+        take_ready(&mut self.pending_dl, now, &mut ready);
+        self.policy.order(now, &mut ready);
+        for item in &ready {
             let dl = self.reserve_dl(horizon, item.bytes, &item.tag);
             decision.dl_assignments.push(DlAssignment { rnti: item.rnti, dl, bytes: item.bytes });
         }
@@ -592,9 +606,9 @@ impl Scheduler {
         // Uplink grants: same gather → order → serve shape. Grants carry no
         // preemption or slicing (the DCI always fits the control region);
         // the policy only orders who is granted first.
-        let mut ready_srs = take_ready(&mut self.pending_srs, now);
-        self.policy.order(now, &mut ready_srs);
-        for item in &ready_srs {
+        take_ready(&mut self.pending_srs, now, &mut ready);
+        self.policy.order(now, &mut ready);
+        for item in &ready {
             // The grant DCI rides the control region of a DL-capable slot
             // (shorter pipeline than a data TB).
             let grant_op =
@@ -610,10 +624,10 @@ impl Scheduler {
                 bytes: self.config.grant_bytes,
             });
         }
+        self.ready = ready;
 
         // Drop capacity bookkeeping for slots already in the past.
         self.ledger.retain(|&s, _| s >= slot);
-        decision
     }
 
     fn reserve_dl(&mut self, from: Instant, bytes: usize, tag: &RequestTag) -> TxOpportunity {
@@ -692,6 +706,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use phy::tdd::TddConfig;
+    use proptest::prelude::*;
 
     fn dddu_ideal(access: AccessMode) -> Scheduler {
         Scheduler::new(SchedulerConfig::ideal(Duplex::Tdd(TddConfig::dddu_testbed()), access))
@@ -1104,5 +1119,114 @@ mod tests {
         let mut set = [item(5, 0), item(6, 1)];
         copy.order(Instant::ZERO, &mut set);
         assert_eq!(set.map(|i| i.rnti), [6, 5]);
+    }
+
+    // ---- The rebuilding round, kept as the oracle of the in-place one ----
+
+    /// `take_ready` as it was before the split went in place: a fresh
+    /// ready `Vec` and a fresh deferred queue every round.
+    fn take_ready_rebuilding(pending: &mut VecDeque<SchedItem>, now: Instant) -> Vec<SchedItem> {
+        let mut ready = Vec::new();
+        let mut deferred = VecDeque::new();
+        while let Some(item) = pending.pop_front() {
+            if item.ready >= now {
+                deferred.push_back(item);
+            } else {
+                ready.push(item);
+            }
+        }
+        *pending = deferred;
+        ready
+    }
+
+    /// `run_slot` over [`take_ready_rebuilding`], line for line as it was.
+    fn run_slot_rebuilding(s: &mut Scheduler, slot: u64) -> SlotDecision {
+        s.rounds += 1;
+        let now = s.timing.slot_start(slot);
+        let horizon = now.saturating_add(s.config.lead);
+        let mut decision = SlotDecision::default();
+        let mut ready_dl = take_ready_rebuilding(&mut s.pending_dl, now);
+        s.policy.order(now, &mut ready_dl);
+        for item in &ready_dl {
+            let dl = s.reserve_dl(horizon, item.bytes, &item.tag);
+            decision.dl_assignments.push(DlAssignment { rnti: item.rnti, dl, bytes: item.bytes });
+        }
+        let mut ready_srs = take_ready_rebuilding(&mut s.pending_srs, now);
+        s.policy.order(now, &mut ready_srs);
+        for item in &ready_srs {
+            let grant_op = s.timing.next_dl_opportunity(now.saturating_add(s.config.control_lead));
+            let grant_tx = grant_op.tx_start;
+            let ue_ready = grant_tx.saturating_add(s.config.ue_grant_processing);
+            let ul = s.reserve_ul(ue_ready, s.config.grant_bytes);
+            decision.ul_grants.push(UlGrant {
+                rnti: item.rnti,
+                grant_tx,
+                ul,
+                bytes: s.config.grant_bytes,
+            });
+        }
+        s.ledger.retain(|&k, _| k >= slot);
+        decision
+    }
+
+    /// A request ready at `step` quarter-slots (DDDU slots are 500 µs, so
+    /// every other step sits exactly on a round's boundary).
+    fn arb_request() -> impl Strategy<Value = (u64, u8, Rnti, Option<u64>, bool)> {
+        (0u64..12, 0u8..3, 0u16..4, prop::option::of(0u64..40), any::<bool>())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn in_place_round_matches_the_rebuilding_round(
+            requests in prop::collection::vec(arb_request(), 0..40),
+            spec in 0usize..7,
+            split_at in 0u64..12,
+        ) {
+            let at = |step: u64| Instant::from_micros(250 * step);
+            let items: VecDeque<SchedItem> = requests
+                .iter()
+                .enumerate()
+                .map(|(seq, &(step, priority, rnti, deadline, _))| SchedItem {
+                    rnti,
+                    bytes: [64, 500, 3_000][usize::from(priority)],
+                    ready: at(step),
+                    tag: tag(priority, deadline.map(|d| 250 * d), [Slice::Urllc, Slice::Embb, Slice::Mmtc][usize::from(priority)]),
+                    seq: seq as u64,
+                })
+                .collect();
+
+            // One split, `now` on or off a request's instant.
+            let (mut old_pending, mut new_pending) = (items.clone(), items);
+            let old_ready = take_ready_rebuilding(&mut old_pending, at(split_at));
+            let mut new_ready = vec![SchedItem { rnti: 9, bytes: 1, ready: Instant::ZERO, tag: RequestTag::default(), seq: 99 }];
+            take_ready(&mut new_pending, at(split_at), &mut new_ready);
+            prop_assert_eq!(&old_ready, &new_ready);
+            prop_assert_eq!(&old_pending, &new_pending);
+
+            // Several whole rounds of a grant-based scheduler under every
+            // policy: the same decisions, backlog and punctured bytes.
+            let mut old = Scheduler::new(
+                SchedulerConfig::ideal(Duplex::Tdd(TddConfig::dddu_testbed()), AccessMode::GrantBased)
+                    .with_policy(all_specs()[spec]),
+            );
+            for &(step, priority, rnti, deadline, sr) in &requests {
+                if sr {
+                    old.on_sr(rnti, at(step));
+                } else {
+                    let slice = [Slice::Urllc, Slice::Embb, Slice::Mmtc][usize::from(priority)];
+                    let bytes = [64, 500, 3_000][usize::from(priority)];
+                    old.on_dl_data_tagged(rnti, bytes, at(step), tag(priority, deadline.map(|d| 250 * d), slice));
+                }
+            }
+            let mut new = old.clone();
+            let mut decision = SlotDecision::default();
+            for slot in 0..8 {
+                new.run_slot_into(slot, &mut decision);
+                prop_assert_eq!(run_slot_rebuilding(&mut old, slot), decision.clone(), "slot {}", slot);
+                prop_assert_eq!(old.backlog(), new.backlog());
+                prop_assert_eq!(old.punctured_bytes(), new.punctured_bytes());
+            }
+        }
     }
 }

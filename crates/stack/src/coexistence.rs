@@ -17,7 +17,7 @@
 //!   its latency stays flat, and the cost appears as erased eMBB bytes,
 //!   read back from [`Scheduler::punctured_bytes`].
 
-use ran::sched::{AccessMode, PolicySpec, Scheduler, SchedulerConfig};
+use ran::sched::{AccessMode, PolicySpec, Scheduler, SchedulerConfig, SlotDecision};
 use sim::{Dist, Duration, EventQueue, Instant, LatencyRecorder, SimRng};
 
 use crate::config::StackConfig;
@@ -87,12 +87,13 @@ pub fn coexistence_sweep(
             }
             let mut latency = LatencyRecorder::new();
             let mut last_boundary = 0u64;
+            let mut decision = SlotDecision::default();
             while let Some((t, ())) = arrivals.pop() {
                 sched.on_dl_data(1, urllc_bytes, t);
                 let boundary = (base.duplex.slot_index_at(t) + 1).max(last_boundary);
                 last_boundary = boundary;
-                let decision = sched.run_slot(boundary);
-                for a in decision.dl_assignments {
+                sched.run_slot_into(boundary, &mut decision);
+                for a in &decision.dl_assignments {
                     latency.record(a.dl.tx_start + base.data_air_time(urllc_bytes) - t);
                 }
             }

@@ -19,7 +19,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use corenet::{plan_crossing, PathEvent, PathSupervisor};
 use radio::{RadioHead, TxRing};
-use ran::sched::{Rnti, Scheduler};
+use ran::sched::{Rnti, Scheduler, SlotDecision};
 use ran::RrcEntity;
 use sim::{
     Dist, Duration, EventQueue, FaultAttribution, FaultInjector, FaultKind, Instant,
@@ -225,6 +225,10 @@ pub struct PingExperiment {
     pub(crate) events: EventQueue<PingEvent>,
     /// Sequence number of the ping currently in flight (journal context).
     pub(crate) ping: u64,
+    /// The walk's state, reset and reused by every ping.
+    ctx: PingCtx,
+    /// The scheduler's output, refilled by every round.
+    pub(crate) decision: SlotDecision,
 }
 
 /// The UE's RNTI and address in every experiment.
@@ -281,6 +285,8 @@ impl PingExperiment {
             prof: Profiler::disabled(),
             events: EventQueue::new(),
             ping: 0,
+            ctx: PingCtx::default(),
+            decision: SlotDecision::default(),
             gnb,
             config,
         }
@@ -604,7 +610,8 @@ impl PingExperiment {
     /// boundaries and is the single span journaler.
     fn one_ping(&mut self, id: u64, t0: Instant, result: &mut ExperimentResult) {
         self.ping = id;
-        let mut ctx = PingCtx::new(id, t0);
+        let mut ctx = std::mem::take(&mut self.ctx);
+        ctx.reset(id, t0);
         self.events.clear();
         self.events.rewind(t0);
         self.events.push(t0, PingEvent::Arrival);
@@ -681,8 +688,9 @@ impl PingExperiment {
             self.tel.flight_record(exemplar, lost || outcome == ExemplarOutcome::Late || rlf_hit);
         }
         if result.traces.len() < self.traces_wanted {
-            result.traces.push(ctx.trace);
+            result.traces.push(ctx.trace.clone());
         }
+        self.ctx = ctx;
     }
 }
 

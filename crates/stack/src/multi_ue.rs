@@ -18,7 +18,7 @@
 //!   "higher number of UEs might increase the processing times
 //!   noticeably").
 
-use ran::sched::{AccessMode, Rnti, Scheduler, SchedulerConfig};
+use ran::sched::{AccessMode, Rnti, Scheduler, SchedulerConfig, SlotDecision};
 use sim::{Dist, Duration, EventQueue, Instant, Recording, SimRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -288,11 +288,11 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
     // queue and our arrival ledger have diverged — reachable when a
     // saturated scheduler re-issues grants past its own bookkeeping, so
     // it surfaces as a typed error instead of a panic.
-    let serve = |decision: ran::sched::SlotDecision,
+    let serve = |decision: &SlotDecision,
                  outstanding: &mut BTreeMap<Rnti, VecDeque<Instant>>,
                  ul: &mut Recording|
      -> Result<(), StackError> {
-        for grant in decision.ul_grants {
+        for grant in &decision.ul_grants {
             let queue = outstanding.get_mut(&grant.rnti).ok_or_else(|| {
                 StackError::Diverged(format!(
                     "scheduler granted rnti {} which never requested uplink",
@@ -311,6 +311,7 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
     };
 
     let mut last_boundary = 0u64;
+    let mut decision = SlotDecision::default();
     let mut queue = arrival_queue(config, &rng, 0, config.n_ues);
     while let Some((arrival, ue)) = queue.pop() {
         let ready = arrival + prep;
@@ -322,13 +323,15 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
         // Keep scheduler invocations monotone.
         let boundary = (duplex.slot_index_at(sr_visible) + 1).max(last_boundary);
         last_boundary = boundary;
-        serve(sched.run_slot(boundary), &mut outstanding, &mut ul)?;
+        sched.run_slot_into(boundary, &mut decision);
+        serve(&decision, &mut outstanding, &mut ul)?;
     }
     // Flush any SRs deferred past the last boundary.
     let mut guard = 0;
     while sched.backlog().0 > 0 {
         last_boundary += 1;
-        serve(sched.run_slot(last_boundary), &mut outstanding, &mut ul)?;
+        sched.run_slot_into(last_boundary, &mut decision);
+        serve(&decision, &mut outstanding, &mut ul)?;
         guard += 1;
         if guard >= 100_000 {
             return Err(StackError::Diverged(format!(

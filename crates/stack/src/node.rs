@@ -12,7 +12,7 @@ use corenet::upf::{Session, Upf, UplinkOutcome};
 use phy::modulation::Iq;
 use phy::scrambling::data_scrambling_c_init;
 use phy::transport::{self, ShChConfig, SharedChannel};
-use ran::mac::{self, MacPdu, MacSubPdu};
+use ran::mac::{self, MacSubPdu};
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::RlcUmEntity;
 use ran::sched::Rnti;
@@ -81,14 +81,135 @@ fn shared_channel(rnti: Rnti, dl: bool) -> SharedChannel {
 /// subheader (LCID, 8-bit L) and the one-byte control element.
 const SHORT_BSR_SUBPDU_BYTES: usize = 3;
 
+/// One UE's ping bearer at either end of the link: its SDAP, PDCP and RLC
+/// entities, plus the two lists the receive walk reuses for every MAC PDU.
+#[derive(Debug)]
+struct Bearer {
+    sdap: SdapEntity,
+    pdcp: PdcpEntity,
+    rlc: RlcUmEntity,
+    /// PDCP PDUs the RLC entity completed from one MAC subPDU.
+    pdcp_pdus: Vec<Bytes>,
+    /// SDAP PDUs the PDCP entity delivered from one of those.
+    sdap_pdus: Vec<Bytes>,
+}
+
+impl Bearer {
+    /// A bearer transmitting in `direction`, ciphered with `key`.
+    fn new(key: u64, direction: Direction, tel: &Telemetry) -> Bearer {
+        let mut bearer = Bearer {
+            sdap: SdapEntity::new(),
+            pdcp: PdcpEntity::new(PdcpConfig::new(key, PING_LCID, direction)),
+            rlc: RlcUmEntity::new(),
+            pdcp_pdus: Vec::new(),
+            sdap_pdus: Vec::new(),
+        };
+        bearer.sdap.map_flow(PING_QFI, PING_LCID);
+        bearer.set_telemetry(tel);
+        bearer
+    }
+
+    fn set_telemetry(&mut self, tel: &Telemetry) {
+        self.sdap.set_telemetry(tel.clone());
+        self.pdcp.set_telemetry(tel.clone());
+        self.rlc.set_telemetry(tel.clone());
+    }
+
+    /// SDAP → PDCP → RLC: frames, numbers and ciphers `payload` into the
+    /// RLC transmit queue.
+    fn tx(&mut self, payload: &Bytes) -> Result<(), StackError> {
+        let (_drb, sdap_pdu) =
+            self.sdap.encode_pdu(PING_QFI, payload).map_err(|e| StackError::Sdap(e.to_string()))?;
+        let pdcp_pdu = self.pdcp.tx_encode(&sdap_pdu);
+        self.rlc.tx_sdu(pdcp_pdu);
+        Ok(())
+    }
+
+    /// Drains the RLC transmit queue into MAC PDUs of at most `grant_bytes`
+    /// each, appended to `pdus`; with `bsr`, a short BSR reporting the
+    /// buffer as it stood before each pull rides along (the uplink).
+    fn pull_mac_pdus(
+        &mut self,
+        grant_bytes: usize,
+        bsr: bool,
+        pdus: &mut Vec<Bytes>,
+    ) -> Result<(), StackError> {
+        // Room for the MAC subheaders: the data one at worst, plus the BSR.
+        let overhead = 3 + if bsr { SHORT_BSR_SUBPDU_BYTES } else { 0 };
+        if grant_bytes <= overhead + 1 {
+            return Err(StackError::Mac(format!("grant {grant_bytes} B too small")));
+        }
+        loop {
+            let queued = self.rlc.queued_bytes();
+            let Some(rlc_pdu) = self
+                .rlc
+                .pull_pdu(grant_bytes - overhead)
+                .map_err(|e| StackError::Rlc(e.to_string()))?
+            else {
+                return Ok(());
+            };
+            let data = MacSubPdu::new(PING_LCID, rlc_pdu);
+            let pdu = if bsr {
+                let report = MacSubPdu::new(mac::lcid::SHORT_BSR, mac::encode_short_bsr(0, queued));
+                mac::encode_subpdus(&[report, data], None)
+            } else {
+                mac::encode_subpdus(&[data], None)
+            };
+            pdus.push(pdu.map_err(|e| StackError::Mac(e.to_string()))?);
+        }
+    }
+
+    /// MAC → RLC → PDCP → SDAP: walks one received MAC PDU up and appends
+    /// `forward` of each completed payload, where it returns one, to `out`.
+    /// A MAC PDU that does not parse reaches no entity, and on any error
+    /// `out` is left as it was.
+    fn rx(
+        &mut self,
+        mac_pdu: &Bytes,
+        out: &mut Vec<Bytes>,
+        mut forward: impl FnMut(Bytes) -> Result<Option<Bytes>, StackError>,
+    ) -> Result<(), StackError> {
+        let mac_err = |e: mac::MacError| StackError::Mac(e.to_string());
+        mac::subpdus(mac_pdu).try_for_each(|sub| sub.map(drop)).map_err(mac_err)?;
+        let start = out.len();
+        let mut walk = || {
+            for sub in mac::subpdus(mac_pdu) {
+                let sub = sub.map_err(mac_err)?;
+                if sub.lcid != PING_LCID {
+                    continue; // control elements
+                }
+                self.pdcp_pdus.clear();
+                self.rlc
+                    .rx_pdu_into(&sub.payload, &mut self.pdcp_pdus)
+                    .map_err(|e| StackError::Rlc(e.to_string()))?;
+                for p in &self.pdcp_pdus {
+                    self.sdap_pdus.clear();
+                    self.pdcp
+                        .rx_decode_into(p, &mut self.sdap_pdus)
+                        .map_err(|e| StackError::Pdcp(e.to_string()))?;
+                    for s in &self.sdap_pdus {
+                        let (_h, payload) =
+                            self.sdap.decode_pdu(s).map_err(|e| StackError::Sdap(e.to_string()))?;
+                        out.extend(forward(payload)?);
+                    }
+                }
+            }
+            Ok(())
+        };
+        let walked = walk();
+        if walked.is_err() {
+            out.truncate(start);
+        }
+        walked
+    }
+}
+
 /// The UE-side protocol stack.
 #[derive(Debug)]
 pub struct UeStack {
     /// This UE's RNTI.
     pub rnti: Rnti,
-    sdap: SdapEntity,
-    pdcp: PdcpEntity,
-    rlc: RlcUmEntity,
+    bearer: Bearer,
     /// PUSCH: what [`phy_encode`](Self::phy_encode) transmits on.
     ul: SharedChannel,
     /// PDSCH: what [`phy_decode`](Self::phy_decode) receives on.
@@ -98,13 +219,9 @@ pub struct UeStack {
 impl UeStack {
     /// Creates a UE stack sharing `key` with the gNB.
     pub fn new(rnti: Rnti, key: u64) -> UeStack {
-        let mut sdap = SdapEntity::new();
-        sdap.map_flow(PING_QFI, PING_LCID);
         UeStack {
             rnti,
-            sdap,
-            pdcp: PdcpEntity::new(PdcpConfig::new(key, PING_LCID, Direction::Uplink)),
-            rlc: RlcUmEntity::new(),
+            bearer: Bearer::new(key, Direction::Uplink, &Telemetry::disabled()),
             ul: shared_channel(rnti, false),
             dl: shared_channel(rnti, true),
         }
@@ -112,9 +229,7 @@ impl UeStack {
 
     /// Attaches a telemetry handle, propagating it to every layer entity.
     pub(crate) fn set_telemetry(&mut self, tel: Telemetry) {
-        self.sdap.set_telemetry(tel.clone());
-        self.pdcp.set_telemetry(tel.clone());
-        self.rlc.set_telemetry(tel);
+        self.bearer.set_telemetry(&tel);
     }
 
     /// Encodes an application payload into uplink MAC PDUs, each at most
@@ -124,40 +239,21 @@ impl UeStack {
         payload: &Bytes,
         grant_bytes: usize,
     ) -> Result<Vec<Bytes>, StackError> {
-        let (_drb, sdap_pdu) =
-            self.sdap.encode_pdu(PING_QFI, payload).map_err(|e| StackError::Sdap(e.to_string()))?;
-        let pdcp_pdu = self.pdcp.tx_encode(&sdap_pdu);
-        self.rlc.tx_sdu(pdcp_pdu);
-        self.pull_uplink_pdus(grant_bytes)
+        let mut pdus = Vec::new();
+        self.encode_uplink_into(payload, grant_bytes, &mut pdus)?;
+        Ok(pdus)
     }
 
-    /// Drains the RLC transmit queue into uplink MAC PDUs (BSR riding
-    /// along), each at most `grant_bytes` long.
-    fn pull_uplink_pdus(&mut self, grant_bytes: usize) -> Result<Vec<Bytes>, StackError> {
-        let mut out = Vec::new();
-        loop {
-            // Reserve room for the MAC subheaders (data + BSR). The BSR
-            // reports the buffer as it stands before this pull.
-            let queued = self.rlc.queued_bytes();
-            let overhead = SHORT_BSR_SUBPDU_BYTES + 3; // data subheader worst case
-            if grant_bytes <= overhead + 1 {
-                return Err(StackError::Mac(format!("grant {grant_bytes} B too small")));
-            }
-            match self
-                .rlc
-                .pull_pdu(grant_bytes - overhead)
-                .map_err(|e| StackError::Rlc(e.to_string()))?
-            {
-                Some(rlc_pdu) => {
-                    let bsr =
-                        MacSubPdu::new(mac::lcid::SHORT_BSR, mac::encode_short_bsr(0, queued));
-                    let pdu = MacPdu::new(vec![bsr, MacSubPdu::new(PING_LCID, rlc_pdu)]);
-                    out.push(pdu.encode(None).map_err(|e| StackError::Mac(e.to_string()))?);
-                }
-                None => break,
-            }
-        }
-        Ok(out)
+    /// [`encode_uplink`](Self::encode_uplink), appending the MAC PDUs to
+    /// `pdus`.
+    pub(crate) fn encode_uplink_into(
+        &mut self,
+        payload: &Bytes,
+        grant_bytes: usize,
+        pdus: &mut Vec<Bytes>,
+    ) -> Result<(), StackError> {
+        self.bearer.tx(payload)?;
+        self.bearer.pull_mac_pdus(grant_bytes, true, pdus)
     }
 
     /// Uplink-bearer data recovery after RRC re-establishment: the RLC
@@ -173,43 +269,40 @@ impl UeStack {
     ) -> Result<Vec<Bytes>, StackError> {
         let report = ran::pdcp::PdcpStatusReport::decode(status_report)
             .map_err(|e| StackError::Pdcp(e.to_string()))?;
-        self.rlc = self.rlc.reestablished();
-        for pdcp_pdu in self.pdcp.retransmit_unconfirmed(&report) {
-            self.rlc.tx_sdu(pdcp_pdu);
+        let bearer = &mut self.bearer;
+        bearer.rlc = bearer.rlc.reestablished();
+        for pdcp_pdu in bearer.pdcp.retransmit_unconfirmed(&report) {
+            bearer.rlc.tx_sdu(pdcp_pdu);
         }
-        self.pull_uplink_pdus(grant_bytes)
+        let mut pdus = Vec::new();
+        bearer.pull_mac_pdus(grant_bytes, true, &mut pdus)?;
+        Ok(pdus)
     }
 
     /// Downlink-bearer half of a re-establishment: re-establishes the RLC
     /// entity and produces the encoded PDCP status report
     /// (TS 38.323 §6.2.3.1) the gNB needs for its data recovery.
     pub fn reestablish_downlink(&mut self) -> Bytes {
-        self.rlc = self.rlc.reestablished();
-        self.pdcp.status_report().encode()
+        self.bearer.rlc = self.bearer.rlc.reestablished();
+        self.bearer.pdcp.status_report().encode()
     }
 
     /// Decodes a downlink MAC PDU; returns any application payloads
     /// completed by it.
     pub fn decode_downlink(&mut self, mac_pdu: &Bytes) -> Result<Vec<Bytes>, StackError> {
-        let pdu = MacPdu::decode(mac_pdu).map_err(|e| StackError::Mac(e.to_string()))?;
         let mut payloads = Vec::new();
-        for sub in pdu.subpdus {
-            if sub.lcid != PING_LCID {
-                continue; // control elements
-            }
-            let pdcp_pdus =
-                self.rlc.rx_pdu(&sub.payload).map_err(|e| StackError::Rlc(e.to_string()))?;
-            for p in pdcp_pdus {
-                let sdap_pdus =
-                    self.pdcp.rx_decode(&p).map_err(|e| StackError::Pdcp(e.to_string()))?;
-                for s in sdap_pdus {
-                    let (_h, payload) =
-                        self.sdap.decode_pdu(&s).map_err(|e| StackError::Sdap(e.to_string()))?;
-                    payloads.push(payload);
-                }
-            }
-        }
+        self.decode_downlink_into(mac_pdu, &mut payloads)?;
         Ok(payloads)
+    }
+
+    /// [`decode_downlink`](Self::decode_downlink), appending the payloads
+    /// to `payloads` (left as it was on error).
+    pub(crate) fn decode_downlink_into(
+        &mut self,
+        mac_pdu: &Bytes,
+        payloads: &mut Vec<Bytes>,
+    ) -> Result<(), StackError> {
+        self.bearer.rx(mac_pdu, payloads, |payload| Ok(Some(payload)))
     }
 
     /// Modulates an uplink MAC PDU to IQ samples, borrowed from the
@@ -237,9 +330,7 @@ fn phy_decode(channel: &mut SharedChannel, samples: &[Iq]) -> Result<Bytes, Stac
 
 #[derive(Debug)]
 struct UeContext {
-    pdcp: PdcpEntity,
-    rlc: RlcUmEntity,
-    sdap: SdapEntity,
+    bearer: Bearer,
     session: Session,
     /// PDSCH: what [`GnbStack::phy_encode`] transmits on.
     dl: SharedChannel,
@@ -279,9 +370,7 @@ impl GnbStack {
     pub(crate) fn set_telemetry(&mut self, tel: Telemetry) {
         self.upf.set_telemetry(tel.clone());
         for ctx in self.contexts.values_mut() {
-            ctx.sdap.set_telemetry(tel.clone());
-            ctx.pdcp.set_telemetry(tel.clone());
-            ctx.rlc.set_telemetry(tel.clone());
+            ctx.bearer.set_telemetry(&tel);
         }
         self.tel = tel;
     }
@@ -289,18 +378,12 @@ impl GnbStack {
     /// Attaches a UE: creates the per-UE layer entities and a PDU session
     /// at the UPF. `ue_addr` is the UE's IP on the data network.
     pub fn attach_ue(&mut self, rnti: Rnti, key: u64, ue_addr: u32) {
-        let mut sdap = SdapEntity::new();
-        sdap.map_flow(PING_QFI, PING_LCID);
-        let mut pdcp = PdcpEntity::new(PdcpConfig::new(key, PING_LCID, Direction::Downlink));
-        let mut rlc = RlcUmEntity::new();
-        sdap.set_telemetry(self.tel.clone());
-        pdcp.set_telemetry(self.tel.clone());
-        rlc.set_telemetry(self.tel.clone());
+        let bearer = Bearer::new(key, Direction::Downlink, &self.tel);
         let dl_teid = u32::from(rnti) + 0x100;
         let session = self.upf.establish_session(ue_addr, dl_teid);
         self.dl_routes.insert(dl_teid, rnti);
         let (dl, ul) = (shared_channel(rnti, true), shared_channel(rnti, false));
-        self.contexts.insert(rnti, UeContext { pdcp, rlc, sdap, session, dl, ul });
+        self.contexts.insert(rnti, UeContext { bearer, session, dl, ul });
     }
 
     /// Attached UE count.
@@ -320,40 +403,32 @@ impl GnbStack {
     /// Decodes an uplink MAC PDU from `rnti`; completed packets are pushed
     /// through GTP-U to the UPF and returned as data-network payloads.
     pub fn decode_uplink(&mut self, rnti: Rnti, mac_pdu: &Bytes) -> Result<Vec<Bytes>, StackError> {
+        let mut payloads = Vec::new();
+        self.decode_uplink_into(rnti, mac_pdu, &mut payloads)?;
+        Ok(payloads)
+    }
+
+    /// [`decode_uplink`](Self::decode_uplink), appending the payloads to
+    /// `payloads` (left as it was on error).
+    pub(crate) fn decode_uplink_into(
+        &mut self,
+        rnti: Rnti,
+        mac_pdu: &Bytes,
+        payloads: &mut Vec<Bytes>,
+    ) -> Result<(), StackError> {
         let ctx = self.contexts.get_mut(&rnti).ok_or(StackError::UnknownRnti(rnti))?;
-        let pdu = MacPdu::decode(mac_pdu).map_err(|e| StackError::Mac(e.to_string()))?;
-        let mut n3_packets = Vec::new();
-        for sub in pdu.subpdus {
-            if sub.lcid != PING_LCID {
-                continue;
-            }
-            let pdcp_pdus =
-                ctx.rlc.rx_pdu(&sub.payload).map_err(|e| StackError::Rlc(e.to_string()))?;
-            for p in pdcp_pdus {
-                let sdap_pdus =
-                    ctx.pdcp.rx_decode(&p).map_err(|e| StackError::Pdcp(e.to_string()))?;
-                for s in sdap_pdus {
-                    let (_h, payload) =
-                        ctx.sdap.decode_pdu(&s).map_err(|e| StackError::Sdap(e.to_string()))?;
-                    // N3: wrap in GTP-U toward the UPF.
-                    n3_packets.push((
-                        corenet::gtpu::GtpuHeader::gpdu(ctx.session.ul_teid).encode(&payload),
-                        (),
-                    ));
-                }
-            }
-        }
-        // UPF decapsulates onto the data network.
-        let mut out = Vec::new();
-        for (n3, ()) in n3_packets {
-            match self.upf.uplink(&n3).map_err(|e| StackError::Core(e.to_string()))? {
-                UplinkOutcome::Data { payload, .. } => out.push(payload),
+        let (upf, ul_teid) = (&mut self.upf, ctx.session.ul_teid);
+        ctx.bearer.rx(mac_pdu, payloads, |payload| {
+            // N3: wrap in GTP-U toward the UPF, which decapsulates onto
+            // the data network.
+            let n3 = corenet::gtpu::GtpuHeader::gpdu(ul_teid).encode(&payload);
+            match upf.uplink(&n3).map_err(|e| StackError::Core(e.to_string()))? {
+                UplinkOutcome::Data { payload, .. } => Ok(Some(payload)),
                 // Only G-PDUs are built above; echo responses belong to
                 // the supervision path, not the data path.
-                UplinkOutcome::EchoResponse(_) => {}
+                UplinkOutcome::EchoResponse(_) => Ok(None),
             }
-        }
-        Ok(out)
+        })
     }
 
     /// Encodes a data-network payload for `ue_addr` into downlink MAC PDUs
@@ -364,6 +439,20 @@ impl GnbStack {
         payload: &Bytes,
         grant_bytes: usize,
     ) -> Result<(Rnti, Vec<Bytes>), StackError> {
+        let mut pdus = Vec::new();
+        let rnti = self.encode_downlink_into(ue_addr, payload, grant_bytes, &mut pdus)?;
+        Ok((rnti, pdus))
+    }
+
+    /// [`encode_downlink`](Self::encode_downlink), appending the MAC PDUs
+    /// to `pdus`; returns the RNTI the reply was routed to.
+    pub(crate) fn encode_downlink_into(
+        &mut self,
+        ue_addr: u32,
+        payload: &Bytes,
+        grant_bytes: usize,
+        pdus: &mut Vec<Bytes>,
+    ) -> Result<Rnti, StackError> {
         let n3 =
             self.upf.downlink(ue_addr, payload).map_err(|e| StackError::Core(e.to_string()))?;
         let (gtp, inner) =
@@ -373,49 +462,19 @@ impl GnbStack {
             .dl_routes
             .get(&gtp.teid)
             .ok_or_else(|| StackError::Core(format!("no route for DL TEID {}", gtp.teid)))?;
-        let ctx = self.ctx(rnti)?;
-        let (_drb, sdap_pdu) =
-            ctx.sdap.encode_pdu(PING_QFI, &inner).map_err(|e| StackError::Sdap(e.to_string()))?;
-        let pdcp_pdu = ctx.pdcp.tx_encode(&sdap_pdu);
-        ctx.rlc.tx_sdu(pdcp_pdu);
-        let out = Self::pull_downlink_pdus(ctx, grant_bytes)?;
-        Ok((rnti, out))
-    }
-
-    /// Drains `ctx`'s RLC transmit queue into downlink MAC PDUs, each at
-    /// most `grant_bytes` long.
-    fn pull_downlink_pdus(
-        ctx: &mut UeContext,
-        grant_bytes: usize,
-    ) -> Result<Vec<Bytes>, StackError> {
-        let mut out = Vec::new();
-        loop {
-            let overhead = 3;
-            if grant_bytes <= overhead + 1 {
-                return Err(StackError::Mac(format!("grant {grant_bytes} B too small")));
-            }
-            match ctx
-                .rlc
-                .pull_pdu(grant_bytes - overhead)
-                .map_err(|e| StackError::Rlc(e.to_string()))?
-            {
-                Some(rlc_pdu) => {
-                    let pdu = MacPdu::new(vec![MacSubPdu::new(PING_LCID, rlc_pdu)]);
-                    out.push(pdu.encode(None).map_err(|e| StackError::Mac(e.to_string()))?);
-                }
-                None => break,
-            }
-        }
-        Ok(out)
+        let bearer = &mut self.ctx(rnti)?.bearer;
+        bearer.tx(&inner)?;
+        bearer.pull_mac_pdus(grant_bytes, false, pdus)?;
+        Ok(rnti)
     }
 
     /// Uplink-bearer half of a re-establishment for `rnti`: re-establishes
     /// the receive-side RLC entity and produces the encoded PDCP status
     /// report (TS 38.323 §6.2.3.1) that drives the UE's data recovery.
     pub fn reestablish_uplink(&mut self, rnti: Rnti) -> Result<Bytes, StackError> {
-        let ctx = self.ctx(rnti)?;
-        ctx.rlc = ctx.rlc.reestablished();
-        Ok(ctx.pdcp.status_report().encode())
+        let bearer = &mut self.ctx(rnti)?.bearer;
+        bearer.rlc = bearer.rlc.reestablished();
+        Ok(bearer.pdcp.status_report().encode())
     }
 
     /// Downlink-bearer data recovery for `rnti` after RRC
@@ -430,12 +489,14 @@ impl GnbStack {
     ) -> Result<Vec<Bytes>, StackError> {
         let report = ran::pdcp::PdcpStatusReport::decode(status_report)
             .map_err(|e| StackError::Pdcp(e.to_string()))?;
-        let ctx = self.ctx(rnti)?;
-        ctx.rlc = ctx.rlc.reestablished();
-        for pdcp_pdu in ctx.pdcp.retransmit_unconfirmed(&report) {
-            ctx.rlc.tx_sdu(pdcp_pdu);
+        let bearer = &mut self.ctx(rnti)?.bearer;
+        bearer.rlc = bearer.rlc.reestablished();
+        for pdcp_pdu in bearer.pdcp.retransmit_unconfirmed(&report) {
+            bearer.rlc.tx_sdu(pdcp_pdu);
         }
-        Self::pull_downlink_pdus(self.ctx(rnti)?, grant_bytes)
+        let mut pdus = Vec::new();
+        bearer.pull_mac_pdus(grant_bytes, false, &mut pdus)?;
+        Ok(pdus)
     }
 
     /// Modulates a downlink MAC PDU for `rnti` to IQ samples, borrowed from

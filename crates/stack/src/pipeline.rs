@@ -266,7 +266,10 @@ pub(crate) struct DeliveryState {
 
 /// Per-ping mutable state threaded through the walk. Hops communicate
 /// forward through events; anything a *later* hop needs that does not fit
-/// an event payload lives here.
+/// an event payload lives here. One context serves every ping of an
+/// experiment ([`PingCtx::reset`]), so its lists allocate only while they
+/// grow to the longest walk.
+#[derive(Default)]
 pub(crate) struct PingCtx {
     pub(crate) id: u64,
     pub(crate) t0: Instant,
@@ -286,6 +289,8 @@ pub(crate) struct PingCtx {
     pub(crate) dl_t0: Instant,
     pub(crate) reply: Bytes,
     pub(crate) dl_pdus: Vec<Bytes>,
+    /// Payloads the receiving end decoded from the block in flight.
+    pub(crate) delivered: Vec<Bytes>,
     pub(crate) dl_samples: usize,
     pub(crate) in_rlc_q: Instant,
     pub(crate) dl_sched_rounds: u32,
@@ -294,31 +299,28 @@ pub(crate) struct PingCtx {
 }
 
 impl PingCtx {
-    pub(crate) fn new(id: u64, t0: Instant) -> PingCtx {
-        PingCtx {
+    /// Readies the context for ping `id` arriving at `t0`: every field as
+    /// at first use, the span and PDU lists emptied but keeping their
+    /// capacity.
+    pub(crate) fn reset(&mut self, id: u64, t0: Instant) {
+        fn emptied<T>(mut list: Vec<T>) -> Vec<T> {
+            list.clear();
+            list
+        }
+        let spent = std::mem::take(self);
+        *self = PingCtx {
             id,
             t0,
-            trace: PingTrace::new(id),
-            ftrace: PingFaultTrace::new(),
-            payload: Bytes::new(),
-            mac_pdus: Vec::new(),
-            ul_samples: 0,
-            ue_phy: Duration::ZERO,
-            ue_submit: Duration::ZERO,
+            trace: PingTrace { id, ul: emptied(spent.trace.ul), dl: emptied(spent.trace.dl) },
+            mac_pdus: emptied(spent.mac_pdus),
             in_rlc: t0,
-            sr: None,
             sr_ready: t0,
-            sched_rounds: 0,
-            first_withheld: None,
-            delivery: DeliveryState::default(),
             dl_t0: t0,
-            reply: Bytes::new(),
-            dl_pdus: Vec::new(),
-            dl_samples: 0,
+            dl_pdus: emptied(spent.dl_pdus),
+            delivered: emptied(spent.delivered),
             in_rlc_q: t0,
-            dl_sched_rounds: 0,
-            pending_storm: Duration::ZERO,
-        }
+            ..PingCtx::default()
+        };
     }
 }
 
@@ -398,8 +400,9 @@ fn app_down(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutc
     // for the configured payload plus PDCP/RLC/MAC headers, so the
     // segmenter never overflows a transport block here.
     let grant_bytes = exp.config.grant_bytes();
-    ctx.mac_pdus =
-        exp.ue.encode_uplink(&ctx.payload, grant_bytes).expect("UL grant sized for payload");
+    exp.ue
+        .encode_uplink_into(&ctx.payload, grant_bytes, &mut ctx.mac_pdus)
+        .expect("UL grant sized for payload");
     ctx.ul_samples = exp.ue.phy_sample_count(ctx.mac_pdus[0].len());
     ctx.in_rlc = in_rlc;
     exp.events.push(in_rlc, PingEvent::UlAccess);
@@ -545,8 +548,8 @@ fn ul_sched(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant, slot: u64)
         return HopOutcome::Lost;
     }
     ctx.sched_rounds += 1;
-    let decision = exp.sched.run_slot(slot);
-    match decision.ul_grants.first().copied() {
+    exp.sched.run_slot_into(slot, &mut exp.decision);
+    match exp.decision.ul_grants.first().copied() {
         Some(g) => {
             exp.events.push(g.grant_tx, PingEvent::GrantIssued { grant: g, decision_slot: slot })
         }
@@ -779,28 +782,27 @@ fn gnb_walk_up(
     // After a recovery, both RLC entities restarted their numbering
     // and the in-flight SDU was PDCP-retransmitted: the recovered MAC
     // PDUs are what actually crossed the air.
-    let mac_pdus =
-        ctx.delivery.recovered.take().unwrap_or_else(|| std::mem::take(&mut ctx.mac_pdus));
+    let recovered = ctx.delivery.recovered.take();
+    let mac_pdus = recovered.as_deref().unwrap_or(&ctx.mac_pdus);
+    let got = &mut ctx.delivered;
+    got.clear();
     let air_samples = exp.ue.phy_encode(&mac_pdus[0]);
     let decoded = exp
         .gnb
         .phy_decode(RNTI, air_samples)
-        .ok()
-        .and_then(|pdu| exp.gnb.decode_uplink(RNTI, &pdu).ok());
-    let mut delivered_ok = matches!(&decoded, Some(v) if v.first() == Some(&ctx.payload));
+        .and_then(|pdu| exp.gnb.decode_uplink_into(RNTI, &pdu, got))
+        .is_ok();
+    let mut delivered_ok = decoded && got.first() == Some(&ctx.payload);
     // Push any remaining segments through (tiny grants).
-    if !delivered_ok {
-        if let Some(mut got) = decoded {
-            for extra in &mac_pdus[1..] {
-                let s = exp.ue.phy_encode(extra);
-                if let Ok(pdu) = exp.gnb.phy_decode(RNTI, s) {
-                    if let Ok(more) = exp.gnb.decode_uplink(RNTI, &pdu) {
-                        got.extend(more);
-                    }
-                }
+    if decoded && !delivered_ok {
+        for extra in &mac_pdus[1..] {
+            let s = exp.ue.phy_encode(extra);
+            if let Ok(pdu) = exp.gnb.phy_decode(RNTI, s) {
+                // A segment that fails to decode adds nothing.
+                let _ = exp.gnb.decode_uplink_into(RNTI, &pdu, got);
             }
-            delivered_ok = got.first() == Some(&ctx.payload);
         }
+        delivered_ok = got.first() == Some(&ctx.payload);
     }
     if !delivered_ok {
         result.integrity_failures += 1;
@@ -882,14 +884,16 @@ fn dl_walk_down(
     // DL slot budget from the same config that sizes the reply, and the
     // session for UE_ADDR was registered at experiment setup.
     let cap = exp.config.slot_capacity_bytes();
-    let (rnti, dl_pdus) =
-        exp.gnb.encode_downlink(UE_ADDR, &ctx.reply, cap).expect("DL slot sized for reply");
+    let rnti = exp
+        .gnb
+        .encode_downlink_into(UE_ADDR, &ctx.reply, cap, &mut ctx.dl_pdus)
+        .expect("DL slot sized for reply");
+    let tb_bytes = ctx.dl_pdus[0].len();
     ctx.dl_samples = exp
         .gnb
-        .phy_sample_count(rnti, dl_pdus[0].len())
+        .phy_sample_count(rnti, tb_bytes)
         .expect("encode_downlink routed the reply to an attached UE");
-    exp.sched.on_dl_data(RNTI, dl_pdus[0].len(), in_rlc_q);
-    ctx.dl_pdus = dl_pdus;
+    exp.sched.on_dl_data(RNTI, tb_bytes, in_rlc_q);
     ctx.in_rlc_q = in_rlc_q;
     let boundary = exp.timing.slot_index_at(in_rlc_q) + 1;
     exp.events.push(exp.timing.slot_start(boundary), PingEvent::DlSched { slot: boundary });
@@ -912,8 +916,8 @@ fn dl_sched(
         return HopOutcome::Lost;
     }
     ctx.dl_sched_rounds += 1;
-    let decision = exp.sched.run_slot(slot);
-    let Some(assign) = decision.dl_assignments.first().copied() else {
+    exp.sched.run_slot_into(slot, &mut exp.decision);
+    let Some(assign) = exp.decision.dl_assignments.first().copied() else {
         let next = slot + 1;
         exp.events.push(exp.timing.slot_start(next), PingEvent::DlSched { slot: next });
         return HopOutcome::Continue;
@@ -1014,26 +1018,26 @@ fn ue_rx_up(
     ctx.trace.dl.push(StageSpan::new(labels::PHY_UP, at, delivered));
     // Decode the actual bytes (the recovered PDUs when an RLF detour
     // re-established the bearer mid-reply).
-    let dl_pdus = ctx.delivery.recovered.take().unwrap_or_else(|| std::mem::take(&mut ctx.dl_pdus));
-    let got = exp
+    let recovered = ctx.delivery.recovered.take();
+    let dl_pdus = recovered.as_deref().unwrap_or(&ctx.dl_pdus);
+    let got = &mut ctx.delivered;
+    got.clear();
+    let decoded = exp
         .gnb
         .phy_encode(RNTI, &dl_pdus[0])
         .and_then(|air_samples| exp.ue.phy_decode(air_samples))
-        .ok()
-        .and_then(|pdu| exp.ue.decode_downlink(&pdu).ok());
-    let mut ok = matches!(&got, Some(v) if v.first() == Some(&ctx.reply));
-    if !ok {
-        if let Some(mut v) = got {
-            for extra in &dl_pdus[1..] {
-                let s = exp.gnb.phy_encode(RNTI, extra);
-                if let Ok(pdu) = s.and_then(|s| exp.ue.phy_decode(s)) {
-                    if let Ok(more) = exp.ue.decode_downlink(&pdu) {
-                        v.extend(more);
-                    }
-                }
+        .and_then(|pdu| exp.ue.decode_downlink_into(&pdu, got))
+        .is_ok();
+    let mut ok = decoded && got.first() == Some(&ctx.reply);
+    if decoded && !ok {
+        for extra in &dl_pdus[1..] {
+            let s = exp.gnb.phy_encode(RNTI, extra);
+            if let Ok(pdu) = s.and_then(|s| exp.ue.phy_decode(s)) {
+                // A segment that fails to decode adds nothing.
+                let _ = exp.ue.decode_downlink_into(&pdu, got);
             }
-            ok = v.first() == Some(&ctx.reply);
         }
+        ok = got.first() == Some(&ctx.reply);
     }
     if !ok {
         result.integrity_failures += 1;

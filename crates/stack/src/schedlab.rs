@@ -28,7 +28,7 @@
 use std::collections::VecDeque;
 
 use ran::sched::{
-    AccessMode, EmergencyBurst, PolicySpec, RequestTag, Rnti, Scheduler, SliceShares,
+    AccessMode, EmergencyBurst, PolicySpec, RequestTag, Rnti, Scheduler, SliceShares, SlotDecision,
 };
 use sim::{Dist, Duration, Instant, Recording, SimRng};
 
@@ -274,6 +274,7 @@ fn run_point(
 
     let mut next = 0usize;
     let mut slot = 0u64;
+    let mut decision = SlotDecision::default();
     while next < arrivals.len() {
         slot += 1;
         let now = stack.duplex.slot_start(slot);
@@ -296,7 +297,8 @@ fn run_point(
         // Every request ready before the boundary is assigned this round
         // (first-fit probes forward until a slot has room), so the loop
         // ends exactly when the trace is exhausted.
-        for a in sched.run_slot(slot).dl_assignments {
+        sched.run_slot_into(slot, &mut decision);
+        for a in &decision.dl_assignments {
             let ci = a.rnti as usize;
             // Within a class every policy orders by seq (stable sorts +
             // seq tie-break), so assignment order is arrival order.

@@ -193,10 +193,12 @@ pub struct EventJournal {
 }
 
 impl EventJournal {
-    /// A journal holding at most `capacity` events (min 1).
+    /// A journal holding at most `capacity` events (min 1). The ring starts
+    /// empty and grows with what is recorded, so a large cap costs nothing
+    /// until the events arrive.
     pub fn new(capacity: usize) -> EventJournal {
         let capacity = capacity.max(1);
-        EventJournal { capacity, events: VecDeque::with_capacity(capacity), dropped: 0 }
+        EventJournal { capacity, events: VecDeque::new(), dropped: 0 }
     }
 
     /// Appends an event, shedding the oldest when full.

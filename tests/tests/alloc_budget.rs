@@ -1,17 +1,22 @@
-//! The byte path's allocation budget (ROADMAP item 2).
+//! The byte path's allocation budget (ROADMAP item 9).
 //!
-//! A ping crosses eighteen hops and builds some twenty PDUs; what it may ask
-//! of the allocator for that is fixed here, so that a `Vec`-then-copy or a
-//! per-block scratch buffer creeping back in fails a test rather than
-//! drifting the benchmark's `allocs_per_unit`. The counters are per thread:
-//! the harness runs the tests of this binary side by side.
+//! A ping crosses eighteen hops and builds sixteen PDUs; what it may ask of
+//! the allocator for that is fixed here, so that a `Vec`-then-copy, a
+//! per-call return container or a per-block scratch buffer creeping back in
+//! fails a test rather than drifting the benchmark's `allocs_per_unit`. The
+//! counters are per thread: the harness runs the tests of this binary side
+//! by side. Run with `--nocapture` to see the measured counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use ran::sched::AccessMode;
-use stack::{PingExperiment, StackConfig};
+use phy::duplex::Duplex;
+use phy::tdd::TddConfig;
+use ran::sched::{AccessMode, Scheduler, SchedulerConfig, SlotDecision};
+use sim::{Duration, FaultPlan};
+use stack::{run_parallel_workers, PingExperiment, StackConfig};
+use telemetry::Telemetry;
 
 thread_local! {
     /// `(allocations, bytes requested)` by this thread.
@@ -88,31 +93,100 @@ fn steady_state(payload_bytes: usize) -> (u64, u64) {
 
 const PINGS: u64 = 256;
 
-/// Allocations per ping: 39 on the walk (16 PDUs, 13 `Vec` return
-/// containers, 6 scheduler queues, 4 growths of the span vectors) and the
-/// amortised growth of the result vectors, 39.4 in all.
-const ALLOCS_PER_PING: u64 = 40;
-/// Bytes per 64 B ping (5 265 measured).
-const BYTES_PER_SMALL_PING: u64 = 5_500;
+/// Allocations per ping: the 16 PDUs (five built and three decoded per
+/// leg) and the amortised growth of the result's sample vectors. Every
+/// container on the walk — the codecs' output lists, the scheduler's
+/// queues, ready set and decision, the span and PDU lists of the ping
+/// context — is owned by the experiment and reused from ping to ping.
+const ALLOCS_PER_PING: u64 = 17;
+/// Bytes per 64 B ping (1 593 measured).
+const BYTES_PER_SMALL_PING: u64 = 1_650;
+
+fn per_ping(count: u64, pings: u64) -> f64 {
+    count as f64 / pings as f64
+}
 
 #[test]
 fn a_ping_stays_within_its_allocation_budget_at_any_payload_size() {
     let (small_allocs, small_bytes) = steady_state(64);
     let (large_allocs, large_bytes) = steady_state(1000);
+    println!(
+        "dark ping, 64 B: {:.2} allocations, {:.0} B; 1000 B: {:.2} allocations, {:.0} B",
+        per_ping(small_allocs, PINGS),
+        per_ping(small_bytes, PINGS),
+        per_ping(large_allocs, PINGS),
+        per_ping(large_bytes, PINGS),
+    );
     assert!(
         small_allocs <= ALLOCS_PER_PING * PINGS,
         "{:.2} allocations per 64 B ping, budget {ALLOCS_PER_PING}",
-        small_allocs as f64 / PINGS as f64
+        per_ping(small_allocs, PINGS)
     );
     assert!(
         small_bytes <= BYTES_PER_SMALL_PING * PINGS,
         "{:.0} B allocated per 64 B ping, budget {BYTES_PER_SMALL_PING}",
-        small_bytes as f64 / PINGS as f64
+        per_ping(small_bytes, PINGS)
     );
     // Every buffer is sized once for what it will hold: a larger payload
     // asks for larger allocations, never for more of them.
     assert_eq!(small_allocs, large_allocs, "allocation count depends on the payload size");
     assert!(large_bytes > small_bytes);
+}
+
+/// Pings of the lit chaos run: two 256-ping shards, so each shard's
+/// telemetry sibling is paid for twice.
+const LIT_PINGS: u64 = 512;
+/// Bytes per ping of the lit chaos run (9 803 measured).
+const BYTES_PER_LIT_PING: u64 = 10_250;
+
+#[test]
+fn a_lit_chaos_run_stays_within_its_byte_budget() {
+    let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true)
+        .with_seed(2024)
+        .with_faults(FaultPlan::chaos(0.4));
+    // One worker runs the shards inline, on this thread's counter.
+    let (result, allocs, bytes) =
+        counted(|| run_parallel_workers(&cfg, LIT_PINGS, 0, Some(&Telemetry::new(65_536)), 1));
+    assert_eq!(result.attribution.total(), LIT_PINGS);
+    println!(
+        "lit chaos ping: {:.2} allocations, {:.0} B",
+        per_ping(allocs, LIT_PINGS),
+        per_ping(bytes, LIT_PINGS)
+    );
+    assert!(
+        bytes <= BYTES_PER_LIT_PING * LIT_PINGS,
+        "{:.0} B allocated per lit chaos ping, budget {BYTES_PER_LIT_PING}",
+        per_ping(bytes, LIT_PINGS)
+    );
+}
+
+#[test]
+fn a_warmed_scheduler_round_allocates_nothing() {
+    let duplex = Duplex::Tdd(TddConfig::dddu_testbed());
+    let mut sched =
+        Scheduler::new(SchedulerConfig::testbed(duplex.clone(), AccessMode::GrantBased));
+    let mut decision = SlotDecision::default();
+    // A steady backlog: every round two SRs and three DL blocks become
+    // ready, and a fourth DL block waits until the next round.
+    let mut round = |slot: u64| {
+        let boundary = duplex.slot_start(slot);
+        for rnti in 0..2 {
+            sched.on_sr(rnti, boundary - Duration::from_micros(1));
+        }
+        for rnti in 0..3 {
+            sched.on_dl_data(rnti, 500, boundary - Duration::from_micros(1));
+        }
+        sched.on_dl_data(3, 500, boundary);
+        sched.run_slot_into(slot, &mut decision);
+        (decision.ul_grants.len(), decision.dl_assignments.len())
+    };
+    for slot in 1..32 {
+        round(slot);
+    }
+    let (served, allocs, _) =
+        counted(|| (32..96).map(&mut round).fold((0, 0), |(u, d), (ul, dl)| (u + ul, d + dl)));
+    assert_eq!(served, (2 * 64, 4 * 64), "every ready request is served in its round");
+    assert_eq!(allocs, 0, "a warmed round allocated");
 }
 
 #[test]
