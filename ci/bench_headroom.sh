@@ -5,6 +5,8 @@
 # repetition as failed, so a speed-up can fail it by being too fast; run
 # this before and after a perf change. A repetition's wall is its unit
 # count divided by its rate on the `units_per_s of each repetition:` line.
+# Each line also reports the run's `peak_rss_mb`, so a memory regression
+# shows in every log; that figure is informational and never fails the run.
 #
 # Exits 1 when a workload's fastest repetition is under the floor or the
 # benchmark itself failed; under 0.55 s only warns.
@@ -22,10 +24,11 @@ for w in ping_small ping_large ping_chaos_lit sched_grid city_multicell; do
       # "units_per_s of each repetition: r1 r2 …": the rates start at field 5.
       for (i = 5; i <= NF; i++) if ($i + 0 > best) best = $i + 0
     }
+    $1 == "peak_rss_mb" { rss = sprintf(", peak_rss_mb %.1f MB", $2) }
     END {
       if (!units || !best) { print w ": no repetition rates in the output"; exit 1 }
       wall = units / best
-      printf "%s: fastest repetition %.3f s, floor 0.500 s, headroom %.0f %%\n", w, wall, (wall / 0.5 - 1) * 100
+      printf "%s: fastest repetition %.3f s, floor 0.500 s, headroom %.0f %%%s\n", w, wall, (wall / 0.5 - 1) * 100, rss
       if (wall < 0.5) { print "::error::" w " has a repetition under the 0.5 s floor"; exit 1 }
       if (wall < 0.55)
         print "::warning::" w " is within 10 % of the 0.5 s repetition floor: raise the benchmark sizes before the next speed-up on its path"

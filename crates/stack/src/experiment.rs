@@ -716,8 +716,10 @@ pub fn run_parallel(config: &StackConfig, n: u64) -> ExperimentResult {
 
 /// [`run_parallel`] with an explicit trace quota (traces of pings
 /// `0..traces` survive the merge, at their ping id's index) and an
-/// optional telemetry sink — per-shard sibling sinks are absorbed into
-/// `tel` in shard order.
+/// optional telemetry sink. Each shard records into its own sibling sink,
+/// which is absorbed into `tel` in shard order as soon as that shard and
+/// every lower one have finished, then dropped: at most `2 × workers`
+/// siblings are alive at once (one, inline, at one worker).
 pub fn run_parallel_opts(
     config: &StackConfig,
     n: u64,
@@ -779,20 +781,23 @@ fn run_sharded(
         }
         (exp.run_span(start, len, spacing), shard_tel, shard_prof)
     };
-    let shards = match workers {
-        Some(w) => sim::parallel::run_shards_with(w, ranges.len(), run_shard),
-        None => sim::parallel::run_shards(ranges.len(), run_shard),
-    };
-    let mut result = ExperimentResult::default();
-    for (shard, shard_tel, shard_prof) in shards {
-        result.merge(shard);
-        if let (Some(parent), Some(child)) = (tel, shard_tel.as_ref()) {
-            parent.absorb(child);
-        }
-        if let (Some(parent), Some(child)) = (prof, shard_prof.as_ref()) {
-            parent.absorb(child);
-        }
-    }
+    // Each shard's sinks are absorbed, then dropped, as soon as every lower
+    // shard has been: a lit run holds a few shard siblings, not all of them.
+    let mut result = sim::parallel::fold_shards_with(
+        workers.unwrap_or_else(sim::parallel::jobs),
+        ranges.len(),
+        run_shard,
+        ExperimentResult::default(),
+        |result, (shard, shard_tel, shard_prof)| {
+            result.merge(shard);
+            if let (Some(parent), Some(child)) = (tel, shard_tel.as_ref()) {
+                parent.absorb(child);
+            }
+            if let (Some(parent), Some(child)) = (prof, shard_prof.as_ref()) {
+                parent.absorb(child);
+            }
+        },
+    );
     if let Some(t) = tel {
         result.telemetry = t.summary();
     }

@@ -391,31 +391,37 @@ pub fn scalability_sweep(
             AccessMode::GrantBased => shards.push(Shard::Whole(point)),
         }
     }
-    let outs = sim::parallel::run_shards(shards.len(), |i| match shards[i] {
-        Shard::Whole(point) => run_multi_ue(&configs[point]).map(|r| (point, Out::Whole(r))),
-        Shard::Span { point, start, len } => {
-            let cfg = &configs[point];
-            let rng = SimRng::from_seed(cfg.base.seed);
-            grant_free_span(cfg, &rng, start, len).map(|s| (point, Out::Span(s)))
-        }
-    });
-    // Reduce in shard-index order; spans of one point are contiguous.
     let mut results: Vec<Option<MultiUeResult>> = Vec::new();
     results.resize_with(populations.len(), || None);
-    let mut partial: Vec<(Recording, u64, Instant)> =
+    let partial: Vec<(Recording, u64, Instant)> =
         populations.iter().map(|_| (Recording::fixed(), 0u64, Instant::ZERO)).collect();
-    for out in outs {
-        let (point, out) = out?;
-        match out {
-            Out::Whole(r) => results[point] = Some(r),
-            Out::Span(s) => {
+    // Reduced in shard-index order as the shards land; the first error in
+    // that order wins and the shards after it are dropped unread.
+    let (results, partial, status) = sim::parallel::fold_shards_with(
+        sim::parallel::jobs(),
+        shards.len(),
+        |i| match shards[i] {
+            Shard::Whole(point) => run_multi_ue(&configs[point]).map(|r| (point, Out::Whole(r))),
+            Shard::Span { point, start, len } => {
+                let cfg = &configs[point];
+                let rng = SimRng::from_seed(cfg.base.seed);
+                grant_free_span(cfg, &rng, start, len).map(|s| (point, Out::Span(s)))
+            }
+        },
+        (results, partial, Ok(())),
+        |(results, partial, status), out| match out {
+            _ if status.is_err() => {}
+            Err(e) => *status = Err(e),
+            Ok((point, Out::Whole(r))) => results[point] = Some(r),
+            Ok((point, Out::Span(s))) => {
                 let acc = &mut partial[point];
                 acc.0.merge(&s.ul);
                 acc.1 += s.used;
                 acc.2 = acc.2.max(s.horizon);
             }
-        }
-    }
+        },
+    );
+    status?;
     Ok(results
         .into_iter()
         .zip(partial)

@@ -13,7 +13,9 @@
 use proptest::prelude::*;
 use ran::sched::AccessMode;
 use sim::FaultPlan;
-use stack::{run_parallel_profiled, run_parallel_workers, PingExperiment, StackConfig};
+use stack::{
+    run_parallel_profiled, run_parallel_workers, PingExperiment, StackConfig, BATCH_PINGS,
+};
 use telemetry::{Profiler, Telemetry};
 use urllc_core::{decompose_tail, TailBaseline};
 
@@ -76,6 +78,32 @@ fn flight_json_is_byte_identical_across_worker_counts() {
     let prof = Profiler::new();
     run_parallel_profiled(&cfg, 256, 0, Some(&t3), Some(&prof));
     assert_eq!(t1.flight_json(), t3.flight_json());
+}
+
+/// Six shards, one of them ragged, merged into a ring small enough to shed:
+/// the journal window, its drop count, the registry and the flight recorder
+/// are identical whichever order the shards finish in.
+#[test]
+fn lit_sinks_merge_across_shards_identically_at_any_worker_count() {
+    let cfg = chaos_cfg(11, 0.4);
+    let n = 5 * BATCH_PINGS + 17;
+    let run = |workers| {
+        let tel = Telemetry::new(4_096);
+        run_parallel_workers(&cfg, n, 0, Some(&tel), workers);
+        (tel.journal_events(), tel.journal_dropped(), tel.snapshot(), tel.flight_json())
+    };
+    let one = run(1);
+    assert!(one.1 > 0, "the ring must shed for the merge order to matter");
+    assert!(!one.2.is_empty() && !one.3.is_empty());
+    // `assert!` over `assert_eq!` for the bulky values: a failure should
+    // name what differs, not print two 4 096-event windows.
+    for workers in [2, 8] {
+        let many = run(workers);
+        assert!(one.0 == many.0, "journal window differs at {workers} workers");
+        assert_eq!(one.1, many.1, "journal drops differ at {workers} workers");
+        assert!(one.2 == many.2, "registry differs at {workers} workers");
+        assert!(one.3 == many.3, "flight recorder differs at {workers} workers");
+    }
 }
 
 /// The histogram buckets of an instrumented run carry exemplar ping ids,
