@@ -5,8 +5,9 @@
 # repetition as failed, so a speed-up can fail it by being too fast; run
 # this before and after a perf change. A repetition's wall is its unit
 # count divided by its rate on the `units_per_s of each repetition:` line.
-# Each line also reports the run's `peak_rss_mb`, so a memory regression
-# shows in every log; that figure is informational and never fails the run.
+# Each line also reports the run's `peak_rss_mb`, `allocs_per_unit` and
+# `alloc_bytes_per_unit`, so a memory or allocation regression shows in
+# every log; those figures are informational and never fail the run.
 #
 # Exits 1 when a workload's fastest repetition is under the floor or the
 # benchmark itself failed; under 0.55 s only warns.
@@ -25,10 +26,12 @@ for w in ping_small ping_large ping_chaos_lit sched_grid city_multicell; do
       for (i = 5; i <= NF; i++) if ($i + 0 > best) best = $i + 0
     }
     $1 == "peak_rss_mb" { rss = sprintf(", peak_rss_mb %.1f MB", $2) }
+    $1 == "allocs_per_unit" { allocs = sprintf(", allocs_per_unit %.4f", $2) }
+    $1 == "alloc_bytes_per_unit" { bytes = sprintf(", alloc_bytes_per_unit %.1f B", $2) }
     END {
       if (!units || !best) { print w ": no repetition rates in the output"; exit 1 }
       wall = units / best
-      printf "%s: fastest repetition %.3f s, floor 0.500 s, headroom %.0f %%%s\n", w, wall, (wall / 0.5 - 1) * 100, rss
+      printf "%s: fastest repetition %.3f s, floor 0.500 s, headroom %.0f %%%s%s%s\n", w, wall, (wall / 0.5 - 1) * 100, rss, allocs, bytes
       if (wall < 0.5) { print "::error::" w " has a repetition under the 0.5 s floor"; exit 1 }
       if (wall < 0.55)
         print "::warning::" w " is within 10 % of the 0.5 s repetition floor: raise the benchmark sizes before the next speed-up on its path"

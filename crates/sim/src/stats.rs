@@ -453,6 +453,17 @@ impl LogLinearHistogram {
         }
     }
 
+    /// Empties the histogram in place, keeping its buckets' storage: a
+    /// cleared histogram records and merges exactly like [`new`](Self::new).
+    pub fn clear(&mut self) {
+        self.buckets.clear();
+        self.exemplars.clear();
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// Bucket index for `value`.
     pub fn index_of(value: u64) -> usize {
         if value < SUB_BUCKETS {
@@ -1103,6 +1114,21 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.count(), 4);
         assert_eq!(h.max(), u64::MAX);
+    }
+
+    #[test]
+    fn a_cleared_histogram_equals_a_new_one_and_keeps_its_storage() {
+        let mut h = LogLinearHistogram::new();
+        h.record_with_exemplar(9_000_000, 4);
+        h.record(12);
+        let capacity = h.buckets.capacity();
+        h.clear();
+        assert_eq!(h, LogLinearHistogram::new());
+        assert_eq!(h.buckets.capacity(), capacity);
+        h.record_with_exemplar(700, 2);
+        let mut fresh = LogLinearHistogram::new();
+        fresh.record_with_exemplar(700, 2);
+        assert_eq!(h, fresh);
     }
 
     mod recording_accuracy {

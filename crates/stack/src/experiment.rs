@@ -16,6 +16,8 @@
 //! Every PDU is actually encoded and decoded (see [`crate::node`]); the
 //! experiment asserts byte-exact delivery and counts radio-deadline misses.
 
+use std::sync::{Mutex, PoisonError};
+
 use bytes::{BufMut, Bytes, BytesMut};
 use corenet::{plan_crossing, PathEvent, PathSupervisor};
 use radio::{RadioHead, TxRing};
@@ -670,22 +672,29 @@ impl PingExperiment {
                 ExemplarOutcome::OnTime
             };
             let rlf_hit = spans.clone().any(|(s, _)| s.label == labels::RLF_DETECT);
-            let fault = ctx.ftrace.dominant().map(FaultKind::label);
             self.tel.record_with_exemplar("journey", "rtt", rtt, id);
-            let exemplar = TailExemplar {
-                ping: id,
-                rtt,
-                outcome,
-                fault,
-                fault_extra: ctx.ftrace.contributions().map(|(k, d, _)| (k.label(), d)).collect(),
-                drop_reason: if lost { Some(fault.unwrap_or("unattributed")) } else { None },
-                max_queue_depth: max_depth,
-                sched_rounds: ctx.sched_rounds + ctx.dl_sched_rounds,
-                spans: spans
-                    .map(|(s, dl)| ExemplarSpan { label: s.label, dl, start: s.start, end: s.end })
-                    .collect(),
-            };
-            self.tel.flight_record(exemplar, lost || outcome == ExemplarOutcome::Late || rlf_hit);
+            let forced = lost || outcome == ExemplarOutcome::Late || rlf_hit;
+            self.tel.flight_record(id, rtt, forced, || {
+                let fault = ctx.ftrace.dominant().map(FaultKind::label);
+                let fault_extra = ctx.ftrace.contributions().map(|(k, d, _)| (k.label(), d));
+                let spans = spans.map(|(s, dl)| ExemplarSpan {
+                    label: s.label,
+                    dl,
+                    start: s.start,
+                    end: s.end,
+                });
+                TailExemplar {
+                    ping: id,
+                    rtt,
+                    outcome,
+                    fault,
+                    fault_extra: fault_extra.collect(),
+                    drop_reason: if lost { Some(fault.unwrap_or("unattributed")) } else { None },
+                    max_queue_depth: max_depth,
+                    sched_rounds: ctx.sched_rounds + ctx.dl_sched_rounds,
+                    spans: spans.collect(),
+                }
+            });
         }
         if result.traces.len() < self.traces_wanted {
             result.traces.push(ctx.trace.clone());
@@ -718,8 +727,8 @@ pub fn run_parallel(config: &StackConfig, n: u64) -> ExperimentResult {
 /// `0..traces` survive the merge, at their ping id's index) and an
 /// optional telemetry sink. Each shard records into its own sibling sink,
 /// which is absorbed into `tel` in shard order as soon as that shard and
-/// every lower one have finished, then dropped: at most `2 × workers`
-/// siblings are alive at once (one, inline, at one worker).
+/// every lower one have finished, then recorded into by a later shard: at
+/// most `2 × workers` siblings exist (one, inline, at one worker).
 pub fn run_parallel_opts(
     config: &StackConfig,
     n: u64,
@@ -766,12 +775,19 @@ fn run_sharded(
 ) -> ExperimentResult {
     let spacing = config.duplex.pattern_period() * 5;
     let ranges = sim::parallel::shard_ranges(n, BATCH_PINGS);
+    // Telemetry sinks already absorbed, and so emptied with their storage
+    // kept, for the next shards to record into: one sink for the whole run
+    // at one worker, at most the fold window's at more.
+    let spare: Mutex<Vec<Telemetry>> = Mutex::new(Vec::new());
     let run_shard = |b: usize| {
         let (start, len) = ranges[b];
         let seed = SimRng::from_seed(config.seed).stream_indexed("batch", b as u64).seed();
         let mut exp = PingExperiment::new(config.clone().with_seed(seed));
         exp.keep_traces(traces.saturating_sub(start as usize).min(len as usize));
-        let shard_tel = tel.map(Telemetry::sibling);
+        let shard_tel = tel.map(|parent| {
+            let recycled = spare.lock().unwrap_or_else(PoisonError::into_inner).pop();
+            recycled.unwrap_or_else(|| parent.sibling())
+        });
         if let Some(t) = &shard_tel {
             exp.attach_telemetry(t.clone());
         }
@@ -781,8 +797,8 @@ fn run_sharded(
         }
         (exp.run_span(start, len, spacing), shard_tel, shard_prof)
     };
-    // Each shard's sinks are absorbed, then dropped, as soon as every lower
-    // shard has been: a lit run holds a few shard siblings, not all of them.
+    // Each shard's sinks are absorbed as soon as every lower shard has been:
+    // a lit run holds a few shard siblings, not all of them.
     let mut result = sim::parallel::fold_shards_with(
         workers.unwrap_or_else(sim::parallel::jobs),
         ranges.len(),
@@ -790,8 +806,11 @@ fn run_sharded(
         ExperimentResult::default(),
         |result, (shard, shard_tel, shard_prof)| {
             result.merge(shard);
-            if let (Some(parent), Some(child)) = (tel, shard_tel.as_ref()) {
-                parent.absorb(child);
+            if let (Some(parent), Some(child)) = (tel, shard_tel) {
+                parent.absorb(&child);
+                if !child.is_shared() {
+                    spare.lock().unwrap_or_else(PoisonError::into_inner).push(child);
+                }
             }
             if let (Some(parent), Some(child)) = (prof, shard_prof.as_ref()) {
                 parent.absorb(child);

@@ -363,31 +363,33 @@ impl MobilitySim<'_> {
             // Handover failure: a forced flight-recorder exemplar keeps
             // the window's full evidence even when its interruption is
             // shorter than the worst-K data-path tails.
-            let label = w.kind.unwrap_or(FaultKind::HoForwardingLoss).label();
-            let mut fault_extra = Vec::new();
-            if let Some(kind) = w.kind {
-                fault_extra.push((kind.label(), interruption));
-            }
-            if w.fwd_lost {
-                fault_extra
-                    .push((FaultKind::HoForwardingLoss.label(), self.ho.config().xn_delay * 2));
-            }
-            let exemplar = TailExemplar {
-                ping: self.flushed - 1,
-                rtt: interruption,
-                outcome: if interruption > self.cfg.stack.deadline {
-                    ExemplarOutcome::Late
-                } else {
-                    ExemplarOutcome::OnTime
-                },
-                fault: Some(label),
-                fault_extra,
-                drop_reason: None,
-                max_queue_depth: held_len,
-                sched_rounds: 0,
-                spans: vec![ExemplarSpan { label, dl: true, start: w.detach, end: w.resume }],
-            };
-            self.tel.flight_record(exemplar, true);
+            let ping = self.flushed - 1;
+            self.tel.flight_record(ping, interruption, true, || {
+                let label = w.kind.unwrap_or(FaultKind::HoForwardingLoss).label();
+                let mut fault_extra = Vec::new();
+                if let Some(kind) = w.kind {
+                    fault_extra.push((kind.label(), interruption));
+                }
+                if w.fwd_lost {
+                    fault_extra
+                        .push((FaultKind::HoForwardingLoss.label(), self.ho.config().xn_delay * 2));
+                }
+                TailExemplar {
+                    ping,
+                    rtt: interruption,
+                    outcome: if interruption > self.cfg.stack.deadline {
+                        ExemplarOutcome::Late
+                    } else {
+                        ExemplarOutcome::OnTime
+                    },
+                    fault: Some(label),
+                    fault_extra,
+                    drop_reason: None,
+                    max_queue_depth: held_len,
+                    sched_rounds: 0,
+                    spans: vec![ExemplarSpan { label, dl: true, start: w.detach, end: w.resume }],
+                }
+            });
         }
         if w.via_handover {
             self.completed += 1;

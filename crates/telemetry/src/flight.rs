@@ -11,9 +11,23 @@
 //! independent of worker count: selection orders by `(rtt desc, ping
 //! asc)`, a total order, making merges commutative.
 //!
+//! A ping is *admitted* before its exemplar exists: a buffer takes a key
+//! only while it has room or the key beats its last entry, and the caller
+//! builds the exemplar only if a buffer takes it, so a run pays for the
+//! exemplars it keeps rather than one per ping. A recorder handed to a
+//! shard (a fresh sibling, or a recycled one the parent has just absorbed)
+//! also carries the parent's current worst-K and forced bars as *floors*.
+//! The parent's sets only ever improve, so a key at or past a floor could
+//! never survive the merge and is turned away at once. The merged set,
+//! `observed`, `forced_observed`, `forced_dropped` and the JSON are the
+//! same as without floors at any worker count; only the work a shard
+//! wastes depends on when it was handed out.
+//!
 //! Everything recorded here is **sim time** — the flight recorder's JSON
 //! export is byte-identical at any `--jobs` and is gated as such in CI
 //! (unlike `profile.csv`, which holds host times).
+
+use std::cmp::Reverse;
 
 use sim::{Duration, Instant};
 
@@ -88,21 +102,84 @@ pub struct TailExemplar {
     pub spans: Vec<ExemplarSpan>,
 }
 
+/// Selection key: slowest first, ties toward the smaller ping id.
+/// Total order ⇒ worst-K retention is merge-order independent.
+type Key = (Reverse<u64>, u64);
+
+fn key(ping: u64, rtt: Duration) -> Key {
+    (Reverse(rtt.as_nanos()), ping)
+}
+
 impl TailExemplar {
-    /// Selection key: slowest first, ties toward the smaller ping id.
-    /// Total order ⇒ worst-K retention is merge-order independent.
-    fn key(&self) -> (std::cmp::Reverse<u64>, u64) {
-        (std::cmp::Reverse(self.rtt.as_nanos()), self.ping)
+    fn key(&self) -> Key {
+        key(self.ping, self.rtt)
+    }
+}
+
+/// One bounded retention buffer: the `cap` smallest keys offered, sorted.
+#[derive(Debug, Clone, Default)]
+struct Bounded {
+    cap: usize,
+    kept: Vec<TailExemplar>,
+    /// The bar of the parent this buffer will be merged into, taken when
+    /// the buffer was handed out: a key at or past it can never survive
+    /// that merge, because the parent's set only improves. Every kept key
+    /// is below it.
+    floor: Option<Key>,
+}
+
+impl Bounded {
+    /// The key an exemplar must beat to enter: the last kept one when the
+    /// buffer is full, else the floor.
+    fn bar(&self) -> Option<Key> {
+        match self.kept.last() {
+            Some(last) if self.kept.len() == self.cap => Some(last.key()),
+            _ => self.floor,
+        }
+    }
+
+    /// Whether an exemplar with `key` would be inserted. Exactly the
+    /// exemplars an insert-then-truncate would keep, less those the floor
+    /// already rules out.
+    fn admits(&self, key: Key) -> bool {
+        self.cap > 0 && self.bar().is_none_or(|bar| key < bar)
+    }
+
+    /// Inserts an exemplar [`admits`](Self::admits) accepted, after any
+    /// equal key, evicting the last one when full.
+    fn insert(&mut self, ex: TailExemplar) {
+        let key = ex.key();
+        let at = self.kept.partition_point(|e| e.key() <= key);
+        if self.kept.len() == self.cap {
+            self.kept.pop();
+        }
+        self.kept.insert(at, ex);
+    }
+
+    fn merge(&mut self, other: &Bounded) {
+        // `other` is sorted and the bar only falls: once one exemplar is
+        // turned away, so is every later one.
+        for ex in &other.kept {
+            if !self.admits(ex.key()) {
+                break;
+            }
+            self.insert(ex.clone());
+        }
+    }
+
+    /// Empties the buffer, keeping its storage, to be merged into `parent`.
+    fn clear_below(&mut self, parent: &Bounded) {
+        self.kept.clear();
+        self.cap = parent.cap;
+        self.floor = parent.bar();
     }
 }
 
 /// Bounded worst-K (+ forced) retention buffer; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
-    worst_k: usize,
-    forced_cap: usize,
-    worst: Vec<TailExemplar>,
-    forced: Vec<TailExemplar>,
+    worst: Bounded,
+    forced: Bounded,
     observed: u64,
     forced_observed: u64,
 }
@@ -111,14 +188,26 @@ impl FlightRecorder {
     /// A recorder retaining the `worst_k` slowest pings plus up to
     /// `forced_cap` forced (deadline-miss/RLF/loss/handover-failure) ones.
     pub fn new(worst_k: usize, forced_cap: usize) -> FlightRecorder {
-        FlightRecorder {
-            worst_k,
-            forced_cap,
-            worst: Vec::new(),
-            forced: Vec::new(),
-            observed: 0,
-            forced_observed: 0,
-        }
+        let mut recorder = FlightRecorder::default();
+        recorder.worst.cap = worst_k;
+        recorder.forced.cap = forced_cap;
+        recorder
+    }
+
+    /// An empty recorder with `parent`'s retention, to be merged into it.
+    pub(crate) fn below(parent: &FlightRecorder) -> FlightRecorder {
+        let mut recorder = FlightRecorder::default();
+        recorder.clear_below(parent);
+        recorder
+    }
+
+    /// Empties this recorder, keeping its buffers' storage, for its next
+    /// life below `parent`: caps and floors are taken from `parent` now.
+    pub(crate) fn clear_below(&mut self, parent: &FlightRecorder) {
+        self.worst.clear_below(&parent.worst);
+        self.forced.clear_below(&parent.forced);
+        self.observed = 0;
+        self.forced_observed = 0;
     }
 
     /// Observes one completed ping. `forced` marks pings that must be
@@ -126,21 +215,37 @@ impl FlightRecorder {
     /// failure); when the forced buffer is full, the slowest forced
     /// exemplars win deterministically.
     pub fn observe(&mut self, exemplar: TailExemplar, forced: bool) {
-        self.observed += 1;
-        if forced {
-            self.forced_observed += 1;
-            Self::insert_bounded(&mut self.forced, exemplar.clone(), self.forced_cap);
-        }
-        Self::insert_bounded(&mut self.worst, exemplar, self.worst_k);
+        self.record(exemplar.ping, exemplar.rtt, forced, || exemplar);
     }
 
-    fn insert_bounded(buf: &mut Vec<TailExemplar>, ex: TailExemplar, cap: usize) {
-        if cap == 0 {
+    /// [`observe`](Self::observe) for a ping known by its id and `rtt`:
+    /// `build` makes its exemplar only if a buffer admits it, and it is
+    /// cloned only if both do.
+    pub(crate) fn record(
+        &mut self,
+        ping: u64,
+        rtt: Duration,
+        forced: bool,
+        build: impl FnOnce() -> TailExemplar,
+    ) {
+        self.observed += 1;
+        self.forced_observed += u64::from(forced);
+        let key = key(ping, rtt);
+        let to_worst = self.worst.admits(key);
+        let to_forced = forced && self.forced.admits(key);
+        if !(to_worst || to_forced) {
             return;
         }
-        let at = buf.partition_point(|e| e.key() <= ex.key());
-        buf.insert(at, ex);
-        buf.truncate(cap);
+        let ex = build();
+        debug_assert!(ex.key() == key, "ping {ping} built the exemplar of ping {}", ex.ping);
+        match (to_worst, to_forced) {
+            (true, true) => {
+                self.forced.insert(ex.clone());
+                self.worst.insert(ex);
+            }
+            (true, false) => self.worst.insert(ex),
+            (false, _) => self.forced.insert(ex),
+        }
     }
 
     /// Folds another recorder into this one. Retention keys are total
@@ -148,12 +253,8 @@ impl FlightRecorder {
     pub(crate) fn merge(&mut self, other: &FlightRecorder) {
         self.observed += other.observed;
         self.forced_observed += other.forced_observed;
-        for ex in &other.worst {
-            Self::insert_bounded(&mut self.worst, ex.clone(), self.worst_k);
-        }
-        for ex in &other.forced {
-            Self::insert_bounded(&mut self.forced, ex.clone(), self.forced_cap);
-        }
+        self.worst.merge(&other.worst);
+        self.forced.merge(&other.forced);
     }
 
     /// Pings observed in total.
@@ -168,13 +269,13 @@ impl FlightRecorder {
 
     /// Forced exemplars shed because the forced buffer overflowed.
     pub(crate) fn forced_dropped(&self) -> u64 {
-        self.forced_observed.saturating_sub(self.forced.len() as u64)
+        self.forced_observed.saturating_sub(self.forced.kept.len() as u64)
     }
 
     /// The retained set: worst-K ∪ forced, deduplicated by ping id,
     /// slowest first.
     pub(crate) fn exemplars(&self) -> Vec<&TailExemplar> {
-        let mut out: Vec<&TailExemplar> = self.worst.iter().chain(self.forced.iter()).collect();
+        let mut out: Vec<&TailExemplar> = self.worst.kept.iter().chain(&self.forced.kept).collect();
         out.sort_by_key(|e| e.key());
         out.dedup_by_key(|e| e.ping);
         out
@@ -188,8 +289,8 @@ impl FlightRecorder {
         out.push_str(&format!(
             "  \"worst_k\": {}, \"forced_cap\": {}, \"observed\": {}, \
              \"forced_observed\": {}, \"forced_dropped\": {}, \"retained\": {},\n",
-            self.worst_k,
-            self.forced_cap,
+            self.worst.cap,
+            self.forced.cap,
             self.observed,
             self.forced_observed,
             self.forced_dropped(),
@@ -359,5 +460,73 @@ mod tests {
         assert!(json.contains("\"outcome\":\"lost\""));
         assert!(json.contains("\"drop_reason\":\"channel-burst\""));
         assert!(json.contains("\"retained\": 1"));
+    }
+
+    /// The JSON of a recorder that keeps every exemplar of `stream` (ping
+    /// `i` is `stream[i]`: its rtt in µs and whether it is forced) and
+    /// sorts them once at the end.
+    fn keep_everything(stream: &[(u64, bool)], worst_k: usize, forced_cap: usize) -> String {
+        let mut all: Vec<TailExemplar> =
+            stream.iter().enumerate().map(|(ping, &(rtt, _))| ex(ping as u64, rtt)).collect();
+        all.sort_by_key(TailExemplar::key);
+        let forced: Vec<TailExemplar> =
+            all.iter().filter(|e| stream[e.ping as usize].1).take(forced_cap).cloned().collect();
+        all.truncate(worst_k);
+        FlightRecorder {
+            worst: Bounded { cap: worst_k, kept: all, floor: None },
+            forced: Bounded { cap: forced_cap, kept: forced, floor: None },
+            observed: stream.len() as u64,
+            forced_observed: stream.iter().filter(|&&(_, forced)| forced).count() as u64,
+        }
+        .to_json()
+    }
+
+    mod admission {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn shards_with_parent_floors_keep_what_keeping_everything_keeps(
+                stream in prop::collection::vec((0u64..40, any::<bool>()), 0..300),
+                worst_k in 0usize..8,
+                forced_cap in 0usize..8,
+                shards in prop::collection::vec((1usize..40, 0usize..4, any::<bool>()), 1..12),
+            ) {
+                let mut parent = FlightRecorder::new(worst_k, forced_cap);
+                // The parent after each merge. A shard takes its floors from
+                // the parent `lag` merges ago, as one handed out before its
+                // predecessors landed would.
+                let mut history = vec![parent.clone()];
+                let mut spare: Option<FlightRecorder> = None;
+                let mut pings = (0u64..).zip(stream.iter().copied()).peekable();
+                for &(len, lag, recycle) in shards.iter().cycle() {
+                    if pings.peek().is_none() {
+                        break;
+                    }
+                    let handed_out_under = &history[history.len() - 1 - lag.min(history.len() - 1)];
+                    let mut shard = match spare.take() {
+                        Some(mut used) if recycle => {
+                            used.clear_below(handed_out_under);
+                            used
+                        }
+                        _ => FlightRecorder::below(handed_out_under),
+                    };
+                    for (ping, (rtt_us, forced)) in pings.by_ref().take(len) {
+                        let mut built = false;
+                        shard.record(ping, Duration::from_micros(rtt_us), forced, || {
+                            built = true;
+                            ex(ping, rtt_us)
+                        });
+                        let kept = shard.exemplars().iter().any(|e| e.ping == ping);
+                        prop_assert_eq!(built, kept, "ping {} built {} but kept {}", ping, built, kept);
+                    }
+                    parent.merge(&shard);
+                    history.push(parent.clone());
+                    spare = Some(shard);
+                }
+                prop_assert_eq!(parent.to_json(), keep_everything(&stream, worst_k, forced_cap));
+            }
+        }
     }
 }

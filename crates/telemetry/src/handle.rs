@@ -7,6 +7,13 @@
 //! so clones embedded in `Clone`able entities (PDCP, RLC, radio heads)
 //! stay coherent without threading `&mut` borrows through every layer.
 //!
+//! A parallel sweep gives each shard a [`Telemetry::sibling`] and folds it
+//! back with [`Telemetry::absorb`], which empties the sibling but keeps its
+//! storage: the next shard can record into the same sink, so a lit run
+//! pays for its events rather than for regrowing a ring and ~30 histograms
+//! per shard. The registry treats an emptied histogram as absent, so a
+//! recycled sink absorbs exactly as a fresh one does.
+//!
 //! Crucially, recording consumes **no RNG draws and no simulated time** —
 //! an instrumented run and a dark run produce bit-identical results (the
 //! determinism test in `tests/` holds this line).
@@ -136,11 +143,19 @@ impl Telemetry {
         self.journal(JournalEvent::Stage { ping, dl, label, start, end });
     }
 
-    /// Hands one completed ping's forensic record to the flight recorder.
-    /// `forced` marks pings that must be retained regardless of rank
-    /// (deadline miss, RLF, loss, handover failure).
-    pub fn flight_record(&self, exemplar: TailExemplar, forced: bool) {
-        self.with(|t| t.flight.observe(exemplar, forced));
+    /// Offers one completed ping, by id and round-trip time, to the flight
+    /// recorder. `forced` marks pings that must be retained regardless of
+    /// rank (deadline miss, RLF, loss, handover failure). `build` makes the
+    /// ping's forensic record, and runs only if the recorder keeps it; it
+    /// runs under the sink's lock, so it must not record.
+    pub fn flight_record(
+        &self,
+        ping: u64,
+        rtt: Duration,
+        forced: bool,
+        build: impl FnOnce() -> TailExemplar,
+    ) {
+        self.with(|t| t.flight.record(ping, rtt, forced, build));
     }
 
     /// The flight recorder's retained exemplars, slowest first (empty
@@ -171,17 +186,21 @@ impl Telemetry {
         self.with(|t| t.journal.dropped()).unwrap_or(0)
     }
 
-    /// A fresh, empty handle with the same enabled state and journal
-    /// capacity — the per-shard sink of a parallel sweep. Shards record
-    /// into their own sibling (no cross-thread interleaving) and the
-    /// reducer folds them back with [`absorb`](Self::absorb) in shard
-    /// order, so the merged registry and journal are independent of worker
-    /// count.
+    /// A fresh, empty handle with the same enabled state, journal capacity
+    /// and flight retention — the per-shard sink of a parallel sweep.
+    /// Shards record into their own sibling (no cross-thread interleaving)
+    /// and the reducer folds them back with [`absorb`](Self::absorb) in
+    /// shard order, so the merged registry and journal are independent of
+    /// worker count. The sibling's flight recorder carries this handle's
+    /// current bars as floors (see `telemetry::flight`), so it is meant to
+    /// be absorbed into this handle and no other.
     pub fn sibling(&self) -> Telemetry {
-        match self.with(|t| t.journal.capacity()) {
-            Some(capacity) => Telemetry::new(capacity),
-            None => Telemetry::disabled(),
-        }
+        let inner = self.with(|t| TelemetryInner {
+            registry: MetricsRegistry::new(),
+            journal: EventJournal::new(t.journal.capacity()),
+            flight: FlightRecorder::below(&t.flight),
+        });
+        Telemetry { inner: inner.map(|inner| Arc::new(Mutex::new(inner))) }
     }
 
     /// Folds another handle's registry and journal into this one: counters
@@ -189,6 +208,12 @@ impl Telemetry {
     /// journal window is replayed into this ring in order (its own
     /// overflow drops carry over). No-op when either handle is disabled
     /// or both share one sink.
+    ///
+    /// `other` is left empty with its storage kept — the journal ring, each
+    /// histogram's buckets, the flight buffers — and with floors taken from
+    /// this handle as it stands now, exactly as [`sibling`](Self::sibling)
+    /// would hand it out. So the next shard can record into it: it absorbs
+    /// as a fresh sibling would, without growing everything from nothing.
     pub fn absorb(&self, other: &Telemetry) {
         let (Some(mine), Some(theirs)) = (self.inner.as_ref(), other.inner.as_ref()) else {
             return;
@@ -196,11 +221,21 @@ impl Telemetry {
         if Arc::ptr_eq(mine, theirs) {
             return;
         }
-        let theirs = recover_lock(theirs);
+        let mut theirs = recover_lock(theirs);
         let mut mine = recover_lock(mine);
         mine.registry.merge(&theirs.registry);
         mine.journal.absorb(&theirs.journal);
         mine.flight.merge(&theirs.flight);
+        theirs.registry.clear();
+        theirs.journal.clear();
+        theirs.flight.clear_below(&mine.flight);
+    }
+
+    /// Whether another clone of this enabled handle is alive. An absorbed
+    /// sink is handed to a new shard only when it is not, so no stale clone
+    /// can record into the next shard's telemetry.
+    pub fn is_shared(&self) -> bool {
+        self.inner.as_ref().is_some_and(|inner| Arc::strong_count(inner) > 1)
     }
 
     /// Compact summary for embedding in experiment results.
@@ -360,8 +395,8 @@ mod tests {
         let parent = Telemetry::new(4);
         let a = parent.sibling();
         let b = parent.sibling();
-        a.flight_record(mk(1, 100), false);
-        b.flight_record(mk(2, 900), true);
+        a.flight_record(1, Duration::from_micros(100), false, || mk(1, 100));
+        b.flight_record(2, Duration::from_micros(900), true, || mk(2, 900));
         parent.absorb(&a);
         parent.absorb(&b);
         let exs = parent.flight_exemplars();
@@ -370,6 +405,100 @@ mod tests {
         assert!(parent.flight_json().contains("\"ping\":2"));
         assert!(Telemetry::disabled().flight_exemplars().is_empty());
         assert!(Telemetry::disabled().flight_json().contains("\"retained\": 0"));
+    }
+
+    mod recycling {
+        use super::*;
+        use crate::flight::{ExemplarOutcome, ExemplarSpan};
+        use proptest::prelude::*;
+
+        /// One recording call: `(kind, key, value, forced)`.
+        type Op = (u8, usize, u64, bool);
+
+        const KEYS: [(&str, &str); 3] =
+            [("mac", "harq_retx"), ("radio", "submit_us"), ("journey", "rtt")];
+
+        fn exemplar(ping: u64, rtt: Duration) -> TailExemplar {
+            TailExemplar {
+                ping,
+                rtt,
+                outcome: ExemplarOutcome::OnTime,
+                fault: None,
+                fault_extra: vec![("sr-loss", rtt)],
+                drop_reason: None,
+                max_queue_depth: 2,
+                sched_rounds: 1,
+                spans: vec![ExemplarSpan {
+                    label: "RLC-q",
+                    dl: true,
+                    start: Instant::ZERO,
+                    end: Instant::ZERO + rtt,
+                }],
+            }
+        }
+
+        /// Plays `ops` into `t`, op `i` naming ping `first_ping + i`.
+        fn play(t: &Telemetry, ops: &[Op], first_ping: u64) {
+            for (i, &(kind, key, value, forced)) in ops.iter().enumerate() {
+                let (layer, name) = KEYS[key];
+                let ping = first_ping + i as u64;
+                match kind {
+                    0 => t.count(layer, name, value % 7),
+                    1 => t.record(layer, name, Duration::from_nanos(value)),
+                    2 => t.record_with_exemplar(layer, name, Duration::from_nanos(value), ping),
+                    3 => t.journal(JournalEvent::Marker {
+                        layer,
+                        label: name,
+                        at: Instant::from_micros(value),
+                    }),
+                    _ => {
+                        // Few distinct rtts, so ties fall to the ping id.
+                        let rtt = Duration::from_micros(value % 64);
+                        t.flight_record(ping, rtt, forced, || exemplar(ping, rtt));
+                    }
+                }
+            }
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            (0u8..5, 0usize..KEYS.len(), 0u64..5_000_000, any::<bool>())
+        }
+
+        proptest! {
+            #[test]
+            fn a_recycled_sink_absorbs_like_a_fresh_one(
+                capacity in 1usize..10,
+                before in prop::collection::vec(op(), 0..400),
+                first_life in prop::collection::vec(op(), 0..60),
+                ops in prop::collection::vec(op(), 0..120),
+            ) {
+                // Two equal parents, each with a history of its own.
+                let parents = [Telemetry::new(capacity), Telemetry::new(capacity)];
+                for parent in &parents {
+                    play(parent, &before, 0);
+                }
+                // A sink that lived once — overflowing its ring, and
+                // recording a key nothing else touches — and was absorbed.
+                // Under 64 flight records, its first parent gives it no floor.
+                let first_parent = Telemetry::new(capacity);
+                let recycled = first_parent.sibling();
+                play(&recycled, &first_life, 1_000);
+                recycled.record("first", "life", Duration::from_micros(3));
+                first_parent.absorb(&recycled);
+                let fresh = parents[1].sibling();
+                play(&recycled, &ops, 2_000);
+                play(&fresh, &ops, 2_000);
+                prop_assert_eq!(recycled.summary(), fresh.summary());
+                parents[0].absorb(&recycled);
+                parents[1].absorb(&fresh);
+                let [a, b] = &parents;
+                prop_assert_eq!(a.snapshot(), b.snapshot());
+                prop_assert_eq!(a.journal_events(), b.journal_events());
+                prop_assert_eq!(a.journal_dropped(), b.journal_dropped());
+                prop_assert_eq!(a.flight_json(), b.flight_json());
+                prop_assert_eq!(a.summary(), b.summary());
+            }
+        }
     }
 
     #[test]

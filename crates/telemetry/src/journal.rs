@@ -245,6 +245,13 @@ impl EventJournal {
             self.push(event);
         }
     }
+
+    /// Empties the ring and its overflow count, keeping the ring's storage
+    /// for the next shard that records into it.
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
+        self.dropped = 0;
+    }
 }
 
 #[cfg(test)]
@@ -277,6 +284,19 @@ mod tests {
         let expected: Vec<u64> = (0..50).rev().collect();
         assert_eq!(ts, expected, "journal must preserve insertion order, not timestamp order");
         assert_eq!(j.dropped(), 0);
+    }
+
+    #[test]
+    fn a_cleared_ring_keeps_its_storage_and_forgets_its_drops() {
+        let mut j = EventJournal::new(4);
+        for i in 0..6 {
+            j.push(marker(i));
+        }
+        let storage = j.events.capacity();
+        j.clear();
+        assert_eq!((j.len(), j.dropped(), j.events.capacity()), (0, 0, storage));
+        j.push(marker(9));
+        assert_eq!(j.to_vec(), vec![marker(9)]);
     }
 
     #[test]

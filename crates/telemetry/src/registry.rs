@@ -169,9 +169,15 @@ impl MetricsRegistry {
         self.record_ns(key, d.as_nanos());
     }
 
+    /// The histograms holding at least one value. An empty one is a key a
+    /// recycled registry recorded in an earlier life: it is absent.
+    fn live_histograms(&self) -> impl Iterator<Item = (&MetricKey, &LogLinearHistogram)> {
+        self.histograms.iter().filter(|(_, h)| h.count() > 0)
+    }
+
     /// Number of distinct metric keys.
     pub(crate) fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
+        self.counters.len() + self.gauges.len() + self.live_histograms().count()
     }
 
     /// Folds another registry into this one: counters add, histograms
@@ -186,9 +192,17 @@ impl MetricsRegistry {
         for (&key, &v) in &other.gauges {
             self.gauge(key, v);
         }
-        for (&key, h) in &other.histograms {
+        for (&key, h) in other.live_histograms() {
             self.histograms.entry(key).or_default().merge(h);
         }
+    }
+
+    /// Empties the registry for its next life: counters and gauges go,
+    /// each histogram is cleared in place so its buckets' storage stays.
+    pub(crate) fn clear(&mut self) {
+        self.counters.clear();
+        self.gauges.clear();
+        self.histograms.values_mut().for_each(LogLinearHistogram::clear);
     }
 
     /// A deterministic, key-ordered snapshot of every metric.
@@ -202,7 +216,7 @@ impl MetricsRegistry {
         rows.extend(
             self.gauges.iter().map(|(&key, &v)| MetricRow { key, value: MetricValue::Gauge(v) }),
         );
-        rows.extend(self.histograms.iter().map(|(&key, h)| MetricRow {
+        rows.extend(self.live_histograms().map(|(&key, h)| MetricRow {
             key,
             value: MetricValue::Histogram(HistogramSummary::from(h)),
         }));

@@ -160,11 +160,12 @@ fn a_ping_stays_within_its_allocation_budget_at_any_payload_size() {
     assert!(large_bytes > small_bytes);
 }
 
-/// Pings of the lit chaos run: two 256-ping shards, so each shard's
-/// telemetry sibling is paid for twice.
+/// Pings of the lit chaos run: two 256-ping shards, which record into one
+/// telemetry sibling in turn.
 const LIT_PINGS: u64 = 512;
-/// Bytes per ping of the lit chaos run (9 799 measured).
-const BYTES_PER_LIT_PING: u64 = 10_250;
+/// Bytes per ping of the lit chaos run (7 527 measured): over a short run
+/// the journal rings, the parent's and the sibling's, grow from empty.
+const BYTES_PER_LIT_PING: u64 = 7_900;
 
 #[test]
 fn a_lit_chaos_run_stays_within_its_byte_budget() {
@@ -187,6 +188,43 @@ fn a_lit_chaos_run_stays_within_its_byte_budget() {
     );
 }
 
+/// What a lit chaos ping may cost above the same ping dark: its journal
+/// events, its histogram records and the flight exemplars it enters.
+/// Building a shard's sinks anew, or an exemplar the recorder then drops,
+/// costs more than this.
+const LIT_OVER_DARK_ALLOCS: f64 = 1.0;
+const LIT_OVER_DARK_BYTES: f64 = 800.0;
+
+#[test]
+fn a_lit_ping_costs_a_dark_ping_plus_its_journal() {
+    let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true)
+        .with_seed(2024)
+        .with_faults(FaultPlan::chaos(0.4));
+    let pings = 16 * BATCH_PINGS;
+    // One worker runs the shards inline, on this thread's counter.
+    let run = |tel: Option<&Telemetry>| {
+        let (result, allocs, bytes) = counted(|| run_parallel_workers(&cfg, pings, 0, tel, 1));
+        assert_eq!(result.attribution.total(), pings);
+        (per_ping(allocs, pings), per_ping(bytes, pings))
+    };
+    let (dark_allocs, dark_bytes) = run(None);
+    let (lit_allocs, lit_bytes) = run(Some(&Telemetry::new(4_096)));
+    println!(
+        "chaos ping, dark: {dark_allocs:.2} allocations, {dark_bytes:.0} B; \
+         lit: {lit_allocs:.2} allocations, {lit_bytes:.0} B"
+    );
+    assert!(
+        lit_allocs - dark_allocs <= LIT_OVER_DARK_ALLOCS,
+        "a lit ping makes {:.2} allocations more than a dark one, budget {LIT_OVER_DARK_ALLOCS}",
+        lit_allocs - dark_allocs
+    );
+    assert!(
+        lit_bytes - dark_bytes <= LIT_OVER_DARK_BYTES,
+        "a lit ping allocates {:.0} B more than a dark one, budget {LIT_OVER_DARK_BYTES}",
+        lit_bytes - dark_bytes
+    );
+}
+
 #[test]
 fn a_lit_run_holds_one_shard_at_a_time() {
     let mut cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true)
@@ -206,8 +244,9 @@ fn a_lit_run_holds_one_shard_at_a_time() {
     };
     let (few, many) = (peak(8), peak(32));
     println!("lit chaos run, peak live heap: {few} B at 8 shards, {many} B at 32 shards");
-    // Each shard's telemetry sibling is absorbed and freed before the next
-    // shard starts, so four times the shards costs only the larger result.
+    // Each shard's telemetry sibling is absorbed and emptied before the next
+    // shard records into it, so four times the shards costs only the larger
+    // result.
     assert!(
         many as f64 <= 1.25 * few as f64,
         "peak live heap grows with the shard count: {few} B at 8 shards, {many} B at 32"
