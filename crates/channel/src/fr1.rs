@@ -9,7 +9,7 @@
 
 use sim::faults::GeChain;
 use sim::SimRng;
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 /// Configuration of an FR1 link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,10 +151,10 @@ impl Fr1Link {
             None => false,
         };
         let lost = base_lost || burst_lost;
-        self.tel.count("channel", "pkt", 1);
+        self.tel.add(metric::CHANNEL_PKT, 1);
         if lost {
             self.losses += 1;
-            self.tel.count("channel", "pkt_lost", 1);
+            self.tel.add(metric::CHANNEL_PKT_LOST, 1);
         }
         LossSample { lost, burst: burst_lost && !base_lost }
     }

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use sim::{Duration, Instant};
 use stack::stage_labels::{self, BudgetTerm};
 use stack::{PingTrace, StackConfig, StageSpan};
-use telemetry::{TailExemplar, Telemetry};
+use telemetry::{metric, MetricId, TailExemplar, Telemetry};
 
 use crate::recovery::RecoveryLatencyModel;
 
@@ -155,6 +155,16 @@ fn union_intervals(mut intervals: Vec<(Instant, Instant)>) -> Duration {
     covered
 }
 
+/// The `audit/term_us{…}` histogram of each budget term, indexed by
+/// `BudgetTerm as usize`.
+const TERM_METRICS: [MetricId; 5] = [
+    metric::AUDIT_TERM_US_PROTOCOL,
+    metric::AUDIT_TERM_US_PROCESSING,
+    metric::AUDIT_TERM_US_RADIO,
+    metric::AUDIT_TERM_US_CORE,
+    metric::AUDIT_TERM_US_RECOVERY,
+];
+
 /// Audits every trace against the configuration's closed-form recovery
 /// model, recording the per-term shares and residuals into `tel` as
 /// `audit/*` metrics (`audit/recovery_over_bound` counts violations).
@@ -164,12 +174,12 @@ pub fn audit_traces(traces: &[PingTrace], cfg: &StackConfig, tel: &Telemetry) ->
         traces.iter().map(|t| BudgetAudit::of_trace(t, &model)).collect();
     for a in &audits {
         for (term, share) in a.terms() {
-            tel.record_labeled("audit", "term_us", term.label(), share);
+            tel.observe(TERM_METRICS[term as usize], share);
         }
-        tel.record("audit", "residual_us", a.residual);
-        tel.record("audit", "overlap_us", a.overlap);
+        tel.observe(metric::AUDIT_RESIDUAL_US, a.residual);
+        tel.observe(metric::AUDIT_OVERLAP_US, a.overlap);
         if !a.recovery_within_bound {
-            tel.count("audit", "recovery_over_bound", 1);
+            tel.add(metric::AUDIT_RECOVERY_OVER_BOUND, 1);
         }
     }
     audits
@@ -398,6 +408,15 @@ mod tests {
         exp.keep_traces(pings as usize);
         let result = exp.run(pings);
         audit_traces(&result.traces, &cfg, &Telemetry::disabled())
+    }
+
+    #[test]
+    fn each_term_records_into_its_labelled_histogram() {
+        let audit = audited(StackConfig::testbed_dddu(AccessMode::GrantBased, true), 1)[0];
+        for (term, _) in audit.terms() {
+            let key = TERM_METRICS[term as usize].key();
+            assert_eq!((key.layer, key.name, key.label), ("audit", "term_us", term.label()));
+        }
     }
 
     #[test]

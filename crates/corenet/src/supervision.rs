@@ -13,7 +13,7 @@
 
 use bytes::Bytes;
 use sim::{Duration, Instant};
-use telemetry::{JournalEvent, Telemetry};
+use telemetry::{metric, JournalEvent, Telemetry};
 
 use crate::gtpu::{GtpuHeader, MSG_ECHO_RESPONSE};
 use crate::upf::{Upf, UplinkOutcome};
@@ -175,15 +175,15 @@ impl PathSupervisor {
                 for attempt in 0..=self.config.max_retries {
                     self.probes_sent += 1;
                     self.probes_lost += 1;
-                    self.tel.count("corenet", "probes_sent", 1);
-                    self.tel.count("corenet", "probes_lost", 1);
+                    self.tel.add(metric::CORENET_PROBES_SENT, 1);
+                    self.tel.add(metric::CORENET_PROBES_LOST, 1);
                     self.next_seq = self.next_seq.wrapping_add(1);
                     elapsed += self.config.attempt_timeout(attempt);
                     self.push_event(at + elapsed, PathEventKind::ProbeLost);
                 }
                 self.push_event(at + elapsed, PathEventKind::PathDown);
                 self.push_event(at + elapsed, PathEventKind::Failover);
-                self.tel.count("corenet", "failovers", 1);
+                self.tel.add(metric::CORENET_FAILOVERS, 1);
                 self.on_backup = true;
                 (true, elapsed)
             }
@@ -191,7 +191,7 @@ impl PathSupervisor {
                 // Background probing notices the primary answering again;
                 // switching back costs the packet nothing.
                 self.probes_sent += 1;
-                self.tel.count("corenet", "probes_sent", 1);
+                self.tel.add(metric::CORENET_PROBES_SENT, 1);
                 self.next_seq = self.next_seq.wrapping_add(1);
                 self.push_event(at, PathEventKind::PathRestored);
                 self.on_backup = false;
@@ -209,7 +209,7 @@ impl PathSupervisor {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         self.probes_sent += 1;
-        self.tel.count("corenet", "probes_sent", 1);
+        self.tel.add(metric::CORENET_PROBES_SENT, 1);
         let probe: Bytes = GtpuHeader::echo_request(seq).encode(b"");
         let ok = match upf.uplink(&probe) {
             Ok(UplinkOutcome::EchoResponse(resp)) => match GtpuHeader::decode(&resp) {
@@ -220,7 +220,7 @@ impl PathSupervisor {
         };
         if !ok {
             self.probes_lost += 1;
-            self.tel.count("corenet", "probes_lost", 1);
+            self.tel.add(metric::CORENET_PROBES_LOST, 1);
         }
         ok
     }

@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 use crate::gtpu::{GtpuError, GtpuHeader, MSG_ECHO_REQUEST, MSG_GPDU};
 
@@ -151,7 +151,7 @@ impl Upf {
         let (header, payload) = match GtpuHeader::decode(n3_packet) {
             Ok(decoded) => decoded,
             Err(e) => {
-                self.tel.count("corenet", "gtpu_decode_err", 1);
+                self.tel.add(metric::CORENET_GTPU_DECODE_ERR, 1);
                 return Err(e.into());
             }
         };
@@ -163,12 +163,12 @@ impl Upf {
                     .copied()
                     .ok_or(UpfError::UnknownTeid { teid: header.teid })?;
                 self.forwarded.0 += 1;
-                self.tel.count("corenet", "ul_gpdu", 1);
+                self.tel.add(metric::CORENET_UL_GPDU, 1);
                 Ok(UplinkOutcome::Data { session, payload })
             }
             MSG_ECHO_REQUEST => {
                 self.echoes_answered += 1;
-                self.tel.count("corenet", "echo_rsp", 1);
+                self.tel.add(metric::CORENET_ECHO_RSP, 1);
                 let seq = header.sequence.unwrap_or(0);
                 Ok(UplinkOutcome::EchoResponse(GtpuHeader::echo_response(seq).encode(b"")))
             }
@@ -181,7 +181,7 @@ impl Upf {
     pub fn downlink(&mut self, ue_addr: u32, payload: &Bytes) -> Result<Bytes, UpfError> {
         let session = self.by_ue.get(&ue_addr).copied().ok_or(UpfError::UnknownUe { ue_addr })?;
         self.forwarded.1 += 1;
-        self.tel.count("corenet", "dl_gpdu", 1);
+        self.tel.add(metric::CORENET_DL_GPDU, 1);
         Ok(GtpuHeader::gpdu(session.dl_teid).encode(payload))
     }
 }

@@ -18,7 +18,7 @@
 //! [`XnReceiver`] the target side (validate, buffer, detect the marker).
 
 use bytes::Bytes;
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 use crate::gtpu::{GtpuError, GtpuHeader, MSG_END_MARKER, MSG_GPDU};
 
@@ -161,7 +161,7 @@ impl XnReceiver {
         let (header, payload) = match GtpuHeader::decode(packet) {
             Ok(decoded) => decoded,
             Err(e) => {
-                self.tel.count("corenet", "gtpu_decode_err", 1);
+                self.tel.add(metric::CORENET_GTPU_DECODE_ERR, 1);
                 return Err(e.into());
             }
         };

@@ -10,7 +10,7 @@
 //!   delay and device-side buffering on top.
 
 use sim::{Duration, SimRng};
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 use crate::interface::{FronthaulInterface, InterfaceKind};
 use crate::jitter::{JitterProcess, OsJitterConfig};
@@ -107,8 +107,8 @@ impl RadioHead {
     pub fn submit_latency(&mut self, samples: u64, rng: &mut SimRng) -> Duration {
         let bus = self.config.interface.transfer_latency(samples, rng);
         let jitter = self.tx_jitter.sample(rng);
-        self.tel.record("radio", "bus_jitter_us", jitter);
-        self.tel.record("radio", "submit_us", bus + jitter);
+        self.tel.observe(metric::RADIO_BUS_JITTER_US, jitter);
+        self.tel.observe(metric::RADIO_SUBMIT_US, bus + jitter);
         bus + jitter
     }
 
@@ -119,7 +119,7 @@ impl RadioHead {
         let total = self.submit_latency(samples, rng)
             + self.config.device_buffering
             + self.config.dac_pipeline;
-        self.tel.record("radio", "tx_us", total);
+        self.tel.observe(metric::RADIO_TX_US, total);
         total
     }
 
@@ -128,9 +128,9 @@ impl RadioHead {
     pub fn rx_radio_latency(&mut self, samples: u64, rng: &mut SimRng) -> Duration {
         let bus = self.config.interface.transfer_latency(samples, rng);
         let jitter = self.rx_jitter.sample(rng);
-        self.tel.record("radio", "bus_jitter_us", jitter);
+        self.tel.observe(metric::RADIO_BUS_JITTER_US, jitter);
         let total = self.config.adc_pipeline + self.config.device_buffering + bus + jitter;
-        self.tel.record("radio", "rx_us", total);
+        self.tel.observe(metric::RADIO_RX_US, total);
         total
     }
 

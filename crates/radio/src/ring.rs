@@ -10,7 +10,7 @@
 //! underrun statistics the reliability experiments report.
 
 use sim::{Duration, Instant};
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 /// Outcome of one scheduled transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,7 @@ impl TxRing {
     /// Records a submission whose samples become ready at `ready` for a
     /// transmission scheduled to start at `air_time`.
     pub fn submit(&mut self, ready: Instant, air_time: Instant) -> TxOutcome {
-        self.tel.count("radio", "ring_submits", 1);
+        self.tel.add(metric::RADIO_RING_SUBMITS, 1);
         match air_time.checked_duration_since(ready) {
             Some(margin) => {
                 self.stats.on_time += 1;
@@ -74,14 +74,14 @@ impl TxRing {
                     Some(w) => w.min(margin),
                     None => margin,
                 });
-                self.tel.record("radio", "ring_margin_us", margin);
+                self.tel.observe(metric::RADIO_RING_MARGIN_US, margin);
                 TxOutcome::OnTime { margin }
             }
             None => {
                 self.stats.underruns += 1;
                 let late_by = ready.duration_since(air_time);
-                self.tel.count("radio", "ring_underruns", 1);
-                self.tel.record("radio", "ring_late_us", late_by);
+                self.tel.add(metric::RADIO_RING_UNDERRUNS, 1);
+                self.tel.observe(metric::RADIO_RING_LATE_US, late_by);
                 TxOutcome::Underrun { late_by }
             }
         }

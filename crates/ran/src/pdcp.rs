@@ -16,7 +16,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use phy::scrambling::GoldSequence;
 use sim::{Duration, Instant};
 use std::collections::{BTreeMap, VecDeque};
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 /// PDCP sequence-number length in bits (this implementation fixes the
 /// 12-bit DRB variant; 18-bit exists in the spec for high-rate bearers).
@@ -231,7 +231,7 @@ impl PdcpEntity {
         let count = self.tx_next;
         self.tx_next = self.tx_next.wrapping_add(1);
         self.tx_pending.insert(count, sdu.clone());
-        self.tel.count("pdcp", "tx_pdus", 1);
+        self.tel.add(metric::PDCP_TX_PDUS, 1);
         self.encode_with_count(count, sdu)
     }
 
@@ -293,7 +293,7 @@ impl PdcpEntity {
             .map(|(&count, sdu)| self.encode_with_count(count, sdu))
             .collect();
         self.retransmitted += pdus.len() as u64;
-        self.tel.count("pdcp", "retx_pdus", pdus.len() as u64);
+        self.tel.add(metric::PDCP_RETX_PDUS, pdus.len() as u64);
         pdus
     }
 
@@ -315,7 +315,7 @@ impl PdcpEntity {
             return Err(PdcpError::NotDataPdu);
         }
         let sn = (u32::from(pdu[0] & 0x0F) << 8) | u32::from(pdu[1]);
-        self.tel.count("pdcp", "rx_pdus", 1);
+        self.tel.add(metric::PDCP_RX_PDUS, 1);
         let count = self.infer_count(sn);
         if count < self.rx_deliv || self.reorder.contains_key(&count) {
             self.discarded += 1;
@@ -385,7 +385,7 @@ impl PdcpEntity {
         });
         let dropped = (before - self.tx_queue.len()) as u64;
         self.discard_expired += dropped;
-        self.tel.count("pdcp", "discard_expired", dropped);
+        self.tel.add(metric::PDCP_DISCARD_EXPIRED, dropped);
         dropped
     }
 
@@ -396,7 +396,7 @@ impl PdcpEntity {
         self.expire_discards(now);
         let (count, _, sdu) = self.tx_queue.pop_front()?;
         self.tx_pending.insert(count, sdu.clone());
-        self.tel.count("pdcp", "tx_pdus", 1);
+        self.tel.add(metric::PDCP_TX_PDUS, 1);
         Some((count, self.encode_with_count(count, &sdu)))
     }
 

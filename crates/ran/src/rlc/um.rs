@@ -16,7 +16,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, VecDeque};
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 use super::{RlcError, SegmentInfo};
 
@@ -140,7 +140,7 @@ impl RlcUmEntity {
     /// Queues an SDU for transmission (the "RLC queue" of Table 2 — data
     /// sits here until the MAC scheduler grants resources).
     pub fn tx_sdu(&mut self, sdu: Bytes) {
-        self.tel.count("rlc", "tx_sdus", 1);
+        self.tel.add(metric::RLC_TX_SDUS, 1);
         self.queue.push_back(sdu);
     }
 
@@ -159,7 +159,7 @@ impl RlcUmEntity {
             let queued = self.queued_bytes();
             if queued + sdu.len() > cap {
                 self.tx_dropped_full += 1;
-                self.tel.count("rlc", "tx_dropped_full", 1);
+                self.tel.add(metric::RLC_TX_DROPPED_FULL, 1);
                 return Err(RlcError::TxBufferFull { queued, cap });
             }
         }
@@ -253,7 +253,7 @@ impl RlcUmEntity {
         if pdu.is_empty() {
             return Err(RlcError::Truncated);
         }
-        self.tel.count("rlc", "rx_pdus", 1);
+        self.tel.add(metric::RLC_RX_PDUS, 1);
         let si = SegmentInfo::from_bits(pdu[0] >> 6);
         let done = match si {
             SegmentInfo::Full => Some(pdu.slice(1..)),
@@ -293,7 +293,7 @@ impl RlcUmEntity {
         if entry.insert_checked(so, body, is_last).is_err() {
             self.rx.remove(&sn);
             self.dropped_incomplete += 1;
-            self.tel.count("rlc", "segment_mismatches", 1);
+            self.tel.add(metric::RLC_SEGMENT_MISMATCHES, 1);
             return Err(RlcError::SegmentMismatch { sn });
         }
         let done = self.rx.get(&sn).and_then(Reassembly::try_complete);

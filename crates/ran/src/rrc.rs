@@ -27,7 +27,7 @@
 //! one contending UE the RACH step consumes no draws at all.
 
 use sim::{Duration, Instant, SimRng};
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 use crate::rach::{self, RachConfig};
 
@@ -143,11 +143,11 @@ impl RrcEntity {
     /// `None` when the re-establishment budget or the RACH attempt budget
     /// is exhausted; the entity is then [`Failed`](RrcState::Failed).
     pub fn recover(&mut self, at: Instant, rng: &mut SimRng) -> Option<RecoveryTimeline> {
-        self.tel.count("rrc", "rlf_detected", 1);
+        self.tel.add(metric::RRC_RLF_DETECTED, 1);
         if self.reestablishments >= u64::from(self.config.max_reestablishments) {
             self.state = RrcState::Failed;
             self.failures += 1;
-            self.tel.count("rrc", "reestablish_failed", 1);
+            self.tel.add(metric::RRC_REESTABLISH_FAILED, 1);
             return None;
         }
         self.state = RrcState::Reestablishing;
@@ -157,7 +157,7 @@ impl RrcEntity {
         else {
             self.state = RrcState::Failed;
             self.failures += 1;
-            self.tel.count("rrc", "reestablish_failed", 1);
+            self.tel.add(metric::RRC_REESTABLISH_FAILED, 1);
             return None;
         };
         self.reestablishments += 1;
@@ -168,8 +168,8 @@ impl RrcEntity {
             reestablish: self.config.reestablish_processing,
             pdcp_recover: Duration::ZERO,
         };
-        self.tel.count("rrc", "reestablish_ok", 1);
-        self.tel.record("rrc", "recovery_us", timeline.total());
+        self.tel.add(metric::RRC_REESTABLISH_OK, 1);
+        self.tel.observe(metric::RRC_RECOVERY_US, timeline.total());
         Some(timeline)
     }
 
@@ -388,7 +388,7 @@ impl HandoverEntity {
         let fired = self.trigger.observe(at, serving_dbm, neighbour_dbm);
         if fired {
             self.attempts += 1;
-            self.tel.count("rrc", "ho_attempt", 1);
+            self.tel.add(metric::RRC_HO_ATTEMPT, 1);
         }
         fired
     }
@@ -419,26 +419,26 @@ impl HandoverEntity {
     /// Records a completed handover and its measured service interruption.
     pub fn record_complete(&mut self, interruption: Duration) {
         self.completions += 1;
-        self.tel.count("rrc", "ho_complete", 1);
-        self.tel.record("rrc", "ho_interruption_us", interruption);
+        self.tel.add(metric::RRC_HO_COMPLETE, 1);
+        self.tel.observe(metric::RRC_HO_INTERRUPTION_US, interruption);
     }
 
     /// Records a too-late failure (RLF before the command).
     pub fn record_too_late(&mut self) {
         self.too_late += 1;
-        self.tel.count("rrc", "ho_too_late", 1);
+        self.tel.add(metric::RRC_HO_TOO_LATE, 1);
     }
 
     /// Records a too-early failure (T304 expiry).
     pub fn record_too_early(&mut self) {
         self.too_early += 1;
-        self.tel.count("rrc", "ho_too_early", 1);
+        self.tel.add(metric::RRC_HO_TOO_EARLY, 1);
     }
 
     /// Records a ping-pong bounce.
     pub fn record_ping_pong(&mut self) {
         self.ping_pongs += 1;
-        self.tel.count("rrc", "ho_ping_pong", 1);
+        self.tel.add(metric::RRC_HO_PING_PONG, 1);
     }
 
     /// Handover attempts (measurement reports sent).

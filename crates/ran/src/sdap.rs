@@ -8,7 +8,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
-use telemetry::Telemetry;
+use telemetry::{metric, Telemetry};
 
 /// A QoS Flow Identifier (0–63).
 pub(crate) type Qfi = u8;
@@ -110,7 +110,7 @@ impl SdapEntity {
         let mut out = BytesMut::with_capacity(1 + sdu.len());
         out.put_u8(SdapHeader { flag1: true, flag2: false, qfi }.encode());
         out.put_slice(sdu);
-        self.tel.count("sdap", "tx_pdus", 1);
+        self.tel.add(metric::SDAP_TX_PDUS, 1);
         Ok((drb, out.freeze()))
     }
 
@@ -120,7 +120,7 @@ impl SdapEntity {
             return Err(SdapError::Truncated);
         }
         let header = SdapHeader::decode(pdu[0]);
-        self.tel.count("sdap", "rx_pdus", 1);
+        self.tel.add(metric::SDAP_RX_PDUS, 1);
         Ok((header, pdu.slice(1..)))
     }
 }

@@ -24,7 +24,9 @@
 //!   process acts in the real system;
 //! - **telemetry**: hops only append spans to the [`PingTrace`]; the driver
 //!   flushes the journey to the journal once per ping (UL side then DL
-//!   side), so an instrumented run and a dark run stay bit-identical.
+//!   side), under the same lock of the sink as the ping's round trip and
+//!   flight record, so an instrumented run and a dark run stay
+//!   bit-identical.
 //!
 //! The pipeline is behavior-preserving by construction: every hop draws
 //! from the same per-stream RNGs (`rng_ue`, `rng_gnb`, `rng_net`, the
@@ -37,7 +39,7 @@ use bytes::Bytes;
 use ran::sched::{AccessMode, UlGrant};
 use ran::sr::SrProcedure;
 use sim::{Duration, FaultKind, Instant, PingFaultTrace};
-use telemetry::JournalEvent;
+use telemetry::{metric, JournalEvent};
 
 use crate::experiment::{
     make_payload, ExperimentResult, PingExperiment, RlfEvent, MAX_SCHED_ROUNDS, RNTI, UE_ADDR,
@@ -461,7 +463,7 @@ fn sr_tx(
             return HopOutcome::Lost;
         };
         result.rach_recoveries += 1;
-        exp.tel.count("mac", "rach_recoveries", 1);
+        exp.tel.add(metric::MAC_RACH_RECOVERIES, 1);
         ctx.ftrace.record(FaultKind::SrLoss, lat);
         ctx.trace.ul.push(StageSpan::new(labels::RACH, giving_up, giving_up + lat));
         sr.on_rach_complete();
@@ -491,7 +493,7 @@ fn sr_loss_gate(
     let next = exp.timing.next_ul_opportunity(probe);
     ctx.ftrace.record(FaultKind::SrLoss, next.tx_start - tx_start);
     result.sr_retx += 1;
-    exp.tel.count("mac", "sr_retx", 1);
+    exp.tel.add(metric::MAC_SR_RETX, 1);
     exp.events.push(probe, PingEvent::SrTx { probe });
     HopOutcome::Continue
 }
@@ -512,8 +514,8 @@ fn sr_decode(
     let d_mac = exp.sample_gnb(|t| &t.mac);
     result.layers.phy.push(d_phy.as_micros_f64());
     result.layers.mac.push(d_mac.as_micros_f64());
-    exp.tel.record("phy", "proc_us", d_phy);
-    exp.tel.record("mac", "proc_us", d_mac);
+    exp.tel.observe(metric::PHY_PROC_US, d_phy);
+    exp.tel.observe(metric::MAC_PROC_US, d_mac);
     let ready = sr_rx + d_phy + d_mac;
     ctx.trace.ul.push(StageSpan::new(labels::SR_DECODE, sr_rx, ready));
     exp.events.push(ready, PingEvent::SrReady);
@@ -574,7 +576,7 @@ fn grant_gate(
         return grant_rx(exp, ctx, grant, decision_slot);
     }
     result.grants_withheld += 1;
-    exp.tel.count("mac", "grants_withheld", 1);
+    exp.tel.add(metric::MAC_GRANTS_WITHHELD, 1);
     exp.tel.journal(JournalEvent::FaultInjected {
         kind: FaultKind::GrantWithheld,
         at: grant.grant_tx,
@@ -725,7 +727,7 @@ fn rlf_recovery(
 fn storm_stall(exp: &mut PingExperiment, done: Instant) -> Duration {
     let storm = exp.injector.storm_delay();
     if storm > Duration::ZERO {
-        exp.tel.record("radio", "storm_us", storm);
+        exp.tel.observe(metric::RADIO_STORM_US, storm);
         exp.tel.journal(JournalEvent::FaultInjected {
             kind: FaultKind::JitterStorm,
             at: done + storm,
@@ -772,11 +774,11 @@ fn gnb_walk_up(
     result.layers.rlc.push(d_rlc.as_micros_f64());
     result.layers.pdcp.push(d_pdcp.as_micros_f64());
     result.layers.sdap.push(d_sdap.as_micros_f64());
-    exp.tel.record("phy", "proc_us", d_phy);
-    exp.tel.record("mac", "proc_us", d_mac);
-    exp.tel.record("rlc", "proc_us", d_rlc);
-    exp.tel.record("pdcp", "proc_us", d_pdcp);
-    exp.tel.record("sdap", "proc_us", d_sdap);
+    exp.tel.observe(metric::PHY_PROC_US, d_phy);
+    exp.tel.observe(metric::MAC_PROC_US, d_mac);
+    exp.tel.observe(metric::RLC_PROC_US, d_rlc);
+    exp.tel.observe(metric::PDCP_PROC_US, d_pdcp);
+    exp.tel.observe(metric::SDAP_PROC_US, d_sdap);
     let decoded_at = at + d_phy + d_mac + d_rlc + d_pdcp + d_sdap;
     ctx.trace.ul.push(StageSpan::new(labels::MAC_UP, at, decoded_at));
     // After a recovery, both RLC entities restarted their numbering
@@ -874,9 +876,9 @@ fn dl_walk_down(
     result.layers.sdap.push(d_sdap.as_micros_f64());
     result.layers.pdcp.push(d_pdcp.as_micros_f64());
     result.layers.rlc.push(d_rlc.as_micros_f64());
-    exp.tel.record("sdap", "proc_us", d_sdap);
-    exp.tel.record("pdcp", "proc_us", d_pdcp);
-    exp.tel.record("rlc", "proc_us", d_rlc);
+    exp.tel.observe(metric::SDAP_PROC_US, d_sdap);
+    exp.tel.observe(metric::PDCP_PROC_US, d_pdcp);
+    exp.tel.observe(metric::RLC_PROC_US, d_rlc);
     let in_rlc_q = at + d_sdap + d_pdcp + d_rlc;
     ctx.trace.dl.push(StageSpan::new(labels::SDAP_DOWN, at, in_rlc_q));
     ctx.reply = make_payload(ctx.id | 0x8000_0000_0000_0000, exp.config.payload_bytes);
@@ -925,7 +927,7 @@ fn dl_sched(
     let dl_tx = assign.dl.tx_start;
     let tb_build = at; // == slot_start(slot): this round's boundary
     result.layers.rlcq.push((tb_build - ctx.in_rlc_q).as_micros_f64());
-    exp.tel.record("rlc", "queue_us", tb_build - ctx.in_rlc_q);
+    exp.tel.observe(metric::RLC_QUEUE_US, tb_build - ctx.in_rlc_q);
     ctx.trace.dl.push(StageSpan::new(labels::RLC_Q, ctx.in_rlc_q, tb_build));
     exp.events.push(tb_build, PingEvent::DlPrepare { dl_tx });
     HopOutcome::Continue
@@ -960,8 +962,8 @@ fn dl_prep(
     let d_phy = exp.sample_gnb(|t| &t.phy);
     result.layers.mac.push(d_mac.as_micros_f64());
     result.layers.phy.push(d_phy.as_micros_f64());
-    exp.tel.record("mac", "proc_us", d_mac);
-    exp.tel.record("phy", "proc_us", d_phy);
+    exp.tel.observe(metric::MAC_PROC_US, d_mac);
+    exp.tel.observe(metric::PHY_PROC_US, d_phy);
     let submit = exp.gnb_radio.tx_radio_latency(ctx.dl_samples as u64, &mut exp.rng_gnb);
     at + d_mac + d_phy + submit
 }

@@ -210,11 +210,6 @@ impl EventJournal {
         self.events.push_back(event);
     }
 
-    /// Events currently retained, oldest first.
-    pub(crate) fn events(&self) -> impl Iterator<Item = &JournalEvent> {
-        self.events.iter()
-    }
-
     /// Copies the retained window out, oldest first.
     pub(crate) fn to_vec(&self) -> Vec<JournalEvent> {
         self.events.iter().copied().collect()
@@ -235,15 +230,28 @@ impl EventJournal {
         self.dropped
     }
 
-    /// Replays another journal's retained window into this ring, oldest
-    /// first, and carries over its overflow count. Used by the parallel
-    /// reducer: folding shard journals in shard order approximates one
-    /// global ring over the concatenated event stream.
+    /// Appends another journal's retained window to this ring, oldest
+    /// first, and carries over its overflow count: the ring and `dropped`
+    /// end as if each event had been [`push`](Self::push)ed, but in one
+    /// drain of this ring's front and one extend by `other`'s last
+    /// `capacity` events. Used by the parallel reducer: folding shard
+    /// journals in shard order approximates one global ring over the
+    /// concatenated event stream.
     pub(crate) fn absorb(&mut self, other: &EventJournal) {
-        self.dropped += other.dropped;
-        for &event in other.events() {
-            self.push(event);
+        let incoming = other.events.len();
+        let skipped = incoming.saturating_sub(self.capacity);
+        let shed = (self.events.len() + incoming - skipped).saturating_sub(self.capacity);
+        self.events.drain(..shed);
+        // Grow by doubling, as pushes would, but never past the ring's
+        // bound: `extend` alone would size the storage to each absorb's
+        // total and could overshoot `capacity` by most of a shard.
+        let len = self.events.len() + incoming - skipped;
+        if len > self.events.capacity() {
+            let storage = (2 * self.events.capacity()).clamp(len, self.capacity);
+            self.events.reserve_exact(storage - self.events.len());
         }
+        self.events.extend(other.events.range(skipped..));
+        self.dropped += other.dropped + (skipped + shed) as u64;
     }
 
     /// Empties the ring and its overflow count, keeping the ring's storage
@@ -270,7 +278,7 @@ mod tests {
         }
         assert_eq!(j.len(), 3);
         assert_eq!(j.dropped(), 2);
-        let ts: Vec<u64> = j.events().map(|e| e.at().as_nanos() / 1_000).collect();
+        let ts: Vec<u64> = j.events.iter().map(|e| e.at().as_nanos() / 1_000).collect();
         assert_eq!(ts, vec![2, 3, 4]);
     }
 
@@ -280,7 +288,7 @@ mod tests {
         for i in (0..50).rev() {
             j.push(marker(i)); // deliberately out of time order
         }
-        let ts: Vec<u64> = j.events().map(|e| e.at().as_nanos() / 1_000).collect();
+        let ts: Vec<u64> = j.events.iter().map(|e| e.at().as_nanos() / 1_000).collect();
         let expected: Vec<u64> = (0..50).rev().collect();
         assert_eq!(ts, expected, "journal must preserve insertion order, not timestamp order");
         assert_eq!(j.dropped(), 0);
@@ -297,6 +305,43 @@ mod tests {
         assert_eq!((j.len(), j.dropped(), j.events.capacity()), (0, 0, storage));
         j.push(marker(9));
         assert_eq!(j.to_vec(), vec![marker(9)]);
+    }
+
+    mod bulk_absorb {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn absorb_keeps_what_pushing_each_event_keeps(
+                capacity in 1usize..10,
+                mine in 0u64..25,
+                theirs in 0u64..25,
+                their_capacity in 1usize..10,
+                their_dropped in 0u64..5,
+            ) {
+                let mut other = EventJournal::new(their_capacity);
+                for i in 0..theirs {
+                    other.push(marker(1_000 + i));
+                }
+                other.dropped += their_dropped;
+                let mut bulk = EventJournal::new(capacity);
+                for i in 0..mine {
+                    bulk.push(marker(i));
+                }
+                let mut oracle = bulk.clone();
+                oracle.dropped += other.dropped;
+                for &event in &other.events {
+                    oracle.push(event);
+                }
+                let storage = bulk.events.capacity();
+                bulk.absorb(&other);
+                prop_assert_eq!(bulk.to_vec(), oracle.to_vec());
+                prop_assert_eq!(bulk.dropped(), oracle.dropped());
+                // The storage grows up to the ring's bound and no further.
+                prop_assert!(bulk.events.capacity() <= storage.max(capacity));
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! supplies the machinery to do that attribution continuously rather
 //! than via hand-picked stage spans:
 //!
-//! * [`MetricsRegistry`] — counters, gauges and log-linear histograms
-//!   keyed by `(layer, name, label)`, snapshotable to text/CSV/JSON
-//!   ([`MetricsSnapshot`]).
+//! * [`metric`] — the static metric vocabulary: every `(layer, name,
+//!   label)` key the program records, each named by a [`MetricId`].
+//! * `MetricsRegistry` — counters and log-linear histograms in dense
+//!   slots indexed by [`MetricId`] (keys outside the vocabulary get slots
+//!   appended on first use), snapshotable to text/CSV/JSON
+//!   (`MetricsSnapshot`).
 //! * [`EventJournal`] — a bounded ring buffer of typed, sim-time-stamped
 //!   [`JournalEvent`]s (grants, SR cycles, HARQ NACKs, fault injections,
 //!   RLF/recovery transitions, path failovers).
@@ -33,6 +36,7 @@
 pub(crate) mod flight;
 pub mod handle;
 pub(crate) mod journal;
+pub mod metric;
 pub mod perfetto;
 pub(crate) mod profiler;
 pub(crate) mod registry;
@@ -41,7 +45,8 @@ pub use flight::{
     ExemplarOutcome, ExemplarSpan, FlightRecorder, TailExemplar, DEFAULT_FORCED_CAP,
     DEFAULT_WORST_K,
 };
-pub use handle::{Telemetry, TelemetrySummary};
+pub use handle::{Sink, Telemetry, TelemetrySummary};
 pub use journal::{EventJournal, JournalEvent};
+pub use metric::MetricId;
 pub use profiler::Profiler;
 pub use registry::LogLinearHistogram;

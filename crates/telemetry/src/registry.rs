@@ -1,26 +1,46 @@
-//! The metrics registry: counters, gauges and log-linear histograms keyed
-//! by `(layer, name, label)`.
+//! The metrics registry: counters and log-linear histograms keyed by
+//! `(layer, name, label)`, stored in dense slots.
 //!
-//! Keys are static strings so that recording on the hot path allocates
-//! nothing; `BTreeMap` storage keeps every snapshot deterministically
-//! ordered, which the CSV/JSON exporters and the golden-file tests rely
-//! on. Histograms store nanosecond values in log-linear buckets
+//! Slot `i` of a fresh registry belongs to the `i`-th key of the static
+//! vocabulary ([`crate::metric`]), so the program's records index an array
+//! by a [`MetricId`](crate::MetricId) and compare no string. A key outside the vocabulary
+//! (the benchmark's `phy/walk_us`, a test's key) gets a slot appended on
+//! first use. That is one storage with two ways to find a slot: by id, or
+//! by key, through the vocabulary and then the appended keys. A key index
+//! remembers the slot of every key a registry was handed as strings, so
+//! the string path hashes its key once and compares it once. A counter slot is present once touched,
+//! even by `n = 0`; a histogram slot is present while it holds a value,
+//! so a slot a recycled registry used in an earlier life is absent.
+//! `snapshot()` sorts its rows by key, so every export is deterministically
+//! ordered whatever order the slots were appended in.
+//!
+//! Histograms store nanosecond values in log-linear buckets
 //! (HdrHistogram-style: [`sim::SUB_BUCKETS`] linear sub-buckets per power
 //! of two), bounding the relative quantile error at `1/SUB_BUCKETS` while
 //! keeping memory constant regardless of sample count.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-use sim::Duration;
 // The histogram itself lives in `sim::stats` (scale experiments record
 // through it directly, behind `sim::Recording`); re-exported here so
 // telemetry callers keep their established paths.
 pub use sim::LogLinearHistogram;
 
+use crate::metric::{self, KeyHash, VOCABULARY};
+
 /// A `(layer, name, label)` metric key, e.g. `mac/harq_retx` or
 /// `radio/submit_us{ue}`. The label discriminates instances of the same
 /// metric (direction, node, link) and is empty for singleton metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+///
+/// Keys compare in the byte order of `(layer, name, label)`, exactly as a
+/// derived order would, but by hand: two empty strings compare by length
+/// alone. The derived compare hands `"" == ""` to `memcmp` with `n = 0`
+/// and a dangling pointer, which glibc answered in ≈ 150 ns on a 2-core
+/// x86-64 host against ≈ 3 ns for `"a" == "a"`; every unlabelled key ends
+/// in that compare.
+#[derive(Debug, Clone, Copy)]
 pub struct MetricKey {
     /// Layer namespace: `sdap`, `pdcp`, `rlc`, `mac`, `phy`, `radio`,
     /// `channel`, `rrc`, `corenet`, `audit`, ...
@@ -33,6 +53,7 @@ pub struct MetricKey {
 
 impl MetricKey {
     /// An unlabeled key.
+    #[cfg(test)]
     pub(crate) fn new(layer: &'static str, name: &'static str) -> MetricKey {
         MetricKey { layer, name, label: "" }
     }
@@ -56,13 +77,55 @@ impl MetricKey {
     }
 }
 
+/// Byte order of two strings that never calls `memcmp` with `n = 0`.
+fn cmp_str(a: &str, b: &str) -> Ordering {
+    if a.is_empty() || b.is_empty() {
+        a.len().cmp(&b.len())
+    } else {
+        a.cmp(b)
+    }
+}
+
+/// Byte equality of two strings that never calls `memcmp` with `n = 0`.
+fn eq_str(a: &str, b: &str) -> bool {
+    a.len() == b.len() && (a.is_empty() || a == b)
+}
+
+impl PartialEq for MetricKey {
+    fn eq(&self, other: &MetricKey) -> bool {
+        eq_str(self.layer, other.layer)
+            && eq_str(self.name, other.name)
+            && eq_str(self.label, other.label)
+    }
+}
+
+impl Eq for MetricKey {}
+
+impl PartialOrd for MetricKey {
+    fn partial_cmp(&self, other: &MetricKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for MetricKey {
+    fn cmp(&self, other: &MetricKey) -> Ordering {
+        cmp_str(self.layer, other.layer)
+            .then_with(|| cmp_str(self.name, other.name))
+            .then_with(|| cmp_str(self.label, other.label))
+    }
+}
+
+impl Hash for MetricKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.layer, self.name, self.label).hash(state);
+    }
+}
+
 /// Point-in-time value of one metric, as exported in snapshots.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// Monotonic event count.
     Counter(u64),
-    /// Last-write-wins instantaneous value.
-    Gauge(f64),
     /// Histogram summary (values recorded in ns, reported in µs).
     Histogram(HistogramSummary),
 }
@@ -129,95 +192,142 @@ pub struct MetricRow {
 }
 
 /// The registry all layers record into (behind the [`crate::Telemetry`]
-/// handle).
-#[derive(Debug, Clone, Default)]
+/// handle); see the module docs. Slot `s` is vocabulary key `s` below
+/// `VOCABULARY.len()` and appended key `s - VOCABULARY.len()` above it.
+#[derive(Debug, Clone)]
 pub(crate) struct MetricsRegistry {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, LogLinearHistogram>,
+    counters: Vec<Option<u64>>,
+    histograms: Vec<LogLinearHistogram>,
+    /// The keys outside the vocabulary, in the order their slots were
+    /// appended.
+    appended: Vec<MetricKey>,
+    /// The slot of every key this registry was handed as strings.
+    index: HashMap<MetricKey, usize, KeyHash>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
+    /// An empty registry with a slot for every vocabulary key.
     pub(crate) fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
+        MetricsRegistry {
+            counters: vec![None; VOCABULARY.len()],
+            histograms: vec![LogLinearHistogram::default(); VOCABULARY.len()],
+            appended: Vec::new(),
+            index: HashMap::default(),
+        }
     }
 
-    /// Adds `n` to the counter at `key`.
-    pub(crate) fn count(&mut self, key: MetricKey, n: u64) {
-        *self.counters.entry(key).or_insert(0) += n;
+    /// The slot of `key`: its vocabulary id's, else its appended one,
+    /// appended now if `key` is new. The index remembers the answer, so a
+    /// key costs one hash lookup from its second use on.
+    pub(crate) fn slot(&mut self, key: MetricKey) -> usize {
+        if let Some(&slot) = self.index.get(&key) {
+            return slot;
+        }
+        let slot = match metric::lookup(&key) {
+            Some(id) => id.slot(),
+            None => {
+                self.counters.push(None);
+                self.histograms.push(LogLinearHistogram::default());
+                self.appended.push(key);
+                self.counters.len() - 1
+            }
+        };
+        self.index.insert(key, slot);
+        slot
     }
 
-    /// Sets the gauge at `key`.
-    pub(crate) fn gauge(&mut self, key: MetricKey, value: f64) {
-        self.gauges.insert(key, value);
+    fn key(&self, slot: usize) -> MetricKey {
+        match VOCABULARY.get(slot) {
+            Some(&key) => key,
+            None => self.appended[slot - VOCABULARY.len()],
+        }
     }
 
-    /// Records `ns` into the histogram at `key`.
-    pub(crate) fn record_ns(&mut self, key: MetricKey, ns: u64) {
-        self.histograms.entry(key).or_default().record(ns);
+    /// Adds `n` to the counter at `slot`.
+    pub(crate) fn add(&mut self, slot: usize, n: u64) {
+        *self.counters[slot].get_or_insert(0) += n;
     }
 
-    /// Records `ns` into the histogram at `key`, attaching `ping` as the
+    /// Records `ns` into the histogram at `slot`.
+    pub(crate) fn observe_ns(&mut self, slot: usize, ns: u64) {
+        self.histograms[slot].record(ns);
+    }
+
+    /// Records `ns` into the histogram at `slot`, attaching `ping` as the
     /// bucket's exemplar (see [`LogLinearHistogram::record_with_exemplar`]).
-    pub(crate) fn record_ns_with_exemplar(&mut self, key: MetricKey, ns: u64, ping: u64) {
-        self.histograms.entry(key).or_default().record_with_exemplar(ns, ping);
+    pub(crate) fn observe_ns_with_exemplar(&mut self, slot: usize, ns: u64, ping: u64) {
+        self.histograms[slot].record_with_exemplar(ns, ping);
     }
 
-    /// Records a duration into the histogram at `key`.
-    pub(crate) fn record(&mut self, key: MetricKey, d: Duration) {
-        self.record_ns(key, d.as_nanos());
+    /// The present counters, by slot.
+    fn live_counters(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.counters.iter().enumerate().filter_map(|(slot, n)| n.map(|n| (slot, n)))
     }
 
-    /// The histograms holding at least one value. An empty one is a key a
-    /// recycled registry recorded in an earlier life: it is absent.
-    fn live_histograms(&self) -> impl Iterator<Item = (&MetricKey, &LogLinearHistogram)> {
-        self.histograms.iter().filter(|(_, h)| h.count() > 0)
+    /// The histograms holding at least one value, by slot.
+    fn live_histograms(&self) -> impl Iterator<Item = (usize, &LogLinearHistogram)> {
+        self.histograms.iter().enumerate().filter(|(_, h)| h.count() > 0)
     }
 
-    /// Number of distinct metric keys.
+    /// Number of distinct metric keys (a key that is both a counter and a
+    /// histogram counts twice, as it has two rows).
     pub(crate) fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.live_histograms().count()
+        self.live_counters().count() + self.live_histograms().count()
+    }
+
+    /// The layers with at least one present metric, sorted and distinct.
+    pub(crate) fn layers(&self) -> Vec<&'static str> {
+        let slots = self.live_counters().map(|(slot, _)| slot);
+        let slots = slots.chain(self.live_histograms().map(|(slot, _)| slot));
+        let mut layers: Vec<&'static str> = slots.map(|slot| self.key(slot).layer).collect();
+        layers.sort_unstable();
+        layers.dedup();
+        layers
     }
 
     /// Folds another registry into this one: counters add, histograms
-    /// merge bucket-wise, gauges are last-write-wins (`other` is the later
-    /// write — reducers fold shards in index order, so the surviving gauge
-    /// is the one the highest-indexed shard set, exactly as a sequential
-    /// run of the same shards would leave it).
+    /// merge bucket-wise. Vocabulary slots pair by index, appended slots
+    /// by key.
     pub(crate) fn merge(&mut self, other: &MetricsRegistry) {
-        for (&key, &n) in &other.counters {
-            self.count(key, n);
+        for (theirs, n) in other.live_counters() {
+            let mine = self.slot_of(other, theirs);
+            self.add(mine, n);
         }
-        for (&key, &v) in &other.gauges {
-            self.gauge(key, v);
-        }
-        for (&key, h) in other.live_histograms() {
-            self.histograms.entry(key).or_default().merge(h);
+        for (theirs, h) in other.live_histograms() {
+            let mine = self.slot_of(other, theirs);
+            self.histograms[mine].merge(h);
         }
     }
 
-    /// Empties the registry for its next life: counters and gauges go,
-    /// each histogram is cleared in place so its buckets' storage stays.
+    /// The slot in this registry of `other`'s slot `theirs`.
+    fn slot_of(&mut self, other: &MetricsRegistry, theirs: usize) -> usize {
+        if theirs < VOCABULARY.len() {
+            theirs
+        } else {
+            self.slot(other.key(theirs))
+        }
+    }
+
+    /// Empties the registry for its next life: every counter goes, each
+    /// histogram is cleared in place so its buckets' storage stays, and
+    /// every appended key keeps its slot.
     pub(crate) fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.values_mut().for_each(LogLinearHistogram::clear);
+        self.counters.fill(None);
+        for h in self.histograms.iter_mut().filter(|h| h.count() > 0) {
+            h.clear();
+        }
     }
 
-    /// A deterministic, key-ordered snapshot of every metric.
+    /// A deterministic, key-ordered snapshot of every metric; a key that
+    /// is both a counter and a histogram lists its counter first.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut rows: Vec<MetricRow> = Vec::with_capacity(self.len());
         rows.extend(
-            self.counters
-                .iter()
-                .map(|(&key, &v)| MetricRow { key, value: MetricValue::Counter(v) }),
+            self.live_counters()
+                .map(|(slot, v)| MetricRow { key: self.key(slot), value: MetricValue::Counter(v) }),
         );
-        rows.extend(
-            self.gauges.iter().map(|(&key, &v)| MetricRow { key, value: MetricValue::Gauge(v) }),
-        );
-        rows.extend(self.live_histograms().map(|(&key, h)| MetricRow {
-            key,
+        rows.extend(self.live_histograms().map(|(slot, h)| MetricRow {
+            key: self.key(slot),
             value: MetricValue::Histogram(HistogramSummary::from(h)),
         }));
         rows.sort_by_key(|a| a.key);
@@ -281,9 +391,6 @@ impl MetricsSnapshot {
                 MetricValue::Counter(v) => {
                     out.push_str(&format!("{key:<width$}  counter    {v}\n"));
                 }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("{key:<width$}  gauge      {v:.3}\n"));
-                }
                 MetricValue::Histogram(h) => {
                     out.push_str(&format!(
                         "{key:<width$}  histogram  n={} mean={}us p50={}us p99={}us max={}us\n",
@@ -307,9 +414,6 @@ impl MetricsSnapshot {
             match &row.value {
                 MetricValue::Counter(v) => {
                     out.push_str(&format!("{key},counter,{v},{v},,,,\n"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("{key},gauge,1,{v:.6},,,,\n"));
                 }
                 MetricValue::Histogram(h) => {
                     out.push_str(&format!(
@@ -335,9 +439,6 @@ impl MetricsSnapshot {
             let body = match &row.value {
                 MetricValue::Counter(v) => {
                     format!("{{\"key\":\"{key}\",\"kind\":\"counter\",\"value\":{v}}}")
-                }
-                MetricValue::Gauge(v) => {
-                    format!("{{\"key\":\"{key}\",\"kind\":\"gauge\",\"value\":{v:.6}}}")
                 }
                 MetricValue::Histogram(h) => {
                     let exemplars = if h.exemplars.is_empty() {
@@ -382,30 +483,46 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
     use sim::{BucketExemplar, SUB_BUCKETS};
+
+    use crate::MetricId;
+
+    fn count(reg: &mut MetricsRegistry, key: MetricKey, n: u64) {
+        let slot = reg.slot(key);
+        reg.add(slot, n);
+    }
+
+    fn record_ns(reg: &mut MetricsRegistry, key: MetricKey, ns: u64) {
+        let slot = reg.slot(key);
+        reg.observe_ns(slot, ns);
+    }
 
     #[test]
     fn registry_merge_matches_sequential_recording() {
         let key = MetricKey::new("mac", "proc_us");
-        let gauge = MetricKey::new("sched", "backlog");
+        let outside = MetricKey::new("sched", "backlog");
         let mut whole = MetricsRegistry::new();
         let mut left = MetricsRegistry::new();
         let mut right = MetricsRegistry::new();
         for ns in [100u64, 2_000, 300_000] {
-            left.record_ns(key, ns);
-            whole.record_ns(key, ns);
+            record_ns(&mut left, key, ns);
+            record_ns(&mut whole, key, ns);
         }
         for ns in [5u64, 40_000] {
-            right.record_ns(key, ns);
-            whole.record_ns(key, ns);
+            record_ns(&mut right, key, ns);
+            record_ns(&mut whole, key, ns);
         }
-        left.count(key, 2);
-        right.count(key, 3);
-        whole.count(key, 5);
-        left.gauge(gauge, 1.0);
-        right.gauge(gauge, 7.0);
-        whole.gauge(gauge, 1.0);
-        whole.gauge(gauge, 7.0);
+        count(&mut left, key, 2);
+        count(&mut right, key, 3);
+        count(&mut whole, key, 5);
+        // An appended key only the right side has, and an appended counter
+        // touched by zero only the left side has.
+        count(&mut right, outside, 7);
+        count(&mut whole, outside, 7);
+        count(&mut left, MetricKey::new("a", "b"), 0);
+        count(&mut whole, MetricKey::new("a", "b"), 0);
         left.merge(&right);
         assert_eq!(left.snapshot(), whole.snapshot());
     }
@@ -473,10 +590,10 @@ mod tests {
     #[test]
     fn registry_snapshot_is_ordered_and_complete() {
         let mut reg = MetricsRegistry::new();
-        reg.count(MetricKey::new("mac", "harq_retx"), 2);
-        reg.count(MetricKey::new("mac", "harq_retx"), 1);
-        reg.gauge(MetricKey::new("channel", "loss_rate"), 0.01);
-        reg.record(MetricKey::new("radio", "submit_us"), Duration::from_micros(7));
+        count(&mut reg, MetricKey::new("mac", "harq_retx"), 2);
+        count(&mut reg, MetricKey::new("mac", "harq_retx"), 1);
+        count(&mut reg, MetricKey::new("channel", "loss_events"), 1);
+        record_ns(&mut reg, MetricKey::new("radio", "submit_us"), 7_000);
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap.layers(), vec!["channel", "mac", "radio"]);
@@ -523,8 +640,8 @@ mod tests {
     #[test]
     fn exemplars_flow_into_snapshot_json() {
         let mut reg = MetricsRegistry::new();
-        reg.record_ns_with_exemplar(MetricKey::new("journey", "rtt"), 123_456, 42);
-        reg.record_ns(MetricKey::new("mac", "proc_us"), 5_000);
+        reg.observe_ns_with_exemplar(metric::JOURNEY_RTT.slot(), 123_456, 42);
+        record_ns(&mut reg, MetricKey::new("mac", "proc_us"), 5_000);
         let snap = reg.snapshot();
         let json = snap.to_json();
         assert!(json.contains("\"exemplars\":[{\"le_us\":"), "json: {json}");
@@ -532,6 +649,180 @@ mod tests {
         // Histograms recorded without ping ids carry no exemplar array.
         let mac_row = json.lines().find(|l| l.contains("mac/proc_us")).unwrap();
         assert!(!mac_row.contains("exemplars"));
+    }
+
+    #[test]
+    fn key_order_is_the_byte_order_of_layer_name_label() {
+        let short = ["", "a", "b"];
+        let mut keys = VOCABULARY.to_vec();
+        for layer in short {
+            for name in short {
+                keys.extend(short.map(|label| MetricKey { layer, name, label }));
+            }
+        }
+        let bytes = |k: &MetricKey| (k.layer.as_bytes(), k.name.as_bytes(), k.label.as_bytes());
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(a.cmp(b), bytes(a).cmp(&bytes(b)), "{a:?} against {b:?}");
+                assert_eq!(a == b, bytes(a) == bytes(b), "{a:?} against {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_counter_touched_by_zero_is_present_and_an_empty_histogram_is_not() {
+        let mut reg = MetricsRegistry::new();
+        reg.add(metric::MAC_HARQ_RETX.slot(), 0);
+        count(&mut reg, MetricKey::new("phy", "walk_us"), 0);
+        let slot = reg.slot(MetricKey::new("phy", "other_us"));
+        reg.observe_ns(slot, 5);
+        reg.clear();
+        reg.add(slot, 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap.counter("phy", "other_us"), Some(0));
+        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.layers(), vec!["phy"]);
+    }
+
+    /// The registry as it was before dense slots: one `BTreeMap` per kind.
+    #[derive(Debug, Clone, Default)]
+    struct Oracle {
+        counters: BTreeMap<MetricKey, u64>,
+        histograms: BTreeMap<MetricKey, LogLinearHistogram>,
+    }
+
+    impl Oracle {
+        fn live_histograms(&self) -> impl Iterator<Item = (&MetricKey, &LogLinearHistogram)> {
+            self.histograms.iter().filter(|(_, h)| h.count() > 0)
+        }
+
+        fn merge(&mut self, other: &Oracle) {
+            for (&key, &n) in &other.counters {
+                *self.counters.entry(key).or_insert(0) += n;
+            }
+            for (&key, h) in other.live_histograms() {
+                self.histograms.entry(key).or_default().merge(h);
+            }
+        }
+
+        fn clear(&mut self) {
+            self.counters.clear();
+            self.histograms.values_mut().for_each(LogLinearHistogram::clear);
+        }
+
+        fn snapshot(&self) -> MetricsSnapshot {
+            let mut rows: Vec<MetricRow> = self
+                .counters
+                .iter()
+                .map(|(&key, &v)| MetricRow { key, value: MetricValue::Counter(v) })
+                .collect();
+            rows.extend(self.live_histograms().map(|(&key, h)| MetricRow {
+                key,
+                value: MetricValue::Histogram(HistogramSummary::from(h)),
+            }));
+            rows.sort_by_key(|a| a.key);
+            MetricsSnapshot { rows }
+        }
+    }
+
+    /// How an op names its key: by vocabulary id, or by strings.
+    #[derive(Debug, Clone, Copy)]
+    enum Name {
+        Id(MetricId),
+        Key(MetricKey),
+    }
+
+    impl Name {
+        fn key(self) -> MetricKey {
+            match self {
+                Name::Id(id) => id.key(),
+                Name::Key(key) => key,
+            }
+        }
+
+        fn slot(self, reg: &mut MetricsRegistry) -> usize {
+            match self {
+                Name::Id(id) => id.slot(),
+                Name::Key(key) => reg.slot(key),
+            }
+        }
+    }
+
+    const NAMES: [Name; 7] = [
+        Name::Id(metric::MAC_HARQ_RETX),
+        Name::Id(metric::JOURNEY_RTT),
+        Name::Id(metric::AUDIT_TERM_US_CORE),
+        // A vocabulary key spelled through the string API.
+        Name::Key(MetricKey { layer: "mac", name: "harq_retx", label: "" }),
+        Name::Key(MetricKey { layer: "phy", name: "walk_us", label: "" }),
+        Name::Key(MetricKey { layer: "radio", name: "submit_us", label: "ue" }),
+        Name::Key(MetricKey { layer: "a", name: "", label: "" }),
+    ];
+
+    /// One op on the parent (`true`) or the child: `(kind, name, value)`.
+    type Op = (bool, u8, usize, u64);
+
+    fn play(
+        reg: &mut [MetricsRegistry; 2],
+        oracle: &mut [Oracle; 2],
+        &(on_parent, kind, name, value): &Op,
+    ) {
+        let name = NAMES[name];
+        let (key, which) = (name.key(), usize::from(on_parent));
+        match kind {
+            0 => {
+                let slot = name.slot(&mut reg[which]);
+                reg[which].add(slot, value % 3);
+                *oracle[which].counters.entry(key).or_insert(0) += value % 3;
+            }
+            1 => {
+                let slot = name.slot(&mut reg[which]);
+                reg[which].observe_ns(slot, value);
+                oracle[which].histograms.entry(key).or_default().record(value);
+            }
+            2 => {
+                let slot = name.slot(&mut reg[which]);
+                reg[which].observe_ns_with_exemplar(slot, value, value % 17);
+                oracle[which]
+                    .histograms
+                    .entry(key)
+                    .or_default()
+                    .record_with_exemplar(value, value % 17);
+            }
+            3 => {
+                let [child, parent] = reg;
+                parent.merge(child);
+                let [child, parent] = oracle;
+                parent.merge(child);
+            }
+            _ => {
+                reg[which].clear();
+                oracle[which].clear();
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn dense_slots_snapshot_like_the_btree_registry(
+            ops in prop::collection::vec(
+                (any::<bool>(), 0u8..5, 0usize..NAMES.len(), 0u64..5_000_000),
+                0..200,
+            ),
+        ) {
+            let mut reg = [MetricsRegistry::new(), MetricsRegistry::new()];
+            let mut oracle = [Oracle::default(), Oracle::default()];
+            for op in &ops {
+                play(&mut reg, &mut oracle, op);
+            }
+            for (reg, oracle) in reg.iter().zip(&oracle) {
+                let want = oracle.snapshot();
+                prop_assert_eq!(reg.len(), want.len());
+                prop_assert_eq!(reg.layers(), want.layers());
+                prop_assert_eq!(reg.snapshot(), want);
+            }
+        }
     }
 
     proptest! {

@@ -87,4 +87,24 @@ fn the_names_the_benchmark_imports_resolve_with_the_types_it_passes() {
         let zero = urllc_core::ProcessingBudget::zero();
         let _ = urllc_core::feasibility_table(&zero);
     };
+
+    // The telemetry the layer figures time and the lit workload reads: the
+    // string-keyed handle calls, the journal ring, the flight recorder and
+    // the host profiler.
+    let _: fn(&Telemetry, &'static str, &'static str, u64) = Telemetry::count;
+    let _: fn(&Telemetry, &'static str, &'static str, Duration) = Telemetry::record;
+    let _telemetry_calls = |tel: &Telemetry,
+                            journal: &mut EventJournal,
+                            flight: &mut FlightRecorder,
+                            prof: &Profiler,
+                            event: JournalEvent,
+                            exemplar: TailExemplar| {
+        let _: usize = tel.snapshot().len();
+        let _: Vec<JournalEvent> = tel.journal_events();
+        let _: Vec<TailExemplar> = tel.flight_exemplars();
+        journal.push(event);
+        flight.observe(exemplar, false);
+        drop(prof.scope("hop"));
+        let _: Option<f64> = prof.snapshot().iter().find(|s| s.stage == "hop").map(|s| s.total_ms);
+    };
 }

@@ -139,3 +139,49 @@ fn disabled_telemetry_is_inert() {
     assert!(tel.journal_events().is_empty());
     assert_eq!(res.telemetry.metric_keys, 0);
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("a source directory") {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The program records by `MetricId`: outside its test modules, no file
+/// of the workspace's crates or examples hands the telemetry handle a
+/// string key. The string forms are for the benchmark and the tests.
+#[test]
+fn program_code_records_by_metric_id_only() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("the workspace");
+    let mut files = Vec::new();
+    for dir in ["crates", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "found only {} source files under {}", files.len(), root.display());
+    let mut offenders = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("a readable source file");
+        // Program code ends where the file's test module begins.
+        let test_module = text
+            .match_indices("#[cfg(test)]")
+            .map(|(at, _)| at)
+            .find(|&at| text[at + "#[cfg(test)]".len()..].trim_start().starts_with("mod "));
+        let program = &text[..test_module.unwrap_or(text.len())];
+        let code: String = program
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .flat_map(str::split_whitespace)
+            .collect();
+        for call in [".count(\"", ".record(\"", ".record_labeled(\"", ".record_with_exemplar(\""] {
+            if code.contains(call) {
+                offenders.push(format!("{}: {call}", file.display()));
+            }
+        }
+    }
+    assert!(offenders.is_empty(), "string metric keys in program code: {offenders:#?}");
+}
