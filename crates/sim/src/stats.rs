@@ -430,7 +430,7 @@ impl BucketExemplar {
 /// regardless of sample count, which is what lets million-UE sweeps run in
 /// fixed memory (the telemetry registry and every scale experiment record
 /// through this type).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogLinearHistogram {
     buckets: Vec<u64>,
     exemplars: Vec<Option<BucketExemplar>>,
@@ -438,6 +438,14 @@ pub struct LogLinearHistogram {
     sum: u64,
     min: u64,
     max: u64,
+}
+
+/// The same empty histogram as [`LogLinearHistogram::new`]: a derived
+/// default would start `min` at 0, and `quantile` clamps to `min`.
+impl Default for LogLinearHistogram {
+    fn default() -> LogLinearHistogram {
+        LogLinearHistogram::new()
+    }
 }
 
 impl LogLinearHistogram {
@@ -1114,6 +1122,14 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.count(), 4);
         assert_eq!(h.max(), u64::MAX);
+    }
+
+    #[test]
+    fn the_default_histogram_is_a_new_one() {
+        assert_eq!(LogLinearHistogram::default(), LogLinearHistogram::new());
+        let mut h = LogLinearHistogram::default();
+        h.record(1_050_000);
+        assert_eq!(h.quantile(0.5), 1_050_000);
     }
 
     #[test]
