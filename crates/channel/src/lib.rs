@@ -4,7 +4,7 @@
 //! propagation simulator (the substitution is recorded in DESIGN.md). Two
 //! models cover the paper's arguments:
 //!
-//! * [`fr1`] — sub-6 GHz link: an SNR/PER curve with log-normal shadowing.
+//! * `fr1` — sub-6 GHz link: an SNR/PER curve with log-normal shadowing.
 //!   FR1 is the reliable workhorse of the paper's §5 design choices; its
 //!   loss rate feeds the RLC retransmission and reliability experiments.
 //! * [`fr2`] — mmWave link: a two-state line-of-sight blockage process.

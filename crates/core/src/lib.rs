@@ -22,21 +22,21 @@
 //! * [`reliability`] — the §6 analysis: how non-deterministic latency
 //!   (OS jitter) converts into deadline misses, and the
 //!   margin-vs-reliability trade;
-//! * [`audit`] — the per-ping deadline-budget audit: folds simulated
+//! * `audit` — the per-ping deadline-budget audit: folds simulated
 //!   stage traces onto the model's terms and reports the residuals;
-//! * [`recovery`] — closed-form worst-case recovery latency: what an RLF
+//! * `recovery` — closed-form worst-case recovery latency: what an RLF
 //!   re-establishment detour or an N3 path-outage detection costs,
 //!   cross-checked against the stack simulation;
-//! * [`handover`] — closed-form worst-case handover interruption: what an
+//! * `handover` — closed-form worst-case handover interruption: what an
 //!   inter-cell mobility event (clean, too-late, too-early, or with a
 //!   lost forwarding batch) costs the stream, cross-checked against the
 //!   mobility simulation;
-//! * [`design`] — design-space search over numerology × pattern × access ×
+//! * `design` — design-space search over numerology × pattern × access ×
 //!   radio × kernel, quantifying §5's conclusion that "the set of possible
 //!   system designs is quite limited";
-//! * [`queueing`] — the closed-form M/D/1 bound cross-checking the
+//! * `queueing` — the closed-form M/D/1 bound cross-checking the
 //!   open-loop overload sweep's sub-saturation queueing delay;
-//! * [`slo`] — the windowed, hysteresis-guarded SLO supervisor that drives
+//! * `slo` — the windowed, hysteresis-guarded SLO supervisor that drives
 //!   `stack::overload`'s graceful degradation.
 
 pub(crate) mod audit;

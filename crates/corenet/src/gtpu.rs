@@ -41,7 +41,7 @@ pub enum GtpuError {
     /// Version field is not 1 or PT is not GTP.
     BadVersion,
     /// Declared length exceeds what the transport can carry
-    /// ([`MAX_PAYLOAD`] plus the optional block).
+    /// (`MAX_PAYLOAD` plus the optional block).
     Oversized,
 }
 
@@ -60,7 +60,7 @@ impl std::error::Error for GtpuError {}
 /// A decoded GTP-U header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GtpuHeader {
-    /// Message type ([`MSG_GPDU`] for user data).
+    /// Message type (`MSG_GPDU` for user data).
     pub message_type: u8,
     /// Tunnel endpoint identifier.
     pub teid: u32,
@@ -106,7 +106,7 @@ impl GtpuHeader {
     /// Invariant: `payload.len() <= MAX_PAYLOAD`. Every payload in this
     /// stack is bounded by the slot capacity (hundreds of bytes), far
     /// under the MTU; callers assembling untrusted payloads use
-    /// [`try_encode`](Self::try_encode).
+    /// `try_encode`.
     pub fn encode(&self, payload: &[u8]) -> Bytes {
         debug_assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds the GTP-U transport MTU");
         let opt = self.sequence.is_some();

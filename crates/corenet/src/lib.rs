@@ -8,15 +8,15 @@
 //!
 //! * [`gtpu`] — the GTP-U header codec (TS 29.281);
 //! * [`upf`] — TEID-keyed session lookup, encapsulation/decapsulation;
-//! * [`backbone`] — N3/N6 transport delay models;
-//! * [`supervision`] — GTP-U echo keepalive with retry/backoff and
+//! * `backbone` — N3/N6 transport delay models;
+//! * `supervision` — GTP-U echo keepalive with retry/backoff and
 //!   failover onto a backup path;
-//! * [`hop`] — the supervised crossing packaged as one pipeline unit for
-//!   the stack's event-driven ping walk;
+//! * `hop` — the supervised crossing packaged as one pipeline unit for
+//!   the stack's ping walk;
 //! * [`qos`] — the standardised 5QI table (TS 23.501): packet delay
 //!   budgets and error-rate targets, and what a configuration's latency
 //!   can legally carry;
-//! * [`xn`] — the Xn-U data-forwarding tunnel used during inter-gNB
+//! * `xn` — the Xn-U data-forwarding tunnel used during inter-gNB
 //!   handover: sequenced G-PDU forwarding, SN status transfer, and the
 //!   end marker that closes the tunnel after the path switch.
 

@@ -10,7 +10,7 @@
 //! register and polynomial are shifted up by `8 − width`; the final shift
 //! back recovers the remainder — the alignment commutes with the division).
 //! The original MSB-first bit-at-a-time engine survives as
-//! [`CrcPoly::compute_bitwise`], both as the fallback for non-standard
+//! `CrcPoly::compute_bitwise`, both as the fallback for non-standard
 //! polynomials and as the reference the equivalence tests compare against.
 
 /// A CRC generator polynomial with its width.

@@ -112,7 +112,7 @@ impl SharedChannel {
     /// processing-time models that scale with segmentation).
     ///
     /// # Panics
-    /// Panics if `payload` is longer than [`MAX_TRANSPORT_BLOCK_BYTES`]. On
+    /// Panics if `payload` is longer than `MAX_TRANSPORT_BLOCK_BYTES`. On
     /// the stack path this cannot happen: the payload is a MAC PDU that
     /// `ran::mac::MacPdu::encode` has already held to its grant's
     /// transport-block size (`MacError::ExceedsTransportBlock`), and no grant
@@ -174,7 +174,7 @@ impl SharedChannel {
     /// the next call.
     ///
     /// Total over its input: any sample slice — wrong length, NaN or
-    /// infinite components (sliced by [`Modulation::demap`]'s non-finite
+    /// infinite components (sliced by `Modulation::demap`'s non-finite
     /// rule), trailing symbols that do not fill a byte (dropped) — yields
     /// the payload or a [`TransportError`], never a panic.
     pub fn decode(&mut self, samples: &[Iq]) -> Result<&[u8], TransportError> {
@@ -236,7 +236,7 @@ pub fn decode(config: ShChConfig, samples: &[Iq]) -> Result<Vec<u8>, TransportEr
 /// Number of IQ samples produced for a payload of `bytes` bytes — used by
 /// the radio model to translate transport blocks into bus traffic without
 /// materialising the samples. Pure arithmetic, so unlike [`encode`] it does
-/// not stop at [`MAX_TRANSPORT_BLOCK_BYTES`]; beyond that it counts samples
+/// not stop at `MAX_TRANSPORT_BLOCK_BYTES`; beyond that it counts samples
 /// of a block [`encode`] refuses to build.
 pub fn sample_count(config: ShChConfig, bytes: usize) -> usize {
     let tb = bytes + 3; // CRC24A

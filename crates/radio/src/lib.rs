@@ -8,14 +8,14 @@
 //!
 //! This crate stands in for the paper's USRP B210 (USB) radio head:
 //!
-//! * [`interface`] — fronthaul bus models (USB 2.0, USB 3.0, PCIe,
+//! * `interface` — fronthaul bus models (USB 2.0, USB 3.0, PCIe,
 //!   Ethernet): per-transfer setup cost plus per-sample throughput cost,
 //!   the linear part of Fig 5;
 //! * [`jitter`] — a Markov-modulated OS-scheduling delay process producing
 //!   the spikes of Fig 5 and the non-determinism §6 warns about;
-//! * [`head`] — the radio-head pipeline (DAC/ADC group delay, analog
+//! * `head` — the radio-head pipeline (DAC/ADC group delay, analog
 //!   front-end) and the end-to-end submit/receive latency;
-//! * [`ring`] — the TX sample ring with deadline tracking: samples arriving
+//! * `ring` — the TX sample ring with deadline tracking: samples arriving
 //!   after their air-time cause an *underrun* (the paper's "corrupted
 //!   signal" when the scheduler margin is too small, §4).
 

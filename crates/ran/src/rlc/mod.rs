@@ -7,7 +7,7 @@
 //! row in the table. This module implements both transmission modes used on
 //! data bearers:
 //!
-//! * [`um`] — Unacknowledged Mode: segmentation/reassembly only, no
+//! * `um` — Unacknowledged Mode: segmentation/reassembly only, no
 //!   retransmission. The mode URLLC traffic typically rides (one shot, no
 //!   retx latency).
 //! * [`am`] — Acknowledged Mode: adds status reporting and retransmission,

@@ -290,7 +290,7 @@ impl A3Trigger {
         false
     }
 
-    /// Whether the trigger has fired and awaits [`reset`](Self::reset).
+    /// Whether the trigger has fired and awaits `reset`.
     pub fn has_fired(&self) -> bool {
         self.fired
     }

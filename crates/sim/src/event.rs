@@ -130,37 +130,6 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
-    /// Drains every pending event in deterministic fire order, advancing
-    /// the clock to the last one.
-    pub fn drain_sorted(&mut self) -> Vec<(Instant, E)> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(ev) = self.pop() {
-            out.push(ev);
-        }
-        out
-    }
-
-    /// Discards every pending event without touching the clock.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Rewinds the clock to `to` for a fresh episode — e.g. a per-ping
-    /// walk whose next arrival predates the previous ping's completion.
-    ///
-    /// # Panics
-    /// Panics if events are still pending: rewinding under them would let
-    /// a later push violate causality relative to what is already queued.
-    pub fn rewind(&mut self, to: Instant) {
-        assert!(self.heap.is_empty(), "rewind with {} events still pending", self.heap.len());
-        self.now = to;
-    }
-
-    /// Fire time of the next event, without popping.
-    pub fn peek_time(&self) -> Option<Instant> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -169,11 +138,6 @@ impl<E> EventQueue<E> {
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (diagnostics).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -250,12 +214,10 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(Instant::from_micros(4), ());
         q.push(Instant::from_micros(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Instant::from_micros(2)));
-        assert_eq!(q.scheduled_total(), 2);
+        assert!(!q.is_empty());
     }
 
     #[test]
@@ -277,29 +239,10 @@ mod tests {
         q.push(Instant::from_micros(8), 2);
         q.push(Instant::from_micros(3), 1);
         q.push_with_priority(Instant::from_micros(8), 1, 9);
-        let drained: Vec<i32> = q.drain_sorted().into_iter().map(|(_, e)| e).collect();
+        let drained: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(drained, vec![1, 2, 9]);
         assert!(q.is_empty());
         assert_eq!(q.now(), Instant::from_micros(8));
-    }
-
-    #[test]
-    fn rewind_resets_the_clock_for_a_fresh_episode() {
-        let mut q = EventQueue::new();
-        q.push(Instant::from_micros(100), ());
-        q.pop();
-        q.rewind(Instant::from_micros(10));
-        assert_eq!(q.now(), Instant::from_micros(10));
-        q.push(Instant::from_micros(12), ());
-        assert_eq!(q.pop().unwrap().0, Instant::from_micros(12));
-    }
-
-    #[test]
-    #[should_panic(expected = "rewind with")]
-    fn rewind_refuses_pending_events() {
-        let mut q = EventQueue::new();
-        q.push(Instant::from_micros(100), ());
-        q.rewind(Instant::ZERO);
     }
 
     proptest! {
@@ -332,7 +275,7 @@ mod tests {
                 q.push_with_priority(Instant::from_micros(us), p, i);
             }
             let drained: Vec<usize> =
-                q.drain_sorted().into_iter().map(|(_, e)| e).collect();
+                std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
             let mut want: Vec<usize> = (0..entries.len()).collect();
             want.sort_by_key(|&i| (entries[i].0, entries[i].1, i));
             prop_assert_eq!(drained, want);

@@ -24,8 +24,8 @@ use radio::{RadioHead, TxRing};
 use ran::sched::{Rnti, Scheduler, SlotDecision};
 use ran::RrcEntity;
 use sim::{
-    Dist, Duration, EventQueue, FaultAttribution, FaultInjector, FaultKind, Instant,
-    LatencyRecorder, PingFaultTrace, SimRng, StreamingStats, Summary,
+    Dist, Duration, FaultAttribution, FaultInjector, FaultKind, Instant, LatencyRecorder,
+    PingFaultTrace, SimRng, StreamingStats, Summary,
 };
 
 use telemetry::{
@@ -119,7 +119,7 @@ pub struct ExperimentResult {
     pub spurious_harq_retx: u64,
     /// RLC AM recovery rounds entered after HARQ budget exhaustion.
     pub rlc_escalations: u64,
-    /// Radio-link failures (recovered or not — see [`RlfEvent::recovered`]).
+    /// Radio-link failures (recovered or not — see `RlfEvent::recovered`).
     pub rlf: Vec<RlfEvent>,
     /// RLF events consumed by a successful RRC re-establishment.
     pub recovered: u64,
@@ -191,9 +191,9 @@ impl ExperimentResult {
     }
 }
 
-/// The experiment driver: owns the layer entities, the per-stream RNGs
-/// and the shared event queue; the per-ping walk itself lives in the
-/// [`crate::pipeline`] hop functions.
+/// The experiment driver: owns the layer entities and the per-stream
+/// RNGs, and walks each ping from hop to hop; the hops themselves are the
+/// functions of the crate's `pipeline` module.
 pub struct PingExperiment {
     pub(crate) config: StackConfig,
     /// O(1) slot-pattern lookups for `config.duplex`, built once per
@@ -223,8 +223,6 @@ pub struct PingExperiment {
     /// Host wall-time profiler (disabled by default; never touches sim
     /// state, so profiled and dark runs stay bit-identical).
     pub(crate) prof: Profiler,
-    /// The shared future-event queue every ping episode drains.
-    pub(crate) events: EventQueue<PingEvent>,
     /// Sequence number of the ping currently in flight (journal context).
     pub(crate) ping: u64,
     /// The walk's state, reset and reused by every ping.
@@ -285,7 +283,6 @@ impl PingExperiment {
             traces_wanted: 3,
             tel: Telemetry::disabled(),
             prof: Profiler::disabled(),
-            events: EventQueue::new(),
             ping: 0,
             ctx: PingCtx::default(),
             decision: SlotDecision::default(),
@@ -325,8 +322,8 @@ impl PingExperiment {
         self.tel = tel;
     }
 
-    /// Attaches a host wall-time profiler: the event driver opens one
-    /// scope per hop dispatch, keyed by [`crate::HopId::name`]. The
+    /// Attaches a host wall-time profiler: the ping walk opens one scope
+    /// per hop dispatch, keyed by [`crate::HopId::name`]. The
     /// profiler reads only the host clock — no RNG draws, no sim time —
     /// so profiled and dark runs stay bit-identical.
     pub fn attach_profiler(&mut self, prof: Profiler) {
@@ -334,16 +331,11 @@ impl PingExperiment {
     }
 
     /// Runs `n` pings with the default inter-ping spacing of five pattern
-    /// periods (sparse, as in the paper's testbed).
+    /// periods (sparse, as in the paper's testbed), each arriving uniformly
+    /// within the pattern period (§7: "packets are uniformly generated
+    /// within the pattern").
     pub fn run(&mut self, n: u64) -> ExperimentResult {
         let spacing = self.config.duplex.pattern_period() * 5;
-        self.run_spaced(n, spacing)
-    }
-
-    /// Runs `n` pings, one per `spacing`, each arriving uniformly within
-    /// the pattern period (§7: "packets are uniformly generated within the
-    /// pattern").
-    pub(crate) fn run_spaced(&mut self, n: u64, spacing: Duration) -> ExperimentResult {
         self.run_span(0, n, spacing)
     }
 
@@ -605,40 +597,39 @@ impl PingExperiment {
         plan.detection + n3
     }
 
-    /// One ping episode on the shared event queue: seed the arrival,
-    /// then pop-and-dispatch through the hops until the walk declares the
-    /// ping delivered or lost. Hops append their spans to the trace and
-    /// push their follow-up event themselves; the driver owns the episode
-    /// boundaries and is the single span journaler.
+    /// One ping episode as a state machine: start from the arrival at
+    /// `t0` and dispatch each hop's successor in turn until the walk
+    /// declares the ping delivered or lost. Hops append their spans to the
+    /// trace and return the one event that follows them; the driver owns
+    /// the episode boundaries and is the single span journaler.
     fn one_ping(&mut self, id: u64, t0: Instant, result: &mut ExperimentResult) {
         self.ping = id;
         let mut ctx = std::mem::take(&mut self.ctx);
         ctx.reset(id, t0);
-        self.events.clear();
-        self.events.rewind(t0);
-        self.events.push(t0, PingEvent::Arrival);
         // Cheap handle clone so the scope guard can borrow it while the
         // dispatch takes `&mut self`. Inert when no profiler is attached.
         let prof = self.prof.clone();
-        let mut lost = false;
-        let mut max_depth = self.events.len();
-        while let Some((at, ev)) = self.events.pop() {
+        let (mut at, mut ev) = (t0, PingEvent::Arrival);
+        let lost = loop {
             let outcome = {
                 // Dispatches are non-reentrant, so elapsed == self-time.
                 let _hop_time = prof.scope(ev.hop().name());
                 dispatch(self, &mut ctx, result, at, ev)
             };
-            max_depth = max_depth.max(self.events.len());
             match outcome {
-                HopOutcome::Continue => {}
+                HopOutcome::Next(next, successor) => {
+                    // Causality: a hop that schedules into the past would
+                    // silently corrupt every latency after it.
+                    assert!(next >= at, "{ev:?} at {at:?} scheduled {successor:?} at {next:?}");
+                    (at, ev) = (next, successor);
+                }
                 HopOutcome::Lost => {
                     result.attribution.record_lost(ctx.ftrace.dominant());
-                    lost = true;
-                    self.events.clear();
+                    break true;
                 }
-                HopOutcome::Done => self.events.clear(),
+                HopOutcome::Done => break false,
             }
-        }
+        };
         // A clamped (inverted) span anywhere in this ping's walk becomes a
         // telemetry counter instead of a panic; never recorded when zero.
         let inverted = crate::journey::take_inverted_spans();
@@ -687,7 +678,8 @@ impl PingExperiment {
                     fault,
                     fault_extra: fault_extra.collect(),
                     drop_reason: if lost { Some(fault.unwrap_or("unattributed")) } else { None },
-                    max_queue_depth: max_depth,
+                    // A ping walk holds one pending event by construction.
+                    max_queue_depth: 1,
                     sched_rounds: ctx.sched_rounds + ctx.dl_sched_rounds,
                     spans: spans.collect(),
                 }

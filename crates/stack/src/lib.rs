@@ -5,29 +5,29 @@
 //! radio heads and the air, up the gNB stack, through GTP-U to the UPF —
 //! and drives ping round trips through it under a discrete-event clock.
 //!
-//! * [`config`] — one struct gathering every knob (duplexing, access mode,
+//! * `config` — one struct gathering every knob (duplexing, access mode,
 //!   processing models, radio heads, backbone), with presets for the
 //!   paper's §7 testbed and the §5 ideal URLLC designs;
-//! * [`node`] — the UE and gNB protocol stacks: real PDU encode/decode
+//! * `node` — the UE and gNB protocol stacks: real PDU encode/decode
 //!   through every layer (packets are actually built, ciphered, segmented,
 //!   multiplexed, modulated — not just delayed);
-//! * [`journey`] — per-stage latency traces of a ping (Fig 2's eleven steps
+//! * `journey` — per-stage latency traces of a ping (Fig 2's eleven steps
 //!   / Fig 3's timeline), with an ASCII renderer;
-//! * [`experiment`] — the end-to-end ping experiment: per-direction latency
+//! * `experiment` — the end-to-end ping experiment: per-direction latency
 //!   distributions (Fig 6), per-layer processing statistics (Table 2),
 //!   radio deadline bookkeeping (§6 reliability);
-//! * [`pipeline`] — the event-driven stage pipeline: the ping walk as one
-//!   function per hop behind a single exhaustive `match` on the popped
-//!   event, sharing one `sim::EventQueue`, with faults applied by gate
-//!   functions in front of the hops they perturb;
+//! * `pipeline` — the stage pipeline: the ping walk as a state machine of
+//!   one function per hop behind a single exhaustive `match` on the
+//!   event, each hop returning the one event that follows it, with faults
+//!   applied by gate functions in front of the hops they perturb;
 //! * [`stage_labels`] — the canonical Fig-3 stage vocabulary shared by
 //!   traces, telemetry keys and the deadline-budget auditor;
-//! * [`multi_ue`] — the §9 scalability experiment: uplink latency and
+//! * `multi_ue` — the §9 scalability experiment: uplink latency and
 //!   resource waste as the UE population grows, grant-free vs grant-based;
-//! * [`multicell`] — the city-scale N-gNB topology: per-cell event queues
+//! * `multicell` — the city-scale N-gNB topology: slot-stepped cells
 //!   and heterogeneous UE mixes, sharded with cells as the boundary,
 //!   recording fixed-memory up to 10⁶ total UEs;
-//! * [`coexistence`] — URLLC sharing the downlink with eMBB: queueing vs
+//! * `coexistence` — URLLC sharing the downlink with eMBB: queueing vs
 //!   preemption (the §1 coexistence literature, on this stack).
 
 pub(crate) mod coexistence;

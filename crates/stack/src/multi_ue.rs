@@ -79,7 +79,7 @@ pub struct MultiUeResult {
 
 /// Runs the experiment. A configuration whose load cannot drain its own
 /// scheduler (or whose opportunity rotation never cycles) surfaces as
-/// [`StackError::Diverged`] instead of aborting the whole sweep.
+/// `StackError::Diverged` instead of aborting the whole sweep.
 pub fn run_multi_ue(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> {
     match config.base.access {
         AccessMode::GrantFree => run_grant_free(config),
@@ -351,7 +351,7 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
 /// fails the whole sweep (points are independent, so one divergence means
 /// the configuration itself is bad, not the neighbours).
 ///
-/// Sharding is two-level: grant-free points split into [`SUB_SHARD_UES`]
+/// Sharding is two-level: grant-free points split into `SUB_SHARD_UES`
 /// UE ranges (the way ping batches split into `BATCH_PINGS`), so the
 /// largest population no longer occupies one worker for the whole sweep
 /// while the rest idle. The split is sound because a grant-free arrival's

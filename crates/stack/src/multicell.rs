@@ -103,7 +103,7 @@ pub struct MulticellConfig {
     pub queue_cap: usize,
     /// Fractional growth of per-packet gNB scheduling/decode work per
     /// attached UE in the cell (§7's population cost). Multi-cell default
-    /// is gentler than [`crate::multi_ue`]'s because populations here
+    /// is gentler than `multi_ue`'s because populations here
     /// reach 10⁵ per cell.
     pub sched_scaling_per_ue: f64,
     /// Scheduling policy every cell orders its class queues with each

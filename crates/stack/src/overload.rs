@@ -2,7 +2,7 @@
 //! buffers with typed drop attribution, and SLO-driven graceful
 //! degradation.
 //!
-//! The closed-loop [`crate::experiment`] walk sends one ping at a time, so
+//! The closed-loop [`crate::PingExperiment`] walk sends one ping at a time, so
 //! queues can never form and offered load is bounded by the service rate
 //! by construction. This module is the open-loop counterpart: a
 //! [`sim::ArrivalGen`] injects packets onto a shared [`sim::EventQueue`]

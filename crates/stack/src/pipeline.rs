@@ -1,19 +1,21 @@
-//! The event-driven stage pipeline: the Fig 2/Fig 3 packet journey as
-//! plain functions behind one exhaustive `match` on a shared
-//! [`sim::EventQueue`].
+//! The stage pipeline: the Fig 2/Fig 3 packet journey as a state machine
+//! of plain functions behind one exhaustive `match`.
 //!
 //! A **hop** is one function wrapping one layer operation — the UE's
 //! SDAP/PDCP/RLC walk, the SR/grant exchange, a HARQ delivery cycle, a
 //! radio-head crossing, the GTP-U/UPF backbone hop. `dispatch` routes each
-//! popped [`PingEvent`] to the hop that consumes it; the hop performs its
-//! layer work (sampling processing times, encoding/decoding real PDUs),
-//! pushes the [`StageSpan`]s it contributes onto the ping's trace and the
-//! follow-up event onto the experiment's queue, and says how the walk goes
-//! on. The experiment driver (`PingExperiment::one_ping`) pops and
-//! dispatches until the ping completes, is lost, or detours through RRC
-//! recovery. The journey is a closed set, so the compiler checks the
-//! routing: a new [`PingEvent`] variant does not build until `dispatch`
-//! names its hop.
+//! [`PingEvent`] to the hop that consumes it; the hop performs its layer
+//! work (sampling processing times, encoding/decoding real PDUs), pushes
+//! the [`StageSpan`]s it contributes onto the ping's trace, and returns its
+//! successor: [`HopOutcome::Next`] names the one event the walk fires next
+//! and when, [`HopOutcome::Lost`] and [`HopOutcome::Done`] end the ping.
+//! The journey is a strict chain — every step starts when the one before
+//! it ends, RRC recovery detours included — so the experiment driver
+//! (`PingExperiment::one_ping`) needs no event queue: it dispatches each
+//! successor in turn until the ping completes or is lost. The journey is a
+//! closed set, so the compiler checks the routing: a new [`PingEvent`]
+//! variant does not build until `dispatch` names its hop, and a hop cannot
+//! end without saying what comes next.
 //!
 //! Cross-cutting concerns stay out of the hop bodies:
 //!
@@ -267,10 +269,10 @@ pub(crate) struct DeliveryState {
 }
 
 /// Per-ping mutable state threaded through the walk. Hops communicate
-/// forward through events; anything a *later* hop needs that does not fit
-/// an event payload lives here. One context serves every ping of an
-/// experiment ([`PingCtx::reset`]), so its lists allocate only while they
-/// grow to the longest walk.
+/// forward through the events they return; anything a *later* hop needs
+/// that does not fit an event payload lives here. One context serves
+/// every ping of an experiment ([`PingCtx::reset`]), so its lists allocate
+/// only while they grow to the longest walk.
 #[derive(Default)]
 pub(crate) struct PingCtx {
     pub(crate) id: u64,
@@ -327,10 +329,11 @@ impl PingCtx {
 }
 
 /// How a hop left the walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum HopOutcome {
-    /// The walk continues with the event the hop scheduled.
-    Continue,
+    /// The walk goes on with this event, firing at this instant (never
+    /// before the event that produced it).
+    Next(Instant, PingEvent),
     /// The ping is lost (attributed to the dominant fault by the driver).
     Lost,
     /// The ping completed (latency already recorded).
@@ -338,9 +341,9 @@ pub(crate) enum HopOutcome {
 }
 
 /// Routes `ev`, which fired at `at`, to the hop (or the fault gate in
-/// front of it) that consumes it. Hops read/write the experiment's layer
-/// entities, RNG streams and event queue (`exp`), the per-ping state
-/// (`ctx`) and the run's accumulators (`result`).
+/// front of it) that consumes it, and returns that hop's successor. Hops
+/// read/write the experiment's layer entities and RNG streams (`exp`),
+/// the per-ping state (`ctx`) and the run's accumulators (`result`).
 pub(crate) fn dispatch(
     exp: &mut PingExperiment,
     ctx: &mut PingCtx,
@@ -407,8 +410,7 @@ fn app_down(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutc
         .expect("UL grant sized for payload");
     ctx.ul_samples = exp.ue.phy_sample_count(ctx.mac_pdus[0].len());
     ctx.in_rlc = in_rlc;
-    exp.events.push(in_rlc, PingEvent::UlAccess);
-    HopOutcome::Continue
+    HopOutcome::Next(in_rlc, PingEvent::UlAccess)
 }
 
 /// ② Access fork. The UE MAC/PHY preparation is pipelined with the
@@ -421,16 +423,15 @@ fn ul_access(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOut
         AccessMode::GrantFree => {
             // UE MAC prepares the transmission directly.
             let mac_t = exp.sample_ue(|t| &t.mac);
-            exp.events.push(at + mac_t + ctx.ue_phy, PingEvent::UlTxReady { granted_slot: None });
+            HopOutcome::Next(at + mac_t + ctx.ue_phy, PingEvent::UlTxReady { granted_slot: None })
         }
         AccessMode::GrantBased => {
             let mut sr = SrProcedure::new(exp.config.sr);
             sr.trigger(at);
             ctx.sr = Some(sr);
-            exp.events.push(at, PingEvent::SrTx { probe: at });
+            HopOutcome::Next(at, PingEvent::SrTx { probe: at })
         }
     }
-    HopOutcome::Continue
 }
 
 /// ② SR transmission probe: the SR transmits at UL opportunities until
@@ -448,10 +449,10 @@ fn sr_tx(
     // `ctx.sr` was populated; `ctx.sr` is cleared only between pings.
     let sr = ctx.sr.as_mut().expect("SR procedure in flight");
     if sr.maybe_transmit(sr_op.slot, sr_op.tx_start) {
-        exp.events.push(
+        HopOutcome::Next(
             sr_op.tx_start,
             PingEvent::SrOnAir { slot: sr_op.slot, tx_start: sr_op.tx_start },
-        );
+        )
     } else if sr.needs_rach() {
         let giving_up = sr_op.tx_start;
         let rach_cfg = exp.config.rach;
@@ -467,12 +468,11 @@ fn sr_tx(
         ctx.ftrace.record(FaultKind::SrLoss, lat);
         ctx.trace.ul.push(StageSpan::new(labels::RACH, giving_up, giving_up + lat));
         sr.on_rach_complete();
-        exp.events.push(giving_up + lat, PingEvent::SrReady);
+        HopOutcome::Next(giving_up + lat, PingEvent::SrReady)
     } else {
         let next = exp.timing.slot_start(sr_op.slot + 1);
-        exp.events.push(next, PingEvent::SrTx { probe: next });
+        HopOutcome::Next(next, PingEvent::SrTx { probe: next })
     }
-    HopOutcome::Continue
 }
 
 /// Fault gate on [`sr_decode`]: an injected PUCCH loss costs one
@@ -494,8 +494,7 @@ fn sr_loss_gate(
     ctx.ftrace.record(FaultKind::SrLoss, next.tx_start - tx_start);
     result.sr_retx += 1;
     exp.tel.add(metric::MAC_SR_RETX, 1);
-    exp.events.push(probe, PingEvent::SrTx { probe });
-    HopOutcome::Continue
+    HopOutcome::Next(probe, PingEvent::SrTx { probe })
 }
 
 /// ② The gNB decodes a heard SR: one-symbol PUCCH air time, then PHY +
@@ -518,24 +517,22 @@ fn sr_decode(
     exp.tel.observe(metric::MAC_PROC_US, d_mac);
     let ready = sr_rx + d_phy + d_mac;
     ctx.trace.ul.push(StageSpan::new(labels::SR_DECODE, sr_rx, ready));
-    exp.events.push(ready, PingEvent::SrReady);
-    HopOutcome::Continue
+    HopOutcome::Next(ready, PingEvent::SrReady)
 }
 
 /// ③ The buffer status reaches the scheduler; scheduling happens once per
 /// slot, so the first round is booked at the next boundary.
 fn ul_sched_request(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutcome {
     ctx.sr_ready = at;
-    book_ul_sched(exp, at);
-    HopOutcome::Continue
+    book_ul_sched(exp, at)
 }
 
 /// Tells the scheduler the UE has data as of `at` and books the first
 /// scheduling round at the next slot boundary.
-fn book_ul_sched(exp: &mut PingExperiment, at: Instant) {
+fn book_ul_sched(exp: &mut PingExperiment, at: Instant) -> HopOutcome {
     exp.sched.on_sr(RNTI, at);
     let boundary = exp.timing.slot_index_at(at) + 1;
-    exp.events.push(exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary });
+    HopOutcome::Next(exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary })
 }
 
 /// ④ One scheduling round per slot boundary, bounded by
@@ -553,14 +550,13 @@ fn ul_sched(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant, slot: u64)
     exp.sched.run_slot_into(slot, &mut exp.decision);
     match exp.decision.ul_grants.first().copied() {
         Some(g) => {
-            exp.events.push(g.grant_tx, PingEvent::GrantIssued { grant: g, decision_slot: slot })
+            HopOutcome::Next(g.grant_tx, PingEvent::GrantIssued { grant: g, decision_slot: slot })
         }
         None => {
             let next = slot + 1;
-            exp.events.push(exp.timing.slot_start(next), PingEvent::SchedRound { slot: next });
+            HopOutcome::Next(exp.timing.slot_start(next), PingEvent::SchedRound { slot: next })
         }
     }
-    HopOutcome::Continue
 }
 
 /// Fault gate on [`grant_rx`]: a withheld grant (injected starvation) is a
@@ -583,8 +579,7 @@ fn grant_gate(
         extra: Duration::ZERO,
     });
     ctx.first_withheld = ctx.first_withheld.or(Some(grant.grant_tx));
-    book_ul_sched(exp, exp.timing.slot_start(grant.ul.slot + 1));
-    HopOutcome::Continue
+    book_ul_sched(exp, exp.timing.slot_start(grant.ul.slot + 1))
 }
 
 /// ⑤ The UE decodes the grant DCI (two-symbol CORESET) and prepares the
@@ -611,8 +606,7 @@ fn grant_rx(
     let prep = exp.sample_ue(|t| &t.mac);
     let ue_ready = grant_rx + prep + ctx.ue_phy;
     ctx.trace.ul.push(StageSpan::new(labels::UE_PREP, grant_rx, ue_ready));
-    exp.events.push(ue_ready, PingEvent::UlTxReady { granted_slot: Some(grant.ul.slot) });
-    HopOutcome::Continue
+    HopOutcome::Next(ue_ready, PingEvent::UlTxReady { granted_slot: Some(grant.ul.slot) })
 }
 
 /// ⑥ UL data transmission in the granted/next reachable opportunity.
@@ -635,8 +629,7 @@ fn ul_tx(
         pending: None,
         recovered: None,
     };
-    exp.events.push(tx_end, PingEvent::AirDeliver);
-    HopOutcome::Continue
+    HopOutcome::Next(tx_end, PingEvent::AirDeliver)
 }
 
 // ---------------------------------------------------------------------
@@ -667,7 +660,7 @@ fn harq_delivery(
                     ctx.ftrace.record(kind, done - failed_at);
                 }
             }
-            exp.events.push(done, if dl { PingEvent::UeRx } else { PingEvent::GnbRx });
+            HopOutcome::Next(done, if dl { PingEvent::UeRx } else { PingEvent::GnbRx })
         }
         Err(wasted) => {
             let failed_at = at + wasted;
@@ -684,10 +677,9 @@ fn harq_delivery(
                 recovered: false,
             });
             exp.tel.journal(JournalEvent::Rlf { ping: ctx.id, dl, at: failed_at });
-            exp.events.push(failed_at, PingEvent::RlfDetour);
+            HopOutcome::Next(failed_at, PingEvent::RlfDetour)
         }
     }
-    HopOutcome::Continue
 }
 
 /// The RRC re-establishment detour: detect → RACH re-access → RRC
@@ -713,8 +705,7 @@ fn rlf_recovery(
     }
     ctx.delivery.recovered = Some(pdus);
     ctx.delivery.pending = Some((span_start, at));
-    exp.events.push(resume + ctx.delivery.air, PingEvent::AirDeliver);
-    HopOutcome::Continue
+    HopOutcome::Next(resume + ctx.delivery.air, PingEvent::AirDeliver)
 }
 
 // ---------------------------------------------------------------------
@@ -746,8 +737,7 @@ fn gnb_radio_storm_gate(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant
         ctx.ftrace.record(FaultKind::JitterStorm, storm);
     }
     ctx.trace.ul.push(StageSpan::new(labels::RADIO, at, host_rx + storm));
-    exp.events.push(host_rx + storm, PingEvent::GnbWalk);
-    HopOutcome::Continue
+    HopOutcome::Next(host_rx + storm, PingEvent::GnbWalk)
 }
 
 /// ⑦ The gNB radio head receives the UL samples; returns the instant they
@@ -809,8 +799,7 @@ fn gnb_walk_up(
     if !delivered_ok {
         result.integrity_failures += 1;
     }
-    exp.events.push(decoded_at, PingEvent::Backbone { dl: false });
-    HopOutcome::Continue
+    HopOutcome::Next(decoded_at, PingEvent::Backbone { dl: false })
 }
 
 /// Fault gate on [`backbone`]: a latency spike on the transport network
@@ -848,13 +837,12 @@ fn backbone(
     let arrived = at + exp.backbone_traverse(at, result, &mut ctx.ftrace) + delay;
     if dl {
         ctx.dl_t0 = at;
-        exp.events.push(arrived, PingEvent::DlWalkDown);
+        HopOutcome::Next(arrived, PingEvent::DlWalkDown)
     } else {
         ctx.trace.ul.push(StageSpan::new(labels::UPF, at, arrived));
         result.ul.record(arrived - ctx.t0);
-        exp.events.push(arrived, PingEvent::Backbone { dl: true });
+        HopOutcome::Next(arrived, PingEvent::Backbone { dl: true })
     }
-    HopOutcome::Continue
 }
 
 // ---------------------------------------------------------------------
@@ -898,8 +886,7 @@ fn dl_walk_down(
     exp.sched.on_dl_data(RNTI, tb_bytes, in_rlc_q);
     ctx.in_rlc_q = in_rlc_q;
     let boundary = exp.timing.slot_index_at(in_rlc_q) + 1;
-    exp.events.push(exp.timing.slot_start(boundary), PingEvent::DlSched { slot: boundary });
-    HopOutcome::Continue
+    HopOutcome::Next(exp.timing.slot_start(boundary), PingEvent::DlSched { slot: boundary })
 }
 
 /// ⑨ One DL scheduling round per slot boundary. The slot task that makes
@@ -921,16 +908,14 @@ fn dl_sched(
     exp.sched.run_slot_into(slot, &mut exp.decision);
     let Some(assign) = exp.decision.dl_assignments.first().copied() else {
         let next = slot + 1;
-        exp.events.push(exp.timing.slot_start(next), PingEvent::DlSched { slot: next });
-        return HopOutcome::Continue;
+        return HopOutcome::Next(exp.timing.slot_start(next), PingEvent::DlSched { slot: next });
     };
     let dl_tx = assign.dl.tx_start;
     let tb_build = at; // == slot_start(slot): this round's boundary
     result.layers.rlcq.push((tb_build - ctx.in_rlc_q).as_micros_f64());
     exp.tel.observe(metric::RLC_QUEUE_US, tb_build - ctx.in_rlc_q);
     ctx.trace.dl.push(StageSpan::new(labels::RLC_Q, ctx.in_rlc_q, tb_build));
-    exp.events.push(tb_build, PingEvent::DlPrepare { dl_tx });
-    HopOutcome::Continue
+    HopOutcome::Next(tb_build, PingEvent::DlPrepare { dl_tx })
 }
 
 /// Fault gate on [`dl_prep`]: on the DL prepare side a storm delays the
@@ -945,8 +930,7 @@ fn dl_prep_storm_gate(
 ) -> HopOutcome {
     let submitted = dl_prep(exp, ctx, result, at);
     ctx.pending_storm = storm_stall(exp, submitted);
-    exp.events.push(submitted + ctx.pending_storm, PingEvent::RingSubmit { dl_tx });
-    HopOutcome::Continue
+    HopOutcome::Next(submitted + ctx.pending_storm, PingEvent::RingSubmit { dl_tx })
 }
 
 /// ⑩ DL MAC/PHY prepare the slot and submit samples to the radio; they
@@ -1000,8 +984,7 @@ fn radio_ring(
         pending: None,
         recovered: None,
     };
-    exp.events.push(dl_tx + air, PingEvent::AirDeliver);
-    HopOutcome::Continue
+    HopOutcome::Next(dl_tx + air, PingEvent::AirDeliver)
 }
 
 /// ⑪ The UE receives the reply, walks it up radio→PHY→RLC→PDCP→SDAP and

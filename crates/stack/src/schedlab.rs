@@ -41,7 +41,7 @@ pub struct LabClass {
     /// Label carried into the report and CSV (e.g. `"urllc"`).
     pub name: &'static str,
     /// Serving priority, 0 = highest. Also selects the slice (see
-    /// [`slice_of`]): 0 → URLLC, 1 → eMBB, 2+ → mMTC.
+    /// `slice_of`): 0 → URLLC, 1 → eMBB, 2+ → mMTC.
     pub priority: u8,
     /// Bytes per packet as the scheduler sees them.
     pub packet_bytes: usize,

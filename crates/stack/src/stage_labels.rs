@@ -8,12 +8,12 @@
 //! core / recovery — the paper's Fig 2 attribution).
 //!
 //! These labels are *trace vocabulary*, distinct from the pipeline's hop
-//! vocabulary ([`crate::pipeline::HopId`]): a hop is a processing unit on
-//! the event queue, a label names a span in the rendered Fig-3 timeline.
-//! The mapping is mostly 1:1 (`AppDown` → [`APP_DOWN`], `Backbone` →
-//! [`UPF`], `RadioRing` → [`DL_DATA`]) but not exactly — one hop may emit
-//! several spans (`RlfRecovery` emits the whole [`RLF_DETECT`] →
-//! [`PDCP_RECOVER`] detour), and fault gates stretch existing spans
+//! vocabulary ([`crate::pipeline::HopId`]): a hop is one step of the
+//! ping walk, a label names a span in the rendered Fig-3 timeline.
+//! The mapping is mostly 1:1 (`AppDown` → `APP_DOWN`, `Backbone` →
+//! `UPF`, `RadioRing` → `DL_DATA`) but not exactly — one hop may emit
+//! several spans (`RlfRecovery` emits the whole `RLF_DETECT` →
+//! `PDCP_RECOVER` detour), and fault gates stretch existing spans
 //! rather than adding labels of their own.
 
 /// ① UE walks the request down APP→SDAP→PDCP→RLC.

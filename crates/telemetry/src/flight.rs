@@ -94,7 +94,9 @@ pub struct TailExemplar {
     pub fault_extra: Vec<(&'static str, Duration)>,
     /// Why the ping was dropped (lost pings only).
     pub drop_reason: Option<&'static str>,
-    /// Deepest the event queue got during this ping's walk.
+    /// Pending work behind this sample: 1 for a ping walk (it holds one
+    /// pending event by construction), the held packets for a handover
+    /// exemplar.
     pub max_queue_depth: usize,
     /// UL + DL scheduler rounds consumed (queue-pressure proxy).
     pub sched_rounds: u32,

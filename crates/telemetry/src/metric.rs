@@ -7,13 +7,13 @@
 //! with no string compared, and a misspelt metric is a compile error
 //! instead of a new row. The string API stays for keys outside this list
 //! (the benchmark's and the tests'); it resolves a vocabulary key to the
-//! same slot, see [`crate::registry`].
+//! same slot, see the crate's `registry` module.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::registry::MetricKey;
 
-/// A key of the vocabulary: its index in [`VOCABULARY`] and the registry
+/// A key of the vocabulary: its index in `VOCABULARY` and the registry
 /// slot every sink keeps for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricId(u16);

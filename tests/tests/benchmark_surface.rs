@@ -43,7 +43,7 @@ fn the_names_the_benchmark_imports_resolve_with_the_types_it_passes() {
     named::<(MacPdu, MacSubPdu, Direction, PdcpConfig, PdcpEntity, AmConfig)>();
     named::<(RlcAmEntity, RlcUmEntity, SdapEntity, AccessMode, PolicySpec, RequestTag)>();
     named::<(SchedItem, Scheduler, Slice, SliceShares, ArrivalGen, ArrivalProcess, Dist)>();
-    named::<(EventQueue<()>, FaultPlan, LatencyRecorder, LogLinearHistogram, Recording)>();
+    named::<(FaultPlan, LatencyRecorder, LogLinearHistogram, Recording)>();
     named::<(GnbStack, UeStack, NullHook, EventJournal, ExemplarOutcome, ExemplarSpan)>();
     named::<(FlightRecorder, JournalEvent, TailExemplar, stack::CellReport)>();
     named::<(corenet::GtpuHeader, radio::RadioHead, radio::RadioHeadConfig)>();
@@ -83,7 +83,11 @@ fn the_names_the_benchmark_imports_resolve_with_the_types_it_passes() {
         let _: Result<u64, String> = run_multicell(city)
             .map(|r| r.cells.iter().map(stack::CellReport::offered).sum())
             .map_err(|e| e.to_string());
-        let _: Instant = cfg.duplex.slot_start(1u64) - Duration::from_micros(1);
+        let at: Instant = cfg.duplex.slot_start(1u64) - Duration::from_micros(1);
+        // The event-queue layer figure: a `u32` payload pushed and popped.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(at, 7u32);
+        let _: Option<(Instant, u32)> = q.pop();
         let zero = urllc_core::ProcessingBudget::zero();
         let _ = urllc_core::feasibility_table(&zero);
     };
@@ -97,12 +101,29 @@ fn the_names_the_benchmark_imports_resolve_with_the_types_it_passes() {
                             journal: &mut EventJournal,
                             flight: &mut FlightRecorder,
                             prof: &Profiler,
-                            event: JournalEvent,
-                            exemplar: TailExemplar| {
+                            event: JournalEvent| {
         let _: usize = tel.snapshot().len();
         let _: Vec<JournalEvent> = tel.journal_events();
         let _: Vec<TailExemplar> = tel.flight_exemplars();
         journal.push(event);
+        // Every field, as the flight-insert figure builds its exemplars.
+        let spans = vec![ExemplarSpan {
+            label: "hop",
+            dl: false,
+            start: Instant::ZERO,
+            end: Instant::ZERO,
+        }];
+        let exemplar = TailExemplar {
+            ping: 1u64,
+            rtt: Duration::from_nanos(3_000_000),
+            outcome: ExemplarOutcome::OnTime,
+            fault: None,
+            fault_extra: Vec::new(),
+            drop_reason: None,
+            max_queue_depth: 1usize,
+            sched_rounds: 2,
+            spans,
+        };
         flight.observe(exemplar, false);
         drop(prof.scope("hop"));
         let _: Option<f64> = prof.snapshot().iter().find(|s| s.stage == "hop").map(|s| s.total_ms);
