@@ -11,6 +11,8 @@
 //!   and AM with status reporting and retransmission;
 //! * [`mac`] — Medium Access Control (TS 38.321): subheader mux/demux,
 //!   BSR, and padding;
+//! * [`pdu`] — the PDUs passed between those layers, so that a ping leg
+//!   costs one transmit buffer and one receive copy;
 //! * [`sr`] — the UE-side scheduling-request state machine (the ② of the
 //!   paper's Fig 2);
 //! * [`harq`] — hybrid-ARQ processes and retransmission-timing analysis
@@ -28,6 +30,7 @@
 pub mod harq;
 pub mod mac;
 pub mod pdcp;
+pub mod pdu;
 pub mod rach;
 pub mod rlc;
 pub mod rrc;

@@ -7,6 +7,7 @@
 //! trigger in [`crate::sr`] — this module is the wire format.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use std::ops::Range;
 
 /// Logical Channel ID values used here (DL-SCH/UL-SCH tables of TS 38.321).
 pub mod lcid {
@@ -79,8 +80,33 @@ impl MacSubPdu {
 
     /// Encoded size including the subheader.
     pub fn encoded_len(&self) -> usize {
-        let l_bytes = if self.payload.len() > 255 { 2 } else { 1 };
-        1 + l_bytes + self.payload.len()
+        subheader_len(self.payload.len()) + self.payload.len()
+    }
+}
+
+/// Bytes the subheader of a `len`-byte subPDU takes: the LCID byte and an
+/// 8-bit L, or a 16-bit one past 255 bytes.
+pub fn subheader_len(len: usize) -> usize {
+    if len > 255 {
+        3
+    } else {
+        2
+    }
+}
+
+/// Appends the subheader of a `len`-byte subPDU on `lcid`; its payload goes
+/// straight behind it.
+///
+/// # Panics
+/// Panics if `len` does not fit the 16-bit L field.
+pub fn put_subheader(out: &mut BytesMut, lcid: u8, len: usize) {
+    assert!(len <= usize::from(u16::MAX), "a {len} B subPDU payload overflows the L field");
+    if len > 255 {
+        out.put_u8(0x40 | (lcid & 0x3F)); // F=1: 16-bit L
+        out.put_u16(len as u16);
+    } else {
+        out.put_u8(lcid & 0x3F); // F=0: 8-bit L
+        out.put_u8(len as u8);
     }
 }
 
@@ -101,57 +127,43 @@ impl MacPdu {
     /// Encodes the PDU, padding to exactly `transport_block_size` bytes if
     /// given (a MAC PDU must fill its transport block).
     pub fn encode(&self, transport_block_size: Option<usize>) -> Result<Bytes, MacError> {
-        encode_subpdus(&self.subpdus, transport_block_size)
+        let mut needed = 0usize;
+        for sub in &self.subpdus {
+            if sub.payload.len() > u16::MAX as usize {
+                return Err(MacError::PayloadTooLarge);
+            }
+            needed += sub.encoded_len();
+        }
+        let size = transport_block_size.unwrap_or(needed);
+        if needed > size {
+            return Err(MacError::ExceedsTransportBlock { needed, tbs: size });
+        }
+        let mut out = BytesMut::with_capacity(size);
+        for sub in &self.subpdus {
+            put_subheader(&mut out, sub.lcid, sub.payload.len());
+            out.put_slice(&sub.payload);
+        }
+        if needed < size {
+            // Padding subPDU: one subheader byte, rest zero.
+            out.put_u8(lcid::PADDING);
+            out.put_bytes(0, size - needed - 1);
+        }
+        Ok(out.freeze())
     }
 
     /// Decodes a PDU, stripping padding.
     pub fn decode(data: &Bytes) -> Result<MacPdu, MacError> {
-        subpdus(data).collect::<Result<_, _>>().map(MacPdu::new)
+        subpdus(data)
+            .map(|sub| sub.map(|(lcid, at)| MacSubPdu { lcid, payload: data.slice(at) }))
+            .collect::<Result<_, _>>()
+            .map(MacPdu::new)
     }
 }
 
-/// Encodes `subpdus`, in order, as one MAC PDU, padding to exactly
-/// `transport_block_size` bytes if given (a MAC PDU must fill its transport
-/// block). Takes a slice, so a caller multiplexing a fixed set of subPDUs
-/// needs no `Vec` for them.
-pub fn encode_subpdus(
-    subpdus: &[MacSubPdu],
-    transport_block_size: Option<usize>,
-) -> Result<Bytes, MacError> {
-    let mut needed = 0usize;
-    for sub in subpdus {
-        if sub.payload.len() > u16::MAX as usize {
-            return Err(MacError::PayloadTooLarge);
-        }
-        needed += sub.encoded_len();
-    }
-    let size = transport_block_size.unwrap_or(needed);
-    if needed > size {
-        return Err(MacError::ExceedsTransportBlock { needed, tbs: size });
-    }
-    let mut out = BytesMut::with_capacity(size);
-    for sub in subpdus {
-        let len = sub.payload.len();
-        if len > 255 {
-            out.put_u8(0x40 | (sub.lcid & 0x3F)); // F=1: 16-bit L
-            out.put_u16(len as u16);
-        } else {
-            out.put_u8(sub.lcid & 0x3F); // F=0: 8-bit L
-            out.put_u8(len as u8);
-        }
-        out.put_slice(&sub.payload);
-    }
-    if needed < size {
-        // Padding subPDU: one subheader byte, rest zero.
-        out.put_u8(lcid::PADDING);
-        out.put_bytes(0, size - needed - 1);
-    }
-    Ok(out.freeze())
-}
-
-/// The subPDUs of the MAC PDU `data`, in wire order, padding stripped. Each
-/// payload is a view of `data`, so walking a PDU allocates nothing.
-pub fn subpdus(data: &Bytes) -> SubPdus<'_> {
+/// The subPDUs of the MAC PDU `data`, in wire order, padding stripped: each
+/// as its LCID and the range of `data` its payload occupies, so a PDU is
+/// walked where it lies.
+pub fn subpdus(data: &[u8]) -> SubPdus<'_> {
     SubPdus { data, pos: 0 }
 }
 
@@ -159,13 +171,13 @@ pub fn subpdus(data: &Bytes) -> SubPdus<'_> {
 /// subheader yields one error, after which the iterator is exhausted.
 #[derive(Debug, Clone)]
 pub struct SubPdus<'a> {
-    data: &'a Bytes,
+    data: &'a [u8],
     /// Offset of the next subheader; `data.len()` once exhausted.
     pos: usize,
 }
 
 impl Iterator for SubPdus<'_> {
-    type Item = Result<MacSubPdu, MacError>;
+    type Item = Result<(u8, Range<usize>), MacError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let data = self.data;
@@ -192,7 +204,7 @@ impl Iterator for SubPdus<'_> {
             return Some(Err(MacError::Truncated));
         }
         self.pos = body + len;
-        Some(Ok(MacSubPdu { lcid: lcid_v, payload: data.slice(body..body + len) }))
+        Some(Ok((lcid_v, body..body + len)))
     }
 }
 

@@ -12,6 +12,7 @@
 //! into the PDCP row of the Table 2 timing model. DESIGN.md records this
 //! substitution.
 
+use crate::pdu::{RxPdu, TxPdu};
 use bytes::{BufMut, Bytes, BytesMut};
 use phy::scrambling::GoldSequence;
 use sim::{Duration, Instant};
@@ -93,21 +94,22 @@ impl PdcpStatusReport {
     /// bitmap where bit `7-j` of byte `i` marks COUNT `fmc + 1 + 8i + j`
     /// as received.
     pub fn encode(&self) -> Bytes {
-        // The bitmap is written straight into the output buffer — no
-        // intermediate Vec to allocate and re-copy.
         const HDR: usize = 5; // D/C+type byte, 4-byte FMC
-        let mut out = vec![0x00];
-        out.extend_from_slice(&self.fmc.to_be_bytes());
-        for &c in &self.received {
+        let offset = |c: u32| {
             debug_assert!(c > self.fmc);
-            let off = (c - self.fmc - 1) as usize;
-            let byte = HDR + off / 8;
-            if out.len() <= byte {
-                out.resize(byte + 1, 0);
-            }
-            out[byte] |= 0x80 >> (off % 8);
+            (c - self.fmc - 1) as usize
+        };
+        // Sized once: the bitmap runs to the byte of the highest COUNT held.
+        let bitmap = self.received.iter().map(|&c| offset(c) / 8 + 1).max().unwrap_or(0);
+        let mut out = BytesMut::with_capacity(HDR + bitmap);
+        out.put_u8(0x00);
+        out.put_u32(self.fmc);
+        out.put_bytes(0, bitmap);
+        for &c in &self.received {
+            let off = offset(c);
+            out[HDR + off / 8] |= 0x80 >> (off % 8);
         }
-        Bytes::from(out)
+        out.freeze()
     }
 
     /// Decodes a control PDU produced by [`encode`](Self::encode).
@@ -146,8 +148,10 @@ fn keystream_cinit(cfg: &PdcpConfig, count: u32, rx: bool) -> u32 {
     (h as u32) & 0x7FFF_FFFF
 }
 
-fn cipher(cfg: &PdcpConfig, count: u32, rx: bool, data: &mut [u8]) {
-    GoldSequence::new(keystream_cinit(cfg, count, rx)).scramble_in_place(data);
+/// Ciphers `data` in place with the keystream seeded by `c_init`, or
+/// deciphers it: the keystream is XORed, so it undoes itself.
+pub(crate) fn apply_keystream(c_init: u32, data: &mut [u8]) {
+    GoldSequence::new(c_init).scramble_in_place(data);
 }
 
 /// A PDCP entity: transmit numbering/ciphering plus receive
@@ -165,9 +169,11 @@ pub struct PdcpEntity {
     reorder: BTreeMap<u32, Bytes>,
     /// Received-then-discarded (duplicate / stale) counter.
     discarded: u64,
-    /// Transmitted SDUs not yet confirmed delivered, keyed by COUNT — the
+    /// Transmitted SDUs not yet confirmed delivered, in COUNT order — the
     /// retransmission buffer that makes status-report recovery possible.
-    tx_pending: BTreeMap<u32, Bytes>,
+    /// Each is held as the view it was submitted as (its header bytes and
+    /// the payload it shares), so holding it allocates nothing.
+    tx_pending: VecDeque<(u32, TxPdu)>,
     /// SDUs retransmitted through status-report recovery.
     retransmitted: u64,
     /// discardTimer (TS 38.323 §5.5): SDUs older than this are dropped
@@ -194,7 +200,7 @@ impl PdcpEntity {
             rx_next: 0,
             reorder: BTreeMap::new(),
             discarded: 0,
-            tx_pending: BTreeMap::new(),
+            tx_pending: VecDeque::new(),
             retransmitted: 0,
             discard_timer: None,
             tx_queue: VecDeque::new(),
@@ -223,27 +229,40 @@ impl PdcpEntity {
         self.reorder.len()
     }
 
-    /// Builds a PDCP data PDU: 2-byte header (D/C=1, R,R,R, SN\[11:8\] ‖
-    /// SN\[7:0\]) followed by the ciphered SDU. The SDU is retained in the
-    /// retransmission buffer until [`confirm_up_to`](Self::confirm_up_to)
-    /// or a status report releases it.
-    pub fn tx_encode(&mut self, sdu: &Bytes) -> Bytes {
+    /// Numbers an SDU and frames it as a PDCP data PDU: 2-byte header
+    /// (D/C=1, R,R,R, SN\[11:8\] ‖ SN\[7:0\]) in front of the SDU, which is
+    /// ciphered wherever a lower layer writes the PDU. The SDU is retained
+    /// in the retransmission buffer until
+    /// [`confirm_up_to`](Self::confirm_up_to) or a status report releases
+    /// it.
+    pub fn tx_submit(&mut self, sdu: TxPdu) -> TxPdu {
         let count = self.tx_next;
         self.tx_next = self.tx_next.wrapping_add(1);
-        self.tx_pending.insert(count, sdu.clone());
+        self.hold(count, sdu.clone());
         self.tel.add(metric::PDCP_TX_PDUS, 1);
-        self.encode_with_count(count, sdu)
+        self.pdu_for(count, sdu)
     }
 
-    fn encode_with_count(&self, count: u32, sdu: &Bytes) -> Bytes {
+    /// [`tx_submit`](Self::tx_submit), with the PDU written into a buffer
+    /// of its own.
+    pub fn tx_encode(&mut self, sdu: &Bytes) -> Bytes {
+        self.tx_submit(TxPdu::new(sdu.clone())).to_bytes()
+    }
+
+    /// `sdu` as the data PDU carrying COUNT `count`.
+    fn pdu_for(&self, count: u32, sdu: TxPdu) -> TxPdu {
         let sn = count % SN_MODULUS;
-        let mut out = BytesMut::with_capacity(2 + sdu.len());
-        out.put_u8(0x80 | ((sn >> 8) as u8 & 0x0F));
-        out.put_u8(sn as u8);
-        let body_start = out.len();
-        out.put_slice(sdu);
-        cipher(&self.config, count, false, &mut out[body_start..]);
-        out.freeze()
+        let header = [0x80 | ((sn >> 8) as u8 & 0x0F), sn as u8];
+        sdu.ciphered(&header, keystream_cinit(&self.config, count, false))
+    }
+
+    /// Keeps `sdu` for retransmission under `count`, in COUNT order.
+    fn hold(&mut self, count: u32, sdu: TxPdu) {
+        let at = self.tx_pending.partition_point(|&(c, _)| c < count);
+        match self.tx_pending.get_mut(at) {
+            Some((c, held)) if *c == count => *held = sdu,
+            _ => self.tx_pending.insert(at, (count, sdu)),
+        }
     }
 
     /// Sets the COUNT the next transmitted SDU will carry — the receiving
@@ -269,7 +288,8 @@ impl PdcpEntity {
     /// releasing them from the retransmission buffer (lower layers ack
     /// continuously in steady state; this keeps the buffer bounded).
     pub fn confirm_up_to(&mut self, count: u32) {
-        self.tx_pending.retain(|&c, _| c >= count);
+        let confirmed = self.tx_pending.partition_point(|&(c, _)| c < count);
+        self.tx_pending.drain(..confirmed);
     }
 
     /// Receive side: compiles the status report the peer needs to resume
@@ -279,35 +299,42 @@ impl PdcpEntity {
     }
 
     /// Transmit side of PDCP data recovery (TS 38.323 §5.4): applies the
-    /// peer's status report — dropping everything it confirms — and
-    /// re-encodes the still-unconfirmed SDUs with their **original**
-    /// COUNTs, preserving SN continuity across the re-established link.
-    pub fn retransmit_unconfirmed(&mut self, report: &PdcpStatusReport) -> Vec<Bytes> {
+    /// peer's status report — dropping everything it confirms — and frames
+    /// the still-unconfirmed SDUs again with their **original** COUNTs,
+    /// preserving SN continuity across the re-established link.
+    pub fn recover(&mut self, report: &PdcpStatusReport) -> Vec<TxPdu> {
         self.confirm_up_to(report.fmc);
         for c in &report.received {
-            self.tx_pending.remove(c);
+            if let Ok(at) = self.tx_pending.binary_search_by_key(c, |&(count, _)| count) {
+                self.tx_pending.remove(at);
+            }
         }
-        let pdus: Vec<Bytes> = self
-            .tx_pending
-            .iter()
-            .map(|(&count, sdu)| self.encode_with_count(count, sdu))
-            .collect();
+        let pdus: Vec<TxPdu> =
+            self.tx_pending.iter().map(|(count, sdu)| self.pdu_for(*count, sdu.clone())).collect();
         self.retransmitted += pdus.len() as u64;
         self.tel.add(metric::PDCP_RETX_PDUS, pdus.len() as u64);
         pdus
+    }
+
+    /// [`recover`](Self::recover), with each PDU written into a buffer of
+    /// its own.
+    pub fn retransmit_unconfirmed(&mut self, report: &PdcpStatusReport) -> Vec<Bytes> {
+        self.recover(report).iter().map(TxPdu::to_bytes).collect()
     }
 
     /// Processes a received data PDU. Returns the SDUs now deliverable in
     /// order (possibly empty while a gap is outstanding).
     pub fn rx_decode(&mut self, pdu: &Bytes) -> Result<Vec<Bytes>, PdcpError> {
         let mut sdus = Vec::new();
-        self.rx_decode_into(pdu, &mut sdus)?;
+        self.receive(RxPdu::Shared(pdu.clone()), &mut sdus)?;
         Ok(sdus)
     }
 
-    /// [`rx_decode`](Self::rx_decode), appending the deliverable SDUs to
-    /// `sdus`.
-    pub fn rx_decode_into(&mut self, pdu: &Bytes, sdus: &mut Vec<Bytes>) -> Result<(), PdcpError> {
+    /// [`rx_decode`](Self::rx_decode) on a view of the block being walked,
+    /// appending the deliverable SDUs to `sdus`. An accepted PDU is
+    /// deciphered in place when its buffer is the walk's alone, and
+    /// otherwise into one copy of it: either way the SDU holds one buffer.
+    pub fn receive(&mut self, pdu: RxPdu<'_>, sdus: &mut Vec<Bytes>) -> Result<(), PdcpError> {
         if pdu.len() < 2 {
             return Err(PdcpError::Truncated);
         }
@@ -321,12 +348,9 @@ impl PdcpEntity {
             self.discarded += 1;
             return Ok(());
         }
-        // Deciphering needs a buffer of its own — the PDU's is shared with
-        // whoever sent it — and that one copy is the SDU's only allocation.
-        let mut body = BytesMut::with_capacity(pdu.len() - 2);
-        body.put_slice(&pdu[2..]);
-        cipher(&self.config, count, true, &mut body);
-        self.reorder.insert(count, body.freeze());
+        let mut pdu = pdu.into_mut();
+        apply_keystream(keystream_cinit(&self.config, count, true), &mut pdu[2..]);
+        self.reorder.insert(count, pdu.freeze().slice(2..));
         if count >= self.rx_next {
             self.rx_next = count + 1;
         }
@@ -393,11 +417,18 @@ impl PdcpEntity {
     /// at `now`), moving it to the retransmission buffer. Returns the
     /// assigned COUNT alongside the PDU, or `None` when the queue is empty.
     pub fn pull_tx(&mut self, now: Instant) -> Option<(u32, Bytes)> {
+        self.pull_tx_pdu(now).map(|(count, pdu)| (count, pdu.to_bytes()))
+    }
+
+    /// [`pull_tx`](Self::pull_tx), with the PDU framed for a lower layer to
+    /// write (as [`tx_submit`](Self::tx_submit) frames it).
+    pub fn pull_tx_pdu(&mut self, now: Instant) -> Option<(u32, TxPdu)> {
         self.expire_discards(now);
         let (count, _, sdu) = self.tx_queue.pop_front()?;
-        self.tx_pending.insert(count, sdu.clone());
+        let sdu = TxPdu::new(sdu);
+        self.hold(count, sdu.clone());
         self.tel.add(metric::PDCP_TX_PDUS, 1);
-        Some((count, self.encode_with_count(count, &sdu)))
+        Some((count, self.pdu_for(count, sdu)))
     }
 
     /// SDUs waiting on the timed transmission path.

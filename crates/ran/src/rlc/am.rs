@@ -17,7 +17,7 @@
 //!             | nack_count(8) | NACK_SN(16)* |
 //! ```
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, VecDeque};
 
 use super::RlcError;
@@ -61,14 +61,14 @@ impl StatusPdu {
     /// (the spec's own behaviour when a status PDU doesn't fit its grant).
     pub fn encode(&self) -> Bytes {
         let nacks = &self.nacks[..self.nacks.len().min(255)];
-        let mut out = Vec::with_capacity(3 + 2 * nacks.len());
-        out.push(((self.ack_sn >> 8) as u8) & 0x0F); // D/C=0, CPT=000
-        out.push(self.ack_sn as u8);
-        out.push(nacks.len() as u8);
+        let mut out = BytesMut::with_capacity(3 + 2 * nacks.len());
+        out.put_u8(((self.ack_sn >> 8) as u8) & 0x0F); // D/C=0, CPT=000
+        out.put_u8(self.ack_sn as u8);
+        out.put_u8(nacks.len() as u8);
         for &n in nacks {
-            out.extend_from_slice(&n.to_be_bytes());
+            out.put_u16(n);
         }
-        Bytes::from(out)
+        out.freeze()
     }
 
     /// Decodes from wire format.
@@ -224,11 +224,11 @@ impl RlcAmEntity {
 
     fn encode_data_pdu(&self, count: u64, poll: bool, sdu: &Bytes) -> Bytes {
         let sn = (count % u64::from(AM_SN_MODULUS)) as u16;
-        let mut out = Vec::with_capacity(2 + sdu.len());
-        out.push(0x80 | (u8::from(poll) << 6) | ((sn >> 8) as u8 & 0x0F));
-        out.push(sn as u8);
-        out.extend_from_slice(sdu);
-        Bytes::from(out)
+        let mut out = BytesMut::with_capacity(2 + sdu.len());
+        out.put_u8(0x80 | (u8::from(poll) << 6) | ((sn >> 8) as u8 & 0x0F));
+        out.put_u8(sn as u8);
+        out.put_slice(sdu);
+        out.freeze()
     }
 
     /// Builds the next PDU under a grant of `grant` bytes. Status PDUs take

@@ -19,10 +19,13 @@ use std::collections::{BTreeMap, VecDeque};
 use telemetry::{metric, Telemetry};
 
 use super::{RlcError, SegmentInfo};
+use crate::pdu::{RxPdu, TxPdu};
 
 /// UM sequence-number modulus (6-bit).
 pub(crate) const UM_SN_MODULUS: u8 = 64;
 
+/// An SDU being segmented: written once into a buffer of its own, which
+/// each segment copies its slice of.
 #[derive(Debug, Clone)]
 struct InFlight {
     sn: u8,
@@ -89,22 +92,27 @@ impl Reassembly {
         if next < total {
             return None;
         }
-        // Contiguous cover of [0, total): stitch. `insert_checked` verified
-        // that overlapping segments agree byte for byte, so the stitch
-        // order cannot change the result.
-        let mut out = vec![0u8; total];
+        // Contiguous cover of [0, total): stitch each segment's bytes past
+        // what is already written. `insert_checked` verified that
+        // overlapping segments agree byte for byte, so which copy of an
+        // overlap lands cannot change the result.
+        let mut out = BytesMut::with_capacity(total);
         for (&off, seg) in &self.segments {
             let end = (off + seg.len()).min(total);
-            out[off..end].copy_from_slice(&seg[..end - off]);
+            if end > out.len() {
+                out.put_slice(&seg[out.len() - off..end - off]);
+            }
         }
-        Some(Bytes::from(out))
+        Some(out.freeze())
     }
 }
 
 /// An RLC UM entity (transmit + receive sides).
 #[derive(Debug, Clone, Default)]
 pub struct RlcUmEntity {
-    queue: VecDeque<Bytes>,
+    /// SDUs waiting for a grant, as the layers above framed them: each is
+    /// written out only when a PDU carrying it is pulled.
+    queue: VecDeque<TxPdu>,
     in_flight: Option<InFlight>,
     tx_next: u8,
     rx: BTreeMap<u8, Reassembly>,
@@ -139,9 +147,14 @@ impl RlcUmEntity {
 
     /// Queues an SDU for transmission (the "RLC queue" of Table 2 — data
     /// sits here until the MAC scheduler grants resources).
-    pub fn tx_sdu(&mut self, sdu: Bytes) {
+    pub fn enqueue(&mut self, sdu: TxPdu) {
         self.tel.add(metric::RLC_TX_SDUS, 1);
         self.queue.push_back(sdu);
+    }
+
+    /// [`enqueue`](Self::enqueue) for an SDU already in a buffer.
+    pub fn tx_sdu(&mut self, sdu: Bytes) {
+        self.enqueue(TxPdu::new(sdu));
     }
 
     /// Bounds the transmission buffer at `cap` payload bytes (`None`
@@ -154,7 +167,7 @@ impl RlcUmEntity {
     /// Queues an SDU if the transmission buffer has room, tail-dropping it
     /// with a typed error otherwise — bounded memory under overload
     /// instead of unbounded `VecDeque` growth.
-    pub fn try_tx_sdu(&mut self, sdu: Bytes) -> Result<(), RlcError> {
+    pub fn try_enqueue(&mut self, sdu: TxPdu) -> Result<(), RlcError> {
         if let Some(cap) = self.tx_capacity_bytes {
             let queued = self.queued_bytes();
             if queued + sdu.len() > cap {
@@ -163,8 +176,13 @@ impl RlcUmEntity {
                 return Err(RlcError::TxBufferFull { queued, cap });
             }
         }
-        self.tx_sdu(sdu);
+        self.enqueue(sdu);
         Ok(())
+    }
+
+    /// [`try_enqueue`](Self::try_enqueue) for an SDU already in a buffer.
+    pub fn try_tx_sdu(&mut self, sdu: Bytes) -> Result<(), RlcError> {
+        self.try_enqueue(TxPdu::new(sdu))
     }
 
     /// SDUs tail-dropped because the transmission buffer was full.
@@ -176,7 +194,7 @@ impl RlcUmEntity {
     /// buffer status report.
     pub fn queued_bytes(&self) -> usize {
         let inflight = self.in_flight.as_ref().map(|f| f.sdu.len() - f.offset).unwrap_or(0);
-        inflight + self.queue.iter().map(Bytes::len).sum::<usize>()
+        inflight + self.queue.iter().map(TxPdu::len).sum::<usize>()
     }
 
     /// Number of SDUs not yet fully handed to MAC.
@@ -194,6 +212,18 @@ impl RlcUmEntity {
     /// Returns `Ok(None)` when nothing is queued. Errors when data is
     /// queued but the grant cannot carry a single payload byte.
     pub fn pull_pdu(&mut self, grant: usize) -> Result<Option<Bytes>, RlcError> {
+        self.pull_pdu_with(grant, BytesMut::with_capacity)
+    }
+
+    /// [`pull_pdu`](Self::pull_pdu), written into the buffer `alloc`
+    /// returns for a PDU of the length it is passed — the lower layer's
+    /// buffer, with its headers already in front and room for exactly that
+    /// many more bytes. Returns that buffer, frozen, with the PDU appended.
+    pub fn pull_pdu_with(
+        &mut self,
+        grant: usize,
+        alloc: impl FnOnce(usize) -> BytesMut,
+    ) -> Result<Option<Bytes>, RlcError> {
         // Continue an in-flight segmented SDU first.
         if let Some(flight) = self.in_flight.take() {
             const HDR: usize = 3; // SI|SN + SO(16)
@@ -204,7 +234,7 @@ impl RlcUmEntity {
             let remaining = flight.sdu.len() - flight.offset;
             let take = remaining.min(grant - HDR);
             let si = if take == remaining { SegmentInfo::Last } else { SegmentInfo::Middle };
-            let mut pdu = BytesMut::with_capacity(HDR + take);
+            let mut pdu = alloc(HDR + take);
             pdu.put_u8((si.to_bits() << 6) | (flight.sn & 0x3F));
             pdu.put_u16(flight.offset as u16);
             pdu.put_slice(&flight.sdu[flight.offset..flight.offset + take]);
@@ -219,10 +249,11 @@ impl RlcUmEntity {
             return Ok(None);
         };
         if grant > sdu.len() {
-            // Whole SDU fits: SI=00 header without SN.
-            let mut pdu = BytesMut::with_capacity(1 + sdu.len());
+            // Whole SDU fits: SI=00 header without SN, the SDU written (and
+            // ciphered) straight behind it.
+            let mut pdu = alloc(1 + sdu.len());
             pdu.put_u8(SegmentInfo::Full.to_bits() << 6);
-            pdu.put_slice(&sdu);
+            sdu.write_into(&mut pdu);
             return Ok(Some(pdu.freeze()));
         }
         // Must segment: first segment header is SI|SN (1 byte).
@@ -234,7 +265,8 @@ impl RlcUmEntity {
         let sn = self.tx_next;
         self.tx_next = (self.tx_next + 1) % UM_SN_MODULUS;
         let take = grant - HDR;
-        let mut pdu = BytesMut::with_capacity(grant);
+        let sdu = sdu.to_bytes();
+        let mut pdu = alloc(HDR + take);
         pdu.put_u8((SegmentInfo::First.to_bits() << 6) | (sn & 0x3F));
         pdu.put_slice(&sdu[..take]);
         self.in_flight = Some(InFlight { sn, sdu, offset: take });
@@ -243,38 +275,41 @@ impl RlcUmEntity {
 
     /// Processes a received UMD PDU; returns any SDUs completed by it.
     pub fn rx_pdu(&mut self, pdu: &Bytes) -> Result<Vec<Bytes>, RlcError> {
-        let mut sdus = Vec::new();
-        self.rx_pdu_into(pdu, &mut sdus)?;
-        Ok(sdus)
+        let sdu = self.receive(RxPdu::Shared(pdu.clone()))?;
+        Ok(sdu.map(RxPdu::into_shared).into_iter().collect())
     }
 
-    /// [`rx_pdu`](Self::rx_pdu), appending the completed SDUs to `sdus`.
-    pub fn rx_pdu_into(&mut self, pdu: &Bytes, sdus: &mut Vec<Bytes>) -> Result<(), RlcError> {
+    /// [`rx_pdu`](Self::rx_pdu) on a view of the block being walked. A
+    /// whole SDU comes back as a view of the same block; a segment is kept
+    /// (as a copy when the block is borrowed), and the SDU the last one
+    /// completes comes back in the one buffer the segments are stitched
+    /// into.
+    pub fn receive<'a>(&mut self, pdu: RxPdu<'a>) -> Result<Option<RxPdu<'a>>, RlcError> {
         if pdu.is_empty() {
             return Err(RlcError::Truncated);
         }
         self.tel.add(metric::RLC_RX_PDUS, 1);
         let si = SegmentInfo::from_bits(pdu[0] >> 6);
+        let sn = pdu[0] & 0x3F;
         let done = match si {
-            SegmentInfo::Full => Some(pdu.slice(1..)),
+            SegmentInfo::Full => Some(pdu.slice(1..pdu.len())),
             SegmentInfo::First => {
-                let sn = pdu[0] & 0x3F;
-                self.insert_segment(sn, 0, pdu.slice(1..), false)?
+                let body = pdu.slice(1..pdu.len()).into_shared();
+                self.insert_segment(sn, 0, body, false)?.map(RxPdu::Shared)
             }
             SegmentInfo::Middle | SegmentInfo::Last => {
                 if pdu.len() < 3 {
                     return Err(RlcError::Truncated);
                 }
-                let sn = pdu[0] & 0x3F;
                 let so = u16::from_be_bytes([pdu[1], pdu[2]]) as usize;
-                self.insert_segment(sn, so, pdu.slice(3..), si == SegmentInfo::Last)?
+                let body = pdu.slice(3..pdu.len()).into_shared();
+                self.insert_segment(sn, so, body, si == SegmentInfo::Last)?.map(RxPdu::Shared)
             }
         };
-        if let Some(sdu) = done {
+        if done.is_some() {
             self.delivered += 1;
-            sdus.push(sdu);
         }
-        Ok(())
+        Ok(done)
     }
 
     /// Validates and buffers one segment, returning the SDU it completes;

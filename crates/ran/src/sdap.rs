@@ -6,7 +6,8 @@
 //! the packet crosses (Fig 2), and its processing time is the first row of
 //! Table 2.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::pdu::TxPdu;
+use bytes::Bytes;
 use std::collections::BTreeMap;
 use telemetry::{metric, Telemetry};
 
@@ -103,15 +104,19 @@ impl SdapEntity {
         self.mapping.get(&qfi).copied().or(self.default_drb).ok_or(SdapError::NoBearer { qfi })
     }
 
+    /// Frames an SDU as an SDAP data PDU, header in front of the payload,
+    /// without writing it anywhere. Returns the bearer it should travel on.
+    pub fn frame(&self, qfi: Qfi, sdu: &Bytes) -> Result<(DrbId, TxPdu), SdapError> {
+        let drb = self.bearer_for(qfi)?;
+        let header = SdapHeader { flag1: true, flag2: false, qfi }.encode();
+        self.tel.add(metric::SDAP_TX_PDUS, 1);
+        Ok((drb, TxPdu::new(sdu.clone()).framed(&[header])))
+    }
+
     /// Builds an SDAP data PDU from an SDU: header + payload. Returns the
     /// bearer it should travel on.
     pub fn encode_pdu(&self, qfi: Qfi, sdu: &Bytes) -> Result<(DrbId, Bytes), SdapError> {
-        let drb = self.bearer_for(qfi)?;
-        let mut out = BytesMut::with_capacity(1 + sdu.len());
-        out.put_u8(SdapHeader { flag1: true, flag2: false, qfi }.encode());
-        out.put_slice(sdu);
-        self.tel.add(metric::SDAP_TX_PDUS, 1);
-        Ok((drb, out.freeze()))
+        self.frame(qfi, sdu).map(|(drb, pdu)| (drb, pdu.to_bytes()))
     }
 
     /// Parses an SDAP data PDU back into `(header, SDU)`.

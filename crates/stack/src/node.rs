@@ -6,14 +6,20 @@
 //! modulated to IQ samples — then decoded in reverse at the far end, with
 //! every header checked. The latency experiment asserts byte-exact
 //! delivery, so a framing bug anywhere in the workspace fails loudly.
+//!
+//! A leg costs one transmit buffer, the MAC PDU every layer writes its
+//! header into, and one receive copy, the SDU PDCP deciphers into; the
+//! received transport block is walked where the PHY decoded it (DESIGN
+//! §17).
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use corenet::upf::{Session, Upf, UplinkOutcome};
 use phy::modulation::Iq;
 use phy::scrambling::data_scrambling_c_init;
 use phy::transport::{self, ShChConfig, SharedChannel};
-use ran::mac::{self, MacSubPdu};
+use ran::mac;
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
+use ran::pdu::RxPdu;
 use ran::rlc::RlcUmEntity;
 use ran::sched::Rnti;
 use ran::sdap::SdapEntity;
@@ -82,15 +88,13 @@ fn shared_channel(rnti: Rnti, dl: bool) -> SharedChannel {
 const SHORT_BSR_SUBPDU_BYTES: usize = 3;
 
 /// One UE's ping bearer at either end of the link: its SDAP, PDCP and RLC
-/// entities, plus the two lists the receive walk reuses for every MAC PDU.
+/// entities, plus the list the receive walk reuses for every MAC PDU.
 #[derive(Debug)]
 struct Bearer {
     sdap: SdapEntity,
     pdcp: PdcpEntity,
     rlc: RlcUmEntity,
-    /// PDCP PDUs the RLC entity completed from one MAC subPDU.
-    pdcp_pdus: Vec<Bytes>,
-    /// SDAP PDUs the PDCP entity delivered from one of those.
+    /// SDAP PDUs the PDCP entity delivered from one RLC SDU.
     sdap_pdus: Vec<Bytes>,
 }
 
@@ -101,7 +105,6 @@ impl Bearer {
             sdap: SdapEntity::new(),
             pdcp: PdcpEntity::new(PdcpConfig::new(key, PING_LCID, direction)),
             rlc: RlcUmEntity::new(),
-            pdcp_pdus: Vec::new(),
             sdap_pdus: Vec::new(),
         };
         bearer.sdap.map_flow(PING_QFI, PING_LCID);
@@ -115,19 +118,21 @@ impl Bearer {
         self.rlc.set_telemetry(tel.clone());
     }
 
-    /// SDAP → PDCP → RLC: frames, numbers and ciphers `payload` into the
-    /// RLC transmit queue.
+    /// SDAP → PDCP → RLC: frames and numbers `payload` into the RLC
+    /// transmit queue. Nothing is written yet: the queue holds the headers
+    /// and a view of the payload, ciphered when a MAC PDU is pulled.
     fn tx(&mut self, payload: &Bytes) -> Result<(), StackError> {
-        let (_drb, sdap_pdu) =
-            self.sdap.encode_pdu(PING_QFI, payload).map_err(|e| StackError::Sdap(e.to_string()))?;
-        let pdcp_pdu = self.pdcp.tx_encode(&sdap_pdu);
-        self.rlc.tx_sdu(pdcp_pdu);
+        let (_drb, sdu) =
+            self.sdap.frame(PING_QFI, payload).map_err(|e| StackError::Sdap(e.to_string()))?;
+        self.rlc.enqueue(self.pdcp.tx_submit(sdu));
         Ok(())
     }
 
     /// Drains the RLC transmit queue into MAC PDUs of at most `grant_bytes`
     /// each, appended to `pdus`; with `bsr`, a short BSR reporting the
-    /// buffer as it stood before each pull rides along (the uplink).
+    /// buffer as it stood before each pull rides along (the uplink). Each
+    /// MAC PDU is one buffer, sized once: its subheaders go in first, then
+    /// RLC writes its PDU behind them, ciphering the PDCP body as it goes.
     fn pull_mac_pdus(
         &mut self,
         grant_bytes: usize,
@@ -135,63 +140,68 @@ impl Bearer {
         pdus: &mut Vec<Bytes>,
     ) -> Result<(), StackError> {
         // Room for the MAC subheaders: the data one at worst, plus the BSR.
-        let overhead = 3 + if bsr { SHORT_BSR_SUBPDU_BYTES } else { 0 };
+        let bsr_len = if bsr { SHORT_BSR_SUBPDU_BYTES } else { 0 };
+        let overhead = 3 + bsr_len;
         if grant_bytes <= overhead + 1 {
             return Err(StackError::Mac(format!("grant {grant_bytes} B too small")));
         }
+        // The L field is 16 bits: a larger grant carries its SDU in
+        // segments of at most that much.
+        let rlc_grant = (grant_bytes - overhead).min(usize::from(u16::MAX));
         loop {
-            let queued = self.rlc.queued_bytes();
-            let Some(rlc_pdu) = self
-                .rlc
-                .pull_pdu(grant_bytes - overhead)
-                .map_err(|e| StackError::Rlc(e.to_string()))?
-            else {
-                return Ok(());
+            let report = bsr.then(|| mac::encode_short_bsr(0, self.rlc.queued_bytes()));
+            let mac_pdu = |rlc_len: usize| {
+                let mut pdu =
+                    BytesMut::with_capacity(bsr_len + mac::subheader_len(rlc_len) + rlc_len);
+                if let Some(ce) = &report {
+                    mac::put_subheader(&mut pdu, mac::lcid::SHORT_BSR, ce.len());
+                    pdu.put_slice(ce);
+                }
+                mac::put_subheader(&mut pdu, PING_LCID, rlc_len);
+                pdu
             };
-            let data = MacSubPdu::new(PING_LCID, rlc_pdu);
-            let pdu = if bsr {
-                let report = MacSubPdu::new(mac::lcid::SHORT_BSR, mac::encode_short_bsr(0, queued));
-                mac::encode_subpdus(&[report, data], None)
-            } else {
-                mac::encode_subpdus(&[data], None)
-            };
-            pdus.push(pdu.map_err(|e| StackError::Mac(e.to_string()))?);
+            match self.rlc.pull_pdu_with(rlc_grant, mac_pdu) {
+                Ok(Some(pdu)) => pdus.push(pdu),
+                Ok(None) => return Ok(()),
+                Err(e) => return Err(StackError::Rlc(e.to_string())),
+            }
         }
     }
 
-    /// MAC → RLC → PDCP → SDAP: walks one received MAC PDU up and appends
-    /// `forward` of each completed payload, where it returns one, to `out`.
-    /// A MAC PDU that does not parse reaches no entity, and on any error
-    /// `out` is left as it was.
+    /// MAC → RLC → PDCP → SDAP: walks one received MAC PDU up where it
+    /// lies and appends `forward` of each completed payload, where it
+    /// returns one, to `out`. A MAC PDU that does not parse reaches no
+    /// entity, and on any error `out` is left as it was.
     fn rx(
         &mut self,
-        mac_pdu: &Bytes,
+        mac_pdu: RxPdu<'_>,
         out: &mut Vec<Bytes>,
         mut forward: impl FnMut(Bytes) -> Result<Option<Bytes>, StackError>,
     ) -> Result<(), StackError> {
         let mac_err = |e: mac::MacError| StackError::Mac(e.to_string());
-        mac::subpdus(mac_pdu).try_for_each(|sub| sub.map(drop)).map_err(mac_err)?;
+        mac::subpdus(&mac_pdu).try_for_each(|sub| sub.map(drop)).map_err(mac_err)?;
         let start = out.len();
         let mut walk = || {
-            for sub in mac::subpdus(mac_pdu) {
-                let sub = sub.map_err(mac_err)?;
-                if sub.lcid != PING_LCID {
+            for sub in mac::subpdus(&mac_pdu) {
+                let (lcid, at) = sub.map_err(mac_err)?;
+                if lcid != PING_LCID {
                     continue; // control elements
                 }
-                self.pdcp_pdus.clear();
-                self.rlc
-                    .rx_pdu_into(&sub.payload, &mut self.pdcp_pdus)
+                let sdu = self
+                    .rlc
+                    .receive(mac_pdu.slice(at))
                     .map_err(|e| StackError::Rlc(e.to_string()))?;
-                for p in &self.pdcp_pdus {
-                    self.sdap_pdus.clear();
-                    self.pdcp
-                        .rx_decode_into(p, &mut self.sdap_pdus)
-                        .map_err(|e| StackError::Pdcp(e.to_string()))?;
-                    for s in &self.sdap_pdus {
-                        let (_h, payload) =
-                            self.sdap.decode_pdu(s).map_err(|e| StackError::Sdap(e.to_string()))?;
-                        out.extend(forward(payload)?);
-                    }
+                let Some(pdcp_pdu) = sdu else {
+                    continue; // a segment of an SDU still incomplete
+                };
+                self.sdap_pdus.clear();
+                self.pdcp
+                    .receive(pdcp_pdu, &mut self.sdap_pdus)
+                    .map_err(|e| StackError::Pdcp(e.to_string()))?;
+                for s in &self.sdap_pdus {
+                    let (_h, payload) =
+                        self.sdap.decode_pdu(s).map_err(|e| StackError::Sdap(e.to_string()))?;
+                    out.extend(forward(payload)?);
                 }
             }
             Ok(())
@@ -201,6 +211,34 @@ impl Bearer {
             out.truncate(start);
         }
         walked
+    }
+
+    /// Receive side of a re-establishment: a fresh RLC entity, and the
+    /// encoded PDCP status report (TS 38.323 §6.2.3.1) that drives the
+    /// peer's data recovery.
+    fn reestablish_rx(&mut self) -> Bytes {
+        self.rlc = self.rlc.reestablished();
+        self.pdcp.status_report().encode()
+    }
+
+    /// Transmit side of a re-establishment: a fresh RLC entity, and PDCP
+    /// data recovery against the peer's status report — every unconfirmed
+    /// SDU framed again with its original COUNT — pulled into MAC PDUs.
+    fn recover_tx(
+        &mut self,
+        status_report: &Bytes,
+        grant_bytes: usize,
+        bsr: bool,
+    ) -> Result<Vec<Bytes>, StackError> {
+        let report = ran::pdcp::PdcpStatusReport::decode(status_report)
+            .map_err(|e| StackError::Pdcp(e.to_string()))?;
+        self.rlc = self.rlc.reestablished();
+        for pdcp_pdu in self.pdcp.recover(&report) {
+            self.rlc.enqueue(pdcp_pdu);
+        }
+        let mut pdus = Vec::new();
+        self.pull_mac_pdus(grant_bytes, bsr, &mut pdus)?;
+        Ok(pdus)
     }
 }
 
@@ -212,7 +250,7 @@ pub struct UeStack {
     bearer: Bearer,
     /// PUSCH: what [`phy_encode`](Self::phy_encode) transmits on.
     ul: SharedChannel,
-    /// PDSCH: what [`phy_decode`](Self::phy_decode) receives on.
+    /// PDSCH: what [`receive_downlink`](Self::receive_downlink) receives on.
     dl: SharedChannel,
 }
 
@@ -267,42 +305,35 @@ impl UeStack {
         status_report: &Bytes,
         grant_bytes: usize,
     ) -> Result<Vec<Bytes>, StackError> {
-        let report = ran::pdcp::PdcpStatusReport::decode(status_report)
-            .map_err(|e| StackError::Pdcp(e.to_string()))?;
-        let bearer = &mut self.bearer;
-        bearer.rlc = bearer.rlc.reestablished();
-        for pdcp_pdu in bearer.pdcp.retransmit_unconfirmed(&report) {
-            bearer.rlc.tx_sdu(pdcp_pdu);
-        }
-        let mut pdus = Vec::new();
-        bearer.pull_mac_pdus(grant_bytes, true, &mut pdus)?;
-        Ok(pdus)
+        self.bearer.recover_tx(status_report, grant_bytes, true)
     }
 
     /// Downlink-bearer half of a re-establishment: re-establishes the RLC
     /// entity and produces the encoded PDCP status report
     /// (TS 38.323 §6.2.3.1) the gNB needs for its data recovery.
     pub fn reestablish_downlink(&mut self) -> Bytes {
-        self.bearer.rlc = self.bearer.rlc.reestablished();
-        self.bearer.pdcp.status_report().encode()
+        self.bearer.reestablish_rx()
     }
 
     /// Decodes a downlink MAC PDU; returns any application payloads
     /// completed by it.
     pub fn decode_downlink(&mut self, mac_pdu: &Bytes) -> Result<Vec<Bytes>, StackError> {
         let mut payloads = Vec::new();
-        self.decode_downlink_into(mac_pdu, &mut payloads)?;
+        self.bearer.rx(RxPdu::Shared(mac_pdu.clone()), &mut payloads, |p| Ok(Some(p)))?;
         Ok(payloads)
     }
 
-    /// [`decode_downlink`](Self::decode_downlink), appending the payloads
-    /// to `payloads` (left as it was on error).
-    pub(crate) fn decode_downlink_into(
+    /// Demodulates downlink samples and walks the MAC PDU up where the PHY
+    /// decoded it, appending the completed payloads to `payloads` (left as
+    /// it was on error): the one copy a received block costs is the SDU
+    /// PDCP deciphers into.
+    pub(crate) fn receive_downlink(
         &mut self,
-        mac_pdu: &Bytes,
+        samples: &[Iq],
         payloads: &mut Vec<Bytes>,
     ) -> Result<(), StackError> {
-        self.bearer.rx(mac_pdu, payloads, |payload| Ok(Some(payload)))
+        let block = self.dl.decode(samples).map_err(|e| StackError::Phy(e.to_string()))?;
+        self.bearer.rx(RxPdu::Borrowed(block), payloads, |p| Ok(Some(p)))
     }
 
     /// Modulates an uplink MAC PDU to IQ samples, borrowed from the
@@ -311,21 +342,10 @@ impl UeStack {
         self.ul.encode(mac_pdu).0
     }
 
-    /// Demodulates downlink samples to a MAC PDU.
-    pub(crate) fn phy_decode(&mut self, samples: &[Iq]) -> Result<Bytes, StackError> {
-        phy_decode(&mut self.dl, samples)
-    }
-
     /// Number of IQ samples an uplink MAC PDU of `bytes` bytes produces.
     pub(crate) fn phy_sample_count(&self, bytes: usize) -> usize {
         transport::sample_count(self.ul.config(), bytes)
     }
-}
-
-/// Demodulates `samples` on `channel` and copies the MAC PDU out of its
-/// buffer: the one allocation of a received transport block.
-fn phy_decode(channel: &mut SharedChannel, samples: &[Iq]) -> Result<Bytes, StackError> {
-    channel.decode(samples).map(Bytes::copy_from_slice).map_err(|e| StackError::Phy(e.to_string()))
 }
 
 #[derive(Debug)]
@@ -334,8 +354,31 @@ struct UeContext {
     session: Session,
     /// PDSCH: what [`GnbStack::phy_encode`] transmits on.
     dl: SharedChannel,
-    /// PUSCH: what [`GnbStack::phy_decode`] receives on.
+    /// PUSCH: what [`GnbStack::receive_uplink`] receives on.
     ul: SharedChannel,
+}
+
+/// Walks one uplink MAC PDU up `bearer`; completed packets are pushed
+/// through GTP-U on `ul_teid` to `upf` and appended to `payloads` as
+/// data-network payloads (left as it was on error).
+fn walk_uplink(
+    bearer: &mut Bearer,
+    ul_teid: u32,
+    upf: &mut Upf,
+    mac_pdu: RxPdu<'_>,
+    payloads: &mut Vec<Bytes>,
+) -> Result<(), StackError> {
+    bearer.rx(mac_pdu, payloads, |payload| {
+        // N3: wrap in GTP-U toward the UPF, which decapsulates onto the
+        // data network.
+        let n3 = corenet::gtpu::GtpuHeader::gpdu(ul_teid).encode(&payload);
+        match upf.uplink(&n3).map_err(|e| StackError::Core(e.to_string()))? {
+            UplinkOutcome::Data { payload, .. } => Ok(Some(payload)),
+            // Only G-PDUs are built above; echo responses belong to the
+            // supervision path, not the data path.
+            UplinkOutcome::EchoResponse(_) => Ok(None),
+        }
+    })
 }
 
 /// The gNB-side protocol stack plus its embedded UPF link.
@@ -404,31 +447,27 @@ impl GnbStack {
     /// through GTP-U to the UPF and returned as data-network payloads.
     pub fn decode_uplink(&mut self, rnti: Rnti, mac_pdu: &Bytes) -> Result<Vec<Bytes>, StackError> {
         let mut payloads = Vec::new();
-        self.decode_uplink_into(rnti, mac_pdu, &mut payloads)?;
+        let ctx = self.contexts.get_mut(&rnti).ok_or(StackError::UnknownRnti(rnti))?;
+        let (bearer, ul_teid) = (&mut ctx.bearer, ctx.session.ul_teid);
+        let mac_pdu = RxPdu::Shared(mac_pdu.clone());
+        walk_uplink(bearer, ul_teid, &mut self.upf, mac_pdu, &mut payloads)?;
         Ok(payloads)
     }
 
-    /// [`decode_uplink`](Self::decode_uplink), appending the payloads to
-    /// `payloads` (left as it was on error).
-    pub(crate) fn decode_uplink_into(
+    /// Demodulates uplink samples from `rnti` and walks the MAC PDU up
+    /// where the PHY decoded it, appending the payloads to `payloads`
+    /// (left as it was on error): the one copy a received block costs is
+    /// the SDU PDCP deciphers into.
+    pub(crate) fn receive_uplink(
         &mut self,
         rnti: Rnti,
-        mac_pdu: &Bytes,
+        samples: &[Iq],
         payloads: &mut Vec<Bytes>,
     ) -> Result<(), StackError> {
         let ctx = self.contexts.get_mut(&rnti).ok_or(StackError::UnknownRnti(rnti))?;
-        let (upf, ul_teid) = (&mut self.upf, ctx.session.ul_teid);
-        ctx.bearer.rx(mac_pdu, payloads, |payload| {
-            // N3: wrap in GTP-U toward the UPF, which decapsulates onto
-            // the data network.
-            let n3 = corenet::gtpu::GtpuHeader::gpdu(ul_teid).encode(&payload);
-            match upf.uplink(&n3).map_err(|e| StackError::Core(e.to_string()))? {
-                UplinkOutcome::Data { payload, .. } => Ok(Some(payload)),
-                // Only G-PDUs are built above; echo responses belong to
-                // the supervision path, not the data path.
-                UplinkOutcome::EchoResponse(_) => Ok(None),
-            }
-        })
+        let block = ctx.ul.decode(samples).map_err(|e| StackError::Phy(e.to_string()))?;
+        let (bearer, ul_teid) = (&mut ctx.bearer, ctx.session.ul_teid);
+        walk_uplink(bearer, ul_teid, &mut self.upf, RxPdu::Borrowed(block), payloads)
     }
 
     /// Encodes a data-network payload for `ue_addr` into downlink MAC PDUs
@@ -472,9 +511,7 @@ impl GnbStack {
     /// the receive-side RLC entity and produces the encoded PDCP status
     /// report (TS 38.323 §6.2.3.1) that drives the UE's data recovery.
     pub fn reestablish_uplink(&mut self, rnti: Rnti) -> Result<Bytes, StackError> {
-        let bearer = &mut self.ctx(rnti)?.bearer;
-        bearer.rlc = bearer.rlc.reestablished();
-        Ok(bearer.pdcp.status_report().encode())
+        Ok(self.ctx(rnti)?.bearer.reestablish_rx())
     }
 
     /// Downlink-bearer data recovery for `rnti` after RRC
@@ -487,27 +524,13 @@ impl GnbStack {
         status_report: &Bytes,
         grant_bytes: usize,
     ) -> Result<Vec<Bytes>, StackError> {
-        let report = ran::pdcp::PdcpStatusReport::decode(status_report)
-            .map_err(|e| StackError::Pdcp(e.to_string()))?;
-        let bearer = &mut self.ctx(rnti)?.bearer;
-        bearer.rlc = bearer.rlc.reestablished();
-        for pdcp_pdu in bearer.pdcp.retransmit_unconfirmed(&report) {
-            bearer.rlc.tx_sdu(pdcp_pdu);
-        }
-        let mut pdus = Vec::new();
-        bearer.pull_mac_pdus(grant_bytes, false, &mut pdus)?;
-        Ok(pdus)
+        self.ctx(rnti)?.bearer.recover_tx(status_report, grant_bytes, false)
     }
 
     /// Modulates a downlink MAC PDU for `rnti` to IQ samples, borrowed from
     /// that UE's channel buffer until the next call.
     pub(crate) fn phy_encode(&mut self, rnti: Rnti, mac_pdu: &Bytes) -> Result<&[Iq], StackError> {
         Ok(self.ctx(rnti)?.dl.encode(mac_pdu).0)
-    }
-
-    /// Demodulates uplink samples from `rnti` to a MAC PDU.
-    pub(crate) fn phy_decode(&mut self, rnti: Rnti, samples: &[Iq]) -> Result<Bytes, StackError> {
-        phy_decode(&mut self.ctx(rnti)?.ul, samples)
     }
 
     /// Number of IQ samples a downlink MAC PDU of `bytes` bytes for `rnti`
@@ -521,6 +544,10 @@ impl GnbStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use ran::mac::{MacPdu, MacSubPdu};
+    use ran::pdcp::PdcpStatusReport;
 
     fn attach_pair() -> (UeStack, GnbStack) {
         let mut gnb = GnbStack::new();
@@ -558,10 +585,18 @@ mod tests {
         let mac_pdus = ue.encode_uplink(&payload, 256).unwrap();
         let samples = ue.phy_encode(&mac_pdus[0]).to_vec();
         assert_eq!(samples.len(), ue.phy_sample_count(mac_pdus[0].len()));
-        let decoded = gnb.phy_decode(17, &samples).unwrap();
-        assert_eq!(decoded, mac_pdus[0]);
-        let delivered = gnb.decode_uplink(17, &decoded).unwrap();
-        assert_eq!(delivered, vec![payload]);
+        let kept = Bytes::from_static(b"kept");
+        let mut delivered = vec![kept.clone()];
+        gnb.receive_uplink(17, &samples, &mut delivered).unwrap();
+        assert_eq!(delivered, [kept.clone(), payload]);
+        // A block the PHY cannot decode reaches no layer and adds nothing.
+        let err = gnb.receive_uplink(17, &[], &mut delivered).unwrap_err();
+        assert!(matches!(err, StackError::Phy(_)), "{err}");
+        assert_eq!(delivered.len(), 2);
+        assert_eq!(
+            gnb.receive_uplink(99, &samples, &mut delivered),
+            Err(StackError::UnknownRnti(99))
+        );
     }
 
     #[test]
@@ -678,5 +713,395 @@ mod tests {
         assert_eq!(rnti, 1);
         let (rnti, _) = gnb.encode_downlink(200, &p1, 128).unwrap();
         assert_eq!(rnti, 2);
+    }
+
+    const KEY: u64 = 0xABCD;
+
+    /// The byte path as it was before each leg got one buffer, kept
+    /// statement for statement as the oracle: every layer builds its own
+    /// PDU through the `Bytes` codecs, and the receive walk decodes a
+    /// shared copy of the block.
+    struct OldBearer {
+        sdap: SdapEntity,
+        pdcp: PdcpEntity,
+        rlc: RlcUmEntity,
+    }
+
+    impl OldBearer {
+        fn new(direction: Direction) -> OldBearer {
+            let mut sdap = SdapEntity::new();
+            sdap.map_flow(PING_QFI, PING_LCID);
+            let pdcp = PdcpEntity::new(PdcpConfig::new(KEY, PING_LCID, direction));
+            OldBearer { sdap, pdcp, rlc: RlcUmEntity::new() }
+        }
+
+        fn tx(&mut self, payload: &Bytes) -> Result<(), StackError> {
+            let (_drb, sdap_pdu) = self
+                .sdap
+                .encode_pdu(PING_QFI, payload)
+                .map_err(|e| StackError::Sdap(e.to_string()))?;
+            let pdcp_pdu = self.pdcp.tx_encode(&sdap_pdu);
+            self.rlc.tx_sdu(pdcp_pdu);
+            Ok(())
+        }
+
+        fn pull_mac_pdus(
+            &mut self,
+            grant_bytes: usize,
+            bsr: bool,
+            pdus: &mut Vec<Bytes>,
+        ) -> Result<(), StackError> {
+            let overhead = 3 + if bsr { SHORT_BSR_SUBPDU_BYTES } else { 0 };
+            if grant_bytes <= overhead + 1 {
+                return Err(StackError::Mac(format!("grant {grant_bytes} B too small")));
+            }
+            loop {
+                let queued = self.rlc.queued_bytes();
+                let Some(rlc_pdu) = self
+                    .rlc
+                    .pull_pdu(grant_bytes - overhead)
+                    .map_err(|e| StackError::Rlc(e.to_string()))?
+                else {
+                    return Ok(());
+                };
+                let data = MacSubPdu::new(PING_LCID, rlc_pdu);
+                let pdu = if bsr {
+                    let report =
+                        MacSubPdu::new(mac::lcid::SHORT_BSR, mac::encode_short_bsr(0, queued));
+                    MacPdu::new(vec![report, data]).encode(None)
+                } else {
+                    MacPdu::new(vec![data]).encode(None)
+                };
+                pdus.push(pdu.map_err(|e| StackError::Mac(e.to_string()))?);
+            }
+        }
+
+        fn rx(&mut self, mac_pdu: &Bytes, out: &mut Vec<Bytes>) -> Result<(), StackError> {
+            let mac_pdu = MacPdu::decode(mac_pdu).map_err(|e| StackError::Mac(e.to_string()))?;
+            let start = out.len();
+            let mut walk = || {
+                for sub in &mac_pdu.subpdus {
+                    if sub.lcid != PING_LCID {
+                        continue; // control elements
+                    }
+                    let pdcp_pdus = self
+                        .rlc
+                        .rx_pdu(&sub.payload)
+                        .map_err(|e| StackError::Rlc(e.to_string()))?;
+                    for p in &pdcp_pdus {
+                        let sdap_pdus =
+                            self.pdcp.rx_decode(p).map_err(|e| StackError::Pdcp(e.to_string()))?;
+                        for s in &sdap_pdus {
+                            let (_h, payload) = self
+                                .sdap
+                                .decode_pdu(s)
+                                .map_err(|e| StackError::Sdap(e.to_string()))?;
+                            out.push(payload);
+                        }
+                    }
+                }
+                Ok(())
+            };
+            let walked = walk();
+            if walked.is_err() {
+                out.truncate(start);
+            }
+            walked
+        }
+
+        fn reestablish_rx(&mut self) -> Bytes {
+            self.rlc = self.rlc.reestablished();
+            self.pdcp.status_report().encode()
+        }
+
+        fn recover_tx(
+            &mut self,
+            status_report: &Bytes,
+            grant_bytes: usize,
+            bsr: bool,
+        ) -> Result<Vec<Bytes>, StackError> {
+            let report = ran::pdcp::PdcpStatusReport::decode(status_report)
+                .map_err(|e| StackError::Pdcp(e.to_string()))?;
+            self.rlc = self.rlc.reestablished();
+            for pdcp_pdu in self.pdcp.retransmit_unconfirmed(&report) {
+                self.rlc.tx_sdu(pdcp_pdu);
+            }
+            let mut pdus = Vec::new();
+            self.pull_mac_pdus(grant_bytes, bsr, &mut pdus)?;
+            Ok(pdus)
+        }
+    }
+
+    /// What a bearer's entities count, and the receive state a status
+    /// report reveals.
+    fn counters(pdcp: &PdcpEntity, rlc: &RlcUmEntity) -> ([u64; 9], PdcpStatusReport) {
+        let counts = [
+            u64::from(pdcp.tx_next_count()),
+            pdcp.tx_pending() as u64,
+            pdcp.retransmitted(),
+            pdcp.discarded(),
+            pdcp.buffered() as u64,
+            rlc.queued_bytes() as u64,
+            rlc.queued_sdus() as u64,
+            rlc.delivered(),
+            rlc.dropped_incomplete(),
+        ];
+        (counts, pdcp.status_report())
+    }
+
+    /// Brings a transmitting and a receiving PDCP entity to COUNT `start`
+    /// the way the protocol would: one PDU per half window, each flushed
+    /// past the gap it leaves.
+    fn start_counts_at(tx: &mut PdcpEntity, rx: &mut PdcpEntity, direction: Direction, start: u32) {
+        let mut edge = 0;
+        while edge < start {
+            let count = (edge + 2_000).min(start) - 1;
+            let mut probe = PdcpEntity::new(PdcpConfig::new(KEY, PING_LCID, direction));
+            probe.set_tx_next(count);
+            rx.rx_decode(&probe.tx_encode(&Bytes::new())).unwrap();
+            rx.flush_reordering();
+            edge = count + 1;
+        }
+        tx.set_tx_next(start);
+    }
+
+    /// A payload of `len` bytes that differs from ping to ping.
+    fn payload_of(len: usize, seed: u64) -> Bytes {
+        (0..len).map(|i| (seed >> (8 * (i % 8))) as u8 ^ i as u8).collect()
+    }
+
+    /// One leg of the oracle pair: the new bearers transmit and receive,
+    /// the old ones do the same, and every MAC PDU, every delivered
+    /// payload and every counter must agree. Payloads are also checked
+    /// against what was sent: each is delivered once, in order.
+    struct Leg<'a> {
+        tx: &'a mut Bearer,
+        rx: &'a mut Bearer,
+        old_tx: &'a mut OldBearer,
+        old_rx: &'a mut OldBearer,
+        bsr: bool,
+        sent: &'a mut Vec<Bytes>,
+        delivered: &'a mut usize,
+    }
+
+    impl Leg<'_> {
+        fn pull(&mut self, grant: usize) -> Result<Vec<Bytes>, TestCaseError> {
+            let (mut pdus, mut old_pdus) = (Vec::new(), Vec::new());
+            let new = self.tx.pull_mac_pdus(grant, self.bsr, &mut pdus);
+            let old = self.old_tx.pull_mac_pdus(grant, self.bsr, &mut old_pdus);
+            prop_assert_eq!(new, old);
+            prop_assert_eq!(&pdus, &old_pdus, "the MAC PDUs differ");
+            Ok(pdus)
+        }
+
+        fn deliver(&mut self, pdus: &[Bytes], borrowed: bool) -> Result<(), TestCaseError> {
+            for pdu in pdus {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let block =
+                    if borrowed { RxPdu::Borrowed(&pdu[..]) } else { RxPdu::Shared(pdu.clone()) };
+                let new = self.rx.rx(block, &mut got, |p| Ok(Some(p)));
+                let old = self.old_rx.rx(pdu, &mut want);
+                prop_assert_eq!(new, old);
+                prop_assert_eq!(&got, &want, "the delivered payloads differ");
+                for p in got {
+                    prop_assert_eq!(
+                        Some(&p),
+                        self.sent.get(*self.delivered),
+                        "not the next payload sent"
+                    );
+                    *self.delivered += 1;
+                }
+            }
+            Ok(())
+        }
+
+        fn send(&mut self, payload: Bytes, grant: usize) -> Result<Vec<Bytes>, TestCaseError> {
+            prop_assert_eq!(self.tx.tx(&payload), self.old_tx.tx(&payload));
+            self.sent.push(payload);
+            self.pull(grant)
+        }
+
+        fn recover(&mut self, grant: usize, borrowed: bool) -> Result<(), TestCaseError> {
+            let report = self.rx.reestablish_rx();
+            prop_assert_eq!(&report, &self.old_rx.reestablish_rx());
+            let new = self.tx.recover_tx(&report, grant, self.bsr);
+            let old = self.old_tx.recover_tx(&report, grant, self.bsr);
+            prop_assert_eq!(&new, &old, "the recovered MAC PDUs differ");
+            self.deliver(&new.unwrap_or_default(), borrowed)
+        }
+
+        fn agree(&self) -> Result<(), TestCaseError> {
+            prop_assert_eq!(
+                counters(&self.tx.pdcp, &self.tx.rlc),
+                counters(&self.old_tx.pdcp, &self.old_tx.rlc)
+            );
+            prop_assert_eq!(
+                counters(&self.rx.pdcp, &self.rx.rlc),
+                counters(&self.old_rx.pdcp, &self.old_rx.rlc)
+            );
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn the_one_buffer_path_agrees_with_the_per_layer_chain(
+            start in 0usize..4,
+            steps in prop::collection::vec(
+                (0u8..8, 0usize..1500, any::<bool>(), 16usize..1600, any::<u64>(), any::<bool>()),
+                1..100,
+            ),
+        ) {
+            let tel = Telemetry::disabled();
+            let (mut ue, mut gnb) =
+                (Bearer::new(KEY, Direction::Uplink, &tel), Bearer::new(KEY, Direction::Downlink, &tel));
+            let (mut old_ue, mut old_gnb) =
+                (OldBearer::new(Direction::Uplink), OldBearer::new(Direction::Downlink));
+            // COUNT 0, or six short of the 12-bit SN wrap.
+            let count = [0, 4_090][start % 2];
+            start_counts_at(&mut ue.pdcp, &mut gnb.pdcp, Direction::Uplink, count);
+            start_counts_at(&mut old_ue.pdcp, &mut old_gnb.pdcp, Direction::Uplink, count);
+            start_counts_at(&mut gnb.pdcp, &mut ue.pdcp, Direction::Downlink, count);
+            start_counts_at(&mut old_gnb.pdcp, &mut old_ue.pdcp, Direction::Downlink, count);
+            let (mut sent, mut delivered) = ([Vec::new(), Vec::new()], [0usize; 2]);
+            // RLC SN 0, or 60 segmented SDUs each way first, four short of
+            // the 6-bit SN wrap.
+            let warm_up = if start / 2 == 1 { 120 } else { 0 };
+            let warm_up = (0..warm_up).map(|i| (i % 2, 30, true, 0, i as u64, i % 4 < 2));
+            for (op, len, small, grant, seed, borrowed) in warm_up.chain(steps) {
+                // Odd ops are uplink: the UE transmits, with a BSR.
+                let ul = op % 2 == 1;
+                // Small grants segment almost every payload, large ones some.
+                let grant = if small { 16 + grant % 184 } else { grant };
+                let [sent_ul, sent_dl] = &mut sent;
+                let [delivered_ul, delivered_dl] = &mut delivered;
+                let mut leg = if ul {
+                    Leg { tx: &mut ue, rx: &mut gnb, old_tx: &mut old_ue, old_rx: &mut old_gnb,
+                          bsr: true, sent: sent_ul, delivered: delivered_ul }
+                } else {
+                    Leg { tx: &mut gnb, rx: &mut ue, old_tx: &mut old_gnb, old_rx: &mut old_ue,
+                          bsr: false, sent: sent_dl, delivered: delivered_dl }
+                };
+                match op / 2 {
+                    // A ping whose blocks all arrive.
+                    0 | 1 => {
+                        let pdus = leg.send(payload_of(len, seed), grant)?;
+                        leg.deliver(&pdus, borrowed)?;
+                    }
+                    // A ping lost on the air.
+                    2 => drop(leg.send(payload_of(len, seed), grant)?),
+                    // Re-establishment and PDCP data recovery.
+                    _ => leg.recover(grant, borrowed)?,
+                }
+                leg.agree()?;
+            }
+        }
+    }
+
+    /// One lie a corrupted or hostile sender might tell in a valid MAC PDU
+    /// whose data subheader starts at `data_at`.
+    fn mutate(pdu: &Bytes, data_at: usize, (kind, at, value): (u8, usize, u16)) -> Bytes {
+        let mut b = pdu.to_vec();
+        let n = b.len();
+        match kind {
+            // A bit flip anywhere.
+            0 if n > 0 => b[at % n] ^= 1 << (value % 8),
+            // A truncation.
+            1 => b.truncate(at % (n + 1)),
+            // A lie in the data subPDU's L field.
+            2 if n > data_at + 2 => {
+                let l = data_at + 1;
+                if b[data_at] & 0x40 != 0 {
+                    b[l..l + 2].copy_from_slice(&value.to_be_bytes());
+                } else {
+                    b[l] = value as u8;
+                }
+            }
+            // A lie in the RLC SO field, on a segment or on a whole SDU
+            // made to claim it is one.
+            3 => {
+                let rlc = data_at + if b[data_at] & 0x40 != 0 { 3 } else { 2 };
+                if n >= rlc + 3 {
+                    if b[rlc] >> 6 == 0b00 || value & 1 == 1 {
+                        b[rlc] = (b[rlc] & 0x3F) | if value & 2 == 0 { 0xC0 } else { 0x80 };
+                    }
+                    b[rlc + 1..rlc + 3].copy_from_slice(&value.to_be_bytes());
+                }
+            }
+            _ => {}
+        }
+        Bytes::from(b)
+    }
+
+    fn snapshot(bearer: &Bearer) -> (String, String) {
+        (format!("{:?}", bearer.pdcp), format!("{:?}", bearer.rlc))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn a_hostile_mac_pdu_is_rejected_with_a_typed_error_before_the_layers_above(
+            len in 0usize..1500,
+            grant in (any::<bool>(), 16usize..1600),
+            mutation in (0u8..4, any::<usize>(), any::<u16>()),
+            victim in any::<usize>(),
+            ul in any::<bool>(),
+            borrowed in any::<bool>(),
+        ) {
+            let (mut ue, mut gnb) = attach_pair();
+            let grant = if grant.0 { 16 + grant.1 % 184 } else { grant.1 };
+            // A few clean pings first, so every entity holds state.
+            for i in 0..3 {
+                for pdu in ue.encode_uplink(&payload_of(40, i), 256).unwrap() {
+                    gnb.decode_uplink(17, &pdu).unwrap();
+                }
+            }
+            let payload = payload_of(len, victim as u64);
+            let pdus = if ul {
+                ue.encode_uplink(&payload, grant).unwrap()
+            } else {
+                gnb.encode_downlink(0x0A00_0001, &payload, grant).unwrap().1
+            };
+            let victim = victim % pdus.len();
+            let sentinel = Bytes::from_static(b"already delivered");
+            for (i, pdu) in pdus.iter().enumerate() {
+                let wire = if i == victim {
+                    mutate(pdu, if ul { SHORT_BSR_SUBPDU_BYTES } else { 0 }, mutation)
+                } else {
+                    pdu.clone()
+                };
+                let sent = wire.to_vec();
+                let receiver = |ue: &UeStack, gnb: &GnbStack| {
+                    if ul { snapshot(&gnb.contexts[&17].bearer) } else { snapshot(&ue.bearer) }
+                };
+                let (pdcp_before, rlc_before) = receiver(&ue, &gnb);
+                let mut out = vec![sentinel.clone()];
+                let result = match (ul, borrowed) {
+                    (true, true) => {
+                        let samples = ue.phy_encode(&wire).to_vec();
+                        gnb.receive_uplink(17, &samples, &mut out)
+                    }
+                    (true, false) => gnb.decode_uplink(17, &wire).map(|p| out.extend(p)),
+                    (false, true) => {
+                        let samples = gnb.phy_encode(17, &wire).unwrap().to_vec();
+                        ue.receive_downlink(&samples, &mut out)
+                    }
+                    (false, false) => ue.decode_downlink(&wire).map(|p| out.extend(p)),
+                };
+                prop_assert_eq!(&wire[..], &sent[..], "a caller's block was written to");
+                prop_assert_eq!(&out[0], &sentinel);
+                if let Err(e) = result {
+                    prop_assert_eq!(out.len(), 1, "a failed walk delivered");
+                    let (pdcp_after, rlc_after) = receiver(&ue, &gnb);
+                    if matches!(e, StackError::Mac(_)) {
+                        prop_assert_eq!(&rlc_before, &rlc_after, "RLC moved past a MAC error");
+                    }
+                    if matches!(e, StackError::Mac(_) | StackError::Rlc(_)) {
+                        prop_assert_eq!(&pdcp_before, &pdcp_after, "PDCP moved past {}", e);
+                    }
+                }
+            }
+        }
     }
 }

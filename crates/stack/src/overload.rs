@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
+use bytes::{BufMut, BytesMut};
 use ran::mac::MacBacklog;
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::{RlcError, RlcUmEntity};
@@ -498,7 +498,7 @@ impl Engine<'_> {
         // header byte the pull adds later).
         let pdcp_pdu_bytes = self.wire_bytes - 1;
         while self.rlc.queued_bytes() + pdcp_pdu_bytes <= refill_target {
-            let Some((count, pdu)) = self.pdcp.pull_tx(now) else { break };
+            let Some((count, pdu)) = self.pdcp.pull_tx_pdu(now) else { break };
             // COUNT gaps are discardTimer expiries (FIFO queue, monotone
             // deadlines).
             while self.next_pull_expected < count {
@@ -507,7 +507,7 @@ impl Engine<'_> {
                 self.next_pull_expected += 1;
             }
             self.next_pull_expected = count + 1;
-            match self.rlc.try_tx_sdu(pdu) {
+            match self.rlc.try_enqueue(pdu) {
                 Ok(()) => self.rlc_fifo.push_back(count),
                 Err(_) => self.drop_urllc(hook, count, now, DropReason::RlcFull),
             }
@@ -650,7 +650,14 @@ pub fn run_overload_profiled(
         wait_n: 0,
     };
 
-    let payload = Bytes::from(vec![0u8; stack.payload_bytes]);
+    // One buffer each per run: every arrival shares it.
+    let filled = |byte: u8, len: usize| {
+        let mut b = BytesMut::with_capacity(len);
+        b.put_bytes(byte, len);
+        b.freeze()
+    };
+    let payload = filled(0, stack.payload_bytes);
+    let embb_filler = filled(0xBE, embb_bytes);
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     // Arrival events outrank the slot event at the same instant so a
@@ -694,7 +701,7 @@ pub fn run_overload_profiled(
                         reason: DropReason::SloShed.label(),
                     });
                 } else {
-                    match engine.rlc_embb.try_tx_sdu(Bytes::from(vec![0xBEu8; embb_bytes])) {
+                    match engine.rlc_embb.try_tx_sdu(embb_filler.clone()) {
                         Ok(()) => {}
                         Err(RlcError::TxBufferFull { .. }) => {
                             engine.report.embb_dropped_bytes += embb_bytes as u64;

@@ -779,20 +779,14 @@ fn gnb_walk_up(
     let got = &mut ctx.delivered;
     got.clear();
     let air_samples = exp.ue.phy_encode(&mac_pdus[0]);
-    let decoded = exp
-        .gnb
-        .phy_decode(RNTI, air_samples)
-        .and_then(|pdu| exp.gnb.decode_uplink_into(RNTI, &pdu, got))
-        .is_ok();
+    let decoded = exp.gnb.receive_uplink(RNTI, air_samples, got).is_ok();
     let mut delivered_ok = decoded && got.first() == Some(&ctx.payload);
     // Push any remaining segments through (tiny grants).
     if decoded && !delivered_ok {
         for extra in &mac_pdus[1..] {
             let s = exp.ue.phy_encode(extra);
-            if let Ok(pdu) = exp.gnb.phy_decode(RNTI, s) {
-                // A segment that fails to decode adds nothing.
-                let _ = exp.gnb.decode_uplink_into(RNTI, &pdu, got);
-            }
+            // A segment that fails to decode adds nothing.
+            let _ = exp.gnb.receive_uplink(RNTI, s, got);
         }
         delivered_ok = got.first() == Some(&ctx.payload);
     }
@@ -1010,17 +1004,13 @@ fn ue_rx_up(
     let decoded = exp
         .gnb
         .phy_encode(RNTI, &dl_pdus[0])
-        .and_then(|air_samples| exp.ue.phy_decode(air_samples))
-        .and_then(|pdu| exp.ue.decode_downlink_into(&pdu, got))
+        .and_then(|air_samples| exp.ue.receive_downlink(air_samples, got))
         .is_ok();
     let mut ok = decoded && got.first() == Some(&ctx.reply);
     if decoded && !ok {
         for extra in &dl_pdus[1..] {
-            let s = exp.gnb.phy_encode(RNTI, extra);
-            if let Ok(pdu) = s.and_then(|s| exp.ue.phy_decode(s)) {
-                // A segment that fails to decode adds nothing.
-                let _ = exp.ue.decode_downlink_into(&pdu, got);
-            }
+            // A segment that fails to decode adds nothing.
+            let _ = exp.gnb.phy_encode(RNTI, extra).and_then(|s| exp.ue.receive_downlink(s, got));
         }
         ok = got.first() == Some(&ctx.reply);
     }

@@ -14,6 +14,9 @@
 //! allocation and no copy; [`Bytes::copy_from_slice`] likewise. Only
 //! `From<Vec<u8>>` pays twice (the `Vec`, then the copy into the `Arc`).
 //! [`Bytes::new`] and [`Bytes::from_static`] borrow and never allocate.
+//! [`Bytes::try_into_mut`] hands a buffer nobody else holds back for
+//! writing in place — how a receiver deciphers a block it reassembled
+//! itself without copying it again.
 
 #![forbid(unsafe_code)]
 
@@ -96,6 +99,21 @@ impl Bytes {
         match &self.0 {
             Repr::Static(s) => s,
             Repr::Shared { data, start, end } => &data[*start..*end],
+        }
+    }
+
+    /// Turns the buffer back into a [`BytesMut`] without copying, when this
+    /// is the only handle on its storage and views it from the first byte;
+    /// otherwise returns it unchanged. The view's bytes are the written
+    /// part, the rest of the storage its spare capacity. Upstream converts
+    /// any unique view; this stand-in keeps `BytesMut` offset-free.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        match self.0 {
+            Repr::Shared { mut data, start: 0, end } => match Arc::get_mut(&mut data) {
+                Some(_) => Ok(BytesMut { data, len: end }),
+                None => Err(Bytes(Repr::Shared { data, start: 0, end })),
+            },
+            repr => Err(Bytes(repr)),
         }
     }
 }
@@ -380,6 +398,28 @@ mod tests {
         assert!(!b.is_empty() && b.capacity() >= 9);
         assert_eq!(&b.freeze()[..], b"\xde\xad\xbe\xef\0\0\0xy");
         assert!(BytesMut::with_capacity(0).freeze().is_empty());
+    }
+
+    #[test]
+    fn a_sole_handle_thaws_in_place_and_a_shared_one_does_not() {
+        let mut b = BytesMut::with_capacity(8);
+        b.put_slice(b"abcdef");
+        let frozen = b.freeze();
+        let at = frozen.as_ptr();
+        let mut thawed = frozen.try_into_mut().expect("the only handle");
+        assert_eq!((thawed.len(), thawed.capacity(), thawed.as_ptr()), (6, 8, at));
+        thawed[0] = b'A';
+        let frozen = thawed.freeze();
+        assert_eq!(&frozen[..], b"Abcdef");
+
+        let other = frozen.clone();
+        let frozen = frozen.try_into_mut().err().expect("a clone shares the storage");
+        drop(other);
+        let tail = frozen.slice(1..);
+        drop(frozen);
+        let tail = tail.try_into_mut().err().expect("views from an offset stay shared");
+        assert_eq!(tail, b"bcdef"[..]);
+        assert!(Bytes::from_static(b"x").try_into_mut().is_err(), "static bytes are borrowed");
     }
 
     #[test]

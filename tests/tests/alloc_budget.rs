@@ -1,11 +1,14 @@
 //! The byte path's allocation budget (ROADMAP item 9).
 //!
-//! A ping crosses eighteen hops and builds sixteen PDUs; what it may ask of
-//! the allocator for that is fixed here, so that a `Vec`-then-copy, a
-//! per-call return container or a per-block scratch buffer creeping back in
-//! fails a test rather than drifting the benchmark's `allocs_per_unit`. The
-//! counters are per thread: the harness runs the tests of this binary side
-//! by side. Run with `--nocapture` to see the measured counts.
+//! A ping crosses eighteen hops and holds eight buffers, four per leg: the
+//! application payload, the one MAC PDU every layer writes its header into,
+//! the one copy the receiver deciphers the SDU into, and the GTP-U packet on
+//! N3. What it may ask of the allocator for that is fixed here, so that a
+//! `Vec`-then-copy, a per-layer PDU, a per-call return container or a
+//! per-block scratch buffer creeping back in fails a test rather than
+//! drifting the benchmark's `allocs_per_unit`. The counters are per thread:
+//! the harness runs the tests of this binary side by side. Run with
+//! `--nocapture` to see the measured counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -101,14 +104,24 @@ fn peak_live<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, (LIVE.with(Cell::get).1 - start) as u64)
 }
 
-/// Allocations and bytes of `PINGS` dark pings of `payload_bytes` on a stack
-/// that has already carried a warm-up batch.
-fn steady_state(payload_bytes: usize) -> (u64, u64) {
+/// The testbed ping configuration at `payload_bytes`, seed 2024.
+fn ping_config(payload_bytes: usize) -> StackConfig {
     let mut cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(2024);
     cfg.payload_bytes = payload_bytes;
     // The benchmark's `ping_large` setting: one 1000 B payload per transport
     // block, so both sizes build the same number of PDUs.
     cfg.code_rate = 0.6;
+    cfg
+}
+
+/// Allocations and bytes of `PINGS` dark pings of `payload_bytes` on a stack
+/// that has already carried a warm-up batch.
+fn steady_state(payload_bytes: usize) -> (u64, u64) {
+    steady_state_of(ping_config(payload_bytes))
+}
+
+/// [`steady_state`] of any ping configuration.
+fn steady_state_of(cfg: StackConfig) -> (u64, u64) {
     let mut exp = PingExperiment::new(cfg);
     exp.keep_traces(0);
     let warm_up = exp.run(PINGS);
@@ -120,14 +133,18 @@ fn steady_state(payload_bytes: usize) -> (u64, u64) {
 
 const PINGS: u64 = 256;
 
-/// Allocations per ping: the 16 PDUs (five built and three decoded per
-/// leg) and the amortised growth of the result's sample vectors. Every
-/// container on the walk — the codecs' output lists, the scheduler's
-/// queues, ready set and decision, the span and PDU lists of the ping
-/// context — is owned by the experiment and reused from ping to ping.
-const ALLOCS_PER_PING: u64 = 17;
-/// Bytes per 64 B ping (1 593 measured).
-const BYTES_PER_SMALL_PING: u64 = 1_650;
+/// Allocations per ping (8.09 measured): the eight buffers, four per leg,
+/// and the amortised growth of PDCP's retransmission ring and the result's
+/// sample vectors. Every container on the walk — the codecs' output lists,
+/// the scheduler's queues, ready set and decision, the span and PDU lists
+/// of the ping context — is owned by the experiment and reused from ping to
+/// ping.
+const ALLOCS_PER_PING: f64 = 8.3;
+/// Bytes per 64 B ping (968 measured): each buffer sized to its PDU, never
+/// to the grant.
+const BYTES_PER_SMALL_PING: f64 = 1_000.0;
+/// Bytes per 1000 B ping (8 456 measured).
+const BYTES_PER_LARGE_PING: f64 = 8_700.0;
 
 fn per_ping(count: u64, pings: u64) -> f64 {
     count as f64 / pings as f64
@@ -137,22 +154,24 @@ fn per_ping(count: u64, pings: u64) -> f64 {
 fn a_ping_stays_within_its_allocation_budget_at_any_payload_size() {
     let (small_allocs, small_bytes) = steady_state(64);
     let (large_allocs, large_bytes) = steady_state(1000);
+    let [small_allocs_pp, small_bytes_pp, large_bytes_pp] =
+        [small_allocs, small_bytes, large_bytes].map(|n| per_ping(n, PINGS));
     println!(
-        "dark ping, 64 B: {:.2} allocations, {:.0} B; 1000 B: {:.2} allocations, {:.0} B",
-        per_ping(small_allocs, PINGS),
-        per_ping(small_bytes, PINGS),
+        "dark ping, 64 B: {small_allocs_pp:.2} allocations, {small_bytes_pp:.0} B; \
+         1000 B: {:.2} allocations, {large_bytes_pp:.0} B",
         per_ping(large_allocs, PINGS),
-        per_ping(large_bytes, PINGS),
     );
     assert!(
-        small_allocs <= ALLOCS_PER_PING * PINGS,
-        "{:.2} allocations per 64 B ping, budget {ALLOCS_PER_PING}",
-        per_ping(small_allocs, PINGS)
+        small_allocs_pp <= ALLOCS_PER_PING,
+        "{small_allocs_pp:.2} allocations per 64 B ping, budget {ALLOCS_PER_PING}"
     );
     assert!(
-        small_bytes <= BYTES_PER_SMALL_PING * PINGS,
-        "{:.0} B allocated per 64 B ping, budget {BYTES_PER_SMALL_PING}",
-        per_ping(small_bytes, PINGS)
+        small_bytes_pp <= BYTES_PER_SMALL_PING,
+        "{small_bytes_pp:.0} B allocated per 64 B ping, budget {BYTES_PER_SMALL_PING}"
+    );
+    assert!(
+        large_bytes_pp <= BYTES_PER_LARGE_PING,
+        "{large_bytes_pp:.0} B allocated per 1000 B ping, budget {BYTES_PER_LARGE_PING}"
     );
     // Every buffer is sized once for what it will hold: a larger payload
     // asks for larger allocations, never for more of them.
@@ -160,12 +179,41 @@ fn a_ping_stays_within_its_allocation_budget_at_any_payload_size() {
     assert!(large_bytes > small_bytes);
 }
 
+/// Allocations per 1000 B ping over 128 B grants (46.09 measured): a leg
+/// segments its SDU into nine MAC PDUs, each sized to its segment, plus
+/// one buffer the SDU is written into before it is cut; the receiver keeps
+/// a copy of each segment in a reassembly map (one node per SDU) and
+/// stitches them into one buffer, which PDCP deciphers in place. With the
+/// payload and the GTP-U packet that is 1 + 1 + 9 + 9 + 1 + 1 + 1 = 23
+/// allocations a leg.
+const ALLOCS_PER_SEGMENTED_PING: f64 = 46.3;
+
+#[test]
+fn a_segmented_ping_costs_a_buffer_per_segment_and_no_more() {
+    let mut cfg = ping_config(1000);
+    // Eight PRBs carrying a 128 B transport block: 1024 coded bits, with
+    // half a bit to spare against the float product.
+    cfg.data_prbs = 8;
+    cfg.code_rate = 1024.5 / 2304.0;
+    assert_eq!(cfg.slot_capacity_bytes(), 128);
+    let (allocs, bytes) = steady_state_of(cfg);
+    let allocs_pp = per_ping(allocs, PINGS);
+    println!(
+        "dark ping, 1000 B over 128 B grants: {allocs_pp:.2} allocations, {:.0} B",
+        per_ping(bytes, PINGS)
+    );
+    assert!(
+        allocs_pp <= ALLOCS_PER_SEGMENTED_PING,
+        "{allocs_pp:.2} allocations per segmented ping, budget {ALLOCS_PER_SEGMENTED_PING}"
+    );
+}
+
 /// Pings of the lit chaos run: two 256-ping shards, which record into one
 /// telemetry sibling in turn.
 const LIT_PINGS: u64 = 512;
-/// Bytes per ping of the lit chaos run (7 527 measured): over a short run
+/// Bytes per ping of the lit chaos run (5 088 measured): over a short run
 /// the journal rings, the parent's and the sibling's, grow from empty.
-const BYTES_PER_LIT_PING: u64 = 7_900;
+const BYTES_PER_LIT_PING: u64 = 5_300;
 
 #[test]
 fn a_lit_chaos_run_stays_within_its_byte_budget() {

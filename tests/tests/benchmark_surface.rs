@@ -92,6 +92,41 @@ fn the_names_the_benchmark_imports_resolve_with_the_types_it_passes() {
         let _ = urllc_core::feasibility_table(&zero);
     };
 
+    // The codecs the layer figures time, argument for argument: each is the
+    // `Bytes`-returning wrapper over its layer's one core.
+    let _codec_calls = |data: &Bytes| {
+        let mut pdcp = PdcpEntity::new(PdcpConfig::new(7u64, 1u8, Direction::Uplink));
+        let _: Bytes = pdcp.tx_encode(data);
+        let _: Result<Vec<Bytes>, String> = pdcp.rx_decode(data).map_err(|e| e.to_string());
+        let _: (usize, u32) = (pdcp.tx_pending(), pdcp.tx_next_count());
+        pdcp.confirm_up_to(0u32);
+        let mut rlc = RlcUmEntity::new();
+        rlc.tx_sdu(data.clone());
+        let _: Result<Option<Bytes>, String> = rlc.pull_pdu(128usize).map_err(|e| e.to_string());
+        let _: Result<Vec<Bytes>, String> = rlc.rx_pdu(data).map_err(|e| e.to_string());
+        let mac = MacPdu::new(vec![MacSubPdu::new(1u8, data.clone())]);
+        let _: Result<Bytes, String> = mac.encode(None).map_err(|e| e.to_string());
+        let _: Result<MacPdu, String> = MacPdu::decode(data).map_err(|e| e.to_string());
+        let mut sdap = SdapEntity::new();
+        sdap.map_flow(1u8, 1u8);
+        let _: Result<(u8, Bytes), String> = sdap.encode_pdu(1u8, data).map_err(|e| e.to_string());
+        let _: Result<Bytes, String> =
+            sdap.decode_pdu(data).map(|(_, sdu)| sdu).map_err(|e| e.to_string());
+        let gtpu = corenet::GtpuHeader::gpdu(0x1001u32);
+        let _: Bytes = gtpu.encode(data);
+        let _: Result<Bytes, String> =
+            corenet::GtpuHeader::decode(data).map(|(_, p)| p).map_err(|e| e.to_string());
+        let (mut ue, mut gnb) = (UeStack::new(17u16, 0xABCDu64), GnbStack::new());
+        gnb.attach_ue(17u16, 0xABCDu64, 0x0A00_0001u32);
+        let _: Result<Vec<Bytes>, String> =
+            ue.encode_uplink(data, 128usize).map_err(|e| e.to_string());
+        let _: Result<Vec<Bytes>, String> =
+            gnb.decode_uplink(17u16, data).map_err(|e| e.to_string());
+        let _: Result<(u16, Vec<Bytes>), String> =
+            gnb.encode_downlink(0x0A00_0001u32, data, 918usize).map_err(|e| e.to_string());
+        let _: Result<Vec<Bytes>, String> = ue.decode_downlink(data).map_err(|e| e.to_string());
+    };
+
     // The telemetry the layer figures time and the lit workload reads: the
     // string-keyed handle calls, the journal ring, the flight recorder and
     // the host profiler.
