@@ -28,6 +28,14 @@ pub(crate) const MSG_ECHO_RESPONSE: u8 = 2;
 /// the target no more forwarded data follows.
 pub(crate) const MSG_END_MARKER: u8 = 254;
 
+/// Bytes of the mandatory header: all a G-PDU without a sequence number
+/// carries in front of its payload, and the room a buffer must leave in
+/// front of a packet for [`GtpuHeader::encapsulate`] to write it in place.
+pub const GPDU_HEADER_LEN: usize = 8;
+
+/// Bytes of the mandatory header plus the optional block.
+const MAX_HEADER_LEN: usize = GPDU_HEADER_LEN + 4;
+
 /// Largest payload a single G-PDU may carry: a jumbo-frame transport MTU
 /// minus the tunnel overhead. Anything larger is a malformed or hostile
 /// header, not a packet the N3/Xn transport could have carried.
@@ -108,23 +116,43 @@ impl GtpuHeader {
     /// under the MTU; callers assembling untrusted payloads use
     /// `try_encode`.
     pub fn encode(&self, payload: &[u8]) -> Bytes {
-        debug_assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds the GTP-U transport MTU");
-        let opt = self.sequence.is_some();
-        let opt_len = if opt { 4 } else { 0 };
-        let length = (payload.len() + opt_len) as u16;
-        let mut out = BytesMut::with_capacity(8 + opt_len + payload.len());
-        // version 1, PT=1 (GTP), S flag per sequence.
-        out.put_u8(0b0011_0000 | if opt { 0b0000_0010 } else { 0 });
-        out.put_u8(self.message_type);
-        out.put_u16(length);
-        out.put_u32(self.teid);
-        if let Some(seq) = self.sequence {
-            out.put_u16(seq);
-            out.put_u8(0); // N-PDU number
-            out.put_u8(0); // next extension header type: none
-        }
+        let (header, len) = self.header(payload.len());
+        let mut out = BytesMut::with_capacity(len + payload.len());
+        out.put_slice(&header[..len]);
         out.put_slice(payload);
         out.freeze()
+    }
+
+    /// [`encode`](Self::encode) of a payload the caller hands over, into
+    /// the payload's own buffer when it can be: the header goes into the
+    /// spare bytes in front of the payload (an SDU's spent lower-layer
+    /// headers, a reserve its builder left) when there are enough and no
+    /// other handle holds the buffer. Otherwise (a held clone, or less
+    /// room than the header takes) it is encoded into a new buffer. The
+    /// packet's bytes are the same either way.
+    pub fn encapsulate(&self, payload: Bytes) -> Bytes {
+        let (header, len) = self.header(payload.len());
+        payload.try_prepend(&header[..len]).unwrap_or_else(|payload| self.encode(&payload))
+    }
+
+    /// The header in front of a payload of `payload_len` bytes, in the
+    /// first `len` bytes of the array returned with it: where every GTP-U
+    /// header is written.
+    fn header(&self, payload_len: usize) -> ([u8; MAX_HEADER_LEN], usize) {
+        debug_assert!(payload_len <= MAX_PAYLOAD, "payload exceeds the GTP-U transport MTU");
+        let opt_len = if self.sequence.is_some() { 4 } else { 0 };
+        let mut header = [0u8; MAX_HEADER_LEN];
+        // version 1, PT=1 (GTP), S flag per sequence.
+        header[0] = 0b0011_0000 | if self.sequence.is_some() { 0b0000_0010 } else { 0 };
+        header[1] = self.message_type;
+        header[2..4].copy_from_slice(&((payload_len + opt_len) as u16).to_be_bytes());
+        header[4..8].copy_from_slice(&self.teid.to_be_bytes());
+        if let Some(seq) = self.sequence {
+            // The N-PDU number and the next extension header type after
+            // it stay zero: none.
+            header[8..10].copy_from_slice(&seq.to_be_bytes());
+        }
+        (header, GPDU_HEADER_LEN + opt_len)
     }
 
     /// Decodes a wire packet into `(header, payload)`.
@@ -139,13 +167,13 @@ impl GtpuHeader {
         let message_type = packet[1];
         let length = u16::from_be_bytes([packet[2], packet[3]]) as usize;
         let teid = u32::from_be_bytes([packet[4], packet[5], packet[6], packet[7]]);
-        if length > MAX_PAYLOAD + 4 {
+        let has_opt = flags & 0b0000_0111 != 0;
+        if length > MAX_PAYLOAD + if has_opt { 4 } else { 0 } {
             return Err(GtpuError::Oversized);
         }
         if packet.len() < 8 + length {
             return Err(GtpuError::Truncated);
         }
-        let has_opt = flags & 0b0000_0111 != 0;
         let (sequence, payload_start) = if has_opt {
             if length < 4 {
                 return Err(GtpuError::Truncated);
@@ -167,6 +195,7 @@ impl GtpuHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn gpdu_roundtrip() {
@@ -227,6 +256,92 @@ mod tests {
         let bad = (MAX_PAYLOAD + 5) as u16;
         pkt[2..4].copy_from_slice(&bad.to_be_bytes());
         assert_eq!(GtpuHeader::decode(&Bytes::from(pkt)).unwrap_err(), GtpuError::Oversized);
+    }
+
+    #[test]
+    fn a_header_without_the_optional_block_may_not_declare_it() {
+        // Without E/S/PN the length is all payload: past MAX_PAYLOAD it is
+        // more than the transport carries, and more than `encode` accepts.
+        let mut pkt = GtpuHeader::gpdu(1).encode(&vec![0u8; MAX_PAYLOAD]).to_vec();
+        pkt.extend([0; 4]);
+        pkt[2..4].copy_from_slice(&((MAX_PAYLOAD + 4) as u16).to_be_bytes());
+        assert_eq!(
+            GtpuHeader::decode(&Bytes::from(pkt.clone())).unwrap_err(),
+            GtpuError::Oversized
+        );
+        pkt[0] |= 0b0000_0100; // E: the same length now covers the block
+        assert!(GtpuHeader::decode(&Bytes::from(pkt)).is_ok());
+    }
+
+    /// `payload` in a buffer of its own, behind `room` spare bytes.
+    fn behind(room: usize, payload: &[u8]) -> Bytes {
+        let mut b = BytesMut::with_capacity(room + payload.len());
+        b.put_bytes(0xEE, room);
+        b.put_slice(payload);
+        b.freeze().slice(room..)
+    }
+
+    #[test]
+    fn encapsulate_writes_into_the_payloads_buffer_when_it_can() {
+        let gpdu = GtpuHeader::gpdu(0xDEAD_BEEF);
+        let payload = behind(GPDU_HEADER_LEN, b"ip packet bytes");
+        let at = payload.as_ptr();
+        let pkt = gpdu.encapsulate(payload);
+        assert_eq!(pkt, gpdu.encode(b"ip packet bytes"));
+        assert_eq!(pkt[GPDU_HEADER_LEN..].as_ptr(), at, "the payload's own buffer");
+        assert_eq!(gpdu.encapsulate(behind(13, b"")), gpdu.encode(b""));
+
+        // A held clone, too little room and a header with the optional
+        // block each get a buffer of their own, with the same bytes.
+        let held = behind(GPDU_HEADER_LEN, b"held");
+        let pkt = gpdu.encapsulate(held.clone());
+        assert_eq!((pkt.clone(), &held[..]), (gpdu.encode(b"held"), &b"held"[..]));
+        assert_ne!(pkt[GPDU_HEADER_LEN..].as_ptr(), held.as_ptr());
+        let short = behind(GPDU_HEADER_LEN - 1, b"short");
+        let at = short.as_ptr();
+        let pkt = gpdu.encapsulate(short);
+        assert_eq!(pkt, gpdu.encode(b"short"));
+        assert_ne!(pkt[GPDU_HEADER_LEN..].as_ptr(), at);
+        let sequenced = GtpuHeader { message_type: MSG_GPDU, teid: 7, sequence: Some(0x1234) };
+        let pkt = sequenced.encapsulate(behind(GPDU_HEADER_LEN, b"data"));
+        assert_eq!(pkt, sequenced.encode(b"data"));
+        assert_eq!(sequenced.encapsulate(Bytes::from_static(b"data")), pkt);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(256))]
+        #[test]
+        fn a_hostile_holder_never_sees_encapsulate_write_outside_its_view(
+            room in 0usize..20,
+            len in 0usize..64,
+            tail in 0usize..8,
+            sequence in prop::option::of(any::<u16>()),
+            holder in 0u8..3,
+            teid in any::<u32>(),
+        ) {
+            let header = GtpuHeader { message_type: MSG_GPDU, teid, sequence };
+            let storage: Bytes = (0..room + len + tail).map(|i| (i as u8).wrapping_mul(37)).collect();
+            let before = storage.to_vec();
+            let view = storage.slice(room..room + len);
+            let want = header.encode(&view);
+            // Someone else holds the whole buffer, or the view, or nobody.
+            let held = match holder {
+                0 => None,
+                1 => Some(storage.clone()),
+                _ => Some(view.clone()),
+            };
+            drop(storage);
+            let at = view.as_ptr();
+            let pkt = header.encapsulate(view);
+            prop_assert_eq!(&pkt, &want);
+            let fits = room >= pkt.len() - len;
+            prop_assert_eq!(pkt[pkt.len() - len..].as_ptr() == at, held.is_none() && fits);
+            match (holder, held) {
+                (1, Some(storage)) => prop_assert_eq!(&storage[..], &before[..]),
+                (_, Some(view)) => prop_assert_eq!(&view[..], &before[room..room + len]),
+                _ => {}
+            }
+        }
     }
 
     #[test]

@@ -179,16 +179,27 @@ impl Upf {
     /// Downlink: takes a data-network packet for `ue_addr`, returns the N3
     /// packet to send to the gNB.
     pub fn downlink(&mut self, ue_addr: u32, payload: &Bytes) -> Result<Bytes, UpfError> {
+        self.encapsulate(ue_addr, payload.clone())
+    }
+
+    /// [`downlink`](Self::downlink) of a packet the caller hands over: the
+    /// N3 packet is the packet's own buffer when that has
+    /// [`GPDU_HEADER_LEN`](crate::gtpu::GPDU_HEADER_LEN) spare bytes in
+    /// front and no other handle ([`GtpuHeader::encapsulate`]), as a
+    /// server's reply built with that reserve does.
+    pub fn encapsulate(&mut self, ue_addr: u32, payload: Bytes) -> Result<Bytes, UpfError> {
         let session = self.by_ue.get(&ue_addr).copied().ok_or(UpfError::UnknownUe { ue_addr })?;
         self.forwarded.1 += 1;
         self.tel.add(metric::CORENET_DL_GPDU, 1);
-        Ok(GtpuHeader::gpdu(session.dl_teid).encode(payload))
+        Ok(GtpuHeader::gpdu(session.dl_teid).encapsulate(payload))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gtpu::{MAX_PAYLOAD, MSG_ECHO_RESPONSE};
+    use proptest::prelude::*;
 
     #[test]
     fn session_lifecycle_and_forwarding() {
@@ -294,5 +305,104 @@ mod tests {
         let pb = upf.downlink(2, &Bytes::from_static(b"b")).unwrap();
         assert_eq!(GtpuHeader::decode(&pa).unwrap().0.teid, 10);
         assert_eq!(GtpuHeader::decode(&pb).unwrap().0.teid, 20);
+    }
+
+    #[test]
+    fn encapsulate_is_downlink_in_the_packets_own_buffer() {
+        let mut upf = Upf::new();
+        upf.establish_session(7, 42);
+        let reply = b"ping reply";
+        let mut buf = bytes::BytesMut::with_capacity(crate::gtpu::GPDU_HEADER_LEN + reply.len());
+        bytes::BufMut::put_bytes(&mut buf, 0, crate::gtpu::GPDU_HEADER_LEN);
+        bytes::BufMut::put_slice(&mut buf, reply);
+        let owned = buf.freeze().slice(crate::gtpu::GPDU_HEADER_LEN..);
+        let at = owned.as_ptr();
+        let n3 = upf.encapsulate(7, owned).unwrap();
+        assert_eq!(n3, upf.downlink(7, &Bytes::from_static(reply)).unwrap());
+        assert_eq!(n3[crate::gtpu::GPDU_HEADER_LEN..].as_ptr(), at);
+        assert_eq!(upf.forwarded, (0, 2));
+        let err = upf.encapsulate(8, Bytes::new()).unwrap_err();
+        assert_eq!(err, UpfError::UnknownUe { ue_addr: 8 });
+    }
+
+    /// One lie a corrupted or hostile peer might tell in a valid GTP-U
+    /// packet.
+    fn mutate(pkt: &Bytes, (kind, at, value): (u8, usize, u16)) -> Bytes {
+        let mut b = pkt.to_vec();
+        let n = b.len();
+        match kind {
+            // A bit flip anywhere.
+            0 if n > 0 => b[at % n] ^= 1 << (value % 8),
+            // A truncation.
+            1 => b.truncate(at % (n + 1)),
+            // A lie in the length field: any value, or what the bytes that
+            // follow the mandatory header would allow.
+            2 if n >= 4 => {
+                let lie = if value & 1 == 0 { value } else { n.saturating_sub(8) as u16 };
+                b[2..4].copy_from_slice(&lie.to_be_bytes());
+            }
+            // Any combination of the E, S and PN flags.
+            3 if n > 0 => b[0] = (b[0] & !0b111) | (value as u8 & 0b111),
+            // Bytes past the declared length.
+            4 => b.resize(n + at % 8, value as u8),
+            _ => {}
+        }
+        Bytes::from(b)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(512))]
+        #[test]
+        fn a_hostile_n3_packet_gets_a_typed_error_or_round_trips(
+            kind in 0u8..3,
+            len in 0usize..1500,
+            near_mtu in any::<bool>(),
+            sequence in any::<u16>(),
+            mutations in prop::collection::vec((0u8..5, any::<usize>(), any::<u16>()), 0..4),
+        ) {
+            let mut upf = Upf::new();
+            let session = upf.establish_session(1, 2);
+            let len = if near_mtu { MAX_PAYLOAD - len % 16 } else { len };
+            let payload: Vec<u8> = (0..len).map(|i| i as u8 ^ sequence as u8).collect();
+            let valid = match kind {
+                0 => GtpuHeader::gpdu(session.ul_teid).encode(&payload),
+                1 => GtpuHeader { message_type: MSG_GPDU, teid: session.ul_teid, sequence: Some(sequence) }
+                    .encode(&payload),
+                _ => GtpuHeader::echo_request(sequence).encode(b""),
+            };
+            let pkt = mutations.iter().fold(valid, |pkt, &m| mutate(&pkt, m));
+            let outcome = upf.uplink(&pkt);
+            match GtpuHeader::decode(&pkt) {
+                Ok((header, body)) => {
+                    // What decoded is a packet of its own: it encodes to
+                    // bytes that decode to it again.
+                    prop_assert!(body.len() <= MAX_PAYLOAD && body.len() <= pkt.len());
+                    let again = GtpuHeader::decode(&header.encode(&body));
+                    prop_assert_eq!(again, Ok((header, body.clone())));
+                    match outcome {
+                        Ok(UplinkOutcome::Data { session: s, payload }) => {
+                            prop_assert_eq!(header.message_type, MSG_GPDU);
+                            prop_assert_eq!((s, payload), (session, body));
+                        }
+                        Ok(UplinkOutcome::EchoResponse(rsp)) => {
+                            prop_assert_eq!(header.message_type, MSG_ECHO_REQUEST);
+                            let (h, b) = GtpuHeader::decode(&rsp).unwrap();
+                            prop_assert_eq!(h.message_type, MSG_ECHO_RESPONSE);
+                            prop_assert_eq!((h.sequence, b.len()), (Some(header.sequence.unwrap_or(0)), 0));
+                        }
+                        Err(UpfError::UnknownTeid { teid }) => {
+                            prop_assert_eq!((header.message_type, teid), (MSG_GPDU, header.teid));
+                            prop_assert_ne!(teid, session.ul_teid);
+                        }
+                        Err(UpfError::UnsupportedMessage { message_type }) => {
+                            prop_assert_eq!(message_type, header.message_type);
+                            prop_assert!(![MSG_GPDU, MSG_ECHO_REQUEST].contains(&message_type));
+                        }
+                        Err(e) => prop_assert!(false, "{} from a packet that decodes", e),
+                    }
+                }
+                Err(e) => prop_assert_eq!(outcome, Err(UpfError::Gtpu(e))),
+            }
+        }
     }
 }

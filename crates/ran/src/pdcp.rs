@@ -219,6 +219,12 @@ impl PdcpEntity {
         self.tx_next
     }
 
+    /// COUNT of the next SDU to be delivered in order: everything below it
+    /// has been delivered (or given up on by a reordering flush).
+    pub fn rx_deliv_count(&self) -> u32 {
+        self.rx_deliv
+    }
+
     /// Number of PDUs discarded as duplicates or stale.
     pub fn discarded(&self) -> u64 {
         self.discarded
@@ -285,8 +291,13 @@ impl PdcpEntity {
     }
 
     /// Confirms in-order delivery of every SDU with COUNT < `count`,
-    /// releasing them from the retransmission buffer (lower layers ack
-    /// continuously in steady state; this keeps the buffer bounded).
+    /// releasing them from the retransmission buffer. The caller stands in
+    /// for the lower layers' acknowledgement: the ping walk confirms up to
+    /// the peer's delivery edge ([`rx_deliv_count`](Self::rx_deliv_count))
+    /// after every leg, the handover engine each delivery and each
+    /// forwarding flush, and [`recover`](Self::recover) the status report's
+    /// first missing COUNT. Without a caller the buffer keeps every SDU
+    /// sent.
     pub fn confirm_up_to(&mut self, count: u32) {
         let confirmed = self.tx_pending.partition_point(|&(c, _)| c < count);
         self.tx_pending.drain(..confirmed);
@@ -333,7 +344,9 @@ impl PdcpEntity {
     /// [`rx_decode`](Self::rx_decode) on a view of the block being walked,
     /// appending the deliverable SDUs to `sdus`. An accepted PDU is
     /// deciphered in place when its buffer is the walk's alone, and
-    /// otherwise into one copy of it: either way the SDU holds one buffer.
+    /// otherwise into one copy of it that keeps
+    /// [`RX_HEADROOM`](crate::pdu::RX_HEADROOM) spare bytes in front:
+    /// either way the SDU holds one buffer, and no other handle on it.
     pub fn receive(&mut self, pdu: RxPdu<'_>, sdus: &mut Vec<Bytes>) -> Result<(), PdcpError> {
         if pdu.len() < 2 {
             return Err(PdcpError::Truncated);
@@ -348,9 +361,9 @@ impl PdcpEntity {
             self.discarded += 1;
             return Ok(());
         }
-        let mut pdu = pdu.into_mut();
-        apply_keystream(keystream_cinit(&self.config, count, true), &mut pdu[2..]);
-        self.reorder.insert(count, pdu.freeze().slice(2..));
+        let (mut buf, at) = pdu.into_mut();
+        apply_keystream(keystream_cinit(&self.config, count, true), &mut buf[at + 2..]);
+        self.reorder.insert(count, buf.freeze().slice(at + 2..));
         if count >= self.rx_next {
             self.rx_next = count + 1;
         }

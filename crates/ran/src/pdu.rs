@@ -12,6 +12,9 @@
 //! where the PHY decoded it, or a shared buffer. Every header is read where
 //! it lies, and PDCP deciphers into the one copy the SDU gets, or in place
 //! when the block is a buffer nobody else holds (an SDU RLC reassembled).
+//! The copy keeps [`RX_HEADROOM`] spare bytes in front of the PDU, so the
+//! layer above the stack can put its own header in front of the payload
+//! in that same buffer (the gNB's GTP-U header on N3).
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::ops::{Deref, Range};
@@ -19,6 +22,13 @@ use std::ops::{Deref, Range};
 /// Most header bytes the layers above RLC put in front of a payload:
 /// PDCP's two and SDAP's one.
 const MAX_HEAD: usize = 3;
+
+/// Spare bytes a receive copy keeps in front of the PDCP PDU it copies.
+/// With PDCP's two header bytes and SDAP's one, spent once the SDU is
+/// delivered, that leaves eight in front of the payload: room for the
+/// mandatory GTP-U header the gNB puts there to make the copy its N3
+/// packet.
+pub const RX_HEADROOM: usize = 5;
 
 /// A PDU on its way down, framed by the layers above RLC but not written
 /// yet: their headers, held inline, in front of the payload they frame, and
@@ -127,17 +137,19 @@ impl<'a> RxPdu<'a> {
         }
     }
 
-    /// The PDU for writing: in place when it is a shared buffer nobody else
-    /// holds, a copy otherwise.
-    pub(crate) fn into_mut(self) -> BytesMut {
+    /// The PDU for writing, and where in the buffer it starts: in place
+    /// when it is a shared buffer nobody else holds, otherwise a copy behind
+    /// [`RX_HEADROOM`] spare bytes.
+    pub(crate) fn into_mut(self) -> (BytesMut, usize) {
         let copy = |b: &[u8]| {
-            let mut out = BytesMut::with_capacity(b.len());
+            let mut out = BytesMut::with_capacity(RX_HEADROOM + b.len());
+            out.put_bytes(0, RX_HEADROOM);
             out.put_slice(b);
-            out
+            (out, RX_HEADROOM)
         };
         match self {
             RxPdu::Borrowed(b) => copy(b),
-            RxPdu::Shared(b) => b.try_into_mut().unwrap_or_else(|b| copy(&b)),
+            RxPdu::Shared(b) => b.try_into_mut().map(|own| (own, 0)).unwrap_or_else(|b| copy(&b)),
         }
     }
 }
@@ -196,16 +208,20 @@ mod tests {
         let borrowed = RxPdu::Borrowed(&block).slice(1..3);
         assert_eq!(&borrowed[..], &[2, 3]);
         assert_eq!(borrowed.clone().into_shared(), Bytes::from_static(&[2, 3]));
-        assert_eq!(&borrowed.into_mut()[..], &[2, 3]);
+        let (copy, at) = borrowed.into_mut();
+        assert_eq!((&copy[at..], at), (&[2, 3][..], RX_HEADROOM), "a copy keeps room in front");
 
         let mut own = BytesMut::with_capacity(4);
         own.put_slice(&block);
         let own = own.freeze();
         let at = own.as_ptr();
-        assert_eq!(RxPdu::Shared(own).into_mut().as_ptr(), at, "a sole handle is thawed in place");
+        let (thawed, start) = RxPdu::Shared(own).into_mut();
+        assert_eq!((thawed.as_ptr(), start), (at, 0), "a sole handle is thawed in place");
         let shared = Bytes::copy_from_slice(&block);
         let view = RxPdu::Shared(shared.clone()).slice(0..4);
         assert_eq!(view.clone().into_shared().as_ptr(), shared.as_ptr());
-        assert_ne!(view.into_mut().as_ptr(), shared.as_ptr(), "a held buffer is never written");
+        let (copy, at) = view.into_mut();
+        assert_ne!(copy[at..].as_ptr(), shared.as_ptr(), "a held buffer is never written");
+        assert_eq!(&copy[at..], &block[..]);
     }
 }

@@ -812,21 +812,58 @@ fn run_sharded(
     result
 }
 
-/// Deterministic ICMP-echo-like payload for ping `id`.
-pub(crate) fn make_payload(id: u64, len: usize) -> Bytes {
-    let mut v = BytesMut::with_capacity(len.max(8));
+/// Deterministic ICMP-echo-like payload for ping `id`, behind `headroom`
+/// spare bytes in the same buffer (as a server reserves room for the
+/// headers its packet will get, the way an skb reserve does).
+pub(crate) fn make_payload(id: u64, len: usize, headroom: usize) -> Bytes {
+    let mut v = BytesMut::with_capacity(headroom + len.max(8));
+    v.put_bytes(0, headroom);
     v.put_slice(&id.to_be_bytes());
     v.put_bytes(0, len.saturating_sub(8));
-    for (i, byte) in v.iter_mut().enumerate().skip(8) {
+    for (i, byte) in v[headroom..].iter_mut().enumerate().skip(8) {
         *byte = (i as u8).wrapping_mul(31) ^ id as u8;
     }
-    v.freeze()
+    v.freeze().slice(headroom..)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ran::sched::AccessMode;
+
+    #[test]
+    fn a_corrupted_downlink_block_counts_an_integrity_failure() {
+        // The UE's delivery is checked against the reply the N3 packet
+        // carried, which lives in the server's buffer; what the UE delivers
+        // is its own receive copy, so one flipped payload byte on the air
+        // must show.
+        let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(5);
+        let mut failures = Vec::new();
+        for corrupt in [false, true] {
+            let mut exp = PingExperiment::new(cfg.clone());
+            let (mut ctx, mut result) = (PingCtx::default(), ExperimentResult::default());
+            let t0 = Instant::ZERO + cfg.duplex.pattern_period();
+            ctx.reset(0, t0);
+            let (mut at, mut ev) = (t0, PingEvent::Arrival);
+            loop {
+                if corrupt && matches!(ev, PingEvent::UeRx) {
+                    // The last byte of the block is the reply's last.
+                    let mut block = ctx.dl_pdus[0].to_vec();
+                    *block.last_mut().unwrap() ^= 0x10;
+                    ctx.dl_pdus[0] = Bytes::from(block);
+                }
+                match dispatch(&mut exp, &mut ctx, &mut result, at, ev) {
+                    HopOutcome::Next(next, successor) => (at, ev) = (next, successor),
+                    HopOutcome::Lost => panic!("a fault-free ping was lost"),
+                    HopOutcome::Done => break,
+                }
+            }
+            let sent = make_payload(0x8000_0000_0000_0000, cfg.payload_bytes, 0);
+            assert_eq!(ctx.reply, sent, "the reply the UE is checked against is intact");
+            failures.push(result.integrity_failures);
+        }
+        assert_eq!(failures, [0, 1]);
+    }
 
     #[test]
     fn testbed_grant_free_runs_clean() {

@@ -13,7 +13,8 @@
 //! §17).
 
 use bytes::{BufMut, Bytes, BytesMut};
-use corenet::upf::{Session, Upf, UplinkOutcome};
+use corenet::gtpu::GtpuHeader;
+use corenet::upf::{Session, Upf, UpfError, UplinkOutcome};
 use phy::modulation::Iq;
 use phy::scrambling::data_scrambling_c_init;
 use phy::transport::{self, ShChConfig, SharedChannel};
@@ -198,9 +199,13 @@ impl Bearer {
                 self.pdcp
                     .receive(pdcp_pdu, &mut self.sdap_pdus)
                     .map_err(|e| StackError::Pdcp(e.to_string()))?;
-                for s in &self.sdap_pdus {
+                // Drained, not iterated: once SDAP has read its header the
+                // payload is the only handle on its buffer, which is what
+                // lets N3 write its header there.
+                for s in self.sdap_pdus.drain(..) {
                     let (_h, payload) =
-                        self.sdap.decode_pdu(s).map_err(|e| StackError::Sdap(e.to_string()))?;
+                        self.sdap.decode_pdu(&s).map_err(|e| StackError::Sdap(e.to_string()))?;
+                    drop(s);
                     out.extend(forward(payload)?);
                 }
             }
@@ -359,20 +364,23 @@ struct UeContext {
 }
 
 /// Walks one uplink MAC PDU up `bearer`; completed packets are pushed
-/// through GTP-U on `ul_teid` to `upf` and appended to `payloads` as
-/// data-network payloads (left as it was on error).
+/// through GTP-U on `ul_teid` to `upf` (the UPF's
+/// [`uplink`](Upf::uplink)) and appended to `payloads` as data-network
+/// payloads (left as it was on error).
 fn walk_uplink(
     bearer: &mut Bearer,
     ul_teid: u32,
-    upf: &mut Upf,
     mac_pdu: RxPdu<'_>,
     payloads: &mut Vec<Bytes>,
+    mut upf: impl FnMut(&Bytes) -> Result<UplinkOutcome, UpfError>,
 ) -> Result<(), StackError> {
     bearer.rx(mac_pdu, payloads, |payload| {
-        // N3: wrap in GTP-U toward the UPF, which decapsulates onto the
-        // data network.
-        let n3 = corenet::gtpu::GtpuHeader::gpdu(ul_teid).encode(&payload);
-        match upf.uplink(&n3).map_err(|e| StackError::Core(e.to_string()))? {
+        // N3: the G-PDU header goes in front of the payload, into the
+        // spare bytes of its receive copy when it can (the SDU's spent PDCP
+        // and SDAP headers and `RX_HEADROOM`), and the UPF decapsulates the
+        // packet onto the data network.
+        let n3 = GtpuHeader::gpdu(ul_teid).encapsulate(payload);
+        match upf(&n3).map_err(|e| StackError::Core(e.to_string()))? {
             UplinkOutcome::Data { payload, .. } => Ok(Some(payload)),
             // Only G-PDUs are built above; echo responses belong to the
             // supervision path, not the data path.
@@ -450,7 +458,7 @@ impl GnbStack {
         let ctx = self.contexts.get_mut(&rnti).ok_or(StackError::UnknownRnti(rnti))?;
         let (bearer, ul_teid) = (&mut ctx.bearer, ctx.session.ul_teid);
         let mac_pdu = RxPdu::Shared(mac_pdu.clone());
-        walk_uplink(bearer, ul_teid, &mut self.upf, mac_pdu, &mut payloads)?;
+        walk_uplink(bearer, ul_teid, mac_pdu, &mut payloads, |n3| self.upf.uplink(n3))?;
         Ok(payloads)
     }
 
@@ -467,7 +475,7 @@ impl GnbStack {
         let ctx = self.contexts.get_mut(&rnti).ok_or(StackError::UnknownRnti(rnti))?;
         let block = ctx.ul.decode(samples).map_err(|e| StackError::Phy(e.to_string()))?;
         let (bearer, ul_teid) = (&mut ctx.bearer, ctx.session.ul_teid);
-        walk_uplink(bearer, ul_teid, &mut self.upf, RxPdu::Borrowed(block), payloads)
+        walk_uplink(bearer, ul_teid, RxPdu::Borrowed(block), payloads, |n3| self.upf.uplink(n3))
     }
 
     /// Encodes a data-network payload for `ue_addr` into downlink MAC PDUs
@@ -479,23 +487,40 @@ impl GnbStack {
         grant_bytes: usize,
     ) -> Result<(Rnti, Vec<Bytes>), StackError> {
         let mut pdus = Vec::new();
-        let rnti = self.encode_downlink_into(ue_addr, payload, grant_bytes, &mut pdus)?;
+        let (rnti, _) =
+            self.encode_downlink_into(ue_addr, payload.clone(), grant_bytes, &mut pdus)?;
         Ok((rnti, pdus))
     }
 
-    /// [`encode_downlink`](Self::encode_downlink), appending the MAC PDUs
-    /// to `pdus`; returns the RNTI the reply was routed to.
+    /// [`encode_downlink`](Self::encode_downlink) of a payload the caller
+    /// hands over, appending the MAC PDUs to `pdus`; returns the RNTI the
+    /// reply was routed to and the payload as the N3 packet carried it.
+    /// The N3 packet is the payload's own buffer when the payload is its
+    /// only handle and has `GPDU_HEADER_LEN` spare bytes in front
+    /// ([`Upf::encapsulate`]); the payload returned is then a view of the
+    /// same bytes.
     pub(crate) fn encode_downlink_into(
         &mut self,
         ue_addr: u32,
-        payload: &Bytes,
+        payload: Bytes,
         grant_bytes: usize,
         pdus: &mut Vec<Bytes>,
-    ) -> Result<Rnti, StackError> {
+    ) -> Result<(Rnti, Bytes), StackError> {
         let n3 =
-            self.upf.downlink(ue_addr, payload).map_err(|e| StackError::Core(e.to_string()))?;
-        let (gtp, inner) =
-            corenet::gtpu::GtpuHeader::decode(&n3).map_err(|e| StackError::Core(e.to_string()))?;
+            self.upf.encapsulate(ue_addr, payload).map_err(|e| StackError::Core(e.to_string()))?;
+        self.forward_downlink(&n3, grant_bytes, pdus)
+    }
+
+    /// The gNB's end of the downlink N3 tunnel: decapsulates `n3`, routes
+    /// its payload by the DL TEID and walks it down SDAP→PDCP→RLC into MAC
+    /// PDUs appended to `pdus`. Returns the RNTI and the payload.
+    fn forward_downlink(
+        &mut self,
+        n3: &Bytes,
+        grant_bytes: usize,
+        pdus: &mut Vec<Bytes>,
+    ) -> Result<(Rnti, Bytes), StackError> {
+        let (gtp, inner) = GtpuHeader::decode(n3).map_err(|e| StackError::Core(e.to_string()))?;
         // Route by DL TEID back to the RNTI.
         let rnti = *self
             .dl_routes
@@ -504,7 +529,21 @@ impl GnbStack {
         let bearer = &mut self.ctx(rnti)?.bearer;
         bearer.tx(&inner)?;
         bearer.pull_mac_pdus(grant_bytes, false, pdus)?;
-        Ok(rnti)
+        Ok((rnti, inner))
+    }
+
+    /// Stands in for the lower layers' acknowledgement of a delivered leg:
+    /// the leg's sender (`ue` on the uplink, this gNB on the downlink)
+    /// releases from its PDCP retransmission ring every SDU the receiver
+    /// has delivered in order. Status-report recovery confirms up to the
+    /// same edge before it retransmits, so it retransmits what it would
+    /// have without this.
+    pub(crate) fn acknowledge(&mut self, ue: &mut UeStack, dl: bool) -> Result<(), StackError> {
+        let ctx = self.ctx(ue.rnti)?;
+        let (tx, rx) =
+            if dl { (&mut ctx.bearer, &ue.bearer) } else { (&mut ue.bearer, &ctx.bearer) };
+        tx.pdcp.confirm_up_to(rx.pdcp.rx_deliv_count());
+        Ok(())
     }
 
     /// Uplink-bearer half of a re-establishment for `rnti`: re-establishes
@@ -544,10 +583,12 @@ impl GnbStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corenet::gtpu::GPDU_HEADER_LEN;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use ran::mac::{MacPdu, MacSubPdu};
     use ran::pdcp::PdcpStatusReport;
+    use ran::pdu::RX_HEADROOM;
 
     fn attach_pair() -> (UeStack, GnbStack) {
         let mut gnb = GnbStack::new();
@@ -1039,7 +1080,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+        #![proptest_config(ProptestConfig::cases_from_env_or(128))]
         #[test]
         fn a_hostile_mac_pdu_is_rejected_with_a_typed_error_before_the_layers_above(
             len in 0usize..1500,
@@ -1100,6 +1141,217 @@ mod tests {
                     if matches!(e, StackError::Mac(_) | StackError::Rlc(_)) {
                         prop_assert_eq!(&pdcp_before, &pdcp_after, "PDCP moved past {}", e);
                     }
+                }
+            }
+        }
+    }
+
+    /// The data-network address `attach_pair` gives the UE.
+    const UE_ADDR: u32 = 0x0A00_0001;
+
+    /// `payload` as a server hands it to the UPF: in a buffer of its own,
+    /// behind room for the G-PDU header.
+    fn reply_of(payload: &[u8]) -> Bytes {
+        let mut b = BytesMut::with_capacity(GPDU_HEADER_LEN + payload.len());
+        b.put_bytes(0, GPDU_HEADER_LEN);
+        b.put_slice(payload);
+        b.freeze().slice(GPDU_HEADER_LEN..)
+    }
+
+    #[test]
+    fn the_receive_copys_headroom_covers_the_g_pdu_header() {
+        // When N3 gets a payload, the PDCP and SDAP headers in front of it
+        // in the receive copy are spent: with `RX_HEADROOM` they must make
+        // room for the header `GtpuHeader::encapsulate` writes there.
+        let payload = Bytes::from_static(b"p");
+        let mut tx = OldBearer::new(Direction::Uplink);
+        let (_, sdap_pdu) = tx.sdap.encode_pdu(PING_QFI, &payload).unwrap();
+        let spent = tx.pdcp.tx_encode(&sdap_pdu).len() - payload.len();
+        let g_pdu = GtpuHeader::gpdu(1).encode(&payload).len() - payload.len();
+        assert_eq!(g_pdu, GPDU_HEADER_LEN);
+        assert!(RX_HEADROOM + spent >= g_pdu, "{RX_HEADROOM} + {spent} B of room, {g_pdu} needed");
+    }
+
+    #[test]
+    fn an_n3_packet_is_the_buffer_its_payload_already_lives_in() {
+        let (mut ue, mut gnb) = attach_pair();
+        let payload = payload_of(64, 7);
+        let ctx = gnb.contexts.get_mut(&17).unwrap();
+        let teid = ctx.session.ul_teid;
+        // Uplink, whole SDU and segmented: the payload the receive walk
+        // delivers is its buffer's only handle. In the copy PDCP deciphered
+        // a whole SDU into, the G-PDU header fits in front of it; an SDU RLC
+        // reassembled, deciphered where it was stitched, has no room, and
+        // its N3 packet is a copy with the same bytes.
+        for (grant, in_place) in [(256, true), (64, false)] {
+            let mut out = Vec::new();
+            for pdu in ue.encode_uplink(&payload, grant).unwrap() {
+                let n3 = |p: Bytes| {
+                    let at = p.as_ptr();
+                    let n3 = GtpuHeader::gpdu(teid).encapsulate(p);
+                    assert_eq!(n3[GPDU_HEADER_LEN..].as_ptr() == at, in_place, "grant {grant}");
+                    Ok(Some(n3))
+                };
+                ctx.bearer.rx(RxPdu::Borrowed(&pdu), &mut out, n3).unwrap();
+            }
+            assert_eq!(out, [GtpuHeader::gpdu(teid).encode(&payload)]);
+        }
+        // Downlink: the reply is handed over with room in front, and the
+        // payload the N3 packet carries is still where the server put it.
+        let reply = reply_of(&payload);
+        let at = reply.as_ptr();
+        let mut pdus = Vec::new();
+        let (rnti, carried) = gnb.encode_downlink_into(UE_ADDR, reply, 256, &mut pdus).unwrap();
+        assert_eq!((rnti, carried.as_ptr()), (17, at), "the DL N3 packet is the reply's buffer");
+        assert_eq!(ue.decode_downlink(&pdus[0]).unwrap(), std::slice::from_ref(&payload));
+        // A reply someone else still holds is copied, and delivered alike.
+        let held = reply_of(&payload);
+        let (_, carried) = gnb.encode_downlink_into(UE_ADDR, held.clone(), 256, &mut pdus).unwrap();
+        assert_ne!(carried.as_ptr(), held.as_ptr());
+        assert_eq!(ue.decode_downlink(&pdus[1]).unwrap(), [held]);
+    }
+
+    #[test]
+    fn an_acknowledged_leg_releases_the_senders_retransmission_ring() {
+        let (mut ue, mut gnb) = attach_pair();
+        for i in 0..4 {
+            for pdu in ue.encode_uplink(&payload_of(40, i), 256).unwrap() {
+                gnb.decode_uplink(17, &pdu).unwrap();
+            }
+        }
+        let lost = payload_of(40, 9);
+        drop(ue.encode_uplink(&lost, 256).unwrap());
+        assert_eq!(ue.bearer.pdcp.tx_pending(), 5);
+        gnb.acknowledge(&mut ue, false).unwrap();
+        assert_eq!(ue.bearer.pdcp.tx_pending(), 1, "all but the SDU the gNB has not delivered");
+        // Recovery retransmits what it would have without the ack.
+        let report = gnb.reestablish_uplink(17).unwrap();
+        let retx = ue.recover_uplink(&report, 256).unwrap();
+        let got: Vec<Bytes> = retx.iter().flat_map(|p| gnb.decode_uplink(17, p).unwrap()).collect();
+        assert_eq!(got, [lost]);
+
+        let (_, pdus) = gnb.encode_downlink(UE_ADDR, &payload_of(40, 1), 256).unwrap();
+        assert_eq!(gnb.contexts[&17].bearer.pdcp.tx_pending(), 1);
+        gnb.acknowledge(&mut ue, true).unwrap();
+        assert_eq!(gnb.contexts[&17].bearer.pdcp.tx_pending(), 1, "not delivered yet");
+        ue.decode_downlink(&pdus[0]).unwrap();
+        gnb.acknowledge(&mut ue, true).unwrap();
+        assert_eq!(gnb.contexts[&17].bearer.pdcp.tx_pending(), 0);
+        let stranger = &mut UeStack::new(99, KEY);
+        assert_eq!(gnb.acknowledge(stranger, true), Err(StackError::UnknownRnti(99)));
+    }
+
+    /// Delivers uplink MAC PDUs to the gNB, as a borrowed block or a shared
+    /// one, appending the UPF's payloads to `out` and every N3 packet the
+    /// walk built to `n3`.
+    fn ul_deliver(
+        gnb: &mut GnbStack,
+        pdus: &[Bytes],
+        borrowed: bool,
+        out: &mut Vec<Bytes>,
+        n3: &mut Vec<Bytes>,
+    ) -> Result<(), StackError> {
+        let ctx = gnb.contexts.get_mut(&17).unwrap();
+        let upf = &mut gnb.upf;
+        for pdu in pdus {
+            let block =
+                if borrowed { RxPdu::Borrowed(&pdu[..]) } else { RxPdu::Shared(pdu.clone()) };
+            walk_uplink(&mut ctx.bearer, ctx.session.ul_teid, block, out, |packet| {
+                n3.push(packet.clone());
+                upf.uplink(packet)
+            })?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn every_n3_packet_built_in_place_is_the_g_pdu_encode_builds(
+            wrap in any::<bool>(),
+            steps in prop::collection::vec(
+                (0u8..8, 0usize..1500, any::<bool>(), 16usize..1600, any::<u64>(), any::<bool>()),
+                1..60,
+            ),
+        ) {
+            let (mut ue, mut gnb) = attach_pair();
+            if wrap {
+                // COUNT six short of the 12-bit SN wrap, both ways.
+                let gnb_pdcp = &mut gnb.contexts.get_mut(&17).unwrap().bearer.pdcp;
+                start_counts_at(&mut ue.bearer.pdcp, gnb_pdcp, Direction::Uplink, 4_090);
+                start_counts_at(gnb_pdcp, &mut ue.bearer.pdcp, Direction::Downlink, 4_090);
+            }
+            let session = gnb.contexts[&17].session;
+            let [mut sent_ul, mut sent_dl] = [Vec::new(), Vec::new()];
+            let [mut got_ul, mut got_dl] = [Vec::new(), Vec::new()];
+            let mut n3_ul = Vec::new();
+            for (op, len, small, grant, seed, flag) in steps {
+                // Small grants segment almost every payload, large ones some.
+                let grant = if small { 16 + grant % 184 } else { grant };
+                let (ul, lost, borrowed, ack) = (op % 2 == 1, op / 2 == 2, seed & 1 == 1, seed & 2 == 0);
+                let payload = payload_of(len, seed);
+                let pdus = match (op / 2, ul) {
+                    // A ping, delivered or lost on the air.
+                    (0..=2, true) => {
+                        sent_ul.push(payload.clone());
+                        ue.encode_uplink(&payload, grant).unwrap()
+                    }
+                    (0..=2, false) => {
+                        // The reply as the server hands it over, or with a
+                        // clone still held, which the tunnel must copy.
+                        let reply = reply_of(&payload);
+                        let held = flag.then(|| reply.clone());
+                        let at = reply.as_ptr();
+                        let n3 = gnb.upf.encapsulate(UE_ADDR, reply).unwrap();
+                        prop_assert_eq!(&n3, &GtpuHeader::gpdu(session.dl_teid).encode(&payload));
+                        prop_assert_eq!(n3[GPDU_HEADER_LEN..].as_ptr() == at, held.is_none());
+                        let mut pdus = Vec::new();
+                        let (rnti, carried) = gnb.forward_downlink(&n3, grant, &mut pdus).unwrap();
+                        prop_assert_eq!((rnti, &carried), (17, &payload));
+                        sent_dl.push(payload);
+                        pdus
+                    }
+                    // Re-establishment and PDCP data recovery.
+                    (_, true) => {
+                        let report = gnb.reestablish_uplink(17).unwrap();
+                        ue.recover_uplink(&report, grant).unwrap()
+                    }
+                    (_, false) => {
+                        let report = ue.reestablish_downlink();
+                        gnb.recover_downlink(17, &report, grant).unwrap()
+                    }
+                };
+                if lost {
+                    continue;
+                }
+                if ul {
+                    ul_deliver(&mut gnb, &pdus, borrowed, &mut got_ul, &mut n3_ul).unwrap();
+                } else {
+                    for pdu in &pdus {
+                        if borrowed {
+                            let samples = gnb.phy_encode(17, pdu).unwrap().to_vec();
+                            ue.receive_downlink(&samples, &mut got_dl).unwrap();
+                        } else {
+                            got_dl.extend(ue.decode_downlink(pdu).unwrap());
+                        }
+                    }
+                }
+                // The walk's stand-in for the lower layers' ack, on some legs.
+                if ack {
+                    gnb.acknowledge(&mut ue, !ul).unwrap();
+                }
+                // Each end delivers what was sent, once and in order, and
+                // each uplink N3 packet is the G-PDU of what it delivered.
+                prop_assert_eq!(&got_ul[..], &sent_ul[..got_ul.len()]);
+                prop_assert_eq!(&got_dl[..], &sent_dl[..got_dl.len()]);
+                // Data recovery retransmits every SDU the receiver lacks.
+                if op / 2 == 3 {
+                    let (got, sent) = if ul { (&got_ul, &sent_ul) } else { (&got_dl, &sent_dl) };
+                    prop_assert_eq!(got.len(), sent.len(), "recovery left an SDU behind");
+                }
+                prop_assert_eq!(n3_ul.len(), got_ul.len());
+                for (n3, payload) in n3_ul.iter().zip(&got_ul) {
+                    prop_assert_eq!(n3, &GtpuHeader::gpdu(session.ul_teid).encode(payload));
                 }
             }
         }

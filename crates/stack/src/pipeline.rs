@@ -38,6 +38,7 @@
 //! `tests/golden_pipeline.rs` pins this span-for-span.
 
 use bytes::Bytes;
+use corenet::gtpu::GPDU_HEADER_LEN;
 use ran::sched::{AccessMode, UlGrant};
 use ran::sr::SrProcedure;
 use sim::{Duration, FaultKind, Instant, PingFaultTrace};
@@ -395,7 +396,7 @@ fn app_down(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutc
     // next ping has been stable long enough for the re-establishment
     // counters to clear, so the budget bounds one incident chain.
     exp.rrc.reset_budget();
-    ctx.payload = make_payload(ctx.id, exp.config.payload_bytes);
+    ctx.payload = make_payload(ctx.id, exp.config.payload_bytes, 0);
     let ue_upper =
         exp.sample_ue(|t| &t.sdap) + exp.sample_ue(|t| &t.pdcp) + exp.sample_ue(|t| &t.rlc);
     let in_rlc = at + ue_upper;
@@ -793,6 +794,7 @@ fn gnb_walk_up(
     if !delivered_ok {
         result.integrity_failures += 1;
     }
+    exp.gnb.acknowledge(&mut exp.ue, false).expect("the ping's UE is attached");
     HopOutcome::Next(decoded_at, PingEvent::Backbone { dl: false })
 }
 
@@ -863,15 +865,20 @@ fn dl_walk_down(
     exp.tel.observe(metric::RLC_PROC_US, d_rlc);
     let in_rlc_q = at + d_sdap + d_pdcp + d_rlc;
     ctx.trace.dl.push(StageSpan::new(labels::SDAP_DOWN, at, in_rlc_q));
-    ctx.reply = make_payload(ctx.id | 0x8000_0000_0000_0000, exp.config.payload_bytes);
+    // The server builds the reply with room for the UPF's G-PDU header in
+    // front and hands it over, so the N3 packet is the reply's own buffer;
+    // the reply the UE must deliver is the view the tunnel carried.
+    let reply =
+        make_payload(ctx.id | 0x8000_0000_0000_0000, exp.config.payload_bytes, GPDU_HEADER_LEN);
     // Infallible by construction: `slot_capacity_bytes()` derives the
     // DL slot budget from the same config that sizes the reply, and the
     // session for UE_ADDR was registered at experiment setup.
     let cap = exp.config.slot_capacity_bytes();
-    let rnti = exp
+    let (rnti, reply) = exp
         .gnb
-        .encode_downlink_into(UE_ADDR, &ctx.reply, cap, &mut ctx.dl_pdus)
+        .encode_downlink_into(UE_ADDR, reply, cap, &mut ctx.dl_pdus)
         .expect("DL slot sized for reply");
+    ctx.reply = reply;
     let tb_bytes = ctx.dl_pdus[0].len();
     ctx.dl_samples = exp
         .gnb
@@ -1017,6 +1024,7 @@ fn ue_rx_up(
     if !ok {
         result.integrity_failures += 1;
     }
+    exp.gnb.acknowledge(&mut exp.ue, true).expect("the ping's UE is attached");
     result.dl.record(delivered - ctx.dl_t0);
     let rtt = delivered - ctx.t0;
     result.rtt.record(rtt);

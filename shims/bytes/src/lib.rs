@@ -16,7 +16,10 @@
 //! [`Bytes::new`] and [`Bytes::from_static`] borrow and never allocate.
 //! [`Bytes::try_into_mut`] hands a buffer nobody else holds back for
 //! writing in place — how a receiver deciphers a block it reassembled
-//! itself without copying it again.
+//! itself without copying it again. [`Bytes::try_prepend`] writes a header
+//! into the spare bytes in front of a view nobody else holds, as an skb
+//! push does — how a GTP-U tunnel end turns the buffer a packet already
+//! lives in into the tunnel packet without copying it.
 
 #![forbid(unsafe_code)]
 
@@ -113,6 +116,29 @@ impl Bytes {
                 Some(_) => Ok(BytesMut { data, len: end }),
                 None => Err(Bytes(Repr::Shared { data, start: 0, end })),
             },
+            repr => Err(Bytes(repr)),
+        }
+    }
+
+    /// Widens the view by `head.len()` bytes at the front and writes `head`
+    /// there, without copying the view: the spare bytes in front of it (a
+    /// header a lower layer has already read, a reserve the builder left)
+    /// become the new first bytes. Done only when this is the only handle
+    /// on its storage and that many bytes lie in front of the view;
+    /// otherwise the buffer comes back unchanged and nothing is written.
+    /// Upstream has no equivalent (its `Bytes` never writes).
+    pub fn try_prepend(self, head: &[u8]) -> Result<Bytes, Bytes> {
+        match self.0 {
+            Repr::Shared { mut data, start, end } if start >= head.len() => {
+                let at = start - head.len();
+                match Arc::get_mut(&mut data) {
+                    Some(storage) => {
+                        storage[at..start].copy_from_slice(head);
+                        Ok(Bytes(Repr::Shared { data, start: at, end }))
+                    }
+                    None => Err(Bytes(Repr::Shared { data, start, end })),
+                }
+            }
             repr => Err(Bytes(repr)),
         }
     }
@@ -420,6 +446,28 @@ mod tests {
         let tail = tail.try_into_mut().err().expect("views from an offset stay shared");
         assert_eq!(tail, b"bcdef"[..]);
         assert!(Bytes::from_static(b"x").try_into_mut().is_err(), "static bytes are borrowed");
+    }
+
+    #[test]
+    fn a_sole_handle_takes_a_header_in_front_and_a_shared_one_does_not() {
+        let mut b = BytesMut::with_capacity(7);
+        b.put_slice(b"..hdrpay");
+        let payload = b.freeze().slice(5..);
+        let at = payload.as_ptr();
+        let packet = payload.try_prepend(b"HDR").expect("the only handle, with room");
+        assert_eq!(&packet[..], b"HDRpay");
+        assert_eq!(packet[3..].as_ptr(), at, "the payload stays where it was");
+        let packet = packet.try_prepend(b"no room").err().expect("two spare bytes are too few");
+        assert_eq!(&packet[..], b"HDRpay");
+
+        // A held clone, or a static buffer, is never written.
+        let tail = packet.slice(3..);
+        let tail = tail.try_prepend(b"X").err().expect("the storage is shared");
+        assert_eq!(&packet[..], b"HDRpay");
+        drop(packet);
+        assert_eq!(&tail.try_prepend(b"XYZ").unwrap()[..], b"XYZpay");
+        assert!(Bytes::from_static(b"x").slice(1..).try_prepend(b"").is_err());
+        assert_eq!(&Bytes::copy_from_slice(b"ab").try_prepend(b"").unwrap()[..], b"ab");
     }
 
     #[test]

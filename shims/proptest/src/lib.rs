@@ -5,9 +5,11 @@
 //! [`proptest!`] macro over `arg in strategy` bindings, `prop_assert*!`,
 //! `any::<T>()`, integer/float range strategies, tuple strategies, and the
 //! `prop::{collection, option, sample}` helpers. Each test runs a fixed
-//! number of random cases (`PROPTEST_CASES` env var, default 64) from a
-//! seed derived deterministically from the test name, so failures are
-//! reproducible run-to-run. No shrinking: the failing case's values are
+//! number of random cases (`PROPTEST_CASES` env var, default 64; a test
+//! that fixes its count with `with_cases` ignores the variable, one that
+//! sets it with `cases_from_env_or` does not) from a seed derived
+//! deterministically from the test name, so failures are reproducible
+//! run-to-run. No shrinking: the failing case's values are
 //! printed instead.
 
 #![forbid(unsafe_code)]
@@ -352,11 +354,20 @@ pub mod test_runner {
         }
     }
 
+    impl Config {
+        /// A config running `PROPTEST_CASES` cases when that variable is
+        /// set, `cases` otherwise: for a property a CI step runs harder
+        /// than the suite does. (Upstream reads the variable only in
+        /// `default()`.)
+        pub fn cases_from_env_or(cases: u32) -> Config {
+            let env = std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok());
+            Config { cases: env.unwrap_or(cases) }
+        }
+    }
+
     impl Default for Config {
         fn default() -> Config {
-            let cases =
-                std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64);
-            Config { cases }
+            Config::cases_from_env_or(64)
         }
     }
 }

@@ -1,9 +1,13 @@
 //! The byte path's allocation budget (ROADMAP item 9).
 //!
-//! A ping crosses eighteen hops and holds eight buffers, four per leg: the
-//! application payload, the one MAC PDU every layer writes its header into,
-//! the one copy the receiver deciphers the SDU into, and the GTP-U packet on
-//! N3. What it may ask of the allocator for that is fixed here, so that a
+//! A ping crosses eighteen hops and holds six buffers, three per leg: the
+//! application payload, the one MAC PDU every layer writes its header into
+//! and the one copy the receiver deciphers the SDU into. One of the three is
+//! also the leg's GTP-U packet on N3: on the uplink the gNB writes the
+//! G-PDU header into the receive copy, in front of the payload, and on the
+//! downlink the UPF writes it into the room the server left in front of its
+//! reply. What a ping may ask of the allocator for that is fixed here, so
+//! that a
 //! `Vec`-then-copy, a per-layer PDU, a per-call return container or a
 //! per-block scratch buffer creeping back in fails a test rather than
 //! drifting the benchmark's `allocs_per_unit`. The counters are per thread:
@@ -14,11 +18,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use corenet::gtpu::GPDU_HEADER_LEN;
+use corenet::Upf;
 use phy::duplex::Duplex;
 use phy::tdd::TddConfig;
 use ran::sched::{AccessMode, Scheduler, SchedulerConfig, SlotDecision};
 use sim::{Duration, FaultPlan};
-use stack::{run_parallel_workers, PingExperiment, StackConfig, BATCH_PINGS};
+use stack::{run_parallel_workers, GnbStack, PingExperiment, StackConfig, UeStack, BATCH_PINGS};
 use telemetry::Telemetry;
 
 thread_local! {
@@ -27,7 +33,17 @@ thread_local! {
     /// `(live bytes, their high-water mark)` of this thread: what it
     /// allocated less what it freed.
     static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+    /// `(address, size)` of the first allocations this thread made since
+    /// [`allocated`] started logging, and how many it made; `None` while
+    /// it is not logging.
+    static LOG: Cell<Option<AllocLog>> = const { Cell::new(None) };
 }
+
+/// How many allocations [`allocated`] keeps the address of.
+const LOGGED: usize = 8;
+
+/// `(address, size)` of the first [`LOGGED`] allocations, and their count.
+type AllocLog = ([(usize, usize); LOGGED], usize);
 
 /// The system allocator, counting calls and requested bytes per thread. A
 /// `realloc` counts as one allocation of the new size, as in `benchmark/`,
@@ -49,6 +65,18 @@ fn live(delta: i64) {
     });
 }
 
+fn log(at: *mut u8, size: usize) -> *mut u8 {
+    let _ = LOG.try_with(|c| {
+        if let Some((mut log, n)) = c.get() {
+            if n < LOGGED {
+                log[n] = (at as usize, size);
+            }
+            c.set(Some((log, n + 1)));
+        }
+    });
+    at
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a const-initialised
 // thread-local `Cell` without a destructor, so touching it allocates nothing.
@@ -57,21 +85,21 @@ unsafe impl GlobalAlloc for Counting {
         note(layout.size());
         live(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
+        log(unsafe { System.alloc(layout) }, layout.size())
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
         live(layout.size() as i64);
         // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
+        log(unsafe { System.alloc_zeroed(layout) }, layout.size())
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
         live(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        log(unsafe { System.realloc(ptr, layout, new_size) }, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -90,6 +118,19 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let out = f();
     let (allocs_after, bytes_after) = COUNT.with(Cell::get);
     (out, allocs_after - allocs, bytes_after - bytes)
+}
+
+/// What `f` returned, and the `(address, size)` of every allocation this
+/// thread made while it ran.
+///
+/// # Panics
+/// Panics if `f` made more than [`LOGGED`] allocations.
+fn allocated<T>(f: impl FnOnce() -> T) -> (T, Vec<(usize, usize)>) {
+    LOG.with(|c| c.set(Some(([(0, 0); LOGGED], 0))));
+    let out = f();
+    let (log, n) = LOG.with(|c| c.take()).expect("logging since the start");
+    assert!(n <= LOGGED, "{n} allocations, room to log {LOGGED}");
+    (out, log[..n].to_vec())
 }
 
 /// The most bytes this thread held live at once while `f` ran, above what
@@ -133,18 +174,18 @@ fn steady_state_of(cfg: StackConfig) -> (u64, u64) {
 
 const PINGS: u64 = 256;
 
-/// Allocations per ping (8.09 measured): the eight buffers, four per leg,
-/// and the amortised growth of PDCP's retransmission ring and the result's
-/// sample vectors. Every container on the walk — the codecs' output lists,
-/// the scheduler's queues, ready set and decision, the span and PDU lists
-/// of the ping context — is owned by the experiment and reused from ping to
-/// ping.
-const ALLOCS_PER_PING: f64 = 8.3;
-/// Bytes per 64 B ping (968 measured): each buffer sized to its PDU, never
-/// to the grant.
-const BYTES_PER_SMALL_PING: f64 = 1_000.0;
-/// Bytes per 1000 B ping (8 456 measured).
-const BYTES_PER_LARGE_PING: f64 = 8_700.0;
+/// Allocations per ping (6.08 measured): the six buffers, three per leg,
+/// and the amortised growth of the result's sample vectors. Every
+/// container on the walk — the codecs' output lists, PDCP's retransmission
+/// rings (released as each leg is delivered), the scheduler's queues, ready
+/// set and decision, the span and PDU lists of the ping context — is owned
+/// by the experiment and reused from ping to ping.
+const ALLOCS_PER_PING: f64 = 6.2;
+/// Bytes per 64 B ping (576 measured): each buffer sized to its PDU, never
+/// to the grant, the two that become N3 packets with eight bytes of room.
+const BYTES_PER_SMALL_PING: f64 = 600.0;
+/// Bytes per 1000 B ping (6 192 measured).
+const BYTES_PER_LARGE_PING: f64 = 6_400.0;
 
 fn per_ping(count: u64, pings: u64) -> f64 {
     count as f64 / pings as f64
@@ -179,14 +220,15 @@ fn a_ping_stays_within_its_allocation_budget_at_any_payload_size() {
     assert!(large_bytes > small_bytes);
 }
 
-/// Allocations per 1000 B ping over 128 B grants (46.09 measured): a leg
+/// Allocations per 1000 B ping over 128 B grants (45.08 measured): a leg
 /// segments its SDU into nine MAC PDUs, each sized to its segment, plus
 /// one buffer the SDU is written into before it is cut; the receiver keeps
 /// a copy of each segment in a reassembly map (one node per SDU) and
 /// stitches them into one buffer, which PDCP deciphers in place. With the
-/// payload and the GTP-U packet that is 1 + 1 + 9 + 9 + 1 + 1 + 1 = 23
-/// allocations a leg.
-const ALLOCS_PER_SEGMENTED_PING: f64 = 46.3;
+/// payload that is 1 + 1 + 9 + 9 + 1 + 1 = 22 allocations a leg. The
+/// downlink's N3 packet is the reply's buffer; the uplink's is one more,
+/// because the stitched SDU has no room in front for the G-PDU header: 45.
+const ALLOCS_PER_SEGMENTED_PING: f64 = 45.3;
 
 #[test]
 fn a_segmented_ping_costs_a_buffer_per_segment_and_no_more() {
@@ -211,9 +253,9 @@ fn a_segmented_ping_costs_a_buffer_per_segment_and_no_more() {
 /// Pings of the lit chaos run: two 256-ping shards, which record into one
 /// telemetry sibling in turn.
 const LIT_PINGS: u64 = 512;
-/// Bytes per ping of the lit chaos run (5 088 measured): over a short run
+/// Bytes per ping of the lit chaos run (4 699 measured): over a short run
 /// the journal rings, the parent's and the sibling's, grow from empty.
-const BYTES_PER_LIT_PING: u64 = 5_300;
+const BYTES_PER_LIT_PING: u64 = 4_900;
 
 #[test]
 fn a_lit_chaos_run_stays_within_its_byte_budget() {
@@ -299,6 +341,43 @@ fn a_lit_run_holds_one_shard_at_a_time() {
         many as f64 <= 1.25 * few as f64,
         "peak live heap grows with the shard count: {few} B at 8 shards, {many} B at 32"
     );
+}
+
+#[test]
+fn an_n3_packet_is_the_buffer_its_payload_already_lives_in() {
+    let (key, ue_addr) = (0xABCD, 0x0A00_0001);
+    let mut ue = UeStack::new(17, key);
+    let mut gnb = GnbStack::new();
+    gnb.attach_ue(17, key, ue_addr);
+    // A first ping sizes the receiving bearer's lists.
+    for pdu in ue.encode_uplink(&Bytes::from_static(b"first"), 256).unwrap() {
+        gnb.decode_uplink(17, &pdu).unwrap();
+    }
+    let payload = Bytes::from(vec![0x5A; 64]);
+    let pdus = ue.encode_uplink(&payload, 256).unwrap();
+    // Uplink: the walk allocates its output list and one byte buffer, the
+    // copy PDCP deciphers into. The payload the UPF decapsulated from the
+    // N3 packet lies in that copy, so the packet was the copy too.
+    let (delivered, buffers) = allocated(|| gnb.decode_uplink(17, &pdus[0]).unwrap());
+    assert_eq!(delivered, std::slice::from_ref(&payload));
+    assert_eq!(buffers.len(), 2, "the output list and the receive copy: {buffers:?}");
+    let at = delivered[0].as_ptr() as usize;
+    let inside = |&(start, size): &(usize, usize)| (start..start + size).contains(&at);
+    let copy = buffers.iter().find(|b| inside(b)).expect("the payload lies in the receive copy");
+    assert!(at - copy.0 >= GPDU_HEADER_LEN, "the G-PDU header was written in front of it");
+
+    // Downlink: the UPF writes the header into the room the server left in
+    // front of its reply, and allocates nothing.
+    let mut upf = Upf::new();
+    upf.establish_session(ue_addr, 0x111);
+    let mut reply = BytesMut::with_capacity(GPDU_HEADER_LEN + payload.len());
+    reply.put_bytes(0, GPDU_HEADER_LEN);
+    reply.put_slice(&payload);
+    let reply = reply.freeze().slice(GPDU_HEADER_LEN..);
+    let at = reply.as_ptr();
+    let (n3, buffers) = allocated(|| upf.encapsulate(ue_addr, reply).unwrap());
+    assert_eq!((n3[GPDU_HEADER_LEN..].as_ptr(), buffers.len()), (at, 0));
+    assert_eq!(n3, corenet::GtpuHeader::gpdu(0x111).encode(&payload));
 }
 
 #[test]
