@@ -28,6 +28,8 @@
 //!   paper's Table 2.
 
 pub mod harq;
+#[cfg(test)]
+mod hostile;
 pub mod mac;
 pub mod pdcp;
 pub mod pdu;

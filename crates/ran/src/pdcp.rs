@@ -64,6 +64,9 @@ pub enum PdcpError {
     Truncated,
     /// Control-PDU bit set (not carried on this data path).
     NotDataPdu,
+    /// A status report whose bitmap marks a COUNT past the last one
+    /// (`u32::MAX`).
+    CountOverflow,
 }
 
 impl core::fmt::Display for PdcpError {
@@ -71,6 +74,7 @@ impl core::fmt::Display for PdcpError {
         match self {
             PdcpError::Truncated => write!(f, "PDCP PDU shorter than its header"),
             PdcpError::NotDataPdu => write!(f, "not a PDCP data PDU"),
+            PdcpError::CountOverflow => write!(f, "PDCP status report past the last COUNT"),
         }
     }
 }
@@ -112,7 +116,9 @@ impl PdcpStatusReport {
         out.freeze()
     }
 
-    /// Decodes a control PDU produced by [`encode`](Self::encode).
+    /// Decodes a control PDU produced by [`encode`](Self::encode). Any
+    /// other bytes are a typed error or a report that encodes back to
+    /// itself.
     pub fn decode(pdu: &Bytes) -> Result<PdcpStatusReport, PdcpError> {
         if pdu.len() < 5 {
             return Err(PdcpError::Truncated);
@@ -123,9 +129,11 @@ impl PdcpStatusReport {
         let fmc = u32::from_be_bytes([pdu[1], pdu[2], pdu[3], pdu[4]]);
         let mut received = Vec::new();
         for (i, &b) in pdu[5..].iter().enumerate() {
-            for j in 0..8u32 {
+            for j in 0..8 {
                 if b & (0x80 >> j) != 0 {
-                    received.push(fmc + 1 + (i as u32) * 8 + j);
+                    let count = u32::try_from(u64::from(fmc) + 1 + 8 * i as u64 + j)
+                        .map_err(|_| PdcpError::CountOverflow)?;
+                    received.push(count);
                 }
             }
         }
@@ -337,7 +345,7 @@ impl PdcpEntity {
     /// order (possibly empty while a gap is outstanding).
     pub fn rx_decode(&mut self, pdu: &Bytes) -> Result<Vec<Bytes>, PdcpError> {
         let mut sdus = Vec::new();
-        self.receive(RxPdu::Shared(pdu.clone()), &mut sdus)?;
+        self.receive(RxPdu::Shared(pdu.clone()), &mut Bytes::new(), &mut sdus)?;
         Ok(sdus)
     }
 
@@ -346,8 +354,16 @@ impl PdcpEntity {
     /// deciphered in place when its buffer is the walk's alone, and
     /// otherwise into one copy of it that keeps
     /// [`RX_HEADROOM`](crate::pdu::RX_HEADROOM) spare bytes in front:
-    /// either way the SDU holds one buffer, and no other handle on it.
-    pub fn receive(&mut self, pdu: RxPdu<'_>, sdus: &mut Vec<Bytes>) -> Result<(), PdcpError> {
+    /// either way the SDU holds one buffer, and no other handle on it. The
+    /// copy is made in `spare`'s storage when nothing else holds it
+    /// ([`reclaimed`](crate::pdu::reclaimed)), which leaves `spare` empty;
+    /// a PDU that needs no copy, or is rejected, leaves it as it was.
+    pub fn receive(
+        &mut self,
+        pdu: RxPdu<'_>,
+        spare: &mut Bytes,
+        sdus: &mut Vec<Bytes>,
+    ) -> Result<(), PdcpError> {
         if pdu.len() < 2 {
             return Err(PdcpError::Truncated);
         }
@@ -361,7 +377,7 @@ impl PdcpEntity {
             self.discarded += 1;
             return Ok(());
         }
-        let (mut buf, at) = pdu.into_mut();
+        let (mut buf, at) = pdu.into_mut(spare);
         apply_keystream(keystream_cinit(&self.config, count, true), &mut buf[at + 2..]);
         self.reorder.insert(count, buf.freeze().slice(at + 2..));
         if count >= self.rx_next {
@@ -474,6 +490,9 @@ impl PdcpEntity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile::{mutate, Mutation};
+    use crate::pdu::RX_HEADROOM;
+    use proptest::prelude::*;
 
     /// Peer entities: the UE side transmits uplink, the gNB side transmits
     /// downlink — `direction` names each entity's *own* transmit direction,
@@ -697,5 +716,135 @@ mod tests {
         let report = PdcpStatusReport { fmc: 0, received: vec![] };
         let retx = tx.retransmit_unconfirmed(&report);
         assert_eq!(retx, vec![original], "same COUNT ⇒ byte-identical PDU");
+    }
+
+    /// A spare as a caller may hand one over: none (`kind` 0), a buffer of
+    /// `cap` stale bytes nobody else holds (1), or one a clone still holds
+    /// (2), returned with that clone.
+    fn spare_of(kind: u8, cap: usize) -> (Bytes, Option<Bytes>) {
+        let stale = Bytes::from(vec![0xEE; cap]);
+        match kind {
+            0 => (Bytes::new(), None),
+            1 => (stale, None),
+            _ => (stale.clone(), Some(stale)),
+        }
+    }
+
+    /// `sdu` as the receiver should deliver it from its PDU after
+    /// `mutation`, when the lie spares the 2-byte header: the keystream is
+    /// XORed, so a flipped ciphertext bit flips the same plaintext bit, and
+    /// a truncated PDU deciphers to a prefix.
+    fn mutated_sdu(sdu: &Bytes, (kind, at, value): Mutation) -> Option<Bytes> {
+        let n = sdu.len() + 2;
+        match kind {
+            0 if at % n >= 2 => {
+                let mut b = sdu.to_vec();
+                b[at % n - 2] ^= 1 << (value % 8);
+                Some(Bytes::from(b))
+            }
+            1 if at % (n + 1) >= 2 => Some(sdu.slice(..at % (n + 1) - 2)),
+            0 | 1 => None,
+            _ => Some(sdu.clone()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(128))]
+        #[test]
+        fn a_hostile_data_pdu_is_a_typed_error_or_a_round_trip_and_spares_the_next(
+            lens in prop::collection::vec(0usize..200, 1..6),
+            mutation in (0u8..5, any::<usize>(), any::<u32>()),
+            victim in any::<usize>(),
+            spare in (0u8..3, 0usize..300),
+            borrowed in any::<bool>(),
+        ) {
+            let (spare_kind, spare_cap) = spare;
+            let (mut tx, mut rx) = pair();
+            let sdus: Vec<Bytes> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (0..len).map(|j| (31 * i + j) as u8).collect())
+                .collect();
+            let mut wire: Vec<Vec<u8>> = sdus.iter().map(|s| tx.tx_encode(s).to_vec()).collect();
+            let victim = victim % wire.len();
+            match mutation.0 {
+                // A duplicated PDU, and a PDU overtaken by the next.
+                3 => wire.insert(victim, wire[victim].clone()),
+                4 if victim + 1 < wire.len() => wire.swap(victim, victim + 1),
+                // A lie in the SN, or a bit flip or a truncation anywhere.
+                _ => wire[victim] = mutate(&wire[victim], 0..2, mutation),
+            }
+            let mut out = Vec::new();
+            for w in &wire {
+                let (mut spare, held) = spare_of(spare_kind, spare_cap);
+                let sent = w.clone();
+                let pdu = if borrowed {
+                    RxPdu::Borrowed(w)
+                } else {
+                    RxPdu::Shared(Bytes::copy_from_slice(w))
+                };
+                match rx.receive(pdu, &mut spare, &mut out) {
+                    Ok(()) => {}
+                    Err(PdcpError::Truncated) => prop_assert!(w.len() < 2),
+                    Err(PdcpError::NotDataPdu) => prop_assert_eq!(w[0] & 0x80, 0),
+                    Err(e) => prop_assert!(false, "{} from a data PDU", e),
+                }
+                prop_assert_eq!(w, &sent, "a caller's block was written to");
+                if let Some(held) = held {
+                    prop_assert!(held.iter().all(|&b| b == 0xEE), "a held spare was written to");
+                }
+            }
+            // A lie that spares the header round-trips to the SDU it
+            // describes; a reordered or duplicated PDU changes nothing.
+            let lied = mutated_sdu(&sdus[victim], mutation);
+            if let Some(lied) = lied.filter(|_| matches!(mutation.0, 0 | 1 | 3 | 4)) {
+                let mut want = sdus.clone();
+                want[victim] = lied;
+                prop_assert_eq!(&out, &want);
+            }
+            // The next valid PDU, at the receiver's delivery edge, delivers
+            // byte-exact, into the spare when nothing else holds it.
+            let mut peer = PdcpEntity::new(PdcpConfig::new(0xDEAD_BEEF_CAFE, 1, Direction::Uplink));
+            peer.set_tx_next(rx.rx_deliv_count());
+            let next = Bytes::from_static(b"the next valid PDU");
+            let pdu = peer.tx_encode(&next);
+            let (mut spare, held) = spare_of(spare_kind, spare_cap);
+            let reusable = spare_kind == 1 && spare_cap >= RX_HEADROOM + pdu.len();
+            let spare_at = spare.as_ptr() as usize;
+            let mut got = Vec::new();
+            rx.receive(RxPdu::Borrowed(&pdu), &mut spare, &mut got).unwrap();
+            prop_assert_eq!(got.first(), Some(&next));
+            let at = got[0].as_ptr() as usize - RX_HEADROOM - 2;
+            prop_assert_eq!(at == spare_at, reusable, "the copy's storage");
+            drop(held);
+        }
+
+        #[test]
+        fn a_hostile_status_report_is_a_typed_error_or_a_round_trip(
+            fmc in 0u32..10_000,
+            held in prop::collection::btree_set(1u32..200, 0..20),
+            mutation in (0u8..3, any::<usize>(), any::<u32>()),
+            near_the_top in any::<bool>(),
+        ) {
+            let report = PdcpStatusReport { fmc, received: held.iter().map(|o| fmc + o).collect() };
+            // A lie in the FMC field, at times one whose bitmap would run
+            // past the last COUNT.
+            let (kind, at, value) = mutation;
+            let value = if near_the_top { u32::MAX - value % 2048 } else { value };
+            let wire = mutate(&report.encode(), 1..5, (kind, at, value));
+            match PdcpStatusReport::decode(&Bytes::from(wire.clone())) {
+                Ok(decoded) => {
+                    let counts = &decoded.received;
+                    prop_assert!(counts.windows(2).all(|w| w[0] < w[1]));
+                    prop_assert!(counts.first().is_none_or(|&c| c > decoded.fmc));
+                    prop_assert_eq!(PdcpStatusReport::decode(&decoded.encode()), Ok(decoded));
+                }
+                Err(PdcpError::Truncated) => prop_assert!(wire.len() < 5),
+                Err(PdcpError::NotDataPdu) => prop_assert_ne!(wire[0] & 0x80, 0),
+                Err(PdcpError::CountOverflow) => {
+                    prop_assert!(wire[5..].iter().any(|&b| b != 0));
+                }
+            }
+        }
     }
 }

@@ -15,6 +15,11 @@
 //! The copy keeps [`RX_HEADROOM`] spare bytes in front of the PDU, so the
 //! layer above the stack can put its own header in front of the payload
 //! in that same buffer (the gNB's GTP-U header on N3).
+//!
+//! A buffer slot that is filled again and again (a ping's payload, its MAC
+//! PDUs, its receive copy) builds into the storage its previous occupant
+//! left, through [`reclaimed`], when that occupant is the only handle on
+//! it. A clone held anywhere keeps its bytes: the slot allocates instead.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::ops::{Deref, Range};
@@ -29,6 +34,18 @@ const MAX_HEAD: usize = 3;
 /// mandatory GTP-U header the gNB puts there to make the copy its N3
 /// packet.
 pub const RX_HEADROOM: usize = 5;
+
+/// A buffer with room for `capacity` bytes: `spent`'s whole storage,
+/// emptied, when `spent` is the only handle on it and it is that large;
+/// a fresh allocation otherwise. Either way it exposes only the bytes
+/// written into it from here on, so a reused buffer holds what a fresh one
+/// would.
+pub fn reclaimed(spent: Bytes, capacity: usize) -> BytesMut {
+    match spent.try_reclaim() {
+        Ok(buf) if buf.capacity() >= capacity => buf,
+        _ => BytesMut::with_capacity(capacity),
+    }
+}
 
 /// A PDU on its way down, framed by the layers above RLC but not written
 /// yet: their headers, held inline, in front of the payload they frame, and
@@ -139,10 +156,11 @@ impl<'a> RxPdu<'a> {
 
     /// The PDU for writing, and where in the buffer it starts: in place
     /// when it is a shared buffer nobody else holds, otherwise a copy behind
-    /// [`RX_HEADROOM`] spare bytes.
-    pub(crate) fn into_mut(self) -> (BytesMut, usize) {
-        let copy = |b: &[u8]| {
-            let mut out = BytesMut::with_capacity(RX_HEADROOM + b.len());
+    /// [`RX_HEADROOM`] spare bytes, made in `spare`'s storage when it can
+    /// be [`reclaimed`] (`spare` is then left empty).
+    pub(crate) fn into_mut(self, spare: &mut Bytes) -> (BytesMut, usize) {
+        let mut copy = |b: &[u8]| {
+            let mut out = reclaimed(std::mem::take(spare), RX_HEADROOM + b.len());
             out.put_bytes(0, RX_HEADROOM);
             out.put_slice(b);
             (out, RX_HEADROOM)
@@ -203,24 +221,52 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_reclaims_storage_only_it_holds_and_only_when_it_fits() {
+        let spent = Bytes::copy_from_slice(b"old bytes").slice(4..);
+        let at = spent.as_ptr() as usize - 4;
+        let reused = reclaimed(spent, 9);
+        assert_eq!((reused.as_ptr() as usize, reused.len(), reused.capacity()), (at, 0, 9));
+        let small = reused.freeze();
+        let grown = reclaimed(small, 10);
+        assert_eq!(grown.capacity(), 10, "too small: a fresh buffer of the size asked");
+        let held = Bytes::copy_from_slice(b"held");
+        let fresh = reclaimed(held.clone(), 2);
+        assert_ne!(fresh.as_ptr(), held.as_ptr());
+        assert_eq!((&held[..], reclaimed(Bytes::new(), 3).capacity()), (&b"held"[..], 3));
+    }
+
+    #[test]
     fn a_received_view_is_copied_only_when_it_must_be() {
         let block = [1u8, 2, 3, 4];
         let borrowed = RxPdu::Borrowed(&block).slice(1..3);
         assert_eq!(&borrowed[..], &[2, 3]);
         assert_eq!(borrowed.clone().into_shared(), Bytes::from_static(&[2, 3]));
-        let (copy, at) = borrowed.into_mut();
+        let (copy, at) = borrowed.clone().into_mut(&mut Bytes::new());
         assert_eq!((&copy[at..], at), (&[2, 3][..], RX_HEADROOM), "a copy keeps room in front");
+        // A spare nobody else holds takes the copy; a held one does not.
+        let spare = copy.freeze();
+        let (spare_at, held) = (spare.as_ptr(), spare.clone());
+        let mut spare = Some(spare);
+        let (copy, _) = borrowed.clone().into_mut(spare.as_mut().unwrap());
+        assert_ne!(copy.as_ptr(), spare_at, "a held spare is never written");
+        drop(held);
+        let mut spare = spare.take().unwrap();
+        let (copy, at) = borrowed.clone().into_mut(&mut spare);
+        assert_eq!((copy.as_ptr(), &copy[at..]), (spare_at, &[2, 3][..]));
+        assert!(spare.is_empty(), "a used spare is taken");
 
         let mut own = BytesMut::with_capacity(4);
         own.put_slice(&block);
         let own = own.freeze();
         let at = own.as_ptr();
-        let (thawed, start) = RxPdu::Shared(own).into_mut();
+        let mut spare = Bytes::copy_from_slice(b"spare");
+        let (thawed, start) = RxPdu::Shared(own).into_mut(&mut spare);
         assert_eq!((thawed.as_ptr(), start), (at, 0), "a sole handle is thawed in place");
+        assert_eq!(spare, b"spare"[..], "and the spare is left for the next copy");
         let shared = Bytes::copy_from_slice(&block);
         let view = RxPdu::Shared(shared.clone()).slice(0..4);
         assert_eq!(view.clone().into_shared().as_ptr(), shared.as_ptr());
-        let (copy, at) = view.into_mut();
+        let (copy, at) = view.into_mut(&mut Bytes::new());
         assert_ne!(copy[at..].as_ptr(), shared.as_ptr(), "a held buffer is never written");
         assert_eq!(&copy[at..], &block[..]);
     }

@@ -356,6 +356,8 @@ impl RlcUmEntity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile::mutate;
+    use proptest::prelude::*;
 
     #[test]
     fn full_sdu_single_pdu() {
@@ -592,6 +594,89 @@ mod tests {
                 delivered.extend(rx.rx_pdu(&p).unwrap());
             }
             assert_eq!(delivered, vec![sdu], "sdu {i}");
+        }
+    }
+
+    /// The SN a UMD PDU's header names, if it is a segment's.
+    fn segment_sn(pdu: &[u8]) -> Option<u8> {
+        let si = SegmentInfo::from_bits(*pdu.first()? >> 6);
+        (si != SegmentInfo::Full).then_some(pdu[0] & 0x3F)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(128))]
+        #[test]
+        fn a_hostile_umd_pdu_is_a_typed_error_or_a_round_trip(
+            lens in prop::collection::vec(1usize..300, 1..5),
+            grant in 4usize..120,
+            mutation in (0u8..5, any::<usize>(), any::<u32>()),
+            victim in any::<usize>(),
+            borrowed in any::<bool>(),
+        ) {
+            let (mut tx, mut rx) = (RlcUmEntity::new(), RlcUmEntity::new());
+            // Each SDU with the indices of the PDUs that carry it.
+            let mut sdus = Vec::new();
+            let mut wire: Vec<Vec<u8>> = Vec::new();
+            for (i, &len) in lens.iter().enumerate() {
+                let sdu: Bytes = (0..len).map(|j| (31 * i + j) as u8).collect();
+                tx.tx_sdu(sdu.clone());
+                let first = wire.len();
+                while let Some(pdu) = tx.pull_pdu(grant).unwrap() {
+                    wire.push(pdu.to_vec());
+                }
+                sdus.push((sdu, first..wire.len()));
+            }
+            let victim = victim % wire.len();
+            let honest = wire.clone();
+            match mutation.0 {
+                // A duplicated segment, and a PDU overtaken by the next.
+                3 => wire.insert(victim, wire[victim].clone()),
+                4 if victim + 1 < wire.len() => wire.swap(victim, victim + 1),
+                // A bit flip, a truncation, or a lie in the SO field.
+                _ => wire[victim] = mutate(&wire[victim], 1..3, mutation),
+            }
+            let mut out = Vec::new();
+            for w in &wire {
+                let sent = w.clone();
+                let pdu = if borrowed {
+                    RxPdu::Borrowed(w)
+                } else {
+                    RxPdu::Shared(Bytes::copy_from_slice(w))
+                };
+                match rx.receive(pdu) {
+                    Ok(sdu) => out.extend(sdu.map(RxPdu::into_shared)),
+                    Err(RlcError::Truncated | RlcError::SegmentMismatch { .. }) => {}
+                    Err(e) => prop_assert!(false, "{} from a received PDU", e),
+                }
+                prop_assert_eq!(w, &sent, "a caller's block was written to");
+            }
+            if mutation.0 >= 3 {
+                // Reordered or repeated, every SDU still arrives whole.
+                prop_assert!(sdus.iter().all(|(sdu, _)| out.contains(sdu)));
+                prop_assert!(out.iter().all(|got| sdus.iter().any(|(sdu, _)| sdu == got)));
+            } else {
+                // A lie costs at most the SDUs of the SNs it names; every
+                // other SDU arrives whole.
+                let named = [segment_sn(&honest[victim]), segment_sn(&wire[victim])];
+                for (sdu, carried) in &sdus {
+                    let sn = segment_sn(&honest[carried.start]);
+                    if !carried.contains(&victim) && (sn.is_none() || !named.contains(&sn)) {
+                        prop_assert!(out.contains(sdu), "an SDU the lie never named was lost");
+                    }
+                }
+            }
+            // Once reassembly gives up on what the lie left, the next SDUs,
+            // whole and segmented, are delivered byte-exact.
+            rx.flush_reassembly();
+            let next: Vec<Bytes> = [20, 5 * grant].iter().map(|&n| vec![0x5A; n].into()).collect();
+            let mut got = Vec::new();
+            for sdu in &next {
+                tx.tx_sdu(sdu.clone());
+                while let Some(pdu) = tx.pull_pdu(grant.max(24)).unwrap() {
+                    got.extend(rx.rx_pdu(&pdu).unwrap());
+                }
+            }
+            prop_assert_eq!(got, next);
         }
     }
 }

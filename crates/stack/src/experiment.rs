@@ -18,7 +18,7 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use corenet::{plan_crossing, PathEvent, PathSupervisor};
 use radio::{RadioHead, TxRing};
 use ran::sched::{Rnti, Scheduler, SlotDecision};
@@ -814,9 +814,12 @@ fn run_sharded(
 
 /// Deterministic ICMP-echo-like payload for ping `id`, behind `headroom`
 /// spare bytes in the same buffer (as a server reserves room for the
-/// headers its packet will get, the way an skb reserve does).
-pub(crate) fn make_payload(id: u64, len: usize, headroom: usize) -> Bytes {
-    let mut v = BytesMut::with_capacity(headroom + len.max(8));
+/// headers its packet will get, the way an skb reserve does). The buffer
+/// is `spent`'s storage when nothing else holds it
+/// (`ran::pdu::reclaimed`); every byte in view, the headroom too, is
+/// written here, so it holds what a fresh one would.
+pub(crate) fn make_payload(id: u64, len: usize, headroom: usize, spent: Bytes) -> Bytes {
+    let mut v = ran::pdu::reclaimed(spent, headroom + len.max(8));
     v.put_bytes(0, headroom);
     v.put_slice(&id.to_be_bytes());
     v.put_bytes(0, len.saturating_sub(8));
@@ -858,11 +861,67 @@ mod tests {
                     HopOutcome::Done => break,
                 }
             }
-            let sent = make_payload(0x8000_0000_0000_0000, cfg.payload_bytes, 0);
+            let sent = make_payload(0x8000_0000_0000_0000, cfg.payload_bytes, 0, Bytes::new());
             assert_eq!(ctx.reply, sent, "the reply the UE is checked against is intact");
             failures.push(result.integrity_failures);
         }
         assert_eq!(failures, [0, 1]);
+    }
+
+    /// How many requests wait in the scheduler when a one-UE ping's own is
+    /// decided, UL and DL, at the benchmark's `ping_small` setting and under
+    /// `FaultPlan::chaos(0.4)` (a withheld grant books the request again,
+    /// RLF recovery re-runs a leg). Run with `--nocapture` to see the counts.
+    #[test]
+    fn a_ping_is_decided_with_only_its_own_request_waiting() {
+        const PINGS: u64 = 1_000;
+        let testbed = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(2024);
+        let chaos = testbed.clone().with_faults(sim::FaultPlan::chaos(0.4));
+        for (name, cfg) in [("ping_small", testbed), ("chaos 0.4", chaos)] {
+            let mut exp = PingExperiment::new(cfg.clone());
+            let (mut ctx, mut result) = (PingCtx::default(), ExperimentResult::default());
+            let period = cfg.duplex.pattern_period();
+            let offset = Dist::Uniform { lo: Duration::ZERO, hi: period };
+            // `[ul, dl][backlog]`: decisions by the backlog they were made at.
+            let mut decided = [[0u64; 4]; 2];
+            for id in 0..PINGS {
+                let t0 =
+                    Instant::ZERO + period * 5 * id + period + offset.sample(&mut exp.rng_arrival);
+                ctx.reset(id, t0);
+                let (mut at, mut ev) = (t0, PingEvent::Arrival);
+                loop {
+                    let (srs, dl) = exp.sched.backlog();
+                    match dispatch(&mut exp, &mut ctx, &mut result, at, ev) {
+                        HopOutcome::Next(next, successor) => {
+                            let leg = match (ev, successor) {
+                                (PingEvent::SchedRound { .. }, PingEvent::GrantIssued { .. }) => {
+                                    Some(0)
+                                }
+                                (PingEvent::DlSched { .. }, PingEvent::DlPrepare { .. }) => Some(1),
+                                _ => None,
+                            };
+                            if let Some(leg) = leg {
+                                decided[leg][(srs + dl).min(3)] += 1;
+                            }
+                            (at, ev) = (next, successor);
+                        }
+                        HopOutcome::Lost | HopOutcome::Done => break,
+                    }
+                }
+            }
+            println!(
+                "{name}: UL decisions by backlog 0/1/2/3+ {:?}, DL {:?}",
+                decided[0], decided[1]
+            );
+            for (leg, counts) in ["UL", "DL"].into_iter().zip(decided) {
+                assert!(counts[1] > 0, "{name}: no {leg} decision");
+                assert_eq!(
+                    (counts[0], counts[2], counts[3]),
+                    (0, 0, 0),
+                    "{name} {leg}: {counts:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -273,7 +273,10 @@ pub(crate) struct DeliveryState {
 /// forward through the events they return; anything a *later* hop needs
 /// that does not fit an event payload lives here. One context serves
 /// every ping of an experiment ([`PingCtx::reset`]), so its lists allocate
-/// only while they grow to the longest walk.
+/// only while they grow to the longest walk, and its buffer slots (the
+/// payload, the reply, the two MAC PDU lists and the delivered list) only
+/// when a previous occupant is still held elsewhere or is too small: each
+/// builds into the storage the previous ping left there.
 #[derive(Default)]
 pub(crate) struct PingCtx {
     pub(crate) id: u64,
@@ -305,8 +308,9 @@ pub(crate) struct PingCtx {
 
 impl PingCtx {
     /// Readies the context for ping `id` arriving at `t0`: every field as
-    /// at first use, the span and PDU lists emptied but keeping their
-    /// capacity.
+    /// at first use, except that the span lists are emptied but keep their
+    /// capacity and the buffer slots keep their previous occupants, whose
+    /// storage the walk reclaims as it fills each slot again.
     pub(crate) fn reset(&mut self, id: u64, t0: Instant) {
         fn emptied<T>(mut list: Vec<T>) -> Vec<T> {
             list.clear();
@@ -317,12 +321,14 @@ impl PingCtx {
             id,
             t0,
             trace: PingTrace { id, ul: emptied(spent.trace.ul), dl: emptied(spent.trace.dl) },
-            mac_pdus: emptied(spent.mac_pdus),
+            payload: spent.payload,
+            mac_pdus: spent.mac_pdus,
             in_rlc: t0,
             sr_ready: t0,
             dl_t0: t0,
-            dl_pdus: emptied(spent.dl_pdus),
-            delivered: emptied(spent.delivered),
+            reply: spent.reply,
+            dl_pdus: spent.dl_pdus,
+            delivered: spent.delivered,
             in_rlc_q: t0,
             ..PingCtx::default()
         };
@@ -385,6 +391,16 @@ fn leg(trace: &mut PingTrace, dl: bool) -> &mut Vec<StageSpan> {
     }
 }
 
+/// Empties the delivered list for the block about to be received and
+/// returns its first entry, the previous leg's delivery: the storage the
+/// receive copy reuses when nothing else holds it, so the UL and DL
+/// receive copies take turns in one buffer.
+fn spare_of(delivered: &mut Vec<Bytes>) -> Bytes {
+    let spare = delivered.first_mut().map(std::mem::take).unwrap_or_default();
+    delivered.clear();
+    spare
+}
+
 // ---------------------------------------------------------------------
 // Uplink hops
 // ---------------------------------------------------------------------
@@ -396,7 +412,8 @@ fn app_down(exp: &mut PingExperiment, ctx: &mut PingCtx, at: Instant) -> HopOutc
     // next ping has been stable long enough for the re-establishment
     // counters to clear, so the budget bounds one incident chain.
     exp.rrc.reset_budget();
-    ctx.payload = make_payload(ctx.id, exp.config.payload_bytes, 0);
+    ctx.payload =
+        make_payload(ctx.id, exp.config.payload_bytes, 0, std::mem::take(&mut ctx.payload));
     let ue_upper =
         exp.sample_ue(|t| &t.sdap) + exp.sample_ue(|t| &t.pdcp) + exp.sample_ue(|t| &t.rlc);
     let in_rlc = at + ue_upper;
@@ -778,16 +795,16 @@ fn gnb_walk_up(
     let recovered = ctx.delivery.recovered.take();
     let mac_pdus = recovered.as_deref().unwrap_or(&ctx.mac_pdus);
     let got = &mut ctx.delivered;
-    got.clear();
+    let spare = &mut spare_of(got);
     let air_samples = exp.ue.phy_encode(&mac_pdus[0]);
-    let decoded = exp.gnb.receive_uplink(RNTI, air_samples, got).is_ok();
+    let decoded = exp.gnb.receive_uplink(RNTI, air_samples, spare, got).is_ok();
     let mut delivered_ok = decoded && got.first() == Some(&ctx.payload);
     // Push any remaining segments through (tiny grants).
     if decoded && !delivered_ok {
         for extra in &mac_pdus[1..] {
             let s = exp.ue.phy_encode(extra);
             // A segment that fails to decode adds nothing.
-            let _ = exp.gnb.receive_uplink(RNTI, s, got);
+            let _ = exp.gnb.receive_uplink(RNTI, s, spare, got);
         }
         delivered_ok = got.first() == Some(&ctx.payload);
     }
@@ -868,8 +885,8 @@ fn dl_walk_down(
     // The server builds the reply with room for the UPF's G-PDU header in
     // front and hands it over, so the N3 packet is the reply's own buffer;
     // the reply the UE must deliver is the view the tunnel carried.
-    let reply =
-        make_payload(ctx.id | 0x8000_0000_0000_0000, exp.config.payload_bytes, GPDU_HEADER_LEN);
+    let (id, spent) = (ctx.id | 0x8000_0000_0000_0000, std::mem::take(&mut ctx.reply));
+    let reply = make_payload(id, exp.config.payload_bytes, GPDU_HEADER_LEN, spent);
     // Infallible by construction: `slot_capacity_bytes()` derives the
     // DL slot budget from the same config that sizes the reply, and the
     // session for UE_ADDR was registered at experiment setup.
@@ -1007,17 +1024,20 @@ fn ue_rx_up(
     let recovered = ctx.delivery.recovered.take();
     let dl_pdus = recovered.as_deref().unwrap_or(&ctx.dl_pdus);
     let got = &mut ctx.delivered;
-    got.clear();
+    let spare = &mut spare_of(got);
     let decoded = exp
         .gnb
         .phy_encode(RNTI, &dl_pdus[0])
-        .and_then(|air_samples| exp.ue.receive_downlink(air_samples, got))
+        .and_then(|air_samples| exp.ue.receive_downlink(air_samples, spare, got))
         .is_ok();
     let mut ok = decoded && got.first() == Some(&ctx.reply);
     if decoded && !ok {
         for extra in &dl_pdus[1..] {
             // A segment that fails to decode adds nothing.
-            let _ = exp.gnb.phy_encode(RNTI, extra).and_then(|s| exp.ue.receive_downlink(s, got));
+            let _ = exp
+                .gnb
+                .phy_encode(RNTI, extra)
+                .and_then(|s| exp.ue.receive_downlink(s, spare, got));
         }
         ok = got.first() == Some(&ctx.reply);
     }

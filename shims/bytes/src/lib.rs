@@ -20,6 +20,12 @@
 //! into the spare bytes in front of a view nobody else holds, as an skb
 //! push does — how a GTP-U tunnel end turns the buffer a packet already
 //! lives in into the tunnel packet without copying it.
+//! [`Bytes::try_reclaim`] hands the whole storage of a buffer nobody else
+//! holds back emptied, whatever part of it the handle views — how a buffer
+//! slot builds its next PDU where the previous one lay instead of
+//! allocating. A reclaimed [`BytesMut`] still exposes only the bytes
+//! written into it since, so a reused buffer shows the same bytes a fresh
+//! one would.
 
 #![forbid(unsafe_code)]
 
@@ -120,6 +126,23 @@ impl Bytes {
         }
     }
 
+    /// Turns the buffer back into an empty [`BytesMut`] over its whole
+    /// storage (`len` 0, the full capacity), without copying or
+    /// allocating, when this is the only handle on the storage, at any view
+    /// offset; otherwise returns it unchanged. The old bytes stay out of
+    /// view until written over. Upstream's nearest is
+    /// `BytesMut::try_reclaim`, which reclaims into a handle already
+    /// mutable.
+    pub fn try_reclaim(self) -> Result<BytesMut, Bytes> {
+        match self.0 {
+            Repr::Shared { mut data, start, end } => match Arc::get_mut(&mut data) {
+                Some(_) => Ok(BytesMut { data, len: 0 }),
+                None => Err(Bytes(Repr::Shared { data, start, end })),
+            },
+            repr => Err(Bytes(repr)),
+        }
+    }
+
     /// Widens the view by `head.len()` bytes at the front and writes `head`
     /// there, without copying the view: the spare bytes in front of it (a
     /// header a lower layer has already read, a reserve the builder left)
@@ -172,7 +195,9 @@ pub trait BufMut {
 /// A uniquely owned, growable byte buffer that [`freeze`](Self::freeze)s
 /// into a [`Bytes`] without copying: it fills the `Arc<[u8]>` the `Bytes`
 /// will share. The storage is allocated zeroed (safe code cannot hand out
-/// uninitialised bytes) and `len` tracks how much of it has been written.
+/// uninitialised bytes) and `len` tracks how much of it has been written;
+/// storage taken back by [`Bytes::try_reclaim`] holds old bytes past
+/// `len`, which no method exposes until they are written over.
 pub struct BytesMut {
     data: Arc<[u8]>,
     len: usize,
@@ -468,6 +493,29 @@ mod tests {
         assert_eq!(&tail.try_prepend(b"XYZ").unwrap()[..], b"XYZpay");
         assert!(Bytes::from_static(b"x").slice(1..).try_prepend(b"").is_err());
         assert_eq!(&Bytes::copy_from_slice(b"ab").try_prepend(b"").unwrap()[..], b"ab");
+    }
+
+    #[test]
+    fn a_sole_handle_is_reclaimed_whole_and_a_shared_one_is_not() {
+        let mut b = BytesMut::with_capacity(8);
+        b.put_slice(b"hdrpayld");
+        let frozen = b.freeze();
+        let at = frozen.as_ptr();
+        let view = frozen.slice(3..6);
+        let held = frozen.clone();
+        drop(frozen);
+        let view = view.try_reclaim().err().expect("a clone shares the storage");
+        assert_eq!(&view[..], b"pay");
+        assert_eq!(&held[..], b"hdrpayld", "a failed reclaim writes nothing");
+        drop(held);
+        // From an offset too, the whole storage comes back, emptied.
+        let mut reclaimed = view.try_reclaim().expect("the only handle");
+        assert_eq!((reclaimed.len(), reclaimed.capacity(), reclaimed.as_ptr()), (0, 8, at));
+        reclaimed.put_slice(b"new");
+        let reused = reclaimed.freeze();
+        assert_eq!((&reused[..], reused.as_ptr()), (&b"new"[..], at), "old bytes stay out of view");
+        assert!(Bytes::from_static(b"x").try_reclaim().is_err(), "static bytes are borrowed");
+        assert!(Bytes::new().try_reclaim().is_err());
     }
 
     #[test]
