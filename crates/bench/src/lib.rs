@@ -1,6 +1,6 @@
 //! # urllc-bench — experiment harness support
 //!
-//! Shared machinery for the `repro` binary and the criterion benches:
+//! Shared machinery for the `repro` binary:
 //!
 //! * [`report`] — ASCII plotting (histograms, series) and CSV emission, so
 //!   every regenerated table/figure is both human-readable and

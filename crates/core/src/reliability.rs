@@ -168,6 +168,22 @@ mod tests {
     }
 
     #[test]
+    fn an_rt_kernel_needs_no_more_margin_than_a_gp_one_on_the_same_bus() {
+        // §6: an RT kernel needs a smaller five-nines margin than a GP
+        // kernel on the same B210.
+        let margins: Vec<Duration> = (1..=30).map(|i| Duration::from_micros(i * 50)).collect();
+        let sweep = |cfg: &RadioHeadConfig| {
+            margin_sweep(cfg, Duration::from_micros(100), 11_520, &margins, 10_000, 5)
+        };
+        let gp_cfg = RadioHeadConfig::usrp_b210(true);
+        let mut rt_cfg = gp_cfg.clone();
+        rt_cfg.jitter = radio::OsJitterConfig::real_time_os();
+        let gp_need = min_margin_for(&sweep(&gp_cfg), 0.9999).expect("gp margin");
+        let rt_need = min_margin_for(&sweep(&rt_cfg), 0.9999).expect("rt margin");
+        assert!(rt_need <= gp_need, "RT {rt_need} vs GP {gp_need}");
+    }
+
+    #[test]
     fn slack_grows_with_margin() {
         let pts = margin_sweep(
             &RadioHeadConfig::pcie_low_latency(),

@@ -23,6 +23,8 @@
 pub(crate) mod backbone;
 pub mod gtpu;
 pub(crate) mod hop;
+#[cfg(test)]
+mod hostile;
 pub mod qos;
 pub(crate) mod supervision;
 pub mod upf;

@@ -199,6 +199,7 @@ impl Upf {
 mod tests {
     use super::*;
     use crate::gtpu::{MAX_PAYLOAD, MSG_ECHO_RESPONSE};
+    use crate::hostile::mutate;
     use proptest::prelude::*;
 
     #[test]
@@ -323,31 +324,6 @@ mod tests {
         assert_eq!(upf.forwarded, (0, 2));
         let err = upf.encapsulate(8, Bytes::new()).unwrap_err();
         assert_eq!(err, UpfError::UnknownUe { ue_addr: 8 });
-    }
-
-    /// One lie a corrupted or hostile peer might tell in a valid GTP-U
-    /// packet.
-    fn mutate(pkt: &Bytes, (kind, at, value): (u8, usize, u16)) -> Bytes {
-        let mut b = pkt.to_vec();
-        let n = b.len();
-        match kind {
-            // A bit flip anywhere.
-            0 if n > 0 => b[at % n] ^= 1 << (value % 8),
-            // A truncation.
-            1 => b.truncate(at % (n + 1)),
-            // A lie in the length field: any value, or what the bytes that
-            // follow the mandatory header would allow.
-            2 if n >= 4 => {
-                let lie = if value & 1 == 0 { value } else { n.saturating_sub(8) as u16 };
-                b[2..4].copy_from_slice(&lie.to_be_bytes());
-            }
-            // Any combination of the E, S and PN flags.
-            3 if n > 0 => b[0] = (b[0] & !0b111) | (value as u8 & 0b111),
-            // Bytes past the declared length.
-            4 => b.resize(n + at % 8, value as u8),
-            _ => {}
-        }
-        Bytes::from(b)
     }
 
     proptest! {

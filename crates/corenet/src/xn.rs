@@ -192,6 +192,8 @@ impl XnReceiver {
 mod tests {
     use super::*;
     use crate::gtpu::MSG_ECHO_REQUEST;
+    use crate::hostile::mutate;
+    use proptest::prelude::*;
 
     #[test]
     fn forwarded_pdus_roundtrip_in_order() {
@@ -251,5 +253,72 @@ mod tests {
         let b = tx.forward(b"b").unwrap();
         assert_eq!(GtpuHeader::decode(&a).unwrap().0.sequence, Some(0));
         assert_eq!(GtpuHeader::decode(&b).unwrap().0.sequence, Some(1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(256))]
+        #[test]
+        fn a_hostile_xn_packet_is_a_typed_error_or_delivers_byte_exact(
+            teid in any::<u16>(),
+            lens in prop::collection::vec(0usize..300, 1..6),
+            marker_at in any::<usize>(),
+            victim in any::<usize>(),
+            mutations in prop::collection::vec((0u8..7, any::<usize>(), any::<u16>()), 0..4),
+        ) {
+            let teid = u32::from(teid);
+            let (mut tx, mut rx) = (XnForwardingTunnel::new(teid), XnReceiver::new(teid));
+            // The forwarded PDUs with the end marker among them: the G-PDUs
+            // behind it arrived after the path switch.
+            let pdus: Vec<Bytes> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (0..len).map(|j| (31 * i + j) as u8).collect())
+                .collect();
+            let mut honest: Vec<(Bytes, Option<&Bytes>)> =
+                pdus.iter().map(|p| (tx.forward(p).unwrap(), Some(p))).collect();
+            honest.insert(marker_at % (pdus.len() + 1), (tx.end_marker(), None));
+            // A TEID lie, a message-type lie, a truncated or otherwise
+            // broken header, a bit flip: up to four lies in one packet.
+            let victim = victim % honest.len();
+            let lied = mutations.iter().fold(honest[victim].0.clone(), |pkt, &m| mutate(&pkt, m));
+            let mut accepted = Vec::new();
+            for (i, (pkt, pdu)) in honest.iter().enumerate() {
+                let pkt = if i == victim { &lied } else { pkt };
+                let outcome = rx.accept(pkt);
+                if pkt == &honest[i].0 {
+                    // An honest packet: its PDU byte-exact, or the marker.
+                    let want = pdu.cloned().map_or(XnDelivery::EndMarker, XnDelivery::Forwarded);
+                    prop_assert_eq!(&outcome, &Ok(want));
+                }
+                match (GtpuHeader::decode(pkt), outcome) {
+                    (Ok((header, body)), Ok(XnDelivery::Forwarded(payload))) => {
+                        prop_assert_eq!((header.message_type, header.teid), (MSG_GPDU, teid));
+                        prop_assert_eq!(&payload, &body);
+                        accepted.push(payload);
+                    }
+                    (Ok((header, _)), Ok(XnDelivery::EndMarker)) => {
+                        let marker = (header.message_type, header.teid);
+                        prop_assert_eq!(marker, (MSG_END_MARKER, teid));
+                        prop_assert!(rx.ended());
+                    }
+                    (Ok((header, _)), Err(XnError::WrongTeid { expected, got })) => {
+                        prop_assert_eq!((expected, got), (teid, header.teid));
+                        prop_assert_ne!(got, teid);
+                    }
+                    (Ok((header, _)), Err(XnError::UnexpectedType { message_type })) => {
+                        prop_assert_eq!((header.teid, header.message_type), (teid, message_type));
+                        prop_assert!(![MSG_GPDU, MSG_END_MARKER].contains(&message_type));
+                    }
+                    (Err(e), outcome) => prop_assert_eq!(outcome, Err(XnError::Gtpu(e))),
+                    (Ok(_), outcome) => {
+                        prop_assert!(false, "{:?} from a packet that decodes", outcome);
+                    }
+                }
+                prop_assert_eq!(rx.buffered(), accepted.len());
+            }
+            // What was accepted drains in arrival order, G-PDUs behind the
+            // end marker included.
+            prop_assert_eq!(rx.drain(), accepted);
+        }
     }
 }

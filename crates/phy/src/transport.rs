@@ -279,7 +279,7 @@ mod tests {
         // CRC24B path runs.
         const CB: usize = MAX_CODE_BLOCK_BYTES;
         for m in Modulation::ALL {
-            for len in [0, 1, 2, 3, 5, 64, 67, 1000, CB - 1, CB + 1, 2 * CB + 5] {
+            for len in [0, 1, 2, 3, 5, 64, 67, 512, 1000, CB - 1, CB + 1, 2 * CB + 5, 4096] {
                 let payload: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
                 let (samples, blocks) = encode(cfg(m), &payload);
                 assert_eq!(blocks, (len + 3).div_ceil(CB), "{m:?} {len} B");

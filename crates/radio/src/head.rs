@@ -178,6 +178,22 @@ mod tests {
     }
 
     #[test]
+    fn a_usb_radio_cannot_fit_a_quarter_ms_slot() {
+        // §4: "if the radio latency is 0.3 ms, halving the slot duration
+        // from 0.25 ms might not reduce latency". A USB 2.0 B210 already
+        // takes longer than a µ2 slot, so the §5 criterion (radio plus
+        // processing under one slot) fails however short the slot; a PCIe
+        // radio fits in half of one.
+        let mu2_slot = Duration::from_micros(250);
+        let usb = RadioHead::new(RadioHeadConfig::usrp_b210(false));
+        let usb_mean = usb.mean_tx_radio_latency(SLOT_SAMPLES / 2);
+        assert!(usb_mean > mu2_slot, "USB 2.0 B210 {usb_mean}");
+        let pcie = RadioHead::new(RadioHeadConfig::pcie_low_latency());
+        let pcie_mean = pcie.mean_tx_radio_latency(SLOT_SAMPLES / 2);
+        assert!(pcie_mean < mu2_slot / 2, "PCIe {pcie_mean}");
+    }
+
+    #[test]
     fn submit_latency_grows_with_samples() {
         let mut head = RadioHead::new(RadioHeadConfig::usrp_b210(false));
         let mut rng = SimRng::from_seed(5);

@@ -132,7 +132,7 @@ mod tests {
     fn usb2_slower_than_usb3_everywhere() {
         let usb2 = FronthaulInterface::of_kind(InterfaceKind::Usb2);
         let usb3 = FronthaulInterface::of_kind(InterfaceKind::Usb3);
-        for n in (2_000..=20_000).step_by(3_000) {
+        for n in (2_000..=20_000).step_by(1_000) {
             assert!(usb2.mean_transfer_latency(n) > usb3.mean_transfer_latency(n), "{n}");
         }
     }

@@ -431,6 +431,12 @@ mod tests {
         let pdu = MacPdu::new(vec![MacSubPdu::new(4, Bytes::from_static(b"rlc pdu"))]);
         let enc = pdu.encode(None).unwrap();
         assert_eq!(MacPdu::decode(&enc).unwrap(), pdu);
+        // One 8-bit and two 16-bit L fields.
+        for size in [64, 512, 4096] {
+            let pdu = MacPdu::new(vec![MacSubPdu::new(1, Bytes::from(vec![0xA5; size]))]);
+            let enc = pdu.encode(None).unwrap();
+            assert_eq!(MacPdu::decode(&enc).unwrap(), pdu, "{size} B");
+        }
     }
 
     #[test]

@@ -323,7 +323,11 @@ impl RlcAmEntity {
         let sn = (u16::from(pdu[0] & 0x0F) << 8) | u16::from(pdu[1]);
         let count = self.infer_rx_count(sn);
         let mut outcome = AmRxOutcome::default();
-        if count >= self.rx_deliv && !self.rx_buffer.contains_key(&count) {
+        // Only the receive window is held (TS 38.322 §5.2.3.2.2). Before
+        // the first wrap, `infer_rx_count` maps an SN from behind the
+        // window to a COUNT far ahead of it.
+        let window = self.rx_deliv..self.rx_deliv + u64::from(AM_WINDOW);
+        if window.contains(&count) && !self.rx_buffer.contains_key(&count) {
             self.rx_buffer.insert(count, pdu.slice(2..));
             self.rx_highest = self.rx_highest.max(count + 1);
             while let Some(sdu) = self.rx_buffer.remove(&self.rx_deliv) {
@@ -423,6 +427,8 @@ fn infer_from_base(sn: u16, base: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile::mutate;
+    use proptest::prelude::*;
 
     const BIG: usize = 1 << 16;
 
@@ -659,5 +665,169 @@ mod tests {
             e.rx_pdu(&Bytes::from_static(&[0x00, 0x05, 3, 0, 1])).unwrap_err(),
             RlcError::Truncated
         );
+    }
+
+    /// Where the hostile tests start counting: COUNT 0, six short of the
+    /// 12-bit SN wrap, and mid-space three wraps in.
+    const STARTS: [u64; 3] = [0, 4_090, 3 * 4_096 + 2_040];
+
+    /// A transmitter and a receiver whose next COUNT is `count`.
+    fn pair_at(count: u64) -> (RlcAmEntity, RlcAmEntity) {
+        let mut tx = RlcAmEntity::new(AmConfig::default());
+        let mut rx = RlcAmEntity::new(AmConfig::default());
+        tx.tx_next = count;
+        (rx.rx_deliv, rx.rx_highest) = (count, count);
+        (tx, rx)
+    }
+
+    /// The SN of a data PDU, or `None` for a STATUS PDU or a stub.
+    fn data_sn(pdu: &[u8]) -> Option<u16> {
+        (pdu.len() >= 2 && pdu[0] & 0x80 != 0)
+            .then(|| (u16::from(pdu[0] & 0x0F) << 8) | u16::from(pdu[1]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(128))]
+        #[test]
+        fn a_hostile_amd_pdu_is_a_typed_error_or_a_round_trip_and_spares_the_next(
+            lens in prop::collection::vec(0usize..200, 1..6),
+            start in 0usize..3,
+            mutation in (0u8..5, any::<usize>(), any::<u32>()),
+            victim in any::<usize>(),
+        ) {
+            let (mut tx, mut rx) = pair_at(STARTS[start]);
+            let sdus: Vec<Bytes> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (0..len).map(|j| (31 * i + j) as u8).collect())
+                .collect();
+            let mut wire: Vec<Vec<u8>> = Vec::new();
+            for sdu in &sdus {
+                tx.tx_sdu(sdu.clone());
+                wire.push(tx.pull_pdu(BIG).unwrap().unwrap().to_vec());
+            }
+            let honest = wire.clone();
+            let victim = victim % wire.len();
+            match mutation.0 {
+                // A duplicated PDU, and a PDU overtaken by the next.
+                3 => wire.insert(victim, wire[victim].clone()),
+                4 if victim + 1 < wire.len() => wire.swap(victim, victim + 1),
+                // A lie in the SN (and the D/C and P bits in front of it),
+                // or a bit flip or a truncation anywhere.
+                _ => wire[victim] = mutate(&wire[victim], 0..2, mutation),
+            }
+            let mut out = Vec::new();
+            for w in &wire {
+                match rx.rx_pdu(&Bytes::copy_from_slice(w)) {
+                    Ok(o) => {
+                        // A PDU the lie made a STATUS fails nothing: this
+                        // side has sent nothing.
+                        prop_assert!(o.failed.is_empty());
+                        out.extend(o.delivered);
+                    }
+                    Err(RlcError::Truncated) => prop_assert!(w.len() < 2 || w[0] & 0x80 == 0),
+                    Err(e) => prop_assert!(false, "{} from a received PDU", e),
+                }
+                // Nothing is held outside the receive window, whatever SN a
+                // PDU names.
+                prop_assert!(
+                    rx.rx_highest <= rx.rx_deliv + u64::from(AM_WINDOW),
+                    "header {:02x?} at COUNT {} held COUNT {}",
+                    &w[..w.len().min(2)], rx.rx_deliv, rx.rx_highest - 1
+                );
+            }
+            out.extend(rx.rx_flush_gaps());
+            if mutation.0 >= 3 {
+                // Repeated or reordered, every SDU arrives once, in order.
+                prop_assert_eq!(&out, &sdus);
+            } else {
+                // A lie costs at most the SDUs of the SNs it names; every
+                // other SDU arrives whole, and nothing else arrives but the
+                // lie's own payload.
+                let named = [data_sn(&honest[victim]), data_sn(&wire[victim])];
+                for (sdu, pdu) in sdus.iter().zip(&honest) {
+                    if !named.contains(&data_sn(pdu)) {
+                        prop_assert!(out.contains(sdu), "an SDU the lie never named was lost");
+                    }
+                }
+                let lie = wire[victim].get(2..);
+                prop_assert!(out.iter().all(|got| sdus.contains(got) || Some(&got[..]) == lie));
+            }
+            // The next valid PDU, at the receiver's delivery edge, delivers
+            // byte-exact.
+            let (mut peer, _) = pair_at(rx.rx_deliv);
+            let next = Bytes::from_static(b"the next valid PDU");
+            peer.tx_sdu(next.clone());
+            let pdu = peer.pull_pdu(BIG).unwrap().unwrap();
+            prop_assert_eq!(rx.rx_pdu(&pdu).unwrap().delivered, vec![next]);
+        }
+
+        #[test]
+        fn a_hostile_status_pdu_is_a_typed_error_or_a_round_trip_and_spares_the_transmitter(
+            sent in 1usize..12,
+            lost in prop::collection::btree_set(0usize..12, 0..4),
+            start in 0usize..3,
+            field in 0usize..3,
+            mutation in (0u8..4, any::<usize>(), any::<u32>()),
+        ) {
+            let (mut tx, mut rx) = pair_at(STARTS[start]);
+            let sdus: Vec<Bytes> = (0..sent).map(|i| Bytes::from(vec![i as u8; 1 + i])).collect();
+            for (i, sdu) in sdus.iter().enumerate() {
+                tx.tx_sdu(sdu.clone());
+                let pdu = tx.pull_pdu(BIG).unwrap().unwrap();
+                if !lost.contains(&i) {
+                    rx.rx_pdu(&pdu).unwrap();
+                }
+            }
+            rx.status_requested = true;
+            let status = rx.pull_pdu(BIG).unwrap().unwrap();
+            // A lie in the ACK_SN, the NACK count or the first NACK_SN, a
+            // bit flip or a truncation; kind 3 is the honest STATUS twice.
+            let wire = Bytes::from(mutate(&status, [0..2, 2..3, 3..5][field].clone(), mutation));
+            match StatusPdu::decode(&wire) {
+                Ok(decoded) => prop_assert_eq!(StatusPdu::decode(&decoded.encode()), Ok(decoded)),
+                Err(RlcError::Truncated) => {
+                    prop_assert!(wire.len() < 3 || wire.len() < 3 + 2 * usize::from(wire[2]));
+                }
+                Err(e) => prop_assert!(false, "{} from StatusPdu::decode", e),
+            }
+            for _ in 0..1 + usize::from(mutation.0 == 3) {
+                match tx.rx_pdu(&wire) {
+                    Ok(_) | Err(RlcError::Truncated) => {}
+                    Err(e) => prop_assert!(false, "{} from a STATUS PDU", e),
+                }
+            }
+            // pull_pdu ends: at most one retransmission per SDU sent, and one
+            // STATUS if the lie turned the PDU into a polling data PDU.
+            let mut emitted = Vec::new();
+            for _ in 0..sent + 2 {
+                match tx.pull_pdu(BIG) {
+                    Ok(Some(pdu)) => emitted.push(pdu),
+                    Ok(None) => break,
+                    Err(e) => prop_assert!(false, "{} from pull_pdu", e),
+                }
+            }
+            prop_assert!(emitted.len() <= sent + 1, "pull_pdu kept producing PDUs");
+            // Every retransmission is an SDU that was sent, under its own SN.
+            let modulus = u64::from(AM_SN_MODULUS);
+            for pdu in &emitted {
+                if let Some(sn) = data_sn(pdu) {
+                    let i = (u64::from(sn) + modulus - STARTS[start] % modulus) % modulus;
+                    prop_assert!(i < sent as u64, "SN {} was never sent", sn);
+                    prop_assert_eq!(&pdu[2..], &sdus[i as usize][..]);
+                }
+            }
+            // A fresh SDU after the STATUS still delivers byte-exact.
+            let next = Bytes::from_static(b"the next SDU");
+            tx.tx_sdu(next.clone());
+            emitted.push(tx.pull_pdu(BIG).unwrap().unwrap());
+            let mut out = Vec::new();
+            for pdu in &emitted {
+                out.extend(rx.rx_pdu(pdu).unwrap().delivered);
+            }
+            out.extend(rx.rx_flush_gaps());
+            prop_assert!(out.contains(&next));
+            prop_assert!(out.iter().all(|got| sdus.contains(got) || *got == next));
+        }
     }
 }

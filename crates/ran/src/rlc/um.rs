@@ -373,19 +373,22 @@ mod tests {
 
     #[test]
     fn segmentation_and_reassembly() {
-        let mut tx = RlcUmEntity::new();
-        let mut rx = RlcUmEntity::new();
-        let sdu = Bytes::from((0..=255u8).collect::<Vec<_>>());
-        tx.tx_sdu(sdu.clone());
-        let mut delivered = Vec::new();
-        let mut pdus = 0;
-        while let Some(pdu) = tx.pull_pdu(50).unwrap() {
-            pdus += 1;
-            delivered.extend(rx.rx_pdu(&pdu).unwrap());
+        let ramp = Bytes::from((0..=255u8).collect::<Vec<_>>());
+        let flat = |n: usize| Bytes::from(vec![0xA5u8; n]);
+        for (sdu, grant) in [(ramp, 50), (flat(64), 128), (flat(512), 128), (flat(4096), 128)] {
+            let mut tx = RlcUmEntity::new();
+            let mut rx = RlcUmEntity::new();
+            tx.tx_sdu(sdu.clone());
+            let mut delivered = Vec::new();
+            let mut pdus = 0;
+            while let Some(pdu) = tx.pull_pdu(grant).unwrap() {
+                pdus += 1;
+                delivered.extend(rx.rx_pdu(&pdu).unwrap());
+            }
+            assert!(pdus > (sdu.len() - 1) / grant, "{} B: only {pdus} segments", sdu.len());
+            assert_eq!(delivered, vec![sdu]);
+            assert_eq!(tx.queued_bytes(), 0);
         }
-        assert!(pdus >= 6, "expected several segments, got {pdus}");
-        assert_eq!(delivered, vec![sdu]);
-        assert_eq!(tx.queued_bytes(), 0);
     }
 
     #[test]

@@ -133,6 +133,8 @@ impl SdapEntity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile::mutate;
+    use proptest::prelude::*;
 
     #[test]
     fn header_roundtrip_all_values() {
@@ -188,5 +190,34 @@ mod tests {
     fn decode_rejects_empty_pdu() {
         let e = SdapEntity::new();
         assert_eq!(e.decode_pdu(&Bytes::new()).unwrap_err(), SdapError::Truncated);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(256))]
+        #[test]
+        fn a_hostile_sdap_pdu_is_a_typed_error_or_a_round_trip(
+            qfi in 0u8..64,
+            len in 0usize..64,
+            mutation in (0u8..4, any::<usize>(), any::<u32>()),
+        ) {
+            let mut e = SdapEntity::new();
+            e.set_default_drb(1);
+            let sdu: Bytes = (0..len).map(|i| i as u8 ^ qfi).collect();
+            let (_, pdu) = e.encode_pdu(qfi, &sdu).unwrap();
+            // A lie in the header byte, a bit flip or a truncation.
+            let wire = Bytes::from(mutate(&pdu, 0..1, mutation));
+            match e.decode_pdu(&wire) {
+                Ok((header, body)) => {
+                    // What decoded is the PDU's bytes, header and payload.
+                    prop_assert_eq!(header.encode(), wire[0]);
+                    prop_assert_eq!(&body[..], &wire[1..]);
+                    if wire == pdu {
+                        prop_assert_eq!((header.qfi, body), (qfi, sdu));
+                    }
+                }
+                Err(SdapError::Truncated) => prop_assert!(wire.is_empty()),
+                Err(err) => prop_assert!(false, "{} from a received PDU", err),
+            }
+        }
     }
 }

@@ -493,6 +493,15 @@ mod tests {
     }
 
     #[test]
+    fn both_access_modes_converge_from_one_to_64_ues() {
+        for access in [AccessMode::GrantFree, AccessMode::GrantBased] {
+            let results = scalability_sweep(access, &[1, 16, 64], 5).expect("sweep converges");
+            let counts: Vec<u64> = results.iter().map(|r| r.ul.count()).collect();
+            assert_eq!(counts, [60, 16 * 60, 64 * 60], "{access:?}");
+        }
+    }
+
+    #[test]
     fn grant_based_rejects_a_population_past_the_rnti_space() {
         // Fails before any arrival is sampled, so the test is instant.
         let cfg = MultiUeConfig::testbed(AccessMode::GrantBased, Rnti::MAX as usize + 2);
