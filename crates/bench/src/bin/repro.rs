@@ -3,21 +3,19 @@
 //! ```text
 //! repro <figure>|all [--pings N]     # figures: the `FIGURES` table below
 //! repro trace [--perfetto out.json]  # Perfetto/Chrome trace of the journey
-//! repro <cmd> --jobs N [--compare]   # worker count; --compare also times a
-//!                                    # single-worker reference pass
-//! repro ratchet [--write]            # gate the last run's wall times
+//! repro <cmd> --jobs N               # worker count
 //! ```
 //!
 //! Each subcommand prints the regenerated artifact (ASCII) and writes a
-//! CSV/JSON copy under `results/`, plus a machine-readable
-//! `BENCH_repro.json` (per-figure latency quantiles and wall times, with
-//! the worker count used). Simulation sweeps run on the deterministic
-//! work-sharded engine (`sim::parallel`): every artifact is byte-identical
+//! CSV/JSON copy under `results/`; `repro all` also writes the
+//! machine-readable `BENCH_repro.json` (every figure's latency quantiles).
+//! Each figure's host wall time goes to stderr only. Simulation sweeps run
+//! on the deterministic work-sharded engine (`sim::parallel`): every
+//! artifact except the host-timed `profile.csv` is byte-identical
 //! regardless of `--jobs`. Experiment↔module mapping is in DESIGN.md §5;
 //! paper-vs-measured numbers are recorded in EXPERIMENTS.md.
 
 use std::env;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use radio::{InterfaceKind, RadioHead, RadioHeadConfig};
@@ -28,10 +26,9 @@ use stack::{
     DropReason, HopId, MobilityConfig, MobilityReport, NullHook, OverloadConfig, OverloadReport,
     PingExperiment, StackConfig,
 };
-use urllc_bench::ratchet::{parse_walls, RatchetBaseline, Tolerance, WallEntry};
 use urllc_bench::report::{
-    ascii_histogram, ascii_series, bench_json, bench_log, bench_records_len, bench_truncate,
-    bench_wall, summarize_chaos_recovery, to_csv, write_artifact,
+    ascii_histogram, ascii_series, bench_json, bench_log, summarize_chaos_recovery, to_csv,
+    write_artifact,
 };
 use urllc_core::feasibility::{feasibility_table, paper_table1};
 use urllc_core::model::{ConfigUnderTest, ProcessingBudget};
@@ -39,10 +36,6 @@ use urllc_core::reliability::{margin_sweep, min_margin_for};
 use urllc_core::worst_case::{worst_case, Direction};
 use urllc_core::DesignSearch;
 
-/// Worker count the run was asked for (recorded in `BENCH_repro.json`).
-static JOBS: AtomicUsize = AtomicUsize::new(1);
-/// Whether to also time a single-worker reference pass per subcommand.
-static COMPARE: AtomicBool = AtomicBool::new(false);
 /// Artifacts this process wrote under `results/` (audited against
 /// [`Figure::artifacts`] after each figure).
 static SAVED: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -65,8 +58,8 @@ struct Figure {
     artifacts: &'static [&'static str],
 }
 
-/// Every figure, in `repro all` order. Dispatch, `all`, the usage text,
-/// the artifact audit and the ratchet's coverage check all read this table.
+/// Every figure, in `repro all` order. Dispatch, `all`, the usage text and
+/// the artifact audit all read this table.
 const FIGURES: &[Figure] = &[
     Figure { name: "table1", run: |_| table1(), artifacts: &["table1.csv"] },
     Figure { name: "table2", run: |a| table2(a.pings), artifacts: &["table2.csv"] },
@@ -108,8 +101,7 @@ const FIGURES: &[Figure] = &[
 fn usage(problem: &str) -> ! {
     let figures: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     eprintln!(
-        "{problem}\nusage: repro {}|ratchet|all [--pings N] [--perfetto out.json] [--jobs N] \
-         [--compare] [--write]",
+        "{problem}\nusage: repro {}|all [--pings N] [--perfetto out.json] [--jobs N]",
         figures.join("|")
     );
     std::process::exit(2);
@@ -119,7 +111,6 @@ fn main() {
     let mut cmd = None;
     let mut args = Args { pings: 5_000, perfetto: TRACE_ARTIFACT.into() };
     let mut jobs = sim::parallel::jobs();
-    let mut write = false;
     let mut argv = env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut value = || argv.next().unwrap_or_else(|| usage(&format!("`{arg}` needs a value")));
@@ -133,21 +124,13 @@ fn main() {
                 _ => usage("`--jobs` takes a positive count"),
             },
             "--perfetto" => args.perfetto = value(),
-            "--compare" => COMPARE.store(true, Ordering::Relaxed),
-            "--write" => write = true,
             _ if arg.starts_with('-') || cmd.is_some() => usage(&format!("unexpected `{arg}`")),
             _ => cmd = Some(arg),
         }
     }
     sim::parallel::set_jobs(jobs);
-    JOBS.store(jobs, Ordering::Relaxed);
 
     let cmd = cmd.as_deref().unwrap_or("all");
-    if cmd == "ratchet" {
-        // The gating check reads the BENCH of a *previous* run; it must
-        // not clobber that document with its own (empty) log.
-        return ratchet_cmd(write);
-    }
     let selected: Vec<&Figure> = FIGURES.iter().filter(|f| cmd == "all" || cmd == f.name).collect();
     if selected.is_empty() {
         usage(&format!("unknown subcommand `{cmd}`"));
@@ -155,45 +138,31 @@ fn main() {
     // A figure that silently stops writing an artifact would pass every
     // downstream byte-compare by omission: audit what each one declared.
     let mut missing = 0;
+    let mut audit = |owner: &str, file: &str| {
+        if !SAVED.lock().expect("no figure panicked while saving").iter().any(|s| s == file) {
+            eprintln!("MISSING: `{owner}` did not write results/{file}");
+            missing += 1;
+        }
+    };
     for fig in selected {
-        timed(fig.name, || (fig.run)(&args));
-        let saved = SAVED.lock().expect("no figure panicked while saving");
+        // Host wall time is for the reader only: no artifact records it.
+        let t = std::time::Instant::now();
+        (fig.run)(&args);
+        eprintln!("[{}: {:.1} ms]", fig.name, t.elapsed().as_secs_f64() * 1e3);
         for artifact in fig.artifacts {
             let file = if *artifact == TRACE_ARTIFACT { &args.perfetto } else { *artifact };
-            if !saved.iter().any(|s| s == file) {
-                eprintln!("MISSING: `{}` did not write results/{file}", fig.name);
-                missing += 1;
-            }
+            audit(fig.name, file);
         }
     }
-    save("BENCH_repro.json", &bench_json());
+    // Only a full run holds every figure's rows; one figure alone would
+    // overwrite the committed document with a fragment.
+    if cmd == "all" {
+        save("BENCH_repro.json", &bench_json());
+        audit("all", "BENCH_repro.json");
+    }
     if missing > 0 {
         std::process::exit(1);
     }
-}
-
-/// Runs one subcommand, logging its wall time (and worker count) for
-/// `BENCH_repro.json`. With `--compare`, the subcommand first runs once at
-/// a single worker as the timing reference; its duplicate distribution
-/// records are dropped, and — by the determinism contract — its artifacts
-/// are byte-identical to the parallel pass that overwrites them.
-fn timed(name: &str, f: impl Fn()) {
-    let jobs = JOBS.load(Ordering::Relaxed);
-    let seq_ms = if COMPARE.load(Ordering::Relaxed) && jobs > 1 {
-        let mark = bench_records_len();
-        sim::parallel::set_jobs(1);
-        let t = std::time::Instant::now();
-        f();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        sim::parallel::set_jobs(jobs);
-        bench_truncate(mark);
-        Some(ms)
-    } else {
-        None
-    };
-    let t = std::time::Instant::now();
-    f();
-    bench_wall(name, t.elapsed().as_secs_f64() * 1e3, jobs, seq_ms);
 }
 
 fn banner(s: &str) {
@@ -1518,73 +1487,6 @@ fn profile(pings: u64) {
         .filter(|ev| ev.ping().is_some_and(|p| keep.contains(&p)))
         .collect();
     save_perfetto("tail_perfetto.json", &events);
-}
-
-/// `repro ratchet [--write]` — the gating wall-time check: judges the
-/// wall times of the last `repro` run (`results/BENCH_repro.json`)
-/// against the checked-in `ci/wall_baseline.json` and exits non-zero on
-/// a regression or on a [`FIGURES`] entry the baseline does not cover.
-/// `--write` regenerates the baseline from the last run (keeping the
-/// existing tolerance band).
-fn ratchet_cmd(write: bool) {
-    let bench_path = "results/BENCH_repro.json";
-    let bench = match std::fs::read_to_string(bench_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ratchet: cannot read {bench_path}: {e} (run `repro all` first)");
-            std::process::exit(1);
-        }
-    };
-    let walls = parse_walls(&bench);
-    let baseline_path = "ci/wall_baseline.json";
-    if write {
-        let tolerance = std::fs::read_to_string(baseline_path)
-            .ok()
-            .and_then(|t| RatchetBaseline::parse(&t))
-            .map(|b| b.tolerance)
-            .unwrap_or(Tolerance { max_ratio: 3.0, slack_ms: 500.0 });
-        // Slowest sample per figure, first-appearance order.
-        let mut dedup: Vec<WallEntry> = Vec::new();
-        for w in &walls {
-            match dedup.iter_mut().find(|d| d.figure == w.figure) {
-                Some(d) => d.wall_ms = d.wall_ms.max(w.wall_ms),
-                None => dedup.push(w.clone()),
-            }
-        }
-        let base = RatchetBaseline { tolerance, walls: dedup };
-        if let Err(e) = std::fs::create_dir_all("ci")
-            .and_then(|()| std::fs::write(baseline_path, base.to_json()))
-        {
-            eprintln!("ratchet: cannot write {baseline_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("ratchet: wrote {} figure baseline(s) to {baseline_path}", base.walls.len());
-        return;
-    }
-    let base = match std::fs::read_to_string(baseline_path)
-        .ok()
-        .and_then(|t| RatchetBaseline::parse(&t))
-    {
-        Some(b) => b,
-        None => {
-            eprintln!(
-                "ratchet: missing or malformed {baseline_path}; \
-                 regenerate with `repro ratchet --write` after `repro all`"
-            );
-            std::process::exit(1);
-        }
-    };
-    let report = base.check(&walls);
-    print!("{}", report.render(&base.tolerance));
-    // A figure added to the table but not to the baseline would run ungated.
-    let gated = |name: &str| base.walls.iter().any(|w| w.figure == name);
-    let ungated: Vec<&str> = FIGURES.iter().map(|f| f.name).filter(|n| !gated(n)).collect();
-    if !ungated.is_empty() {
-        eprintln!("ratchet: {baseline_path} has no baseline for {ungated:?} (refresh: `--write`)");
-    }
-    if !report.ok() || !ungated.is_empty() {
-        std::process::exit(1);
-    }
 }
 
 /// Saves `events` as a Chrome trace-event document; a failed export (the

@@ -1,5 +1,6 @@
 //! ASCII plots and CSV output for the regenerated tables and figures,
-//! plus the machine-readable `BENCH_repro.json` collector.
+//! plus the machine-readable `BENCH_repro.json` collector of latency
+//! quantiles.
 
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -124,22 +125,7 @@ pub struct BenchRecord {
     pub p999_us: f64,
 }
 
-/// Wall-clock time of one `repro` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchWall {
-    /// Subcommand name.
-    pub figure: String,
-    /// Wall time, ms, at `jobs` workers.
-    pub wall_ms: f64,
-    /// Worker count the subcommand ran with.
-    pub jobs: usize,
-    /// Wall time of the single-worker reference pass, ms (present only
-    /// when `repro` ran with `--compare`).
-    pub seq_wall_ms: Option<f64>,
-}
-
 static BENCH_RECORDS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
-static BENCH_WALL: Mutex<Vec<BenchWall>> = Mutex::new(Vec::new());
 
 /// Logs a latency distribution under `figure`/`metric` for
 /// `BENCH_repro.json`. Empty recorders log zero quantiles rather than
@@ -157,42 +143,19 @@ pub fn bench_log(figure: &str, metric: &str, rec: &mut LatencyRecorder) {
     BENCH_RECORDS.lock().expect("bench log poisoned").push(record);
 }
 
-/// Logs the wall time of one subcommand at `jobs` workers;
-/// `seq_wall_ms` carries the single-worker reference time when the
-/// subcommand was timed twice (`repro --compare`).
-pub fn bench_wall(figure: &str, wall_ms: f64, jobs: usize, seq_wall_ms: Option<f64>) {
-    BENCH_WALL.lock().expect("bench log poisoned").push(BenchWall {
-        figure: figure.to_string(),
-        wall_ms,
-        jobs,
-        seq_wall_ms,
-    });
-}
-
 /// Records logged so far (cloned; the log keeps accumulating).
 pub fn bench_records() -> Vec<BenchRecord> {
     BENCH_RECORDS.lock().expect("bench log poisoned").clone()
 }
 
-/// Number of distribution records logged so far.
-pub fn bench_records_len() -> usize {
-    BENCH_RECORDS.lock().expect("bench log poisoned").len()
-}
-
-/// Drops distribution records past `len` — used by `repro --compare` to
-/// discard the duplicates logged by the single-worker reference pass.
-pub fn bench_truncate(len: usize) {
-    BENCH_RECORDS.lock().expect("bench log poisoned").truncate(len);
-}
-
-/// Clears both logs (tests).
+/// Clears the log (tests).
 pub fn bench_reset() {
     BENCH_RECORDS.lock().expect("bench log poisoned").clear();
-    BENCH_WALL.lock().expect("bench log poisoned").clear();
 }
 
-/// Renders both logs as the `BENCH_repro.json` document (hand-rolled:
-/// the workspace has no serialisation dependency).
+/// Renders the log as the `BENCH_repro.json` document (hand-rolled: the
+/// workspace has no serialisation dependency). Every row is a pure
+/// function of the seeds, so the document is byte-identical run to run.
 pub fn bench_json() -> String {
     let mut out = String::from("{\n  \"distributions\": [");
     let records = BENCH_RECORDS.lock().expect("bench log poisoned");
@@ -209,22 +172,6 @@ pub fn bench_json() -> String {
             r.p99_us,
             r.p999_us,
         );
-    }
-    out.push_str("\n  ],\n  \"wall_ms\": [");
-    let walls = BENCH_WALL.lock().expect("bench log poisoned");
-    for (i, w) in walls.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}\n    {{\"figure\": \"{}\", \"wall_ms\": {:.3}, \"jobs\": {}",
-            if i == 0 { "" } else { "," },
-            w.figure,
-            w.wall_ms,
-            w.jobs,
-        );
-        if let Some(seq) = w.seq_wall_ms {
-            let _ = write!(out, ", \"seq_wall_ms\": {seq:.3}");
-        }
-        out.push('}');
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -294,32 +241,30 @@ mod tests {
 
     #[test]
     fn bench_log_survives_empty_recorders_and_renders_json() {
-        bench_reset();
-        let mut empty = LatencyRecorder::default();
-        bench_log("figX", "rtt", &mut empty);
-        let mut filled = LatencyRecorder::default();
-        for us in [100u64, 200, 300] {
-            filled.record(sim::Duration::from_micros(us));
-        }
-        bench_log("figX", "ul", &mut filled);
-        bench_wall("figX", 12.5, 2, Some(20.25));
-        bench_wall("figY", 5.0, 1, None);
+        let log = || {
+            bench_reset();
+            let mut empty = LatencyRecorder::default();
+            bench_log("figX", "rtt", &mut empty);
+            let mut filled = LatencyRecorder::default();
+            for us in [100u64, 200, 300] {
+                filled.record(sim::Duration::from_micros(us));
+            }
+            bench_log("figX", "ul", &mut filled);
+            bench_json()
+        };
+        let json = log();
         let records = bench_records();
         assert_eq!(records.len(), 2);
-        assert_eq!(bench_records_len(), 2);
         assert_eq!(records[0].count, 0);
         assert_eq!(records[0].p99_us, 0.0);
         assert_eq!(records[1].count, 3);
         assert!(records[1].p50_us >= 100.0);
-        let json = bench_json();
-        assert!(json.contains("\"distributions\""));
-        assert!(json.contains("\"figure\": \"figX\""));
-        assert!(json.contains("\"wall_ms\": 12.500, \"jobs\": 2, \"seq_wall_ms\": 20.250"));
-        assert!(json.contains("\"wall_ms\": 5.000, \"jobs\": 1}"));
+        assert!(json.starts_with("{\n  \"distributions\": [\n    {\"figure\": \"figX\""));
+        assert!(json.ends_with("}\n  ]\n}\n"));
+        assert!(!json.contains("wall_ms"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // --compare truncation: the reference pass's duplicates drop.
-        bench_truncate(1);
-        assert_eq!(bench_records_len(), 1);
+        // The document is a pure function of the logged records.
+        assert_eq!(log(), json);
         bench_reset();
         assert!(bench_records().is_empty());
     }

@@ -18,7 +18,7 @@
 //!   read back from [`Scheduler::punctured_bytes`].
 
 use ran::sched::{AccessMode, PolicySpec, Scheduler, SchedulerConfig, SlotDecision};
-use sim::{Dist, Duration, EventQueue, Instant, LatencyRecorder, SimRng};
+use sim::{Dist, Duration, Instant, LatencyRecorder, SimRng};
 
 use crate::config::StackConfig;
 
@@ -73,22 +73,17 @@ pub fn coexistence_sweep(
                 policy,
                 ..SchedulerConfig::ideal(base.duplex.clone(), AccessMode::GrantFree)
             });
-            // Pre-schedule the Poisson arrivals on an event queue (the
-            // scheduler itself draws no RNG, so sampling them all up front
-            // leaves the draw sequence unchanged), then drain in fire
-            // order like every other experiment in this crate.
+            // Poisson arrivals, served as each one lands: a single stream
+            // yields them in time order, and the scheduler draws no RNG, so
+            // sampling interleaved with serving keeps the draw sequence.
             let mut rng = SimRng::from_seed(seed).stream("coexistence");
             let inter = Dist::Exponential { mean: Duration::from_millis(2) };
-            let mut arrivals = EventQueue::new();
-            let mut t = Instant::ZERO;
-            for _ in 0..packets {
-                t += inter.sample(&mut rng);
-                arrivals.push(t, ());
-            }
             let mut latency = LatencyRecorder::new();
             let mut last_boundary = 0u64;
             let mut decision = SlotDecision::default();
-            while let Some((t, ())) = arrivals.pop() {
+            let mut t = Instant::ZERO;
+            for _ in 0..packets {
+                t += inter.sample(&mut rng);
                 sched.on_dl_data(1, urllc_bytes, t);
                 let boundary = (base.duplex.slot_index_at(t) + 1).max(last_boundary);
                 last_boundary = boundary;

@@ -89,11 +89,10 @@ pub fn run_multi_ue(config: &MultiUeConfig) -> Result<MultiUeResult, StackError>
 
 /// Schedules Poisson arrivals for UEs `ue_start..ue_start + ue_len` on one
 /// event queue. Per-UE times ascend and UEs are pushed in index order, so
-/// the queue's `(time, FIFO)` pop order is exactly the old sorted
-/// `(arrival, ue)` sweep — but the arrivals now share the same
-/// future-event machinery as the ping walk. Each UE's stream is keyed by
-/// its *global* index, so any partition of the population draws the same
-/// arrivals.
+/// the queue pops in `(time, UE)` order. Grant-based needs that order: its
+/// one scheduler sees SRs as they arrive across the population. Grant-free
+/// only needs each UE's stream keyed by its *global* index, so any
+/// partition of the population draws the same arrivals.
 fn arrival_queue(
     config: &MultiUeConfig,
     rng: &SimRng,
