@@ -250,6 +250,7 @@ pub fn sample_count(config: ShChConfig, bytes: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg(m: Modulation) -> ShChConfig {
         ShChConfig { modulation: m, c_init: 0x2_4680 }
@@ -348,5 +349,46 @@ mod tests {
         assert_eq!(decode(cfg(Modulation::Qpsk), &[]), Err(TransportError::Framing));
         let junk = vec![Iq::new(0.7, 0.7); 4];
         assert!(decode(cfg(Modulation::Qpsk), &junk).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(256))]
+        #[test]
+        fn hostile_samples_are_a_typed_error_or_the_payload(
+            len in 0usize..200,
+            modulation in 0usize..5,
+            cut in any::<usize>(),
+            extra in 0usize..8,
+            poison in prop::collection::vec((any::<usize>(), 0usize..5, 0u8..3), 0..4),
+        ) {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let mut channel = SharedChannel::new(cfg(Modulation::ALL[modulation]));
+            let honest = channel.encode(&payload).0.to_vec();
+            // A wrong length: cut anywhere (or nowhere), then junk symbols.
+            let mut hostile = honest[..cut % (honest.len() + 1)].to_vec();
+            hostile.resize(hostile.len() + extra, Iq::new(0.7, -0.7));
+            // Non-finite and huge components, in I, Q or both.
+            for &(at, value, part) in &poison {
+                if hostile.is_empty() {
+                    break;
+                }
+                let v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, -0.0][value];
+                let n = hostile.len();
+                let sample = &mut hostile[at % n];
+                if part != 1 {
+                    sample.i = v;
+                }
+                if part != 0 {
+                    sample.q = v;
+                }
+            }
+            let got = channel.decode(&hostile).map(<[u8]>::to_vec);
+            match &got {
+                Ok(decoded) => prop_assert_eq!(decoded, &payload),
+                Err(_) => prop_assert!(hostile != honest, "the honest samples failed: {:?}", got),
+            }
+            // The failed or lucky decode left nothing behind.
+            prop_assert_eq!(channel.decode(&honest), Ok(&payload[..]));
+        }
     }
 }

@@ -344,6 +344,7 @@ impl<T> MacBacklog<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile::mutate;
     use proptest::prelude::*;
 
     /// `MacPdu::decode` as it was before the subPDU iterator: the oracle.
@@ -422,6 +423,66 @@ mod tests {
                 if walk.next().is_some() {
                     prop_assert!(walk.next().is_none());
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(256))]
+        #[test]
+        fn a_hostile_mac_pdu_is_a_typed_error_or_a_round_trip(
+            subs in prop::collection::vec((0u8..63, 0usize..300), 1..4),
+            padding in prop::option::of(0usize..40),
+            victim in any::<usize>(),
+            mutation in (0u8..4, any::<usize>(), any::<u32>()),
+        ) {
+            let pdu = MacPdu::new(
+                subs.iter()
+                    .map(|&(lcid, len)| MacSubPdu::new(lcid, (0..len).map(|i| i as u8).collect()))
+                    .collect(),
+            );
+            let needed: usize = pdu.subpdus.iter().map(MacSubPdu::encoded_len).sum();
+            let wire = pdu.encode(padding.map(|p| needed + p)).unwrap();
+            // A lie in one subPDU's subheader (R/F bits, LCID, an 8- or
+            // 16-bit L), a bit flip anywhere or a truncation.
+            let victim = victim % pdu.subpdus.len();
+            let at: usize = pdu.subpdus[..victim].iter().map(MacSubPdu::encoded_len).sum();
+            let header = subheader_len(pdu.subpdus[victim].payload.len());
+            let hostile = Bytes::from(mutate(&wire, at..at + header, mutation));
+            match MacPdu::decode(&hostile) {
+                Ok(decoded) => {
+                    // Whatever decoded re-encodes and decodes to itself.
+                    let again = decoded.encode(None);
+                    prop_assert_eq!(again.and_then(|b| MacPdu::decode(&b)), Ok(decoded.clone()));
+                    if hostile == wire {
+                        prop_assert_eq!(decoded, pdu);
+                    }
+                }
+                Err(err) => {
+                    prop_assert_eq!(err, MacError::Truncated);
+                    // The walk ends on that error, with nothing after it.
+                    prop_assert_eq!(subpdus(&hostile).last(), Some(Err(err)));
+                }
+            }
+        }
+
+        #[test]
+        fn a_hostile_control_element_is_a_typed_error_or_a_round_trip(
+            ce in prop::collection::vec(any::<u8>(), 0..4),
+        ) {
+            let ce = Bytes::from(ce);
+            match decode_short_bsr(&ce) {
+                // The top index decodes as unbounded: any larger buffer
+                // encodes back to it.
+                Ok((lcg, bound)) => prop_assert_eq!(
+                    encode_short_bsr(lcg, bound.map_or(150_001, |b| b as usize)),
+                    ce.clone()
+                ),
+                Err(err) => prop_assert_eq!((err, ce.len() == 1), (MacError::Truncated, false)),
+            }
+            match decode_c_rnti(&ce) {
+                Ok(rnti) => prop_assert_eq!(encode_c_rnti(rnti), ce),
+                Err(err) => prop_assert_eq!((err, ce.len() == 2), (MacError::Truncated, false)),
             }
         }
     }

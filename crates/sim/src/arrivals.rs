@@ -22,9 +22,10 @@
 //! [`SimRng::stream_indexed`]), so arrivals are deterministic and
 //! independent of every other random component in a run.
 //!
-//! [`ArrivalGen`] hands instants to a caller that schedules them on an
-//! event queue; [`ArrivalCursor`] is the pull form for slot-driven engines,
-//! which only ever ask "what has arrived by this slot start?".
+//! Both are read by slot-driven engines, which only ever ask "what has
+//! arrived by this slot start?": [`ArrivalGen`] yields one instant per call
+//! over either process, and the caller keeps the next one peeked;
+//! [`ArrivalCursor`] does that peeking itself, over any [`Dist`] gap.
 
 use crate::dist::Dist;
 use crate::rng::SimRng;
@@ -103,10 +104,10 @@ impl ArrivalProcess {
 
 /// A deterministic arrival-time generator over an [`ArrivalProcess`].
 ///
-/// `next_arrival` yields strictly increasing instants; the caller pushes
-/// them onto its `EventQueue` (or pre-schedules a whole span) without any
-/// reference to service completions — that independence is what lets
-/// queues build.
+/// `next_arrival` yields strictly increasing instants; the caller draws
+/// them on its own clock (typically keeping the next one peeked until a
+/// slot start reaches it) without any reference to service completions —
+/// that independence is what lets queues build.
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
     process: ArrivalProcess,
@@ -123,7 +124,17 @@ impl ArrivalGen {
     /// A generator starting at `Instant::ZERO`, drawing from `rng` (derive
     /// it with [`SimRng::stream_indexed`] so the stream is independent of
     /// every other consumer).
+    ///
+    /// # Panics
+    /// If `process` is an MMPP2 whose two dwell times are both zero: its
+    /// state would flip forever without emitting an arrival.
     pub fn new(process: ArrivalProcess, mut rng: SimRng) -> ArrivalGen {
+        if let ArrivalProcess::Mmpp2 { calm_dwell, burst_dwell, .. } = process {
+            assert!(
+                calm_dwell > Duration::ZERO || burst_dwell > Duration::ZERO,
+                "an MMPP2 with two zero dwells never leaves its state switch"
+            );
+        }
         let (bursting, state_until) = match &process {
             ArrivalProcess::Poisson { .. } => (false, Instant::ZERO),
             ArrivalProcess::Mmpp2 { calm_dwell, .. } => {
@@ -266,6 +277,13 @@ mod tests {
     #[should_panic(expected = "always zero")]
     fn cursor_rejects_a_gap_that_is_always_zero() {
         ArrivalCursor::new(Dist::Constant(Duration::ZERO), SimRng::from_seed(1), Instant::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "two zero dwells")]
+    fn gen_rejects_an_mmpp2_whose_dwells_are_both_zero() {
+        let p = ArrivalProcess::bursty_pps(1000.0, 8.0, 0.2, Duration::ZERO);
+        ArrivalGen::new(p, SimRng::from_seed(1));
     }
 
     #[test]

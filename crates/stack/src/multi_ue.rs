@@ -19,8 +19,8 @@
 //!   noticeably").
 
 use ran::sched::{AccessMode, Rnti, Scheduler, SchedulerConfig, SlotDecision};
-use sim::{Dist, Duration, EventQueue, Instant, Recording, SimRng};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use sim::{Dist, Duration, Instant, Recording, SimRng};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::StackConfig;
 use crate::node::StackError;
@@ -87,31 +87,20 @@ pub fn run_multi_ue(config: &MultiUeConfig) -> Result<MultiUeResult, StackError>
     }
 }
 
-/// Schedules Poisson arrivals for UEs `ue_start..ue_start + ue_len` on one
-/// event queue. Per-UE times ascend and UEs are pushed in index order, so
-/// the queue pops in `(time, UE)` order. Grant-based needs that order: its
-/// one scheduler sees SRs as they arrive across the population. Grant-free
-/// only needs each UE's stream keyed by its *global* index, so any
-/// partition of the population draws the same arrivals.
-fn arrival_queue(
-    config: &MultiUeConfig,
-    rng: &SimRng,
-    ue_start: usize,
-    ue_len: usize,
-) -> EventQueue<usize> {
-    let mut queue = EventQueue::new();
-    for ue in ue_start..ue_start + ue_len {
-        let mut r = rng.stream_indexed("ue-arrivals", ue as u64);
-        let inter = Dist::Exponential { mean: config.mean_interval };
-        // Random phase so UEs are not synchronised.
-        let mut t = Instant::ZERO
-            + Dist::Uniform { lo: Duration::ZERO, hi: config.mean_interval }.sample(&mut r);
-        for _ in 0..config.packets_per_ue {
-            t += inter.sample(&mut r);
-            queue.push(t, ue);
-        }
-    }
-    queue
+/// UE `ue`'s Poisson arrivals, ascending: a random phase, then
+/// `packets_per_ue` exponential gaps, all from the UE's own stream keyed by
+/// its *global* index, so any partition of the population draws the same
+/// arrivals.
+fn ue_arrivals(config: &MultiUeConfig, rng: &SimRng, ue: usize) -> impl Iterator<Item = Instant> {
+    let mut r = rng.stream_indexed("ue-arrivals", ue as u64);
+    let inter = Dist::Exponential { mean: config.mean_interval };
+    // Random phase so UEs are not synchronised.
+    let mut t = Instant::ZERO
+        + Dist::Uniform { lo: Duration::ZERO, hi: config.mean_interval }.sample(&mut r);
+    (0..config.packets_per_ue).map(move |_| {
+        t += inter.sample(&mut r);
+        t
+    })
 }
 
 /// Mean UE-side prep (upper layers + MAC + PHY) for latency accounting.
@@ -157,38 +146,43 @@ fn grant_free_span(
     let prep = ue_prep(config);
     let decode = gnb_decode(config);
     let mut ul = Recording::fixed();
-    // (ue, ordinal) pairs are keyed by the UE, and every arrival of a UE
-    // lands in its own span — so per-span dedup equals global dedup.
-    let mut used_pairs: BTreeSet<(usize, u64)> = BTreeSet::new();
+    let mut used = 0u64;
     let mut horizon = Instant::ZERO;
 
-    let mut queue = arrival_queue(config, rng, ue_start, ue_len);
-    while let Some((arrival, ue)) = queue.pop() {
-        let ready = arrival + prep;
+    // Each UE's stream in turn: no UE's latency depends on another's arrivals.
+    for ue in ue_start..ue_start + ue_len {
         // The UE's owned opportunities are every `rotation`-th UL
         // opportunity, offset by its index.
-        let mut op = duplex.next_ul_opportunity(ready);
-        let mut op_index = op.slot; // opportunity counting via slot index
         let residue = ue as u64 % rotation;
-        // Walk forward until the opportunity index matches the UE's turn.
-        let mut guard = 0;
-        while ul_op_ordinal(duplex, op_index) % rotation != residue {
-            op = duplex.next_ul_opportunity(duplex.slot_start(op.slot + 1));
-            op_index = op.slot;
-            guard += 1;
-            if guard >= 10_000 {
-                return Err(StackError::Diverged(format!(
-                    "rotation search found no owned opportunity for ue {ue} \
-                     (rotation {rotation}) within 10000 slots"
-                )));
+        // Its arrivals ascend, so the owned opportunities they use do too:
+        // one differing from the last is one not used before.
+        let mut last_used = None;
+        for arrival in ue_arrivals(config, rng, ue) {
+            let mut op = duplex.next_ul_opportunity(arrival + prep);
+            // Walk forward until the opportunity index matches the UE's turn.
+            let mut guard = 0;
+            while ul_op_ordinal(duplex, op.slot) % rotation != residue {
+                op = duplex.next_ul_opportunity(duplex.slot_start(op.slot + 1));
+                guard += 1;
+                if guard >= 10_000 {
+                    return Err(StackError::Diverged(format!(
+                        "rotation search found no owned opportunity for ue {ue} \
+                         (rotation {rotation}) within 10000 slots"
+                    )));
+                }
             }
+            let done =
+                op.tx_start + config.base.data_air_time(config.base.payload_bytes + 32) + decode;
+            ul.record(done - arrival);
+            let ordinal = ul_op_ordinal(duplex, op.slot);
+            if last_used != Some(ordinal) {
+                last_used = Some(ordinal);
+                used += 1;
+            }
+            horizon = horizon.max(done);
         }
-        let done = op.tx_start + config.base.data_air_time(config.base.payload_bytes + 32) + decode;
-        ul.record(done - arrival);
-        used_pairs.insert((ue, ul_op_ordinal(duplex, op.slot)));
-        horizon = horizon.max(done);
     }
-    Ok(GrantFreeSpan { ul, used: used_pairs.len() as u64, horizon })
+    Ok(GrantFreeSpan { ul, used, horizon })
 }
 
 /// Assembles the full grant-free result from merged spans.
@@ -311,8 +305,13 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
 
     let mut last_boundary = 0u64;
     let mut decision = SlotDecision::default();
-    let mut queue = arrival_queue(config, &rng, 0, config.n_ues);
-    while let Some((arrival, ue)) = queue.pop() {
+    // The one scheduler sees SRs as they arrive across the population.
+    // The sort is stable, so simultaneous arrivals keep UE order.
+    let mut arrivals: Vec<(Instant, usize)> = (0..config.n_ues)
+        .flat_map(|ue| ue_arrivals(config, &rng, ue).map(move |t| (t, ue)))
+        .collect();
+    arrivals.sort_by_key(|&(t, _)| t);
+    for (arrival, ue) in arrivals {
         let ready = arrival + prep;
         // SR: one bit in the next UL opportunity (no contention).
         let sr_op = duplex.next_ul_opportunity(ready);
@@ -523,5 +522,18 @@ mod tests {
         assert_eq!(a[0].wasted_fraction, b[0].wasted_fraction);
         let (mut ra, mut rb) = (a[0].ul.clone(), b[0].ul.clone());
         assert_eq!(ra.summary(), rb.summary());
+    }
+
+    #[test]
+    fn an_opportunity_carrying_several_packets_is_used_once() {
+        // Four UEs at a packet per millisecond, one UL slot per 2 ms DDDU
+        // pattern: most owned opportunities carry two or more packets of
+        // their UE, a few carry none.
+        let mut cfg = MultiUeConfig::testbed(AccessMode::GrantFree, 4);
+        cfg.mean_interval = Duration::from_millis(1);
+        cfg.packets_per_ue = 200;
+        let r = run_multi_ue(&cfg).expect("converges");
+        // 109 UL opportunities owned by each UE, 80 of the 436 idle.
+        assert_eq!((r.rotation_period, r.wasted_fraction), (Some(1), Some(80.0 / 436.0)));
     }
 }

@@ -5,10 +5,12 @@
 //! The closed-loop [`crate::PingExperiment`] walk sends one ping at a time, so
 //! queues can never form and offered load is bounded by the service rate
 //! by construction. This module is the open-loop counterpart: a
-//! [`sim::ArrivalGen`] injects packets onto a shared [`sim::EventQueue`]
-//! independent of completions, real RAN entities (PDCP with a TS 38.323
-//! discardTimer, capped RLC UM buffers, a bounded MAC/HARQ backlog) absorb
-//! the backlog, and every packet ends in exactly one of three ledgers —
+//! [`sim::ArrivalGen`] injects packets independent of completions, the
+//! engine steps from one DL slot start to the next (admitting whatever
+//! arrived by it, then serving the slot), real RAN entities (PDCP with a
+//! TS 38.323 discardTimer, capped RLC UM buffers, a bounded MAC/HARQ
+//! backlog) absorb the backlog, and every packet ends in exactly one of
+//! three ledgers —
 //! delivered, dropped-with-reason, or in flight at drain — so conservation
 //! is checkable.
 //!
@@ -28,12 +30,12 @@
 
 use std::collections::VecDeque;
 
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use ran::mac::MacBacklog;
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::{RlcError, RlcUmEntity};
 use ran::sched::{Policy, PolicySpec, RequestTag, SchedItem, Slice};
-use sim::{ArrivalGen, ArrivalProcess, Duration, EventQueue, Instant, Recording, SimRng};
+use sim::{ArrivalGen, ArrivalProcess, Duration, Instant, Recording, SimRng};
 use telemetry::{JournalEvent, Profiler, Telemetry};
 
 use crate::config::StackConfig;
@@ -307,24 +309,18 @@ impl OverloadReport {
     }
 }
 
-/// Events on the shared queue. Arrivals are self-rescheduling: each one
-/// schedules its successor, so the queue never holds more than one pending
-/// arrival per process regardless of the offered rate.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    UrllcArrival,
-    EmbbArrival,
-    /// A DL slot boundary (payload: the global slot index).
-    Slot(u64),
-}
-
-/// The engine proper. Bundling the mutable state lets the per-event logic
-/// live in methods instead of one borrow-tangled closure soup.
+/// The engine proper. Bundling the mutable state lets the per-arrival and
+/// per-slot logic live in methods instead of one borrow-tangled closure
+/// soup.
 struct Engine<'a> {
     cfg: &'a OverloadConfig,
     tel: &'a Telemetry,
     slot_bytes: usize,
     wire_bytes: usize,
+    /// What every URLLC arrival enqueues and every eMBB arrival offers:
+    /// one buffer each per run, shared by every arrival.
+    payload: Bytes,
+    embb_sdu: Bytes,
     pdcp: PdcpEntity,
     rlc: RlcUmEntity,
     rlc_embb: RlcUmEntity,
@@ -347,7 +343,93 @@ struct Engine<'a> {
     wait_n: u64,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    fn new(cfg: &'a OverloadConfig, rng: &SimRng, tel: &'a Telemetry) -> Engine<'a> {
+        let stack = &cfg.stack;
+        let mut pdcp = PdcpEntity::new(PdcpConfig::new(stack.seed, 1, Direction::Downlink));
+        pdcp.set_discard_timer(cfg.discard_timer);
+        let mut rlc = RlcUmEntity::new();
+        rlc.set_tx_capacity(Some(cfg.rlc_capacity_bytes));
+        let mut rlc_embb = RlcUmEntity::new();
+        rlc_embb.set_tx_capacity(Some(cfg.embb_capacity_bytes));
+        let filled = |byte: u8, len: usize| {
+            let mut b = BytesMut::with_capacity(len);
+            b.put_bytes(byte, len);
+            b.freeze()
+        };
+        Engine {
+            cfg,
+            tel,
+            slot_bytes: stack.slot_capacity_bytes(),
+            wire_bytes: cfg.packet_wire_bytes(),
+            payload: filled(0, stack.payload_bytes),
+            embb_sdu: filled(0xBE, cfg.embb.as_ref().map_or(0, |&(_, b)| b)),
+            pdcp,
+            rlc,
+            rlc_embb,
+            harq: MacBacklog::new(cfg.harq_backlog_cap),
+            bler_rng: rng.stream("overload-bler"),
+            arrivals_by_count: Vec::new(),
+            rlc_fifo: VecDeque::new(),
+            next_pull_expected: 0,
+            policy: cfg.policy.build(),
+            class_seq: 0,
+            report: OverloadReport {
+                offered: 0,
+                delivered: 0,
+                late: 0,
+                drops: DropCounts::default(),
+                in_flight: 0,
+                latency: Recording::fixed(),
+                mean_queue_wait: Duration::ZERO,
+                embb_offered_bytes: 0,
+                embb_sent_bytes: 0,
+                embb_dropped_bytes: 0,
+                embb_shed_bytes: 0,
+                embb_queued_bytes: 0,
+                peak_pdcp_queue: 0,
+                peak_rlc_bytes: 0,
+                peak_harq_backlog: 0,
+                total_slots: 0,
+                degraded_slots: 0,
+                critical_slots: 0,
+            },
+            wait_sum_ns: 0,
+            wait_n: 0,
+        }
+    }
+
+    /// A URLLC arrival at `at`: PDCP assigns its COUNT and queues it.
+    fn admit_urllc(&mut self, at: Instant) {
+        let count = self.pdcp.tx_enqueue(at, self.payload.clone());
+        debug_assert_eq!(count as usize, self.arrivals_by_count.len());
+        self.arrivals_by_count.push(at);
+        self.report.offered += 1;
+    }
+
+    /// An eMBB arrival at `at`: shed at ingress while degraded, otherwise
+    /// offered to its RLC buffer, which tail-drops at the cap.
+    fn admit_embb(&mut self, at: Instant, hook: &dyn SloHook) {
+        let bytes = self.embb_sdu.len() as u64;
+        self.report.embb_offered_bytes += bytes;
+        let reason = if hook.level() >= DegradationLevel::Degraded {
+            // Byte-ledger only: `drops` counts URLLC packets, and shedding
+            // is an eMBB-side action.
+            self.report.embb_shed_bytes += bytes;
+            DropReason::SloShed
+        } else {
+            match self.rlc_embb.try_tx_sdu(self.embb_sdu.clone()) {
+                Ok(()) => return,
+                Err(RlcError::TxBufferFull { .. }) => {
+                    self.report.embb_dropped_bytes += bytes;
+                    DropReason::RlcFull
+                }
+                Err(e) => unreachable!("try_tx_sdu only fails with TxBufferFull: {e}"),
+            }
+        };
+        self.tel.journal(JournalEvent::Drop { ping: u64::MAX, at, reason: reason.label() });
+    }
+
     fn drop_urllc(&mut self, hook: &mut dyn SloHook, count: u32, at: Instant, reason: DropReason) {
         self.report.drops.add(reason);
         self.tel.journal(JournalEvent::Drop { ping: u64::from(count), at, reason: reason.label() });
@@ -381,25 +463,21 @@ impl Engine<'_> {
             }
             return;
         }
-        if tb.tx_count >= self.cfg.stack.harq_max_tx {
-            for i in 0..tb.ids.len() {
-                let count = tb.ids[i];
-                self.drop_urllc(hook, count, slot_tx_start, DropReason::HarqExhausted);
-            }
+        let reason = if tb.tx_count >= self.cfg.stack.harq_max_tx {
+            DropReason::HarqExhausted
+        } else if self.harq.len() >= self.harq.capacity() {
+            DropReason::MacBacklogFull
+        } else {
+            // Infallible: the `len() >= capacity()` branch above takes the
+            // block when the backlog is full, so this push always has room.
+            // Not peer-reachable — backlog pressure is handled, not
+            // panicked on.
+            self.harq.push(tb).expect("capacity checked");
             return;
+        };
+        for &count in &tb.ids {
+            self.drop_urllc(hook, count, slot_tx_start, reason);
         }
-        if self.harq.len() >= self.harq.capacity() {
-            for i in 0..tb.ids.len() {
-                let count = tb.ids[i];
-                self.drop_urllc(hook, count, slot_tx_start, DropReason::MacBacklogFull);
-            }
-            return;
-        }
-        // Infallible: the `len() >= capacity()` early-return above already
-        // dropped the block when the backlog was full, so this push always
-        // has room. Not peer-reachable — backlog pressure is handled, not
-        // panicked on.
-        self.harq.push(tb).expect("capacity checked");
     }
 
     fn on_slot(&mut self, now: Instant, hook: &mut dyn SloHook) {
@@ -426,8 +504,7 @@ impl Engine<'_> {
             if level >= DegradationLevel::Critical && tb.newest_arrival + self.cfg.deadline < now {
                 // Every packet in the block is already late: spend the air
                 // time on packets that can still make it.
-                for i in 0..tb.ids.len() {
-                    let count = tb.ids[i];
+                for &count in &tb.ids {
                     self.drop_urllc(hook, count, now, DropReason::DeadlineClamp);
                 }
                 continue;
@@ -568,10 +645,33 @@ impl Engine<'_> {
             || !self.harq.is_empty()
             || self.rlc_embb.queued_bytes() > 0
     }
+
+    /// Final reconciliation at `end`, the last served slot's start. The
+    /// PDCP queue is FIFO, so whatever was never pulled splits into a
+    /// discarded prefix and an in-flight suffix of length `tx_queued()`.
+    fn finish(mut self, hook: &mut dyn SloHook, end: Instant) -> OverloadReport {
+        let total = self.report.offered as u32;
+        let queued = self.pdcp.tx_queued() as u32;
+        while self.next_pull_expected < total.saturating_sub(queued) {
+            let c = self.next_pull_expected;
+            self.drop_urllc(hook, c, end, DropReason::PdcpDiscard);
+            self.next_pull_expected += 1;
+        }
+        // Whatever is still queued anywhere (PDCP, RLC, HARQ) is in flight.
+        let harq_in_flight: u64 =
+            std::iter::from_fn(|| self.harq.pop()).map(|tb| tb.ids.len() as u64).sum();
+        self.report.in_flight = u64::from(queued) + self.rlc_fifo.len() as u64 + harq_in_flight;
+        self.report.embb_queued_bytes = self.rlc_embb.queued_bytes() as u64;
+        if self.wait_n > 0 {
+            self.report.mean_queue_wait =
+                Duration::from_nanos((self.wait_sum_ns / u128::from(self.wait_n)) as u64);
+        }
+        self.report
+    }
 }
 
 /// Runs the open-loop overload experiment. Deterministic: all randomness
-/// comes from child streams of `rng`, the clock is the event queue's, and
+/// comes from child streams of `rng`, the clock is the DL slot grid, and
 /// telemetry recording consumes neither.
 pub fn run_overload(
     cfg: &OverloadConfig,
@@ -583,7 +683,7 @@ pub fn run_overload(
 }
 
 /// [`run_overload`] with a host wall-time [`Profiler`] wrapped around each
-/// engine event class (`overload/urllc-arrival`, `overload/embb-arrival`,
+/// arrival and each slot (`overload/urllc-arrival`, `overload/embb-arrival`,
 /// `overload/slot`). The profiler reads only the host clock; the report is
 /// bit-identical with or without it.
 pub fn run_overload_profiled(
@@ -593,184 +693,73 @@ pub fn run_overload_profiled(
     tel: &Telemetry,
     prof: &Profiler,
 ) -> OverloadReport {
-    let stack = &cfg.stack;
+    let urllc = arrivals(ArrivalGen::new(cfg.arrivals, rng.stream("overload-urllc")));
+    let embb = cfg
+        .embb
+        .iter()
+        .flat_map(|&(p, _)| arrivals(ArrivalGen::new(p, rng.stream("overload-embb"))));
+    serve(Engine::new(cfg, rng, tel), hook, prof, urllc, embb)
+}
+
+/// Every instant `gen` yields, without end.
+fn arrivals(mut gen: ArrivalGen) -> impl Iterator<Item = Instant> {
+    std::iter::from_fn(move || Some(gen.next_arrival()))
+}
+
+/// The slot-driven loop over the two sources' arrival instants (parameters
+/// so tests can place arrivals on exact instants).
+fn serve(
+    mut engine: Engine<'_>,
+    hook: &mut dyn SloHook,
+    prof: &Profiler,
+    urllc: impl Iterator<Item = Instant>,
+    embb: impl Iterator<Item = Instant>,
+) -> OverloadReport {
+    let cfg = engine.cfg;
+    let duplex = &cfg.stack.duplex;
     let horizon = Instant::ZERO + cfg.horizon;
     // Drain budget: generous, but bounded — a wedged pipeline surfaces as
     // `in_flight > 0` instead of a hang.
-    let drain_limit = horizon + stack.duplex.pattern_period() * 4096;
-
-    let mut urllc_gen = ArrivalGen::new(cfg.arrivals, rng.stream("overload-urllc"));
-    let mut embb_gen =
-        cfg.embb.as_ref().map(|(p, _)| ArrivalGen::new(*p, rng.stream("overload-embb")));
-    let embb_bytes = cfg.embb.as_ref().map_or(0, |&(_, b)| b);
-
-    let mut pdcp = PdcpEntity::new(PdcpConfig::new(stack.seed, 1, Direction::Downlink));
-    pdcp.set_discard_timer(cfg.discard_timer);
-    let mut rlc = RlcUmEntity::new();
-    rlc.set_tx_capacity(Some(cfg.rlc_capacity_bytes));
-    let mut rlc_embb = RlcUmEntity::new();
-    rlc_embb.set_tx_capacity(Some(cfg.embb_capacity_bytes));
-
-    let mut engine = Engine {
-        cfg,
-        tel,
-        slot_bytes: stack.slot_capacity_bytes(),
-        wire_bytes: cfg.packet_wire_bytes(),
-        pdcp,
-        rlc,
-        rlc_embb,
-        harq: MacBacklog::new(cfg.harq_backlog_cap),
-        bler_rng: rng.stream("overload-bler"),
-        arrivals_by_count: Vec::new(),
-        rlc_fifo: VecDeque::new(),
-        next_pull_expected: 0,
-        policy: cfg.policy.build(),
-        class_seq: 0,
-        report: OverloadReport {
-            offered: 0,
-            delivered: 0,
-            late: 0,
-            drops: DropCounts::default(),
-            in_flight: 0,
-            latency: Recording::fixed(),
-            mean_queue_wait: Duration::ZERO,
-            embb_offered_bytes: 0,
-            embb_sent_bytes: 0,
-            embb_dropped_bytes: 0,
-            embb_shed_bytes: 0,
-            embb_queued_bytes: 0,
-            peak_pdcp_queue: 0,
-            peak_rlc_bytes: 0,
-            peak_harq_backlog: 0,
-            total_slots: 0,
-            degraded_slots: 0,
-            critical_slots: 0,
-        },
-        wait_sum_ns: 0,
-        wait_n: 0,
-    };
-
-    // One buffer each per run: every arrival shares it.
-    let filled = |byte: u8, len: usize| {
-        let mut b = BytesMut::with_capacity(len);
-        b.put_bytes(byte, len);
-        b.freeze()
-    };
-    let payload = filled(0, stack.payload_bytes);
-    let embb_filler = filled(0xBE, embb_bytes);
-
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    // Arrival events outrank the slot event at the same instant so a
-    // packet arriving exactly on a slot boundary is eligible for it.
-    let first = urllc_gen.next_arrival();
-    if first < horizon {
-        queue.push_with_priority(first, 0, Ev::UrllcArrival);
-    }
-    if let Some(gen) = embb_gen.as_mut() {
-        let first = gen.next_arrival();
-        if first < horizon {
-            queue.push_with_priority(first, 0, Ev::EmbbArrival);
+    let drain_limit = horizon + duplex.pattern_period() * 4096;
+    // Each source's next arrival stays peeked until a slot start reaches
+    // it. One at the horizon is never offered.
+    let mut urllc = urllc.take_while(|&t| t < horizon).peekable();
+    let mut embb = embb.take_while(|&t| t < horizon).peekable();
+    let mut op = duplex.next_dl_opportunity(Instant::ZERO);
+    loop {
+        let now = op.tx_start;
+        // Between two slots the sources touch disjoint state and the SLO
+        // level cannot change (DESIGN §12), so each catches up on its own.
+        // An arrival exactly on the boundary belongs to this slot.
+        while let Some(at) = urllc.next_if(|&t| t <= now) {
+            let _t = prof.scope("overload/urllc-arrival");
+            engine.admit_urllc(at);
+        }
+        while let Some(at) = embb.next_if(|&t| t <= now) {
+            let _t = prof.scope("overload/embb-arrival");
+            engine.admit_embb(at, hook);
+        }
+        {
+            let _t = prof.scope("overload/slot");
+            engine.on_slot(now, hook);
+        }
+        // Step on while an arrival is to come or any stage still holds
+        // data (bounded by the drain limit).
+        op = duplex.next_dl_opportunity(duplex.slot_start(op.slot + 1));
+        let more = urllc.peek().is_some() || embb.peek().is_some() || engine.work_left();
+        if !more || op.tx_start > drain_limit {
+            return engine.finish(hook, now);
         }
     }
-    let op0 = stack.duplex.next_dl_opportunity(Instant::ZERO);
-    queue.push_with_priority(op0.tx_start, 1, Ev::Slot(op0.slot));
-
-    while let Some((now, ev)) = queue.pop() {
-        match ev {
-            Ev::UrllcArrival => {
-                let _t = prof.scope("overload/urllc-arrival");
-                let count = engine.pdcp.tx_enqueue(now, payload.clone());
-                debug_assert_eq!(count as usize, engine.arrivals_by_count.len());
-                engine.arrivals_by_count.push(now);
-                engine.report.offered += 1;
-                let next = urllc_gen.next_arrival();
-                if next < horizon {
-                    queue.push_with_priority(next, 0, Ev::UrllcArrival);
-                }
-            }
-            Ev::EmbbArrival => {
-                let _t = prof.scope("overload/embb-arrival");
-                engine.report.embb_offered_bytes += embb_bytes as u64;
-                if hook.level() >= DegradationLevel::Degraded {
-                    // Byte-ledger only: `drops` counts URLLC packets, and
-                    // shedding is an eMBB-side action.
-                    engine.report.embb_shed_bytes += embb_bytes as u64;
-                    tel.journal(JournalEvent::Drop {
-                        ping: u64::MAX,
-                        at: now,
-                        reason: DropReason::SloShed.label(),
-                    });
-                } else {
-                    match engine.rlc_embb.try_tx_sdu(embb_filler.clone()) {
-                        Ok(()) => {}
-                        Err(RlcError::TxBufferFull { .. }) => {
-                            engine.report.embb_dropped_bytes += embb_bytes as u64;
-                            tel.journal(JournalEvent::Drop {
-                                ping: u64::MAX,
-                                at: now,
-                                reason: DropReason::RlcFull.label(),
-                            });
-                        }
-                        Err(e) => unreachable!("try_tx_sdu only fails with TxBufferFull: {e}"),
-                    }
-                }
-                if let Some(gen) = embb_gen.as_mut() {
-                    let next = gen.next_arrival();
-                    if next < horizon {
-                        queue.push_with_priority(next, 0, Ev::EmbbArrival);
-                    }
-                }
-            }
-            Ev::Slot(slot) => {
-                let _t = prof.scope("overload/slot");
-                engine.on_slot(now, hook);
-                // Schedule the next DL slot while arrivals remain or any
-                // stage still holds data (bounded by the drain limit).
-                if !queue.is_empty() || engine.work_left() {
-                    let after = stack.duplex.slot_start(slot + 1);
-                    let op = stack.duplex.next_dl_opportunity(after);
-                    if op.tx_start <= drain_limit {
-                        queue.push_with_priority(op.tx_start, 1, Ev::Slot(op.slot));
-                    }
-                }
-            }
-        }
-    }
-
-    // Final reconciliation. The PDCP queue is FIFO, so whatever was never
-    // pulled splits into a discarded prefix and an in-flight suffix of
-    // length `tx_queued()`.
-    let total = engine.report.offered as u32;
-    let queued = engine.pdcp.tx_queued() as u32;
-    let end = queue.now();
-    while engine.next_pull_expected < total.saturating_sub(queued) {
-        let c = engine.next_pull_expected;
-        engine.drop_urllc(hook, c, end, DropReason::PdcpDiscard);
-        engine.next_pull_expected += 1;
-    }
-    // Whatever is still queued anywhere (PDCP, RLC, HARQ) is in flight.
-    let harq_in_flight: u64 = {
-        let mut n = 0u64;
-        while let Some(tb) = engine.harq.pop() {
-            n += tb.ids.len() as u64;
-        }
-        n
-    };
-    engine.report.in_flight = u64::from(queued) + engine.rlc_fifo.len() as u64 + harq_in_flight;
-    engine.report.embb_queued_bytes = engine.rlc_embb.queued_bytes() as u64;
-    engine.report.mean_queue_wait = if engine.wait_n == 0 {
-        Duration::ZERO
-    } else {
-        Duration::from_nanos((engine.wait_sum_ns / u128::from(engine.wait_n)) as u64)
-    };
-    engine.report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StackConfig;
+    use proptest::prelude::*;
     use ran::sched::AccessMode;
+    use sim::EventQueue;
 
     fn base_cfg(rate_pps: f64, horizon_ms: u64) -> OverloadConfig {
         let stack = StackConfig::testbed_dddu(AccessMode::GrantBased, true);
@@ -844,19 +833,22 @@ mod tests {
         assert!(r.peak_harq_backlog > 0, "HARQ backlog never used: {r:?}");
     }
 
+    /// A hook pinned at one level.
+    struct Pinned(DegradationLevel);
+
+    impl SloHook for Pinned {
+        fn observe(&mut self, _at: Instant, _miss: bool) {}
+        fn level(&self) -> DegradationLevel {
+            self.0
+        }
+    }
+
     #[test]
     fn embb_bytes_are_conserved_and_shed_under_static_degradation() {
-        struct AlwaysDegraded;
-        impl SloHook for AlwaysDegraded {
-            fn observe(&mut self, _at: Instant, _miss: bool) {}
-            fn level(&self) -> DegradationLevel {
-                DegradationLevel::Degraded
-            }
-        }
         let mut cfg = base_cfg(1_000.0, 100);
         cfg.embb = Some((ArrivalProcess::poisson_pps(2_000.0), 1000));
         let rng = SimRng::from_seed(4);
-        let mut hook = AlwaysDegraded;
+        let mut hook = Pinned(DegradationLevel::Degraded);
         let r = run_overload(&cfg, &rng, &mut hook, &Telemetry::disabled());
         assert!(r.embb_conserved(), "embb ledger: {r:?}");
         assert!(r.embb_shed_bytes > 0);
@@ -907,5 +899,227 @@ mod tests {
         let expect = 3.0 * per_slot / 0.002;
         let got = service_capacity_pps(&stack, wire);
         assert!((got - expect).abs() < 1e-6, "{got} vs {expect}");
+    }
+
+    /// The slot-driven loop over arrivals at exactly these instants.
+    fn serve_at(
+        cfg: &OverloadConfig,
+        urllc: &[Instant],
+        embb: &[Instant],
+        tel: &Telemetry,
+    ) -> OverloadReport {
+        let engine = Engine::new(cfg, &SimRng::from_seed(1), tel);
+        let (urllc, embb) = (urllc.iter().copied(), embb.iter().copied());
+        serve(engine, &mut NullHook, &Profiler::disabled(), urllc, embb)
+    }
+
+    #[test]
+    fn an_arrival_on_a_dl_slot_start_is_served_by_that_slot() {
+        let mut cfg = base_cfg(1_000.0, 5);
+        cfg.embb = Some((ArrivalProcess::poisson_pps(1_000.0), 500));
+        let duplex = &cfg.stack.duplex;
+        let at = duplex.slot_start(1);
+        assert_eq!(duplex.next_dl_opportunity(at).tx_start, at, "DL slot 1 starts late");
+        let tel = Telemetry::disabled();
+        let r = serve_at(&cfg, &[at], &[], &tel);
+        assert_eq!((r.offered, r.delivered, r.late), (1, 1, 0), "{r:?}");
+        // Slot 1 took it without a wait; slot 0 ran before it arrived.
+        assert_eq!((r.mean_queue_wait, r.total_slots), (Duration::ZERO, 2));
+        // One nanosecond later it is slot 2's.
+        let r = serve_at(&cfg, &[at + Duration::from_nanos(1)], &[], &tel);
+        let wait = duplex.slot_duration() - Duration::from_nanos(1);
+        assert_eq!((r.delivered, r.mean_queue_wait, r.total_slots), (1, wait, 3), "{r:?}");
+        // The same for eMBB: slot 1 sends it and nothing is left for slot 2.
+        let r = serve_at(&cfg, &[], &[at], &tel);
+        assert_eq!((r.embb_sent_bytes, r.total_slots), (500, 2), "{r:?}");
+    }
+
+    #[test]
+    fn an_urllc_arrival_at_the_horizon_is_never_offered() {
+        let cfg = base_cfg(1_000.0, 5);
+        let horizon = Instant::ZERO + cfg.horizon;
+        let just_before = horizon - Duration::from_nanos(1);
+        let r = serve_at(&cfg, &[just_before, horizon], &[], &Telemetry::disabled());
+        assert_eq!((r.offered, r.delivered, r.in_flight), (1, 1, 0), "{r:?}");
+    }
+
+    #[test]
+    fn the_reconciliation_drops_at_the_last_served_slot() {
+        // A burst far past what the discardTimer lets the DL carry: the
+        // whole PDCP tail expires at once, no later pull reveals its COUNT
+        // gap, and the final reconciliation attributes it.
+        let cfg = base_cfg(1_000.0, 5);
+        let burst = vec![Instant::ZERO + Duration::from_micros(100); 2_000];
+        let tel = Telemetry::new(1 << 12);
+        let r = serve_at(&cfg, &burst, &[], &tel);
+        assert!(r.conserved() && r.drops.get(DropReason::PdcpDiscard) > 0, "{r:?}");
+        let duplex = &cfg.stack.duplex;
+        let mut last = duplex.next_dl_opportunity(Instant::ZERO);
+        for _ in 1..r.total_slots {
+            last = duplex.next_dl_opportunity(duplex.slot_start(last.slot + 1));
+        }
+        let journal = tel.journal_events();
+        assert!(
+            matches!(
+                journal.last(),
+                Some(JournalEvent::Drop { at, reason: "pdcp-discard", .. }) if *at == last.tx_start
+            ),
+            "last served slot at {:?}, journal ends {:?}",
+            last.tx_start,
+            journal.last()
+        );
+    }
+
+    /// Events on the oracle's queue. Arrivals are self-rescheduling: each
+    /// one schedules its successor, so the queue never holds more than one
+    /// pending arrival per process regardless of the offered rate.
+    #[derive(Debug, Clone, Copy)]
+    enum Ev {
+        UrllcArrival,
+        EmbbArrival,
+        /// A DL slot boundary (payload: the global slot index).
+        Slot(u64),
+    }
+
+    /// The oracle: the loop this module ran before it went slot-driven —
+    /// one `sim::EventQueue`, both arrivals at priority 0 ahead of the slot
+    /// clock at priority 1 — kept statement for statement, its two arrival
+    /// arms calling the `Engine` methods they became.
+    fn event_queue_run(
+        cfg: &OverloadConfig,
+        rng: &SimRng,
+        hook: &mut dyn SloHook,
+        tel: &Telemetry,
+    ) -> OverloadReport {
+        let stack = &cfg.stack;
+        let horizon = Instant::ZERO + cfg.horizon;
+        let drain_limit = horizon + stack.duplex.pattern_period() * 4096;
+        let mut urllc_gen = ArrivalGen::new(cfg.arrivals, rng.stream("overload-urllc"));
+        let mut embb_gen =
+            cfg.embb.as_ref().map(|(p, _)| ArrivalGen::new(*p, rng.stream("overload-embb")));
+        let mut engine = Engine::new(cfg, rng, tel);
+
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        // Arrival events outrank the slot event at the same instant so a
+        // packet arriving exactly on a slot boundary is eligible for it.
+        let first = urllc_gen.next_arrival();
+        if first < horizon {
+            queue.push_with_priority(first, 0, Ev::UrllcArrival);
+        }
+        if let Some(gen) = embb_gen.as_mut() {
+            let first = gen.next_arrival();
+            if first < horizon {
+                queue.push_with_priority(first, 0, Ev::EmbbArrival);
+            }
+        }
+        let op0 = stack.duplex.next_dl_opportunity(Instant::ZERO);
+        queue.push_with_priority(op0.tx_start, 1, Ev::Slot(op0.slot));
+
+        while let Some((now, ev)) = queue.pop() {
+            match ev {
+                Ev::UrllcArrival => {
+                    engine.admit_urllc(now);
+                    let next = urllc_gen.next_arrival();
+                    if next < horizon {
+                        queue.push_with_priority(next, 0, Ev::UrllcArrival);
+                    }
+                }
+                Ev::EmbbArrival => {
+                    engine.admit_embb(now, hook);
+                    if let Some(gen) = embb_gen.as_mut() {
+                        let next = gen.next_arrival();
+                        if next < horizon {
+                            queue.push_with_priority(next, 0, Ev::EmbbArrival);
+                        }
+                    }
+                }
+                Ev::Slot(slot) => {
+                    engine.on_slot(now, hook);
+                    // Schedule the next DL slot while arrivals remain or any
+                    // stage still holds data (bounded by the drain limit).
+                    if !queue.is_empty() || engine.work_left() {
+                        let after = stack.duplex.slot_start(slot + 1);
+                        let op = stack.duplex.next_dl_opportunity(after);
+                        if op.tx_start <= drain_limit {
+                            queue.push_with_priority(op.tx_start, 1, Ev::Slot(op.slot));
+                        }
+                    }
+                }
+            }
+        }
+        engine.finish(hook, queue.now())
+    }
+
+    /// Every field of a report but `latency`, grouped so a mismatch names
+    /// what moved.
+    #[allow(clippy::type_complexity)]
+    fn ledger(
+        r: &OverloadReport,
+    ) -> ((u64, u64, u64, DropCounts, u64, Duration), (u64, u64, u64, u64, u64), [u64; 6]) {
+        (
+            (r.offered, r.delivered, r.late, r.drops, r.in_flight, r.mean_queue_wait),
+            (
+                r.embb_offered_bytes,
+                r.embb_sent_bytes,
+                r.embb_dropped_bytes,
+                r.embb_shed_bytes,
+                r.embb_queued_bytes,
+            ),
+            [
+                r.peak_pdcp_queue as u64,
+                r.peak_rlc_bytes as u64,
+                r.peak_harq_backlog as u64,
+                r.total_slots,
+                r.degraded_slots,
+                r.critical_slots,
+            ],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(48))]
+        #[test]
+        fn slot_driven_loop_equals_the_event_queue_loop(
+            seed in any::<u64>(),
+            rate_frac in 0.1f64..2.5,
+            horizon_ms in 2u64..40,
+            bursty in any::<bool>(),
+            embb in any::<bool>(),
+            bler in prop::option::of(0.05f64..0.4),
+            harq_cap in 1usize..4,
+            timer_ms in prop::option::of(1u64..8),
+            level in 0usize..3,
+            policy in 0usize..3,
+        ) {
+            let stack = StackConfig::testbed_dddu(AccessMode::GrantBased, true);
+            let lambda = rate_frac * service_capacity_pps(&stack, stack.payload_bytes + 3);
+            let arrivals = if bursty {
+                ArrivalProcess::bursty_pps(lambda, 6.0, 0.25, Duration::from_millis(2))
+            } else {
+                ArrivalProcess::poisson_pps(lambda)
+            };
+            let mut cfg =
+                OverloadConfig::testbed(stack, arrivals, Duration::from_millis(horizon_ms));
+            if embb {
+                cfg.embb = Some((ArrivalProcess::poisson_pps(0.3 * lambda), 900));
+            }
+            cfg.bler = bler.unwrap_or(0.0);
+            cfg.harq_backlog_cap = harq_cap;
+            cfg.discard_timer = timer_ms.map(Duration::from_millis);
+            cfg.policy =
+                [PolicySpec::Fcfs, PolicySpec::NonPreemptivePriority, PolicySpec::RoundRobin]
+                    [policy];
+            let level =
+                [DegradationLevel::Normal, DegradationLevel::Degraded, DegradationLevel::Critical]
+                    [level];
+            let rng = SimRng::from_seed(seed);
+            let (new_tel, old_tel) = (Telemetry::new(1 << 16), Telemetry::new(1 << 16));
+            let new = run_overload(&cfg, &rng, &mut Pinned(level), &new_tel);
+            let old = event_queue_run(&cfg, &rng, &mut Pinned(level), &old_tel);
+            prop_assert_eq!(ledger(&new), ledger(&old));
+            prop_assert_eq!(&new.latency, &old.latency);
+            prop_assert_eq!(new_tel.journal_dropped(), 0);
+            prop_assert_eq!(new_tel.journal_events(), old_tel.journal_events());
+        }
     }
 }

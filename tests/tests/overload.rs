@@ -109,6 +109,42 @@ fn governed_run_beats_ungoverned_past_saturation() {
     );
 }
 
+#[test]
+fn governed_run_with_bler_and_embb_keeps_its_literal_ledger() {
+    // One pinned run through every ledger the engine keeps: URLLC packets
+    // per outcome and drop reason, eMBB bytes, and slots per SLO level.
+    // The numbers are the engine's own, so a change to how it steps
+    // through time that moves any of them fails here.
+    let stack = testbed();
+    let mut cfg = OverloadConfig::testbed(
+        stack,
+        ArrivalProcess::poisson_pps(0.9 * capacity_pps()),
+        Duration::from_millis(200),
+    );
+    cfg.bler = 0.5;
+    cfg.harq_backlog_cap = 1;
+    cfg.embb = Some((ArrivalProcess::poisson_pps(2_000.0), 1000));
+    let mut sup = SloSupervisor::new(SloConfig::default());
+    let r = run_overload(&cfg, &SimRng::from_seed(40), &mut sup, &Telemetry::disabled());
+    let drops = DropReason::ALL.map(|reason| r.drops.get(reason));
+    assert!(r.conserved() && r.embb_conserved(), "{r:?}");
+    // pdcp-discard, rlc-full, mac-backlog-full, harq-exhausted,
+    // deadline-clamp, slo-shed.
+    assert_eq!(drops, [780, 0, 0, 13, 728, 0]);
+    assert_eq!((r.offered, r.delivered, r.late, r.in_flight), (3521, 2000, 1169, 0));
+    assert_eq!(
+        (
+            r.embb_offered_bytes,
+            r.embb_sent_bytes,
+            r.embb_dropped_bytes,
+            r.embb_shed_bytes,
+            r.embb_queued_bytes
+        ),
+        (427_000, 5_000, 3_000, 419_000, 0)
+    );
+    assert_eq!((r.total_slots, r.degraded_slots, r.critical_slots), (307, 7, 286));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
