@@ -78,7 +78,7 @@ const FIGURES: &[Figure] = &[
     Figure { name: "harq", run: |a| harq(a.pings), artifacts: &[] },
     Figure { name: "rach", run: |_| rach(), artifacts: &[] },
     Figure { name: "sixg", run: |_| sixg(), artifacts: &[] },
-    Figure { name: "coexist", run: |_| coexist(), artifacts: &[] },
+    Figure { name: "coexist", run: |_| coexist(), artifacts: &["coexist.csv"] },
     Figure { name: "sched", run: |_| sched(), artifacts: &["sched.csv"] },
     Figure { name: "chaos", run: |a| chaos(a.pings), artifacts: &["chaos.csv"] },
     Figure { name: "recovery", run: |a| recovery(a.pings), artifacts: &["recovery.csv"] },
@@ -692,21 +692,31 @@ fn coexist() {
         "{:>8} {:>18} {:>18} {:>16}",
         "load", "queue mean [us]", "preempt mean [us]", "eMBB lost [B]"
     );
+    let mut rows = Vec::new();
     for &l in &loads {
-        let queue_mean = if l <= queue_limit {
-            let q = &mut coexistence_sweep(false, &[l], 2_000, 21)[0];
-            format!("{:.1}", q.latency.summary().mean_us)
-        } else {
-            "unservable".into()
-        };
+        let queue_mean = (l <= queue_limit)
+            .then(|| coexistence_sweep(false, &[l], 2_000, 21)[0].latency.summary().mean_us);
         let p = &mut coexistence_sweep(true, &[l], 2_000, 21)[0];
+        let preempt_mean = p.latency.summary().mean_us;
         println!(
-            "{l:>8.2} {queue_mean:>18} {:>18.1} {:>16}",
-            p.latency.summary().mean_us,
+            "{l:>8.2} {:>18} {preempt_mean:>18.1} {:>16}",
+            queue_mean.map_or("unservable".into(), |m| format!("{m:.1}")),
             p.embb_bytes_lost
         );
+        // To the nanosecond, so the byte compare sees any moved sample; an
+        // unservable queue arm leaves its cell empty.
+        rows.push(vec![
+            format!("{l:.2}"),
+            queue_mean.map_or(String::new(), |m| format!("{m:.3}")),
+            format!("{preempt_mean:.3}"),
+            p.embb_bytes_lost.to_string(),
+        ]);
     }
     println!("(queueing behind eMBB erodes the URLLC budget as the cell fills; preemption\n keeps URLLC flat and bills eMBB instead — the §1 coexistence literature's trade)");
+    save(
+        "coexist.csv",
+        &to_csv(&["load", "queue_mean_us", "preempt_mean_us", "embb_bytes_lost"], &rows),
+    );
 }
 
 /// Extension X14: the scheduler/slicing laboratory — the SimURLLC policy
