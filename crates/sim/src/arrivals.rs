@@ -24,8 +24,7 @@
 //!
 //! Both are read by slot-driven engines, which only ever ask "what has
 //! arrived by this slot start?": [`ArrivalGen`] yields one instant per call
-//! over either process, and the caller keeps the next one peeked;
-//! [`ArrivalCursor`] does that peeking itself, over any [`Dist`] gap.
+//! over either process, and the engine's slot frame keeps the next peeked.
 
 use crate::dist::Dist;
 use crate::rng::SimRng;
@@ -175,57 +174,6 @@ impl ArrivalGen {
     }
 }
 
-/// One open-loop source read as a cursor over its own arrival instants:
-/// gaps drawn from `gap`, the first measured from `Instant::ZERO`, silent
-/// from `horizon` on. A slot-driven engine keeps one per traffic class and
-/// pops what has fallen due at each slot start — no event queue, because
-/// nothing else happens to a class between two slots.
-#[derive(Debug, Clone)]
-pub struct ArrivalCursor {
-    next: Option<Instant>,
-    gap: Dist,
-    rng: SimRng,
-    horizon: Instant,
-}
-
-impl ArrivalCursor {
-    /// A source drawing its gaps from `rng` (one stream per source).
-    ///
-    /// Unlike [`ArrivalGen`] the cursor does not clamp a gap to 1 ns, so
-    /// single zero draws repeat an instant; a gap that is *always* zero
-    /// (`Dist::Constant(Duration::ZERO)`) would make `pop_due` return `Some` forever.
-    ///
-    /// # Panics
-    /// If `gap` has a zero mean.
-    pub fn new(gap: Dist, rng: SimRng, horizon: Instant) -> ArrivalCursor {
-        assert!(
-            gap.mean() > Duration::ZERO,
-            "an arrival gap that is always zero never passes `now`"
-        );
-        let mut cursor = ArrivalCursor { next: None, gap, rng, horizon };
-        cursor.arm(Instant::ZERO);
-        cursor
-    }
-
-    fn arm(&mut self, after: Instant) {
-        let t = after + self.gap.sample(&mut self.rng);
-        self.next = (t < self.horizon).then_some(t);
-    }
-
-    /// `true` while an arrival before the horizon is still to come.
-    pub fn is_armed(&self) -> bool {
-        self.next.is_some()
-    }
-
-    /// The next arrival if it is due (`<= now`: an arrival exactly on a
-    /// slot boundary belongs to that slot), advancing past it.
-    pub fn pop_due(&mut self, now: Instant) -> Option<Instant> {
-        let t = self.next.filter(|&t| t <= now)?;
-        self.arm(t);
-        Some(t)
-    }
-}
-
 /// One exponential draw with the given mean (zero mean → zero).
 fn exp_sample(mean: Duration, rng: &mut SimRng) -> Duration {
     Dist::Exponential { mean }.sample(rng)
@@ -255,28 +203,6 @@ mod tests {
         let mean = counts.iter().sum::<f64>() / counts.len() as f64;
         let var = counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64;
         var / mean
-    }
-
-    #[test]
-    fn cursor_pops_what_is_due_and_falls_silent_at_the_horizon() {
-        let at = |ns| Instant::ZERO + Duration::from_nanos(ns);
-        let gap = Dist::Constant(Duration::from_nanos(10));
-        let mut c = ArrivalCursor::new(gap, SimRng::from_seed(1), at(30));
-        assert_eq!(c.pop_due(at(9)), None);
-        // Due means `<= now`; everything due comes out, oldest first.
-        assert_eq!(c.pop_due(at(10)), Some(at(10)));
-        assert_eq!(c.pop_due(at(10)), None);
-        assert!(c.is_armed());
-        assert_eq!(c.pop_due(at(99)), Some(at(20)));
-        // The next one would land on the horizon itself: never offered.
-        assert!(!c.is_armed());
-        assert_eq!(c.pop_due(at(99)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "always zero")]
-    fn cursor_rejects_a_gap_that_is_always_zero() {
-        ArrivalCursor::new(Dist::Constant(Duration::ZERO), SimRng::from_seed(1), Instant::ZERO);
     }
 
     #[test]

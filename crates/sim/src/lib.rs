@@ -33,7 +33,7 @@ pub(crate) mod rng;
 pub(crate) mod stats;
 pub(crate) mod time;
 
-pub use arrivals::{ArrivalCursor, ArrivalGen, ArrivalProcess};
+pub use arrivals::{ArrivalGen, ArrivalProcess};
 pub use dist::Dist;
 pub use event::EventQueue;
 pub use faults::{

@@ -5,8 +5,8 @@
 //!
 //! Background eMBB traffic keeps the downlink slots busy. Two arms for the
 //! URLLC packets that arrive on top, both expressed as ordinary
-//! [`ran::sched`] scheduling policies (there is no bespoke coexistence
-//! fork in the simulation loop):
+//! [`ran::sched`] scheduling policies on the slot frame's per-packet walk
+//! (`crate::frame`; there is no bespoke coexistence fork):
 //!
 //! * **Queue** ([`PolicySpec::Fcfs`] over the capacity eMBB leaves) —
 //!   URLLC competes for the residual capacity; as the eMBB load grows,
@@ -17,10 +17,11 @@
 //!   its latency stays flat, and the cost appears as erased eMBB bytes,
 //!   read back from [`Scheduler::punctured_bytes`].
 
-use ran::sched::{AccessMode, PolicySpec, Scheduler, SchedulerConfig, SlotDecision};
+use ran::sched::{AccessMode, PolicySpec, Scheduler, SchedulerConfig};
 use sim::{Dist, Duration, Instant, LatencyRecorder, SimRng};
 
 use crate::config::StackConfig;
+use crate::frame;
 
 /// One point of the coexistence sweep.
 #[derive(Debug, Clone)]
@@ -73,33 +74,43 @@ pub fn coexistence_sweep(
                 policy,
                 ..SchedulerConfig::ideal(base.duplex.clone(), AccessMode::GrantFree)
             });
-            // Poisson arrivals, served as each one lands: a single stream
-            // yields them in time order, and the scheduler draws no RNG, so
-            // sampling interleaved with serving keeps the draw sequence.
+            // Poisson arrivals: a single stream yields them in time order,
+            // and the scheduler draws no RNG, so sampling interleaved with
+            // serving keeps the draw sequence.
             let mut rng = SimRng::from_seed(seed).stream("coexistence");
             let inter = Dist::Exponential { mean: Duration::from_millis(2) };
-            let mut latency = LatencyRecorder::new();
-            let mut last_boundary = 0u64;
-            let mut decision = SlotDecision::default();
-            let mut t = Instant::ZERO;
-            for _ in 0..packets {
-                t += inter.sample(&mut rng);
-                sched.on_dl_data(1, urllc_bytes, t);
-                let boundary = (base.duplex.slot_index_at(t) + 1).max(last_boundary);
-                last_boundary = boundary;
-                sched.run_slot_into(boundary, &mut decision);
-                for a in &decision.dl_assignments {
-                    latency.record(a.dl.tx_start + base.data_air_time(urllc_bytes) - t);
-                }
-            }
+            let arrivals = (0..packets).scan(Instant::ZERO, |t, _| {
+                *t += inter.sample(&mut rng);
+                Some(*t)
+            });
             CoexistencePoint {
                 embb_load: load,
                 policy,
-                latency,
+                latency: serve_urllc(&base, &mut sched, arrivals),
                 embb_bytes_lost: sched.punctured_bytes(),
             }
         })
         .collect()
+}
+
+/// Serves URLLC packets arriving at `arrivals`, in time order, on `sched`
+/// and records each one's latency (a seam: tests pass exact instants).
+fn serve_urllc(
+    base: &StackConfig,
+    sched: &mut Scheduler,
+    arrivals: impl Iterator<Item = Instant>,
+) -> LatencyRecorder {
+    let bytes = base.grant_bytes();
+    let air = base.data_air_time(bytes);
+    let mut latency = LatencyRecorder::new();
+    frame::serve_packets(
+        sched,
+        arrivals.map(|t| (t, 1, t)),
+        |sched, rnti, t| sched.on_dl_data(rnti, bytes, t),
+        |_, dl, arrival| latency.record(dl.tx_start + air - arrival),
+    )
+    .expect("the scheduler assigns only what was submitted");
+    latency
 }
 
 #[cfg(test)]

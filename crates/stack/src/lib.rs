@@ -28,11 +28,15 @@
 //!   and heterogeneous UE mixes, sharded with cells as the boundary,
 //!   recording fixed-memory up to 10⁶ total UEs;
 //! * `coexistence` — URLLC sharing the downlink with eMBB: queueing vs
-//!   preemption (the §1 coexistence literature, on this stack).
+//!   preemption (the §1 coexistence literature, on this stack);
+//! * `frame` — the one slot clock under the open-loop engines: a per-class
+//!   walk (`multicell`, `overload`) and a per-packet walk on the scheduler
+//!   (`schedlab`, `coexistence`, `multi_ue`).
 
 pub(crate) mod coexistence;
 pub(crate) mod config;
 pub(crate) mod experiment;
+pub(crate) mod frame;
 pub(crate) mod handover;
 pub(crate) mod journey;
 pub(crate) mod multi_ue;

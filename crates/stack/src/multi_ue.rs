@@ -12,17 +12,18 @@
 //!   rotated across opportunities round-robin, multiplying their access
 //!   period — latency grows in capacity-quantised steps. Opportunities a
 //!   UE owns but does not use are *wasted* (the §5 cost).
-//! * **Grant-based**: SRs are one bit and effectively never contend, but
-//!   the granted data transmissions share the same slot capacity, and the
-//!   per-round scheduler work grows with the attached population (§7:
-//!   "higher number of UEs might increase the processing times
-//!   noticeably").
+//! * **Grant-based**: SRs are one bit and effectively never contend (one
+//!   scheduler takes them on the slot frame's per-packet walk,
+//!   `crate::frame`), but the granted data transmissions share the same
+//!   slot capacity, and the per-round scheduler work grows with the
+//!   attached population (§7: "higher number of UEs might increase the
+//!   processing times noticeably").
 
-use ran::sched::{AccessMode, Rnti, Scheduler, SchedulerConfig, SlotDecision};
+use ran::sched::{AccessMode, Rnti, Scheduler, SchedulerConfig};
 use sim::{Dist, Duration, Instant, Recording, SimRng};
-use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::StackConfig;
+use crate::frame;
 use crate::node::StackError;
 
 /// UEs per sub-shard when a grant-free population point is split across
@@ -259,7 +260,25 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
             config.n_ues
         )));
     }
-    let duplex = config.base.duplex.clone();
+    let rng = SimRng::from_seed(config.base.seed);
+    // The one scheduler sees SRs as they arrive across the population.
+    // The sort is stable, so simultaneous arrivals keep UE order.
+    let mut arrivals: Vec<(Instant, usize)> = (0..config.n_ues)
+        .flat_map(|ue| ue_arrivals(config, &rng, ue).map(move |t| (t, ue)))
+        .collect();
+    arrivals.sort_by_key(|&(t, _)| t);
+    let ul = grant_based_ul(config, arrivals)?;
+    Ok(MultiUeResult { n_ues: config.n_ues, ul, wasted_fraction: None, rotation_period: None })
+}
+
+/// Serves `(arrival, UE)` pairs, in time order, through one grant-based
+/// scheduler and records each packet's UL latency (a seam: tests pass
+/// exact instants).
+fn grant_based_ul(
+    config: &MultiUeConfig,
+    arrivals: Vec<(Instant, usize)>,
+) -> Result<Recording, StackError> {
+    let duplex = &config.base.duplex;
     let mut sched_cfg: SchedulerConfig = config.base.scheduler_config();
     sched_cfg.access = AccessMode::GrantBased;
     let mut sched = Scheduler::new(sched_cfg);
@@ -269,79 +288,30 @@ fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> 
     let sr_decode = Duration::from_micros_f64(
         100.0 * (1.0 + config.sched_scaling_per_ue * config.n_ues as f64),
     );
-    let rng = SimRng::from_seed(config.base.seed);
-    let mut ul = Recording::fixed();
-    // FIFO of outstanding arrivals per UE, so grants (possibly served in a
-    // later round than they were requested) are attributed correctly.
-    let mut outstanding: BTreeMap<Rnti, VecDeque<Instant>> = BTreeMap::new();
     let air = config.base.data_air_time(config.base.payload_bytes + 32);
-
-    // A grant for an RNTI that never sent an SR, or for a UE whose every
-    // outstanding packet was already served, means the scheduler's grant
-    // queue and our arrival ledger have diverged — reachable when a
-    // saturated scheduler re-issues grants past its own bookkeeping, so
-    // it surfaces as a typed error instead of a panic.
-    let serve = |decision: &SlotDecision,
-                 outstanding: &mut BTreeMap<Rnti, VecDeque<Instant>>,
-                 ul: &mut Recording|
-     -> Result<(), StackError> {
-        for grant in &decision.ul_grants {
-            let queue = outstanding.get_mut(&grant.rnti).ok_or_else(|| {
-                StackError::Diverged(format!(
-                    "scheduler granted rnti {} which never requested uplink",
-                    grant.rnti
-                ))
-            })?;
-            let arrival = queue.pop_front().ok_or_else(|| {
-                StackError::Diverged(format!(
-                    "scheduler over-granted rnti {}: no outstanding packet",
-                    grant.rnti
-                ))
-            })?;
-            ul.record(grant.ul.tx_start + air + decode - arrival);
-        }
-        Ok(())
-    };
-
-    let mut last_boundary = 0u64;
-    let mut decision = SlotDecision::default();
-    // The one scheduler sees SRs as they arrive across the population.
-    // The sort is stable, so simultaneous arrivals keep UE order.
-    let mut arrivals: Vec<(Instant, usize)> = (0..config.n_ues)
-        .flat_map(|ue| ue_arrivals(config, &rng, ue).map(move |t| (t, ue)))
-        .collect();
-    arrivals.sort_by_key(|&(t, _)| t);
-    for (arrival, ue) in arrivals {
-        let ready = arrival + prep;
-        // SR: one bit in the next UL opportunity (no contention).
-        let sr_op = duplex.next_ul_opportunity(ready);
+    let mut ul = Recording::fixed();
+    // SR: one bit in the next UL opportunity (no contention), visible to
+    // the scheduler once decoded — monotone in the arrival, so the SRs stay
+    // in ready order. Every round grants each SR due by it (`reserve_ul`
+    // probes forward until a slot fits), so nothing is left to flush.
+    let srs = arrivals.into_iter().map(|(arrival, ue)| {
+        let sr_op = duplex.next_ul_opportunity(arrival + prep);
         let sr_visible = sr_op.tx_start + duplex.numerology().symbol_offset(1) + sr_decode;
-        outstanding.entry(ue as Rnti).or_default().push_back(arrival);
-        sched.on_sr(ue as Rnti, sr_visible);
-        // Keep scheduler invocations monotone.
-        let boundary = (duplex.slot_index_at(sr_visible) + 1).max(last_boundary);
-        last_boundary = boundary;
-        sched.run_slot_into(boundary, &mut decision);
-        serve(&decision, &mut outstanding, &mut ul)?;
-    }
-    // Flush any SRs deferred past the last boundary.
-    let mut guard = 0;
-    while sched.backlog().0 > 0 {
-        last_boundary += 1;
-        sched.run_slot_into(last_boundary, &mut decision);
-        serve(&decision, &mut outstanding, &mut ul)?;
-        guard += 1;
-        if guard >= 100_000 {
-            return Err(StackError::Diverged(format!(
-                "scheduler holds {} SRs it cannot drain within 100000 flush rounds \
-                 ({} UEs over-saturate the cell)",
-                sched.backlog().0,
-                config.n_ues,
-            )));
-        }
-    }
-
-    Ok(MultiUeResult { n_ues: config.n_ues, ul, wasted_fraction: None, rotation_period: None })
+        (sr_visible, ue as Rnti, arrival)
+    });
+    frame::serve_packets(&mut sched, srs, Scheduler::on_sr, |_, grant, arrival| {
+        ul.record(grant.tx_start + air + decode - arrival)
+    })
+    // A grant with no outstanding arrival means the scheduler's grant
+    // queue and the arrival ledger have diverged — reachable when a
+    // saturated scheduler re-issues grants past its own bookkeeping, so it
+    // surfaces as a typed error instead of a panic.
+    .map_err(|rnti| {
+        StackError::Diverged(format!(
+            "scheduler granted rnti {rnti}, which has no outstanding packet"
+        ))
+    })?;
+    Ok(ul)
 }
 
 /// Sweeps the UE population, returning one result per point. The sweep is

@@ -14,11 +14,8 @@
 //! Between two DL slot starts a cell does nothing but append arrivals to
 //! its per-class queues, and classes share neither a queue nor an RNG
 //! stream, so the order of arrivals *across* classes cannot matter. A cell
-//! therefore keeps no event queue: each class has one
-//! [`sim::ArrivalCursor`], and every slot start first pops each cursor up
-//! to `now` (an arrival exactly on the boundary belongs to that slot; one
-//! at the horizon is never offered), then serves the slot, then steps to
-//! the next DL opportunity while a cursor is armed or a queue is non-empty.
+//! therefore keeps no event queue: it runs on the slot frame's per-class
+//! arm (`crate::frame`, DESIGN §12), one arrival source per class.
 //!
 //! ## How 10⁵–10⁶ UEs fit in fixed memory
 //!
@@ -28,7 +25,7 @@
 //! * **Arrivals are aggregated per class.** The superposition of `n`
 //!   independent Poisson processes of rate `λ` is a Poisson process of
 //!   rate `n·λ`, exactly — so a class of 55 000 sensors is one arrival
-//!   cursor, not 55 000 of them. The UE count still matters: it sets the
+//!   source, not 55 000 of them. The UE count still matters: it sets the
 //!   aggregate rate and inflates the gNB's per-packet scheduling/decode
 //!   work ("higher number of UEs might increase the processing times
 //!   noticeably", §7).
@@ -48,11 +45,16 @@
 //! the master seed and shares no state with its neighbours, so the shard
 //! reduction (index order) is byte-identical at any worker count.
 
+use std::collections::VecDeque;
+use std::iter::Peekable;
+
 use ran::sched::{PolicySpec, RequestTag, Rnti, SchedItem, Slice};
-use sim::{ArrivalCursor, Dist, Duration, Instant, Recording, SimRng};
+use sim::{Dist, Duration, Instant, Recording, SimRng};
 
 use crate::config::StackConfig;
+use crate::frame;
 use crate::node::StackError;
+use crate::overload::service_capacity_pps;
 
 /// One homogeneous slice of a cell's UE population.
 #[derive(Debug, Clone)]
@@ -129,7 +131,7 @@ impl MulticellConfig {
     pub fn dense_urban(n_cells: usize, ues_per_cell: u64, seed: u64) -> MulticellConfig {
         let stack =
             StackConfig::testbed_dddu(ran::sched::AccessMode::GrantBased, true).with_seed(seed);
-        let capacity_bps = dl_capacity_bytes_per_sec(&stack);
+        let capacity_bps = service_capacity_pps(&stack, 1);
         let cells = (0..n_cells)
             .map(|i| {
                 // Hotspots run well past saturation; the rest sit at a
@@ -181,15 +183,6 @@ pub(crate) fn slice_of(priority: u8) -> Slice {
     }
 }
 
-/// Mean downlink capacity in bytes/s under the configured duplex pattern.
-pub(crate) fn dl_capacity_bytes_per_sec(stack: &StackConfig) -> f64 {
-    let slot_s = stack.duplex.slot_duration().as_micros_f64() / 1e6;
-    let period = stack.duplex.pattern_period();
-    let period_slots = (period.as_nanos() / stack.duplex.slot_duration().as_nanos()).max(1);
-    let dl_frac = stack.duplex.dl_slots_per_period() as f64 / period_slots as f64;
-    stack.slot_capacity_bytes() as f64 * dl_frac / slot_s
-}
-
 /// Per-class outcome within one cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassReport {
@@ -233,8 +226,8 @@ pub struct CellReport {
     /// Peak total queued packets across all class queues, sampled *after*
     /// each slot's service: what a slot left behind, not what it found.
     pub peak_queue: usize,
-    /// Peak pending work items: armed arrival cursors plus the slot clock
-    /// (at most `classes + 1`, whatever the population).
+    /// Peak pending work items: classes with an arrival still to come plus
+    /// the slot clock (at most `classes + 1`, whatever the population).
     pub peak_events: usize,
     /// DL slots processed (arrival window + drain).
     pub total_slots: u64,
@@ -340,7 +333,7 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
     // Serve in priority order; ties broken by config order (stable sort).
     let mut classes: Vec<&UeClass> = config.cells[cell_idx].classes.iter().collect();
     classes.sort_by_key(|c| c.priority);
-    let arrivals = classes
+    let mut sources = classes
         .iter()
         .enumerate()
         .map(|(ci, c)| {
@@ -348,8 +341,8 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
             // one rate-n·λ process, exactly.
             let mean = Duration::from_micros_f64(c.mean_interval.as_micros_f64() / c.count as f64);
             // An empty class (÷0 saturates to zero) or a rate past ~2·10⁹
-            // pps would keep its arrival cursor at one instant forever:
-            // the drain at the first slot would never finish.
+            // pps would keep its arrivals at one instant forever: the drain
+            // at the first slot would never finish.
             if mean == Duration::ZERO {
                 return Err(StackError::Diverged(format!(
                     "cell {cell_idx} class {:?}: {} UEs every {:?} is an aggregate \
@@ -359,27 +352,37 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
             }
             // Keyed by class index, not priority: equal-priority classes
             // must not share a stream.
-            Ok(ArrivalCursor::new(
-                Dist::Exponential { mean },
-                rng.stream_indexed("class-arrivals", ci as u64),
-                Instant::ZERO + config.horizon,
-            ))
+            let rng = rng.stream_indexed("class-arrivals", ci as u64);
+            Ok(arrivals(Dist::Exponential { mean }, rng).peekable())
         })
         .collect::<Result<Vec<_>, _>>()?;
-    serve_cell(config, cell_idx, &classes, arrivals)
+    serve_cell(config, cell_idx, &classes, &mut sources)
 }
 
-/// The slot-driven loop of one cell: `classes` in serving order,
-/// `arrivals[ci]` the aggregate source of class `ci` (a parameter so tests
-/// can place arrivals on exact instants).
-fn serve_cell(
+/// An aggregate source: gaps drawn from `gap` (unclamped, so a single zero
+/// draw repeats an instant), the first measured from `Instant::ZERO`.
+///
+/// # Panics
+/// If `gap` has a zero mean: its arrivals would never pass a slot start.
+fn arrivals(gap: Dist, mut rng: SimRng) -> impl Iterator<Item = Instant> {
+    assert!(gap.mean() > Duration::ZERO, "an arrival gap that is always zero never passes `now`");
+    let mut t = Instant::ZERO;
+    std::iter::from_fn(move || {
+        t += gap.sample(&mut rng);
+        Some(t)
+    })
+}
+
+/// One cell on the frame's per-class arm: `classes` in serving order,
+/// `sources[ci]` the aggregate arrivals of class `ci` (a parameter so
+/// tests can place arrivals on exact instants).
+fn serve_cell<I: Iterator<Item = Instant>>(
     config: &MulticellConfig,
     cell_idx: usize,
     classes: &[&UeClass],
-    mut arrivals: Vec<ArrivalCursor>,
+    sources: &mut [Peekable<I>],
 ) -> Result<CellReport, StackError> {
     let stack = &config.stack;
-    let drain_limit = Instant::ZERO + config.horizon + stack.duplex.pattern_period() * 4096;
     let n_ues = config.cells[cell_idx].n_ues();
 
     // Each cell runs its own policy value (the round-robin cursor is
@@ -395,13 +398,10 @@ fn serve_cell(
         )
     };
 
-    // Per-class state: bounded FIFO of arrival instants and the outcome
-    // counters.
-    let mut queues: Vec<std::collections::VecDeque<Instant>> =
-        classes.iter().map(|_| std::collections::VecDeque::new()).collect();
-    // Bytes of each class's head packet already sent in earlier slots.
-    let mut head_sent: Vec<usize> = vec![0; classes.len()];
-    let mut reports: Vec<ClassReport> = classes
+    // Per-class state, shared by admission and service: bounded FIFO of
+    // arrival instants and the outcome counters.
+    let queues: Vec<VecDeque<Instant>> = classes.iter().map(|_| VecDeque::new()).collect();
+    let reports: Vec<ClassReport> = classes
         .iter()
         .map(|c| ClassReport {
             name: c.name,
@@ -414,105 +414,96 @@ fn serve_cell(
             latency: Recording::fixed(),
         })
         .collect();
+    // Bytes of each class's head packet already sent in earlier slots.
+    let mut head_sent: Vec<usize> = vec![0; classes.len()];
     let slot_bytes = stack.slot_capacity_bytes();
     let mut peak_queue = 0usize;
-    // Cursors only ever disarm, so the start is the peak.
-    let peak_events = arrivals.iter().filter(|a| a.is_armed()).count() + 1;
     let mut total_slots = 0u64;
     let mut order: Vec<SchedItem> = Vec::with_capacity(classes.len());
-    let mut op = stack.duplex.next_dl_opportunity(Instant::ZERO);
 
-    loop {
-        let now = op.tx_start;
-        // Between two slot boundaries a cell only appends arrivals to its
-        // class queues, and classes share no state, so each class catches
-        // up to the boundary on its own.
-        for (ci, source) in arrivals.iter_mut().enumerate() {
-            while let Some(t) = source.pop_due(now) {
-                reports[ci].offered += 1;
-                if queues[ci].len() >= config.queue_cap {
-                    // Tail drop: the fixed-memory guarantee for cells
-                    // offered more than they can serve.
-                    reports[ci].dropped += 1;
-                } else {
-                    queues[ci].push_back(t);
+    let mut cell = (queues, reports);
+    let walk = frame::serve_classes(
+        &stack.duplex,
+        Instant::ZERO + config.horizon,
+        sources,
+        &mut cell,
+        |(queues, reports), ci, at| {
+            reports[ci].offered += 1;
+            if queues[ci].len() >= config.queue_cap {
+                // Tail drop: the fixed-memory guarantee for cells offered
+                // more than they can serve.
+                reports[ci].dropped += 1;
+            } else {
+                queues[ci].push_back(at);
+            }
+        },
+        |(queues, reports), now| {
+            total_slots += 1;
+            let mut budget = slot_bytes;
+            let mut sent = 0usize;
+            // The policy picks this slot's class service order. Each class
+            // is one item tagged with its priority, slice, and the head
+            // packet's absolute deadline (what EDF keys on).
+            order.clear();
+            order.extend(classes.iter().enumerate().map(|(ci, class)| SchedItem {
+                rnti: ci as Rnti,
+                bytes: class.packet_bytes + 32,
+                ready: now,
+                tag: RequestTag {
+                    priority: class.priority,
+                    deadline: queues[ci].front().map(|&a| a + class.deadline),
+                    slice: slice_of(class.priority),
+                },
+                seq: class_seq + ci as u64,
+            }));
+            class_seq += classes.len() as u64;
+            policy.order(now, &mut order);
+            for item in &order {
+                let ci = item.rnti as usize;
+                let class = classes[ci];
+                let wire = class.packet_bytes + 32; // layer overheads
+                while budget > 0 {
+                    let Some(&arrival) = queues[ci].front() else { break };
+                    // RLC segmentation: a packet larger than the remaining
+                    // slot budget sends what fits and resumes next slot
+                    // (`head_sent` carries over), so video-sized SDUs span
+                    // slots instead of wedging behind a budget they can
+                    // never meet.
+                    let take = (wire - head_sent[ci]).min(budget);
+                    budget -= take;
+                    sent += take;
+                    head_sent[ci] += take;
+                    if head_sent[ci] < wire {
+                        break; // slot exhausted mid-packet
+                    }
+                    head_sent[ci] = 0;
+                    queues[ci].pop_front();
+                    // Delivery: slot TX start + air time of everything sent
+                    // so far this slot + population-inflated decode.
+                    let done = now + stack.data_air_time(sent) + decode;
+                    let latency = done - arrival;
+                    reports[ci].delivered += 1;
+                    if latency > class.deadline {
+                        reports[ci].late += 1;
+                    }
+                    reports[ci].latency.record(latency);
                 }
             }
-        }
+            peak_queue = peak_queue.max(queues.iter().map(VecDeque::len).sum());
+        },
+        |(queues, _)| queues.iter().any(|q| !q.is_empty()),
+    );
 
-        total_slots += 1;
-        let mut budget = slot_bytes;
-        let mut sent = 0usize;
-        // The policy picks this slot's class service order. Each class is
-        // one item tagged with its priority, slice, and the head packet's
-        // absolute deadline (what EDF keys on).
-        order.clear();
-        order.extend(classes.iter().enumerate().map(|(ci, class)| SchedItem {
-            rnti: ci as Rnti,
-            bytes: class.packet_bytes + 32,
-            ready: now,
-            tag: RequestTag {
-                priority: class.priority,
-                deadline: queues[ci].front().map(|&a| a + class.deadline),
-                slice: slice_of(class.priority),
-            },
-            seq: class_seq + ci as u64,
-        }));
-        class_seq += classes.len() as u64;
-        policy.order(now, &mut order);
-        for item in &order {
-            let ci = item.rnti as usize;
-            let class = classes[ci];
-            let wire = class.packet_bytes + 32; // layer overheads
-            while budget > 0 {
-                let Some(&arrival) = queues[ci].front() else { break };
-                // RLC segmentation: a packet larger than the remaining
-                // slot budget sends what fits and resumes next slot
-                // (`head_sent` carries over), so video-sized SDUs span
-                // slots instead of wedging behind a budget they can never
-                // meet.
-                let take = (wire - head_sent[ci]).min(budget);
-                budget -= take;
-                sent += take;
-                head_sent[ci] += take;
-                if head_sent[ci] < wire {
-                    break; // slot exhausted mid-packet
-                }
-                head_sent[ci] = 0;
-                queues[ci].pop_front();
-                // Delivery: slot TX start + air time of everything sent so
-                // far this slot + population-inflated decode.
-                let done = now + stack.data_air_time(sent) + decode;
-                let latency = done - arrival;
-                reports[ci].delivered += 1;
-                if latency > class.deadline {
-                    reports[ci].late += 1;
-                }
-                reports[ci].latency.record(latency);
-            }
-        }
-        let depth: usize = queues.iter().map(|q| q.len()).sum();
-        peak_queue = peak_queue.max(depth);
-        if depth == 0 && !arrivals.iter().any(ArrivalCursor::is_armed) {
-            break;
-        }
-        op = stack.duplex.next_dl_opportunity(stack.duplex.slot_start(op.slot + 1));
-        if op.tx_start > drain_limit {
-            // Drain budget exhausted: a wedged cell surfaces as
-            // in_flight > 0, not a hang.
-            break;
-        }
-    }
-
-    for (ci, q) in queues.iter().enumerate() {
-        reports[ci].in_flight = q.len() as u64;
+    let (queues, mut reports) = cell;
+    for (report, q) in reports.iter_mut().zip(&queues) {
+        report.in_flight = q.len() as u64;
     }
     let report = CellReport {
         cell: cell_idx,
         n_ues,
         classes: reports,
         peak_queue,
-        peak_events,
+        peak_events: walk.armed + 1,
         total_slots,
     };
     if !report.conserved() {
@@ -727,13 +718,18 @@ mod tests {
         Dist::Constant(c.mean_interval)
     }
 
-    /// The slot-driven loop over that one ticking class (a constant gap
+    /// The cell on the frame over that one ticking class (a constant gap
     /// draws nothing, so any RNG stream will do).
     fn ticking_cell(config: &MulticellConfig) -> CellReport {
         let tick = &config.cells[0].classes[0];
-        let horizon = Instant::ZERO + config.horizon;
-        let arrivals = vec![ArrivalCursor::new(every_slot(tick), SimRng::from_seed(0), horizon)];
-        serve_cell(config, 0, &[tick], arrivals).expect("conserved")
+        let mut sources = [arrivals(every_slot(tick), SimRng::from_seed(0)).peekable()];
+        serve_cell(config, 0, &[tick], &mut sources).expect("conserved")
+    }
+
+    #[test]
+    #[should_panic(expected = "always zero")]
+    fn a_source_rejects_a_gap_that_is_always_zero() {
+        let _ = arrivals(Dist::Constant(Duration::ZERO), SimRng::from_seed(1));
     }
 
     #[test]
@@ -786,7 +782,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::cases_from_env_or(64))]
         #[test]
         fn slot_driven_loop_equals_the_event_queue_loop(
             classes in prop::collection::vec(arb_class(), 1..6),

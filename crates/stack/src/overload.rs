@@ -6,13 +6,13 @@
 //! queues can never form and offered load is bounded by the service rate
 //! by construction. This module is the open-loop counterpart: a
 //! [`sim::ArrivalGen`] injects packets independent of completions, the
-//! engine steps from one DL slot start to the next (admitting whatever
-//! arrived by it, then serving the slot), real RAN entities (PDCP with a
-//! TS 38.323 discardTimer, capped RLC UM buffers, a bounded MAC/HARQ
-//! backlog) absorb the backlog, and every packet ends in exactly one of
-//! three ledgers —
-//! delivered, dropped-with-reason, or in flight at drain — so conservation
-//! is checkable.
+//! engine runs on the slot frame's per-class walk (`crate::frame`: at each
+//! DL slot start it admits whatever arrived by it, then serves the slot),
+//! real RAN entities (PDCP with a TS 38.323 discardTimer, capped RLC UM
+//! buffers, a bounded MAC/HARQ backlog) absorb the backlog, and every
+//! packet ends in exactly one of three ledgers — delivered,
+//! dropped-with-reason, or in flight at drain — so conservation is
+//! checkable.
 //!
 //! Degradation is driven through the [`SloHook`] trait: the engine reports
 //! every URLLC outcome (delivery with its deadline verdict, or a drop) and
@@ -39,6 +39,7 @@ use sim::{ArrivalGen, ArrivalProcess, Duration, Instant, Recording, SimRng};
 use telemetry::{JournalEvent, Profiler, Telemetry};
 
 use crate::config::StackConfig;
+use crate::frame;
 
 /// Why a packet was dropped — the typed taxonomy behind the journal's
 /// `Drop` events and the overload CSV's per-reason columns.
@@ -314,6 +315,8 @@ impl OverloadReport {
 /// soup.
 struct Engine<'a> {
     cfg: &'a OverloadConfig,
+    /// Sees every URLLC outcome; its level governs each slot.
+    hook: &'a mut dyn SloHook,
     tel: &'a Telemetry,
     slot_bytes: usize,
     wire_bytes: usize,
@@ -344,7 +347,12 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(cfg: &'a OverloadConfig, rng: &SimRng, tel: &'a Telemetry) -> Engine<'a> {
+    fn new(
+        cfg: &'a OverloadConfig,
+        rng: &SimRng,
+        hook: &'a mut dyn SloHook,
+        tel: &'a Telemetry,
+    ) -> Engine<'a> {
         let stack = &cfg.stack;
         let mut pdcp = PdcpEntity::new(PdcpConfig::new(stack.seed, 1, Direction::Downlink));
         pdcp.set_discard_timer(cfg.discard_timer);
@@ -359,6 +367,7 @@ impl<'a> Engine<'a> {
         };
         Engine {
             cfg,
+            hook,
             tel,
             slot_bytes: stack.slot_capacity_bytes(),
             wire_bytes: cfg.packet_wire_bytes(),
@@ -409,10 +418,10 @@ impl<'a> Engine<'a> {
 
     /// An eMBB arrival at `at`: shed at ingress while degraded, otherwise
     /// offered to its RLC buffer, which tail-drops at the cap.
-    fn admit_embb(&mut self, at: Instant, hook: &dyn SloHook) {
+    fn admit_embb(&mut self, at: Instant) {
         let bytes = self.embb_sdu.len() as u64;
         self.report.embb_offered_bytes += bytes;
-        let reason = if hook.level() >= DegradationLevel::Degraded {
+        let reason = if self.hook.level() >= DegradationLevel::Degraded {
             // Byte-ledger only: `drops` counts URLLC packets, and shedding
             // is an eMBB-side action.
             self.report.embb_shed_bytes += bytes;
@@ -430,23 +439,17 @@ impl<'a> Engine<'a> {
         self.tel.journal(JournalEvent::Drop { ping: u64::MAX, at, reason: reason.label() });
     }
 
-    fn drop_urllc(&mut self, hook: &mut dyn SloHook, count: u32, at: Instant, reason: DropReason) {
+    fn drop_urllc(&mut self, count: u32, at: Instant, reason: DropReason) {
         self.report.drops.add(reason);
         self.tel.journal(JournalEvent::Drop { ping: u64::from(count), at, reason: reason.label() });
-        hook.observe(at, true);
+        self.hook.observe(at, true);
     }
 
     /// One transmission attempt of a transport block: draws the BLER
     /// coin, delivers on success (delivery instant = slot TX start + air
     /// time of everything sent so far this slot), requeues or drops on
     /// failure.
-    fn transmit_tb(
-        &mut self,
-        mut tb: TbEntry,
-        slot_tx_start: Instant,
-        cumulative_sent: usize,
-        hook: &mut dyn SloHook,
-    ) {
+    fn transmit_tb(&mut self, mut tb: TbEntry, slot_tx_start: Instant, cumulative_sent: usize) {
         tb.tx_count += 1;
         let failed = self.cfg.bler > 0.0 && self.bler_rng.chance(self.cfg.bler);
         if !failed {
@@ -459,7 +462,7 @@ impl<'a> Engine<'a> {
                 if miss {
                     self.report.late += 1;
                 }
-                hook.observe(deliver, miss);
+                self.hook.observe(deliver, miss);
             }
             return;
         }
@@ -476,12 +479,12 @@ impl<'a> Engine<'a> {
             return;
         };
         for &count in &tb.ids {
-            self.drop_urllc(hook, count, slot_tx_start, reason);
+            self.drop_urllc(count, slot_tx_start, reason);
         }
     }
 
-    fn on_slot(&mut self, now: Instant, hook: &mut dyn SloHook) {
-        let level = hook.level();
+    fn on_slot(&mut self, now: Instant) {
+        let level = self.hook.level();
         self.report.total_slots += 1;
         match level {
             DegradationLevel::Normal => {}
@@ -505,13 +508,13 @@ impl<'a> Engine<'a> {
                 // Every packet in the block is already late: spend the air
                 // time on packets that can still make it.
                 for &count in &tb.ids {
-                    self.drop_urllc(hook, count, now, DropReason::DeadlineClamp);
+                    self.drop_urllc(count, now, DropReason::DeadlineClamp);
                 }
                 continue;
             }
             budget -= tb.bytes;
             sent_bytes += tb.bytes;
-            self.transmit_tb(tb, now, sent_bytes, hook);
+            self.transmit_tb(tb, now, sent_bytes);
         }
 
         // 2. The policy picks the class service order for the rest of the
@@ -543,7 +546,7 @@ impl<'a> Engine<'a> {
         self.policy.order(now, &mut order);
         for item in &order {
             match item.rnti {
-                0 => self.serve_urllc(now, level, &mut budget, &mut sent_bytes, hook),
+                0 => self.serve_urllc(now, level, &mut budget, &mut sent_bytes),
                 _ => self.serve_embb(&mut budget, &mut sent_bytes),
             }
         }
@@ -561,7 +564,6 @@ impl<'a> Engine<'a> {
         level: DegradationLevel,
         budget: &mut usize,
         sent_bytes: &mut usize,
-        hook: &mut dyn SloHook,
     ) {
         // Refill the RLC buffer from PDCP. Normal pulls up to the RLC
         // cap; degraded tightens the pull point to one slot of data so
@@ -580,13 +582,13 @@ impl<'a> Engine<'a> {
             // deadlines).
             while self.next_pull_expected < count {
                 let c = self.next_pull_expected;
-                self.drop_urllc(hook, c, now, DropReason::PdcpDiscard);
+                self.drop_urllc(c, now, DropReason::PdcpDiscard);
                 self.next_pull_expected += 1;
             }
             self.next_pull_expected = count + 1;
             match self.rlc.try_enqueue(pdu) {
                 Ok(()) => self.rlc_fifo.push_back(count),
-                Err(_) => self.drop_urllc(hook, count, now, DropReason::RlcFull),
+                Err(_) => self.drop_urllc(count, now, DropReason::RlcFull),
             }
         }
 
@@ -618,7 +620,7 @@ impl<'a> Engine<'a> {
         if !tb_ids.is_empty() {
             *sent_bytes += tb_bytes;
             let tb = TbEntry { ids: tb_ids, bytes: tb_bytes, tx_count: 0, newest_arrival: newest };
-            self.transmit_tb(tb, now, *sent_bytes, hook);
+            self.transmit_tb(tb, now, *sent_bytes);
         }
     }
 
@@ -649,12 +651,12 @@ impl<'a> Engine<'a> {
     /// Final reconciliation at `end`, the last served slot's start. The
     /// PDCP queue is FIFO, so whatever was never pulled splits into a
     /// discarded prefix and an in-flight suffix of length `tx_queued()`.
-    fn finish(mut self, hook: &mut dyn SloHook, end: Instant) -> OverloadReport {
+    fn finish(mut self, end: Instant) -> OverloadReport {
         let total = self.report.offered as u32;
         let queued = self.pdcp.tx_queued() as u32;
         while self.next_pull_expected < total.saturating_sub(queued) {
             let c = self.next_pull_expected;
-            self.drop_urllc(hook, c, end, DropReason::PdcpDiscard);
+            self.drop_urllc(c, end, DropReason::PdcpDiscard);
             self.next_pull_expected += 1;
         }
         // Whatever is still queued anywhere (PDCP, RLC, HARQ) is in flight.
@@ -693,64 +695,47 @@ pub fn run_overload_profiled(
     tel: &Telemetry,
     prof: &Profiler,
 ) -> OverloadReport {
-    let urllc = arrivals(ArrivalGen::new(cfg.arrivals, rng.stream("overload-urllc")));
-    let embb = cfg
-        .embb
-        .iter()
-        .flat_map(|&(p, _)| arrivals(ArrivalGen::new(p, rng.stream("overload-embb"))));
-    serve(Engine::new(cfg, rng, tel), hook, prof, urllc, embb)
+    // Every instant a generator yields, without end; none without one.
+    let arrivals = |mut gen: Option<ArrivalGen>| {
+        std::iter::from_fn(move || gen.as_mut().map(ArrivalGen::next_arrival))
+    };
+    let urllc = arrivals(Some(ArrivalGen::new(cfg.arrivals, rng.stream("overload-urllc"))));
+    let embb = arrivals(cfg.embb.map(|(p, _)| ArrivalGen::new(p, rng.stream("overload-embb"))));
+    serve(Engine::new(cfg, rng, hook, tel), prof, urllc, embb)
 }
 
-/// Every instant `gen` yields, without end.
-fn arrivals(mut gen: ArrivalGen) -> impl Iterator<Item = Instant> {
-    std::iter::from_fn(move || Some(gen.next_arrival()))
-}
-
-/// The slot-driven loop over the two sources' arrival instants (parameters
-/// so tests can place arrivals on exact instants).
-fn serve(
+/// The engine on the frame's per-class arm, over the two sources' arrival
+/// instants (parameters so tests can place arrivals on exact instants).
+fn serve<I: Iterator<Item = Instant>>(
     mut engine: Engine<'_>,
-    hook: &mut dyn SloHook,
     prof: &Profiler,
-    urllc: impl Iterator<Item = Instant>,
-    embb: impl Iterator<Item = Instant>,
+    urllc: I,
+    embb: I,
 ) -> OverloadReport {
     let cfg = engine.cfg;
-    let duplex = &cfg.stack.duplex;
-    let horizon = Instant::ZERO + cfg.horizon;
-    // Drain budget: generous, but bounded — a wedged pipeline surfaces as
-    // `in_flight > 0` instead of a hang.
-    let drain_limit = horizon + duplex.pattern_period() * 4096;
-    // Each source's next arrival stays peeked until a slot start reaches
-    // it. One at the horizon is never offered.
-    let mut urllc = urllc.take_while(|&t| t < horizon).peekable();
-    let mut embb = embb.take_while(|&t| t < horizon).peekable();
-    let mut op = duplex.next_dl_opportunity(Instant::ZERO);
-    loop {
-        let now = op.tx_start;
-        // Between two slots the sources touch disjoint state and the SLO
-        // level cannot change (DESIGN §12), so each catches up on its own.
-        // An arrival exactly on the boundary belongs to this slot.
-        while let Some(at) = urllc.next_if(|&t| t <= now) {
-            let _t = prof.scope("overload/urllc-arrival");
-            engine.admit_urllc(at);
-        }
-        while let Some(at) = embb.next_if(|&t| t <= now) {
-            let _t = prof.scope("overload/embb-arrival");
-            engine.admit_embb(at, hook);
-        }
-        {
+    // Between two slots the sources touch disjoint state and the SLO level
+    // cannot change (DESIGN §12), so each may catch up on its own.
+    let walk = frame::serve_classes(
+        &cfg.stack.duplex,
+        Instant::ZERO + cfg.horizon,
+        &mut [urllc.peekable(), embb.peekable()],
+        &mut engine,
+        |engine, source, at| {
+            if source == 0 {
+                let _t = prof.scope("overload/urllc-arrival");
+                engine.admit_urllc(at);
+            } else {
+                let _t = prof.scope("overload/embb-arrival");
+                engine.admit_embb(at);
+            }
+        },
+        |engine, now| {
             let _t = prof.scope("overload/slot");
-            engine.on_slot(now, hook);
-        }
-        // Step on while an arrival is to come or any stage still holds
-        // data (bounded by the drain limit).
-        op = duplex.next_dl_opportunity(duplex.slot_start(op.slot + 1));
-        let more = urllc.peek().is_some() || embb.peek().is_some() || engine.work_left();
-        if !more || op.tx_start > drain_limit {
-            return engine.finish(hook, now);
-        }
-    }
+            engine.on_slot(now);
+        },
+        Engine::work_left,
+    );
+    engine.finish(walk.end)
 }
 
 #[cfg(test)]
@@ -908,9 +893,10 @@ mod tests {
         embb: &[Instant],
         tel: &Telemetry,
     ) -> OverloadReport {
-        let engine = Engine::new(cfg, &SimRng::from_seed(1), tel);
+        let mut hook = NullHook;
+        let engine = Engine::new(cfg, &SimRng::from_seed(1), &mut hook, tel);
         let (urllc, embb) = (urllc.iter().copied(), embb.iter().copied());
-        serve(engine, &mut NullHook, &Profiler::disabled(), urllc, embb)
+        serve(engine, &Profiler::disabled(), urllc, embb)
     }
 
     #[test]
@@ -997,7 +983,7 @@ mod tests {
         let mut urllc_gen = ArrivalGen::new(cfg.arrivals, rng.stream("overload-urllc"));
         let mut embb_gen =
             cfg.embb.as_ref().map(|(p, _)| ArrivalGen::new(*p, rng.stream("overload-embb")));
-        let mut engine = Engine::new(cfg, rng, tel);
+        let mut engine = Engine::new(cfg, rng, hook, tel);
 
         let mut queue: EventQueue<Ev> = EventQueue::new();
         // Arrival events outrank the slot event at the same instant so a
@@ -1025,7 +1011,7 @@ mod tests {
                     }
                 }
                 Ev::EmbbArrival => {
-                    engine.admit_embb(now, hook);
+                    engine.admit_embb(now);
                     if let Some(gen) = embb_gen.as_mut() {
                         let next = gen.next_arrival();
                         if next < horizon {
@@ -1034,7 +1020,7 @@ mod tests {
                     }
                 }
                 Ev::Slot(slot) => {
-                    engine.on_slot(now, hook);
+                    engine.on_slot(now);
                     // Schedule the next DL slot while arrivals remain or any
                     // stage still holds data (bounded by the drain limit).
                     if !queue.is_empty() || engine.work_left() {
@@ -1047,7 +1033,7 @@ mod tests {
                 }
             }
         }
-        engine.finish(hook, queue.now())
+        engine.finish(queue.now())
     }
 
     /// Every field of a report but `latency`, grouped so a mismatch names

@@ -2,11 +2,12 @@
 //! over the [`ran::sched`] policy layer (ROADMAP scheduler-lab item).
 //!
 //! SimURLLC-style experiment: three traffic classes (URLLC / eMBB / mMTC)
-//! offer Poisson downlink load against one cell's slot machinery, and
-//! every [`PolicySpec`] in the set orders the same arrival trace. The lab
-//! measures what the *policy* changes — per-class p50/p99/p999 latency
-//! and deadline-miss rate — with everything else (arrivals, capacity,
-//! slot pattern) held byte-identical across policies.
+//! offer Poisson downlink load against one cell's scheduler, on the slot
+//! frame's per-packet walk (`crate::frame`), and every [`PolicySpec`] in
+//! the set orders the same arrival trace. The lab measures what the
+//! *policy* changes — per-class p50/p99/p999 latency and deadline-miss
+//! rate — with everything else (arrivals, capacity, slot pattern) held
+//! byte-identical across policies.
 //!
 //! ## Determinism
 //!
@@ -25,15 +26,15 @@
 //! the packet's own air time remains. The lab's tests assert the
 //! simulated maximum stays under this bound.
 
-use std::collections::VecDeque;
-
 use ran::sched::{
-    AccessMode, EmergencyBurst, PolicySpec, RequestTag, Rnti, Scheduler, SliceShares, SlotDecision,
+    AccessMode, EmergencyBurst, PolicySpec, RequestTag, Rnti, Scheduler, SliceShares,
 };
 use sim::{Dist, Duration, Instant, Recording, SimRng};
 
 use crate::config::StackConfig;
-use crate::multicell::{dl_capacity_bytes_per_sec, slice_of};
+use crate::frame;
+use crate::multicell::slice_of;
+use crate::overload::service_capacity_pps;
 
 /// One traffic class of a lab mix.
 #[derive(Debug, Clone)]
@@ -215,10 +216,7 @@ pub struct LabPointReport {
 }
 
 /// Runs one (policy, load, mix) point: pre-samples the class arrival
-/// processes, then drives the scheduler slot by slot, feeding arrivals at
-/// each boundary and attributing assignments back to classes through
-/// per-class FIFO ledgers (exact: every policy is seq-stable within a
-/// class, so per-class service order is arrival order).
+/// processes, then serves the merged trace on the frame.
 fn run_point(
     cfg: &SchedLabConfig,
     spec: &PolicySpec,
@@ -238,7 +236,8 @@ fn run_point(
     let mut sched = Scheduler::new(stack.clone().with_policy(spec).scheduler_config());
 
     let rng = SimRng::from_seed(stack.seed).stream_indexed("sched-point", index);
-    let offered_bps = load * dl_capacity_bytes_per_sec(stack);
+    // Downlink capacity in bytes/s: packets/s of one-byte packets.
+    let offered_bps = load * service_capacity_pps(stack, 1);
     let horizon = Instant::ZERO + cfg.horizon;
 
     // Pre-sample every class's Poisson arrivals (the scheduler draws no
@@ -268,55 +267,54 @@ fn run_point(
     }
     arrivals.sort_by_key(|&(t, ci)| (t, ci));
 
-    let mut pending: Vec<VecDeque<Instant>> = mix.classes.iter().map(|_| VecDeque::new()).collect();
+    LabPointReport {
+        policy: spec.name(),
+        load,
+        mix: mix.name,
+        classes: serve_trace(stack, &mut sched, mix, arrivals),
+        punctured_bytes: sched.punctured_bytes(),
+    }
+}
+
+/// Serves a trace of `(arrival, class index)` pairs, in time order, on
+/// `sched` and reports each class of `mix` (a seam: tests pass exact
+/// instants). Each class is one RNTI to the frame's attribution.
+fn serve_trace(
+    stack: &StackConfig,
+    sched: &mut Scheduler,
+    mix: &LabMix,
+    arrivals: Vec<(Instant, usize)>,
+) -> Vec<LabClassReport> {
     let mut recs: Vec<Recording> = mix.classes.iter().map(|_| Recording::fixed()).collect();
     let mut misses: Vec<u64> = vec![0; mix.classes.len()];
-
-    let mut next = 0usize;
-    let mut slot = 0u64;
-    let mut decision = SlotDecision::default();
-    while next < arrivals.len() {
-        slot += 1;
-        let now = stack.duplex.slot_start(slot);
-        while next < arrivals.len() && arrivals[next].0 < now {
-            let (t, ci) = arrivals[next];
+    frame::serve_packets(
+        sched,
+        arrivals.into_iter().map(|(t, ci)| (t, ci as Rnti, t)),
+        |sched, rnti, t| {
+            let class = &mix.classes[rnti as usize];
+            let tag = RequestTag {
+                priority: class.priority,
+                deadline: Some(t + class.deadline),
+                slice: slice_of(class.priority),
+            };
+            sched.on_dl_data_tagged(rnti, class.packet_bytes, t, tag);
+        },
+        |rnti, dl, arrival| {
+            let ci = rnti as usize;
             let class = &mix.classes[ci];
-            sched.on_dl_data_tagged(
-                ci as Rnti,
-                class.packet_bytes,
-                t,
-                RequestTag {
-                    priority: class.priority,
-                    deadline: Some(t + class.deadline),
-                    slice: slice_of(class.priority),
-                },
-            );
-            pending[ci].push_back(t);
-            next += 1;
-        }
-        // Every request ready before the boundary is assigned this round
-        // (first-fit probes forward until a slot has room), so the loop
-        // ends exactly when the trace is exhausted.
-        sched.run_slot_into(slot, &mut decision);
-        for a in &decision.dl_assignments {
-            let ci = a.rnti as usize;
-            // Within a class every policy orders by seq (stable sorts +
-            // seq tie-break), so assignment order is arrival order.
-            let arrival = pending[ci].pop_front().expect("per-class FIFO ledger in sync");
-            let latency = a.dl.tx_start + stack.data_air_time(a.bytes) - arrival;
+            let latency = dl.tx_start + stack.data_air_time(class.packet_bytes) - arrival;
             recs[ci].record(latency);
-            if latency > mix.classes[ci].deadline {
+            if latency > class.deadline {
                 misses[ci] += 1;
             }
-        }
-    }
-
-    let classes = mix
-        .classes
+        },
+    )
+    .expect("the scheduler assigns only what the lab submitted");
+    mix.classes
         .iter()
-        .enumerate()
-        .map(|(ci, class)| {
-            let rec = &mut recs[ci];
+        .zip(&mut recs)
+        .zip(misses)
+        .map(|((class, rec), misses)| {
             let count = rec.count();
             LabClassReport {
                 class: class.name,
@@ -325,17 +323,10 @@ fn run_point(
                 p99_us: rec.try_quantile_us(0.99).unwrap_or(0.0),
                 p999_us: rec.try_quantile_us(0.999).unwrap_or(0.0),
                 max_us: rec.max_us(),
-                miss_rate: misses[ci] as f64 / count.max(1) as f64,
+                miss_rate: misses as f64 / count.max(1) as f64,
             }
         })
-        .collect();
-    LabPointReport {
-        policy: spec.name(),
-        load,
-        mix: mix.name,
-        classes,
-        punctured_bytes: sched.punctured_bytes(),
-    }
+        .collect()
 }
 
 /// Runs the whole sweep, one shard per (policy, load, mix) point, and
@@ -488,6 +479,35 @@ mod tests {
                 c.max_us,
                 bound.bound.as_micros_f64()
             );
+        }
+    }
+
+    #[test]
+    fn an_arrival_on_a_slot_start_waits_for_the_next_boundary() {
+        // One URLLC packet alone in the cell goes on air at the first DL
+        // slot a lead after the boundary whose round decides it.
+        let cfg = small(vec![PolicySpec::Fcfs]);
+        let (stack, mix) = (&cfg.stack, &cfg.mixes[0]);
+        let duplex = &stack.duplex;
+        let lead = stack.scheduler_config().lead;
+        let air = stack.data_air_time(mix.classes[0].packet_bytes);
+        let latency_us = |at: Instant| {
+            let mut sched = Scheduler::new(stack.scheduler_config());
+            let urllc = &serve_trace(stack, &mut sched, mix, vec![(at, 0)])[0];
+            assert_eq!(urllc.count, 1);
+            urllc.max_us
+        };
+        let on_air_after = |boundary| {
+            let op = duplex.next_dl_opportunity(duplex.slot_start(boundary) + lead);
+            op.tx_start + air
+        };
+        for slot in 1..=4 {
+            // Ready 1 ns before slot `slot` starts: that slot's round. Ready
+            // exactly on its start: the next one's.
+            let start = duplex.slot_start(slot);
+            let early = start - Duration::from_nanos(1);
+            assert_eq!(latency_us(early), (on_air_after(slot) - early).as_micros_f64());
+            assert_eq!(latency_us(start), (on_air_after(slot + 1) - start).as_micros_f64());
         }
     }
 
