@@ -1364,13 +1364,11 @@ fn trace(args: &Args) {
     let tel = telemetry::Telemetry::new(8192);
     let mut res = stack::run_parallel_opts(&cfg, n, 3, Some(&tel));
     bench_log("trace", "rtt", &mut res.rtt);
-    let events = tel.journal_events();
+    let events = save_perfetto(&args.perfetto, &tel, |_| true);
     println!(
-        "{n} pings journalled {} events ({} dropped by the ring)",
-        events.len(),
+        "{n} pings journalled {events} events ({} dropped by the ring)",
         tel.journal_dropped()
     );
-    save_perfetto(&args.perfetto, &events);
     println!("open the saved file at https://ui.perfetto.dev");
 }
 
@@ -1491,23 +1489,31 @@ fn profile(pings: u64) {
     // Exemplar-only Perfetto trace: the chaos figure's journal filtered
     // to the retained pings.
     let keep: std::collections::BTreeSet<u64> = ex1.iter().map(|e| e.ping).collect();
-    let events: Vec<_> = tel
-        .journal_events()
-        .into_iter()
-        .filter(|ev| ev.ping().is_some_and(|p| keep.contains(&p)))
-        .collect();
-    save_perfetto("tail_perfetto.json", &events);
+    save_perfetto("tail_perfetto.json", &tel, |ev| ev.ping().is_some_and(|p| keep.contains(&p)));
 }
 
-/// Saves `events` as a Chrome trace-event document; a failed export (the
-/// typed error tells formatting from I/O failures) exits 1.
-fn save_perfetto(name: &str, events: &[telemetry::JournalEvent]) {
+/// Saves the journal events of `tel` that `keep` selects as a Chrome
+/// trace-event document and returns how many it saved. The visitor copies
+/// only those events out of the ring. A failed export (the typed error
+/// tells formatting from I/O failures) exits 1.
+fn save_perfetto(
+    name: &str,
+    tel: &telemetry::Telemetry,
+    keep: impl Fn(&telemetry::JournalEvent) -> bool,
+) -> usize {
+    let mut events = Vec::new();
+    tel.visit_journal(|ev| {
+        if keep(ev) {
+            events.push(*ev);
+        }
+    });
     let mut buf = Vec::new();
-    if let Err(e) = telemetry::perfetto::export_chrome_trace(&mut buf, events) {
+    if let Err(e) = telemetry::perfetto::export_chrome_trace(&mut buf, &events) {
         eprintln!("[trace export to {name} failed: {e}]");
         std::process::exit(1);
     }
     save(name, &String::from_utf8(buf).expect("chrome trace is UTF-8"));
+    events.len()
 }
 
 fn save(name: &str, contents: &str) {

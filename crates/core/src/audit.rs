@@ -5,7 +5,8 @@
 //! *every* latency source at once (§4). The stack simulation emits a
 //! per-stage [`PingTrace`]; this module folds each trace onto the model's
 //! terms — protocol, processing, radio, core, recovery — using the
-//! canonical [`stage_labels`] classification, and reports two residual
+//! canonical [`stage_labels`] classification, which is total over the
+//! stage vocabulary, and reports two residual
 //! quantities the closed-form analysis cannot see:
 //!
 //! * **residual** — wall-clock time covered by *no* stage span (e.g. the
@@ -46,9 +47,6 @@ pub struct BudgetAudit {
     pub core: Duration,
     /// RLF → recovered-bearer detour time.
     pub recovery: Duration,
-    /// Stage time outside the canonical vocabulary (must stay zero while
-    /// the trace emitter uses [`stage_labels`]).
-    pub unclassified: Duration,
     /// Wall-clock time covered by no stage span.
     pub residual: Duration,
     /// Stage time spent concurrently with other stages (pipelining), i.e.
@@ -72,19 +70,15 @@ impl BudgetAudit {
             _ => Duration::ZERO,
         };
         let mut terms = [Duration::ZERO; 5];
-        let mut unclassified = Duration::ZERO;
         let mut rlf_count = 0u64;
         for s in &spans {
-            match stage_labels::term(s.label) {
-                Some(t) => terms[t as usize] += s.duration(),
-                None => unclassified += s.duration(),
-            }
+            terms[stage_labels::term(s.label) as usize] += s.duration();
             if s.label == stage_labels::RLF_DETECT {
                 rlf_count += 1;
             }
         }
         let covered = union_duration(&spans);
-        let total: Duration = terms.iter().fold(unclassified, |acc, &t| acc + t);
+        let total: Duration = terms.iter().copied().sum();
         let recovery = terms[BudgetTerm::Recovery as usize];
         BudgetAudit {
             ping: trace.id,
@@ -94,7 +88,6 @@ impl BudgetAudit {
             radio: terms[BudgetTerm::Radio as usize],
             core: terms[BudgetTerm::Core as usize],
             recovery,
-            unclassified,
             residual: rtt.saturating_sub(covered),
             overlap: total.saturating_sub(covered),
             rlf_count,
@@ -222,8 +215,8 @@ impl TailBaseline {
             };
             let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
             for s in &spans {
-                *totals.entry(s.label).or_insert(0) += s.duration().as_nanos();
-                all_labels.insert(s.label, ());
+                *totals.entry(s.label.as_str()).or_insert(0) += s.duration().as_nanos();
+                all_labels.insert(s.label.as_str(), ());
             }
             rtts.push(rtt.as_nanos());
             residuals.push(rtt.saturating_sub(union_duration(&spans)).as_nanos());
@@ -425,7 +418,6 @@ mod tests {
         let audits = audited(cfg, 5);
         assert_eq!(audits.len(), 5);
         for a in &audits {
-            assert_eq!(a.unclassified, Duration::ZERO, "ping {}: {:?}", a.ping, a);
             assert_eq!(a.recovery, Duration::ZERO);
             assert!(a.rtt > Duration::ZERO);
             // The stage union can never exceed the wall clock, and the
@@ -446,7 +438,7 @@ mod tests {
             let a = BudgetAudit::of_trace(trace, &model);
             let spans: Vec<&StageSpan> = trace.ul.iter().chain(trace.dl.iter()).collect();
             let covered = union_duration(&spans);
-            let total = a.protocol + a.processing + a.radio + a.core + a.recovery + a.unclassified;
+            let total = a.protocol + a.processing + a.radio + a.core + a.recovery;
             assert_eq!(covered + a.residual, a.rtt);
             assert_eq!(total, covered + a.overlap);
         }

@@ -111,6 +111,53 @@ impl FaultKind {
     }
 }
 
+/// Why a packet was dropped — the typed taxonomy behind the journal's
+/// `Drop` events and the overload CSV's per-reason columns. It sits next to
+/// [`FaultKind`] so a journaled drop carries this one-byte code, as a
+/// journaled fault carries its kind; `stack::overload` re-exports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropReason {
+    /// PDCP discardTimer expiry (TS 38.323 §5.5): the SDU aged out before
+    /// a lower-layer pull, leaving an SN gap.
+    PdcpDiscard,
+    /// RLC transmission buffer at capacity: tail drop at ingress.
+    RlcFull,
+    /// The bounded HARQ/MAC backlog was full when a failed transport block
+    /// needed requeueing.
+    MacBacklogFull,
+    /// A transport block exhausted `harq_max_tx` transmissions.
+    HarqExhausted,
+    /// Critical-level degradation discarded a backlogged transport block
+    /// whose packets had all already missed their deadline.
+    DeadlineClamp,
+    /// Degraded-level ingress shedding of best-effort (eMBB) traffic.
+    SloShed,
+}
+
+impl DropReason {
+    /// Every reason, in CSV column order.
+    pub const ALL: [DropReason; 6] = [
+        DropReason::PdcpDiscard,
+        DropReason::RlcFull,
+        DropReason::MacBacklogFull,
+        DropReason::HarqExhausted,
+        DropReason::DeadlineClamp,
+        DropReason::SloShed,
+    ];
+
+    /// Stable short label (journal events, CSV headers).
+    pub fn label(self) -> &'static str {
+        match self {
+            DropReason::PdcpDiscard => "pdcp-discard",
+            DropReason::RlcFull => "rlc-full",
+            DropReason::MacBacklogFull => "mac-backlog-full",
+            DropReason::HarqExhausted => "harq-exhausted",
+            DropReason::DeadlineClamp => "deadline-clamp",
+            DropReason::SloShed => "slo-shed",
+        }
+    }
+}
+
 /// Gilbert–Elliott burst-loss parameters: a two-state Markov chain with a
 /// per-packet loss probability in each state.
 #[derive(Debug, Clone, Copy, PartialEq)]

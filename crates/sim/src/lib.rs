@@ -37,7 +37,7 @@ pub use arrivals::{ArrivalGen, ArrivalProcess};
 pub use dist::Dist;
 pub use event::EventQueue;
 pub use faults::{
-    FaultAttribution, FaultInjector, FaultKind, FaultPlan, FaultTally, GilbertElliott,
+    DropReason, FaultAttribution, FaultInjector, FaultKind, FaultPlan, FaultTally, GilbertElliott,
     HandoverFaultConfig, LossGate, PathFailureConfig, PingFaultTrace,
 };
 pub use rng::SimRng;

@@ -647,8 +647,8 @@ impl PingExperiment {
             let spans = ctx.trace.ul.iter().zip(std::iter::repeat(false));
             let spans = spans.chain(ctx.trace.dl.iter().zip(std::iter::repeat(true)));
             for (s, dl) in spans.clone() {
-                let (label, start, end) = (s.label, s.start, s.end);
-                sink.journal(JournalEvent::Stage { ping: id, dl, label, start, end });
+                let (stage, start, end) = (s.label, s.start, s.end);
+                sink.journal(JournalEvent::Stage { ping: id, dl, stage, start, end });
             }
             let end = spans.clone().map(|(s, _)| s.end).max().unwrap_or(t0);
             let rtt = end.checked_duration_since(t0).unwrap_or(Duration::ZERO);
@@ -666,7 +666,7 @@ impl PingExperiment {
                 let fault = ctx.ftrace.dominant().map(FaultKind::label);
                 let fault_extra = ctx.ftrace.contributions().map(|(k, d, _)| (k.label(), d));
                 let spans = spans.map(|(s, dl)| ExemplarSpan {
-                    label: s.label,
+                    label: s.label.as_str(),
                     dl,
                     start: s.start,
                     end: s.end,
@@ -1053,13 +1053,13 @@ mod tests {
         let res = exp.run(3);
         assert_eq!(res.traces.len(), 3);
         let t = &res.traces[0];
-        let labels: Vec<&str> = t.ul.iter().map(|s| s.label).collect();
+        let labels: Vec<&str> = t.ul.iter().map(|s| s.label.as_str()).collect();
         assert!(labels.contains(&"APP↓"));
         assert!(labels.contains(&"SR"));
         assert!(labels.contains(&"SCHE"));
         assert!(labels.contains(&"UL grant"));
         assert!(labels.contains(&"UL data"));
-        let dl_labels: Vec<&str> = t.dl.iter().map(|s| s.label).collect();
+        let dl_labels: Vec<&str> = t.dl.iter().map(|s| s.label.as_str()).collect();
         assert!(dl_labels.contains(&"RLC-q"));
         assert!(dl_labels.contains(&"DL data"));
         assert!(dl_labels.contains(&"PHY↑"));
@@ -1128,7 +1128,7 @@ mod tests {
             .traces
             .iter()
             .flat_map(|t| t.ul.iter().chain(t.dl.iter()))
-            .map(|s| s.label)
+            .map(|s| s.label.as_str())
             .collect();
         for needed in ["RLF detect", "RACH re-access", "PDCP recover"] {
             assert!(labels.contains(&needed), "trace must show {needed}");

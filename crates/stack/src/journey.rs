@@ -2,16 +2,15 @@
 //! (temporal breakdown), as data.
 
 use sim::{Duration, Instant};
+use telemetry::Stage;
 
-/// One stage of a packet's journey, with its time span.
-///
-/// (Labels are `&'static str` drawn from the Fig 3 vocabulary, so traces
-/// are emitted to reports but never read back.)
+/// One stage of a packet's journey, with its time span: 24 bytes, since
+/// the label is a one-byte [`Stage`] code rather than a string slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSpan {
-    /// Stage label, using the paper's Fig 3 vocabulary (`APP↓`, `SR wait`,
-    /// `SCHE`, `↑MAC↓`, `MAC↑`, `SDAP↓`, `PHY↑`, `Radio`, ...).
-    pub label: &'static str,
+    /// Stage label, in the paper's Fig 3 vocabulary (`APP↓`, `SR`,
+    /// `SCHE`, `MAC↑`, `SDAP↓`, `RLC-q`, `PHY↑`, `radio`, ...).
+    pub label: Stage,
     /// Stage start.
     pub start: Instant,
     /// Stage end.
@@ -39,7 +38,7 @@ impl StageSpan {
     /// fault/recovery path can produce) is clamped to zero width at `start`
     /// and tallied for the `journey/span_inverted` telemetry counter rather
     /// than panicking.
-    pub(crate) fn new(label: &'static str, start: Instant, end: Instant) -> StageSpan {
+    pub(crate) fn new(label: Stage, start: Instant, end: Instant) -> StageSpan {
         if end < start {
             INVERTED_SPANS.with(|c| c.set(c.get() + 1));
             return StageSpan { label, start, end: start };
@@ -142,10 +141,10 @@ mod tests {
     #[test]
     fn totals_and_rtt() {
         let mut t = PingTrace::new(1);
-        t.ul.push(StageSpan::new("APP↓", us(0), us(50)));
-        t.ul.push(StageSpan::new("UL data", us(500), us(600)));
-        t.dl.push(StageSpan::new("SDAP↓", us(650), us(700)));
-        t.dl.push(StageSpan::new("PHY↑", us(1_200), us(1_300)));
+        t.ul.push(StageSpan::new(Stage::AppDown, us(0), us(50)));
+        t.ul.push(StageSpan::new(Stage::UlData, us(500), us(600)));
+        t.dl.push(StageSpan::new(Stage::SdapDown, us(650), us(700)));
+        t.dl.push(StageSpan::new(Stage::PhyUp, us(1_200), us(1_300)));
         assert_eq!(t.ul_latency(), Duration::from_micros(600));
         assert_eq!(t.dl_latency(), Duration::from_micros(650));
         assert_eq!(t.rtt(), Duration::from_micros(1_300));
@@ -162,25 +161,31 @@ mod tests {
     #[test]
     fn render_contains_stages_and_totals() {
         let mut t = PingTrace::new(3);
-        t.ul.push(StageSpan::new("APP↓", us(0), us(10)));
-        t.dl.push(StageSpan::new("PHY↑", us(20), us(30)));
+        t.ul.push(StageSpan::new(Stage::AppDown, us(0), us(10)));
+        t.dl.push(StageSpan::new(Stage::PhyUp, us(20), us(30)));
         let r = t.render();
-        assert!(r.contains("APP↓"));
+        // The label pads to its column as the string did.
+        assert!(r.contains(&format!("\n  {:<14} ", "APP↓")), "{r}");
         assert!(r.contains("PHY↑"));
         assert!(r.contains("RTT"));
         assert!(r.contains("ping #3"));
     }
 
     #[test]
+    fn a_span_is_three_words() {
+        assert_eq!(std::mem::size_of::<StageSpan>(), 24);
+    }
+
+    #[test]
     fn inverted_span_clamps_to_start_and_is_counted() {
         take_inverted_spans(); // drain any tally left by sibling tests
-        let s = StageSpan::new("bad", us(10), us(5));
+        let s = StageSpan::new(Stage::Sr, us(10), us(5));
         assert_eq!(s.start, us(10));
         assert_eq!(s.end, us(10));
         assert_eq!(s.duration(), Duration::ZERO);
         assert_eq!(take_inverted_spans(), 1);
         // Drained: the counter resets, and well-formed spans don't tally.
-        let _ = StageSpan::new("ok", us(5), us(10));
+        let _ = StageSpan::new(Stage::Sr, us(5), us(10));
         assert_eq!(take_inverted_spans(), 0);
     }
 }

@@ -38,53 +38,10 @@ use ran::sched::{Policy, PolicySpec, RequestTag, SchedItem, Slice};
 use sim::{ArrivalGen, ArrivalProcess, Duration, Instant, Recording, SimRng};
 use telemetry::{JournalEvent, Profiler, Telemetry};
 
+pub use sim::DropReason;
+
 use crate::config::StackConfig;
 use crate::frame;
-
-/// Why a packet was dropped — the typed taxonomy behind the journal's
-/// `Drop` events and the overload CSV's per-reason columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// PDCP discardTimer expiry (TS 38.323 §5.5): the SDU aged out before
-    /// a lower-layer pull, leaving an SN gap.
-    PdcpDiscard,
-    /// RLC transmission buffer at capacity: tail drop at ingress.
-    RlcFull,
-    /// The bounded HARQ/MAC backlog was full when a failed transport block
-    /// needed requeueing.
-    MacBacklogFull,
-    /// A transport block exhausted `harq_max_tx` transmissions.
-    HarqExhausted,
-    /// Critical-level degradation discarded a backlogged transport block
-    /// whose packets had all already missed their deadline.
-    DeadlineClamp,
-    /// Degraded-level ingress shedding of best-effort (eMBB) traffic.
-    SloShed,
-}
-
-impl DropReason {
-    /// Every reason, in CSV column order.
-    pub const ALL: [DropReason; 6] = [
-        DropReason::PdcpDiscard,
-        DropReason::RlcFull,
-        DropReason::MacBacklogFull,
-        DropReason::HarqExhausted,
-        DropReason::DeadlineClamp,
-        DropReason::SloShed,
-    ];
-
-    /// Stable short label (journal events, CSV headers).
-    pub fn label(self) -> &'static str {
-        match self {
-            DropReason::PdcpDiscard => "pdcp-discard",
-            DropReason::RlcFull => "rlc-full",
-            DropReason::MacBacklogFull => "mac-backlog-full",
-            DropReason::HarqExhausted => "harq-exhausted",
-            DropReason::DeadlineClamp => "deadline-clamp",
-            DropReason::SloShed => "slo-shed",
-        }
-    }
-}
 
 /// Per-reason drop counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -436,12 +393,12 @@ impl<'a> Engine<'a> {
                 Err(e) => unreachable!("try_tx_sdu only fails with TxBufferFull: {e}"),
             }
         };
-        self.tel.journal(JournalEvent::Drop { ping: u64::MAX, at, reason: reason.label() });
+        self.tel.journal(JournalEvent::Drop { ping: u64::MAX, at, reason });
     }
 
     fn drop_urllc(&mut self, count: u32, at: Instant, reason: DropReason) {
         self.report.drops.add(reason);
-        self.tel.journal(JournalEvent::Drop { ping: u64::from(count), at, reason: reason.label() });
+        self.tel.journal(JournalEvent::Drop { ping: u64::from(count), at, reason });
         self.hook.observe(at, true);
     }
 
@@ -948,7 +905,8 @@ mod tests {
         assert!(
             matches!(
                 journal.last(),
-                Some(JournalEvent::Drop { at, reason: "pdcp-discard", .. }) if *at == last.tx_start
+                Some(JournalEvent::Drop { at, reason: DropReason::PdcpDiscard, .. })
+                    if *at == last.tx_start
             ),
             "last served slot at {:?}, journal ends {:?}",
             last.tx_start,

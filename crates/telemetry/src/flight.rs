@@ -36,8 +36,9 @@ pub const DEFAULT_WORST_K: usize = 64;
 /// Default cap on retained forced exemplars.
 pub const DEFAULT_FORCED_CAP: usize = 512;
 
-/// One retained stage span of an exemplar ping (same vocabulary as the
-/// live trace: `stack::stage_labels`).
+/// One retained stage span of an exemplar ping. A ping's spans carry
+/// [`crate::Stage::as_str`] labels; a handover exemplar's carry labels of
+/// its own, outside the Fig-3 vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExemplarSpan {
     /// Stage label.

@@ -247,9 +247,20 @@ impl Telemetry {
         self.batch(|t| t.registry.snapshot()).unwrap_or_default()
     }
 
-    /// The journal's retained window, oldest first (empty when disabled).
+    /// Calls `f` on each event of the journal's retained window, oldest
+    /// first, under the sink's lock and without copying the ring (never,
+    /// when disabled). `f` must not record through a handle to the same
+    /// sink: it holds the lock.
+    pub fn visit_journal(&self, f: impl FnMut(&JournalEvent)) {
+        self.batch(|t| t.journal.iter().for_each(f));
+    }
+
+    /// A copy of the journal's retained window, oldest first (empty when
+    /// disabled).
     pub fn journal_events(&self) -> Vec<JournalEvent> {
-        self.batch(|t| t.journal.to_vec()).unwrap_or_default()
+        let mut events = Vec::with_capacity(self.batch(|t| t.journal.len()).unwrap_or(0));
+        self.visit_journal(|e| events.push(*e));
+        events
     }
 
     /// Events shed by journal overflow.
@@ -365,10 +376,11 @@ mod tests {
         let t = Telemetry::disabled();
         t.count("mac", "harq_retx", 1);
         t.record("radio", "submit_us", Duration::from_micros(3));
-        t.journal(JournalEvent::Marker { layer: "x", label: "y", at: Instant::ZERO });
+        t.journal(JournalEvent::Marker { label: "y", at: Instant::ZERO });
         assert!(!t.is_enabled());
         assert!(t.snapshot().is_empty());
         assert!(t.journal_events().is_empty());
+        t.visit_journal(|e| panic!("a disabled handle visited {e:?}"));
         assert_eq!(t.summary(), TelemetrySummary::default());
         assert_eq!(t.summary().render(), "telemetry: off");
     }
@@ -379,7 +391,7 @@ mod tests {
         let c = t.clone();
         c.count("mac", "harq_retx", 2);
         t.count("mac", "harq_retx", 3);
-        c.journal(JournalEvent::Marker { layer: "sim", label: "tick", at: Instant::ZERO });
+        c.journal(JournalEvent::Marker { label: "tick", at: Instant::ZERO });
         assert_eq!(t.snapshot().counter("mac", "harq_retx"), Some(5));
         assert_eq!(t.journal_events().len(), 1);
         let s = t.summary();
@@ -400,16 +412,8 @@ mod tests {
         shard_a.record("radio", "submit_us", Duration::from_micros(10));
         shard_b.record("radio", "submit_us", Duration::from_micros(20));
         for i in 0..3u64 {
-            shard_a.journal(JournalEvent::Marker {
-                layer: "a",
-                label: "m",
-                at: Instant::from_micros(i),
-            });
-            shard_b.journal(JournalEvent::Marker {
-                layer: "b",
-                label: "m",
-                at: Instant::from_micros(i),
-            });
+            shard_a.journal(JournalEvent::Marker { label: "a", at: Instant::from_micros(i) });
+            shard_b.journal(JournalEvent::Marker { label: "b", at: Instant::from_micros(i) });
         }
         parent.absorb(&shard_a);
         parent.absorb(&shard_b);
@@ -418,6 +422,11 @@ mod tests {
         let events = parent.journal_events();
         assert_eq!(events.len(), 4);
         assert_eq!(parent.journal_dropped(), 2);
+        // The visitor walks the same window, oldest first, in place.
+        let mut visited = Vec::new();
+        parent.visit_journal(|e| visited.push(*e));
+        assert_eq!(visited, events);
+        assert_eq!(events[0], JournalEvent::Marker { label: "a", at: Instant::from_micros(2) });
         // Absorbing a disabled handle or the sink itself is a no-op.
         parent.absorb(&Telemetry::disabled());
         parent.absorb(&parent.clone());
@@ -516,7 +525,6 @@ mod tests {
                     1 => t.record(layer, name, Duration::from_nanos(value)),
                     2 => t.record_with_exemplar(layer, name, Duration::from_nanos(value), ping),
                     3 => t.journal(JournalEvent::Marker {
-                        layer,
                         label: name,
                         at: Instant::from_micros(value),
                     }),

@@ -7,10 +7,20 @@
 //! `capacity` of them (counting what it sheds), and the
 //! [`crate::perfetto`] exporter renders the surviving window as a
 //! flamegraph-style timeline.
+//!
+//! An event is 32 bytes: three 8-byte words and one-byte codes. The ring,
+//! its growth and every copy of it scale with that size, and a lit chaos
+//! ping journals about 18 events. So no variant carries a `&'static str`
+//! it cannot fit in the budget: a stage span carries a [`Stage`], a drop
+//! a [`DropReason`] and a fault a [`FaultKind`], each one byte, and each
+//! spelled out only when an exporter prints it. A compile-time assertion
+//! below holds the size.
 
 use std::collections::VecDeque;
 
-use sim::{Duration, FaultKind, Instant};
+use sim::{DropReason, Duration, FaultKind, Instant};
+
+use crate::stage::Stage;
 
 /// One sim-time-stamped event. `Copy` so journaling never allocates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,8 +31,8 @@ pub enum JournalEvent {
         ping: u64,
         /// `true` for the downlink half of the journey.
         dl: bool,
-        /// Stage label (see `stack::stage_labels`).
-        label: &'static str,
+        /// Which Fig-3 stage.
+        stage: Stage,
         /// Stage start.
         start: Instant,
         /// Stage end.
@@ -91,8 +101,8 @@ pub enum JournalEvent {
         ping: u64,
         /// Drop instant.
         at: Instant,
-        /// Typed drop reason (labels from `stack::overload::DropReason`).
-        reason: &'static str,
+        /// Why it was dropped.
+        reason: DropReason,
     },
     /// An inter-cell handover transition (trigger/detach/complete/
     /// too-late/too-early/ping-pong — labels from `stack::handover`).
@@ -116,8 +126,6 @@ pub enum JournalEvent {
     },
     /// A free-form point event from any layer.
     Marker {
-        /// Layer namespace.
-        layer: &'static str,
         /// Event label.
         label: &'static str,
         /// Event instant.
@@ -180,6 +188,9 @@ impl JournalEvent {
     }
 }
 
+// The journal's size budget: see the module docs.
+const _: () = assert!(std::mem::size_of::<JournalEvent>() <= 32);
+
 /// Bounded ring buffer of [`JournalEvent`]s.
 ///
 /// Overflow sheds the *oldest* events (a crashed run's tail is worth more
@@ -210,9 +221,9 @@ impl EventJournal {
         self.events.push_back(event);
     }
 
-    /// Copies the retained window out, oldest first.
-    pub(crate) fn to_vec(&self) -> Vec<JournalEvent> {
-        self.events.iter().copied().collect()
+    /// The retained window, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &JournalEvent> {
+        self.events.iter()
     }
 
     /// Number of retained events.
@@ -267,7 +278,7 @@ mod tests {
     use super::*;
 
     fn marker(i: u64) -> JournalEvent {
-        JournalEvent::Marker { layer: "test", label: "m", at: Instant::from_micros(i) }
+        JournalEvent::Marker { label: "m", at: Instant::from_micros(i) }
     }
 
     #[test]
@@ -304,7 +315,7 @@ mod tests {
         j.clear();
         assert_eq!((j.len(), j.dropped(), j.events.capacity()), (0, 0, storage));
         j.push(marker(9));
-        assert_eq!(j.to_vec(), vec![marker(9)]);
+        assert!(j.iter().eq(&[marker(9)]));
     }
 
     mod bulk_absorb {
@@ -336,7 +347,8 @@ mod tests {
                 }
                 let storage = bulk.events.capacity();
                 bulk.absorb(&other);
-                prop_assert_eq!(bulk.to_vec(), oracle.to_vec());
+                let window = |j: &EventJournal| j.iter().copied().collect::<Vec<_>>();
+                prop_assert_eq!(window(&bulk), window(&oracle));
                 prop_assert_eq!(bulk.dropped(), oracle.dropped());
                 // The storage grows up to the ring's bound and no further.
                 prop_assert!(bulk.events.capacity() <= storage.max(capacity));
@@ -360,7 +372,7 @@ mod tests {
             JournalEvent::Stage {
                 ping: 0,
                 dl: false,
-                label: "radio",
+                stage: Stage::Radio,
                 start: Instant::ZERO,
                 end: Instant::ZERO,
             },
@@ -374,10 +386,10 @@ mod tests {
             },
             JournalEvent::Rlf { ping: 0, dl: true, at: Instant::ZERO },
             JournalEvent::RrcReestablished { ping: 0, at: Instant::ZERO, ok: true },
-            JournalEvent::Drop { ping: 0, at: Instant::ZERO, reason: "rlc-full" },
+            JournalEvent::Drop { ping: 0, at: Instant::ZERO, reason: DropReason::RlcFull },
             JournalEvent::Handover { from: 0, to: 1, label: "complete", at: Instant::ZERO },
             JournalEvent::PathEvent { label: "failover", at: Instant::ZERO },
-            JournalEvent::Marker { layer: "sim", label: "tick", at: Instant::ZERO },
+            JournalEvent::Marker { label: "tick", at: Instant::ZERO },
         ];
         let mut names: Vec<&str> = evs.iter().map(|e| e.kind_name()).collect();
         names.sort_unstable();

@@ -13,7 +13,9 @@
 //!   (`MetricsSnapshot`).
 //! * [`EventJournal`] — a bounded ring buffer of typed, sim-time-stamped
 //!   [`JournalEvent`]s (grants, SR cycles, HARQ NACKs, fault injections,
-//!   RLF/recovery transitions, path failovers).
+//!   RLF/recovery transitions, path failovers), 32 bytes each.
+//! * [`Stage`] — the paper's Fig-3 stage vocabulary as a one-byte code,
+//!   the label a journaled stage span carries.
 //! * [`perfetto`] — a Chrome trace-event / Perfetto JSON exporter that
 //!   renders the journal as a flamegraph-style timeline.
 //! * [`FlightRecorder`] — an always-on, bounded tail-forensics buffer
@@ -40,6 +42,7 @@ pub mod metric;
 pub mod perfetto;
 pub(crate) mod profiler;
 pub(crate) mod registry;
+pub(crate) mod stage;
 
 pub use flight::{
     ExemplarOutcome, ExemplarSpan, FlightRecorder, TailExemplar, DEFAULT_FORCED_CAP,
@@ -50,3 +53,4 @@ pub use journal::{EventJournal, JournalEvent};
 pub use metric::MetricId;
 pub use profiler::Profiler;
 pub use registry::LogLinearHistogram;
+pub use stage::Stage;

@@ -176,13 +176,13 @@ fn placement(ev: &JournalEvent) -> (u64, u64) {
 fn render_event(ev: &JournalEvent, pid: u64, tid: u64) -> Result<String, fmt::Error> {
     let mut s = String::new();
     match *ev {
-        JournalEvent::Stage { label, start, end, .. } => {
+        JournalEvent::Stage { stage, start, end, .. } => {
             let dur = end.as_nanos().saturating_sub(start.as_nanos());
             write!(
                 s,
                 "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":{pid},\"tid\":{tid}}}",
-                esc(label),
+                esc(stage.as_str()),
                 ts_us(start.as_nanos()),
                 ts_us(dur),
             )?;
@@ -245,7 +245,7 @@ fn render_event(ev: &JournalEvent, pid: u64, tid: u64) -> Result<String, fmt::Er
                 s,
                 "{{\"name\":\"drop: {}\",\"cat\":\"overload\",\"ph\":\"i\",\"ts\":{},\
                  \"pid\":{pid},\"tid\":{tid},\"s\":\"t\"}}",
-                esc(reason),
+                esc(reason.label()),
                 ts_us(at.as_nanos()),
             )?;
         }
@@ -267,13 +267,12 @@ fn render_event(ev: &JournalEvent, pid: u64, tid: u64) -> Result<String, fmt::Er
                 ts_us(at.as_nanos()),
             )?;
         }
-        JournalEvent::Marker { layer, label, at } => {
+        JournalEvent::Marker { label, at } => {
             write!(
                 s,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":{pid},\
+                "{{\"name\":\"{}\",\"cat\":\"marker\",\"ph\":\"i\",\"ts\":{},\"pid\":{pid},\
                  \"tid\":{tid},\"s\":\"g\"}}",
                 esc(label),
-                esc(layer),
                 ts_us(at.as_nanos()),
             )?;
         }
@@ -284,6 +283,7 @@ fn render_event(ev: &JournalEvent, pid: u64, tid: u64) -> Result<String, fmt::Er
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stage;
     use sim::{Duration, FaultKind, Instant};
 
     /// The document as a `String` (`String`'s `fmt::Write` never errors).
@@ -301,14 +301,14 @@ mod tests {
             JournalEvent::Stage {
                 ping: 0,
                 dl: false,
-                label: "radio",
+                stage: Stage::Radio,
                 start: Instant::from_micros(10),
                 end: Instant::from_micros(35),
             },
             JournalEvent::Stage {
                 ping: 0,
                 dl: true,
-                label: "DL data",
+                stage: Stage::DlData,
                 start: Instant::from_micros(40),
                 end: Instant::from_nanos(60_500),
             },
@@ -351,7 +351,7 @@ mod tests {
             JournalEvent::Rlf { ping: 2, dl: false, at: Instant::from_micros(3) },
             JournalEvent::RrcReestablished { ping: 2, at: Instant::from_micros(4), ok: true },
             JournalEvent::PathEvent { label: "failover", at: Instant::from_micros(5) },
-            JournalEvent::Marker { layer: "sim", label: "tick", at: Instant::from_micros(6) },
+            JournalEvent::Marker { label: "tick", at: Instant::from_micros(6) },
         ];
         let doc = chrome_trace_json(&events);
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
@@ -360,11 +360,12 @@ mod tests {
         assert!(doc.contains("\"HARQ NACK\""));
         assert!(doc.contains("\"args\":{\"round\":1}"));
         assert!(doc.contains("\"ping 2\""));
+        assert!(doc.contains("{\"name\":\"tick\",\"cat\":\"marker\",\"ph\":\"i\",\"ts\":6.000,"));
     }
 
     #[test]
     fn export_path_writes_identical_bytes_and_types_io_errors() {
-        let events = [JournalEvent::Marker { layer: "sim", label: "tick", at: Instant::ZERO }];
+        let events = [JournalEvent::Marker { label: "tick", at: Instant::ZERO }];
         let mut buf: Vec<u8> = Vec::new();
         export_chrome_trace(&mut buf, &events).expect("Vec sink cannot fail");
         assert_eq!(String::from_utf8(buf).unwrap(), chrome_trace_json(&events));

@@ -59,7 +59,7 @@ fn seeded_burst_plan_recovers_pings_and_shows_the_detour() {
     let spans = if ev.dl { &trace.dl } else { &trace.ul };
     for label in RECOVERY_SPANS {
         assert!(
-            spans.iter().any(|s| s.label == label),
+            spans.iter().any(|s| s.label.as_str() == label),
             "recovered ping {} is missing the `{label}` span",
             ev.ping
         );
@@ -105,7 +105,7 @@ fn recovered_ping_latency_is_baseline_plus_modeled_detour() {
         let leg_us = (spans.last().unwrap().end - spans.first().unwrap().start).as_micros_f64();
         let detour_us: f64 = spans
             .iter()
-            .filter(|s| RECOVERY_SPANS.contains(&s.label))
+            .filter(|s| RECOVERY_SPANS.contains(&s.label.as_str()))
             .map(|s| s.duration().as_micros_f64())
             .sum();
         // The detour itself stays under the modeled worst case…

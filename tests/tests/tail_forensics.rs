@@ -90,7 +90,9 @@ fn lit_sinks_merge_across_shards_identically_at_any_worker_count() {
     let run = |workers| {
         let tel = Telemetry::new(4_096);
         run_parallel_workers(&cfg, n, 0, Some(&tel), workers);
-        (tel.journal_events(), tel.journal_dropped(), tel.snapshot(), tel.flight_json())
+        let mut window = Vec::new();
+        tel.visit_journal(|e| window.push(*e));
+        (window, tel.journal_dropped(), tel.snapshot(), tel.flight_json())
     };
     let one = run(1);
     assert!(one.1 > 0, "the ring must shed for the merge order to matter");

@@ -117,10 +117,9 @@ fn audit_closes_over_instrumented_traces() {
     let audits = urllc_core::audit_traces(&res.traces, &cfg, &tel);
     assert_eq!(audits.len(), res.traces.len());
     for a in &audits {
-        assert_eq!(a.unclassified, sim::Duration::ZERO, "{}", a.render());
         assert!(a.recovery_within_bound, "{}", a.render());
         let terms: sim::Duration = a.terms().iter().map(|(_, d)| *d).sum();
-        assert_eq!(terms + a.unclassified, (a.rtt - a.residual) + a.overlap);
+        assert_eq!(terms, (a.rtt - a.residual) + a.overlap);
     }
     let snap = tel.snapshot();
     assert!(snap.get("audit", "residual_us").is_some(), "audit shares missing:\n{}", snap.render());
