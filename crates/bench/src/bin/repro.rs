@@ -18,6 +18,7 @@
 use std::env;
 use std::sync::Mutex;
 
+use radio::reliability::{margin_sweep, min_margin_for};
 use radio::{InterfaceKind, RadioHead, RadioHeadConfig};
 use ran::sched::AccessMode;
 use sim::{ArrivalProcess, Duration, FaultPlan, SimRng};
@@ -32,7 +33,6 @@ use urllc_bench::report::{
 };
 use urllc_core::feasibility::{feasibility_table, paper_table1};
 use urllc_core::model::{ConfigUnderTest, ProcessingBudget};
-use urllc_core::reliability::{margin_sweep, min_margin_for};
 use urllc_core::worst_case::{worst_case, Direction};
 use urllc_core::DesignSearch;
 
@@ -911,7 +911,7 @@ fn chaos(pings: u64) {
 
 /// Recovery study: RRC re-establishment after RLF under a seeded burst
 /// plan, cross-checked against the closed-form
-/// [`urllc_core::RecoveryLatencyModel`], plus GTP-U path supervision
+/// [`stack::RecoveryLatencyModel`], plus GTP-U path supervision
 /// failing over the N3 backbone.
 fn recovery(pings: u64) {
     banner("Recovery — RLF re-establishment and GTP-U path supervision");
@@ -928,7 +928,7 @@ fn recovery(pings: u64) {
         loss_good: 0.05,
         loss_bad: 1.0,
     });
-    let model = urllc_core::RecoveryLatencyModel::from_config(&cfg);
+    let model = stack::RecoveryLatencyModel::from_config(&cfg);
     let mut res = stack::run_parallel_opts(&cfg, n, n as usize, None);
 
     if let Some(ev) = res.rlf.iter().find(|ev| ev.recovered) {
@@ -1044,7 +1044,7 @@ fn overload() {
         let rng = SimRng::from_seed(stack.seed).stream_indexed("overload", i as u64);
         let tel = telemetry::Telemetry::disabled();
         if slo {
-            let mut sup = urllc_core::SloSupervisor::new(urllc_core::SloConfig::default());
+            let mut sup = stack::SloSupervisor::new(stack::SloConfig::default());
             let r = run_overload(&cfg, &rng, &mut sup, &tel);
             (r, sup.transitions().len())
         } else {
@@ -1188,7 +1188,7 @@ fn overload() {
 fn handover() {
     banner("Handover — mobility sweep with Xn forwarding and fault taxonomy");
     let base = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(17);
-    let model = urllc_core::HandoverInterruptionModel::from_config(&base);
+    let model = stack::HandoverInterruptionModel::from_config(&base);
     let bound_us = model.worst_case().as_micros_f64();
     println!(
         "closed-form interruption bounds [ms]: handover {:.2}  too-late {:.2}  too-early {:.2}  fwd-loss +{:.2}  worst {:.2}",
@@ -1333,7 +1333,7 @@ fn metrics(pings: u64) {
     let mut res = stack::run_parallel_opts(&cfg, n, n as usize, Some(&tel));
     bench_log("metrics", "rtt", &mut res.rtt);
 
-    let audits = urllc_core::audit_traces(&res.traces, &cfg, &tel);
+    let audits = stack::audit_traces(&res.traces, &cfg, &tel);
     let over = audits.iter().filter(|a| !a.recovery_within_bound).count();
     let snap = tel.snapshot();
     print!("{}", snap.render());
@@ -1455,15 +1455,15 @@ fn profile(pings: u64) {
         oreport.delivered,
         oreport.offered,
         mreport.handovers,
-        mtel.flight_exemplars().len()
+        mtel.flight_retained()
     );
 
     // Tail decomposition: diff each figure's exemplars against its own
     // p50 baseline and rank the hops'/faults' share of the gap.
     let ex1 = tel.flight_exemplars();
-    let d1 = urllc_core::decompose_tail(&ex1, &urllc_core::TailBaseline::from_traces(&res.traces));
+    let d1 = stack::decompose_tail(&ex1, &stack::TailBaseline::from_traces(&res.traces));
     let ex2 = rtel.flight_exemplars();
-    let d2 = urllc_core::decompose_tail(&ex2, &urllc_core::TailBaseline::from_traces(&rres.traces));
+    let d2 = stack::decompose_tail(&ex2, &stack::TailBaseline::from_traces(&rres.traces));
     println!(
         "tail decomposition: chaos {} exemplars cover {:.1}% of the gap; recovery {} cover {:.1}%",
         d1.exemplars,

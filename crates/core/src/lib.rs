@@ -20,46 +20,32 @@
 //! * [`decompose`] — the §4 latency taxonomy: protocol vs processing vs
 //!   radio shares of a latency budget;
 //! * [`reliability`] — the §6 analysis: how non-deterministic latency
-//!   (OS jitter) converts into deadline misses, and the
-//!   margin-vs-reliability trade;
-//! * `audit` — the per-ping deadline-budget audit: folds simulated
-//!   stage traces onto the model's terms and reports the residuals;
-//! * `recovery` — closed-form worst-case recovery latency: what an RLF
-//!   re-establishment detour or an N3 path-outage detection costs,
-//!   cross-checked against the stack simulation;
-//! * `handover` — closed-form worst-case handover interruption: what an
-//!   inter-cell mobility event (clean, too-late, too-early, or with a
-//!   lost forwarding batch) costs the stream, cross-checked against the
-//!   mobility simulation;
+//!   converts into deadline misses, and a first-order closed-form model
+//!   of the miss probability under chaos injection;
 //! * `design` — design-space search over numerology × pattern × access ×
 //!   radio × kernel, quantifying §5's conclusion that "the set of possible
 //!   system designs is quite limited";
 //! * `queueing` — the closed-form M/D/1 bound cross-checking the
-//!   open-loop overload sweep's sub-saturation queueing delay;
-//! * `slo` — the windowed, hysteresis-guarded SLO supervisor that drives
-//!   `stack::overload`'s graceful degradation.
+//!   open-loop overload sweep's sub-saturation queueing delay.
+//!
+//! The crate depends on `sim` and `phy` only (`tests/tests/layering.rs`
+//! pins it). The analysis of simulated runs lives beside the code it
+//! reads: `stack::{audit, slo, recovery}`, `stack::handover`'s
+//! interruption bound and `radio::reliability`'s margin sweep.
 
-pub(crate) mod audit;
 pub mod decompose;
 pub(crate) mod design;
 pub mod feasibility;
 pub mod formats;
-pub(crate) mod handover;
 pub mod model;
 pub(crate) mod queueing;
-pub(crate) mod recovery;
 pub mod reliability;
-pub(crate) mod slo;
 pub mod worst_case;
 
-pub use audit::{audit_traces, decompose_tail, TailBaseline};
 pub use decompose::SourceShare;
 pub use design::DesignSearch;
 pub use feasibility::feasibility_table;
 pub use formats::format_survey;
-pub use handover::HandoverInterruptionModel;
 pub use model::ProcessingBudget;
 pub use queueing::Md1Model;
-pub use recovery::RecoveryLatencyModel;
 pub use reliability::ChaosMissModel;
-pub use slo::{SloConfig, SloSupervisor};

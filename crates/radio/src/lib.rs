@@ -17,11 +17,14 @@
 //!   front-end) and the end-to-end submit/receive latency;
 //! * `ring` — the TX sample ring with deadline tracking: samples arriving
 //!   after their air-time cause an *underrun* (the paper's "corrupted
-//!   signal" when the scheduler margin is too small, §4).
+//!   signal" when the scheduler margin is too small, §4);
+//! * [`reliability`] — the §6 margin-vs-reliability sweep: Monte Carlo
+//!   scheduler margins against a head's stochastic submission time.
 
 pub(crate) mod head;
 pub(crate) mod interface;
 pub mod jitter;
+pub mod reliability;
 pub(crate) mod ring;
 
 pub use head::{RadioHead, RadioHeadConfig};

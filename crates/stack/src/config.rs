@@ -11,6 +11,9 @@ use ran::sched::{AccessMode, PolicySpec, SchedulerConfig};
 use ran::timing::LayerTimings;
 use sim::Duration;
 
+/// HARQ feedback-processing allowance in every HARQ and RLC round trip.
+const FEEDBACK_PROCESSING: Duration = Duration::from_micros(50);
+
 /// Full-system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StackConfig {
@@ -230,6 +233,17 @@ impl StackConfig {
         let symbols = (bits / per_symbol_bits).ceil().max(1.0) as u32;
         let symbols = symbols.min(phy::numerology::SYMBOLS_PER_SLOT);
         nu.symbol_offset(symbols)
+    }
+
+    /// The HARQ and RLC status round trips on the configured duplex
+    /// pattern, `(harq, rlc)`, each indexed `[dl, ul]` by data direction
+    /// (`usize::from(!dl_data)`): the one source of the round trips the
+    /// ping walk charges and the recovery bound sums.
+    pub(crate) fn round_trips(&self) -> ([Duration; 2], [Duration; 2]) {
+        let both = |rtt: fn(&Duplex, bool, Duration) -> Duration| {
+            [true, false].map(|dl_data| rtt(&self.duplex, dl_data, FEEDBACK_PROCESSING))
+        };
+        (both(ran::harq::harq_round_trip), both(ran::harq::rlc_recovery_round_trip))
     }
 
     /// With a different seed (for multi-run experiments).

@@ -256,17 +256,11 @@ impl PingExperiment {
         let master = SimRng::from_seed(config.seed);
         let mut gnb = GnbStack::new();
         gnb.attach_ue(RNTI, KEY, UE_ADDR);
-        let fb = Duration::from_micros(50);
+        let (harq_rtt, rlc_rtt) = config.round_trips();
         PingExperiment {
             timing: config.duplex.timing(),
-            harq_rtt: [
-                ran::harq::harq_round_trip(&config.duplex, true, fb),
-                ran::harq::harq_round_trip(&config.duplex, false, fb),
-            ],
-            rlc_rtt: [
-                ran::harq::rlc_recovery_round_trip(&config.duplex, true, fb),
-                ran::harq::rlc_recovery_round_trip(&config.duplex, false, fb),
-            ],
+            harq_rtt,
+            rlc_rtt,
             link: config.link.map(channel::Fr1Link::new),
             sched: Scheduler::new(config.scheduler_config()),
             ue: UeStack::new(RNTI, KEY),

@@ -20,7 +20,7 @@
 //!   one function per hop behind a single exhaustive `match` on the
 //!   event, each hop returning the one event that follows it, with faults
 //!   applied by gate functions in front of the hops they perturb;
-//! * [`stage_labels`] — the canonical Fig-3 stage vocabulary shared by
+//! * `stage_labels` — the canonical Fig-3 stage vocabulary shared by
 //!   traces, telemetry keys and the deadline-budget auditor;
 //! * `multi_ue` — the §9 scalability experiment: uplink latency and
 //!   resource waste as the UE population grows, grant-free vs grant-based;
@@ -32,7 +32,14 @@
 //! * `frame` — the one slot clock under the open-loop engines: a per-class
 //!   walk (`multicell`, `overload`) and a per-packet walk on the scheduler
 //!   (`schedlab`, `coexistence`, `multi_ue`).
+//!
+//! Beside the engines sits the analysis of their runs: `audit` (the
+//! per-ping deadline-budget audit and the tail decomposition), `slo` (the
+//! SLO supervisor driving `overload`'s degradation), and the closed-form
+//! bounds built from entity methods — `recovery` (RLF detour, N3 outage
+//! detection) and `handover`'s interruption model.
 
+pub(crate) mod audit;
 pub(crate) mod coexistence;
 pub(crate) mod config;
 pub(crate) mod experiment;
@@ -44,16 +51,21 @@ pub(crate) mod multicell;
 pub(crate) mod node;
 pub mod overload;
 pub(crate) mod pipeline;
+pub(crate) mod recovery;
 pub mod schedlab;
-pub mod stage_labels;
+pub(crate) mod slo;
+pub(crate) mod stage_labels;
 
+pub use audit::{audit_traces, decompose_tail, TailBaseline};
 pub use coexistence::coexistence_sweep;
 pub use config::StackConfig;
 pub use experiment::{
     run_parallel, run_parallel_opts, run_parallel_profiled, run_parallel_workers, ExperimentResult,
     PingExperiment, BATCH_PINGS,
 };
-pub use handover::{run_mobility, run_mobility_profiled, MobilityConfig, MobilityReport};
+pub use handover::{
+    run_mobility, run_mobility_profiled, HandoverInterruptionModel, MobilityConfig, MobilityReport,
+};
 pub use journey::{PingTrace, StageSpan};
 pub use multi_ue::{run_multi_ue, scalability_sweep, MultiUeConfig};
 pub use multicell::{run_multicell, CellReport, MulticellConfig, MulticellReport};
@@ -63,4 +75,6 @@ pub use overload::{
     NullHook, OverloadConfig, OverloadReport,
 };
 pub use pipeline::HopId;
+pub use recovery::RecoveryLatencyModel;
 pub use schedlab::{run_sched_lab, SchedLabConfig};
+pub use slo::{SloConfig, SloSupervisor};

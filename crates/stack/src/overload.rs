@@ -16,7 +16,7 @@
 //!
 //! Degradation is driven through the [`SloHook`] trait: the engine reports
 //! every URLLC outcome (delivery with its deadline verdict, or a drop) and
-//! reads back a [`DegradationLevel`] each slot. `core::slo` provides the
+//! reads back a [`DegradationLevel`] each slot. `crate::slo` provides the
 //! hysteresis supervisor; [`NullHook`] keeps the engine un-governed for
 //! baselines. The degradation actions, in escalation order:
 //!
@@ -76,8 +76,7 @@ pub enum DegradationLevel {
 
 /// The stack-side SLO interface: the engine reports every URLLC outcome
 /// and reads back the degradation level each slot. Implemented by
-/// `core::slo::SloSupervisor`; the dependency points this way because the
-/// `core` crate sits above `stack` in the workspace graph.
+/// `crate::slo::SloSupervisor` and, for un-governed baselines, [`NullHook`].
 pub trait SloHook {
     /// One URLLC packet resolved at `at`; `miss` is true when it was
     /// dropped or delivered past its deadline.

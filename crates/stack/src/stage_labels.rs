@@ -36,13 +36,13 @@ pub(crate) const RLC_Q: Stage = Stage::RlcQ;
 pub(crate) const DL_DATA: Stage = Stage::DlData;
 pub(crate) const PHY_UP: Stage = Stage::PhyUp;
 /// RLF declared → detection complete: the span that counts a ping's RLFs.
-pub const RLF_DETECT: Stage = Stage::RlfDetect;
+pub(crate) const RLF_DETECT: Stage = Stage::RlfDetect;
 pub(crate) const RACH_REACCESS: Stage = Stage::RachReaccess;
 pub(crate) const RRC_REESTABLISH: Stage = Stage::RrcReestablish;
 pub(crate) const PDCP_RECOVER: Stage = Stage::PdcpRecover;
 
 /// The closed-form model's budget terms (Fig 2's attribution split, plus
-/// the recovery detour of `core::recovery`).
+/// the recovery detour of [`crate::recovery`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BudgetTerm {
     /// Protocol-imposed waits: slot alignment, SR/grant handshake,
@@ -72,7 +72,7 @@ impl BudgetTerm {
 }
 
 /// The budget term a stage's time counts toward.
-pub fn term(stage: Stage) -> BudgetTerm {
+pub(crate) fn term(stage: Stage) -> BudgetTerm {
     match stage {
         WAIT_UL_SLOT | SR | RACH | SCHE | UL_GRANT | RLC_Q => BudgetTerm::Protocol,
         APP_DOWN | SR_DECODE | UE_PREP | MAC_UP | SDAP_DOWN | PHY_UP => BudgetTerm::Processing,

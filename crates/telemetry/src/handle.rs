@@ -235,6 +235,13 @@ impl Telemetry {
         self.batch(|t| t.flight.exemplars().into_iter().cloned().collect()).unwrap_or_default()
     }
 
+    /// How many exemplars the flight recorder retains (what
+    /// [`flight_exemplars`](Self::flight_exemplars) would copy), counted
+    /// without copying them; zero when disabled.
+    pub fn flight_retained(&self) -> usize {
+        self.batch(|t| t.flight.exemplars().len()).unwrap_or(0)
+    }
+
     /// The flight recorder's deterministic JSON export (the
     /// `tail_exemplars.json` section body). Empty-recorder JSON when
     /// disabled.
@@ -479,9 +486,11 @@ mod tests {
         parent.absorb(&b);
         let exs = parent.flight_exemplars();
         assert_eq!(exs.len(), 2);
+        assert_eq!(parent.flight_retained(), 2);
         assert_eq!(exs[0].ping, 2); // slowest first
         assert!(parent.flight_json().contains("\"ping\":2"));
         assert!(Telemetry::disabled().flight_exemplars().is_empty());
+        assert_eq!(Telemetry::disabled().flight_retained(), 0);
         assert!(Telemetry::disabled().flight_json().contains("\"retained\": 0"));
     }
 

@@ -1,12 +1,11 @@
 //! Cross-crate mobility checks: the two-gNB shuttle driven through the
 //! public API stays deterministic, conserves every packet under the full
 //! chaos plan, and keeps its interruption windows under the closed-form
-//! bound of `urllc_core::HandoverInterruptionModel`.
+//! bound of `stack::HandoverInterruptionModel`.
 
 use ran::AccessMode;
 use sim::FaultPlan;
-use stack::{run_mobility, MobilityConfig, StackConfig};
-use urllc_core::HandoverInterruptionModel;
+use stack::{run_mobility, HandoverInterruptionModel, MobilityConfig, StackConfig};
 
 fn chaotic(seed: u64, speed_mps: f64) -> MobilityConfig {
     let stack = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(seed);

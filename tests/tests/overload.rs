@@ -9,10 +9,11 @@ use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::sched::AccessMode;
 use sim::{ArrivalProcess, Duration, Instant, LatencyRecorder, SimRng};
 use stack::{
-    run_overload, service_capacity_pps, DropReason, NullHook, OverloadConfig, StackConfig,
+    run_overload, service_capacity_pps, DropReason, NullHook, OverloadConfig, SloConfig,
+    SloSupervisor, StackConfig,
 };
 use telemetry::{LogLinearHistogram, Telemetry};
-use urllc_core::{Md1Model, SloConfig, SloSupervisor};
+use urllc_core::Md1Model;
 
 fn testbed() -> StackConfig {
     StackConfig::testbed_dddu(AccessMode::GrantBased, true)

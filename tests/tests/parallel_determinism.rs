@@ -86,7 +86,7 @@ fn analytic_sweeps_are_worker_count_invariant() {
     // is pinned — harmless, since worker count never changes results.)
     let run_all = || {
         let margins: Vec<Duration> = (1..=8).map(|i| Duration::from_micros(i * 100)).collect();
-        let rel = urllc_core::reliability::margin_sweep(
+        let rel = radio::reliability::margin_sweep(
             &radio::RadioHeadConfig::usrp_b210(true),
             Duration::from_micros(100),
             5_760,

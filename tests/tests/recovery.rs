@@ -1,7 +1,7 @@
 //! End-to-end recovery layer: a seeded burst-loss plan must produce RLF
 //! events that the RRC re-establishment machinery consumes — pings
 //! complete over the recovered link, the detour is visible in the trace,
-//! and the closed-form [`urllc_core::RecoveryLatencyModel`] upper-bounds
+//! and the closed-form [`stack::RecoveryLatencyModel`] upper-bounds
 //! every simulated detour. Plus PDCP SN continuity across
 //! re-establishment (proptest) and determinism/baseline-identity of the
 //! whole recovery layer.
@@ -9,8 +9,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use ran::sched::AccessMode;
-use stack::{ExperimentResult, GnbStack, PingExperiment, StackConfig, UeStack};
-use urllc_core::RecoveryLatencyModel;
+use stack::{
+    ExperimentResult, GnbStack, PingExperiment, RecoveryLatencyModel, StackConfig, UeStack,
+};
 
 const PINGS: u64 = 150;
 

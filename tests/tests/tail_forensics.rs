@@ -14,10 +14,10 @@ use proptest::prelude::*;
 use ran::sched::AccessMode;
 use sim::FaultPlan;
 use stack::{
-    run_parallel_profiled, run_parallel_workers, PingExperiment, StackConfig, BATCH_PINGS,
+    decompose_tail, run_parallel_profiled, run_parallel_workers, PingExperiment, StackConfig,
+    TailBaseline, BATCH_PINGS,
 };
 use telemetry::{Profiler, Telemetry};
-use urllc_core::{decompose_tail, TailBaseline};
 
 const PINGS: u64 = 40;
 

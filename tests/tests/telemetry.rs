@@ -114,7 +114,7 @@ fn audit_closes_over_instrumented_traces() {
     let mut exp = PingExperiment::new_instrumented(cfg.clone(), tel.clone());
     exp.keep_traces(PINGS as usize);
     let res = exp.run(PINGS);
-    let audits = urllc_core::audit_traces(&res.traces, &cfg, &tel);
+    let audits = stack::audit_traces(&res.traces, &cfg, &tel);
     assert_eq!(audits.len(), res.traces.len());
     for a in &audits {
         assert!(a.recovery_within_bound, "{}", a.render());
