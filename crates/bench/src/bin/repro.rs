@@ -588,11 +588,7 @@ fn multicell() {
 /// Extension X5: HARQ retransmission steps under channel loss (§8).
 fn harq(pings: u64) {
     banner("X5 — HARQ retransmission steps under channel loss");
-    let rtt = ran::harq::harq_round_trip(
-        &StackConfig::testbed_dddu(AccessMode::GrantFree, true).duplex,
-        false,
-        Duration::from_micros(50),
-    );
+    let rtt = StackConfig::testbed_dddu(AccessMode::GrantFree, true).round_trips().0[1];
     println!("UL HARQ round trip on the DDDU pattern: {rtt}");
     for (name, link) in [
         ("lossless", None),

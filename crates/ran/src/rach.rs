@@ -17,7 +17,6 @@
 //! whole procedure. The Monte-Carlo contention model here quantifies how
 //! fast that cliff approaches as the population grows.
 
-use rand::RngCore;
 use sim::{Dist, Duration, Instant, LatencyRecorder, SimRng};
 
 /// RACH configuration.

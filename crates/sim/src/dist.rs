@@ -7,8 +7,6 @@
 //! can be calibrated directly from a measured `(mean, std)` pair, so it is
 //! the default model for every processing stage in the workspace.
 
-use rand_distr::{Distribution, Exp, Gamma, LogNormal};
-
 use crate::rng::SimRng;
 use crate::time::Duration;
 
@@ -22,14 +20,8 @@ pub enum Dist {
     /// Log-normal with the given *linear-scale* mean and standard
     /// deviation (calibrated measurements, e.g. the paper's Table 2).
     LogNormalMeanStd { mean: Duration, std: Duration },
-    /// Gamma with the given linear-scale mean and standard deviation —
-    /// a lighter-tailed alternative used in ablations of the jitter model.
-    GammaMeanStd { mean: Duration, std: Duration },
     /// Exponential with the given mean (Poisson arrivals).
     Exponential { mean: Duration },
-    /// A base distribution plus a constant floor, for stages with a hard
-    /// minimum cost (bus setup time, DMA descriptor programming, ...).
-    Shifted { floor: Duration, body: Box<Dist> },
 }
 
 impl Dist {
@@ -67,32 +59,15 @@ impl Dist {
                 if sigma == 0.0 {
                     return *mean;
                 }
-                let ln = LogNormal::new(mu, sigma).expect("lognormal params");
-                Duration::from_micros_f64(ln.sample(rng))
-            }
-            Dist::GammaMeanStd { mean, std } => {
-                let m = mean.as_micros_f64();
-                let s = std.as_micros_f64();
-                if m <= 0.0 {
-                    return Duration::ZERO;
-                }
-                if s <= 0.0 {
-                    return *mean;
-                }
-                let shape = (m / s).powi(2);
-                let scale = s * s / m;
-                let g = Gamma::new(shape, scale).expect("gamma params");
-                Duration::from_micros_f64(g.sample(rng))
+                Duration::from_micros_f64((mu + sigma * standard_normal(rng)).exp())
             }
             Dist::Exponential { mean } => {
                 let m = mean.as_micros_f64();
                 if m <= 0.0 {
                     return Duration::ZERO;
                 }
-                let e = Exp::new(1.0 / m).expect("exp param");
-                Duration::from_micros_f64(e.sample(rng))
+                Duration::from_micros_f64(exponential(rng, 1.0 / m))
             }
-            Dist::Shifted { floor, body } => *floor + body.sample(rng),
         }
     }
 
@@ -102,11 +77,24 @@ impl Dist {
             Dist::Constant(d) => *d,
             Dist::Uniform { lo, hi } => Duration::from_nanos((lo.as_nanos() + hi.as_nanos()) / 2),
             Dist::LogNormalMeanStd { mean, .. } => *mean,
-            Dist::GammaMeanStd { mean, .. } => *mean,
             Dist::Exponential { mean } => *mean,
-            Dist::Shifted { floor, body } => *floor + body.mean(),
         }
     }
+}
+
+/// A standard normal draw by Box–Muller (the cosine output of the pair):
+/// `u1` is `1 − uniform01`, in `(0, 1]`, so its logarithm is finite.
+fn standard_normal(rng: &mut SimRng) -> f64 {
+    let u1 = 1.0 - rng.uniform01();
+    let u2 = rng.uniform01();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// An exponential draw with rate `lambda` by inversion, on `1 − uniform01`
+/// in `(0, 1]`. It divides by the rate, as the committed artifacts' draws
+/// did: multiplying by the mean can round the last bit differently.
+fn exponential(rng: &mut SimRng, lambda: f64) -> f64 {
+    -(1.0 - rng.uniform01()).ln() / lambda
 }
 
 /// Converts a linear-scale `(mean, std)` to log-normal `(mu, sigma)`.
@@ -188,12 +176,14 @@ mod tests {
     }
 
     #[test]
-    fn gamma_matches_calibration() {
-        let d =
-            Dist::GammaMeanStd { mean: Duration::from_micros(50), std: Duration::from_micros(20) };
-        let st = sample_stats(&d, 100_000, 5);
-        assert!((st.mean() - 50.0).abs() < 0.7, "mean {}", st.mean());
-        assert!((st.std() - 20.0).abs() < 0.7, "std {}", st.std());
+    fn normal_matches_moments() {
+        let mut rng = SimRng::from_seed(2);
+        let mut st = StreamingStats::new();
+        for _ in 0..200_000 {
+            st.push(3.0 + 2.0 * standard_normal(&mut rng));
+        }
+        assert!((st.mean() - 3.0).abs() < 0.02, "mean {}", st.mean());
+        assert!((st.std() - 2.0).abs() < 0.02, "std {}", st.std());
     }
 
     #[test]
@@ -201,19 +191,6 @@ mod tests {
         let d = Dist::Exponential { mean: Duration::from_micros(250) };
         let st = sample_stats(&d, 100_000, 6);
         assert!((st.mean() - 250.0).abs() < 5.0, "mean {}", st.mean());
-    }
-
-    #[test]
-    fn shifted_adds_floor() {
-        let d = Dist::Shifted {
-            floor: Duration::from_micros(100),
-            body: Box::new(Dist::Exponential { mean: Duration::from_micros(10) }),
-        };
-        let mut rng = SimRng::from_seed(7);
-        for _ in 0..1_000 {
-            assert!(d.sample(&mut rng) >= Duration::from_micros(100));
-        }
-        assert_eq!(d.mean(), Duration::from_micros(110));
     }
 
     #[test]

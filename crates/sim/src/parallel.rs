@@ -247,10 +247,8 @@ mod tests {
     fn worker_count_does_not_change_results() {
         // A shard whose result depends on a derived RNG stream: identical
         // across any worker count because the stream is keyed by index.
-        let shard = |i: usize| {
-            use rand::RngCore;
-            crate::SimRng::from_seed(42).stream_indexed("shard", i as u64).next_u64()
-        };
+        let shard =
+            |i: usize| crate::SimRng::from_seed(42).stream_indexed("shard", i as u64).next_u64();
         let seq = run_shards_with(1, 32, shard);
         for workers in [2, 3, 8, 32] {
             assert_eq!(run_shards_with(workers, 32, shard), seq, "workers={workers}");

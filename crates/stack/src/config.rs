@@ -238,8 +238,8 @@ impl StackConfig {
     /// The HARQ and RLC status round trips on the configured duplex
     /// pattern, `(harq, rlc)`, each indexed `[dl, ul]` by data direction
     /// (`usize::from(!dl_data)`): the one source of the round trips the
-    /// ping walk charges and the recovery bound sums.
-    pub(crate) fn round_trips(&self) -> ([Duration; 2], [Duration; 2]) {
+    /// ping walk charges, the recovery bound sums and `repro harq` prints.
+    pub fn round_trips(&self) -> ([Duration; 2], [Duration; 2]) {
         let both = |rtt: fn(&Duplex, bool, Duration) -> Duration| {
             [true, false].map(|dl_data| rtt(&self.duplex, dl_data, FEEDBACK_PROCESSING))
         };
