@@ -6,17 +6,24 @@
 //! repro <cmd> --jobs N               # worker count
 //! ```
 //!
-//! Each subcommand prints the regenerated artifact (ASCII) and writes a
-//! CSV/JSON copy under `results/`; `repro all` also writes the
-//! machine-readable `BENCH_repro.json` (every figure's latency quantiles).
-//! Each figure's host wall time goes to stderr only. Simulation sweeps run
-//! on the deterministic work-sharded engine (`sim::parallel`): every
-//! artifact except the host-timed `profile.csv` is byte-identical
-//! regardless of `--jobs`. Experiment↔module mapping is in DESIGN.md §5;
-//! paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+//! Each figure is a function from the options to a [`Report`]: the text it
+//! prints, the files it leaves under `results/` (CSV tables through the one
+//! writer `to_csv`), its `claim: YES|NO` self-checks and its latency
+//! distributions. Figures print and write nothing themselves; `main` alone
+//! prints each report, writes its files, audits them against the figure's
+//! declared artifacts and exits 1 on a failed check or a missing or
+//! unwritable artifact. `repro all` also writes `BENCH_repro.json` (every
+//! figure's latency quantiles) and `stdout.txt` (every figure's text), so
+//! every number a figure prints is byte-gated. Host wall time — each
+//! figure's, and `profile`'s hottest stages — goes to stderr only.
+//! Simulation sweeps run on the deterministic work-sharded engine
+//! (`sim::parallel`): every artifact except the host-timed `profile.csv` is
+//! byte-identical regardless of `--jobs`. Experiment↔module mapping is in
+//! DESIGN.md §5; paper-vs-measured numbers are recorded in EXPERIMENTS.md.
 
 use std::env;
-use std::sync::Mutex;
+use std::fmt::Write as _;
+use std::path::Path;
 
 use radio::reliability::{margin_sweep, min_margin_for};
 use radio::{InterfaceKind, RadioHead, RadioHeadConfig};
@@ -27,23 +34,31 @@ use stack::{
     DropReason, HopId, MobilityConfig, MobilityReport, NullHook, OverloadConfig, OverloadReport,
     PingExperiment, StackConfig,
 };
-use urllc_bench::report::{
-    ascii_histogram, ascii_series, bench_json, bench_log, summarize_chaos_recovery, to_csv,
-    write_artifact,
-};
+use urllc_bench::report::{ascii_histogram, ascii_series, bench_json, Report};
 use urllc_core::feasibility::{feasibility_table, paper_table1};
 use urllc_core::model::{ConfigUnderTest, ProcessingBudget};
 use urllc_core::worst_case::{worst_case, Direction};
 use urllc_core::DesignSearch;
 
-/// Artifacts this process wrote under `results/` (audited against
-/// [`Figure::artifacts`] after each figure).
-static SAVED: Mutex<Vec<String>> = Mutex::new(Vec::new());
+/// `println!` into a report's text.
+macro_rules! outln {
+    ($r:expr, $($arg:tt)*) => {{
+        let _ = writeln!($r.text, $($arg)*);
+    }};
+}
+
+/// `print!` into a report's text.
+macro_rules! out {
+    ($r:expr, $($arg:tt)*) => {{
+        let _ = write!($r.text, $($arg)*);
+    }};
+}
 
 /// The `trace` figure's artifact, unless `--perfetto` renames it.
 const TRACE_ARTIFACT: &str = "trace_perfetto.json";
 
 /// The options a figure can read.
+#[derive(Debug)]
 struct Args {
     pings: u64,
     /// File name the `trace` figure writes (`--perfetto`).
@@ -51,51 +66,89 @@ struct Args {
 }
 
 /// One regenerated table/figure: its subcommand, how to run it, and the
-/// `results/` files a run must leave behind.
+/// `results/` files its report must hold.
 struct Figure {
     name: &'static str,
-    run: fn(&Args),
+    run: fn(&Args) -> Report,
     artifacts: &'static [&'static str],
 }
 
 /// Every figure, in `repro all` order. Dispatch, `all`, the usage text and
 /// the artifact audit all read this table.
 const FIGURES: &[Figure] = &[
-    Figure { name: "table1", run: |_| table1(), artifacts: &["table1.csv"] },
-    Figure { name: "table2", run: |a| table2(a.pings), artifacts: &["table2.csv"] },
-    Figure { name: "fig1", run: |_| fig1(), artifacts: &[] },
-    Figure { name: "fig2", run: |_| fig2(), artifacts: &[] },
-    Figure { name: "fig3", run: |_| fig3(), artifacts: &[] },
-    Figure { name: "fig4", run: |_| fig4(), artifacts: &[] },
-    Figure { name: "fig5", run: |_| fig5(), artifacts: &["fig5.csv"] },
-    Figure { name: "fig6", run: |a| fig6(a.pings), artifacts: &["fig6.csv"] },
-    Figure { name: "fr2", run: |_| fr2(), artifacts: &[] },
-    Figure { name: "reliability", run: |_| reliability(), artifacts: &[] },
-    Figure { name: "design", run: |_| design(), artifacts: &[] },
-    Figure { name: "formats", run: |_| formats(), artifacts: &[] },
-    Figure { name: "scale", run: |_| scale(), artifacts: &["scale.csv"] },
-    Figure { name: "multicell", run: |_| multicell(), artifacts: &["multicell.csv"] },
-    Figure { name: "harq", run: |a| harq(a.pings), artifacts: &[] },
-    Figure { name: "rach", run: |_| rach(), artifacts: &[] },
-    Figure { name: "sixg", run: |_| sixg(), artifacts: &[] },
-    Figure { name: "coexist", run: |_| coexist(), artifacts: &["coexist.csv"] },
-    Figure { name: "sched", run: |_| sched(), artifacts: &["sched.csv"] },
-    Figure { name: "chaos", run: |a| chaos(a.pings), artifacts: &["chaos.csv"] },
-    Figure { name: "recovery", run: |a| recovery(a.pings), artifacts: &["recovery.csv"] },
-    Figure { name: "overload", run: |_| overload(), artifacts: &["overload.csv"] },
-    Figure { name: "handover", run: |_| handover(), artifacts: &["handover.csv"] },
-    Figure {
-        name: "metrics",
-        run: |a| metrics(a.pings),
-        artifacts: &["metrics.csv", "metrics.json"],
-    },
+    Figure { name: "table1", run: table1, artifacts: &["table1.csv"] },
+    Figure { name: "table2", run: table2, artifacts: &["table2.csv"] },
+    Figure { name: "fig1", run: fig1, artifacts: &[] },
+    Figure { name: "fig2", run: fig2, artifacts: &[] },
+    Figure { name: "fig3", run: fig3, artifacts: &[] },
+    Figure { name: "fig4", run: fig4, artifacts: &[] },
+    Figure { name: "fig5", run: fig5, artifacts: &["fig5.csv"] },
+    Figure { name: "fig6", run: fig6, artifacts: &["fig6.csv"] },
+    Figure { name: "fr2", run: fr2, artifacts: &[] },
+    Figure { name: "reliability", run: reliability, artifacts: &[] },
+    Figure { name: "design", run: design, artifacts: &[] },
+    Figure { name: "formats", run: formats, artifacts: &[] },
+    Figure { name: "scale", run: scale, artifacts: &["scale.csv"] },
+    Figure { name: "multicell", run: multicell, artifacts: &["multicell.csv"] },
+    Figure { name: "harq", run: harq, artifacts: &[] },
+    Figure { name: "rach", run: rach, artifacts: &[] },
+    Figure { name: "sixg", run: sixg, artifacts: &[] },
+    Figure { name: "coexist", run: coexist, artifacts: &["coexist.csv"] },
+    Figure { name: "sched", run: sched, artifacts: &["sched.csv"] },
+    Figure { name: "chaos", run: chaos, artifacts: &["chaos.csv"] },
+    Figure { name: "recovery", run: recovery, artifacts: &["recovery.csv"] },
+    Figure { name: "overload", run: overload, artifacts: &["overload.csv"] },
+    Figure { name: "handover", run: handover, artifacts: &["handover.csv"] },
+    Figure { name: "metrics", run: metrics, artifacts: &["metrics.csv", "metrics.json"] },
     Figure { name: "trace", run: trace, artifacts: &[TRACE_ARTIFACT] },
     Figure {
         name: "profile",
-        run: |a| profile(a.pings),
+        run: profile,
         artifacts: &["profile.csv", "tail_exemplars.json", "tail_perfetto.json"],
     },
 ];
+
+/// A parsed command line.
+#[derive(Debug)]
+struct Cli {
+    /// `all` or a [`FIGURES`] name.
+    command: String,
+    args: Args,
+    jobs: usize,
+}
+
+/// Parses `repro`'s arguments (without the program name). Every malformed
+/// command line is an `Err` naming the problem, before any figure runs.
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let mut cmd = None;
+    let mut args = Args { pings: 5_000, perfetto: TRACE_ARTIFACT.into() };
+    let mut jobs = sim::parallel::jobs();
+    let mut argv = argv.into_iter();
+    while let Some(arg) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("`{arg}` needs a value"));
+        match arg.as_str() {
+            "--pings" => args.pings = value()?.parse().map_err(|_| "`--pings` takes a count")?,
+            "--jobs" => match value()?.parse() {
+                Ok(n) if n > 0 => jobs = n,
+                _ => return Err("`--jobs` takes a positive count".into()),
+            },
+            // A file name only: the trace is written under `results/`.
+            "--perfetto" => match value()? {
+                name if Path::new(&name).file_name() == Some(name.as_ref()) => args.perfetto = name,
+                _ => return Err("`--perfetto` takes a file name".into()),
+            },
+            _ if arg.starts_with('-') || cmd.is_some() => {
+                return Err(format!("unexpected `{arg}`"))
+            }
+            _ => cmd = Some(arg),
+        }
+    }
+    let command = cmd.unwrap_or_else(|| "all".into());
+    if command != "all" && !FIGURES.iter().any(|f| f.name == command) {
+        return Err(format!("unknown subcommand `{command}`"));
+    }
+    Ok(Cli { command, args, jobs })
+}
 
 /// Prints `problem` and the usage text (generated from [`FIGURES`]); exits 2.
 fn usage(problem: &str) -> ! {
@@ -108,78 +161,73 @@ fn usage(problem: &str) -> ! {
 }
 
 fn main() {
-    let mut cmd = None;
-    let mut args = Args { pings: 5_000, perfetto: TRACE_ARTIFACT.into() };
-    let mut jobs = sim::parallel::jobs();
-    let mut argv = env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage(&format!("`{arg}` needs a value")));
-        match arg.as_str() {
-            "--pings" => match value().parse() {
-                Ok(n) => args.pings = n,
-                Err(_) => usage("`--pings` takes a count"),
-            },
-            "--jobs" => match value().parse() {
-                Ok(n) if n > 0 => jobs = n,
-                _ => usage("`--jobs` takes a positive count"),
-            },
-            "--perfetto" => args.perfetto = value(),
-            _ if arg.starts_with('-') || cmd.is_some() => usage(&format!("unexpected `{arg}`")),
-            _ => cmd = Some(arg),
-        }
-    }
-    sim::parallel::set_jobs(jobs);
-
-    let cmd = cmd.as_deref().unwrap_or("all");
-    let selected: Vec<&Figure> = FIGURES.iter().filter(|f| cmd == "all" || cmd == f.name).collect();
-    if selected.is_empty() {
-        usage(&format!("unknown subcommand `{cmd}`"));
-    }
-    // A figure that silently stops writing an artifact would pass every
-    // downstream byte-compare by omission: audit what each one declared.
-    let mut missing = 0;
-    let mut audit = |owner: &str, file: &str| {
-        if !SAVED.lock().expect("no figure panicked while saving").iter().any(|s| s == file) {
-            eprintln!("MISSING: `{owner}` did not write results/{file}");
-            missing += 1;
-        }
+    let cli = match parse(env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(problem) => usage(&problem),
     };
-    for fig in selected {
+    sim::parallel::set_jobs(cli.jobs);
+    let all = cli.command == "all";
+    let mut failures = 0;
+    let mut reports = Vec::new();
+    for fig in FIGURES.iter().filter(|f| all || f.name == cli.command) {
         // Host wall time is for the reader only: no artifact records it.
         let t = std::time::Instant::now();
-        (fig.run)(&args);
+        let report = (fig.run)(&cli.args);
         eprintln!("[{}: {:.1} ms]", fig.name, t.elapsed().as_secs_f64() * 1e3);
+        print!("{}", report.text);
+        eprint!("{}", report.stderr);
+        failures += write_files(&report.files);
+        // A figure that silently stops writing an artifact would pass every
+        // downstream byte-compare by omission: audit what each one declared.
         for artifact in fig.artifacts {
-            let file = if *artifact == TRACE_ARTIFACT { &args.perfetto } else { *artifact };
-            audit(fig.name, file);
+            let file = if *artifact == TRACE_ARTIFACT { &cli.args.perfetto } else { *artifact };
+            if !report.files.iter().any(|(name, _)| name == file) {
+                eprintln!("MISSING: `{}` did not write results/{file}", fig.name);
+                failures += 1;
+            }
         }
+        for check in report.checks.iter().filter(|c| !c.holds) {
+            eprintln!("FAILED: `{}` does not hold: {}", fig.name, check.claim);
+            failures += 1;
+        }
+        reports.push((fig.name, report));
     }
-    // Only a full run holds every figure's rows; one figure alone would
-    // overwrite the committed document with a fragment.
-    if cmd == "all" {
-        save("BENCH_repro.json", &bench_json());
-        audit("all", "BENCH_repro.json");
+    // Only a full run holds every figure; one figure alone would overwrite
+    // the committed documents with a fragment.
+    if all {
+        let bench = bench_json(reports.iter().map(|(name, r)| (*name, r)));
+        let stdout = reports.iter().map(|(_, r)| r.text.as_str()).collect();
+        failures +=
+            write_files(&[("BENCH_repro.json".into(), bench), ("stdout.txt".into(), stdout)]);
     }
-    if missing > 0 {
+    if failures > 0 {
         std::process::exit(1);
     }
 }
 
-fn banner(s: &str) {
-    println!("\n==================== {s} ====================");
-}
-
-/// Prints one self-check line of a figure (`<claim>: YES|NO`).
-fn verdict(claim: &str, holds: bool) {
-    println!("{claim}: {}", if holds { "YES" } else { "NO" });
+/// Writes `files` under `results/` (creating it), printing
+/// `[saved <path>]` for each, and returns how many could not be written.
+fn write_files(files: &[(String, String)]) -> usize {
+    let mut failed = 0;
+    for (name, contents) in files {
+        let path = Path::new("results").join(name);
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, contents)) {
+            Ok(()) => println!("[saved {}]", path.display()),
+            Err(e) => {
+                eprintln!("[failed to save {name}: {e}]");
+                failed += 1;
+            }
+        }
+    }
+    failed
 }
 
 /// Table 1: feasibility of the 0.5 ms deadline across minimal configs.
-fn table1() {
-    banner("Table 1 — 0.5 ms feasibility of minimal configurations");
+fn table1(_: &Args) -> Report {
+    let mut rep = Report::new("Table 1 — 0.5 ms feasibility of minimal configurations");
     let table = feasibility_table(&ProcessingBudget::zero());
-    print!("{}", table.render());
-    verdict("matches the published Table 1", table.verdicts() == paper_table1());
+    out!(rep, "{}", table.render());
+    rep.check("matches the published Table 1", table.verdicts() == paper_table1());
     let rows: Vec<Vec<String>> = table
         .cells
         .iter()
@@ -192,15 +240,16 @@ fn table1() {
             ]
         })
         .collect();
-    save("table1.csv", &to_csv(&["direction", "config", "worst_case_us", "feasible"], &rows));
+    rep.table("table1.csv", "direction,config,worst_case_us,feasible", &rows);
+    rep
 }
 
 /// Table 2: gNB per-layer processing/queuing times from the testbed sim.
-fn table2(pings: u64) {
-    banner("Table 2 — gNB layer processing and queuing time");
+fn table2(a: &Args) -> Report {
+    let mut rep = Report::new("Table 2 — gNB layer processing and queuing time");
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(42);
-    let mut res = stack::run_parallel(&cfg, pings);
-    bench_log("table2", "rtt", &mut res.rtt);
+    let mut res = stack::run_parallel(&cfg, a.pings);
+    rep.bench("rtt", &mut res.rtt);
     let paper = [
         ("SDAP", 4.65, 6.71),
         ("PDCP", 8.29, 8.99),
@@ -217,13 +266,10 @@ fn table2(pings: u64) {
         ("MAC", &res.layers.mac),
         ("PHY", &res.layers.phy),
     ];
-    println!(
-        "{:<8} {:>12} {:>10}   {:>12} {:>10}",
-        "layer", "mean[us]", "std[us]", "paper mean", "paper std"
-    );
+    outln!(rep, "layer        mean[us]    std[us]     paper mean  paper std");
     let mut rows = Vec::new();
     for ((name, st), (_, pm, ps)) in measured.iter().zip(paper.iter()) {
-        println!("{name:<8} {:>12.2} {:>10.2}   {:>12.2} {:>10.2}", st.mean(), st.std(), pm, ps);
+        outln!(rep, "{name:<8} {:>12.2} {:>10.2}   {:>12.2} {:>10.2}", st.mean(), st.std(), pm, ps);
         rows.push(vec![
             (*name).into(),
             format!("{:.2}", st.mean()),
@@ -232,92 +278,97 @@ fn table2(pings: u64) {
             format!("{ps:.2}"),
         ]);
     }
-    println!("({} pings; integrity failures: {})", pings, res.integrity_failures);
-    save(
-        "table2.csv",
-        &to_csv(&["layer", "mean_us", "std_us", "paper_mean_us", "paper_std_us"], &rows),
-    );
+    outln!(rep, "({} pings; integrity failures: {})", a.pings, res.integrity_failures);
+    rep.table("table2.csv", "layer,mean_us,std_us,paper_mean_us,paper_std_us", &rows);
+    rep
 }
 
 /// Fig 1: the three TDD configuration taxonomies, as slot diagrams.
-fn fig1() {
-    banner("Fig 1 — TDD configuration types");
+fn fig1(_: &Args) -> Report {
+    let mut rep = Report::new("Fig 1 — TDD configuration types");
     let dddu = phy::TddConfig::dddu_testbed();
-    println!(
+    outln!(
+        rep,
         "(a) Common Configuration   pattern {} @ {} slots:",
         dddu.letters(),
         dddu.numerology()
     );
-    print!("    ");
+    out!(rep, "    ");
     for s in 0..dddu.slots_per_period() {
-        print!("[{}]", dddu.slot_kind(s).letter());
+        out!(rep, "[{}]", dddu.slot_kind(s).letter());
     }
-    println!("  (period {})", dddu.period());
+    outln!(rep, "  (period {})", dddu.period());
     let dm = phy::TddConfig::dm_minimal();
-    println!("    minimal DM @ µ2: [D][M]  (mixed slot: 6 DL | 2 guard | 6 UL symbols)");
-    println!("    period {}", dm.period());
+    outln!(rep, "    minimal DM @ µ2: [D][M]  (mixed slot: 6 DL | 2 guard | 6 UL symbols)");
+    outln!(rep, "    period {}", dm.period());
 
     let ms = phy::MiniSlotConfig::new(phy::Numerology::Mu2, phy::mini_slot::MiniSlotLen::Two);
-    println!(
+    outln!(
+        rep,
         "(b) Mini Slot              {} mini-slots of {} per slot after {} control symbols",
         ms.mini_slots_per_slot(),
         ms.mini_slot_duration(),
         ms.control_symbols
     );
 
-    println!("(c) Slot Format            TS 38.213 Table 11.1.1-1 (formats 0–45):");
+    outln!(rep, "(c) Slot Format            TS 38.213 Table 11.1.1-1 (formats 0–45):");
     for idx in [0u8, 1, 2, 28, 45] {
         let f = phy::SlotFormat::by_index(idx).expect("format in table");
-        println!("    format {:>2}: {}", f.index, f.letters());
+        outln!(rep, "    format {:>2}: {}", f.index, f.letters());
     }
+    rep
 }
 
 /// Fig 2: the journey of a ping request, narrated from a real trace.
-fn fig2() {
-    banner("Fig 2 — journey of a ping request");
+fn fig2(_: &Args) -> Report {
+    let mut rep = Report::new("Fig 2 — journey of a ping request");
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(7);
     let mut exp = PingExperiment::new(cfg);
     let res = exp.run(1);
     let t = &res.traces[0];
-    println!("steps ① – ⑦ (uplink) and ⑧ – ⑪ (downlink):");
+    outln!(rep, "steps ① – ⑦ (uplink) and ⑧ – ⑪ (downlink):");
     for (i, s) in t.ul.iter().enumerate() {
-        println!("  UL step {:>2}: {:<14} {:>9}", i + 1, s.label, format!("{}", s.duration()));
+        outln!(rep, "  UL step {:>2}: {:<14} {:>9}", i + 1, s.label, format!("{}", s.duration()));
     }
     for (i, s) in t.dl.iter().enumerate() {
-        println!("  DL step {:>2}: {:<14} {:>9}", i + 1, s.label, format!("{}", s.duration()));
+        outln!(rep, "  DL step {:>2}: {:<14} {:>9}", i + 1, s.label, format!("{}", s.duration()));
     }
+    rep
 }
 
 /// Fig 3: the system-level latency timeline of one ping.
-fn fig3() {
-    banner("Fig 3 — system-level latency breakdown (testbed DDDU)");
+fn fig3(_: &Args) -> Report {
+    let mut rep = Report::new("Fig 3 — system-level latency breakdown (testbed DDDU)");
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(3);
     let mut exp = PingExperiment::new(cfg);
     let res = exp.run(1);
-    print!("{}", res.traces[0].render());
+    out!(rep, "{}", res.traces[0].render());
+    rep
 }
 
 /// Fig 4: worst-case timelines for the DM configuration.
-fn fig4() {
-    banner("Fig 4 — worst-case latency, DM configuration");
+fn fig4(_: &Args) -> Report {
+    let mut rep = Report::new("Fig 4 — worst-case latency, DM configuration");
     let dm = ConfigUnderTest::TddCommon(phy::TddConfig::dm_minimal());
     for dir in Direction::TABLE1_ROWS {
         let wc = worst_case(&dm, dir, &ProcessingBudget::zero());
-        println!(
+        outln!(
+            rep,
             "{:<16} worst {:>9}  (deadline 500us: {})",
             dir.label(),
             format!("{}", wc.latency),
             if wc.latency <= Duration::from_micros(500) { "meets" } else { "VIOLATES" }
         );
         for e in &wc.timeline {
-            println!("    {:<16} at {:>10}", e.label, format!("{:?}", e.at));
+            outln!(rep, "    {:<16} at {:>10}", e.label, format!("{:?}", e.at));
         }
     }
+    rep
 }
 
 /// Fig 5: sample-submission latency vs number of samples, USB2 vs USB3.
-fn fig5() {
-    banner("Fig 5 — radio sample-submission latency (OS + hardware)");
+fn fig5(_: &Args) -> Report {
+    let mut rep = Report::new("Fig 5 — radio sample-submission latency (OS + hardware)");
     // One shard per (interface, sample-count) point, each with its own head
     // and an RNG stream keyed by the point — the sweep is bit-identical at
     // any worker count.
@@ -348,7 +399,8 @@ fn fig5() {
             rows.push(vec![kind.name().into(), n.to_string(), format!("{lat:.1}")]);
         }
     }
-    print!(
+    out!(
+        rep,
         "{}",
         ascii_series(
             "submission latency vs samples",
@@ -358,22 +410,24 @@ fn fig5() {
             60
         )
     );
-    save("fig5.csv", &to_csv(&["interface", "samples", "latency_us"], &rows));
+    rep.table("fig5.csv", "interface,samples,latency_us", &rows);
+    rep
 }
 
 /// Fig 6: one-way latency distributions, grant-based vs grant-free.
-fn fig6(pings: u64) {
-    banner("Fig 6 — one-way latency distributions (testbed DDDU)");
+fn fig6(a: &Args) -> Report {
+    let mut rep = Report::new("Fig 6 — one-way latency distributions (testbed DDDU)");
     let mut rows = Vec::new();
     for (panel, access) in
         [("(a) grant-based", AccessMode::GrantBased), ("(b) grant-free", AccessMode::GrantFree)]
     {
         let cfg = StackConfig::testbed_dddu(access, true).with_seed(6);
-        let mut res = stack::run_parallel(&cfg, pings);
+        let mut res = stack::run_parallel(&cfg, a.pings);
         for (dirname, rec) in [("Downlink", &res.dl), ("Uplink", &res.ul)] {
             let h = rec.histogram_ms(0.0, 8.0, 40);
             let pairs: Vec<(f64, f64)> = h.probabilities().collect();
-            print!(
+            out!(
+                rep,
                 "{}",
                 ascii_histogram(&format!("{panel} {dirname}"), "one-way latency [ms]", &pairs, 40)
             );
@@ -385,51 +439,57 @@ fn fig6(pings: u64) {
             AccessMode::GrantBased => "grant_based",
             AccessMode::GrantFree => "grant_free",
         };
-        bench_log("fig6", &format!("ul_{suffix}"), &mut res.ul);
-        bench_log("fig6", &format!("dl_{suffix}"), &mut res.dl);
+        rep.bench(&format!("ul_{suffix}"), &mut res.ul);
+        rep.bench(&format!("dl_{suffix}"), &mut res.dl);
         let ul = res.ul_summary();
         let dl = res.dl_summary();
-        println!(
+        outln!(
+            rep,
             "{panel}: UL mean {:.2} ms   DL mean {:.2} ms\n",
             ul.mean_us / 1_000.0,
             dl.mean_us / 1_000.0
         );
     }
-    save("fig6.csv", &to_csv(&["panel", "direction", "latency_ms", "probability"], &rows));
+    rep.table("fig6.csv", "panel,direction,latency_ms,probability", &rows);
+    rep
 }
 
 /// Extension X1: the mmWave (FR2) blockage study.
-fn fr2() {
-    banner("X1 — FR2 mmWave sub-ms fraction under blockage");
+fn fr2(_: &Args) -> Report {
+    let mut rep = Report::new("X1 — FR2 mmWave sub-ms fraction under blockage");
     let busy = urllc_bench::fr2_study(channel::Fr2LinkConfig::busy_indoor(), 50_000, 1);
     let clear = urllc_bench::fr2_study(channel::Fr2LinkConfig::clear_static(), 50_000, 1);
-    println!(
+    outln!(
+        rep,
         "busy indoor : sub-1ms fraction {:.3}  mean {:.1} ms  p99 {:.1} ms",
         busy.sub_ms_fraction,
         busy.mean_us / 1_000.0,
         busy.p99_us / 1_000.0
     );
-    println!(
+    outln!(
+        rep,
         "clear static: sub-1ms fraction {:.3}  mean {:.1} ms  p99 {:.1} ms",
         clear.sub_ms_fraction,
         clear.mean_us / 1_000.0,
         clear.p99_us / 1_000.0
     );
-    println!("(paper cites 4.4 % sub-ms for deployed mmWave — the busy-indoor regime)");
+    outln!(rep, "(paper cites 4.4 % sub-ms for deployed mmWave — the busy-indoor regime)");
+    rep
 }
 
 /// Extension X2: scheduler margin vs reliability (§6).
-fn reliability() {
-    banner("X2 — scheduler margin vs radio reliability");
+fn reliability(_: &Args) -> Report {
+    let mut rep = Report::new("X2 — scheduler margin vs radio reliability");
     let margins: Vec<Duration> = (4..=24).map(|i| Duration::from_micros(i * 50)).collect();
     for (name, cfg, prep) in [
         ("USRP B210 / USB3 / GP kernel", RadioHeadConfig::usrp_b210(true), 100u64),
         ("PCIe SDR / RT kernel", RadioHeadConfig::pcie_low_latency(), 50),
     ] {
         let pts = margin_sweep(&cfg, Duration::from_micros(prep), 11_520, &margins, 20_000, 8);
-        println!("{name}:");
+        outln!(rep, "{name}:");
         for p in pts.iter().filter(|p| p.reliability > 0.0 && p.reliability < 1.0) {
-            println!(
+            outln!(
+                rep,
                 "  margin {:>7}  reliability {:.4}  mean slack {:>9}",
                 format!("{}", p.margin),
                 p.reliability,
@@ -437,39 +497,40 @@ fn reliability() {
             );
         }
         match min_margin_for(&pts, 0.99999) {
-            Some(m) => println!("  five-nines margin: {m}"),
-            None => println!("  five-nines margin: beyond swept range"),
+            Some(m) => outln!(rep, "  five-nines margin: {m}"),
+            None => outln!(rep, "  five-nines margin: beyond swept range"),
         }
     }
+    rep
 }
 
 /// §5 design-space search.
-fn design() {
-    banner("Design-space search (§5): feasible URLLC systems");
+fn design(_: &Args) -> Report {
+    let mut rep = Report::new("Design-space search (§5): feasible URLLC systems");
     let s = DesignSearch::run();
-    print!("{}", s.render_feasible());
+    out!(rep, "{}", s.render_feasible());
+    rep
 }
 
 /// Extension X3: slot-format survey (standard formats repeated per slot).
-fn formats() {
-    banner("X3 — slot-format survey (TS 38.213 formats, repeated each slot)");
+fn formats(_: &Args) -> Report {
+    let mut rep = Report::new("X3 — slot-format survey (TS 38.213 formats, repeated each slot)");
     let survey = urllc_core::format_survey(&ProcessingBudget::zero());
-    print!("{}", urllc_core::formats::render_survey(&survey));
-    println!(
+    out!(rep, "{}", urllc_core::formats::render_survey(&survey));
+    outln!(
+        rep,
         "(standard-defined per-slot D…U layouts reach mini-slot-class latency; \
          the cost is UL symbols reserved in every slot — the §9 efficiency trade)"
     );
+    rep
 }
 
 /// Extension X4: multi-UE uplink scalability (§9).
-fn scale() {
-    banner("X4 — uplink latency and resource waste vs UE population (§9)");
+fn scale(_: &Args) -> Report {
+    let mut rep = Report::new("X4 — uplink latency and resource waste vs UE population (§9)");
     let populations = [1usize, 4, 16, 48, 96, 192];
     let mut rows = Vec::new();
-    println!(
-        "{:>6} {:>16} {:>12} {:>16} {:>12} {:>10}",
-        "UEs", "GF mean [ms]", "GF p99", "GB mean [ms]", "GB p99", "GF waste"
-    );
+    outln!(rep, "   UEs     GF mean [ms]       GF p99     GB mean [ms]       GB p99   GF waste");
     // One sweep call per access mode: the sweep itself fans the population
     // points across the worker pool.
     let mut gf_all = stack::scalability_sweep(AccessMode::GrantFree, &populations, 11)
@@ -481,7 +542,8 @@ fn scale() {
         let gb = &mut gb_all[i];
         let gf_s = gf.ul.summary();
         let gb_s = gb.ul.summary();
-        println!(
+        outln!(
+            rep,
             "{n:>6} {:>16.2} {:>12.2} {:>16.2} {:>12.2} {:>9.1}%",
             gf_s.mean_us / 1_000.0,
             gf_s.p99_us / 1_000.0,
@@ -496,27 +558,26 @@ fn scale() {
             format!("{:.3}", gf.wasted_fraction.unwrap_or(0.0)),
         ]);
     }
-    println!(
+    outln!(
+        rep,
         "(grant-free wins while its pre-allocation fits the slot capacity, then its\n\
          rotation period multiplies; grant-based holds its handshake cost until the\n\
          grant queue itself saturates (~3.5 grants/ms here) and collapses. At low\n\
          load most grant-free allocations sit idle — the §5/§9 trade, quantified.)"
     );
-    save("scale.csv", &to_csv(&["ues", "gf_mean_ms", "gb_mean_ms", "gf_waste"], &rows));
+    rep.table("scale.csv", "ues,gf_mean_ms,gb_mean_ms,gf_waste", &rows);
+    rep
 }
 
 /// Extension X13: city-scale multi-cell sweep (ROADMAP item 1). Cells ×
 /// per-cell population up to 10⁶ total UEs; every point runs the
 /// dense-urban mix (2 % URLLC / 10 % video / 88 % sensors, every fourth
 /// cell a 2× hotspot) with one shard per cell and fixed-memory recording.
-fn multicell() {
-    banner("X13 — multi-cell deadline misses at city scale");
+fn multicell(_: &Args) -> Report {
+    let mut rep = Report::new("X13 — multi-cell deadline misses at city scale");
     let points: [(usize, u64); 3] = [(4, 250), (8, 12_500), (16, 62_500)];
     let mut rows: Vec<Vec<String>> = Vec::new();
-    println!(
-        "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "cells", "ues", "offered", "p50[ms]", "p99[ms]", "p999[ms]", "miss", "rec[KiB]"
-    );
+    outln!(rep, " cells       ues   offered   p50[ms]   p99[ms]  p999[ms]      miss  rec[KiB]");
     for (n_cells, per_cell) in points {
         let cfg = stack::MulticellConfig::dense_urban(n_cells, per_cell, 29);
         let report = stack::run_multicell(&cfg).expect("multicell topology diverged");
@@ -550,12 +611,14 @@ fn multicell() {
         let [p50, p99, p999] = q3(&mut report.latency());
         let miss = report.miss_rate();
         row("agg".into(), "all", total_ues, agg_offered, [p50, p99, p999], miss, String::new());
-        println!(
+        outln!(
+            rep,
             "{n_cells:>6} {total_ues:>9} {agg_offered:>9} {p50:>9.3} {p99:>9.3} {p999:>9.3} {miss:>9.5} {:>9.1}",
             report.recording_mem_bytes() as f64 / 1024.0
         );
     }
-    println!(
+    outln!(
+        rep,
         "(per-cell event queues stay O(classes) and recordings are log-linear\n\
          histograms, so the million-UE topology runs in the same memory — and\n\
          nearly the same wall time — as the thousand-UE one; the per-cell rows\n\
@@ -563,33 +626,20 @@ fn multicell() {
          while the 2x hotspots shed their best-effort classes wholesale, and\n\
          only the population-inflated decode cost moves the aggregate p50)"
     );
-    save(
+    rep.table(
         "multicell.csv",
-        &to_csv(
-            &[
-                "cells",
-                "ues_per_cell",
-                "total_ues",
-                "cell",
-                "class",
-                "ues",
-                "offered",
-                "p50_ms",
-                "p99_ms",
-                "p999_ms",
-                "miss_rate",
-                "peak_queue",
-            ],
-            &rows,
-        ),
+        "cells,ues_per_cell,total_ues,cell,class,ues,offered,p50_ms,p99_ms,p999_ms,miss_rate,\
+         peak_queue",
+        &rows,
     );
+    rep
 }
 
 /// Extension X5: HARQ retransmission steps under channel loss (§8).
-fn harq(pings: u64) {
-    banner("X5 — HARQ retransmission steps under channel loss");
+fn harq(a: &Args) -> Report {
+    let mut rep = Report::new("X5 — HARQ retransmission steps under channel loss");
     let rtt = StackConfig::testbed_dddu(AccessMode::GrantFree, true).round_trips().0[1];
-    println!("UL HARQ round trip on the DDDU pattern: {rtt}");
+    outln!(rep, "UL HARQ round trip on the DDDU pattern: {rtt}");
     for (name, link) in [
         ("lossless", None),
         ("indoor good", Some(channel::Fr1LinkConfig::indoor_good())),
@@ -597,9 +647,10 @@ fn harq(pings: u64) {
     ] {
         let mut cfg = StackConfig::testbed_dddu(AccessMode::GrantFree, true).with_seed(13);
         cfg.link = link;
-        let mut res = stack::run_parallel(&cfg, pings);
+        let mut res = stack::run_parallel(&cfg, a.pings);
         let s = res.ul_summary();
-        println!(
+        outln!(
+            rep,
             "{name:<12} UL mean {:>7.2} ms  p99 {:>7.2} ms  max {:>7.2} ms  harq retx {:>5}  failures {:>3}",
             s.mean_us / 1_000.0,
             s.p99_us / 1_000.0,
@@ -608,25 +659,25 @@ fn harq(pings: u64) {
             res.harq_failures
         );
     }
-    println!("(latency climbs in round-trip quanta — the §8 \"steps of 0.5 ms\" effect, at\n this pattern's quantum)");
+    outln!(rep, "(latency climbs in round-trip quanta — the §8 \"steps of 0.5 ms\" effect, at\n this pattern's quantum)");
+    rep
 }
 
 /// Extension X6: RACH contention — the latency cliff past SR failure (§9).
-fn rach() {
-    banner("X6 — random-access contention vs population");
+fn rach(_: &Args) -> Report {
+    let mut rep = Report::new("X6 — random-access contention vs population");
     let cfg = ran::RachConfig::default();
-    println!(
+    outln!(
+        rep,
         "collision-free RACH worst case: {}  (vs the 0.5 ms URLLC budget)",
         cfg.uncontended_worst_case()
     );
-    println!(
-        "{:>6} {:>10} {:>12} {:>14} {:>10}",
-        "UEs", "success", "collisions", "mean lat [ms]", "attempts"
-    );
+    outln!(rep, "   UEs    success   collisions  mean lat [ms]   attempts");
     for n in [1usize, 8, 32, 128, 512, 2048] {
         let mut s = ran::simulate_contention(&cfg, n, 17);
         let mean = if s.latency.is_empty() { 0.0 } else { s.latency.summary().mean_us / 1_000.0 };
-        println!(
+        outln!(
+            rep,
             "{n:>6} {:>9.1}% {:>11.1}% {:>14.2} {:>10.2}",
             s.succeeded as f64 / n as f64 * 100.0,
             s.collision_rate * 100.0,
@@ -634,12 +685,13 @@ fn rach() {
             s.mean_attempts
         );
     }
-    println!("(even collision-free random access is ~an order of magnitude past 0.5 ms —\n why the SR budget matters, and why bursts push it further)");
+    outln!(rep, "(even collision-free random access is ~an order of magnitude past 0.5 ms —\n why the SR budget matters, and why bursts push it further)");
+    rep
 }
 
 /// Extension X7: the 6G target (0.1 ms one-way, §1) across numerologies.
-fn sixg() {
-    banner("X7 — the 6G 0.1 ms one-way target");
+fn sixg(_: &Args) -> Report {
+    let mut rep = Report::new("X7 — the 6G 0.1 ms one-way target");
     use phy::mini_slot::{MiniSlotConfig, MiniSlotLen};
     use phy::Numerology;
     let deadline = Duration::from_micros(100);
@@ -661,40 +713,40 @@ fn sixg() {
             ConfigUnderTest::MiniSlot(MiniSlotConfig::new(Numerology::Mu6, MiniSlotLen::Two)),
         ),
     ];
-    println!("{:<24} {:>14} {:>14} {:>14}", "configuration", "GB-UL", "GF-UL", "DL");
+    outln!(rep, "configuration                     GB-UL          GF-UL             DL");
     for (name, cfg) in &candidates {
         let w = |d| worst_case(cfg, d, &ProcessingBudget::zero()).latency;
         let row =
             [w(Direction::UplinkGrantBased), w(Direction::UplinkGrantFree), w(Direction::Downlink)];
         let mark = |l: Duration| format!("{}{}", l, if l <= deadline { " +" } else { " x" });
-        println!("{name:<24} {:>14} {:>14} {:>14}", mark(row[0]), mark(row[1]), mark(row[2]));
+        outln!(rep, "{name:<24} {:>14} {:>14} {:>14}", mark(row[0]), mark(row[1]), mark(row[2]));
     }
-    println!(
+    outln!(
+        rep,
         "(slot-based FR1 cannot reach 0.1 ms; only FR2 numerologies or sub-slot\n\
          scheduling get there in protocol terms — and §5 already showed FR2's\n\
          reliability problem. The 6G target squeezes from both sides.)"
     );
+    rep
 }
 
 /// Extension X8: URLLC/eMBB coexistence policies.
-fn coexist() {
-    banner("X8 — URLLC downlink latency under eMBB load");
+fn coexist(_: &Args) -> Report {
+    let mut rep = Report::new("X8 — URLLC downlink latency under eMBB load");
     use stack::coexistence_sweep;
     let loads = [0.0, 0.3, 0.6, 0.85, 0.95];
     // Below this eMBB load the leftover capacity still fits one URLLC
     // packet, so the Queue policy remains servable at all.
     let queue_limit = 0.86;
-    println!(
-        "{:>8} {:>18} {:>18} {:>16}",
-        "load", "queue mean [us]", "preempt mean [us]", "eMBB lost [B]"
-    );
+    outln!(rep, "    load    queue mean [us]  preempt mean [us]    eMBB lost [B]");
     let mut rows = Vec::new();
     for &l in &loads {
         let queue_mean = (l <= queue_limit)
             .then(|| coexistence_sweep(false, &[l], 2_000, 21)[0].latency.summary().mean_us);
         let p = &mut coexistence_sweep(true, &[l], 2_000, 21)[0];
         let preempt_mean = p.latency.summary().mean_us;
-        println!(
+        outln!(
+            rep,
             "{l:>8.2} {:>18} {preempt_mean:>18.1} {:>16}",
             queue_mean.map_or("unservable".into(), |m| format!("{m:.1}")),
             p.embb_bytes_lost
@@ -708,18 +760,16 @@ fn coexist() {
             p.embb_bytes_lost.to_string(),
         ]);
     }
-    println!("(queueing behind eMBB erodes the URLLC budget as the cell fills; preemption\n keeps URLLC flat and bills eMBB instead — the §1 coexistence literature's trade)");
-    save(
-        "coexist.csv",
-        &to_csv(&["load", "queue_mean_us", "preempt_mean_us", "embb_bytes_lost"], &rows),
-    );
+    outln!(rep, "(queueing behind eMBB erodes the URLLC budget as the cell fills; preemption\n keeps URLLC flat and bills eMBB instead — the §1 coexistence literature's trade)");
+    rep.table("coexist.csv", "load,queue_mean_us,preempt_mean_us,embb_bytes_lost", &rows);
+    rep
 }
 
 /// Extension X14: the scheduler/slicing laboratory — the SimURLLC policy
 /// set (FCFS, priority ± preemption, round-robin, EDF ± preemption,
 /// slice-aware) over load × slice-mix, one shard per point.
-fn sched() {
-    banner("X14 — scheduler/slicing laboratory");
+fn sched(_: &Args) -> Report {
+    let mut rep = Report::new("X14 — scheduler/slicing laboratory");
     use stack::{run_sched_lab, SchedLabConfig};
     let cfg = SchedLabConfig::simurllc(23);
     let pts = run_sched_lab(&cfg);
@@ -740,42 +790,33 @@ fn sched() {
             ]);
         }
     }
-    save(
+    rep.table(
         "sched.csv",
-        &to_csv(
-            &[
-                "policy",
-                "load",
-                "mix",
-                "class",
-                "count",
-                "p50_us",
-                "p99_us",
-                "p999_us",
-                "miss_rate",
-                "punctured_bytes",
-            ],
-            &rows,
-        ),
+        "policy,load,mix,class,count,p50_us,p99_us,p999_us,miss_rate,punctured_bytes",
+        &rows,
     );
     // Console digest: URLLC under the factory mix at the saturating load.
     let top_load = cfg.loads.iter().copied().fold(0.0f64, f64::max);
-    println!(
-        "{:>24} {:>10} {:>10} {:>10} {:>10}",
-        "policy (factory, peak)", "p50 [us]", "p99 [us]", "p999 [us]", "miss"
-    );
+    outln!(rep, "  policy (factory, peak)   p50 [us]   p99 [us]  p999 [us]       miss");
     for p in pts.iter().filter(|p| p.mix == "factory" && p.load == top_load) {
         if let Some(c) = p.classes.iter().find(|c| c.class == "urllc") {
-            println!(
+            outln!(
+                rep,
                 "{:>24} {:>10.1} {:>10.1} {:>10.1} {:>10.4}",
-                p.policy, c.p50_us, c.p99_us, c.p999_us, c.miss_rate
+                p.policy,
+                c.p50_us,
+                c.p99_us,
+                c.p999_us,
+                c.miss_rate
             );
         }
     }
-    println!(
+    outln!(
+        rep,
         "(same arrival trace under every policy: preemptive puncturing holds the URLLC\n \
          tail flat while every queueing policy lets backlog eat the 2.5 ms budget)"
     );
+    rep
 }
 
 /// Chaos reliability sweep: deadline-miss probability under the unified
@@ -783,13 +824,16 @@ fn sched() {
 /// first-order cross-check against [`urllc_core::reliability::ChaosMissModel`]
 /// and a byte-identity check of the intensity-0 column against the fault-free
 /// baseline.
-fn chaos(pings: u64) {
-    banner("Chaos — deadline misses under fault injection (intensity × margin)");
-    let n = (pings / 5).max(200);
+fn chaos(a: &Args) -> Report {
+    let mut rep = Report::new("Chaos — deadline misses under fault injection (intensity × margin)");
+    let n = (a.pings / 5).max(200);
     let intensities = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
     let margins: [u64; 3] = [1, 2, 3];
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut monotone = true;
+    // Across the sweep: pings delivered via re-establishment, and the
+    // worst cell's recovery-detour p50 and p99.
+    let (mut recovered, mut worst_p50, mut worst_p99) = (0, 0.0f64, 0.0f64);
     for &m in &margins {
         let mut base_cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(6);
         base_cfg.sched_lead = base_cfg.duplex.slot_duration() * m;
@@ -816,7 +860,7 @@ fn chaos(pings: u64) {
                         && plain_res.ul.samples_us() == res.ul.samples_us()
                         && plain_res.dl.samples_us() == res.dl.samples_us()
                         && res.attribution.is_fault_free();
-                    verdict(
+                    rep.check(
                         "intensity 0 reproduces the fault-free baseline byte for byte",
                         identical,
                     );
@@ -839,12 +883,16 @@ fn chaos(pings: u64) {
                 protocol_miss: (p_protocol * shift_window).min(1.0),
             };
             let mean_rtt_ms = res.rtt.summary().mean_us / 1000.0;
-            bench_log("chaos", &format!("rtt_m{m}_i{intensity}"), &mut res.rtt);
+            rep.bench(&format!("rtt_m{m}_i{intensity}"), &mut res.rtt);
             let (rec_p50, rec_p99) = (
                 res.recovery.try_quantile_us(0.5).unwrap_or(0.0),
                 res.recovery.try_quantile_us(0.99).unwrap_or(0.0),
             );
-            println!(
+            recovered += res.recovered;
+            worst_p50 = worst_p50.max(rec_p50);
+            worst_p99 = worst_p99.max(rec_p99);
+            outln!(
+                rep,
                 "margin {m} slots  intensity {intensity:>4.2}: miss {miss:.4} (model {:.4})  \
                  on-time {:>4} late {:>3} lost {:>3}  rlf {:>2} recovered {:>2}  \
                  mean RTT {mean_rtt_ms:.2} ms",
@@ -876,42 +924,30 @@ fn chaos(pings: u64) {
             ]);
         }
     }
-    verdict("miss probability monotone in intensity at every margin", monotone);
-    let csv = to_csv(
-        &[
-            "intensity",
-            "margin_slots",
-            "margin_us",
-            "pings",
-            "miss_prob",
-            "model_miss",
-            "on_time",
-            "late",
-            "lost",
-            "rlf",
-            "sr_retx",
-            "rach_recoveries",
-            "grants_withheld",
-            "mean_rtt_ms",
-            "recovered",
-            "recovery_p50_us",
-            "recovery_p99_us",
-        ],
+    rep.check("miss probability monotone in intensity at every margin", monotone);
+    outln!(
+        rep,
+        "recovery across the sweep: {recovered} pings delivered via re-establishment \
+         ({} cells); worst cell p50 {worst_p50:.0} µs, p99 {worst_p99:.0} µs",
+        rows.len()
+    );
+    rep.table(
+        "chaos.csv",
+        "intensity,margin_slots,margin_us,pings,miss_prob,model_miss,on_time,late,lost,rlf,\
+         sr_retx,rach_recoveries,grants_withheld,mean_rtt_ms,recovered,recovery_p50_us,\
+         recovery_p99_us",
         &rows,
     );
-    if let Some(s) = summarize_chaos_recovery(&csv) {
-        print!("{}", s.render());
-    }
-    save("chaos.csv", &csv);
+    rep
 }
 
 /// Recovery study: RRC re-establishment after RLF under a seeded burst
 /// plan, cross-checked against the closed-form
 /// [`stack::RecoveryLatencyModel`], plus GTP-U path supervision
 /// failing over the N3 backbone.
-fn recovery(pings: u64) {
-    banner("Recovery — RLF re-establishment and GTP-U path supervision");
-    let n = (pings / 10).max(200);
+fn recovery(a: &Args) -> Report {
+    let mut rep = Report::new("Recovery — RLF re-establishment and GTP-U path supervision");
+    let n = (a.pings / 10).max(200);
 
     // (a) A burst-loss plan harsh enough to force RLF: HARQ and RLC
     // budgets small, long deep fades.
@@ -928,15 +964,17 @@ fn recovery(pings: u64) {
     let mut res = stack::run_parallel_opts(&cfg, n, n as usize, None);
 
     if let Some(ev) = res.rlf.iter().find(|ev| ev.recovered) {
-        println!(
+        outln!(
+            rep,
             "ping {} hit RLF on its {} leg and completed via re-establishment — its trace:",
             ev.ping,
             if ev.dl { "downlink" } else { "uplink" }
         );
-        print!("{}", res.traces[ev.ping as usize].render());
+        out!(rep, "{}", res.traces[ev.ping as usize].render());
     }
     let unrecovered = res.rlf.iter().filter(|ev| !ev.recovered).count();
-    println!(
+    outln!(
+        rep,
         "{n} pings: {} RLF events, {} recovered, {} lost for good \
          (integrity failures: {})",
         res.rlf.len(),
@@ -944,13 +982,14 @@ fn recovery(pings: u64) {
         unrecovered,
         res.integrity_failures
     );
-    bench_log("recovery", "rtt", &mut res.rtt);
-    bench_log("recovery", "detour", &mut res.recovery);
+    rep.bench("rtt", &mut res.rtt);
+    rep.bench("detour", &mut res.recovery);
     let p50 = res.recovery.try_quantile_us(0.5).unwrap_or(0.0);
     let p99 = res.recovery.try_quantile_us(0.99).unwrap_or(0.0);
     let max = if res.recovery.count() > 0 { res.recovery.summary().max_us } else { 0.0 };
-    println!("simulated recovery detour: p50 {p50:.0} µs  p99 {p99:.0} µs  max {max:.0} µs");
-    println!(
+    outln!(rep, "simulated recovery detour: p50 {p50:.0} µs  p99 {p99:.0} µs  max {max:.0} µs");
+    outln!(
+        rep,
         "closed-form worst case:    UL {}  DL {}  (control plane {})",
         model.worst_case(false),
         model.worst_case(true),
@@ -958,7 +997,7 @@ fn recovery(pings: u64) {
     );
     let bound_us = model.worst_case_any().as_micros_f64();
     let bounded = res.recovery.samples_us().iter().all(|&us| us <= bound_us);
-    verdict("every simulated detour within the closed form", bounded);
+    rep.check("every simulated detour within the closed form", bounded);
 
     // (b) N3 path outages: supervision detects, fails over, restores.
     let mut path_cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(10);
@@ -969,7 +1008,8 @@ fn recovery(pings: u64) {
         .iter()
         .filter(|ev| ev.kind == corenet::PathEventKind::PathRestored)
         .count();
-    println!(
+    outln!(
+        rep,
         "N3 supervision over {n} pings: {} failovers, {} restorations, \
          probes sent {} / lost {}, detection charge {} per outage",
         path_res.path_failovers,
@@ -1000,7 +1040,8 @@ fn recovery(pings: u64) {
         vec!["sim_path_probes_sent".into(), path_res.path_probes.0.to_string()],
         vec!["sim_path_probes_lost".into(), path_res.path_probes.1.to_string()],
     ];
-    save("recovery.csv", &to_csv(&["quantity", "value"], &rows));
+    rep.table("recovery.csv", "quantity,value", &rows);
+    rep
 }
 
 /// `repro overload` — the open-loop offered-load ladder: Poisson and bursty
@@ -1009,14 +1050,14 @@ fn recovery(pings: u64) {
 /// point-indexed RNG stream, so `overload.csv` is byte-identical at any
 /// `--jobs`. Sub-saturation Poisson points are cross-checked against the
 /// closed-form M/D/1 mean queueing wait.
-fn overload() {
-    banner("Overload — offered-load ladder with typed drops and degradation");
+fn overload(_: &Args) -> Report {
+    let mut rep = Report::new("Overload — offered-load ladder with typed drops and degradation");
     let stack = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(11);
     let wire = stack.payload_bytes + 3; // + PDCP (2) + RLC (1) headers
     let mu = service_capacity_pps(&stack, wire);
     let horizon = Duration::from_millis(400);
     let period = stack.duplex.pattern_period();
-    println!("DL service capacity: {mu:.0} packets/s ({wire} B wire, {period} TDD pattern)");
+    outln!(rep, "DL service capacity: {mu:.0} packets/s ({wire} B wire, {period} TDD pattern)");
 
     let rhos = [0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.4];
     let points: Vec<(&str, bool, f64)> = ["poisson", "mmpp"]
@@ -1049,54 +1090,17 @@ fn overload() {
         }
     });
 
-    let mut header: Vec<String> = [
-        "process",
-        "slo",
-        "rho",
-        "offered_pps",
-        "offered",
-        "delivered",
-        "goodput",
-        "miss_rate",
-        "p50_us",
-        "p99_us",
-        "p999_us",
-        "mean_queue_us",
-        "md1_wq_us",
-        "in_band",
-        "in_flight",
-    ]
-    .map(String::from)
-    .to_vec();
-    header.extend(DropReason::ALL.map(|r| format!("drop_{}", r.label().replace('-', "_"))));
-    header.extend(
-        [
-            "peak_pdcp_pkts",
-            "peak_rlc_bytes",
-            "peak_harq_tbs",
-            "degraded_frac",
-            "critical_frac",
-            "slo_transitions",
-            "embb_sent_bytes",
-            "embb_shed_bytes",
-        ]
-        .map(String::from),
+    let drops: String =
+        DropReason::ALL.iter().map(|r| format!(",drop_{}", r.label().replace('-', "_"))).collect();
+    let header = format!(
+        "process,slo,rho,offered_pps,offered,delivered,goodput,miss_rate,p50_us,p99_us,p999_us,\
+         mean_queue_us,md1_wq_us,in_band,in_flight{drops},peak_pdcp_pkts,peak_rlc_bytes,\
+         peak_harq_tbs,degraded_frac,critical_frac,slo_transitions,embb_sent_bytes,embb_shed_bytes"
     );
 
-    println!(
-        "{:>8} {:>4} {:>5} {:>9} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7} {:>6} {:>6}",
-        "process",
-        "slo",
-        "rho",
-        "offered",
-        "goodput",
-        "miss",
-        "p99[us]",
-        "queue[us]",
-        "md1[us]",
-        "drops",
-        "deg%",
-        "trans"
+    outln!(
+        rep,
+        " process  slo   rho   offered  goodput     miss  p99[us] queue[us]   md1[us]   drops   deg%  trans"
     );
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut md1_violations = 0usize;
@@ -1120,7 +1124,8 @@ fn overload() {
         let mut q = move |p: f64| lat.quantile_us(p);
         let deg = r.degraded_slots as f64 / r.total_slots.max(1) as f64;
         let crit = r.critical_slots as f64 / r.total_slots.max(1) as f64;
-        println!(
+        outln!(
+            rep,
             "{process:>8} {:>4} {rho:>5.2} {:>9.0} {:>8.3} {:>8.4} {:>9.1} {:>9.1} {:>7} {:>6} {:>5.1}% {:>5}",
             if *slo { "on" } else { "off" },
             lambda,
@@ -1165,14 +1170,14 @@ fn overload() {
         ]);
         rows.push(row);
     }
-    verdict("sub-saturation Poisson mean waits inside the M/D/1 band", md1_violations == 0);
+    rep.check("sub-saturation Poisson mean waits inside the M/D/1 band", md1_violations == 0);
     let governed_engaged = points
         .iter()
         .zip(&reports)
         .any(|((_, slo, rho), (r, _))| *slo && *rho > 1.0 && r.degraded_slots > 0);
-    verdict("SLO supervisor engaged past saturation", governed_engaged);
-    let headers: Vec<&str> = header.iter().map(String::as_str).collect();
-    save("overload.csv", &to_csv(&headers, &rows));
+    rep.check("SLO supervisor engaged past saturation", governed_engaged);
+    rep.table("overload.csv", &header, &rows);
+    rep
 }
 
 /// `repro handover` — the mobility chaos sweep: UE speed × A3
@@ -1181,12 +1186,13 @@ fn overload() {
 /// closed-form interruption model: packet conservation always, zero loss
 /// and in-order delivery on the fault-free plans, and every interruption
 /// window under `HandoverInterruptionModel::worst_case`.
-fn handover() {
-    banner("Handover — mobility sweep with Xn forwarding and fault taxonomy");
+fn handover(_: &Args) -> Report {
+    let mut rep = Report::new("Handover — mobility sweep with Xn forwarding and fault taxonomy");
     let base = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(17);
     let model = stack::HandoverInterruptionModel::from_config(&base);
     let bound_us = model.worst_case().as_micros_f64();
-    println!(
+    outln!(
+        rep,
         "closed-form interruption bounds [ms]: handover {:.2}  too-late {:.2}  too-early {:.2}  fwd-loss +{:.2}  worst {:.2}",
         model.handover.as_micros_f64() / 1_000.0,
         model.too_late.as_micros_f64() / 1_000.0,
@@ -1218,42 +1224,9 @@ fn handover() {
         run_mobility(&cfg, None)
     });
 
-    let header = [
-        "speed_mps",
-        "ttt_ms",
-        "plan",
-        "offered",
-        "delivered",
-        "in_flight",
-        "drops",
-        "out_of_order",
-        "handovers",
-        "completed",
-        "too_late",
-        "too_early",
-        "ping_pongs",
-        "forwarding_losses",
-        "interruption_p50_us",
-        "interruption_p99_us",
-        "interruption_max_us",
-        "bound_us",
-        "latency_p50_us",
-        "latency_p99_us",
-    ];
-    println!(
-        "{:>6} {:>6} {:>6} {:>8} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {:>10} {:>10}",
-        "speed",
-        "ttt",
-        "plan",
-        "offered",
-        "ho",
-        "done",
-        "late",
-        "early",
-        "pp",
-        "fwd",
-        "int99[us]",
-        "bound[us]"
+    outln!(
+        rep,
+        " speed    ttt   plan  offered    ho  done  late early    pp   fwd  int99[us]  bound[us]"
     );
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut bound_violations = 0usize;
@@ -1282,7 +1255,8 @@ fn handover() {
         let int_max = r.interruption.samples_us().iter().cloned().fold(0.0f64, f64::max);
         let lat_p50 = r.latency.quantile_us(0.5);
         let lat_p99 = r.latency.quantile_us(0.99);
-        println!(
+        outln!(
+            rep,
             "{speed:>6.0} {ttt_ms:>6} {plan:>6} {:>8} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {int_p99:>10.1} {bound_us:>10.1}",
             r.offered, r.handovers, r.completed, r.too_late, r.too_early, r.ping_pongs,
             r.forwarding_losses,
@@ -1310,62 +1284,73 @@ fn handover() {
             format!("{lat_p99:.1}"),
         ]);
     }
-    assert_eq!(bound_violations, 0, "interruption windows exceeded the closed-form bound");
-    verdict("every interruption window within the closed-form bound", true);
-    verdict("all four failure modes observed under chaos", chaos_tally.iter().all(|&n| n > 0));
-    save("handover.csv", &to_csv(&header, &rows));
+    rep.check("every interruption window within the closed-form bound", bound_violations == 0);
+    rep.check("all four failure modes observed under chaos", chaos_tally.iter().all(|&n| n > 0));
+    rep.table(
+        "handover.csv",
+        "speed_mps,ttt_ms,plan,offered,delivered,in_flight,drops,out_of_order,handovers,completed,\
+         too_late,too_early,ping_pongs,forwarding_losses,interruption_p50_us,interruption_p99_us,\
+         interruption_max_us,bound_us,latency_p50_us,latency_p99_us",
+        &rows,
+    );
+    rep
 }
 
 /// `repro metrics` — one instrumented chaotic run; dumps the cross-layer
 /// metrics registry, the per-ping deadline-budget audit and the telemetry
 /// summary, and writes `metrics.csv` / `metrics.json`.
-fn metrics(pings: u64) {
-    banner("Metrics — cross-layer telemetry registry (instrumented chaotic run)");
-    let n = pings.clamp(64, 1_000);
+fn metrics(a: &Args) -> Report {
+    let mut rep =
+        Report::new("Metrics — cross-layer telemetry registry (instrumented chaotic run)");
+    let n = a.pings.clamp(64, 1_000);
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true)
         .with_seed(7)
         .with_faults(sim::FaultPlan::chaos(0.2));
     let tel = telemetry::Telemetry::new(4096);
     let mut res = stack::run_parallel_opts(&cfg, n, n as usize, Some(&tel));
-    bench_log("metrics", "rtt", &mut res.rtt);
+    rep.bench("rtt", &mut res.rtt);
 
     let audits = stack::audit_traces(&res.traces, &cfg, &tel);
     let over = audits.iter().filter(|a| !a.recovery_within_bound).count();
     let snap = tel.snapshot();
-    print!("{}", snap.render());
-    println!(
+    out!(rep, "{}", snap.render());
+    outln!(
+        rep,
         "{} metric keys across {} layers: {}",
         snap.len(),
         snap.layers().len(),
         snap.layers().join(", ")
     );
-    println!("audited {} pings: {} over the closed-form recovery bound", audits.len(), over);
+    outln!(rep, "audited {} pings: {} over the closed-form recovery bound", audits.len(), over);
     if let Some(worst) = audits.iter().max_by_key(|a| a.rtt) {
-        println!("slowest audited ping:\n  {}", worst.render());
+        outln!(rep, "slowest audited ping:\n  {}", worst.render());
     }
-    print!("{}", res.telemetry.render());
-    save("metrics.csv", &snap.to_csv());
-    save("metrics.json", &snap.to_json());
+    outln!(rep, "{}", res.telemetry.render());
+    rep.file("metrics.csv", snap.to_csv());
+    rep.file("metrics.json", snap.to_json());
+    rep
 }
 
 /// `repro trace [--perfetto out.json]` — one instrumented chaotic run;
 /// exports the event journal as a Chrome trace-event / Perfetto JSON
 /// document (load it at <https://ui.perfetto.dev>).
-fn trace(args: &Args) {
-    banner("Trace — Perfetto/Chrome trace-event export of the ping journey");
+fn trace(args: &Args) -> Report {
+    let mut rep = Report::new("Trace — Perfetto/Chrome trace-event export of the ping journey");
     let n = args.pings.clamp(8, 24);
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true)
         .with_seed(7)
         .with_faults(sim::FaultPlan::chaos(0.2));
     let tel = telemetry::Telemetry::new(8192);
     let mut res = stack::run_parallel_opts(&cfg, n, 3, Some(&tel));
-    bench_log("trace", "rtt", &mut res.rtt);
-    let events = save_perfetto(&args.perfetto, &tel, |_| true);
-    println!(
+    rep.bench("rtt", &mut res.rtt);
+    let events = perfetto(&mut rep, &args.perfetto, &tel, |_| true);
+    outln!(
+        rep,
         "{n} pings journalled {events} events ({} dropped by the ring)",
         tel.journal_dropped()
     );
-    println!("open the saved file at https://ui.perfetto.dev");
+    outln!(rep, "open the saved file at https://ui.perfetto.dev");
+    rep
 }
 
 /// `repro profile` — tail forensics: the per-hop *host* wall-time profile
@@ -1373,9 +1358,10 @@ fn trace(args: &Args) {
 /// the flight recorder's worst-K + forced exemplars with their p50-diff
 /// tail decomposition (`tail_exemplars.json`, byte-deterministic at any
 /// `--jobs`), and an exemplar-only Perfetto trace (`tail_perfetto.json`).
-fn profile(pings: u64) {
-    banner("Profile — per-hop wall-time profiler + tail-forensics flight recorder");
-    let n = pings.clamp(64, 2_000);
+fn profile(a: &Args) -> Report {
+    let mut rep =
+        Report::new("Profile — per-hop wall-time profiler + tail-forensics flight recorder");
+    let n = a.pings.clamp(64, 2_000);
     let prof = telemetry::Profiler::new();
 
     // Chaotic grant-based journey: every grant-based hop plus the fault
@@ -1385,7 +1371,7 @@ fn profile(pings: u64) {
         .with_faults(FaultPlan::chaos(0.4));
     let tel = telemetry::Telemetry::new(131_072);
     let mut res = stack::run_parallel_profiled(&cfg, n, n as usize, Some(&tel), Some(&prof));
-    bench_log("profile", "rtt", &mut res.rtt);
+    rep.bench("rtt", &mut res.rtt);
 
     // Recovery-heavy grant-free run: the UL-access and RLF-recovery hops
     // (same burst recipe as `repro recovery`).
@@ -1400,7 +1386,7 @@ fn profile(pings: u64) {
     });
     let rtel = telemetry::Telemetry::new(131_072);
     let mut rres = stack::run_parallel_profiled(&rcfg, n, n as usize, Some(&rtel), Some(&prof));
-    bench_log("profile", "recovery_rtt", &mut rres.rtt);
+    rep.bench("recovery_rtt", &mut rres.rtt);
 
     // Engine wall time: a short governed overload pass at capacity...
     let ostack = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(11);
@@ -1429,7 +1415,8 @@ fn profile(pings: u64) {
     let covered: std::collections::BTreeSet<&str> = stages.iter().map(|s| s.stage).collect();
     let missing: Vec<&str> =
         HopId::ALL.iter().map(|h| h.name()).filter(|name| !covered.contains(name)).collect();
-    println!(
+    outln!(
+        rep,
         "hop coverage: {}/{} journey hops profiled{}",
         HopId::ALL.len() - missing.len(),
         HopId::ALL.len(),
@@ -1439,14 +1426,17 @@ fn profile(pings: u64) {
             format!("  (MISSING: {})", missing.join(", "))
         }
     );
-    println!("hottest stages (host wall time):");
+    // Host time differs run to run: stderr only.
+    let _ = writeln!(rep.stderr, "hottest stages (host wall time):");
     for s in stages.iter().take(8) {
-        println!(
+        let _ = writeln!(
+            rep.stderr,
             "  {:<24} count {:>8}  total {:>9.3} ms  p99 {:>8.1} µs",
             s.stage, s.count, s.total_ms, s.p99_us
         );
     }
-    println!(
+    outln!(
+        rep,
         "engines: overload delivered {}/{}; mobility {} handovers, {} forced exemplars",
         oreport.delivered,
         oreport.offered,
@@ -1460,7 +1450,8 @@ fn profile(pings: u64) {
     let d1 = stack::decompose_tail(&ex1, &stack::TailBaseline::from_traces(&res.traces));
     let ex2 = rtel.flight_exemplars();
     let d2 = stack::decompose_tail(&ex2, &stack::TailBaseline::from_traces(&rres.traces));
-    println!(
+    outln!(
+        rep,
         "tail decomposition: chaos {} exemplars cover {:.1}% of the gap; recovery {} cover {:.1}%",
         d1.exemplars,
         d1.coverage * 100.0,
@@ -1468,7 +1459,7 @@ fn profile(pings: u64) {
         d2.coverage * 100.0
     );
 
-    save("profile.csv", &prof.to_csv());
+    rep.file("profile.csv", prof.to_csv());
     let doc = format!(
         "{{\n\"figures\": [\n\
          {{\"figure\": \"chaos\",\n\"decomposition\": {},\n\"flight\": {}}},\n\
@@ -1480,19 +1471,24 @@ fn profile(pings: u64) {
         rtel.flight_json(),
         mtel.flight_json(),
     );
-    save("tail_exemplars.json", &doc);
+    rep.file("tail_exemplars.json", doc);
 
     // Exemplar-only Perfetto trace: the chaos figure's journal filtered
     // to the retained pings.
     let keep: std::collections::BTreeSet<u64> = ex1.iter().map(|e| e.ping).collect();
-    save_perfetto("tail_perfetto.json", &tel, |ev| ev.ping().is_some_and(|p| keep.contains(&p)));
+    perfetto(&mut rep, "tail_perfetto.json", &tel, |ev| {
+        ev.ping().is_some_and(|p| keep.contains(&p))
+    });
+    rep
 }
 
-/// Saves the journal events of `tel` that `keep` selects as a Chrome
-/// trace-event document and returns how many it saved. The visitor copies
-/// only those events out of the ring. A failed export (the typed error
-/// tells formatting from I/O failures) exits 1.
-fn save_perfetto(
+/// Adds the journal events of `tel` that `keep` selects to `rep` as the
+/// Chrome trace-event document `name` and returns how many it holds. The
+/// visitor copies only those events out of the ring. A failed export (the
+/// typed error tells formatting from I/O failures) goes to stderr and
+/// leaves the file out, which fails `main`'s artifact audit.
+fn perfetto(
+    rep: &mut Report,
     name: &str,
     tel: &telemetry::Telemetry,
     keep: impl Fn(&telemetry::JournalEvent) -> bool,
@@ -1504,20 +1500,119 @@ fn save_perfetto(
         }
     });
     let mut buf = Vec::new();
-    if let Err(e) = telemetry::perfetto::export_chrome_trace(&mut buf, &events) {
-        eprintln!("[trace export to {name} failed: {e}]");
-        std::process::exit(1);
+    match telemetry::perfetto::export_chrome_trace(&mut buf, &events) {
+        Ok(()) => rep.file(name, String::from_utf8(buf).expect("chrome trace is UTF-8")),
+        Err(e) => {
+            let _ = writeln!(rep.stderr, "[trace export to {name} failed: {e}]");
+        }
     }
-    save(name, &String::from_utf8(buf).expect("chrome trace is UTF-8"));
     events.len()
 }
 
-fn save(name: &str, contents: &str) {
-    match write_artifact(name, contents) {
-        Ok(p) => {
-            println!("[saved {}]", p.display());
-            SAVED.lock().expect("no figure panicked while saving").push(name.to_owned());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Figures whose size does not follow `--pings`. They take most of a
+    /// debug `repro all`; the release `repro all` in CI gates their checks.
+    const UNSCALED: &[&str] = &["scale", "overload", "handover"];
+
+    /// `report` without what legitimately differs run to run: host time
+    /// (stderr and `profile.csv`'s contents).
+    fn deterministic(mut report: Report) -> Report {
+        report.stderr.clear();
+        for (name, contents) in &mut report.files {
+            if name == "profile.csv" {
+                contents.clear();
+            }
         }
-        Err(e) => eprintln!("[failed to save {name}: {e}]"),
+        report
+    }
+
+    #[test]
+    fn every_figure_reports_the_same_at_one_and_two_workers_and_every_check_holds() {
+        let args = Args { pings: 64, perfetto: TRACE_ARTIFACT.into() };
+        let figures: Vec<&Figure> =
+            FIGURES.iter().filter(|f| !UNSCALED.contains(&f.name)).collect();
+        let run = |jobs| {
+            sim::parallel::set_jobs(jobs);
+            figures.iter().map(|f| deterministic((f.run)(&args))).collect::<Vec<Report>>()
+        };
+        let (one, two) = (run(1), run(2));
+        sim::parallel::set_jobs(0);
+        for ((fig, a), b) in figures.iter().zip(&one).zip(&two) {
+            assert!(a == b, "`{}` reports differently at one and two workers", fig.name);
+            for check in &a.checks {
+                assert!(check.holds, "`{}`: {} does not hold", fig.name, check.claim);
+            }
+            let files: Vec<&str> = a.files.iter().map(|(name, _)| name.as_str()).collect();
+            assert_eq!(files, fig.artifacts, "`{}` writes what it declares", fig.name);
+        }
+    }
+
+    /// The malformed command lines `tests/cli.rs` runs the binary on.
+    const REFUSED: &[&[&str]] = &[
+        &["ratchet"],
+        &["--compare"],
+        &["--write"],
+        &["--jobs", "0"],
+        &["--pings", "abc"],
+        &["table1", "--pings"],
+        &["table1", "extra"],
+        &["nosuchfig"],
+    ];
+
+    /// What the random command lines are drawn from.
+    const TOKENS: &[&str] = &[
+        "--pings",
+        "--jobs",
+        "--perfetto",
+        "0",
+        "2",
+        "64",
+        "-1",
+        "abc",
+        "all",
+        "table1",
+        "nosuchfig",
+        "--",
+        "",
+    ];
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    #[test]
+    fn the_refused_command_lines_are_errors() {
+        // A trace name that would leave `results/` is refused too.
+        let escapes: &[&[&str]] = &[
+            &["--perfetto", "../out.json"],
+            &["--perfetto", "/tmp/out.json"],
+            &["--perfetto", ""],
+        ];
+        for line in REFUSED.iter().chain(escapes) {
+            assert!(parse(argv(line)).is_err(), "{line:?} parsed");
+        }
+        assert_eq!(
+            parse(argv(&["trace", "--perfetto", "out.json"])).unwrap().args.perfetto,
+            "out.json"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env_or(512))]
+        #[test]
+        fn a_random_command_line_parses_to_a_runnable_command_or_an_error(
+            picks in prop::collection::vec(0..TOKENS.len(), 0..8),
+        ) {
+            let line: Vec<&str> = picks.iter().map(|&i| TOKENS[i]).collect();
+            if let Ok(cli) = parse(argv(&line)) {
+                prop_assert!(cli.jobs > 0, "{line:?} parsed to {cli:?}");
+                let known = FIGURES.iter().any(|f| f.name == cli.command);
+                prop_assert!(cli.command == "all" || known, "{line:?} parsed to {cli:?}");
+            }
+        }
     }
 }

@@ -1,9 +1,8 @@
-//! ASCII plots and CSV output for the regenerated tables and figures,
-//! plus the machine-readable `BENCH_repro.json` collector of latency
-//! quantiles.
+//! A figure's [`Report`], the ASCII plots and the one CSV writer it is
+//! rendered with, and the machine-readable `BENCH_repro.json` document of
+//! latency quantiles.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use sim::LatencyRecorder;
 
@@ -62,57 +61,81 @@ pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Aggregate of the recovery columns of `chaos.csv`: how many pings
-/// completed via RRC re-establishment across the sweep, and the worst
-/// recovery-detour quantiles any cell observed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosRecoverySummary {
-    /// Data rows parsed (sweep cells).
-    pub rows: usize,
-    /// Sum of the `recovered` column: pings delivered via re-establishment.
-    pub total_recovered: u64,
-    /// Largest per-cell median recovery detour, µs.
-    pub worst_p50_us: f64,
-    /// Largest per-cell p99 recovery detour, µs.
-    pub worst_p99_us: f64,
+/// What one figure found, as a value: `repro`'s `main` prints the text,
+/// writes the files under `results/`, gates on the checks and gathers the
+/// distributions into `BENCH_repro.json`. A figure itself prints and
+/// writes nothing, so a test can run it and look at what it found.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Report {
+    /// What the figure prints to stdout, in order.
+    pub text: String,
+    /// What the figure prints to stderr: lines no artifact may record
+    /// (host wall time), and why a file it should hold is missing.
+    pub stderr: String,
+    /// The files it leaves under `results/`, as `(name, contents)`.
+    pub files: Vec<(String, String)>,
+    /// Its self-checks, in the order it made them.
+    pub checks: Vec<Check>,
+    /// Its latency distributions for `BENCH_repro.json`, in order.
+    pub distributions: Vec<BenchRecord>,
 }
 
-impl ChaosRecoverySummary {
-    /// One-paragraph ASCII rendering for the chaos banner.
-    pub fn render(&self) -> String {
-        format!(
-            "recovery across the sweep: {} pings delivered via re-establishment \
-             ({} cells); worst cell p50 {:.0} µs, p99 {:.0} µs\n",
-            self.total_recovered, self.rows, self.worst_p50_us, self.worst_p99_us
-        )
-    }
+/// One self-check of a figure: a claim and whether it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Check {
+    /// What the figure claims (`matches the published Table 1`).
+    pub claim: String,
+    /// Whether the figure found it to hold.
+    pub holds: bool,
 }
 
-/// Parses the `recovered` / `recovery_p50_us` / `recovery_p99_us` columns
-/// out of a chaos-sweep CSV (header + rows, as written by `repro chaos`).
-/// Returns `None` if any of the three columns is missing or malformed.
-pub fn summarize_chaos_recovery(csv: &str) -> Option<ChaosRecoverySummary> {
-    let mut lines = csv.lines();
-    let header: Vec<&str> = lines.next()?.split(',').collect();
-    let col = |name: &str| header.iter().position(|h| *h == name);
-    let (rec, p50, p99) = (col("recovered")?, col("recovery_p50_us")?, col("recovery_p99_us")?);
-    let mut sum =
-        ChaosRecoverySummary { rows: 0, total_recovered: 0, worst_p50_us: 0.0, worst_p99_us: 0.0 };
-    for line in lines.filter(|l| !l.trim().is_empty()) {
-        let fields: Vec<&str> = line.split(',').collect();
-        sum.rows += 1;
-        sum.total_recovered += fields.get(rec)?.parse::<u64>().ok()?;
-        sum.worst_p50_us = sum.worst_p50_us.max(fields.get(p50)?.parse().ok()?);
-        sum.worst_p99_us = sum.worst_p99_us.max(fields.get(p99)?.parse().ok()?);
+impl Report {
+    /// An empty report whose text opens with the figure's banner.
+    pub fn new(title: &str) -> Report {
+        Report {
+            text: format!("\n==================== {title} ====================\n"),
+            ..Report::default()
+        }
     }
-    Some(sum)
+
+    /// Records a self-check and appends its `<claim>: YES|NO` line to the
+    /// text at this point.
+    pub fn check(&mut self, claim: &str, holds: bool) {
+        let _ = writeln!(self.text, "{claim}: {}", if holds { "YES" } else { "NO" });
+        self.checks.push(Check { claim: claim.to_owned(), holds });
+    }
+
+    /// Adds a file for `results/`.
+    pub fn file(&mut self, name: &str, contents: String) {
+        self.files.push((name.to_owned(), contents));
+    }
+
+    /// Adds a table for `results/`, rendered by [`to_csv`]: `header` is
+    /// the CSV's first line as it appears in the file.
+    pub fn table(&mut self, name: &str, header: &str, rows: &[Vec<String>]) {
+        let header: Vec<&str> = header.split(',').collect();
+        self.file(name, to_csv(&header, rows));
+    }
+
+    /// Logs a latency distribution under `metric` for `BENCH_repro.json`.
+    /// An empty recorder logs zero quantiles rather than panicking (via
+    /// [`LatencyRecorder::try_quantile_us`]).
+    pub fn bench(&mut self, metric: &str, rec: &mut LatencyRecorder) {
+        let mut q = |p| rec.try_quantile_us(p).unwrap_or(0.0);
+        let (p50_us, p99_us, p999_us) = (q(0.5), q(0.99), q(0.999));
+        self.distributions.push(BenchRecord {
+            metric: metric.to_owned(),
+            count: rec.count(),
+            p50_us,
+            p99_us,
+            p999_us,
+        });
+    }
 }
 
 /// One latency distribution logged for `BENCH_repro.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Which figure/table produced it (`table2`, `fig6`, ...).
-    pub figure: String,
     /// Which distribution within the figure (`rtt`, `ul`, ...).
     pub metric: String,
     /// Sample count.
@@ -125,47 +148,20 @@ pub struct BenchRecord {
     pub p999_us: f64,
 }
 
-static BENCH_RECORDS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
-
-/// Logs a latency distribution under `figure`/`metric` for
-/// `BENCH_repro.json`. Empty recorders log zero quantiles rather than
-/// panicking (via [`LatencyRecorder::try_quantile_us`]).
-pub fn bench_log(figure: &str, metric: &str, rec: &mut LatencyRecorder) {
-    let q = |rec: &mut LatencyRecorder, p| rec.try_quantile_us(p).unwrap_or(0.0);
-    let record = BenchRecord {
-        figure: figure.to_string(),
-        metric: metric.to_string(),
-        count: rec.count(),
-        p50_us: q(rec, 0.5),
-        p99_us: q(rec, 0.99),
-        p999_us: q(rec, 0.999),
-    };
-    BENCH_RECORDS.lock().expect("bench log poisoned").push(record);
-}
-
-/// Records logged so far (cloned; the log keeps accumulating).
-pub fn bench_records() -> Vec<BenchRecord> {
-    BENCH_RECORDS.lock().expect("bench log poisoned").clone()
-}
-
-/// Clears the log (tests).
-pub fn bench_reset() {
-    BENCH_RECORDS.lock().expect("bench log poisoned").clear();
-}
-
-/// Renders the log as the `BENCH_repro.json` document (hand-rolled: the
-/// workspace has no serialisation dependency). Every row is a pure
-/// function of the seeds, so the document is byte-identical run to run.
-pub fn bench_json() -> String {
+/// Renders the figures' distributions, in the order given, as the
+/// `BENCH_repro.json` document (hand-rolled: the workspace has no
+/// serialisation dependency). Every row is a pure function of the seeds,
+/// so the document is byte-identical run to run.
+pub fn bench_json<'a>(reports: impl IntoIterator<Item = (&'a str, &'a Report)>) -> String {
     let mut out = String::from("{\n  \"distributions\": [");
-    let records = BENCH_RECORDS.lock().expect("bench log poisoned");
-    for (i, r) in records.iter().enumerate() {
+    let rows =
+        reports.into_iter().flat_map(|(fig, r)| r.distributions.iter().map(move |b| (fig, b)));
+    for (i, (figure, r)) in rows.enumerate() {
         let _ = write!(
             out,
-            "{}\n    {{\"figure\": \"{}\", \"metric\": \"{}\", \"count\": {}, \
+            "{}\n    {{\"figure\": \"{figure}\", \"metric\": \"{}\", \"count\": {}, \
              \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"p999_us\": {:.3}}}",
             if i == 0 { "" } else { "," },
-            r.figure,
             r.metric,
             r.count,
             r.p50_us,
@@ -175,16 +171,6 @@ pub fn bench_json() -> String {
     }
     out.push_str("\n  ]\n}\n");
     out
-}
-
-/// Writes an artifact under `results/` (creating the directory), returning
-/// the path written.
-pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, contents)?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -227,33 +213,20 @@ mod tests {
     }
 
     #[test]
-    fn chaos_recovery_summary_aggregates_the_new_columns() {
-        let csv = "intensity,recovered,recovery_p50_us,recovery_p99_us,lost\n\
-                   0.1,3,1200.5,2500.0,1\n\
-                   0.4,7,1400.0,3100.25,2\n";
-        let s = summarize_chaos_recovery(csv).expect("columns present");
-        assert_eq!(s.rows, 2);
-        assert_eq!(s.total_recovered, 10);
-        assert_eq!(s.worst_p50_us, 1400.0);
-        assert_eq!(s.worst_p99_us, 3100.25);
-        assert!(s.render().contains("10 pings"));
-    }
-
-    #[test]
     fn bench_log_survives_empty_recorders_and_renders_json() {
         let log = || {
-            bench_reset();
-            let mut empty = LatencyRecorder::default();
-            bench_log("figX", "rtt", &mut empty);
+            let mut r = Report::new("figX");
+            r.bench("rtt", &mut LatencyRecorder::default());
             let mut filled = LatencyRecorder::default();
             for us in [100u64, 200, 300] {
                 filled.record(sim::Duration::from_micros(us));
             }
-            bench_log("figX", "ul", &mut filled);
-            bench_json()
+            r.bench("ul", &mut filled);
+            r
         };
-        let json = log();
-        let records = bench_records();
+        let report = log();
+        let json = bench_json([("figX", &report), ("empty", &Report::new("t"))]);
+        let records = &report.distributions;
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].count, 0);
         assert_eq!(records[0].p99_us, 0.0);
@@ -263,21 +236,23 @@ mod tests {
         assert!(json.ends_with("}\n  ]\n}\n"));
         assert!(!json.contains("wall_ms"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // The document is a pure function of the logged records.
-        assert_eq!(log(), json);
-        bench_reset();
-        assert!(bench_records().is_empty());
+        // The document is a pure function of the reports.
+        assert_eq!(bench_json([("figX", &log())]), json);
     }
 
     #[test]
-    fn chaos_recovery_summary_requires_the_columns() {
-        assert_eq!(summarize_chaos_recovery("intensity,lost\n0.1,2\n"), None);
-        // Malformed cells are an error, not silently zero.
+    fn checks_keep_their_place_in_the_text() {
+        let mut r = Report::new("Fig 0");
+        r.text.push_str("before\n");
+        r.check("holds", true);
+        r.check("fails", false);
+        r.table("t.csv", "a,b", &[vec!["1".into(), "2".into()]]);
         assert_eq!(
-            summarize_chaos_recovery(
-                "recovered,recovery_p50_us,recovery_p99_us\nnot-a-number,1.0,2.0\n"
-            ),
-            None
+            r.text,
+            "\n==================== Fig 0 ====================\nbefore\nholds: YES\nfails: NO\n"
         );
+        let holds: Vec<bool> = r.checks.iter().map(|c| c.holds).collect();
+        assert_eq!(holds, [true, false]);
+        assert_eq!(r.files, [("t.csv".to_owned(), "a,b\n1,2\n".to_owned())]);
     }
 }

@@ -118,6 +118,7 @@ fn lognormal_params(mean: f64, std: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::tests::pin;
     use crate::stats::StreamingStats;
 
     fn sample_stats(d: &Dist, n: usize, seed: u64) -> StreamingStats {
@@ -191,6 +192,60 @@ mod tests {
         let d = Dist::Exponential { mean: Duration::from_micros(250) };
         let st = sample_stats(&d, 100_000, 6);
         assert!((st.mean() - 250.0).abs() < 5.0, "mean {}", st.mean());
+    }
+
+    /// The samplers' float results before `Duration::from_micros_f64`
+    /// rounds them to whole ns, pinned bit for bit (`f64::to_bits`) as
+    /// `(first draw, FNV-1a fold of the first 64)`: `rng::tests::golden_draws`
+    /// pins the rounded samples only, so a last-bit change to the
+    /// arithmetic or to the host's `ln`/`cos`/`exp` passes it and fails
+    /// here. The log-normal is Table 2's PDCP row, as there; the
+    /// exponential's mean is 250 µs. Each value also rounds to the sample
+    /// `Dist::sample` draws from the same generator.
+    #[test]
+    fn golden_float_bits() {
+        let lognormal = Dist::lognormal_us(8.29, 8.99);
+        let (mu, sigma) = lognormal_params(8.29, 8.99);
+        let exp_mean = Dist::Exponential { mean: Duration::from_micros(250) };
+        let lambda = 1.0 / 250.0;
+        // Per seed: standard normal, exponential, log-normal.
+        let expected = [
+            (
+                0,
+                [
+                    (0xc006_3542_27b3_dda6, 0x688e_7949_f271_a019),
+                    (0x408f_4745_dc3a_4f6b, 0xdc4e_d730_9a49_2cf7),
+                    (0x3fdf_1b5f_3dd2_51d1, 0x8238_ca0a_fe92_e175),
+                ],
+            ),
+            (
+                2024,
+                [
+                    (0xbfeb_c6b3_8f38_af5e, 0x0f10_5274_8c6c_39c3),
+                    (0x4077_356b_4fe6_eefd, 0x3782_ef9e_9bb0_01fd),
+                    (0x4004_e9c2_d8fb_5a4f, 0x80fc_fd23_a74b_8243),
+                ],
+            ),
+        ];
+        for (seed, want) in expected {
+            let rng = SimRng::from_seed(seed);
+            let got = [
+                pin(&rng, |r| standard_normal(r).to_bits()),
+                pin(&rng, |r| exponential(r, lambda).to_bits()),
+                pin(&rng, |r| (mu + sigma * standard_normal(r)).exp().to_bits()),
+            ];
+            assert_eq!(got, want, "float bits at seed {seed}");
+            let (mut a, mut b) = (rng.clone(), rng.clone());
+            for _ in 0..64 {
+                let us = exponential(&mut a, lambda);
+                assert_eq!(Duration::from_micros_f64(us), exp_mean.sample(&mut b));
+            }
+            let (mut a, mut b) = (rng.clone(), rng);
+            for _ in 0..64 {
+                let us = (mu + sigma * standard_normal(&mut a)).exp();
+                assert_eq!(Duration::from_micros_f64(us), lognormal.sample(&mut b));
+            }
+        }
     }
 
     #[test]

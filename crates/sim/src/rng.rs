@@ -120,7 +120,7 @@ impl SimRng {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
 
     /// `(first draw, FNV-1a fold of the first 64)` of `draw` on a copy of
     /// `rng`.
-    fn pin(rng: &SimRng, draw: impl Fn(&mut SimRng) -> u64) -> (u64, u64) {
+    pub(crate) fn pin(rng: &SimRng, draw: impl Fn(&mut SimRng) -> u64) -> (u64, u64) {
         let mut rng = rng.clone();
         let draws: Vec<u64> = (0..64).map(|_| draw(&mut rng)).collect();
         let fold = draws

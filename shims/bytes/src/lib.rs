@@ -1,10 +1,12 @@
-#![allow(clippy::all)]
-//! Offline stand-in for the `bytes` crate: a cheaply cloneable,
-//! sliceable, immutable byte buffer.
-//!
-//! Matches the upstream `Bytes` semantics the workspace relies on —
-//! shared ownership via `Arc`, zero-copy `slice`, deref to `[u8]` — for
+//! The workspace's PDU buffer: a cheaply cloneable, sliceable byte buffer
+//! — shared ownership via `Arc`, zero-copy `slice`, deref to `[u8]` — for
 //! the PDU payloads threaded through the RLC/PDCP/MAC codecs.
+//!
+//! It is the project's own code, not a subset of the upstream `bytes`
+//! crate. It keeps that crate's names where the two agree (`Bytes`,
+//! `BytesMut`, `BufMut`), but [`Bytes::try_prepend`] and
+//! [`Bytes::try_reclaim`], which the in-place byte path rests on, are its
+//! own API, and it carries only what the workspace uses.
 //!
 //! # Allocations
 //!
@@ -29,10 +31,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, DerefMut, Index, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable slice of shared bytes.
@@ -115,7 +115,7 @@ impl Bytes {
     /// is the only handle on its storage and views it from the first byte;
     /// otherwise returns it unchanged. The view's bytes are the written
     /// part, the rest of the storage its spare capacity. Upstream converts
-    /// any unique view; this stand-in keeps `BytesMut` offset-free.
+    /// any unique view; this buffer keeps `BytesMut` offset-free.
     pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
         match self.0 {
             Repr::Shared { mut data, start: 0, end } => match Arc::get_mut(&mut data) {
@@ -207,8 +207,8 @@ impl BytesMut {
     /// Creates an empty buffer with room for `capacity` bytes: the one
     /// allocation of a PDU whose size is known up front.
     pub fn with_capacity(capacity: usize) -> BytesMut {
-        // `Take<Repeat>` is `TrustedLen`, so the collect allocates exactly once.
-        BytesMut { data: std::iter::repeat(0u8).take(capacity).collect(), len: 0 }
+        // `RepeatN` is `TrustedLen`, so the collect allocates exactly once.
+        BytesMut { data: std::iter::repeat_n(0u8, capacity).collect(), len: 0 }
     }
 
     /// Number of bytes written.
@@ -298,12 +298,6 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         Bytes::copy_from_slice(&v)
@@ -316,22 +310,9 @@ impl From<&'static [u8]> for Bytes {
     }
 }
 
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Bytes {
-        Bytes::from_static(s.as_bytes())
-    }
-}
-
 impl<const N: usize> From<&'static [u8; N]> for Bytes {
     fn from(b: &'static [u8; N]) -> Bytes {
         Bytes::from_static(b)
-    }
-}
-
-impl<I: std::slice::SliceIndex<[u8]>> Index<I> for Bytes {
-    type Output = I::Output;
-    fn index(&self, i: I) -> &I::Output {
-        &self.as_slice()[i]
     }
 }
 
@@ -346,36 +327,6 @@ impl Eq for Bytes {}
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialEq<Bytes> for [u8] {
-    fn eq(&self, other: &Bytes) -> bool {
-        self == other.as_slice()
-    }
-}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state)
     }
 }
 
@@ -482,12 +433,12 @@ mod tests {
         let packet = payload.try_prepend(b"HDR").expect("the only handle, with room");
         assert_eq!(&packet[..], b"HDRpay");
         assert_eq!(packet[3..].as_ptr(), at, "the payload stays where it was");
-        let packet = packet.try_prepend(b"no room").err().expect("two spare bytes are too few");
+        let packet = packet.try_prepend(b"no room").expect_err("two spare bytes are too few");
         assert_eq!(&packet[..], b"HDRpay");
 
         // A held clone, or a static buffer, is never written.
         let tail = packet.slice(3..);
-        let tail = tail.try_prepend(b"X").err().expect("the storage is shared");
+        let tail = tail.try_prepend(b"X").expect_err("the storage is shared");
         assert_eq!(&packet[..], b"HDRpay");
         drop(packet);
         assert_eq!(&tail.try_prepend(b"XYZ").unwrap()[..], b"XYZpay");
